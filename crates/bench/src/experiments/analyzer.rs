@@ -8,14 +8,14 @@ use gks_core::engine::Engine;
 use gks_core::query::Query;
 use gks_core::search::SearchOptions;
 use gks_datagen::Dataset;
-use gks_index::options::AnalyzerOptionsSer;
 use gks_index::{Corpus, IndexOptions};
+use gks_text::AnalyzerOptions;
 
 use crate::table::TextTable;
 
 fn config(stem: bool, stop: bool) -> IndexOptions {
     IndexOptions {
-        analyzer: AnalyzerOptionsSer { remove_stopwords: stop, stem, min_term_len: 1 },
+        analyzer: AnalyzerOptions { remove_stopwords: stop, stem, min_term_len: 1 },
         ..Default::default()
     }
 }

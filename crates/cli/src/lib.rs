@@ -1291,7 +1291,10 @@ mod tests {
 
     #[test]
     fn full_workflow_generate_index_search_suggest_info() {
-        let dir = tmpdir();
+        // A subdirectory of its own: the cleanup below must not take the
+        // sibling tests' directories with it.
+        let dir = tmpdir().join("workflow");
+        std::fs::create_dir_all(&dir).unwrap();
         let xml = dir.join("dblp.xml");
         let ix = dir.join("dblp.gksix");
         let xml_s = xml.to_str().unwrap();

@@ -55,6 +55,15 @@ impl ShardExecutor {
         lanes.len()
     }
 
+    /// Worker threads spawned over this executor's lifetime, summed across
+    /// its lanes (lanes never shrink, so the sum never drops). A steady
+    /// value across a burst of requests proves the fan-out is spawn-free.
+    pub fn threads_spawned(&self) -> usize {
+        let lanes =
+            track("core/executor.lanes", self.lanes.read().unwrap_or_else(PoisonError::into_inner));
+        lanes.iter().map(|lane| lane.threads()).sum()
+    }
+
     /// Grows the lane table to at least `n` lanes (never shrinks — a lane
     /// retired by a shard-count decrease stays warm for the next grow).
     /// This is the **only** spawn site: call it at catalog build and after
@@ -142,14 +151,15 @@ mod tests {
     fn scatter_orders_results_and_reuses_lanes() {
         let exec = ShardExecutor::new(1);
         exec.ensure_lanes(4).unwrap();
-        let spawned = gks_exec::threads_spawned_total();
+        let spawned = exec.threads_spawned();
+        assert_eq!(spawned, 4, "one thread per lane");
         for _ in 0..10 {
             let tasks: Vec<_> = (0..4usize).map(|i| move || i * 3).collect();
             let results = exec.scatter(tasks);
             let values: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(values, vec![0, 3, 6, 9]);
         }
-        assert_eq!(gks_exec::threads_spawned_total(), spawned);
+        assert_eq!(exec.threads_spawned(), spawned);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `gks-trace`, the server's query log); this module is the matching
 //! *reader*, so round-trip tests and the smoke tooling can verify that every
 //! emitted line is well-formed and carries the required fields without an
-//! external crate (the workspace's `serde` is an offline marker shim).
+//! external crate (the workspace builds offline).
 //!
 //! Scope: full JSON syntax as consumed by our own emitters — objects,
 //! arrays, strings with `\uXXXX` and the short escapes, numbers (parsed as

@@ -22,7 +22,6 @@ use gks_dewey::DeweyId;
 use gks_index::fasthash::{FastMap, FastSet};
 use gks_index::GksIndex;
 use gks_trace::{span, SpanKind};
-use serde::{Deserialize, Serialize};
 
 use crate::cost::CostLedger;
 use crate::error::QueryError;
@@ -33,7 +32,7 @@ use crate::sweep::sweep_counted;
 use crate::window::lcp_candidates;
 
 /// How the minimum keyword count `s` is chosen for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threshold {
     /// A fixed `s`; effectively `min(s, |Q|)` per the problem definition.
     Fixed(usize),
@@ -72,7 +71,7 @@ impl Threshold {
 }
 
 /// Search-time options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
     /// The keyword threshold `s`.
     pub s: Threshold,
@@ -94,7 +93,7 @@ impl SearchOptions {
 }
 
 /// How a hit entered the response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitKind {
     /// A Least Common Entity node (Def 2.2.1) with an independent witness.
     Lce,

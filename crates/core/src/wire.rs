@@ -1,9 +1,9 @@
 //! The JSON wire format shared by `gks search/suggest --json` and the
 //! `gks-serve` HTTP endpoints.
 //!
-//! Serialization is hand-rolled on `std::fmt::Write` because the workspace's
-//! `serde` is an offline marker shim (see `crates/serde`). Two properties are
-//! load-bearing and covered by tests:
+//! Serialization is hand-rolled on `std::fmt::Write`: the workspace builds
+//! offline with no serialization framework, and the format is small and
+//! fixed. Two properties are load-bearing and covered by tests:
 //!
 //! * **Stable field names** — scripts, the loadgen verifier, and the server's
 //!   cache all key off this shape; renaming a field is a wire break.
@@ -253,32 +253,46 @@ pub fn suggest_response_json(
     out
 }
 
-/// Serializes an index-doctor report as one deterministic JSON object
-/// (stable, shared with `GET /doctor`):
+/// Serializes an index-doctor report over every shard of one logical index
+/// as one deterministic JSON object (stable, shared with `GET /doctor`):
 ///
 /// ```json
 /// {"healthy":true,"violations":[],"nodes":12,"terms":34,"postings":56}
 /// ```
-pub fn doctor_response_json(engine: &Engine) -> String {
-    let violations = engine.index().doctor();
-    let stats = engine.index().stats();
+///
+/// `healthy` is the conjunction over the shards and `nodes`/`terms`/
+/// `postings` are per-shard sums. With more than one shard each violation
+/// carries a `shard-<i>:` prefix naming the shard it was found in; a set of
+/// one reports its violations bare.
+pub fn doctor_response_json(shards: &[&Engine]) -> String {
+    let mut violations = Vec::new();
+    let (mut nodes, mut terms, mut postings) = (0u64, 0u64, 0u64);
+    for (i, engine) in shards.iter().enumerate() {
+        for violation in engine.index().doctor() {
+            violations.push(if shards.len() > 1 {
+                format!("shard-{i}: {violation}")
+            } else {
+                violation.to_string()
+            });
+        }
+        let stats = engine.index().stats();
+        nodes += stats.total_nodes;
+        terms += stats.distinct_terms;
+        postings += stats.total_postings;
+    }
     let mut out = String::with_capacity(128);
     let _ = write!(out, "{{\"healthy\":{}", violations.is_empty());
     out.push_str(",\"violations\":");
-    push_json_str_array(&mut out, violations.iter().map(|v| v.to_string()));
-    let _ = write!(
-        out,
-        ",\"nodes\":{},\"terms\":{},\"postings\":{}}}",
-        stats.total_nodes, stats.distinct_terms, stats.total_postings
-    );
+    push_json_str_array(&mut out, &violations);
+    let _ = write!(out, ",\"nodes\":{nodes},\"terms\":{terms},\"postings\":{postings}}}");
     out
 }
 
 /// Serializes one catalog index's doctor report: the [`doctor_response_json`]
 /// object with an `"index"` route-key field prepended —
 /// `{"index":"dblp","healthy":true,…}`.
-pub fn doctor_entry_json(name: &str, engine: &Engine) -> String {
-    let inner = doctor_response_json(engine);
+pub fn doctor_entry_json(name: &str, shards: &[&Engine]) -> String {
+    let inner = doctor_response_json(shards);
     let mut out = String::with_capacity(inner.len() + name.len() + 16);
     out.push_str("{\"index\":");
     push_json_str(&mut out, name);
@@ -435,17 +449,21 @@ mod tests {
         assert!(j.contains("\"unmatched\":[\"zzznothing\"]"), "{j}");
         assert!(j.contains("\"insights\":["), "{j}");
 
-        let d = doctor_response_json(&e);
+        let d = doctor_response_json(&[&e]);
         assert!(d.starts_with("{\"healthy\":true,\"violations\":[]"), "{d}");
     }
 
     #[test]
     fn catalog_doctor_json_shapes() {
         let e = engine();
-        let entry = doctor_entry_json("dblp", &e);
+        let entry = doctor_entry_json("dblp", &[&e]);
         assert!(entry.starts_with("{\"index\":\"dblp\",\"healthy\":true"), "{entry}");
+        // Two shards: counts are per-shard sums, the shape is unchanged.
+        let pair = doctor_entry_json("dblp", &[&e, &e]);
+        let nodes = e.index().stats().total_nodes;
+        assert!(pair.contains(&format!("\"violations\":[],\"nodes\":{}", 2 * nodes)), "{pair}");
 
-        let all = catalog_doctor_json(&[entry.clone(), doctor_entry_json("nasa", &e)]);
+        let all = catalog_doctor_json(&[entry.clone(), doctor_entry_json("nasa", &[&e])]);
         assert!(all.starts_with("{\"healthy\":true,\"indexes\":[{\"index\":\"dblp\""), "{all}");
         assert!(all.contains("{\"index\":\"nasa\""), "{all}");
 

@@ -128,10 +128,10 @@ proptest! {
             let shards = &engines[..count];
             // Warm the lanes, then prove the pooled path spawns nothing.
             let _ = pooled_scatter(shards, &query, options);
-            let spawned_before = gks_exec::threads_spawned_total();
+            let spawned_before = executor().threads_spawned();
             let via_scope = merge(shards, scope_scatter(shards, &query, options), limit);
             let via_pool = merge(shards, pooled_scatter(shards, &query, options), limit);
-            prop_assert_eq!(gks_exec::threads_spawned_total(), spawned_before,
+            prop_assert_eq!(executor().threads_spawned(), spawned_before,
                 "pooled scatter must not spawn threads");
             prop_assert_eq!(via_scope, via_pool, "wire JSON diverged on {} shards", count);
         }

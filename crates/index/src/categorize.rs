@@ -31,10 +31,8 @@
 //! makes the paper's single-author `<article>` instances count as CN), else
 //! CN.
 
-use serde::{Deserialize, Serialize};
-
 /// The four categories of §2.2, used for censuses and display.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeCategory {
     /// Attribute node (AN).
     Attribute,
@@ -59,7 +57,7 @@ impl NodeCategory {
 }
 
 /// Bit-set of category memberships plus structural facts about a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeFlags(u8);
 
 impl NodeFlags {

@@ -153,9 +153,9 @@ impl DeltaPlan {
 ///
 /// Unchanged documents are detected by mtime first (no read) and content
 /// hash second, so a `touch` without a content change stays a no-op.
-/// Requires a manifest with a document table — a legacy v1 manifest (or a
-/// v2 one built from explicit file lists) cannot support incremental
-/// updates because document identity is not recorded.
+/// Requires a manifest with a document table — one built from explicit
+/// file lists cannot support incremental updates because document identity
+/// is not recorded.
 pub fn plan_delta(manifest: &ShardManifest, corpus_dir: &Path) -> Result<DeltaPlan, IndexError> {
     if manifest.docs.is_empty() {
         return Err(IndexError::Corrupt(

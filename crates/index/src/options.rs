@@ -1,14 +1,13 @@
 //! Index construction options.
 
 use gks_text::AnalyzerOptions;
-use serde::{Deserialize, Serialize};
 
 /// Options controlling how a corpus is indexed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexOptions {
     /// Text normalization applied to text-node content, element names and
     /// (at query time, by the engine) query keywords.
-    pub analyzer: AnalyzerOptionsSer,
+    pub analyzer: AnalyzerOptions,
     /// Treat each XML attribute `k="v"` as a child element `<k>v</k>`.
     /// Data-oriented repositories like Mondial carry most of their payload in
     /// XML attributes; the paper's tree model has only elements and text, so
@@ -22,7 +21,7 @@ pub struct IndexOptions {
 impl Default for IndexOptions {
     fn default() -> Self {
         IndexOptions {
-            analyzer: AnalyzerOptionsSer::default(),
+            analyzer: AnalyzerOptions::default(),
             xml_attributes_as_elements: true,
             index_element_names: true,
         }
@@ -30,36 +29,9 @@ impl Default for IndexOptions {
 }
 
 impl IndexOptions {
-    /// The analyzer options in `gks-text`'s own type.
+    /// An owned copy of the analyzer options, ready for `Analyzer::new`.
     pub fn analyzer_options(&self) -> AnalyzerOptions {
-        AnalyzerOptions {
-            remove_stopwords: self.analyzer.remove_stopwords,
-            stem: self.analyzer.stem,
-            min_term_len: self.analyzer.min_term_len,
-        }
-    }
-}
-
-/// Serializable mirror of [`AnalyzerOptions`] (kept here so `gks-text` stays
-/// serde-free).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AnalyzerOptionsSer {
-    /// See [`AnalyzerOptions::remove_stopwords`].
-    pub remove_stopwords: bool,
-    /// See [`AnalyzerOptions::stem`].
-    pub stem: bool,
-    /// See [`AnalyzerOptions::min_term_len`].
-    pub min_term_len: usize,
-}
-
-impl Default for AnalyzerOptionsSer {
-    fn default() -> Self {
-        let def = AnalyzerOptions::default();
-        AnalyzerOptionsSer {
-            remove_stopwords: def.remove_stopwords,
-            stem: def.stem,
-            min_term_len: def.min_term_len,
-        }
+        self.analyzer.clone()
     }
 }
 

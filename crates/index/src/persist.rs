@@ -33,13 +33,14 @@ use gks_dewey::codec::{
     write_varint,
 };
 use gks_dewey::DeweyId;
+use gks_text::AnalyzerOptions;
 
 use crate::attrstore::{AttrEntry, AttrSource, AttrStore};
 use crate::builder::GksIndex;
 use crate::categorize::NodeFlags;
 use crate::error::IndexError;
 use crate::node_table::{NodeMeta, NodeTable};
-use crate::options::{AnalyzerOptionsSer, IndexOptions};
+use crate::options::IndexOptions;
 use crate::postings::{InvertedIndex, MappedPostings, PostingsReader, TermEntry};
 use crate::stats::{CategoryCensus, IndexStats};
 
@@ -183,7 +184,7 @@ fn read_options(input: &mut &[u8]) -> Result<IndexOptions, IndexError> {
         return Err(IndexError::Corrupt("truncated options".into()));
     }
     Ok(IndexOptions {
-        analyzer: AnalyzerOptionsSer { remove_stopwords, stem, min_term_len },
+        analyzer: AnalyzerOptions { remove_stopwords, stem, min_term_len },
         xml_attributes_as_elements: input.get_u8() != 0,
         index_element_names: input.get_u8() != 0,
     })

@@ -8,7 +8,7 @@
 //! is remapping each shard-local [`DocId`] back to its global id.
 //!
 //! The manifest is a line-based text file (the workspace has no JSON
-//! parser). Format v2 extends the v1 shard list with the state an
+//! parser). Besides the shard list, format v2 carries the state an
 //! incremental update path needs:
 //!
 //! * an **epoch** — bumped by every committed change; the manifest file is
@@ -25,9 +25,12 @@
 //! * the indexing **options** and optional **corpus directory**, so a delta
 //!   build five epochs later indexes new documents identically.
 //!
-//! v1 manifests (shard list only) still parse: ids become ordinals, the
-//! epoch is zero, and the document table is empty (which downstream layers
-//! treat as "plain base-offset doc numbering, nothing masked").
+//! A v2 manifest built from a corpus *file list* (not a directory) has an
+//! empty document table, which downstream layers treat as "plain
+//! base-offset doc numbering, nothing masked". The shard-list-only v1
+//! format is no longer read: nothing has written it since `gks index
+//! --shards` moved to v2, and [`ShardManifest::parse`] answers a v1 header
+//! with a typed error that says to re-run `gks index`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -42,10 +45,6 @@ use crate::options::IndexOptions;
 
 /// Magic first line of a current-format shard manifest file.
 pub const MANIFEST_HEADER: &str = "gks-shard-manifest v2";
-
-/// Magic first line of the legacy v1 format (still accepted by
-/// [`ShardManifest::parse`]).
-pub const MANIFEST_HEADER_V1: &str = "gks-shard-manifest v1";
 
 /// Version-agnostic prefix shared by every manifest format version — what a
 /// file-type sniff should match instead of a specific header.
@@ -152,8 +151,9 @@ pub struct ShardManifest {
     pub options: IndexOptions,
     /// The shards, in global document order (ascending `doc_base`).
     pub shards: Vec<ShardEntry>,
-    /// The live-document table, in global document order. Empty for v1
-    /// manifests (downstream layers then use plain base-offset numbering).
+    /// The live-document table, in global document order. Empty for
+    /// manifests built from a corpus file list (downstream layers then use
+    /// plain base-offset numbering).
     pub docs: Vec<DocEntry>,
     /// Dead document copies to mask at query time.
     pub tombstones: Vec<Tombstone>,
@@ -170,8 +170,8 @@ pub struct ShardView {
     /// Sorted local document ids that are tombstoned.
     pub tombstones: Vec<u32>,
     /// `table[local] = global` for live locals, [`DEAD_DOC`] for dead ones;
-    /// `None` when the manifest has no document table (v1): numbering is
-    /// then the plain `doc_base` offset and nothing is masked.
+    /// `None` when the manifest has no document table: numbering is then
+    /// the plain `doc_base` offset and nothing is masked.
     pub doc_map: Option<Vec<u32>>,
 }
 
@@ -271,21 +271,26 @@ impl ShardManifest {
         out
     }
 
-    /// Parses a manifest from its text format (v2 or legacy v1). The
-    /// inverse of [`ShardManifest::render`]; shard paths are kept verbatim
-    /// (see [`ShardManifest::load`] for relative-path resolution).
+    /// Parses a manifest from its text format. The inverse of
+    /// [`ShardManifest::render`]; shard paths are kept verbatim (see
+    /// [`ShardManifest::load`] for relative-path resolution). Any other
+    /// manifest version (the retired v1 included) is a typed error naming
+    /// the version found and the fix.
     pub fn parse(text: &str) -> Result<ShardManifest, IndexError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().unwrap_or("").trim();
-        let manifest = match header {
-            h if h == MANIFEST_HEADER => parse_v2(lines)?,
-            h if h == MANIFEST_HEADER_V1 => parse_v1(lines)?,
-            _ => {
-                return Err(IndexError::Corrupt(format!(
-                    "not a shard manifest (expected {MANIFEST_HEADER:?}, found {header:?})"
-                )))
-            }
-        };
+        if header != MANIFEST_HEADER {
+            return Err(IndexError::Corrupt(match header.strip_prefix(MANIFEST_MAGIC) {
+                Some(version) => format!(
+                    "shard manifest format v{version} is not supported (this build reads \
+                     {MANIFEST_HEADER:?}); re-run `gks index --shards N` to rebuild it"
+                ),
+                None => {
+                    format!("not a shard manifest (expected {MANIFEST_HEADER:?}, found {header:?})")
+                }
+            }));
+        }
+        let manifest = parse_v2(lines)?;
         validate_shard_list(&manifest.shards)?;
         Ok(manifest)
     }
@@ -401,7 +406,7 @@ pub(crate) fn sibling_tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Duplicate-id and range validation shared by both parse paths — the typed
+/// Duplicate-id and range validation of a parsed shard list — the typed
 /// errors name the offending entries.
 fn validate_shard_list(shards: &[ShardEntry]) -> Result<(), IndexError> {
     if shards.is_empty() {
@@ -440,46 +445,6 @@ fn parse_count(line: &str, prefix: &str) -> Result<usize, IndexError> {
     line.strip_prefix(prefix)
         .and_then(|n| n.trim().parse().ok())
         .ok_or_else(|| IndexError::Corrupt(format!("bad count line: {line:?}")))
-}
-
-fn parse_v1<'a>(lines: impl Iterator<Item = &'a str>) -> Result<ShardManifest, IndexError> {
-    let mut lines = lines;
-    let count_line = lines
-        .next()
-        .ok_or_else(|| IndexError::Corrupt("shard manifest missing shard count".into()))?;
-    let declared = parse_count(count_line, "shards ")?;
-    let mut shards = Vec::with_capacity(declared);
-    for line in lines {
-        let body = line
-            .strip_prefix("shard ")
-            .ok_or_else(|| IndexError::Corrupt(format!("unexpected manifest line: {line:?}")))?;
-        let fields: Vec<&str> = body.splitn(6, '\t').collect();
-        if fields.len() != 6 {
-            return Err(IndexError::Corrupt(format!(
-                "shard line has {} fields, expected 6: {line:?}",
-                fields.len()
-            )));
-        }
-        let num = |i: usize| parse_num(fields[i], line);
-        shards.push(ShardEntry {
-            id: shards.len() as u64,
-            kind: ShardKind::Base,
-            born: 0,
-            doc_base: u32::try_from(num(0)?).unwrap_or(u32::MAX),
-            doc_count: u32::try_from(num(1)?).unwrap_or(u32::MAX),
-            raw_bytes: num(2)?,
-            total_nodes: num(3)?,
-            distinct_terms: num(4)?,
-            path: PathBuf::from(fields[5]),
-        });
-    }
-    if shards.len() != declared {
-        return Err(IndexError::Corrupt(format!(
-            "manifest declares {declared} shards but lists {}",
-            shards.len()
-        )));
-    }
-    Ok(ShardManifest { shards, ..ShardManifest::default() })
 }
 
 fn parse_num(field: &str, line: &str) -> Result<u64, IndexError> {
@@ -703,22 +668,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifests_still_parse() {
-        let v1 = format!(
-            "{MANIFEST_HEADER_V1}\nshards 2\nshard 0\t2\t9\t9\t9\ta.gksix\n\
-             shard 2\t3\t9\t9\t9\tb.gksix\n"
-        );
-        let parsed = ShardManifest::parse(&v1).unwrap();
-        assert_eq!(parsed.epoch, 0);
-        assert_eq!(parsed.shards.len(), 2);
-        assert_eq!(parsed.shards[0].id, 0);
-        assert_eq!(parsed.shards[1].id, 1);
-        assert_eq!(parsed.shards[1].kind, ShardKind::Base);
-        assert_eq!(parsed.shards[1].doc_base, 2);
-        assert!(parsed.docs.is_empty());
-        // A v1 manifest has no doc table: views carry no map, no tombstones.
-        let views = parsed.shard_views();
-        assert!(views.iter().all(|v| v.doc_map.is_none() && v.tombstones.is_empty()));
+    fn retired_v1_header_is_a_typed_error_with_the_fix() {
+        let v1 = "gks-shard-manifest v1\nshards 1\nshard 0\t2\t9\t9\t9\ta.gksix\n";
+        match ShardManifest::parse(v1) {
+            Err(IndexError::Corrupt(message)) => {
+                assert!(message.contains("format v1 is not supported"), "{message}");
+                assert!(message.contains("re-run `gks index"), "{message}");
+            }
+            other => panic!("expected a typed version error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -726,15 +684,11 @@ mod tests {
         assert!(ShardManifest::parse("").is_err(), "empty");
         assert!(ShardManifest::parse("nope\nshards 0\n").is_err(), "bad header");
         assert!(
-            ShardManifest::parse(&format!("{MANIFEST_HEADER_V1}\nshards 2\n")).is_err(),
+            ShardManifest::parse(&format!("{MANIFEST_HEADER}\nshards 2\n")).is_err(),
             "count mismatch"
         );
-        let gap = format!(
-            "{MANIFEST_HEADER_V1}\nshards 2\nshard 0\t2\t9\t9\t9\ta.gksix\n\
-             shard 5\t2\t9\t9\t9\tb.gksix\n"
-        );
-        assert!(ShardManifest::parse(&gap).is_err(), "doc_base gap");
-        let empty_shard = format!("{MANIFEST_HEADER_V1}\nshards 1\nshard 0\t0\t9\t9\t9\ta.gksix\n");
+        let empty_shard =
+            format!("{MANIFEST_HEADER}\nshards 1\nshard 0\tbase\t0\t0\t0\t9\t9\t9\ta.gksix\n");
         assert!(ShardManifest::parse(&empty_shard).is_err(), "zero-doc shard");
     }
 

@@ -1,12 +1,10 @@
 //! Index statistics backing the paper's Tables 4 and 5.
 
-use serde::{Deserialize, Serialize};
-
 use crate::categorize::NodeCategory;
 use crate::fasthash::FastMap;
 
 /// Node counts per category — one row of the paper's Table 5.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CategoryCensus {
     /// Attribute nodes (AN).
     pub attribute: u64,

@@ -9,11 +9,12 @@
 //! `/search`) to a [`ResidentIndex`] bundling the engine generation, its
 //! result cache, and per-index counters.
 //!
-//! **Hot-swap protocol.** Each resident index holds one or more **shard
-//! slots** behind a `RwLock<Vec<…>>`, each slot carrying its current
-//! generation as `RwLock<Arc<Loaded>>`. A request takes a *snapshot* (`Arc`
-//! clone under read locks) once per shard, then runs entirely against that
-//! generation set — search, render, cache tagging. Replacement engines are
+//! **Hot-swap protocol.** Each resident index is a **shard set**: one or
+//! more shard slots behind a `RwLock<Vec<…>>` (an unsharded index is a set
+//! of one), each slot carrying its current generation as
+//! `RwLock<Arc<Loaded>>`. A request pins a [`ShardSet`] (`Arc` clones
+//! under read locks) once, then runs entirely against that generation set
+//! — search, render, cache tagging. Replacement engines are
 //! always built *before* any write lock is taken, so locks are held only
 //! for pointer swaps; in-flight requests finish on the old engines, which
 //! are freed when the last snapshot drops. Stale cache entries are
@@ -22,7 +23,7 @@
 //! ([`crate::cache::ResultCache::get_for`]), and a swap additionally
 //! bulk-clears the superseded generation's entries.
 //!
-//! **Sharded indexes.** A resident index backed by N > 1 shards (a
+//! **Reloads.** A resident index backed by N shards (a
 //! document-partitioned corpus, see `gks_index::shard`) reloads its shards
 //! one at a time. A monotonically increasing **epoch** counter is bumped
 //! after every swap; [`ResidentIndex::snapshot_all`] reads the epoch on
@@ -73,10 +74,10 @@ use crate::{index_identity, ServeConfig};
 /// single positional `gks serve` path).
 pub const DEFAULT_INDEX_NAME: &str = "default";
 
-/// One engine generation: the engine plus the identity fingerprint of the
-/// index it was built from and the document renumbering of its shard.
-/// Requests snapshot this bundle once and run entirely against it, so a
-/// mid-request hot-swap can never mix generations.
+/// One engine generation of one shard: the engine plus the identity
+/// fingerprint of the index it was built from. Only ever handed out inside
+/// a [`ShardSet`], which pairs it with its resolved document renumbering —
+/// there is no way to reach a shard's engine without its set.
 #[derive(Debug)]
 pub struct Loaded {
     /// The resident engine of this generation (tombstone-masked when the
@@ -88,29 +89,29 @@ pub struct Loaded {
     pub identity: u64,
     /// Local→global document renumbering of this shard; `None` means the
     /// positional dense tiling (global = local + sum of preceding shard
-    /// sizes), which is what frozen shard sets use.
-    pub doc_map: Option<DocMap>,
+    /// sizes), which is what frozen shard sets use. Private: readers get
+    /// the resolved map from [`ShardSet::doc_maps`].
+    doc_map: Option<DocMap>,
 }
 
 #[derive(Debug)]
 enum IndexSource {
-    /// An already-built engine (tests, benches). Not reloadable.
-    Engine(Arc<Engine>),
-    /// A persisted `.gksix` file; reloadable by re-reading the path.
-    Path(PathBuf),
-    /// N self-contained shard index files over a document-partitioned
-    /// corpus; each shard reloads by re-reading its own path.
-    Shards(Vec<PathBuf>),
-    /// N already-built shard engines (tests, benches). Not reloadable.
-    ShardEngines(Vec<Arc<Engine>>),
+    /// Already-built shard engines in global document order (tests,
+    /// benches). Not reloadable.
+    Engines(Vec<Arc<Engine>>),
+    /// Self-contained `.gksix` shard files over a document-partitioned
+    /// corpus, in global document order; each shard reloads by re-reading
+    /// its own path.
+    Paths(Vec<PathBuf>),
     /// A shard manifest file: the live-update source. Reloads re-read the
     /// manifest and sync the slot set to it (delta shards, tombstones,
     /// compactions — see `gks_index::delta`).
     Manifest(PathBuf),
 }
 
-/// How an index enters the catalog: a route key plus either a prebuilt
-/// engine or one or more paths to load (and later reload) it from.
+/// How an index enters the catalog: a route key plus a shard set — prebuilt
+/// engines, paths to load (and later reload) them from, or a manifest. An
+/// unsharded index is the one-element case of the first two.
 #[derive(Debug)]
 pub struct IndexSpec {
     name: String,
@@ -121,13 +122,13 @@ impl IndexSpec {
     /// A spec wrapping an already-built engine. The index will serve but
     /// cannot be hot-swap reloaded (there is no source to re-read).
     pub fn with_engine(name: impl Into<String>, engine: Arc<Engine>) -> IndexSpec {
-        IndexSpec { name: name.into(), source: IndexSource::Engine(engine) }
+        IndexSpec::with_shard_engines(name, [engine])
     }
 
     /// A spec loading the engine from a persisted `.gksix` file; the same
     /// path is re-read on every reload.
     pub fn with_source(name: impl Into<String>, path: impl Into<PathBuf>) -> IndexSpec {
-        IndexSpec { name: name.into(), source: IndexSource::Path(path.into()) }
+        IndexSpec::with_shard_paths(name, [path.into()])
     }
 
     /// A spec registering one logical index backed by `paths.len()` shard
@@ -137,8 +138,8 @@ impl IndexSpec {
         name: impl Into<String>,
         paths: impl IntoIterator<Item = impl Into<PathBuf>>,
     ) -> IndexSpec {
-        let paths: Vec<PathBuf> = paths.into_iter().map(Into::into).collect();
-        IndexSpec { name: name.into(), source: IndexSource::Shards(paths) }
+        let paths = paths.into_iter().map(Into::into).collect();
+        IndexSpec { name: name.into(), source: IndexSource::Paths(paths) }
     }
 
     /// A spec wrapping already-built shard engines in global document order
@@ -147,10 +148,7 @@ impl IndexSpec {
         name: impl Into<String>,
         engines: impl IntoIterator<Item = Arc<Engine>>,
     ) -> IndexSpec {
-        IndexSpec {
-            name: name.into(),
-            source: IndexSource::ShardEngines(engines.into_iter().collect()),
-        }
+        IndexSpec { name: name.into(), source: IndexSource::Engines(engines.into_iter().collect()) }
     }
 
     /// A spec serving the shard set recorded in a shard manifest file
@@ -294,9 +292,10 @@ struct ShardSlot {
 }
 
 /// A consistent point-in-time snapshot of every shard of a resident index,
-/// produced by [`ResidentIndex::snapshot_all`]. The `Arc`s pin the
-/// generations; `epoch` is the reload epoch both sides of the slot sweep
-/// agreed on, so the set never mixes shards from two reload sweeps.
+/// produced by [`ResidentIndex::snapshot_all`] — the only way a reader
+/// reaches an engine. The `Arc`s pin the generations; `epoch` is the reload
+/// epoch both sides of the slot sweep agreed on, so the set never mixes
+/// shards from two reload sweeps. Never empty.
 #[derive(Debug)]
 pub struct ShardSet {
     /// The pinned shard generations, in global document order.
@@ -310,6 +309,13 @@ pub struct ShardSet {
     /// explicit maps for manifest-backed sets, dense positional bases
     /// otherwise.
     pub doc_maps: Vec<DocMap>,
+}
+
+impl ShardSet {
+    /// The pinned engines, in shard order.
+    pub fn engines(&self) -> Vec<&Engine> {
+        self.shards.iter().map(|loaded| loaded.engine.as_ref()).collect()
+    }
 }
 
 /// Folds per-shard identity fingerprints into one logical-index identity.
@@ -414,7 +420,8 @@ pub struct ResidentIndex {
     /// Persistent per-shard worker lanes for the scatter path: shard
     /// fan-out is a channel send to a long-lived lane, never a thread
     /// spawn per request. Lanes grow with the shard count (manifest syncs
-    /// can add delta shards) and never shrink.
+    /// can add delta shards) and never shrink; a set of one searches on
+    /// the calling worker and has none.
     executor: Arc<ShardExecutor>,
 }
 
@@ -499,27 +506,13 @@ impl ResidentIndex {
         let mut manifest_path = None;
         let mut manifest_loaded: Option<ShardManifest> = None;
         let slots: Vec<Arc<ShardSlot>> = match spec.source {
-            IndexSource::Engine(engine) => vec![slot_of(engine, None)],
-            IndexSource::Path(path) => vec![slot_of(load_engine(&name, &path)?, Some(path))],
-            IndexSource::Shards(paths) => {
-                if paths.is_empty() {
-                    return Err(ServeError::BadConfig(format!(
-                        "sharded index {name:?} lists no shard paths"
-                    )));
-                }
-                paths
-                    .into_iter()
-                    .map(|path| Ok(slot_of(load_engine(&name, &path)?, Some(path))))
-                    .collect::<Result<_, ServeError>>()?
-            }
-            IndexSource::ShardEngines(engines) => {
-                if engines.is_empty() {
-                    return Err(ServeError::BadConfig(format!(
-                        "sharded index {name:?} lists no shard engines"
-                    )));
-                }
+            IndexSource::Engines(engines) => {
                 engines.into_iter().map(|engine| slot_of(engine, None)).collect()
             }
+            IndexSource::Paths(paths) => paths
+                .into_iter()
+                .map(|path| Ok(slot_of(load_engine(&name, &path)?, Some(path))))
+                .collect::<Result<_, ServeError>>()?,
             IndexSource::Manifest(path) => {
                 let manifest = ShardManifest::load(&path).map_err(|e| ServeError::Index {
                     name: name.clone(),
@@ -531,13 +524,15 @@ impl ResidentIndex {
                 slots
             }
         };
+        if slots.is_empty() {
+            return Err(ServeError::BadConfig(format!("index {name:?} lists no shards")));
+        }
         let per_lane = if config.shard_workers == 0 {
             config.workers
         } else {
             config.shard_workers
         };
         let executor = Arc::new(ShardExecutor::new(per_lane));
-        executor.ensure_lanes(slots.len()).map_err(ServeError::Io)?;
         let resident = ResidentIndex {
             name,
             slots: RwLock::new(slots),
@@ -556,6 +551,7 @@ impl ResidentIndex {
             counters: IndexCounters::new(),
             executor,
         };
+        resident.grow_lanes().map_err(ServeError::Io)?;
         if let Some(manifest) = &manifest_loaded {
             resident.record_manifest_stats(manifest);
         }
@@ -573,26 +569,27 @@ impl ResidentIndex {
         self.manifest.as_deref()
     }
 
-    /// The `.gksix` path reloads re-read for the first shard, if it was
-    /// loaded from one.
-    pub fn source(&self) -> Option<PathBuf> {
-        self.slots_snapshot().first().and_then(|s| s.source.clone())
-    }
-
-    /// Number of shard slots backing this index (1 for unsharded).
+    /// Number of shard slots backing this index (1 for unsharded; never 0:
+    /// construction and every manifest sync reject an empty shard set).
     pub fn shard_count(&self) -> usize {
         self.slots_snapshot().len()
     }
 
-    /// Whether this index fans queries out over more than one shard.
-    pub fn is_sharded(&self) -> bool {
-        self.shard_count() > 1
-    }
-
-    /// The persistent scatter executor backing this index's sharded
+    /// The persistent scatter executor backing this index's fanned-out
     /// searches.
     pub fn executor(&self) -> &ShardExecutor {
         &self.executor
+    }
+
+    /// Grows the scatter lanes to the current shard count — at build and
+    /// after every manifest sync, so the request path never spawns. A set
+    /// of one searches on the calling worker and gets no lane.
+    fn grow_lanes(&self) -> std::io::Result<()> {
+        let shards = self.shard_count();
+        if shards > 1 {
+            self.executor.ensure_lanes(shards)?;
+        }
+        Ok(())
     }
 
     /// The current reload epoch (bumped after every slot swap).
@@ -658,25 +655,16 @@ impl ResidentIndex {
         slots.iter().map(Arc::clone).collect()
     }
 
-    /// The current engine generation of the **first** shard. The returned
-    /// `Arc` pins the generation: a reload swapping the slot does not affect
-    /// the snapshot, and the old engine is freed when the last snapshot
-    /// drops. Unsharded indexes (the common case) have exactly one shard, so
-    /// this is their whole state; sharded callers want
-    /// [`ResidentIndex::snapshot_all`].
-    pub fn snapshot(&self) -> Arc<Loaded> {
-        // The slot list is never empty: construction and every manifest
-        // sync reject an empty shard set.
-        slot_loaded(&self.slots_snapshot()[0])
-    }
-
     /// A consistent snapshot of **every** shard, or `None` if a reload
-    /// storm kept invalidating the sweep. The epoch is read on both sides
-    /// of the slot sweep and the sweep retries until both reads agree, so a
-    /// returned set never mixes shards from two reload sweeps — the
-    /// precondition for the gather stage's lossless merge. `None` is the
-    /// only mixed-generation outcome and requires ~64 reload sweeps to land
-    /// inside one snapshot attempt each; callers turn it into a `503`.
+    /// storm kept invalidating the sweep. The returned `Arc`s pin the
+    /// generations: a reload swapping a slot does not affect the set, and
+    /// an old engine is freed when the last set holding it drops. The epoch
+    /// is read on both sides of the slot sweep and the sweep retries until
+    /// both reads agree, so a returned set never mixes shards from two
+    /// reload sweeps — the precondition for the gather stage's lossless
+    /// merge. `None` is the only mixed-generation outcome and requires ~64
+    /// reload sweeps to land inside one snapshot attempt each; callers turn
+    /// it into a `503`.
     pub fn snapshot_all(&self) -> Option<ShardSet> {
         for _ in 0..64 {
             let before = self.epoch.load(Ordering::Acquire);
@@ -843,7 +831,7 @@ impl ResidentIndex {
         // A sync can widen the shard set (new delta shards); grow the
         // scatter lanes to match. Best-effort — scatter falls back to
         // round-robin over the existing lanes until the next sync.
-        let _ = self.executor.ensure_lanes(self.shard_count());
+        let _ = self.grow_lanes();
         let after = self.identity();
         self.counters.reloads_total.fetch_add(1, Ordering::Relaxed);
         self.cache.ensure_identity(after);
@@ -1164,7 +1152,7 @@ mod tests {
         let specs = vec![IndexSpec::with_engine("a", tiny_engine("one"))];
         let catalog = EngineCatalog::build(specs, None, &config).unwrap();
         let resident = catalog.get("a").unwrap();
-        let old = resident.snapshot();
+        let old = resident.snapshot_all().unwrap();
         resident.cache().put("k".into(), Arc::from(&b"v"[..]));
         assert!(resident.cache().get("k").is_some());
         assert!(resident.reload().is_err(), "engine-backed indexes cannot reload");
@@ -1176,6 +1164,7 @@ mod tests {
         let new_identity = index_identity(replacement.index());
         let (before, after) = resident.swap_engine(replacement, new_identity);
         assert_eq!(before, old.identity);
+        assert_eq!(old.doc_maps, vec![DocMap::base(0)], "a set of one tiles from zero");
         assert_eq!(after, new_identity);
         assert_ne!(before, after);
         assert_eq!(resident.identity(), new_identity);
@@ -1183,7 +1172,7 @@ mod tests {
         assert!(resident.cache().get("k").is_none(), "swap clears the old generation");
         // The pre-swap snapshot still works: old generation pinned.
         assert_eq!(old.identity, before);
-        assert!(Arc::strong_count(&old.engine) >= 1);
+        assert!(Arc::strong_count(&old.shards[0].engine) >= 1);
     }
 
     #[test]

@@ -27,9 +27,14 @@
 //!   the connection is keep-alive. Each request carries a **deadline**
 //!   from its first byte; work still pending past the deadline
 //!   (including time spent queued) is aborted with `503` and counted.
-//! * **shard executor** — sharded indexes scatter each query over a
-//!   persistent per-shard worker pool ([`gks_core::ShardExecutor`]); the
-//!   fan-out is a channel send, never a thread spawn on the request path.
+//! * **query pipeline** — every resident index is a *shard set*; an
+//!   unsharded index is a set of one. `/search` and `/suggest` run one
+//!   pipeline ([`ServeState::handle`]): pin a consistent set, probe the
+//!   cache under the set's identity, search every shard, gather, render.
+//!   A set of more than one scatters over a persistent per-shard worker
+//!   pool ([`gks_core::ShardExecutor`]) — a channel send, never a thread
+//!   spawn on the request path; a set of one searches on the calling
+//!   worker.
 //! * **result cache** — one sharded LRU per index ([`cache::ResultCache`])
 //!   keyed on the normalized `(endpoint, query, s, limit)` tuple, storing
 //!   the exact response bytes; the deterministic wire format
@@ -100,15 +105,14 @@ use std::time::{Duration, Instant};
 use gks_core::di::DiOptions;
 use gks_core::engine::Engine;
 use gks_core::query::Query;
-use gks_core::search::{SearchOptions, Threshold};
-use gks_core::shard::DocMap;
+use gks_core::search::{Response, SearchOptions, Threshold};
 use gks_core::wire;
 use gks_index::delta::wall_clock_ms;
 use gks_index::GksIndex;
 use gks_trace::SpanKind;
 
 use crate::cache::ResultCache;
-use crate::catalog::{EngineCatalog, IndexSpec, Loaded, ResidentIndex, ShardSet};
+use crate::catalog::{EngineCatalog, IndexSpec, ResidentIndex, ShardSet};
 use crate::error::ServeError;
 use crate::http::{HttpResponse, Request};
 use crate::metrics::{Endpoint, Metrics};
@@ -298,11 +302,6 @@ impl ServeState {
         self.catalog.default_index().cache()
     }
 
-    /// The default index's current engine generation.
-    pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.catalog.default_index().snapshot().engine)
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -438,25 +437,38 @@ impl ServeState {
         }
     }
 
-    /// `GET /doctor` iterates every resident index; under an `/ix/<name>/`
-    /// prefix it reports just that index.
+    /// Pins a consistent snapshot of every shard of `resident`; `Err` is the
+    /// ready-to-send `503` for the one case that cannot be served — the
+    /// epoch kept moving across every snapshot attempt, so no set that
+    /// coexisted at one instant could be pinned at all.
+    fn pin(&self, resident: &ResidentIndex) -> Result<ShardSet, HttpResponse> {
+        resident.snapshot_all().ok_or_else(|| {
+            self.metrics.shard_mixed_generation_total.fetch_add(1, Ordering::Relaxed);
+            HttpResponse::error(503, "index reloading, retry shortly")
+                .with_header("Retry-After", "1".to_string())
+        })
+    }
+
+    /// `GET /doctor` audits every shard of every resident index; under an
+    /// `/ix/<name>/` prefix it reports just that index.
     fn handle_doctor(&self, route_index: Option<&str>, resident: &ResidentIndex) -> HttpResponse {
-        if route_index.is_some() {
-            let loaded = resident.snapshot();
-            return HttpResponse::json(
-                200,
-                wire::doctor_entry_json(resident.name(), &loaded.engine),
-            );
+        let entry = |r: &ResidentIndex| {
+            let set = self.pin(r)?;
+            Ok(wire::doctor_entry_json(r.name(), &set.engines()))
+        };
+        let body = if route_index.is_some() {
+            entry(resident)
+        } else {
+            self.catalog
+                .iter()
+                .map(|r| entry(r))
+                .collect::<Result<Vec<String>, HttpResponse>>()
+                .map(|entries| wire::catalog_doctor_json(&entries))
+        };
+        match body {
+            Ok(body) => HttpResponse::json(200, body),
+            Err(response) => response,
         }
-        let entries: Vec<String> = self
-            .catalog
-            .iter()
-            .map(|r| {
-                let loaded = r.snapshot();
-                wire::doctor_entry_json(r.name(), &loaded.engine)
-            })
-            .collect();
-        HttpResponse::json(200, wire::catalog_doctor_json(&entries))
     }
 
     /// Renders `/metrics`: global counters plus one labeled section per
@@ -525,8 +537,7 @@ impl ServeState {
     /// labeled with the index's route key, then fans the outcome out to
     /// every observability sink — the `Server-Timing` header, the query log,
     /// the per-index phase histograms, and (over the threshold) the
-    /// slow-query log with the full span tree. Sharded indexes take the
-    /// parallel scatter/gather path ([`ServeState::run_query_sharded`]).
+    /// slow-query log with the full span tree.
     fn handle_query(
         &self,
         request: &Request,
@@ -540,15 +551,7 @@ impl ServeState {
         record.index = resident.name().to_string();
         record.query = request.param("q").unwrap_or_default().to_string();
         record.s = request.param("s").unwrap_or("1").to_string();
-        let mut response = if resident.is_sharded() {
-            self.run_query_sharded(request, accepted_at, suggest, resident, &mut record)
-        } else {
-            // One generation snapshot for the whole request: search, render,
-            // and cache tagging all use it, so a concurrent hot-swap cannot
-            // mix engine output with the wrong cache identity.
-            let loaded = resident.snapshot();
-            self.run_query(request, accepted_at, suggest, resident, &loaded, &mut record)
-        };
+        let mut response = self.run_query(request, accepted_at, suggest, resident, &mut record);
         record.status = response.status;
         record.micros = request_span.elapsed_micros();
         // Engine runs (cache hits and errors carry no ledger) feed the
@@ -607,123 +610,30 @@ impl ServeState {
         Ok(QueryParams { query, s, s_raw: s_raw.to_string(), limit, explain })
     }
 
-    /// The query pipeline proper: parameter parsing, cache lookup, deadline
-    /// checks, engine search, rendering — all against the `loaded`
-    /// generation snapshot. Fills `record` as facts about the request become
-    /// known.
-    #[allow(clippy::too_many_arguments)]
-    fn run_query(
-        &self,
-        request: &Request,
-        accepted_at: Instant,
-        suggest: bool,
-        resident: &ResidentIndex,
-        loaded: &Loaded,
-        record: &mut qlog::QueryRecord,
-    ) -> HttpResponse {
-        let params = match self.parse_query_params(request) {
-            Ok(params) => params,
-            Err(response) => return response,
-        };
-        let QueryParams { query, s, limit, .. } = &params;
-        let (s, limit) = (*s, *limit);
-        record.limit = limit;
-        let key = cache_key(suggest, &params);
-
-        if self.config.cache_bytes > 0 {
-            // Lookup pinned to the snapshot's identity: a hit can only ever
-            // return bytes computed against this exact generation.
-            if let Some(body) = resident.cache().get_for(&key, loaded.identity) {
-                self.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-                resident.counters().cache_hits_total.fetch_add(1, Ordering::Relaxed);
-                record.cached = true;
-                return HttpResponse::json(200, body.to_vec())
-                    .with_header("x-gks-cache", "hit".to_string());
-            }
-            self.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-            resident.counters().cache_misses_total.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // Admission + queueing may already have consumed the budget; do not
-        // start a search we are not allowed to finish.
-        if self.budget_left(accepted_at).is_none() {
-            return self.deadline_abort();
-        }
-        let options = SearchOptions { s, limit };
-        let mut response = match loaded.engine.search(query, options) {
-            Ok(r) => r,
-            Err(e) => return HttpResponse::error(400, &format!("search failed: {e}")),
-        };
-        record.hits = Some(response.hits().len());
-        record.sl_len = Some(response.sl_len());
-        // The deadline gates result *rendering*: a search that returns with
-        // an exhausted budget is aborted before serialization (rendering
-        // ranks, paths, and attributes dominates for large limits).
-        if self.budget_left(accepted_at).is_none() {
-            return self.deadline_abort();
-        }
-        let render_span = gks_trace::span(SpanKind::Render);
-        let mut body = if suggest {
-            let (di, di_attrs) = gks_core::di::discover_di_counted(
-                loaded.engine.index(),
-                &response,
-                &DiOptions::default(),
-            );
-            response.cost_mut().di_attrs = di_attrs;
-            let refinement = loaded.engine.refine(&response, &di);
-            wire::suggest_response_json(&response, &refinement, &di)
-        } else {
-            wire::search_response_json(&loaded.engine, &response)
-        };
-        drop(render_span);
-        if self.budget_left(accepted_at).is_none() {
-            return self.deadline_abort();
-        }
-        // An engine run implies the cache was probed and missed (hits return
-        // above). `result_bytes` is the plain body — the explain splice is
-        // accounting, not payload.
-        {
-            let cost = response.cost_mut();
-            if self.config.cache_bytes > 0 {
-                cost.cache_probes = 1;
-            }
-            cost.result_bytes = body.len() as u64;
-        }
-        if params.explain && !suggest {
-            wire::append_cost_explain(&mut body, &response, &[]);
-        }
-        record.cost = Some(response.cost().clone());
-        if self.config.cache_bytes > 0 {
-            // Tagged with the snapshot identity, not the live one: if a swap
-            // landed mid-request this entry is already stale and must stay
-            // invisible to post-swap readers.
-            resident.cache().put_for(key, Arc::from(body.as_bytes()), loaded.identity);
-        }
-        let http = HttpResponse::json(200, body).with_header("x-gks-cache", "miss".to_string());
-        if params.explain {
-            http.with_header("x-gks-cost", response.cost().summary_header())
-        } else {
-            http
-        }
-    }
-
-    /// The sharded query pipeline: scatter the query over every shard of
-    /// `resident` in parallel (one worker per shard, each pinning its own
-    /// generation snapshot and capturing its span subtree), then gather —
-    /// merge the per-shard answers losslessly by potential-flow score,
-    /// re-truncate to the limit, and render against the owning shards.
+    /// The query pipeline — the only one. Pin a consistent shard set, probe
+    /// the cache under the set's identity, search every shard
+    /// ([`ServeState::search_set`]), gather — merge the per-shard answers
+    /// losslessly by potential-flow score, renumber documents through each
+    /// shard's [`gks_core::shard::DocMap`], re-truncate to the limit — and
+    /// render against the owning shards. An unsharded index is a set of one
+    /// and takes exactly this path. Fills `record` as facts about the
+    /// request become known.
     ///
-    /// A mixed-generation answer is never merged: the snapshot itself is
-    /// taken under an epoch double-read ([`ResidentIndex::snapshot_all`]),
-    /// so every scatter runs against a set that coexisted at one instant.
-    /// If the epoch moved while the scatter ran, the first race re-scatters
-    /// once on the new generation (freshness, not correctness — the pinned
-    /// set is still internally consistent); a second race serves the pinned
-    /// answer. Only a snapshot that cannot converge under a reload storm
-    /// yields `503`. Cache entries are tagged with the snapshot set's
-    /// combined identity, so hits carry exactly the same staleness guarantee
-    /// as the unsharded path.
-    fn run_query_sharded(
+    /// One pinned set serves the whole request — search, render, and cache
+    /// tagging — so a concurrent hot-swap can never mix engine output with
+    /// the wrong cache identity, and a mixed-generation answer is never
+    /// merged: the set is taken under an epoch double-read
+    /// ([`ResidentIndex::snapshot_all`]), so every search runs against
+    /// shards that coexisted at one instant. If the epoch moved while the
+    /// searches ran, the first race re-runs once on the new generation
+    /// (freshness, not correctness — the pinned set is still internally
+    /// consistent); a second race serves the pinned answer.
+    ///
+    /// `x-gks-shards`, `x-gks-gather-micros`, the gather span, and the
+    /// per-shard `shard_costs` breakdown describe a fan-out, so they appear
+    /// only when the set has more than one shard; bodies are byte-identical
+    /// across fan-outs.
+    fn run_query(
         &self,
         request: &Request,
         accepted_at: Instant,
@@ -737,113 +647,73 @@ impl ServeState {
         };
         record.limit = params.limit;
         let key = cache_key(suggest, &params);
-        let shard_total = resident.shard_count();
+        let options = SearchOptions { s: params.s, limit: params.limit };
 
         for attempt in 0..2u32 {
-            let Some(set): Option<ShardSet> = resident.snapshot_all() else {
-                // The only true mixed-generation outcome: the epoch kept
-                // moving across every snapshot attempt, so no consistent
-                // shard set could be pinned at all.
-                self.metrics.shard_mixed_generation_total.fetch_add(1, Ordering::Relaxed);
-                return HttpResponse::error(503, "index reloading, retry shortly")
-                    .with_header("Retry-After", "1".to_string());
+            let set = match self.pin(resident) {
+                Ok(set) => set,
+                Err(response) => return response,
             };
+            let fanned = set.shards.len() > 1;
             if attempt == 0 && self.config.cache_bytes > 0 {
-                // Lookup pinned to the snapshot set's combined identity: a
-                // hit can only return bytes merged from this generation set.
+                // Lookup pinned to the set's combined identity: a hit can
+                // only ever return bytes computed against this exact
+                // generation set.
                 if let Some(body) = resident.cache().get_for(&key, set.identity) {
                     self.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
                     resident.counters().cache_hits_total.fetch_add(1, Ordering::Relaxed);
                     record.cached = true;
-                    return HttpResponse::json(200, body.to_vec())
-                        .with_header("x-gks-cache", "hit".to_string())
-                        .with_header("x-gks-shards", shard_total.to_string());
+                    let hit = HttpResponse::json(200, body.to_vec())
+                        .with_header("x-gks-cache", "hit".to_string());
+                    return if fanned {
+                        hit.with_header("x-gks-shards", set.shards.len().to_string())
+                    } else {
+                        hit
+                    };
                 }
                 self.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
                 resident.counters().cache_misses_total.fetch_add(1, Ordering::Relaxed);
             }
+            // Admission + queueing may already have consumed the budget; do
+            // not start a search we are not allowed to finish.
             if self.budget_left(accepted_at).is_none() {
                 return self.deadline_abort();
             }
-            let options = SearchOptions { s: params.s, limit: params.limit };
-            // Scatter: every shard searches concurrently on its own lane of
-            // the resident index's persistent executor — a channel send per
-            // shard, no thread spawn on the request path. Each task captures
-            // its span subtree (timed even when the request is sampled out)
-            // so the shard trees can be grafted under the scatter span.
-            let sampled = gks_trace::current_sampled();
-            let scatter_span = gks_trace::span(SpanKind::Scatter);
-            let query = Arc::new(params.query.clone());
-            let tasks: Vec<_> = set
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, loaded)| {
-                    let engine = Arc::clone(&loaded.engine);
-                    let query = Arc::clone(&query);
-                    move || {
-                        let label = format!("shard-{i}");
-                        gks_trace::capture(SpanKind::Search, &label, sampled, || {
-                            engine.search(&query, options)
-                        })
-                    }
-                })
-                .collect();
-            let joined = resident.executor().scatter(tasks);
-            let mut caps = Vec::with_capacity(joined.len());
-            for cap in joined {
-                match cap {
-                    Ok(cap) => caps.push(cap),
-                    // A slot only fails when the shard task panicked (or the
-                    // executor is shutting down).
-                    Err(_) => return HttpResponse::error(500, "shard worker failed"),
-                }
-            }
-            let fastest = caps.iter().map(|c| c.micros).min().unwrap_or(0);
-            let slowest = caps.iter().map(|c| c.micros).max().unwrap_or(0);
-            self.metrics.shard_fanout.record(shard_total as u64);
-            self.metrics.shard_straggler_micros.record(slowest.saturating_sub(fastest));
-            let mut answers = Vec::with_capacity(caps.len());
-            for (i, cap) in caps.into_iter().enumerate() {
-                if let Some(node) = cap.node {
-                    gks_trace::attach(node);
-                }
-                match cap.output {
-                    Ok(response) => {
-                        let map = set.doc_maps.get(i).cloned().unwrap_or_else(|| DocMap::base(0));
-                        answers.push((map, response));
-                    }
-                    Err(e) => return HttpResponse::error(400, &format!("search failed: {e}")),
-                }
-            }
-            drop(scatter_span);
+            let responses = match self.search_set(resident, &set, &params.query, options) {
+                Ok(responses) => responses,
+                Err(response) => return response,
+            };
             // Freshness guard: the pinned set is internally consistent by
-            // construction, but if a reload sweep landed during the scatter
-            // the answer describes the previous generation. Re-scatter once
-            // on the new generation; if the epoch races again, serve the
-            // pinned (consistent) answer rather than fail.
+            // construction, but if a reload landed during the search the
+            // answer describes the previous generation. Re-run once on the
+            // new generation; if the epoch races again, serve the pinned
+            // (consistent) answer rather than fail.
             if attempt == 0 && resident.epoch() != set.epoch {
                 self.metrics.shard_retries_total.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             // Gather: lossless merge — exact re-sort by (rank, keyword
             // count, Dewey order), re-truncate, DI keyword re-aggregation.
-            let gather_span = gks_trace::span(SpanKind::Gather);
+            let gather_span = fanned.then(|| gks_trace::span(SpanKind::Gather));
+            let answers = set.doc_maps.iter().cloned().zip(responses).collect();
             let mut merged = match gks_core::merge_responses(answers, params.limit) {
                 Ok(merged) => merged,
                 Err(e) => return HttpResponse::error(400, &format!("gather failed: {e}")),
             };
-            let gather_micros = gather_span.elapsed_micros();
-            drop(gather_span);
+            let gather_micros = gather_span.map(|span| span.elapsed_micros());
             record.hits = Some(merged.response().hits().len());
             record.sl_len = Some(merged.response().sl_len());
+            // The deadline gates result *rendering*: a search that returns
+            // with an exhausted budget is aborted before serialization
+            // (rendering ranks, paths, and attributes dominates for large
+            // limits).
             if self.budget_left(accepted_at).is_none() {
                 return self.deadline_abort();
             }
             let render_span = gks_trace::span(SpanKind::Render);
-            let engines: Vec<&Engine> = set.shards.iter().map(|l| l.engine.as_ref()).collect();
+            let engines = set.engines();
             let Some(first_engine) = engines.first() else {
-                return HttpResponse::error(500, "sharded index has no shards");
+                return HttpResponse::error(500, "index has no shards");
             };
             let mut body = if suggest {
                 let indexes: Vec<&GksIndex> = engines.iter().map(|e| e.index()).collect();
@@ -859,8 +729,9 @@ impl ServeState {
             if self.budget_left(accepted_at).is_none() {
                 return self.deadline_abort();
             }
-            // Mirror of the unsharded path: the probe missed (hits return
-            // above), and `result_bytes` is the plain merged body.
+            // An engine run implies the cache was probed and missed (hits
+            // return above). `result_bytes` is the plain body — the explain
+            // splice is accounting, not payload.
             {
                 let cost = merged.response_mut().cost_mut();
                 if self.config.cache_bytes > 0 {
@@ -869,16 +740,23 @@ impl ServeState {
                 cost.result_bytes = body.len() as u64;
             }
             if params.explain && !suggest {
-                wire::append_cost_explain(&mut body, merged.response(), merged.shard_costs());
+                let shard_costs = if fanned { merged.shard_costs() } else { &[] };
+                wire::append_cost_explain(&mut body, merged.response(), shard_costs);
             }
             record.cost = Some(merged.response().cost().clone());
             if self.config.cache_bytes > 0 {
+                // Tagged with the pinned set's identity, not the live one:
+                // if a swap landed mid-request this entry is already stale
+                // and must stay invisible to post-swap readers.
                 resident.cache().put_for(key, Arc::from(body.as_bytes()), set.identity);
             }
-            let http = HttpResponse::json(200, body)
-                .with_header("x-gks-cache", "miss".to_string())
-                .with_header("x-gks-shards", shard_total.to_string())
-                .with_header("x-gks-gather-micros", gather_micros.to_string());
+            let mut http =
+                HttpResponse::json(200, body).with_header("x-gks-cache", "miss".to_string());
+            if let Some(micros) = gather_micros {
+                http = http
+                    .with_header("x-gks-shards", set.shards.len().to_string())
+                    .with_header("x-gks-gather-micros", micros.to_string());
+            }
             return if params.explain {
                 http.with_header("x-gks-cost", merged.response().cost().summary_header())
             } else {
@@ -888,6 +766,71 @@ impl ServeState {
         // Unreachable: both loop iterations return on every path; the
         // second never takes the `continue` branch.
         HttpResponse::error(503, "index reloading, retry shortly")
+    }
+
+    /// The search stage: one [`Engine::search`] per shard of the pinned
+    /// set, answers in shard order. A set of one has nothing to fan out —
+    /// its search runs right here on the calling worker, with no lane hop.
+    /// Wider sets scatter: every shard searches concurrently on its own
+    /// lane of the resident index's persistent executor — a channel send
+    /// per shard, no thread spawn on the request path — and each task
+    /// captures its span subtree (timed even when the request is sampled
+    /// out) so the shard trees can be grafted under the scatter span.
+    fn search_set(
+        &self,
+        resident: &ResidentIndex,
+        set: &ShardSet,
+        query: &Query,
+        options: SearchOptions,
+    ) -> Result<Vec<Response>, HttpResponse> {
+        let outputs = if let [only] = set.shards.as_slice() {
+            vec![only.engine.search(query, options)]
+        } else {
+            let sampled = gks_trace::current_sampled();
+            let _scatter_span = gks_trace::span(SpanKind::Scatter);
+            let query = Arc::new(query.clone());
+            let tasks: Vec<_> = set
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, loaded)| {
+                    let engine = Arc::clone(&loaded.engine);
+                    let query = Arc::clone(&query);
+                    move || {
+                        let label = format!("shard-{i}");
+                        gks_trace::capture(SpanKind::Search, &label, sampled, || {
+                            engine.search(&query, options)
+                        })
+                    }
+                })
+                .collect();
+            // A slot only fails when the shard task panicked (or the
+            // executor is shutting down).
+            let caps = resident
+                .executor()
+                .scatter(tasks)
+                .into_iter()
+                .collect::<Result<Vec<_>, String>>()
+                .map_err(|_| HttpResponse::error(500, "shard worker failed"))?;
+            let fastest = caps.iter().map(|c| c.micros).min().unwrap_or(0);
+            let slowest = caps.iter().map(|c| c.micros).max().unwrap_or(0);
+            self.metrics.shard_fanout.record(caps.len() as u64);
+            self.metrics.shard_straggler_micros.record(slowest.saturating_sub(fastest));
+            caps.into_iter()
+                .map(|cap| {
+                    if let Some(node) = cap.node {
+                        gks_trace::attach(node);
+                    }
+                    cap.output
+                })
+                .collect()
+        };
+        outputs
+            .into_iter()
+            .map(|output| {
+                output.map_err(|e| HttpResponse::error(400, &format!("search failed: {e}")))
+            })
+            .collect()
     }
 }
 

@@ -25,15 +25,16 @@ fn write_doc(corpus: &Path, name: &str, words: &str) {
     std::fs::write(corpus.join(format!("{name}.xml")), xml).unwrap();
 }
 
-/// Builds a corpus directory + sharded manifest; returns the manifest path.
-fn seed_corpus(root: &Path) -> PathBuf {
+/// Builds a corpus directory + a manifest over `base_shards` base shards;
+/// returns the manifest path.
+fn seed_corpus(root: &Path, base_shards: usize) -> PathBuf {
     let corpus = root.join("corpus");
     std::fs::create_dir_all(&corpus).unwrap();
     write_doc(&corpus, "d0", "apple banana");
     write_doc(&corpus, "d1", "banana cherry");
     write_doc(&corpus, "d2", "cherry durian");
     let manifest = root.join("corpus.shards");
-    index_directory(&corpus, &manifest, 2, IndexOptions::default()).unwrap();
+    index_directory(&corpus, &manifest, base_shards, IndexOptions::default()).unwrap();
     manifest
 }
 
@@ -65,7 +66,7 @@ fn has_hits(body: &str) -> bool {
 fn mutations_become_visible_without_restart() {
     let root = std::env::temp_dir().join(format!("gks-live-update-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let manifest = seed_corpus(&root);
+    let manifest = seed_corpus(&root, 2);
     let corpus = root.join("corpus");
     let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
     let state = ServeState::with_catalog(specs, Some("live"), ServeConfig::default()).unwrap();
@@ -131,6 +132,45 @@ fn mutations_become_visible_without_restart() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A delete committed as the **first** mutation — so the set carries only
+/// tombstoned base shards, no delta slot — answers exactly like a fresh
+/// rebuild of the same corpus directory, document ids included, whether
+/// the manifest holds one base shard or two. One shard is the case where
+/// the renumbering is easiest to forget: nothing else fans out.
+#[test]
+fn delete_first_equals_rebuild_for_one_and_two_base_shards() {
+    for base_shards in [1usize, 2] {
+        let root = std::env::temp_dir()
+            .join(format!("gks-live-delete-{base_shards}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let manifest = seed_corpus(&root, base_shards);
+        let corpus = root.join("corpus");
+        let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
+        let live = ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap();
+
+        std::fs::remove_file(corpus.join("d0.xml")).unwrap();
+        let stats = live.catalog().default_index().poll_corpus().unwrap().expect("delete commits");
+        assert_eq!((stats.added, stats.deleted), (0, 1));
+        assert_eq!(live.catalog().default_index().shard_count(), base_shards, "no delta slot");
+
+        let rebuilt_manifest = root.join("rebuilt.shards");
+        index_directory(&corpus, &rebuilt_manifest, base_shards, IndexOptions::default()).unwrap();
+        let specs = vec![IndexSpec::with_manifest("live", &rebuilt_manifest).unwrap()];
+        let rebuilt = ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap();
+
+        for target in ["/search?q=cherry", "/search?q=banana+durian&s=1", "/suggest?q=cherry"] {
+            let expected = body(&rebuilt, target);
+            assert!(has_hits(&expected) || target.starts_with("/suggest"), "{target}: {expected}");
+            assert_eq!(
+                body(&live, target),
+                expected,
+                "{base_shards} base shard(s), {target}: tombstoned set must equal a rebuild"
+            );
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
 /// Indexes without a manifest have no update path: compact is a 400.
 #[test]
 fn compact_without_manifest_is_rejected() {
@@ -161,7 +201,7 @@ fn body_of(addr: SocketAddr, target: &str) -> String {
 fn watcher_thread_picks_up_changes_under_load() {
     let root = std::env::temp_dir().join(format!("gks-live-watch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let manifest = seed_corpus(&root);
+    let manifest = seed_corpus(&root, 2);
     let corpus = root.join("corpus");
     let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
     let config = ServeConfig {

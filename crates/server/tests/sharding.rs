@@ -182,9 +182,10 @@ fn sharded_explain_carries_scatter_timing_cost_and_top_entry() {
 /// The ISSUE's acceptance bar for the persistent shard executor: once the
 /// resident index is warm, a sharded `/search` issues **zero** thread
 /// spawns on the request path — scatter is a channel send into per-shard
-/// lanes that already exist. `gks_exec` counts every pool thread it ever
-/// spawns, so a flat counter across a burst of cache-missing requests
-/// proves the fan-out is spawn-free.
+/// lanes that already exist. The resident index's own executor counts
+/// every lane thread it ever spawned (sibling tests' pools do not touch
+/// it), so a flat count across a burst of cache-missing requests proves
+/// the fan-out is spawn-free.
 #[test]
 fn sharded_search_spawns_no_threads_on_the_request_path() {
     let corpus = {
@@ -197,7 +198,9 @@ fn sharded_search_spawns_no_threads_on_the_request_path() {
     let split = sharded_state(&corpus, 4);
     // Warm-up: the first request may lazily grow executor lanes.
     assert_eq!(get(&split, "/search?q=alpha&s=1").status, 200);
-    let spawned_before = gks_exec::threads_spawned_total();
+    let executor = split.catalog().default_index().executor();
+    let spawned_before = executor.threads_spawned();
+    assert!(spawned_before >= 4, "a lane per shard exists before the burst");
     for i in 0..20 {
         // Distinct queries dodge the result cache, forcing a real scatter.
         let response = get(&split, &format!("/search?q=alpha+gamma+doc{i}&s=1"));
@@ -205,7 +208,7 @@ fn sharded_search_spawns_no_threads_on_the_request_path() {
         assert_eq!(header(&response, "x-gks-shards"), Some("4"));
     }
     assert_eq!(
-        gks_exec::threads_spawned_total(),
+        executor.threads_spawned(),
         spawned_before,
         "warm sharded scatter must not spawn threads per request"
     );
@@ -228,6 +231,55 @@ fn persist_shards(dir: &std::path::Path, corpus: &Corpus) -> std::path::PathBuf 
     let manifest_path = dir.join("corpus.shards");
     manifest.save(&manifest_path).unwrap();
     manifest_path
+}
+
+/// `/doctor` audits every shard of the set, not just slot 0: posting bytes
+/// sit outside the open-time checksum, so a shard-1 file with a trashed
+/// posting region still opens and serves — only the doctor's forced decode
+/// of every run can see it, and it must name the shard.
+#[test]
+fn doctor_audits_every_shard_of_the_set() {
+    let dir = std::env::temp_dir().join(format!("gks-shard-doctor-{}", std::process::id()));
+    let corpus = {
+        let mut c = Corpus::new();
+        for i in 0..6 {
+            c.push(format!("doc{i}"), format!("<r><a>alpha beta</a><b>gamma doc{i}</b></r>"));
+        }
+        c
+    };
+    let manifest_path = persist_shards(&dir, &corpus);
+    let serve = || {
+        let specs = vec![IndexSpec::with_manifest("default", &manifest_path).unwrap()];
+        ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap()
+    };
+    let healthy = String::from_utf8(get(&serve(), "/doctor").body).unwrap();
+    assert!(healthy.starts_with("{\"healthy\":true,"), "{healthy}");
+    assert!(healthy.contains("\"violations\":[]"), "{healthy}");
+    let whole = Engine::build(&corpus, IndexOptions::default()).unwrap();
+    let nodes = whole.index().stats().total_nodes;
+    assert!(
+        healthy.contains(&format!("\"nodes\":{nodes},")),
+        "counts sum over shards: {healthy}"
+    );
+
+    let shard1 = dir.join("shard-1.gksix");
+    let sizes = gks_index::section_sizes(&shard1).unwrap();
+    let mut bytes = std::fs::read(&shard1).unwrap();
+    let end = usize::try_from(sizes.total - sizes.footer).unwrap();
+    let start = end - usize::try_from(sizes.postings).unwrap();
+    assert!(start < end, "shard 1 has posting bytes to corrupt");
+    bytes[start..end].fill(0xff);
+    std::fs::write(&shard1, bytes).unwrap();
+
+    let state = serve();
+    for target in ["/doctor", "/ix/default/doctor"] {
+        let sick = String::from_utf8(get(&state, target).body).unwrap();
+        assert!(sick.contains("\"healthy\":false"), "{target}: {sick}");
+        assert!(!sick.contains("\"healthy\":true"), "{target}: {sick}");
+        assert!(sick.contains("\"shard-1: a posting run failed to decode"), "{target}: {sick}");
+        assert!(!sick.contains("\"shard-0:"), "shard 0 is clean: {sick}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Reloading one shard under concurrent query load never surfaces a 5xx
@@ -322,7 +374,6 @@ fn shard_reload_validation_and_manifest_spec() {
     let state = ServeState::with_catalog(specs, Some("m"), ServeConfig::default()).unwrap();
     let resident = state.catalog().default_index();
     assert_eq!(resident.shard_count(), 2);
-    assert!(resident.is_sharded());
     assert!(resident.reload_shard(7).is_err(), "out-of-range shard slot");
     let set = resident.snapshot_all().expect("no reload racing; snapshot converges");
     let manifest = ShardManifest::load(&manifest_path).unwrap();

@@ -1,8 +1,8 @@
 //! Completed span trees: the shape a trace takes once every span in it has
 //! closed, plus deterministic JSON and human-readable text renderings.
 //!
-//! JSON emission is hand-rolled (the workspace's `serde` is an offline
-//! marker shim): span kinds are a closed set of identifier labels and the
+//! JSON emission is hand-rolled (the workspace builds offline with no
+//! serialization framework): span kinds are a closed set of identifier labels and the
 //! timing fields are unsigned integers, so only the optional free-form span
 //! label (an index name, typically) needs escaping — a minimal local escaper
 //! handles it, since this crate sits below `gks-core` and cannot borrow its
