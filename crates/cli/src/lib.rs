@@ -692,7 +692,7 @@ fn section_report(path: &std::path::Path, indent: &str, out: &mut String) {
     let other = s.header + s.doc_names + s.labels + s.stats + s.footer;
     let _ = writeln!(
         out,
-        "{indent}format v{}, {} bytes: term dict {} ({:.1}%), postings {} ({:.1}%), \
+        "{indent}file version {}, {} bytes: term dict {} ({:.1}%), postings {} ({:.1}%), \
          node table {} ({:.1}%), attr store {} ({:.1}%), other {} ({:.1}%)",
         s.version,
         s.total,

@@ -109,7 +109,7 @@ pub fn analyze(
         // Facet contributions: one per attribute path, counting each value
         // once per hit.
         let mut seen_paths: Vec<Vec<String>> = Vec::new();
-        for entry in index.attr_store().entries(&hit.node) {
+        for entry in index.attr_store().entries(&hit.node).iter() {
             if entry.source == AttrSource::RepeatingText && !options.include_repeating_text {
                 continue;
             }
@@ -119,7 +119,7 @@ pub fn analyze(
                 entry.path.iter().map(|&l| index.node_table().labels().name(l).to_string()),
             );
             let (values, coverage) = facets.entry(path.clone()).or_default();
-            *values.entry(entry.value.clone()).or_default() += 1;
+            *values.entry(entry.value.to_string()).or_default() += 1;
             if !seen_paths.contains(&path) {
                 *coverage += 1;
                 seen_paths.push(path);

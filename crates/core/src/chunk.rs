@@ -28,7 +28,7 @@ pub fn render_xml_chunk(index: &GksIndex, hit: &Hit) -> Result<String, WriterErr
         .map(|e| {
             let path: Vec<&str> =
                 e.path.iter().map(|&l| index.node_table().labels().name(l)).collect();
-            (path, e.value.as_str())
+            (path, e.value)
         })
         .collect();
     // Stable order groups shared prefixes together; the sort is stable on

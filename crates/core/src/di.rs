@@ -11,10 +11,33 @@
 //!
 //! DI can be applied recursively: the top-m insight values are fed back as a
 //! query, producing `R^r_Q(s)` and deeper insights (§2.3 steps i–iii).
+//!
+//! # How it is computed
+//!
+//! The aggregation key is (entity label, element path, normalised value).
+//! All three are ids in the index's attribute store
+//! (`gks_index::attrstore`): the value was analysed once, at build time,
+//! and its norm id stands for its analysed terms. So the rank-weighted
+//! group-by is integer work — one hash lookup on four `u32`s and one
+//! `weight += rank` per attribute entry — and no string is built until the
+//! top-m survivors are known.
+//!
+//! Each group accumulates into a single slot, in response rank order. A
+//! sharded gather feeds hits from several indexes, whose ids are unrelated;
+//! a key first seen in a second index is matched to an existing slot by
+//! hashing and comparing the strings the ids stand for, after which its ids
+//! map straight to that slot. Per-shard partial sums merged at the end
+//! would be simpler, but `f64` addition is not associative: the weights
+//! would differ in the last bits from the unsharded engine's, and the
+//! sharded ≡ unsharded byte equality the gather promises would be lost.
+
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 
 use gks_dewey::DeweyId;
 use gks_index::attrstore::AttrSource;
-use gks_index::fasthash::FastMap;
+use gks_index::fasthash::{FastMap, FxHasher};
 use gks_index::GksIndex;
 
 use crate::error::QueryError;
@@ -70,18 +93,52 @@ impl Insight {
     }
 }
 
+/// One index a [`DiAccumulator`] has been fed hits from.
+#[derive(Debug)]
+struct Source<'a> {
+    index: &'a GksIndex,
+    /// Per norm id of this index: `None` until a value with that norm is
+    /// met, then whether such values are kept (non-empty after analysis and
+    /// not restating the query).
+    kept: Vec<Option<bool>>,
+}
+
+/// One aggregation group.
+#[derive(Debug)]
+struct Slot {
+    /// Ordinal (into `DiAccumulator::sources`) of the index the group was
+    /// first seen in; the ids below are that index's.
+    source: u32,
+    /// The first-seen raw value — what the insight displays.
+    value: u32,
+    label: u32,
+    path: u32,
+    norm: u32,
+    weight: f64,
+    support: usize,
+}
+
 /// Incremental DI aggregation — the body of [`discover_di`], factored so a
 /// sharded gather (see [`crate::shard`]) can feed hits resolved against
 /// several shard indexes while preserving the exact aggregation, first-seen
-/// raw-value choice, and ordering of the unsharded path.
+/// raw-value choice, and ordering of the unsharded path. It borrows the
+/// response and every index it is fed; see the [module docs](self) for the
+/// algorithm.
 #[derive(Debug)]
-pub struct DiAccumulator {
+pub struct DiAccumulator<'a> {
     /// Normalized query terms, to exclude query keywords from Sw_Q ("if a
     /// keyword in the attribute node is part of the user query Q, it is not
     /// included").
-    query_terms: std::collections::HashSet<String>,
-    /// Aggregation key: (path labels, normalized value).
-    agg: FastMap<(Vec<String>, String), Insight>,
+    query_terms: Vec<&'a str>,
+    sources: Vec<Source<'a>>,
+    slots: Vec<Slot>,
+    /// (source ordinal, entity label id, path id, norm id) → the group's
+    /// slot, or `None` for a norm that is not kept.
+    by_ids: FastMap<(u32, u32, u32, u32), Option<u32>>,
+    /// Hash of a group's label, path and norm *strings* → slot. Filled only
+    /// once a second index is observed; colliding groups probe linearly
+    /// through the hash space.
+    by_text: FastMap<u64, u32>,
     top_m: usize,
     include_repeating_text: bool,
     max_hits: usize,
@@ -89,16 +146,50 @@ pub struct DiAccumulator {
     attrs_evaluated: u64,
 }
 
-impl DiAccumulator {
+/// The element names of a group's path, entity label first.
+fn path_names(index: &GksIndex, label: u32, path: u32) -> impl Iterator<Item = &str> {
+    let labels = index.node_table().labels();
+    std::iter::once(label)
+        .chain(index.attr_store().path(path).iter().copied())
+        .map(move |l| labels.name(l))
+}
+
+/// The raw value a slot displays, in the index it was first seen in.
+fn slot_value<'s>(sources: &'s [Source<'_>], slot: &Slot) -> &'s str {
+    sources
+        .get(slot.source as usize)
+        .map_or("", |s| s.index.attr_store().value(slot.value))
+}
+
+/// [`path_names`] of a slot, in the index it was first seen in.
+fn slot_path<'s>(sources: &'s [Source<'_>], slot: &'s Slot) -> impl Iterator<Item = &'s str> {
+    let source = sources.get(slot.source as usize);
+    source.into_iter().flat_map(move |s| path_names(s.index, slot.label, slot.path))
+}
+
+fn text_hash(index: &GksIndex, label: u32, path: u32, norm: u32) -> u64 {
+    let mut hasher = FxHasher::default();
+    for name in path_names(index, label, path) {
+        hasher.write(name.as_bytes());
+        hasher.write_u8(0xff);
+    }
+    hasher.write(index.attr_store().norm(norm).as_bytes());
+    hasher.finish()
+}
+
+impl<'a> DiAccumulator<'a> {
     /// Starts an accumulation for `response`'s query under `options`.
-    pub fn new(response: &Response, options: &DiOptions) -> DiAccumulator {
+    pub fn new(response: &'a Response, options: &DiOptions) -> DiAccumulator<'a> {
         DiAccumulator {
             query_terms: response
                 .keywords()
                 .iter()
-                .flat_map(|k| k.terms().iter().cloned())
+                .flat_map(|k| k.terms().iter().map(String::as_str))
                 .collect(),
-            agg: FastMap::default(),
+            sources: Vec::new(),
+            slots: Vec::new(),
+            by_ids: FastMap::default(),
+            by_text: FastMap::default(),
             top_m: options.top_m,
             include_repeating_text: options.include_repeating_text,
             max_hits: options.max_hits,
@@ -116,12 +207,36 @@ impl DiAccumulator {
         self.attrs_evaluated
     }
 
+    /// The ordinal of `index` among the indexes observed so far, by
+    /// identity. Observing a second index starts the text table: from then
+    /// on a new group may already have a slot under another index's ids.
+    fn source_of(&mut self, index: &'a GksIndex) -> u32 {
+        if let Some(i) = self.sources.iter().position(|s| std::ptr::eq(s.index, index)) {
+            return i as u32;
+        }
+        self.sources
+            .push(Source { index, kept: vec![None; index.attr_store().norms().len()] });
+        if self.sources.len() == 2 {
+            let first = self.sources[0].index;
+            for (slot, i) in self.slots.iter().zip(0u32..) {
+                let mut hash = text_hash(first, slot.label, slot.path, slot.norm);
+                // Slots of one index differ in their ids, and an index's
+                // tables hold each string once, so no two share a text.
+                while self.by_text.contains_key(&hash) {
+                    hash = hash.wrapping_add(1);
+                }
+                self.by_text.insert(hash, i);
+            }
+        }
+        (self.sources.len() - 1) as u32
+    }
+
     /// Feeds one hit, resolved against `index` via `node` — the hit's id in
     /// `index`'s own document numbering (shard-local for sharded search,
     /// `hit.node` itself otherwise). Hits must arrive in response rank
     /// order; every call counts toward `max_hits`, matching the unsharded
     /// pipeline where non-LCE hits consume budget without contributing.
-    pub fn observe(&mut self, index: &GksIndex, hit: &Hit, node: &DeweyId) {
+    pub fn observe(&mut self, index: &'a GksIndex, hit: &Hit, node: &DeweyId) {
         if self.observed >= self.max_hits {
             return;
         }
@@ -129,52 +244,118 @@ impl DiAccumulator {
         if hit.kind != HitKind::Lce {
             return;
         }
-        let analyzer = index.analyzer();
-        let entity_label = index.node_table().label_name(node).unwrap_or("?").to_string();
-        for entry in index.attr_store().entries(node) {
+        let store = index.attr_store();
+        let entries = store.entries(node);
+        if entries.is_empty() {
+            return;
+        }
+        let source = self.source_of(index);
+        let label = entries.label();
+        for entry in entries.ids() {
             self.attrs_evaluated += 1;
             if entry.source == AttrSource::RepeatingText && !self.include_repeating_text {
                 continue;
             }
-            // Skip values that restate the query.
-            let value_terms = analyzer.analyze(&entry.value);
-            if value_terms.is_empty()
-                || value_terms.iter().any(|t| self.query_terms.contains(t.as_str()))
-            {
-                continue;
+            let norm = store.norm_of(entry.value);
+            let slot = match self.by_ids.entry((source, label, entry.path, norm)) {
+                Entry::Occupied(seen) => *seen.get(),
+                Entry::Vacant(unseen) => *unseen.insert(new_group(
+                    &self.query_terms,
+                    &mut self.sources,
+                    &mut self.slots,
+                    &mut self.by_text,
+                    Slot {
+                        source,
+                        value: entry.value,
+                        label,
+                        path: entry.path,
+                        norm,
+                        weight: 0.0,
+                        support: 0,
+                    },
+                )),
+            };
+            if let Some(slot) = slot.and_then(|i| self.slots.get_mut(i as usize)) {
+                slot.weight += hit.rank;
+                slot.support += 1;
             }
-            let mut path: Vec<String> = Vec::with_capacity(entry.path.len() + 1);
-            path.push(entity_label.clone());
-            path.extend(
-                entry.path.iter().map(|&l| index.node_table().labels().name(l).to_string()),
-            );
-            let norm_value = value_terms.join(" ");
-            let key = (path.clone(), norm_value);
-            let insight = self.agg.entry(key).or_insert_with(|| Insight {
-                value: entry.value.clone(),
-                path,
-                weight: 0.0,
-                support: 0,
-            });
-            insight.weight += hit.rank;
-            insight.support += 1;
         }
     }
 
-    /// Finishes the accumulation: sorts by (weight desc, support desc,
-    /// value asc) and truncates to the top-m.
+    /// Finishes the accumulation: selects the top-m by (weight desc, support
+    /// desc, value asc, path asc) and builds only those insights. Distinct
+    /// groups differ in value or path, so the order is total — a function
+    /// of the data, not of hash-map capacity or observation order.
     pub fn finish(self) -> Vec<Insight> {
-        let mut insights: Vec<Insight> = self.agg.into_values().collect();
-        insights.sort_by(|a, b| {
+        let DiAccumulator { sources, mut slots, top_m, .. } = self;
+        if top_m == 0 {
+            return Vec::new();
+        }
+        let by_rank = |a: &Slot, b: &Slot| {
             b.weight
                 .partial_cmp(&a.weight)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then_with(|| b.support.cmp(&a.support))
-                .then_with(|| a.value.cmp(&b.value))
-        });
-        insights.truncate(self.top_m);
-        insights
+                .then_with(|| slot_value(&sources, a).cmp(slot_value(&sources, b)))
+                .then_with(|| slot_path(&sources, a).cmp(slot_path(&sources, b)))
+        };
+        if slots.len() > top_m {
+            slots.select_nth_unstable_by(top_m - 1, by_rank);
+            slots.truncate(top_m);
+        }
+        slots.sort_unstable_by(by_rank);
+        slots
+            .iter()
+            .map(|slot| Insight {
+                value: slot_value(&sources, slot).to_string(),
+                path: slot_path(&sources, slot).map(str::to_string).collect(),
+                weight: slot.weight,
+                support: slot.support,
+            })
+            .collect()
     }
+}
+
+/// Resolves a key met for the first time under `new`'s ids: `None` when its
+/// norm is not kept, an existing slot when another index already opened the
+/// same group, otherwise a fresh slot.
+fn new_group(
+    query_terms: &[&str],
+    sources: &mut [Source<'_>],
+    slots: &mut Vec<Slot>,
+    by_text: &mut FastMap<u64, u32>,
+    new: Slot,
+) -> Option<u32> {
+    let sharded = sources.len() > 1;
+    let source = sources.get_mut(new.source as usize)?;
+    let index = source.index;
+    // The query-restating test runs once per distinct norm per query.
+    let kept = *source.kept.get_mut(new.norm as usize)?.get_or_insert_with(|| {
+        let norm = index.attr_store().norm(new.norm);
+        !norm.is_empty() && !norm.split(' ').any(|term| query_terms.contains(&term))
+    });
+    if !kept {
+        return None;
+    }
+    let id = u32::try_from(slots.len()).ok()?;
+    if sharded {
+        let mut hash = text_hash(index, new.label, new.path, new.norm);
+        while let Some(&other) = by_text.get(&hash) {
+            let same = slots.get(other as usize).is_some_and(|slot| {
+                slot_path(sources, slot).eq(path_names(index, new.label, new.path))
+                    && sources.get(slot.source as usize).is_some_and(|s| {
+                        s.index.attr_store().norm(slot.norm) == index.attr_store().norm(new.norm)
+                    })
+            });
+            if same {
+                return Some(other);
+            }
+            hash = hash.wrapping_add(1);
+        }
+        by_text.insert(hash, id);
+    }
+    slots.push(new);
+    Some(id)
 }
 
 /// Extracts DI from a response's LCE hits.
@@ -365,6 +546,42 @@ mod tests {
         let q = Query::parse("zzznothing").unwrap();
         let empty = search(&ix, &q, SearchOptions::with_s(1)).unwrap();
         assert_eq!(discover_di_counted(&ix, &empty, &DiOptions::default()).1, 0);
+    }
+
+    #[test]
+    fn insights_tying_at_the_top_m_cut_are_ordered_by_path() {
+        // The same year and authors under two entity types, each matching
+        // the query once with the same rank: every insight ties on weight
+        // and support, and `2001` ties on value too. Which `2001` survives
+        // the cut must not depend on which document DI met first.
+        let publication = |tag: &str| {
+            format!(
+                "<{tag}><title>xml</title><author>Ann Lee</author>\
+                 <author>Bob Ray</author><year>2001</year></{tag}>"
+            )
+        };
+        let di_for = |first: &str, second: &str, top_m: usize| {
+            let xml = format!("<dblp>{}{}</dblp>", publication(first), publication(second));
+            let corpus = Corpus::from_named_strs([("dblp", xml)]).unwrap();
+            let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+            let q = Query::parse("xml").unwrap();
+            let r = search(&ix, &q, SearchOptions::with_s(1)).unwrap();
+            assert_eq!(r.hits().len(), 2);
+            assert_eq!(r.hits()[0].rank.to_bits(), r.hits()[1].rank.to_bits(), "a real tie");
+            let di = discover_di(&ix, &r, &DiOptions { top_m, ..Default::default() });
+            di.iter().map(Insight::display).collect::<Vec<_>>()
+        };
+        for (first, second) in [("article", "inproceedings"), ("inproceedings", "article")] {
+            assert_eq!(di_for(first, second, 1), ["<article: year: 2001>"]);
+            assert_eq!(
+                di_for(first, second, 3),
+                [
+                    "<article: year: 2001>",
+                    "<inproceedings: year: 2001>",
+                    "<article: author: Ann Lee>"
+                ]
+            );
+        }
     }
 
     #[test]

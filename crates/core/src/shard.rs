@@ -449,25 +449,48 @@ mod tests {
 
     #[test]
     fn sharded_di_matches_unsharded() {
-        let c = corpus();
+        // Documents 3–5 spell the shared student differently, so the group
+        // <course: students: student: alex> is opened under one shard's ids
+        // and continued under another's, and its displayed value is
+        // whichever spelling ranks first globally.
+        let mut c = Corpus::new();
+        for i in 0..6 {
+            let who = if i % 2 == 0 { "Karen" } else { "Mike" };
+            let alex = if i < 3 { "Alex" } else { "ALEX" };
+            c.push(
+                format!("doc{i}"),
+                format!(
+                    "<course><name>Course {i}</name><students>\
+                     <student>{who}</student><student>{alex}</student></students></course>"
+                ),
+            );
+        }
         let whole = Engine::build(&c, IndexOptions::default()).unwrap();
         let query = Query::parse("karen mike").unwrap();
         let options = SearchOptions { s: Threshold::Fixed(1), limit: usize::MAX };
         let expected = whole.search(&query, options).unwrap();
-        let expected_di = whole.discover_di(&expected, &DiOptions::default());
+        let di_options = DiOptions { top_m: 20, ..Default::default() };
+        let (expected_di, expected_attrs) =
+            crate::di::discover_di_counted(whole.index(), &expected, &di_options);
+        assert!(expected_di.iter().any(|i| i.support == 6), "alex spans every shard");
 
-        let parts = split_corpus(&c, 2);
-        let engines = engines_for(&parts);
-        let refs: Vec<&Engine> = engines.iter().collect();
-        let merged = sharded_search(&refs, &bases_for(&parts), &query, options).unwrap();
-        let indexes: Vec<&GksIndex> = engines.iter().map(Engine::index).collect();
-        let got_di = discover_di_sharded(&indexes, &merged, &DiOptions::default());
-        assert_eq!(got_di.len(), expected_di.len());
-        for (g, e) in got_di.iter().zip(&expected_di) {
-            assert_eq!(g.value, e.value);
-            assert_eq!(g.path, e.path);
-            assert_eq!(g.support, e.support);
-            assert!((g.weight - e.weight).abs() < 1e-9);
+        // One shard too: a set of one goes through the same entry point.
+        for shards in 1..=4 {
+            let parts = split_corpus(&c, shards);
+            let engines = engines_for(&parts);
+            let refs: Vec<&Engine> = engines.iter().collect();
+            let merged = sharded_search(&refs, &bases_for(&parts), &query, options).unwrap();
+            let indexes: Vec<&GksIndex> = engines.iter().map(Engine::index).collect();
+            let (got_di, got_attrs) = discover_di_sharded_counted(&indexes, &merged, &di_options);
+            assert_eq!(got_attrs, expected_attrs, "{shards} shards");
+            assert_eq!(got_di.len(), expected_di.len(), "{shards} shards");
+            for (g, e) in got_di.iter().zip(&expected_di) {
+                assert_eq!(g.value, e.value, "{shards} shards");
+                assert_eq!(g.path, e.path, "{shards} shards");
+                assert_eq!(g.support, e.support, "{shards} shards");
+                // One slot per group, summed in rank order: not close, equal.
+                assert_eq!(g.weight.to_bits(), e.weight.to_bits(), "{shards} shards");
+            }
         }
     }
 

@@ -14,9 +14,35 @@
 //! Choudhary>` comes from an `<author>` list, which repeats in multi-author
 //! articles — even though Def 2.3.1 speaks only of attribute nodes. DI
 //! extraction filters by source according to its options.
+//!
+//! # Layout
+//!
+//! Attribute data repeats heavily (a 6 MB DBLP corpus has 135 647 entries
+//! but 24 462 distinct values and 7 distinct paths), so every string and
+//! every path is stored once and entries are ids:
+//!
+//! * **paths** — `path id → [label id]`, the elements from the entity's
+//!   child down to the attribute element itself (inclusive), e.g.
+//!   `[students, student]` or `[name]`;
+//! * **values** — `value id → (raw text, norm id)`;
+//! * **norms** — `norm id →` the value's analysed terms joined by one space
+//!   (tokens are alphanumeric, so the join loses nothing). §2.4 puts stop-word
+//!   removal and stemming at index-creation time: a value is analysed once,
+//!   when it is first interned, with the index's own analyzer, and the norm
+//!   is persisted — DI groups by norm id and never calls the analyzer;
+//! * **slab** — every entity's [`AttrIds`], one contiguous run per entity;
+//! * **entities** — `Dewey id → (entity label id, run of the slab)`.
+//!
+//! The string → id maps interning needs exist only while a store is being
+//! built (or appended to); a finished or loaded store carries the tables
+//! alone.
+
+use std::sync::Arc;
 
 use gks_dewey::DeweyId;
+use gks_text::Analyzer;
 
+use crate::error::IndexError;
 use crate::fasthash::FastMap;
 
 /// Where an attribute entry came from.
@@ -28,23 +54,106 @@ pub enum AttrSource {
     RepeatingText,
 }
 
-/// One qualifying attribute of an entity node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrEntry {
-    /// Interned labels of the elements from the entity's child down to the
-    /// attribute element itself (inclusive), e.g. `[students, student]` or
-    /// `[name]`.
-    pub path: Vec<u32>,
-    /// The attribute's raw text value.
-    pub value: String,
+/// One qualifying attribute of an entity node, as ids into the store's
+/// tables — the form DI aggregates over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AttrIds {
+    /// Path id; resolve with [`AttrStore::path`].
+    pub path: u32,
+    /// Value id; resolve with [`AttrStore::value`] / [`AttrStore::norm_of`].
+    pub value: u32,
     /// Attribute node or repeating text node.
     pub source: AttrSource,
 }
 
-/// Map from entity Dewey ids to their qualifying attributes.
+/// One qualifying attribute of an entity node, resolved to borrowed data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AttrView<'a> {
+    /// Interned labels of the elements from the entity's child down to the
+    /// attribute element itself (inclusive).
+    pub path: &'a [u32],
+    /// The attribute's raw text value.
+    pub value: &'a str,
+    /// Attribute node or repeating text node.
+    pub source: AttrSource,
+}
+
+/// `R(e)`: the qualifying attributes of one entity, in document order.
+#[derive(Debug, Clone, Copy)]
+pub struct Entries<'a> {
+    store: &'a AttrStore,
+    label: u32,
+    ids: &'a [AttrIds],
+}
+
+impl<'a> Entries<'a> {
+    /// The entity's own interned label.
+    pub fn label(&self) -> u32 {
+        self.label
+    }
+
+    /// The entries as table ids.
+    pub fn ids(&self) -> &'a [AttrIds] {
+        self.ids
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True for an unknown or attribute-less entity.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The entries resolved to borrowed paths and values.
+    pub fn iter(&self) -> impl Iterator<Item = AttrView<'a>> + 'a {
+        let store = self.store;
+        self.ids.iter().map(move |e| AttrView {
+            path: store.path(e.path),
+            value: store.value(e.value),
+            source: e.source,
+        })
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Value {
+    raw: Arc<str>,
+    norm: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct EntityRecord {
+    label: u32,
+    start: u32,
+    len: u32,
+}
+
+/// The string → id direction of the tables, needed only to intern.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    paths: FastMap<Vec<u32>, u32>,
+    values: FastMap<Arc<str>, u32>,
+    norms: FastMap<Arc<str>, u32>,
+}
+
+/// Per-entity attribute entries over interned paths, values and norms; see
+/// the [module docs](self) for the layout.
 #[derive(Debug, Default, Clone)]
 pub struct AttrStore {
-    map: FastMap<DeweyId, Vec<AttrEntry>>,
+    paths: Vec<Vec<u32>>,
+    values: Vec<Value>,
+    norms: Vec<Arc<str>>,
+    slab: Vec<AttrIds>,
+    entities: FastMap<DeweyId, EntityRecord>,
+    /// Present between the first interning call and [`AttrStore::seal`].
+    interner: Option<Interner>,
+}
+
+fn id_of(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
 }
 
 impl AttrStore {
@@ -53,32 +162,248 @@ impl AttrStore {
         AttrStore::default()
     }
 
-    /// Records the qualifying attributes of entity `e`.
-    pub fn insert(&mut self, e: DeweyId, entries: Vec<AttrEntry>) {
-        if !entries.is_empty() {
-            self.map.insert(e, entries);
+    /// `R(e)`: the qualifying attributes of entity `e` (empty for unknown or
+    /// attribute-less entities).
+    pub fn entries(&self, e: &DeweyId) -> Entries<'_> {
+        match self.entities.get(e) {
+            Some(record) => self.run(record),
+            None => Entries { store: self, label: 0, ids: &[] },
         }
     }
 
-    /// `R(e)`: the qualifying attributes of entity `e` (empty for unknown or
-    /// attribute-less entities).
-    pub fn entries(&self, e: &DeweyId) -> &[AttrEntry] {
-        self.map.get(e).map_or(&[], Vec::as_slice)
+    fn run(&self, record: &EntityRecord) -> Entries<'_> {
+        let start = record.start as usize;
+        let ids = self.slab.get(start..start + record.len as usize).unwrap_or(&[]);
+        Entries { store: self, label: record.label, ids }
     }
 
     /// Number of entities with at least one recorded attribute.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entities.len()
     }
 
     /// True when nothing is recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entities.is_empty()
     }
 
-    /// Iterates all `(entity, entries)` pairs (unspecified order).
-    pub fn iter(&self) -> impl Iterator<Item = (&DeweyId, &Vec<AttrEntry>)> {
-        self.map.iter()
+    /// Iterates all `(entity, entries)` pairs in the order they were
+    /// recorded — the slab's order, so a whole-store scan (persist, merge,
+    /// doctor) is sequential in memory and repeats exactly run to run.
+    pub fn iter(&self) -> impl Iterator<Item = (&DeweyId, Entries<'_>)> {
+        let mut records: Vec<(&DeweyId, &EntityRecord)> = self.entities.iter().collect();
+        records.sort_unstable_by_key(|(_, record)| record.start);
+        records.into_iter().map(|(e, record)| (e, self.run(record)))
+    }
+
+    /// The label ids of path `id` (empty for an unknown id).
+    pub fn path(&self, id: u32) -> &[u32] {
+        self.paths.get(id as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// The raw text of value `id` (empty for an unknown id).
+    pub fn value(&self, id: u32) -> &str {
+        self.values.get(id as usize).map_or("", |v| &v.raw)
+    }
+
+    /// The norm id of value `id` (`u32::MAX` for an unknown id).
+    pub fn norm_of(&self, value: u32) -> u32 {
+        self.values.get(value as usize).map_or(u32::MAX, |v| v.norm)
+    }
+
+    /// The analysed, space-joined terms of norm `id` (empty for an unknown
+    /// id, as for a value the analyzer reduces to nothing).
+    pub fn norm(&self, id: u32) -> &str {
+        self.norms.get(id as usize).map_or("", |n| n)
+    }
+
+    /// All distinct paths in id order.
+    pub fn paths(&self) -> &[Vec<u32>] {
+        &self.paths
+    }
+
+    /// All distinct norms in id order.
+    pub fn norms(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.norms.iter().map(|n| &**n)
+    }
+
+    /// All distinct values in id order, each with its norm id.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = (&str, u32)> {
+        self.values.iter().map(|v| (&*v.raw, v.norm))
+    }
+
+    // ----- building -----
+
+    /// The reverse maps, rebuilt from the tables when the store has none (a
+    /// fresh, sealed or loaded store).
+    fn interner(&mut self) -> &mut Interner {
+        let AttrStore { paths, values, norms, interner, .. } = self;
+        interner.get_or_insert_with(|| {
+            let mut maps = Interner::default();
+            // On a hostile file's duplicate the first id wins, as it would
+            // have while building.
+            for (path, id) in paths.iter().zip(0u32..) {
+                maps.paths.entry(path.clone()).or_insert(id);
+            }
+            for (value, id) in values.iter().zip(0u32..) {
+                maps.values.entry(value.raw.clone()).or_insert(id);
+            }
+            for (norm, id) in norms.iter().zip(0u32..) {
+                maps.norms.entry(norm.clone()).or_insert(id);
+            }
+            maps
+        })
+    }
+
+    /// Drops the interning maps once a build, append or merge is complete.
+    pub(crate) fn seal(&mut self) {
+        self.interner = None;
+    }
+
+    /// Interns a label path, returning its id.
+    pub(crate) fn intern_path(&mut self, path: &[u32]) -> u32 {
+        if let Some(&id) = self.interner().paths.get(path) {
+            return id;
+        }
+        let id = id_of(self.paths.len());
+        self.paths.push(path.to_vec());
+        self.interner().paths.insert(path.to_vec(), id);
+        id
+    }
+
+    /// Interns a raw attribute value, returning its id. A value seen for the
+    /// first time is analysed here — the only time it ever is.
+    pub(crate) fn intern_value(&mut self, raw: &str, analyzer: &Analyzer) -> u32 {
+        self.intern_value_with(raw, || analyzer.analyze(raw).join(" "))
+    }
+
+    fn intern_value_with(&mut self, raw: &str, norm: impl FnOnce() -> String) -> u32 {
+        if let Some(&id) = self.interner().values.get(raw) {
+            return id;
+        }
+        let norm = norm();
+        let norm_id = match self.interner().norms.get(norm.as_str()) {
+            Some(&id) => id,
+            None => {
+                let id = id_of(self.norms.len());
+                let norm: Arc<str> = norm.into();
+                self.norms.push(norm.clone());
+                self.interner().norms.insert(norm, id);
+                id
+            }
+        };
+        let id = id_of(self.values.len());
+        let raw: Arc<str> = raw.into();
+        self.values.push(Value { raw: raw.clone(), norm: norm_id });
+        self.interner().values.insert(raw, id);
+        id
+    }
+
+    /// Records the qualifying attributes of entity `e`, whose own label is
+    /// `label`. An empty entry list records nothing.
+    pub(crate) fn insert(&mut self, e: DeweyId, label: u32, entries: &[AttrIds]) {
+        if entries.is_empty() {
+            return;
+        }
+        let record =
+            EntityRecord { label, start: id_of(self.slab.len()), len: id_of(entries.len()) };
+        self.slab.extend_from_slice(entries);
+        self.entities.insert(e, record);
+    }
+
+    /// Merges `other` (built over disjoint documents with the same analyzer
+    /// options) into this store by re-interning its tables; `label_map[l]`
+    /// is this index's id for `other`'s label `l`.
+    pub(crate) fn merge(&mut self, other: &AttrStore, label_map: &[u32]) {
+        let relabel = |l: u32| label_map.get(l as usize).copied().unwrap_or(l);
+        let mut scratch: Vec<u32> = Vec::new();
+        let path_map: Vec<u32> = other
+            .paths
+            .iter()
+            .map(|path| {
+                scratch.clear();
+                scratch.extend(path.iter().map(|&l| relabel(l)));
+                self.intern_path(&scratch)
+            })
+            .collect();
+        let value_map: Vec<u32> = other
+            .values
+            .iter()
+            .map(|v| self.intern_value_with(&v.raw, || other.norm(v.norm).to_string()))
+            .collect();
+        let mut remapped: Vec<AttrIds> = Vec::new();
+        for (entity, entries) in other.iter() {
+            remapped.clear();
+            remapped.extend(entries.ids().iter().map(|e| AttrIds {
+                path: path_map.get(e.path as usize).copied().unwrap_or(u32::MAX),
+                value: value_map.get(e.value as usize).copied().unwrap_or(u32::MAX),
+                source: e.source,
+            }));
+            self.insert(entity.clone(), relabel(entries.label()), &remapped);
+        }
+    }
+
+    // ----- loading (persistence layer) -----
+
+    /// Appends a path read from disk as the next path id.
+    pub(crate) fn load_path(&mut self, path: Vec<u32>) {
+        self.paths.push(path);
+    }
+
+    /// Appends a norm read from disk as the next norm id.
+    pub(crate) fn load_norm(&mut self, norm: &str) {
+        self.norms.push(norm.into());
+    }
+
+    /// Appends a value read from disk as the next value id; its norm must
+    /// already be loaded.
+    pub(crate) fn load_value(&mut self, raw: &str, norm: u64) -> Result<(), IndexError> {
+        if norm >= self.norms.len() as u64 {
+            return Err(IndexError::Corrupt(format!("attr norm id {norm} out of range")));
+        }
+        self.values.push(Value { raw: raw.into(), norm: norm as u32 });
+        Ok(())
+    }
+
+    /// Records an entity read from disk; every path and value id must
+    /// already be loaded.
+    pub(crate) fn load_entity(
+        &mut self,
+        e: DeweyId,
+        label: u32,
+        entries: &[AttrIds],
+    ) -> Result<(), IndexError> {
+        for entry in entries {
+            if entry.path as usize >= self.paths.len() {
+                return Err(IndexError::Corrupt(format!(
+                    "attr path id {} out of range",
+                    entry.path
+                )));
+            }
+            if entry.value as usize >= self.values.len() {
+                return Err(IndexError::Corrupt(format!(
+                    "attr value id {} out of range",
+                    entry.value
+                )));
+            }
+        }
+        if u32::try_from(self.slab.len() + entries.len()).is_err() {
+            return Err(IndexError::Corrupt("attr slab exceeds u32 entries".into()));
+        }
+        self.insert(e, label, entries);
+        Ok(())
+    }
+
+    // ----- test-only mutators for corrupted-index fixtures -----
+
+    #[cfg(test)]
+    pub(crate) fn set_norm_of(&mut self, value: u32, norm: u32) {
+        self.values[value as usize].norm = norm;
+    }
+
+    #[cfg(test)]
+    pub(crate) fn slab_mut(&mut self) -> &mut Vec<AttrIds> {
+        &mut self.slab
     }
 }
 
@@ -91,18 +416,26 @@ mod tests {
         DeweyId::new(DocId(0), steps.to_vec())
     }
 
+    fn one_entry(s: &mut AttrStore, label: u32, raw: &str) -> AttrIds {
+        AttrIds {
+            path: s.intern_path(&[label]),
+            value: s.intern_value(raw, &Analyzer::default()),
+            source: AttrSource::Attribute,
+        }
+    }
+
     #[test]
     fn entries_round_trip() {
         let mut s = AttrStore::new();
-        s.insert(
-            d(&[0, 1]),
-            vec![AttrEntry {
-                path: vec![3],
-                value: "Data Mining".into(),
-                source: AttrSource::Attribute,
-            }],
+        let entry = one_entry(&mut s, 3, "Data Mining");
+        s.insert(d(&[0, 1]), 7, &[entry]);
+        let entries = s.entries(&d(&[0, 1]));
+        assert_eq!(entries.label(), 7);
+        let views: Vec<AttrView<'_>> = entries.iter().collect();
+        assert_eq!(
+            views,
+            vec![AttrView { path: &[3], value: "Data Mining", source: AttrSource::Attribute }]
         );
-        assert_eq!(s.entries(&d(&[0, 1]))[0].value, "Data Mining");
         assert!(s.entries(&d(&[9])).is_empty());
         assert_eq!(s.len(), 1);
     }
@@ -110,7 +443,55 @@ mod tests {
     #[test]
     fn empty_entry_lists_not_stored() {
         let mut s = AttrStore::new();
-        s.insert(d(&[0]), vec![]);
+        s.insert(d(&[0]), 0, &[]);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn values_normalising_identically_share_a_norm() {
+        let mut s = AttrStore::new();
+        let a = one_entry(&mut s, 1, "Data Mining");
+        let b = one_entry(&mut s, 1, "data-mining");
+        let again = one_entry(&mut s, 1, "Data Mining");
+        assert_eq!(a, again, "interning is idempotent");
+        assert_ne!(a.value, b.value);
+        assert_eq!(s.norm_of(a.value), s.norm_of(b.value));
+        assert_eq!(s.norm(s.norm_of(a.value)), "data mine");
+        assert_eq!((s.paths().len(), s.values().len(), s.norms().len()), (1, 2, 1));
+        // A value of stop words only analyses to the empty norm.
+        let stop = one_entry(&mut s, 1, "of the");
+        assert_eq!(s.norm(s.norm_of(stop.value)), "");
+    }
+
+    #[test]
+    fn interning_resumes_after_seal() {
+        let mut s = AttrStore::new();
+        let a = one_entry(&mut s, 1, "Karen");
+        s.seal();
+        assert_eq!(one_entry(&mut s, 1, "Karen"), a);
+        assert_ne!(one_entry(&mut s, 1, "Mike").value, a.value);
+        assert_eq!((s.paths().len(), s.values().len(), s.norms().len()), (1, 2, 2));
+    }
+
+    #[test]
+    fn merge_reinterns_tables_and_remaps_labels() {
+        let mut left = AttrStore::new();
+        let l = one_entry(&mut left, 0, "Karen");
+        left.insert(d(&[0]), 5, &[l]);
+        let mut right = AttrStore::new();
+        let r_new = one_entry(&mut right, 1, "Mike");
+        let r_shared = one_entry(&mut right, 0, "Karen");
+        right.insert(DeweyId::new(DocId(1), vec![0]), 2, &[r_new, r_shared]);
+        // right's labels 0, 1, 2 are left's 10, 0, 5.
+        left.merge(&right, &[10, 0, 5]);
+        let merged = left.entries(&DeweyId::new(DocId(1), vec![0]));
+        assert_eq!(merged.label(), 5);
+        let views: Vec<AttrView<'_>> = merged.iter().collect();
+        assert_eq!(views[0].path, &[0]);
+        assert_eq!(views[0].value, "Mike");
+        assert_eq!(views[1].path, &[10]);
+        assert_eq!(merged.ids()[0].path, l.path, "right's [1] is left's [0]: one path id");
+        assert_eq!(merged.ids()[1].value, l.value, "Karen is stored once");
+        assert_eq!(left.values().len(), 2);
     }
 }

@@ -15,7 +15,7 @@ use gks_exec::{Scatter, WorkerPool};
 use gks_text::Analyzer;
 use gks_xml::{Event, Reader};
 
-use crate::attrstore::{AttrEntry, AttrSource, AttrStore};
+use crate::attrstore::{AttrIds, AttrSource, AttrStore};
 use crate::categorize::{close_element, finalize_child_flags, self_flags, ChildSummary};
 use crate::corpus::{Corpus, CorpusDoc};
 use crate::error::IndexError;
@@ -56,8 +56,52 @@ struct ChildInfo {
     text: String,
     /// Qualifying attribute entries of the child's subtree, to be inherited
     /// by ancestors while no repeating node is crossed.
-    attr_entries: Vec<AttrEntry>,
+    attr_entries: Vec<PendingAttr>,
     summary: ChildSummary,
+}
+
+/// An attribute entry on its way up the frame stack. Indexes into the
+/// document's [`AttrArena`] travel, not strings or label vectors: the store
+/// interns a path or a value (and analyses the value) only when an entity
+/// records it, so it never holds one no entity refers to.
+#[derive(Clone, Copy)]
+struct PendingAttr {
+    path: u32,
+    text: u32,
+    source: AttrSource,
+}
+
+/// Per-document scratch behind [`PendingAttr`].
+#[derive(Default)]
+struct AttrArena {
+    /// Attribute values, one per text-only child.
+    texts: Vec<String>,
+    /// Paths as cons cells `(label, rest)`; [`AttrArena::NIL`] ends a path.
+    /// Inheriting an entry one level up is one push, whatever the depth.
+    paths: Vec<(u32, u32)>,
+}
+
+impl AttrArena {
+    const NIL: u32 = u32::MAX;
+
+    fn text(&mut self, text: String) -> u32 {
+        self.texts.push(text);
+        (self.texts.len() - 1) as u32
+    }
+
+    fn prepend(&mut self, label: u32, rest: u32) -> u32 {
+        self.paths.push((label, rest));
+        (self.paths.len() - 1) as u32
+    }
+
+    /// Writes the labels of path `cell` into `out`.
+    fn path_into(&self, mut cell: u32, out: &mut Vec<u32>) {
+        out.clear();
+        while let Some(&(label, rest)) = self.paths.get(cell as usize) {
+            out.push(label);
+            cell = rest;
+        }
+    }
 }
 
 /// One open element during the streaming pass.
@@ -176,6 +220,7 @@ impl GksIndex {
 
     fn finish(&mut self, start: Instant) {
         self.inverted.heap_mut().finalize();
+        self.attrs.seal();
         self.stats.distinct_terms = self.inverted.term_count() as u64;
         self.stats.total_postings = self.inverted.total_postings() as u64;
         self.stats.posting_depth_sum = self
@@ -207,6 +252,7 @@ impl GksIndex {
         let mut stack: Vec<OpenFrame> = Vec::new();
         let mut scratch: FastMap<u32, u32> = FastMap::default();
         let mut terms_buf: Vec<String> = Vec::new();
+        let mut arena = AttrArena::default();
 
         loop {
             let event = reader
@@ -276,7 +322,7 @@ impl GksIndex {
                     let frame = stack
                         .pop()
                         .ok_or(IndexError::Invariant("end event with no open element"))?;
-                    let info = self.close_frame(frame, &mut scratch);
+                    let info = self.close_frame(frame, &mut scratch, &mut arena);
                     match stack.last_mut() {
                         Some(parent) => parent.children.push(info),
                         None => self.finalize_root(info),
@@ -331,17 +377,22 @@ impl GksIndex {
     /// Runs categorization for a closing element: finalizes its children,
     /// records them in the node table, assembles qualifying attribute
     /// entries, and produces the element's own [`ChildInfo`].
-    fn close_frame(&mut self, frame: OpenFrame, scratch: &mut FastMap<u32, u32>) -> ChildInfo {
+    fn close_frame(
+        &mut self,
+        mut frame: OpenFrame,
+        scratch: &mut FastMap<u32, u32>,
+        arena: &mut AttrArena,
+    ) -> ChildInfo {
         let summaries: Vec<ChildSummary> =
             frame.children.iter().map(|c| c.summary.clone()).collect();
         let outcome = close_element(&summaries, scratch);
 
-        let mut attr_entries: Vec<AttrEntry> = Vec::new();
-        for (child, &repeating) in frame.children.iter().zip(&outcome.child_repeating) {
+        let mut attr_entries: Vec<PendingAttr> = Vec::new();
+        for (child, &repeating) in frame.children.iter_mut().zip(&outcome.child_repeating) {
             if child.text_only && !child.text.is_empty() {
-                attr_entries.push(AttrEntry {
-                    path: vec![child.label],
-                    value: child.text.clone(),
+                attr_entries.push(PendingAttr {
+                    path: arena.prepend(child.label, AttrArena::NIL),
+                    text: arena.text(std::mem::take(&mut child.text)),
                     source: if repeating {
                         AttrSource::RepeatingText
                     } else {
@@ -355,13 +406,9 @@ impl GksIndex {
                 // children contribute too: their XML attributes were lifted
                 // into entries of their own.
                 for entry in &child.attr_entries {
-                    let mut path = Vec::with_capacity(entry.path.len() + 1);
-                    path.push(child.label);
-                    path.extend_from_slice(&entry.path);
-                    attr_entries.push(AttrEntry {
-                        path,
-                        value: entry.value.clone(),
-                        source: entry.source,
+                    attr_entries.push(PendingAttr {
+                        path: arena.prepend(child.label, entry.path),
+                        ..*entry
                     });
                 }
             }
@@ -383,7 +430,20 @@ impl GksIndex {
         }
 
         if outcome.is_entity {
-            self.attrs.insert(frame.dewey.clone(), attr_entries.clone());
+            let mut path = Vec::new();
+            let entries: Vec<AttrIds> = attr_entries
+                .iter()
+                .map(|e| {
+                    arena.path_into(e.path, &mut path);
+                    let text = &arena.texts[e.text as usize];
+                    AttrIds {
+                        path: self.attrs.intern_path(&path),
+                        value: self.attrs.intern_value(text, &self.analyzer),
+                        source: e.source,
+                    }
+                })
+                .collect();
+            self.attrs.insert(frame.dewey.clone(), frame.label, &entries);
         }
 
         let element_children = outcome.child_repeating.len() as u32;
@@ -442,17 +502,7 @@ impl GksIndex {
             self.node_table
                 .insert(dewey.clone(), NodeMeta { label: label_map[meta.label as usize], ..*meta });
         }
-        for (entity, entries) in other.attrs.iter() {
-            let remapped: Vec<AttrEntry> = entries
-                .iter()
-                .map(|e| AttrEntry {
-                    path: e.path.iter().map(|&l| label_map[l as usize]).collect(),
-                    value: e.value.clone(),
-                    source: e.source,
-                })
-                .collect();
-            self.attrs.insert(entity.clone(), remapped);
-        }
+        self.attrs.merge(&other.attrs, &label_map);
         let inv = self.inverted.heap_mut();
         for (term, list) in other.inverted.iter() {
             let tid = inv.term_id(term);
@@ -529,8 +579,8 @@ impl GksIndex {
         &self.inverted
     }
 
-    /// On-disk format version this index was loaded from: 2 or 3 for loads,
-    /// 0 for an index built in memory.
+    /// On-disk version number of the file this index was loaded from (4 for
+    /// the v2 layout, 5 for the v3 layout), 0 for an index built in memory.
     pub fn format_version(&self) -> u32 {
         self.format_version
     }
@@ -604,6 +654,30 @@ impl GksIndex {
         self.format_version = format_version;
         self.open_millis = open_millis;
     }
+}
+
+/// One line per entity, in Dewey order, with every id resolved to names and
+/// text — equal for two indexes over the same corpus however their tables
+/// happen to be numbered.
+#[cfg(test)]
+pub(crate) fn resolved_attrs(ix: &GksIndex) -> Vec<String> {
+    let labels = ix.node_table().labels();
+    let store = ix.attr_store();
+    let mut entities: Vec<_> = store.iter().collect();
+    entities.sort_by(|a, b| a.0.cmp(b.0));
+    entities
+        .iter()
+        .map(|(entity, entries)| {
+            let mut line = format!("{entity} <{}>", labels.name(entries.label()));
+            for e in entries.ids() {
+                let path: Vec<&str> = store.path(e.path).iter().map(|&l| labels.name(l)).collect();
+                let norm = store.norm(store.norm_of(e.value));
+                let value = store.value(e.value);
+                line.push_str(&format!(" {}={value:?}~{norm:?}/{:?}", path.join("."), e.source));
+            }
+            line
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -724,13 +798,13 @@ mod tests {
         let names: Vec<&str> = entries
             .iter()
             .filter(|e| e.source == AttrSource::Attribute)
-            .map(|e| e.value.as_str())
+            .map(|e| e.value)
             .collect();
         assert_eq!(names, vec!["Data Mining"]);
         let students: Vec<&str> = entries
             .iter()
             .filter(|e| e.source == AttrSource::RepeatingText)
-            .map(|e| e.value.as_str())
+            .map(|e| e.value)
             .collect();
         assert_eq!(students, vec!["Karen", "Mike", "Peter"]);
         // Paths carry the semantics: students are reached via
@@ -795,8 +869,7 @@ mod tests {
         // attribute store carries the lifted values.
         let country = DeweyId::new(DocId(0), vec![0]);
         assert!(ix.node_table().is_entity(&country).is_some());
-        let values: Vec<&str> =
-            ix.attr_store().entries(&country).iter().map(|e| e.value.as_str()).collect();
+        let values: Vec<&str> = ix.attr_store().entries(&country).iter().map(|e| e.value).collect();
         assert!(values.contains(&"Albania"));
     }
 
@@ -851,6 +924,10 @@ mod tests {
                 seq.node_table().labels().name(meta.label)
             );
         }
+        // The merge re-interned the workers' tables: same entries, and the
+        // values the documents share are stored once.
+        assert_eq!(resolved_attrs(&par), resolved_attrs(&seq));
+        assert_eq!(par.attr_store().values().len(), seq.attr_store().values().len());
     }
 
     #[test]
@@ -875,6 +952,13 @@ mod tests {
             assert_eq!(incremental.postings(term), list, "postings for {term}");
         }
         assert_eq!(incremental.node_table().len(), oneshot.node_table().len());
+        // The append re-opened a sealed store: it must have found the values
+        // and paths already interned rather than storing them again.
+        assert_eq!(resolved_attrs(&incremental), resolved_attrs(&oneshot));
+        let (inc, one) = (incremental.attr_store(), oneshot.attr_store());
+        assert_eq!(inc.values().len(), one.values().len());
+        assert_eq!(inc.norms().len(), one.norms().len());
+        assert_eq!(inc.paths().len(), one.paths().len());
     }
 
     #[test]

@@ -19,6 +19,7 @@ use gks_dewey::DeweyId;
 
 use crate::builder::GksIndex;
 use crate::categorize::NodeCategory;
+use crate::fasthash::FastMap;
 use crate::stats::CategoryCensus;
 
 /// One violated index invariant, as found by [`GksIndex::doctor`].
@@ -70,19 +71,32 @@ pub enum Violation {
         /// The offending attribute-store key.
         entity: DeweyId,
     },
-    /// An attribute entry's element path contains a label id the interner
+    /// An attribute-store record names a different label for its entity than
+    /// the node table does (DI would print the wrong entity type).
+    AttrEntityLabelMismatch {
+        /// The entity whose record is wrong.
+        entity: DeweyId,
+    },
+    /// A path of the attribute store contains a label id the interner
     /// cannot resolve.
     AttrPathUnresolvable {
-        /// The entity whose entry is broken.
-        entity: DeweyId,
+        /// The broken path's id.
+        path: u32,
         /// The unresolvable label id.
         label: u32,
     },
-    /// An attribute entry has an empty element path (every entry must name
-    /// at least the attribute element itself).
+    /// A path of the attribute store is empty (every path must name at least
+    /// the attribute element itself).
     AttrPathEmpty {
-        /// The entity whose entry is broken.
-        entity: DeweyId,
+        /// The broken path's id.
+        path: u32,
+    },
+    /// A value's stored norm is not the id of `analyze(value).join(" ")`.
+    /// The norm is computed at build time and trusted from disk thereafter,
+    /// so a wrong one silently mis-groups insights.
+    AttrNormMismatch {
+        /// The raw value whose norm is wrong.
+        value: String,
     },
     /// A format-v3 posting run failed to decode (the open-path checksum
     /// covers only the header and footer, so block corruption surfaces
@@ -128,11 +142,17 @@ impl fmt::Display for Violation {
             Violation::AttrEntityNotEntity { entity } => {
                 write!(f, "attribute store keyed by {entity}, which is not an entity node")
             }
-            Violation::AttrPathUnresolvable { entity, label } => {
-                write!(f, "attribute entry of {entity} has unresolvable label id {label}")
+            Violation::AttrEntityLabelMismatch { entity } => {
+                write!(f, "attribute store and node table disagree on the label of {entity}")
             }
-            Violation::AttrPathEmpty { entity } => {
-                write!(f, "attribute entry of {entity} has an empty element path")
+            Violation::AttrPathUnresolvable { path, label } => {
+                write!(f, "attribute path {path} has unresolvable label id {label}")
+            }
+            Violation::AttrPathEmpty { path } => {
+                write!(f, "attribute path {path} is empty")
+            }
+            Violation::AttrNormMismatch { value } => {
+                write!(f, "attribute value {value:?} is stored with a norm that is not its analysis")
             }
             Violation::PostingsCorrupt { detail } => {
                 write!(f, "a posting run failed to decode: {detail}")
@@ -230,24 +250,46 @@ fn check_census(index: &GksIndex, out: &mut Vec<Violation>) {
     }
 }
 
-/// Attribute-store keys must be entity nodes and every entry's element path
-/// must resolve through the label interner (§2.3: the path from the entity
-/// to the attribute is the keyword's semantics — an unresolvable path makes
-/// DI discovery produce garbage).
+/// Attribute-store keys must be entity nodes carrying the label the node
+/// table records; every distinct path must be non-empty and resolve through
+/// the label interner (§2.3: the path from the entity to the attribute is
+/// the keyword's semantics — an unresolvable path makes DI discovery produce
+/// garbage); and every distinct value's norm must be the id of its analysis
+/// under the index's own analyzer. Paths and values are checked once each,
+/// not once per entry.
 fn check_attrs(index: &GksIndex, out: &mut Vec<Violation>) {
     let labels = index.node_table().labels();
-    for (entity, entries) in index.attr_store().iter() {
-        if index.node_table().is_entity(entity).is_none() {
-            out.push(Violation::AttrEntityNotEntity { entity: entity.clone() });
+    let store = index.attr_store();
+    for (entity, entries) in store.iter() {
+        match index.node_table().get(entity) {
+            Some(meta) if meta.flags.is_entity() => {
+                if meta.label != entries.label() {
+                    out.push(Violation::AttrEntityLabelMismatch { entity: entity.clone() });
+                }
+            }
+            _ => out.push(Violation::AttrEntityNotEntity { entity: entity.clone() }),
         }
-        for entry in entries {
-            if entry.path.is_empty() {
-                out.push(Violation::AttrPathEmpty { entity: entity.clone() });
-                continue;
-            }
-            if let Some(&label) = entry.path.iter().find(|&&l| l as usize >= labels.len()) {
-                out.push(Violation::AttrPathUnresolvable { entity: entity.clone(), label });
-            }
+    }
+    for (path, id) in store.paths().iter().zip(0u32..) {
+        if path.is_empty() {
+            out.push(Violation::AttrPathEmpty { path: id });
+        } else if let Some(&label) = path.iter().find(|&&l| l as usize >= labels.len()) {
+            out.push(Violation::AttrPathUnresolvable { path: id, label });
+        }
+    }
+    // A norm string may sit in the table twice in a hostile file; grouping is
+    // by id, so only the first id counts as "the" norm of that string.
+    let mut norm_ids: FastMap<&str, u32> = FastMap::default();
+    for (norm, id) in store.norms().zip(0u32..) {
+        norm_ids.entry(norm).or_insert(id);
+    }
+    let analyzer = index.analyzer();
+    let mut terms: Vec<String> = Vec::new();
+    for (raw, norm) in store.values() {
+        terms.clear();
+        analyzer.analyze_into(raw, &mut terms);
+        if norm_ids.get(terms.join(" ").as_str()) != Some(&norm) {
+            out.push(Violation::AttrNormMismatch { value: raw.to_string() });
         }
     }
 }
@@ -263,6 +305,7 @@ impl GksIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrstore::{AttrIds, AttrSource};
     use crate::corpus::Corpus;
     use crate::node_table::NodeMeta;
     use crate::options::IndexOptions;
@@ -353,14 +396,14 @@ mod tests {
         // A posting beyond every real node, appended in order.
         ix.inverted_mut().heap_mut().list_mut(tid).push(DeweyId::new(DocId(7), vec![1]));
         let entity = DeweyId::new(DocId(0), vec![5, 5]);
-        ix.attrs_mut().insert(
-            entity.clone(),
-            vec![crate::attrstore::AttrEntry {
-                path: vec![u32::MAX],
-                value: "x".into(),
-                source: crate::attrstore::AttrSource::Attribute,
-            }],
-        );
+        let analyzer = ix.analyzer().clone();
+        let attrs = ix.attrs_mut();
+        let entry = AttrIds {
+            path: attrs.intern_path(&[u32::MAX]),
+            value: attrs.intern_value("x", &analyzer),
+            source: AttrSource::Attribute,
+        };
+        attrs.insert(entity.clone(), 0, &[entry]);
         let violations = ix.doctor();
         assert!(
             violations.iter().any(
@@ -380,6 +423,32 @@ mod tests {
                 .any(|v| matches!(v, Violation::AttrPathUnresolvable { label: u32::MAX, .. })),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn detects_a_norm_that_is_not_the_values_analysis() {
+        let mut ix = build();
+        // Point "Karen" at "Mike"'s norm: DI would merge the two students.
+        let store = ix.attr_store();
+        let id_of = |raw: &str| store.values().position(|(v, _)| v == raw).unwrap() as u32;
+        let (karen, mike) = (id_of("Karen"), id_of("Mike"));
+        let mikes_norm = store.norm_of(mike);
+        ix.attrs_mut().set_norm_of(karen, mikes_norm);
+        assert_eq!(
+            ix.doctor(),
+            vec![Violation::AttrNormMismatch { value: "Karen".into() }],
+            "exactly the tampered value is flagged"
+        );
+    }
+
+    #[test]
+    fn detects_an_entity_record_with_the_wrong_label() {
+        let mut ix = build();
+        let (entity, entries) = ix.attr_store().iter().next().unwrap();
+        let (entity, ids) = (entity.clone(), entries.ids().to_vec());
+        let wrong = entries.label() + 1;
+        ix.attrs_mut().insert(entity.clone(), wrong, &ids);
+        assert_eq!(ix.doctor(), vec![Violation::AttrEntityLabelMismatch { entity }]);
     }
 
     #[test]

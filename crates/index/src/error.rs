@@ -15,7 +15,8 @@ pub enum IndexError {
     Io(io::Error),
     /// A persisted index failed to decode.
     Corrupt(String),
-    /// A persisted index has an incompatible format version.
+    /// A persisted index has an incompatible format version: it was written
+    /// by another build of this program and must be rebuilt from the XML.
     VersionMismatch { found: u32, expected: u32 },
     /// A shard manifest lists the same shard id twice.
     DuplicateShardId {
@@ -49,7 +50,7 @@ impl fmt::Display for IndexError {
             IndexError::Io(e) => write!(f, "I/O error: {e}"),
             IndexError::Corrupt(msg) => write!(f, "corrupt index: {msg}"),
             IndexError::VersionMismatch { found, expected } => {
-                write!(f, "index format version {found}, expected {expected}")
+                write!(f, "index format version {found}, expected {expected}; re-run `gks index`")
             }
             IndexError::DuplicateShardId { id, first, second } => {
                 write!(f, "shard manifest repeats shard id {id}: first {first:?}, again {second:?}")

@@ -37,7 +37,7 @@ pub mod schema;
 pub mod shard;
 pub mod stats;
 
-pub use attrstore::{AttrEntry, AttrSource, AttrStore};
+pub use attrstore::{AttrIds, AttrSource, AttrStore, AttrView, Entries};
 pub use builder::GksIndex;
 pub use categorize::{NodeCategory, NodeFlags};
 pub use corpus::Corpus;

@@ -18,6 +18,11 @@
 //!   header/footer and dictionary, and hands the engine lazily-decoded
 //!   posting cursors — posting blocks are never read at open.
 //!
+//! `v2` and `v3` name layouts. The version *number* in the header (4 and 5
+//! today) moves whenever a section either layout contains changes shape, and
+//! a file carrying any other number is refused with
+//! [`IndexError::VersionMismatch`] before anything else is read.
+//!
 //! Both loads share one buffer end to end: v2 decodes in place from the
 //! mapped file (strings are built straight from subslices), v3 keeps the map
 //! alive inside [`crate::postings::MappedPostings`].
@@ -35,7 +40,7 @@ use gks_dewey::codec::{
 use gks_dewey::DeweyId;
 use gks_text::AnalyzerOptions;
 
-use crate::attrstore::{AttrEntry, AttrSource, AttrStore};
+use crate::attrstore::{AttrIds, AttrSource, AttrStore};
 use crate::builder::GksIndex;
 use crate::categorize::NodeFlags;
 use crate::error::IndexError;
@@ -45,8 +50,12 @@ use crate::postings::{InvertedIndex, MappedPostings, PostingsReader, TermEntry};
 use crate::stats::{CategoryCensus, IndexStats};
 
 const MAGIC: &[u8; 5] = b"GKSIX";
-const VERSION_V2: u32 = 2;
-const VERSION_V3: u32 = 3;
+/// Version number carried by files in the v2 layout. `IndexFormat` names a
+/// layout; the number moves whenever a section either layout contains
+/// changes shape (2 → 4 when the attribute section became interned tables).
+const VERSION_V2: u32 = 4;
+/// Version number carried by files in the v3 layout (3 → 5, as above).
+const VERSION_V3: u32 = 5;
 /// Trailing magic of the v3 footer; lets the doctor tell "not a v3 file"
 /// from "v3 file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
@@ -77,7 +86,7 @@ impl IndexFormat {
 /// Per-section byte breakdown of an index file (`gks doctor`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SectionSizes {
-    /// On-disk format version (2 or 3).
+    /// On-disk version number (4 for the v2 layout, 5 for the v3 layout).
     pub version: u32,
     /// Total file bytes.
     pub total: u64,
@@ -119,17 +128,15 @@ fn write_str(out: &mut BytesMut, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
-/// Decodes a length-prefixed string in place: the `String` is built straight
-/// from the input subslice, with no intermediate buffer.
-fn read_str(input: &mut &[u8]) -> Result<String, IndexError> {
+/// Borrows a length-prefixed string straight from the input.
+fn read_str<'a>(input: &mut &'a [u8]) -> Result<&'a str, IndexError> {
     let len = read_varint(input)? as usize;
     if input.len() < len {
         return Err(IndexError::Corrupt("truncated string".into()));
     }
     let (head, rest) = input.split_at(len);
     let s = std::str::from_utf8(head)
-        .map_err(|_| IndexError::Corrupt("invalid UTF-8 in string".into()))?
-        .to_string();
+        .map_err(|_| IndexError::Corrupt("invalid UTF-8 in string".into()))?;
     *input = rest;
     Ok(s)
 }
@@ -201,7 +208,7 @@ fn read_doc_names(input: &mut &[u8]) -> Result<Vec<String>, IndexError> {
     let doc_count = read_varint(input)? as usize;
     let mut doc_names = Vec::with_capacity(doc_count.min(1 << 16));
     for _ in 0..doc_count {
-        doc_names.push(read_str(input)?);
+        doc_names.push(read_str(input)?.to_string());
     }
     Ok(doc_names)
 }
@@ -233,8 +240,7 @@ fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     let label_count = read_varint(input)? as usize;
     let mut node_table = NodeTable::new();
     for _ in 0..label_count {
-        let name = read_str(input)?;
-        node_table.labels_mut().intern(&name);
+        node_table.labels_mut().intern(read_str(input)?);
     }
     Ok(node_table)
 }
@@ -258,50 +264,105 @@ fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError
     Ok(())
 }
 
+/// Attribute section, shared by both layouts: the three interned tables,
+/// then the entities with their entries inline.
+///
+/// ```text
+/// paths:    count · (len · label id*)*
+/// norms:    count · str*
+/// values:   count · (str · norm id)*
+/// entities: count · (Dewey id · entity label id · count · (tag · value id)*)*
+///           where tag = path id << 1 | (1 if repeating text)
+/// ```
+///
+/// Slab ranges are not stored: the reader lays the runs out in file order
+/// from the per-entity counts, so no range can point outside the slab.
 fn write_attrs(out: &mut BytesMut, ix: &GksIndex) {
-    write_varint(out, ix.attr_store().len() as u64);
-    for (entity, entries) in ix.attr_store().iter() {
+    let store = ix.attr_store();
+    write_varint(out, store.paths().len() as u64);
+    for path in store.paths() {
+        write_varint(out, path.len() as u64);
+        for &l in path {
+            write_varint(out, u64::from(l));
+        }
+    }
+    write_varint(out, store.norms().len() as u64);
+    for norm in store.norms() {
+        write_str(out, norm);
+    }
+    write_varint(out, store.values().len() as u64);
+    for (raw, norm) in store.values() {
+        write_str(out, raw);
+        write_varint(out, u64::from(norm));
+    }
+    // Recording order, not hash-map order: the bytes are a function of the
+    // corpus and the build (CI `cmp`s two builds).
+    write_varint(out, store.len() as u64);
+    for (entity, entries) in store.iter() {
         encode_id(entity, out);
+        write_varint(out, u64::from(entries.label()));
         write_varint(out, entries.len() as u64);
-        for e in entries {
-            write_varint(out, e.path.len() as u64);
-            for &l in &e.path {
-                write_varint(out, u64::from(l));
-            }
-            write_str(out, &e.value);
-            out.put_u8(match e.source {
-                AttrSource::Attribute => 0,
-                AttrSource::RepeatingText => 1,
-            });
+        for e in entries.ids() {
+            let repeating = u64::from(e.source == AttrSource::RepeatingText);
+            write_varint(out, u64::from(e.path) << 1 | repeating);
+            write_varint(out, u64::from(e.value));
         }
     }
 }
 
-fn read_attrs(input: &mut &[u8]) -> Result<AttrStore, IndexError> {
-    let attr_count = read_varint(input)? as usize;
-    let mut attrs = AttrStore::new();
-    for _ in 0..attr_count {
-        let entity = decode_id(input)?;
-        let entry_count = read_varint(input)? as usize;
-        let mut entries = Vec::with_capacity(entry_count.min(1 << 16));
-        for _ in 0..entry_count {
-            let path_len = read_varint(input)? as usize;
-            let mut path = Vec::with_capacity(path_len.min(1 << 16));
-            for _ in 0..path_len {
-                path.push(read_varint(input)? as u32);
-            }
-            let value = read_str(input)?;
-            if !input.has_remaining() {
-                return Err(IndexError::Corrupt("truncated attr entry".into()));
-            }
-            let source = match input.get_u8() {
-                0 => AttrSource::Attribute,
-                1 => AttrSource::RepeatingText,
-                other => return Err(IndexError::Corrupt(format!("bad attr source {other}"))),
-            };
-            entries.push(AttrEntry { path, value, source });
+/// Reads the attribute section. Every id is range-checked here — label ids
+/// against `label_count`, path, value and norm ids against their tables —
+/// so a hostile file ends in [`IndexError::Corrupt`] at open and later
+/// lookups cannot miss.
+fn read_attrs(input: &mut &[u8], label_count: usize) -> Result<AttrStore, IndexError> {
+    let check_label = |label: u64| {
+        if label < label_count as u64 {
+            Ok(label as u32)
+        } else {
+            Err(IndexError::Corrupt(format!("attr label id {label} out of range")))
         }
-        attrs.insert(entity, entries);
+    };
+    let mut attrs = AttrStore::new();
+    let path_count = read_varint(input)? as usize;
+    for _ in 0..path_count {
+        let len = read_varint(input)? as usize;
+        let mut path = Vec::with_capacity(len.min(1 << 8));
+        for _ in 0..len {
+            path.push(check_label(read_varint(input)?)?);
+        }
+        attrs.load_path(path);
+    }
+    let norm_count = read_varint(input)? as usize;
+    for _ in 0..norm_count {
+        attrs.load_norm(read_str(input)?);
+    }
+    let value_count = read_varint(input)? as usize;
+    for _ in 0..value_count {
+        let raw = read_str(input)?;
+        attrs.load_value(raw, read_varint(input)?)?;
+    }
+    let mut entries: Vec<AttrIds> = Vec::new();
+    let entity_count = read_varint(input)? as usize;
+    for _ in 0..entity_count {
+        let entity = decode_id(input)?;
+        let label = check_label(read_varint(input)?)?;
+        let entry_count = read_varint(input)? as usize;
+        entries.clear();
+        for _ in 0..entry_count {
+            let tag = read_varint(input)?;
+            let value = read_varint(input)?;
+            // Out-of-range ids saturate and are rejected by `load_entity`.
+            entries.push(AttrIds {
+                path: u32::try_from(tag >> 1).unwrap_or(u32::MAX),
+                value: u32::try_from(value).unwrap_or(u32::MAX),
+                source: if tag & 1 == 1 {
+                    AttrSource::RepeatingText
+                } else {
+                    AttrSource::Attribute
+                },
+            });
+        }
+        attrs.load_entity(entity, label, &entries)?;
     }
     Ok(attrs)
 }
@@ -333,7 +394,7 @@ fn read_stats(input: &mut &[u8]) -> Result<IndexStats, IndexError> {
     };
     let per_label_count = read_varint(input)? as usize;
     for _ in 0..per_label_count {
-        let label = read_str(input)?;
+        let label = read_str(input)?.to_string();
         let census = read_census(input)?;
         stats.per_label.insert(label, census);
     }
@@ -462,12 +523,12 @@ impl GksIndex {
         let term_count = read_varint(input)? as usize;
         let mut inverted = InvertedIndex::new();
         for _ in 0..term_count {
-            let term = read_str(input)?;
+            let term = read_str(input)?.to_string();
             let list = decode_sorted_run(input)?;
             inverted.load_term(term, list);
         }
 
-        let attrs = read_attrs(input)?;
+        let attrs = read_attrs(input, node_table.labels().len())?;
         let stats = read_stats(input)?;
         Ok(GksIndex::from_parts(
             options,
@@ -530,7 +591,7 @@ impl GksIndex {
         let doc_names = read_doc_names(&mut section(doc_off, lab_off))?;
         let mut node_table = read_labels(&mut section(lab_off, node_off))?;
         read_nodes(&mut section(node_off, attr_off), &mut node_table)?;
-        let attrs = read_attrs(&mut section(attr_off, stat_off))?;
+        let attrs = read_attrs(&mut section(attr_off, stat_off), node_table.labels().len())?;
         let stats = read_stats(&mut section(stat_off, dict_off))?;
 
         // Term dictionary: fixed-width u32 offset table into varint
@@ -755,7 +816,7 @@ fn section_sizes_v2(bytes: &[u8]) -> Result<SectionSizes, IndexError> {
     }
     let after_inverted = mark(input);
 
-    read_attrs(input)?;
+    read_attrs(input, label_count)?;
     let after_attrs = mark(input);
     read_stats(input)?;
     let after_stats = mark(input);
@@ -778,7 +839,9 @@ fn section_sizes_v2(bytes: &[u8]) -> Result<SectionSizes, IndexError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::resolved_attrs;
     use crate::corpus::Corpus;
+    use crate::doctor::Violation;
 
     const XML: &str = r#"<dblp>
         <article><title>System R</title><author>Jim Gray</author><author>Kapali Eswaran</author></article>
@@ -788,6 +851,18 @@ mod tests {
     fn sample_index() -> GksIndex {
         let corpus = Corpus::from_named_strs([("dblp", XML)]).unwrap();
         GksIndex::build(&corpus, IndexOptions::default()).unwrap()
+    }
+
+    /// Writes `bytes` to a scratch file and loads it back through the real
+    /// open path (either layout).
+    fn load_bytes(bytes: &[u8], tag: &str) -> Result<GksIndex, IndexError> {
+        let dir = std::env::temp_dir().join(format!("gks-persist-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}.gksix", bytes.len()));
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = GksIndex::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
     }
 
     fn assert_indexes_equal(loaded: &GksIndex, ix: &GksIndex) {
@@ -812,19 +887,11 @@ mod tests {
                 ix.node_table().labels().name(meta.label)
             );
         }
-        assert_eq!(loaded.attr_store().len(), ix.attr_store().len());
-        for (entity, entries) in ix.attr_store().iter() {
-            let other = loaded.attr_store().entries(entity);
-            assert_eq!(other.len(), entries.len());
-            for (a, b) in entries.iter().zip(other) {
-                assert_eq!(a.value, b.value);
-                assert_eq!(a.source, b.source);
-                let names = |ix: &GksIndex, e: &AttrEntry| -> Vec<String> {
-                    e.path.iter().map(|&l| ix.node_table().labels().name(l).to_string()).collect()
-                };
-                assert_eq!(names(ix, a), names(loaded, b));
-            }
-        }
+        assert_eq!(resolved_attrs(loaded), resolved_attrs(ix));
+        let (a, b) = (loaded.attr_store(), ix.attr_store());
+        assert_eq!(a.paths().len(), b.paths().len());
+        assert_eq!(a.values().len(), b.values().len());
+        assert_eq!(a.norms().len(), b.norms().len());
     }
 
     #[test]
@@ -842,7 +909,7 @@ mod tests {
         let path = dir.join("sample.gksix");
         ix.save_as(&path, IndexFormat::V3).unwrap();
         let loaded = GksIndex::load(&path).unwrap();
-        assert_eq!(loaded.format_version(), 3);
+        assert_eq!(loaded.format_version(), VERSION_V3);
         assert_indexes_equal(&loaded, &ix);
         std::fs::remove_file(&path).ok();
     }
@@ -923,6 +990,110 @@ mod tests {
     }
 
     #[test]
+    fn files_of_the_previous_versions_are_refused_by_number() {
+        // Versions 2 and 3 carried one string and one path per attribute
+        // entry; reading one as the current layout would mis-parse, so the
+        // number — checked before anything else — is what refuses it.
+        let ix = sample_index();
+        let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (old, bytes) in
+            [(2u32, ix.to_bytes().to_vec()), (3, ix.to_bytes_v3().unwrap().to_vec())]
+        {
+            let mut bytes = bytes;
+            bytes[5..9].copy_from_slice(&old.to_be_bytes());
+            let path = dir.join(format!("v{old}.gksix"));
+            std::fs::write(&path, &bytes).unwrap();
+            let err = GksIndex::load(&path).unwrap_err();
+            assert!(matches!(err, IndexError::VersionMismatch { found, .. } if found == old));
+            let message = err.to_string();
+            assert!(message.contains(&format!("version {old}")), "{message}");
+            assert!(message.contains("re-run `gks index`"), "{message}");
+            assert!(matches!(
+                section_sizes(&path),
+                Err(IndexError::VersionMismatch { found, .. }) if found == old
+            ));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn flipped_norm_id_opens_and_the_doctor_flags_it() {
+        let mut ix = sample_index();
+        let store = ix.attr_store();
+        let id_of = |raw: &str| store.values().position(|(v, _)| v == raw).unwrap() as u32;
+        let (title, gray) = (id_of("System R"), id_of("Jim Gray"));
+        let grays_norm = store.norm_of(gray);
+        ix.attrs_mut().set_norm_of(title, grays_norm);
+        for bytes in [ix.to_bytes(), ix.to_bytes_v3().unwrap()] {
+            let loaded = load_bytes(&bytes, "norm").unwrap();
+            assert_eq!(
+                loaded.doctor(),
+                vec![Violation::AttrNormMismatch { value: "System R".into() }]
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_attr_ids_are_typed_errors_at_open() {
+        let corrupt = |tamper: &dyn Fn(&mut GksIndex), what: &str| {
+            let mut ix = sample_index();
+            tamper(&mut ix);
+            for bytes in [ix.to_bytes(), ix.to_bytes_v3().unwrap()] {
+                match load_bytes(&bytes, "ids") {
+                    Err(IndexError::Corrupt(message)) => {
+                        assert!(message.contains(what), "{message}")
+                    }
+                    other => panic!("{what}: expected Corrupt, got {other:?}"),
+                }
+            }
+        };
+        corrupt(
+            &|ix| {
+                let past = ix.attr_store().values().len() as u32;
+                ix.attrs_mut().slab_mut()[0].value = past;
+            },
+            "attr value id",
+        );
+        corrupt(
+            &|ix| {
+                let past = ix.attr_store().paths().len() as u32;
+                ix.attrs_mut().slab_mut()[0].path = past;
+            },
+            "attr path id",
+        );
+        corrupt(
+            &|ix| {
+                let past = ix.attr_store().norms().len() as u32;
+                ix.attrs_mut().set_norm_of(0, past);
+            },
+            "attr norm id",
+        );
+        corrupt(
+            &|ix| {
+                let past = ix.node_table().labels().len() as u32;
+                ix.attrs_mut().intern_path(&[past]);
+            },
+            "attr label id",
+        );
+    }
+
+    #[test]
+    fn non_utf8_attr_value_is_a_typed_error_at_open() {
+        let ix = sample_index();
+        // The raw title occurs only in the value table (the dictionary holds
+        // analysed terms), and v3 checksums only the header and footer, so
+        // the flipped byte reaches the attribute reader.
+        let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
+        let at = bytes.windows(8).position(|w| w == b"System R").unwrap();
+        bytes[at] = 0xff;
+        match load_bytes(&bytes, "utf8") {
+            Err(IndexError::Corrupt(message)) => assert!(message.contains("UTF-8"), "{message}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncated_input_rejected() {
         let ix = sample_index();
         let bytes = ix.to_bytes();
@@ -990,8 +1161,8 @@ mod tests {
         ix.save_as(&p3, IndexFormat::V3).unwrap();
         let v2 = GksIndex::load(&p2).unwrap();
         let v3 = GksIndex::load(&p3).unwrap();
-        assert_eq!(v2.format_version(), 2);
-        assert_eq!(v3.format_version(), 3);
+        assert_eq!(v2.format_version(), VERSION_V2);
+        assert_eq!(v3.format_version(), VERSION_V3);
         for (term, _) in ix.inverted().iter() {
             assert_eq!(v2.postings(term), v3.postings(term), "postings for {term}");
             assert_eq!(v2.posting_count(term), v3.posting_count(term));

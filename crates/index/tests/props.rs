@@ -134,7 +134,9 @@ proptest! {
         for (entity, entries) in ix.attr_store().iter() {
             let meta = ix.node_table().get(entity).expect("entity recorded");
             prop_assert!(meta.flags.is_entity(), "{entity} has attrs but is not EN");
-            for e in entries {
+            prop_assert_eq!(entries.label(), meta.label);
+            prop_assert!(!entries.is_empty(), "{entity} recorded without entries");
+            for e in entries.iter() {
                 prop_assert!(!e.path.is_empty());
                 prop_assert!(e.path.iter().all(|&l| l < label_count));
                 prop_assert!(!e.value.is_empty());
@@ -152,6 +154,21 @@ proptest! {
         for (term, list) in ix.inverted().iter() {
             prop_assert_eq!(loaded.postings(term), list);
         }
+        // The attribute tables come back as written: the same entries per
+        // entity and, per value, the norm the builder computed.
+        prop_assert_eq!(loaded.attr_store().len(), ix.attr_store().len());
+        for (entity, entries) in ix.attr_store().iter() {
+            let other = loaded.attr_store().entries(entity);
+            prop_assert_eq!(other.label(), entries.label());
+            prop_assert!(other.iter().eq(entries.iter()), "{entity} entries differ");
+            for (a, b) in entries.ids().iter().zip(other.ids()) {
+                let norm = |ix: &GksIndex, value: u32| {
+                    ix.attr_store().norm(ix.attr_store().norm_of(value)).to_string()
+                };
+                prop_assert_eq!(norm(&ix, a.value), norm(&loaded, b.value));
+            }
+        }
+        prop_assert!(loaded.doctor().is_empty());
     }
 
     /// Sequential and parallel builds agree on a multi-document corpus.
