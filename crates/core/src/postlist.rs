@@ -5,6 +5,10 @@
 //! its terms, i.e. the intersection of the terms' lists — an adequate phrase
 //! model at text-node granularity, since author names, course titles, etc.
 //! each live in one text node.
+//!
+//! The index hands out borrowed `&[DeweyId]` slices; the merge consumes owned
+//! lists. Each keyword's list is therefore materialised exactly once, after
+//! any intersection and masking have run over the borrowed slices.
 
 use gks_dewey::DeweyId;
 use gks_index::GksIndex;
@@ -20,8 +24,7 @@ pub fn keyword_postings(index: &GksIndex, keyword: &Keyword) -> Vec<DeweyId> {
 
 /// [`keyword_postings`] with tombstoned documents masked out: any posting
 /// whose document id appears in `dead` (a sorted list of local doc ids) is
-/// dropped. An empty mask takes the unfiltered fast path, so unmasked
-/// search pays nothing.
+/// dropped. With an empty mask nothing is filtered.
 pub fn keyword_postings_masked(index: &GksIndex, dead: &[u32], keyword: &Keyword) -> Vec<DeweyId> {
     masked_keyword_postings(index, dead, keyword).0
 }
@@ -49,71 +52,56 @@ pub fn keyword_postings_counted(
 }
 
 /// Shared fetch-and-mask: returns the surviving list and how many postings
-/// the mask dropped. A masked single-term keyword goes through
+/// the mask dropped. A single-term keyword goes through
 /// [`GksIndex::postings_masked`], which on a format-v3 index can skip
-/// fully-tombstoned blocks without decoding them; phrases intersect raw
-/// lists first and mask the (smaller) intersection, preserving the ledger
-/// algebra of the eager path.
+/// fully-tombstoned blocks without decoding them. A phrase intersects its
+/// terms' lists as borrowed slices first and masks the (smaller)
+/// intersection, preserving the ledger algebra of the eager path; only the
+/// survivors are copied, once.
 fn masked_keyword_postings(
     index: &GksIndex,
     dead: &[u32],
     keyword: &Keyword,
 ) -> (Vec<DeweyId>, u64) {
-    if dead.is_empty() {
-        return (raw_keyword_postings(index, keyword), 0);
-    }
-    if let [term] = keyword.terms() {
-        return index.postings_masked(term, dead);
-    }
-    let raw = raw_keyword_postings(index, keyword);
-    let raw_len = raw.len() as u64;
-    let list: Vec<DeweyId> =
-        raw.into_iter().filter(|id| dead.binary_search(&id.doc().0).is_err()).collect();
-    let masked = raw_len - list.len() as u64;
-    (list, masked)
-}
-
-fn raw_keyword_postings(index: &GksIndex, keyword: &Keyword) -> Vec<DeweyId> {
     match keyword.terms() {
-        [] => Vec::new(),
-        [term] => index.postings(term).to_vec(),
+        [] => (Vec::new(), 0),
+        [term] => index.postings_masked(term, dead),
         terms => {
             // Intersect starting from the shortest list.
             let mut lists: Vec<&[DeweyId]> = terms.iter().map(|t| index.postings(t)).collect();
             lists.sort_by_key(|l| l.len());
-            if lists[0].is_empty() {
-                return Vec::new();
-            }
-            let mut acc: Vec<DeweyId> = lists[0].to_vec();
+            let mut common: Vec<&DeweyId> = lists[0].iter().collect();
             for list in &lists[1..] {
-                acc = intersect(&acc, list);
-                if acc.is_empty() {
+                if common.is_empty() {
                     break;
                 }
+                intersect(&mut common, list);
             }
-            acc
+            let live: Vec<DeweyId> = common
+                .iter()
+                .filter(|id| dead.binary_search(&id.doc().0).is_err())
+                .map(|&id| id.clone())
+                .collect();
+            let masked = (common.len() - live.len()) as u64;
+            (live, masked)
         }
     }
 }
 
-/// Intersection of two sorted lists: binary-search each element of the
-/// shorter list in the not-yet-consumed tail of the longer one.
-fn intersect(short: &[DeweyId], long: &[DeweyId]) -> Vec<DeweyId> {
-    let mut out = Vec::with_capacity(short.len().min(long.len()));
+/// Keeps the elements of the sorted `short` that also occur in the sorted
+/// `long`: binary-search each in the not-yet-consumed tail of `long`.
+fn intersect(short: &mut Vec<&DeweyId>, long: &[DeweyId]) {
     let mut lo = 0usize;
-    for id in short {
-        match long[lo..].binary_search(id) {
-            Ok(pos) => {
-                out.push(id.clone());
-                lo += pos + 1;
-            }
-            Err(pos) => lo += pos,
+    short.retain(|id| match long[lo..].binary_search(id) {
+        Ok(pos) => {
+            lo += pos + 1;
+            true
         }
-        if lo >= long.len() {
-            break;
+        Err(pos) => {
+            lo += pos;
+            false
         }
-    }
-    out
+    });
 }
 
 #[cfg(test)]
@@ -126,21 +114,27 @@ mod tests {
         DeweyId::new(DocId(0), steps.to_vec())
     }
 
+    fn intersected(short: &[DeweyId], long: &[DeweyId]) -> Vec<DeweyId> {
+        let mut common: Vec<&DeweyId> = short.iter().collect();
+        intersect(&mut common, long);
+        common.into_iter().cloned().collect()
+    }
+
     #[test]
     fn intersect_basics() {
         let a = vec![d(&[0]), d(&[1]), d(&[3]), d(&[7])];
         let b = vec![d(&[1]), d(&[2]), d(&[3]), d(&[9])];
-        assert_eq!(intersect(&a, &b), vec![d(&[1]), d(&[3])]);
-        assert_eq!(intersect(&a, &[]), vec![]);
-        assert_eq!(intersect(&[], &b), vec![]);
-        assert_eq!(intersect(&a, &a), a);
+        assert_eq!(intersected(&a, &b), vec![d(&[1]), d(&[3])]);
+        assert_eq!(intersected(&a, &[]), vec![]);
+        assert_eq!(intersected(&[], &b), vec![]);
+        assert_eq!(intersected(&a, &a), a);
     }
 
     #[test]
     fn intersect_large_gallop() {
         let long: Vec<DeweyId> = (0..1000).map(|i| d(&[i])).collect();
         let short = vec![d(&[0]), d(&[500]), d(&[999]), d(&[2000])];
-        assert_eq!(intersect(&short, &long), vec![d(&[0]), d(&[500]), d(&[999])]);
+        assert_eq!(intersected(&short, &long), vec![d(&[0]), d(&[500]), d(&[999])]);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!    document order.
 
 use gks_dewey::DeweyId;
-use gks_index::fasthash::{FastMap, FastSet};
 use gks_index::GksIndex;
 use gks_trace::{span, SpanKind};
 
@@ -28,7 +27,7 @@ use crate::error::QueryError;
 use crate::merge::merge_posting_lists_counted;
 use crate::postlist::keyword_postings_counted;
 use crate::query::{Keyword, Query};
-use crate::sweep::sweep_counted;
+use crate::sweep::{sweep_counted, NodeStats};
 use crate::window::lcp_candidates;
 
 /// How the minimum keyword count `s` is chosen for a query.
@@ -311,21 +310,19 @@ pub fn search_masked(
     trace.window_micros = sweep_span.elapsed_micros();
     trace.candidates = candidates.len();
 
-    // 4. LCE derivation.
-    let mut lce_of: FastMap<DeweyId, Option<DeweyId>> = FastMap::default();
-    let mut lce_set: FastSet<DeweyId> = FastSet::default();
-    for c in &candidates {
-        let lce = index.node_table().lowest_entity_ancestor_or_self(c);
-        if let Some(e) = &lce {
-            lce_set.insert(e.clone());
-        }
-        lce_of.insert(c.clone(), lce);
-    }
+    // 4. LCE derivation: `lce_of[i]` belongs to `candidates[i]`.
+    let lce_of: Vec<Option<DeweyId>> = candidates
+        .iter()
+        .map(|c| index.node_table().lowest_entity_ancestor_or_self(c))
+        .collect();
+    let mut lces: Vec<DeweyId> = lce_of.iter().flatten().cloned().collect();
+    lces.sort_unstable();
+    lces.dedup();
 
     // 5. Exact statistics for candidates ∪ LCEs.
-    let mut stat_nodes: Vec<DeweyId> = candidates.clone();
-    stat_nodes.extend(lce_set.iter().cloned());
-    stat_nodes.sort_unstable();
+    // Two sorted runs: the stable sort merges them in one pass.
+    let mut stat_nodes: Vec<DeweyId> = candidates.iter().chain(&lces).cloned().collect();
+    stat_nodes.sort();
     stat_nodes.dedup();
     let pre_sweep_micros = sweep_span.elapsed_micros();
     let (stats, advances) = sweep_counted(index, &sl, &stat_nodes, n);
@@ -334,53 +331,39 @@ pub fn search_masked(
     gks_trace::annotate("sweep_advances", cost.sweep_advances);
     gks_trace::annotate("rank_candidates", cost.rank_candidates);
     trace.sweep_micros = sweep_span.elapsed_micros().saturating_sub(pre_sweep_micros);
-    trace.lce_nodes = lce_set.len();
+    trace.lce_nodes = lces.len();
     drop(sweep_span);
     let rank_span = span(SpanKind::Rank);
-    let stat_by_node: FastMap<&DeweyId, usize> =
-        stat_nodes.iter().enumerate().map(|(i, d)| (d, i)).collect();
 
-    // 6. Assemble hits.
+    // 6. Assemble hits. `stats` is parallel to the sorted `stat_nodes`, so a
+    // node's statistics are a binary search away. No node is emitted twice:
+    // LCEs are distinct, candidates are distinct, and a candidate equal to
+    // an emitted LCE is an entity — its own, surviving, LCE — and is skipped.
+    let stat_of = |node: &DeweyId| stat_nodes.binary_search(node).ok().map(|i| &stats[i]);
+    let survives = |st: &NodeStats| st.witnessed && st.keyword_count() as usize >= s;
+    let hit = |kind: HitKind, st: &NodeStats| Hit {
+        node: st.dewey.clone(),
+        kind,
+        keyword_mask: st.mask,
+        keyword_count: st.keyword_count(),
+        rank: st.rank,
+    };
     let mut hits: Vec<Hit> = Vec::new();
-    let mut emitted: FastSet<DeweyId> = FastSet::default();
     // Witnessed LCE nodes with enough keywords.
-    for e in &lce_set {
-        let st = &stats[stat_by_node[e]];
-        if st.witnessed && st.keyword_count() as usize >= s && emitted.insert(e.clone()) {
-            trace.witnessed_lce += 1;
-            hits.push(Hit {
-                node: e.clone(),
-                kind: HitKind::Lce,
-                keyword_mask: st.mask,
-                keyword_count: st.keyword_count(),
-                rank: st.rank,
-            });
-        }
+    for st in lces.iter().filter_map(stat_of).filter(|st| survives(st)) {
+        trace.witnessed_lce += 1;
+        hits.push(hit(HitKind::Lce, st));
     }
     // Candidates whose LCE is absent or did not survive fall back to plain
     // LCP hits ("those nodes in LCP list for which no corresponding LCE node
     // exist", §4.2).
-    for c in &candidates {
-        let surviving_lce = match &lce_of[c] {
-            Some(e) => {
-                let st = &stats[stat_by_node[e]];
-                st.witnessed && st.keyword_count() as usize >= s
-            }
-            None => false,
-        };
-        if surviving_lce {
+    for (c, lce) in candidates.iter().zip(&lce_of) {
+        if lce.as_ref().and_then(stat_of).is_some_and(survives) {
             continue;
         }
-        let st = &stats[stat_by_node[c]];
-        if st.keyword_count() as usize >= s && emitted.insert(c.clone()) {
+        if let Some(st) = stat_of(c).filter(|st| st.keyword_count() as usize >= s) {
             trace.orphan_lcp += 1;
-            hits.push(Hit {
-                node: c.clone(),
-                kind: HitKind::Lcp,
-                keyword_mask: st.mask,
-                keyword_count: st.keyword_count(),
-                rank: st.rank,
-            });
+            hits.push(hit(HitKind::Lcp, st));
         }
     }
 
@@ -390,6 +373,7 @@ pub fn search_masked(
     // ancestor carrying a keyword its descendants do not cover survives, so
     // no query keyword region is lost.
     hits.sort_by(|a, b| a.node.cmp(&b.node));
+    debug_assert!(hits.windows(2).all(|w| w[0].node < w[1].node), "a node emitted twice");
     let mut keep = vec![true; hits.len()];
     for i in 0..hits.len() {
         if hits[i].kind != HitKind::Lcp {

@@ -22,8 +22,7 @@
 //! `P|e = |matched keywords|`, reproducing the paper's Example 5 numbers.
 
 use gks_dewey::DeweyId;
-use gks_index::fasthash::FastMap;
-use gks_index::GksIndex;
+use gks_index::{GksIndex, NodeTable};
 
 use crate::merge::SlEntry;
 
@@ -79,18 +78,19 @@ pub fn sweep_counted(
     let mut prod_sum = vec![0f64; n_nodes * n_keywords];
     let mut witnessed = vec![false; n_nodes];
 
+    let table = index.node_table();
     let mut stack: Vec<usize> = Vec::new();
     let mut next_node = 0usize;
     let mut advances = 0u64;
 
-    // Reciprocal child-count products along the current entry's root path:
+    // Along the root path of `described`, the last entry that refreshed them:
     // prods[t] = Π_{u<t} 1/children(prefix of depth u), so the product from a
-    // candidate at depth a down to the entry's parent is prods[dE]/prods[a].
+    // candidate at depth a down to the entry's parent is prods[dE]/prods[a];
+    // entity_depth[t] = depth of the deepest entity among the prefixes of
+    // depth ≤ t, so entity_depth[dE] is the entry's nearest enclosing entity.
     let mut prods: Vec<f64> = vec![1.0];
-    let mut prev_entry: Option<DeweyId> = None;
-    // Cache of lowest-entity-ancestor lookups per posting node (postings for
-    // several keywords often repeat the same node).
-    let mut lea_cache: FastMap<DeweyId, Option<DeweyId>> = FastMap::default();
+    let mut entity_depth: Vec<Option<usize>> = Vec::new();
+    let mut described: Option<&DeweyId> = None;
 
     for (entry, kw) in sl {
         let kw = *kw as usize;
@@ -112,39 +112,37 @@ pub fn sweep_counted(
             }
             stack.pop();
         }
+        // Every candidate containing the entry is on the stack, so with an
+        // empty stack there is nothing to update and nothing to witness.
+        if stack.is_empty() {
+            continue;
+        }
 
-        if !stack.is_empty() {
-            // `prev_entry` is the entry `prods` currently describes — only
-            // entries that actually refreshed `prods` update it.
-            update_prods(index, &mut prods, prev_entry.as_ref(), entry);
-            prev_entry = Some(entry.clone());
-            let d_entry = entry.depth();
-            advances += stack.len() as u64;
-            for &idx in &stack {
-                mask[idx] |= 1 << kw;
-                let d_node = nodes[idx].depth();
-                let p = prods[d_entry] / prods[d_node];
-                let slot = idx * n_keywords + kw;
-                let depth = d_entry as u32;
-                match depth.cmp(&min_depth[slot]) {
-                    std::cmp::Ordering::Less => {
-                        min_depth[slot] = depth;
-                        prod_sum[slot] = p;
-                    }
-                    std::cmp::Ordering::Equal => prod_sum[slot] += p,
-                    std::cmp::Ordering::Greater => {}
+        refresh_root_path(table, &mut prods, &mut entity_depth, described, entry);
+        described = Some(entry);
+        let d_entry = entry.depth();
+        advances += stack.len() as u64;
+        for &idx in &stack {
+            mask[idx] |= 1 << kw;
+            let d_node = nodes[idx].depth();
+            let p = prods[d_entry] / prods[d_node];
+            let slot = idx * n_keywords + kw;
+            let depth = d_entry as u32;
+            match depth.cmp(&min_depth[slot]) {
+                std::cmp::Ordering::Less => {
+                    min_depth[slot] = depth;
+                    prod_sum[slot] = p;
                 }
+                std::cmp::Ordering::Equal => prod_sum[slot] += p,
+                std::cmp::Ordering::Greater => {}
             }
         }
 
         // Witness marking: this occurrence independently witnesses its
-        // nearest enclosing entity node.
-        let lea = lea_cache
-            .entry(entry.clone())
-            .or_insert_with(|| index.node_table().lowest_entity_ancestor_or_self(entry))
-            .clone();
-        if let Some(entity) = lea {
-            if let Ok(idx) = nodes.binary_search(&entity) {
+        // nearest enclosing entity node. Stacked candidates are prefixes of
+        // the entry, so depth alone identifies the entity among them.
+        if let Some(nearest) = entity_depth[d_entry] {
+            if let Some(&idx) = stack.iter().rev().find(|&&i| nodes[i].depth() == nearest) {
                 witnessed[idx] = true;
             }
         }
@@ -165,22 +163,40 @@ pub fn sweep_counted(
     (stats, advances)
 }
 
-/// Refreshes the prefix-product vector for a new entry, reusing the shared
-/// prefix with the previous entry (consecutive `SL` entries are pre-order
-/// neighbours, so most of the path is unchanged).
-fn update_prods(index: &GksIndex, prods: &mut Vec<f64>, prev: Option<&DeweyId>, entry: &DeweyId) {
-    let keep = match prev {
-        Some(p) => p.common_prefix_len(entry).unwrap_or(0),
-        None => 0,
-    };
+/// Refreshes the per-depth root-path state (see [`sweep_counted`]) for a new
+/// entry with one node-table probe per level it does not share with `prev`,
+/// the entry the state currently describes (consecutive `SL` entries are
+/// pre-order neighbours, so most of the path is unchanged).
+fn refresh_root_path(
+    table: &NodeTable,
+    prods: &mut Vec<f64>,
+    entity_depth: &mut Vec<Option<usize>>,
+    prev: Option<&DeweyId>,
+    entry: &DeweyId,
+) {
+    // Sharing k steps means sharing the k+1 prefixes of depth 0..=k; across
+    // documents not even the roots coincide.
+    let keep = prev.and_then(|p| p.common_prefix_len(entry)).map_or(0, |shared| shared + 1);
     prods.truncate(keep + 1);
-    for t in keep..entry.depth() {
-        let prefix = entry.ancestor_at_depth(t);
-        let children = index.node_table().child_count(&prefix).unwrap_or(1).max(1);
+    entity_depth.truncate(keep);
+    let depth = entry.depth();
+    for t in keep..=depth {
+        let meta = if t == depth {
+            table.get(entry)
+        } else {
+            table.get(&entry.ancestor_at_depth(t))
+        };
+        let children = meta.map_or(1, |m| m.child_count).max(1);
         // The caller seeds `prods` with 1.0; fall back to that seed so an
         // empty vector degrades gracefully instead of panicking.
         let last = prods.last().copied().unwrap_or(1.0);
         prods.push(last / children as f64);
+        let enclosing = entity_depth.last().copied().flatten();
+        entity_depth.push(if meta.is_some_and(|m| m.flags.is_entity()) {
+            Some(t)
+        } else {
+            enclosing
+        });
     }
 }
 
@@ -315,6 +331,192 @@ mod tests {
         for (a, b) in plain.iter().zip(&stats) {
             assert_eq!(a.mask, b.mask);
             assert_eq!(a.rank, b.rank);
+        }
+    }
+
+    /// The sweep as first written, kept as the reference the differential
+    /// proptest below compares against: per-entry `lea_cache`, an upward
+    /// `lowest_entity_ancestor_or_self` walk, and a binary search of `nodes`
+    /// for the witness.
+    fn sweep_reference(
+        index: &GksIndex,
+        sl: &[SlEntry],
+        nodes: &[DeweyId],
+        n_keywords: usize,
+    ) -> (Vec<NodeStats>, u64) {
+        fn update_prods(
+            index: &GksIndex,
+            prods: &mut Vec<f64>,
+            prev: Option<&DeweyId>,
+            entry: &DeweyId,
+        ) {
+            let keep = prev.and_then(|p| p.common_prefix_len(entry)).unwrap_or(0);
+            prods.truncate(keep + 1);
+            for t in keep..entry.depth() {
+                let prefix = entry.ancestor_at_depth(t);
+                let children = index.node_table().child_count(&prefix).unwrap_or(1).max(1);
+                let last = prods.last().copied().unwrap_or(1.0);
+                prods.push(last / children as f64);
+            }
+        }
+
+        let n_nodes = nodes.len();
+        let mut mask = vec![0u64; n_nodes];
+        let mut min_depth = vec![u32::MAX; n_nodes * n_keywords];
+        let mut prod_sum = vec![0f64; n_nodes * n_keywords];
+        let mut witnessed = vec![false; n_nodes];
+        let mut stack: Vec<usize> = Vec::new();
+        let mut next_node = 0usize;
+        let mut advances = 0u64;
+        let mut prods: Vec<f64> = vec![1.0];
+        let mut prev_entry: Option<DeweyId> = None;
+        let mut lea_cache: std::collections::HashMap<DeweyId, Option<DeweyId>> = Default::default();
+
+        for (entry, kw) in sl {
+            let kw = *kw as usize;
+            while next_node < n_nodes && nodes[next_node] <= *entry {
+                while stack
+                    .last()
+                    .is_some_and(|&t| !nodes[t].is_ancestor_or_self(&nodes[next_node]))
+                {
+                    stack.pop();
+                }
+                stack.push(next_node);
+                next_node += 1;
+            }
+            while stack.last().is_some_and(|&t| !nodes[t].is_ancestor_or_self(entry)) {
+                stack.pop();
+            }
+            if !stack.is_empty() {
+                update_prods(index, &mut prods, prev_entry.as_ref(), entry);
+                prev_entry = Some(entry.clone());
+                let d_entry = entry.depth();
+                advances += stack.len() as u64;
+                for &idx in &stack {
+                    mask[idx] |= 1 << kw;
+                    let p = prods[d_entry] / prods[nodes[idx].depth()];
+                    let slot = idx * n_keywords + kw;
+                    let depth = d_entry as u32;
+                    match depth.cmp(&min_depth[slot]) {
+                        std::cmp::Ordering::Less => {
+                            min_depth[slot] = depth;
+                            prod_sum[slot] = p;
+                        }
+                        std::cmp::Ordering::Equal => prod_sum[slot] += p,
+                        std::cmp::Ordering::Greater => {}
+                    }
+                }
+            }
+            let lea = lea_cache
+                .entry(entry.clone())
+                .or_insert_with(|| index.node_table().lowest_entity_ancestor_or_self(entry))
+                .clone();
+            if let Some(idx) = lea.and_then(|entity| nodes.binary_search(&entity).ok()) {
+                witnessed[idx] = true;
+            }
+        }
+
+        let stats = (0..n_nodes)
+            .map(|i| {
+                let sum: f64 = prod_sum[i * n_keywords..(i + 1) * n_keywords].iter().sum();
+                NodeStats {
+                    dewey: nodes[i].clone(),
+                    mask: mask[i],
+                    rank: mask[i].count_ones() as f64 * sum,
+                    witnessed: witnessed[i],
+                }
+            })
+            .collect();
+        (stats, advances)
+    }
+
+    /// One random document from an instruction stream: text leaves (`<w>`
+    /// repeats, `<name>` tends to be an attribute node, so their parents
+    /// become entities), nested groups, and eight-deep chains of `<c>`
+    /// connecting nodes that push postings past the inline id depth and put
+    /// entity-free stretches on root paths.
+    fn random_doc(ops: &[(u8, u8)]) -> String {
+        const WORDS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+        const GROUPS: [&str; 3] = ["rec", "grp", "item"];
+        let mut xml = String::from("<root>");
+        let mut open: Vec<&str> = Vec::new();
+        for &(op, arg) in ops {
+            let word = WORDS[arg as usize % WORDS.len()];
+            match op % 8 {
+                0..=2 => xml.push_str(&format!("<w>{word}</w>")),
+                3 => xml.push_str(&format!("<name>{word}</name>")),
+                4 | 5 => {
+                    let tag = GROUPS[arg as usize % GROUPS.len()];
+                    xml.push_str(&format!("<{tag}>"));
+                    open.push(tag);
+                }
+                6 => {
+                    if let Some(tag) = open.pop() {
+                        xml.push_str(&format!("</{tag}>"));
+                    }
+                }
+                _ => {
+                    for _ in 0..8 {
+                        xml.push_str("<c>");
+                        open.push("c");
+                    }
+                }
+            }
+        }
+        while let Some(tag) = open.pop() {
+            xml.push_str(&format!("</{tag}>"));
+        }
+        xml.push_str("</root>");
+        xml
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The stack-carried sweep equals the reference bit for bit: masks,
+        /// ranks, witnesses and the advance count, over multi-document
+        /// corpora, |Q| in 1..=8 with tag-name keywords (the same node posts
+        /// for its tag and its text), and candidate sets that include
+        /// arbitrary nodes beside the window's own.
+        #[test]
+        fn sweep_matches_reference(
+            docs in proptest::collection::vec(proptest::collection::vec((0u8..8, 0u8..12), 0..60), 1..4),
+            picks in proptest::collection::vec(0usize..8, 1..=8),
+            s in 1usize..4,
+            extra in proptest::collection::vec(0usize..10_000, 0..12),
+        ) {
+            const POOL: [&str; 8] = ["alpha", "beta", "gamma", "delta", "w", "name", "rec", "c"];
+            let xmls: Vec<String> = docs.iter().map(|ops| random_doc(ops)).collect();
+            let corpus =
+                Corpus::from_named_strs(xmls.iter().enumerate().map(|(i, x)| (format!("d{i}"), x.as_str())))
+                    .unwrap();
+            let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+            let kws: Vec<&str> = picks.iter().map(|&i| POOL[i]).collect();
+            let n = kws.len();
+            let sl = sl_for(&ix, &kws);
+
+            let mut nodes = crate::window::lcp_candidates(&ix, &sl, s.min(n), n);
+            let lces: Vec<DeweyId> = nodes
+                .iter()
+                .filter_map(|c| ix.node_table().lowest_entity_ancestor_or_self(c))
+                .collect();
+            nodes.extend(lces);
+            let mut all: Vec<&DeweyId> = ix.node_table().iter().map(|(id, _)| id).collect();
+            all.sort();
+            nodes.extend(extra.iter().map(|&i| all[i % all.len()].clone()));
+            nodes.sort();
+            nodes.dedup();
+
+            let (got, got_advances) = sweep_counted(&ix, &sl, &nodes, n);
+            let (want, want_advances) = sweep_reference(&ix, &sl, &nodes, n);
+            proptest::prop_assert_eq!(got_advances, want_advances);
+            proptest::prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(&g.dewey, &w.dewey);
+                proptest::prop_assert_eq!(g.mask, w.mask, "mask of {}", g.dewey);
+                proptest::prop_assert_eq!(g.rank.to_bits(), w.rank.to_bits(), "rank of {}", g.dewey);
+                proptest::prop_assert_eq!(g.witnessed, w.witnessed, "witness of {}", g.dewey);
+            }
         }
     }
 

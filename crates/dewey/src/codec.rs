@@ -108,11 +108,7 @@ pub fn encode_id(id: &DeweyId, out: &mut impl BufMut) {
 pub fn decode_id(input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
     let doc = read_varint_u32(input)?;
     let len = read_varint(input)? as usize;
-    let mut steps = Vec::with_capacity(len);
-    for _ in 0..len {
-        steps.push(read_varint_u32(input)?);
-    }
-    Ok(DeweyId::new(DocId(doc), steps))
+    DeweyId::try_from_fn(DocId(doc), len, || read_varint_u32(input))
 }
 
 /// Encodes one run entry relative to its predecessor: document id delta flag
@@ -167,7 +163,7 @@ impl RunDecoder {
         for _ in 0..suffix_len {
             self.prev_steps.push(read_varint_u32(input)?);
         }
-        Ok(DeweyId::new(self.doc, self.prev_steps.clone()))
+        Ok(DeweyId::from_slice(self.doc, &self.prev_steps))
     }
 }
 
@@ -277,7 +273,7 @@ impl BlockDecoder {
         for _ in 0..suffix_len {
             self.prev_steps.push(read_varint_u32(input)?);
         }
-        Ok(DeweyId::new(self.doc, self.prev_steps.clone()))
+        Ok(DeweyId::from_slice(self.doc, &self.prev_steps))
     }
 }
 

@@ -18,7 +18,10 @@
 //!
 //! The crate also provides a compact varint codec ([`codec`]) used by the
 //! index persistence layer, so that on-disk index size (Table 4 of the paper)
-//! reflects a realistic encoding rather than `Vec<u32>` overhead.
+//! reflects a realistic encoding rather than in-memory layout.
+//!
+//! In memory a [`DeweyId`] is one 32-byte value: a path of up to six steps
+//! is stored in the id itself, a deeper one spills to a single heap slice.
 
 pub mod codec;
 mod id;

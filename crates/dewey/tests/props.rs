@@ -144,3 +144,183 @@ proptest! {
         prop_assert_eq!(masked, expected);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Representation boundary: an id stores up to six steps in the value and
+// spills deeper paths to the heap. Everything below runs on depths 0..=40,
+// on both sides of that limit, against a plain `(doc, Vec<Step>)` model.
+// ---------------------------------------------------------------------------
+
+type Model = (u32, Vec<u32>);
+
+/// Steps from a tiny alphabet (so independent paths share prefixes) that
+/// includes `Step::MAX` (so upper bounds carry).
+fn arb_step() -> impl Strategy<Value = u32> {
+    (0u32..5).prop_map(|s| if s == 4 { u32::MAX } else { s })
+}
+
+fn arb_model() -> impl Strategy<Value = Model> {
+    (0u32..3, proptest::collection::vec(arb_step(), 0..=40))
+}
+
+/// A second path related to `a`: a truncation, an extension, or a sibling
+/// branch at some depth — the shapes prefix algebra distinguishes.
+fn arb_related() -> impl Strategy<Value = (Model, Model)> {
+    (arb_model(), 0usize..=40, proptest::collection::vec(arb_step(), 0..=8), 0u32..4).prop_map(
+        |((doc, a), cut, tail, other_doc)| {
+            let mut b = a[..cut.min(a.len())].to_vec();
+            b.extend(tail);
+            let b_doc = if other_doc == 3 { doc + 1 } else { doc };
+            ((doc, a), (b_doc, b))
+        },
+    )
+}
+
+fn id_of((doc, steps): &Model) -> DeweyId {
+    DeweyId::new(DocId(*doc), steps.clone())
+}
+
+fn hash_of<T: std::hash::Hash>(id: &T) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(id)
+}
+
+fn model_upper_bound((doc, steps): &Model) -> Model {
+    let mut steps = steps.clone();
+    while let Some(s) = steps.pop() {
+        if s < u32::MAX {
+            steps.push(s + 1);
+            return (*doc, steps);
+        }
+    }
+    (doc + 1, Vec::new())
+}
+
+/// A posting-list-like run at TreeBank depth: a pre-order walk that climbs
+/// and descends by a few levels per step, so neighbours share long prefixes
+/// across the inline limit.
+fn arb_deep_run() -> impl Strategy<Value = Vec<DeweyId>> {
+    proptest::collection::vec((0u32..12, 0usize..=40, arb_step()), 0..300).prop_map(|moves| {
+        let mut ids = Vec::new();
+        let mut path: Vec<u32> = Vec::new();
+        for (doc, depth, step) in moves {
+            path.truncate(depth.min(path.len()));
+            path.push(step);
+            ids.push(DeweyId::from_slice(DocId(doc / 4), &path));
+        }
+        ids.sort();
+        ids.dedup();
+        ids
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Constructors, accessors and the unary prefix operations agree with
+    /// the model at every depth.
+    #[test]
+    fn boundary_unary_ops_match_model(m in arb_model(), ord in arb_step(), cut in 0usize..=40) {
+        let (doc, steps) = &m;
+        let id = id_of(&m);
+        prop_assert_eq!(&id, &DeweyId::from_slice(DocId(*doc), steps));
+        prop_assert_eq!(id.doc(), DocId(*doc));
+        prop_assert_eq!(id.steps(), steps.as_slice());
+        prop_assert_eq!(id.depth(), steps.len());
+        prop_assert_eq!(id.last_step(), steps.last().copied());
+        prop_assert_eq!(id.heap_bytes(), if steps.len() <= 6 { 0 } else { 4 * steps.len() });
+        // The hash is the one `{ doc, steps: Vec<Step> }` derived, so tables
+        // keyed by ids (node table, entity map) iterate in the order they did
+        // before ids went inline — no output ordering hangs on this change.
+        prop_assert_eq!(hash_of(&id), hash_of(&(DocId(*doc), steps.clone())));
+
+        let child = id.child(ord);
+        let mut child_steps = steps.clone();
+        child_steps.push(ord);
+        prop_assert_eq!(child.steps(), child_steps.as_slice());
+        prop_assert_eq!(child.doc(), id.doc());
+
+        match id.parent() {
+            None => prop_assert!(steps.is_empty()),
+            Some(p) => prop_assert_eq!(p.steps(), &steps[..steps.len() - 1]),
+        }
+        let cut = cut.min(steps.len());
+        prop_assert_eq!(id.ancestor_at_depth(cut), DeweyId::from_slice(id.doc(), &steps[..cut]));
+        let ancestors: Vec<DeweyId> = id.ancestors().collect();
+        prop_assert_eq!(ancestors.len(), steps.len());
+        for (i, a) in ancestors.iter().enumerate() {
+            prop_assert_eq!(a.steps(), &steps[..steps.len() - 1 - i]);
+            prop_assert_eq!(a.doc(), id.doc());
+        }
+
+        prop_assert_eq!(id.subtree_upper_bound(), id_of(&model_upper_bound(&m)));
+        prop_assert_eq!(id.to_string().parse::<DeweyId>().unwrap(), id);
+    }
+
+    /// Order, equality, hash and the binary prefix operations read
+    /// `(doc, steps)` and nothing else.
+    #[test]
+    fn boundary_binary_ops_match_model((ma, mb) in arb_related()) {
+        let (a, b) = (id_of(&ma), id_of(&mb));
+        prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
+        prop_assert_eq!(a == b, ma == mb);
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+        }
+        let shared = ma.1.iter().zip(&mb.1).take_while(|(x, y)| x == y).count();
+        if ma.0 == mb.0 {
+            prop_assert_eq!(a.common_prefix_len(&b), Some(shared));
+            prop_assert_eq!(a.common_prefix(&b), Some(DeweyId::from_slice(DocId(ma.0), &ma.1[..shared])));
+        } else {
+            prop_assert_eq!(a.common_prefix_len(&b), None);
+            prop_assert_eq!(a.common_prefix(&b), None);
+        }
+        let a_prefixes_b = ma.0 == mb.0 && shared == ma.1.len();
+        prop_assert_eq!(a.is_ancestor_or_self(&b), a_prefixes_b);
+        prop_assert_eq!(a.is_ancestor_of(&b), a_prefixes_b && ma.1.len() < mb.1.len());
+    }
+
+    /// An id reached by walking `parent()` up from a spilled descendant is
+    /// indistinguishable from the same path built directly.
+    #[test]
+    fn boundary_parent_walk_equals_direct(m in arb_model(), tail in proptest::collection::vec(arb_step(), 7..=12)) {
+        let direct = id_of(&m);
+        let mut deep_steps = m.1.clone();
+        deep_steps.extend(&tail);
+        let mut walked = DeweyId::new(DocId(m.0), deep_steps);
+        prop_assert!(walked.heap_bytes() > 0, "starts spilled");
+        for _ in 0..tail.len() {
+            walked = walked.parent().unwrap();
+        }
+        prop_assert_eq!(&walked, &direct);
+        prop_assert_eq!(walked.cmp(&direct), std::cmp::Ordering::Equal);
+        prop_assert_eq!(hash_of(&walked), hash_of(&direct));
+        prop_assert_eq!(walked.heap_bytes(), direct.heap_bytes());
+    }
+
+    /// All three run codecs round-trip TreeBank-depth runs, and the masked
+    /// decode still equals decode-then-filter there.
+    #[test]
+    fn boundary_codecs_round_trip_deep_runs(
+        ids in arb_deep_run(),
+        mut dead in proptest::collection::vec(0u32..3, 0..3),
+    ) {
+        dead.sort();
+        dead.dedup();
+        let mut run = bytes::BytesMut::new();
+        codec::encode_sorted_run(&ids, &mut run);
+        prop_assert_eq!(codec::decode_sorted_run(&mut run.freeze()).unwrap(), ids.clone());
+
+        let mut blocked = bytes::BytesMut::new();
+        codec::encode_blocked_run(&ids, &mut blocked);
+        let frozen = blocked.freeze();
+        let mut slice = frozen.as_ref();
+        let reader = codec::BlockedRunReader::parse(&mut slice, ids.len()).unwrap();
+        prop_assert_eq!(reader.decode_all().unwrap(), ids.clone());
+        let live: Vec<DeweyId> =
+            ids.iter().filter(|id| dead.binary_search(&id.doc().0).is_err()).cloned().collect();
+        let (masked, dropped) = reader.decode_masked(&dead).unwrap();
+        prop_assert_eq!(dropped, (ids.len() - live.len()) as u64);
+        prop_assert_eq!(masked, live);
+    }
+}

@@ -299,6 +299,12 @@ impl AttrStore {
         id
     }
 
+    /// Makes room for `additional` more entities (index open knows the count
+    /// before it inserts).
+    pub(crate) fn reserve_entities(&mut self, additional: usize) {
+        self.entities.reserve(additional);
+    }
+
     /// Records the qualifying attributes of entity `e`, whose own label is
     /// `label`. An empty entry list records nothing.
     pub(crate) fn insert(&mut self, e: DeweyId, label: u32, entries: &[AttrIds]) {

@@ -96,6 +96,12 @@ impl NodeTable {
         &mut self.labels
     }
 
+    /// Makes room for `additional` more nodes, so a bulk load (index open)
+    /// inserts without rehashing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.map.reserve(additional);
+    }
+
     /// Records a node.
     pub fn insert(&mut self, id: DeweyId, meta: NodeMeta) {
         self.map.insert(id, meta);

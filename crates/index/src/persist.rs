@@ -249,6 +249,7 @@ fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
 fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError> {
     let label_count = table.labels().names().len();
     let ids = decode_sorted_run(input)?;
+    table.reserve(ids.len());
     for id in ids {
         let child_count = read_varint(input)? as u32;
         if !input.has_remaining() {
@@ -343,6 +344,8 @@ fn read_attrs(input: &mut &[u8], label_count: usize) -> Result<AttrStore, IndexE
     }
     let mut entries: Vec<AttrIds> = Vec::new();
     let entity_count = read_varint(input)? as usize;
+    // An entity takes at least four bytes, which bounds a hostile count.
+    attrs.reserve_entities(entity_count.min(input.len() / 4));
     for _ in 0..entity_count {
         let entity = decode_id(input)?;
         let label = check_label(read_varint(input)?)?;

@@ -111,15 +111,15 @@ impl InvertedIndex {
 
     /// Estimated heap bytes held by decoded posting lists.
     pub fn resident_bytes(&self) -> u64 {
-        self.lists
-            .iter()
-            .map(|l| {
-                l.iter()
-                    .map(|id| std::mem::size_of::<DeweyId>() as u64 + 4 * id.steps().len() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.lists.iter().map(|l| list_bytes(l)).sum()
     }
+}
+
+/// Heap bytes one decoded posting list holds: the id records plus whatever
+/// each id spills ([`DeweyId::heap_bytes`] — nothing for an inline path).
+fn list_bytes(list: &[DeweyId]) -> u64 {
+    let spilled: usize = list.iter().map(DeweyId::heap_bytes).sum();
+    (std::mem::size_of_val(list) + spilled) as u64
 }
 
 /// One term's dictionary record in a mapped (format v3) index: byte ranges
@@ -339,15 +339,7 @@ impl MappedPostings {
 
     /// Estimated heap bytes held by decoded posting lists.
     pub fn resident_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|l| {
-                l.iter()
-                    .map(|id| std::mem::size_of::<DeweyId>() as u64 + 4 * id.steps().len() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.slots.iter().filter_map(OnceLock::get).map(|l| list_bytes(l)).sum()
     }
 
     /// Fully decodes into a heap [`InvertedIndex`] (mutation paths).
@@ -364,7 +356,10 @@ impl MappedPostings {
 /// heap (fresh builds, format v2), or lazily decoded off a memory map
 /// (format v3). The engine only sees `&[DeweyId]` slices either way, so the
 /// k-way merge, the sweep, tombstone masking and cost accounting run
-/// unchanged over both representations.
+/// unchanged over both representations. The slices are borrowed from the
+/// reader; a caller that needs an owned list ([`Self::postings_masked`], the
+/// engine's per-keyword fetch) copies the ids out once — a flat copy for
+/// paths within the inline depth of [`DeweyId`], which own no heap memory.
 #[derive(Debug)]
 pub enum PostingsReader {
     /// Heap-resident lists (v2 loads and in-memory builds).

@@ -278,7 +278,13 @@ mod tests {
         let b = acquired("lockorder-unit.b");
         drop(a); // out-of-LIFO drop is fine
         drop(b);
-        assert!(acquisition_count() >= before + 4);
+        // The registry — and so the counter — exists only under
+        // `debug_assertions`; an optimised build just must not panic above.
+        if cfg!(debug_assertions) {
+            assert!(acquisition_count() >= before + 4);
+        } else {
+            assert_eq!(acquisition_count(), before);
+        }
     }
 
     #[test]
