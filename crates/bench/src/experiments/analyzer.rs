@@ -44,7 +44,7 @@ pub fn run() -> String {
     for (stem, stop) in [(true, true), (true, false), (false, true), (false, false)] {
         let options = config(stem, stop);
         let engine = Engine::build(&corpus, options).expect("index");
-        let bytes = engine.index().to_bytes().len();
+        let bytes = engine.index().to_bytes_v3().unwrap().len();
         let stats = engine.index().stats();
         let recalled = probes
             .iter()

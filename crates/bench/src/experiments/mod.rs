@@ -3,18 +3,14 @@
 
 pub mod ablation;
 pub mod analyzer;
-pub mod connections;
 pub mod di_quality;
 pub mod feedback;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
 pub mod hybrid;
-pub mod index_tier;
 pub mod lemma3;
-pub mod pipeline;
 pub mod quality;
-pub mod serving;
 pub mod table1;
 pub mod table4;
 pub mod table5;
@@ -34,14 +30,10 @@ pub const ALL: &[&str] = &[
     "feedback",
     "hybrid",
     "lemma3",
-    "pipeline",
     "ablation",
     "quality",
     "analyzer",
     "di_quality",
-    "serving",
-    "connections",
-    "index-tier",
 ];
 
 /// Runs one experiment by id.
@@ -58,14 +50,29 @@ pub fn run(id: &str) -> Option<String> {
         "feedback" => feedback::run(),
         "hybrid" => hybrid::run(),
         "lemma3" => lemma3::run(),
-        "pipeline" => pipeline::run(),
         "ablation" => ablation::run(),
         "quality" => quality::run(),
         "analyzer" => analyzer::run(),
         "di_quality" => di_quality::run(),
-        "serving" => serving::run(),
-        "connections" => connections::run(),
-        "index-tier" => index_tier::run(),
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `experiments --list` prints [`ALL`]: what regenerates a paper table or
+    /// figure or a quality number, and nothing `perf/` measures instead.
+    #[test]
+    fn list_is_exactly_the_paper_and_quality_experiments() {
+        assert_eq!(
+            ALL.join(" "),
+            "table1 table4 fig8 fig9 fig10 table5 table7 table8 feedback hybrid lemma3 \
+             ablation quality analyzer di_quality"
+        );
+        for gone in ["pipeline", "serving", "connections", "index-tier"] {
+            assert!(run(gone).is_none(), "{gone} is superseded by perf/");
+        }
+    }
 }

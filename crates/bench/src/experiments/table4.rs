@@ -106,7 +106,7 @@ mod tests {
         let xml = Dataset::Dblp.generate(2000, 3);
         let corpus = Corpus::from_named_strs([("dblp", xml)]).unwrap();
         let index = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        let bytes = index.to_bytes().len() as f64;
+        let bytes = index.to_bytes_v3().unwrap().len() as f64;
         let raw = corpus.total_bytes() as f64;
         assert!(bytes < raw * 1.6, "index {bytes} vs raw {raw}");
         assert!(bytes > raw * 0.2, "index {bytes} vs raw {raw}");

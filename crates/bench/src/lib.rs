@@ -18,11 +18,12 @@
 //! | §7.6 (hybrid queries)       | [`experiments::hybrid`] |
 //! | Lemma 3 (naive blow-up)     | [`experiments::lemma3`] |
 //!
-//! Beyond the paper: [`experiments::pipeline`] (per-stage breakdown),
-//! [`experiments::ablation`] (ranking models incl. the §3 XRank/TF-IDF
-//! baselines), [`experiments::quality`] (precision/recall vs generator
-//! ground truth), [`experiments::analyzer`] (stemming/stop-word ablation),
-//! [`experiments::di_quality`] (DI vs true co-author ranking).
+//! Beyond the paper, quality numbers: [`experiments::ablation`] (ranking
+//! models incl. the §3 XRank/TF-IDF baselines), [`experiments::quality`]
+//! (precision/recall vs generator ground truth), [`experiments::analyzer`]
+//! (stemming/stop-word ablation), [`experiments::di_quality`] (DI vs true
+//! co-author ranking). Engineering performance — latency, throughput,
+//! memory, per-layer cost — is measured by the `perf/` benchmark, not here.
 //!
 //! Run them with `cargo run --release -p gks-bench --bin experiments -- all`.
 

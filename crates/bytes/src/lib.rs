@@ -9,7 +9,7 @@
 //! swapped back in.
 //!
 //! One deliberate extension beyond the real crate's API: [`mmap::Mmap`], a
-//! std-only read-only memory map used by the format-v3 zero-copy index open
+//! std-only read-only memory map used by the zero-copy index open
 //! (see that module's docs for why it lives here).
 
 use std::sync::Arc;

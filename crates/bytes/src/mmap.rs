@@ -2,7 +2,7 @@
 //!
 //! This module is a deliberate extension over the real `bytes` crate: the
 //! workspace vendors its `bytes` subset (no crates.io in the build
-//! container), and the format-v3 index tier needs `mmap(2)` without pulling
+//! container), and the index tier needs `mmap(2)` without pulling
 //! in `libc` or `memmap2`. The pattern matches the reactor's `poll(2)`
 //! wrapper: a minimal `extern "C"` declaration of the libc symbol on unix,
 //! and a read-the-whole-file fallback behind `cfg(not(unix))` so the crate
@@ -151,6 +151,14 @@ impl Drop for Mmap {
             }
             Inner::Heap(_) => {}
         }
+    }
+}
+
+/// A heap-backed view of bytes already in memory (tests round-trip an index
+/// through its serialized form without touching the filesystem).
+impl From<Vec<u8>> for Mmap {
+    fn from(bytes: Vec<u8>) -> Mmap {
+        Mmap { inner: Inner::Heap(bytes) }
     }
 }
 

@@ -58,8 +58,7 @@ use gks_core::wire;
 use gks_datagen::Dataset;
 use gks_index::{
     commit_delta, compact, index_directory, split_corpus, validate_manifest,
-    validate_manifest_files, Corpus, GksIndex, IndexFormat, IndexOptions, SchemaSummary,
-    ShardManifest,
+    validate_manifest_files, Corpus, GksIndex, IndexOptions, SchemaSummary, ShardManifest,
 };
 use gks_server::catalog::{IndexSpec, DEFAULT_INDEX_NAME};
 use gks_server::{loadgen, signal, ServeConfig};
@@ -89,7 +88,7 @@ pub const USAGE: &str = "\
 gks — Generic Keyword Search over XML data (EDBT 2016)
 
 USAGE:
-  gks index [--shards N] [--format v2|v3] <out.gksix> <file.xml>...|<corpus-dir>
+  gks index [--shards N] <out.gksix> <file.xml>...|<corpus-dir>
   gks search <index.gksix> [-s N|all|half] [--limit N] [--json]
              [--di] [--analytics] [--trace] [--explain] <keyword>...
   gks suggest <index.gksix> [--json] <keyword>...
@@ -121,9 +120,6 @@ and `loadgen --explain` sends explain=1 so its report can summarize
 work per query (postings p50/p99) next to QPS.
 `index --shards N` partitions the corpus by document into N shard
 indexes next to <out> plus a shard manifest at <out> itself.
-`index --format` selects the on-disk layout: v3 (default) stores
-block-compressed postings behind a term dictionary and opens via mmap
-without decoding them; v2 is the eager single-stream format.
 `index <out> <corpus-dir>` builds an updatable manifest that records the
 corpus directory and per-document content hashes; `gks watch` (or
 `serve --watch`) then commits delta shards as the directory changes, and
@@ -197,10 +193,8 @@ fn parse_query(words: &[String]) -> Result<Query, CliError> {
 }
 
 fn cmd_index(args: &[String]) -> Result<String, CliError> {
-    const INDEX_USAGE: &str =
-        "usage: gks index [--shards N] [--format v2|v3] <out.gksix> <file.xml>...";
+    const INDEX_USAGE: &str = "usage: gks index [--shards N] <out.gksix> <file.xml>...";
     let mut shards = 1usize;
-    let mut format = IndexFormat::V3;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -211,11 +205,8 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
                     return Err(CliError::usage("--shards must be >= 1"));
                 }
             }
-            "--format" => {
-                let value = take_value(&mut it, "--format")?;
-                format = IndexFormat::parse(value).ok_or_else(|| {
-                    CliError::usage(format!("--format must be v2 or v3, got {value:?}"))
-                })?;
+            other if other.starts_with("--") => {
+                return Err(CliError::usage(format!("unknown index flag {other:?}")));
             }
             _ => positional.push(arg),
         }
@@ -251,12 +242,12 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
     let corpus = Corpus::from_paths(files.iter().copied())
         .map_err(|e| CliError::runtime(format!("cannot read corpus: {e}")))?;
     if shards > 1 {
-        return cmd_index_sharded(out, &corpus, shards, format);
+        return cmd_index_sharded(out, &corpus, shards);
     }
     let index = GksIndex::build(&corpus, IndexOptions::default())
         .map_err(|e| CliError::runtime(format!("indexing failed: {e}")))?;
     let written = index
-        .save_as(out, format)
+        .save(out)
         .map_err(|e| CliError::runtime(format!("cannot write {out:?}: {e}")))?;
     let s = index.stats();
     Ok(format!(
@@ -275,12 +266,7 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
 /// self-contained shard indexes (written next to `out`) plus the shard
 /// manifest at `out` itself. Shard paths are stored relative to the
 /// manifest, so the whole set can be moved as a directory.
-fn cmd_index_sharded(
-    out: &str,
-    corpus: &Corpus,
-    shards: usize,
-    format: IndexFormat,
-) -> Result<String, CliError> {
+fn cmd_index_sharded(out: &str, corpus: &Corpus, shards: usize) -> Result<String, CliError> {
     let out_path = std::path::Path::new(out);
     let stem = out_path
         .file_stem()
@@ -297,7 +283,7 @@ fn cmd_index_sharded(
         let file = format!("{stem}.shard{i}.gksix");
         let path = out_path.with_file_name(&file);
         let written = index
-            .save_as(&path, format)
+            .save(&path)
             .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))?;
         let s = index.stats();
         let _ = writeln!(
@@ -649,7 +635,7 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
     let s = engine.index().stats();
     Ok(format!(
         "documents: {}\nnodes: {} (AN={} EN={} RN={} CN={})\nmax depth: {}\n\
-         distinct terms: {}\npostings: {}\nraw bytes indexed: {}\nbuild time: {} ms\n",
+         distinct terms: {}\npostings: {}\nraw bytes indexed: {}\n",
         s.doc_count,
         s.total_nodes,
         s.census.attribute,
@@ -659,8 +645,7 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
         s.max_depth,
         s.distinct_terms,
         s.total_postings,
-        s.raw_bytes,
-        s.build_millis
+        s.raw_bytes
     ))
 }
 
@@ -670,14 +655,8 @@ fn is_manifest_file(path: &str) -> bool {
     std::fs::read(path).is_ok_and(|bytes| bytes.starts_with(gks_index::MANIFEST_MAGIC.as_bytes()))
 }
 
-/// Audits one shard manifest: structural invariants of the update path
-/// (duplicate ids, doc-table referential integrity, tombstone sanity),
-/// disk-level state (missing/orphaned shard files, name mismatches), and
-/// the index-level doctor for every shard file that loads. Returns the
-/// report plus whether anything was sick.
 /// Appends the per-section byte breakdown of one index file (`gks doctor`):
-/// term dictionary, postings, node table and attribute store, for both the
-/// eager v2 stream and the blocked v3 layout.
+/// term dictionary, postings, node table and attribute store.
 fn section_report(path: &std::path::Path, indent: &str, out: &mut String) {
     let Ok(s) = gks_index::section_sizes(path) else {
         return;
@@ -709,6 +688,11 @@ fn section_report(path: &std::path::Path, indent: &str, out: &mut String) {
     );
 }
 
+/// Audits one shard manifest: structural invariants of the update path
+/// (duplicate ids, doc-table referential integrity, tombstone sanity),
+/// disk-level state (missing/orphaned shard files, name mismatches), and
+/// the index-level doctor for every shard file that loads. Returns whether
+/// anything was sick; the report is appended to `out`.
 fn doctor_manifest(path: &str, out: &mut String) -> Result<bool, CliError> {
     let manifest = ShardManifest::load(path)
         .map_err(|e| CliError::runtime(format!("cannot load shard manifest {path:?}: {e}")))?;
@@ -1306,6 +1290,11 @@ mod tests {
         let out = run(&args(&["index", ix_s, xml_s])).unwrap();
         assert!(out.contains("indexed 1 document(s)"), "{out}");
 
+        // The bytes are a function of the corpus, not of the clock.
+        let again = dir.join("again.gksix");
+        run(&args(&["index", again.to_str().unwrap(), xml_s])).unwrap();
+        assert!(std::fs::read(&ix).unwrap() == std::fs::read(&again).unwrap());
+
         let out = run(&args(&["search", ix_s, "-s", "1", "--di", "keyword", "search"])).unwrap();
         assert!(out.contains("hit(s):"), "{out}");
         assert!(out.contains("deeper analytical insights"), "{out}");
@@ -1676,5 +1665,10 @@ mod tests {
         assert_eq!(run(&args(&["generate", "bogus", "5", "/tmp/x"])).unwrap_err().code, 2);
         assert_eq!(run(&args(&["generate", "dblp", "NaN", "/tmp/x"])).unwrap_err().code, 2);
         assert_eq!(run(&args(&["census"])).unwrap_err().code, 2);
+        // There is one on-disk layout and no flag to pick another.
+        let err =
+            run(&args(&["index", "--format", "v2", "/tmp/x.gksix", "/tmp/x.xml"])).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown index flag \"--format\""), "{}", err.message);
     }
 }

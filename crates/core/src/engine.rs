@@ -188,6 +188,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::search::Threshold;
+    use bytes::Mmap;
 
     fn engine() -> Engine {
         let xml = r#"<dblp>
@@ -239,8 +240,8 @@ mod tests {
     #[test]
     fn from_index_round_trip() {
         let e = engine();
-        let bytes = e.index().to_bytes();
-        let e2 = Engine::from_index(GksIndex::from_bytes(bytes).unwrap());
+        let bytes = e.index().to_bytes_v3().unwrap().to_vec();
+        let e2 = Engine::from_index(GksIndex::from_mapped(Arc::new(Mmap::from(bytes))).unwrap());
         let q = Query::parse("twig").unwrap();
         let r1 = e.search(&q, SearchOptions::default()).unwrap();
         let r2 = e2.search(&q, SearchOptions::default()).unwrap();

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use gks_dewey::{DeweyId, DocId};
-use gks_index::{GksIndex, IndexError, ShardManifest, DEAD_DOC};
+use gks_index::{GksIndex, IndexError, ShardEntry, ShardManifest, ShardView, DEAD_DOC};
 use gks_trace::{span, SpanKind};
 
 use crate::cost::CostLedger;
@@ -293,11 +293,30 @@ pub fn sharded_search_mapped(
     merge_responses(answers, options.limit)
 }
 
+/// One shard of a manifest as queries see it: its index — `open` when the
+/// caller already holds the file's index (shard files are immutable once
+/// written), loaded from `entry.path` otherwise — behind the view's
+/// tombstone mask, paired with the view's [`DocMap`].
+pub fn shard_engine(
+    entry: &ShardEntry,
+    view: ShardView,
+    open: Option<Arc<GksIndex>>,
+) -> Result<(Engine, DocMap), IndexError> {
+    let index = match open {
+        Some(index) => index,
+        None => Arc::new(GksIndex::load(&entry.path)?),
+    };
+    let map = match view.doc_map {
+        Some(forward) => DocMap::table(forward),
+        None => DocMap::base(view.doc_base),
+    };
+    Ok((Engine::from_shared(index, view.tombstones), map))
+}
+
 /// Loads every shard of a manifest into a tombstone-masked [`Engine`]
 /// paired with its [`DocMap`], in shard order — the read side of the
-/// incremental update path (the server catalog keeps its own slot-reusing
-/// variant; this one serves the CLI and equivalence tests). Shard paths
-/// must already be resolved (see `ShardManifest::load`).
+/// incremental update path. Shard paths must already be resolved (see
+/// `ShardManifest::load`).
 pub fn load_manifest_engines(
     manifest: &ShardManifest,
 ) -> Result<Vec<(Engine, DocMap)>, IndexError> {
@@ -305,15 +324,7 @@ pub fn load_manifest_engines(
         .shards
         .iter()
         .zip(manifest.shard_views())
-        .map(|(entry, view)| {
-            let ix = GksIndex::load(&entry.path)?;
-            let engine = Engine::from_shared(Arc::new(ix), view.tombstones);
-            let map = match view.doc_map {
-                Some(forward) => DocMap::table(forward),
-                None => DocMap::base(view.doc_base),
-            };
-            Ok((engine, map))
-        })
+        .map(|(entry, view)| shard_engine(entry, view, None))
         .collect()
 }
 

@@ -11,14 +11,15 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use gks_core::engine::Engine;
 use gks_core::query::Query;
 use gks_core::search::{SearchOptions, Threshold};
-use gks_core::shard::{load_manifest_engines, sharded_search_mapped};
+use gks_core::shard::{load_manifest_engines, shard_engine, sharded_search_mapped, DocMap};
 use gks_core::wire;
 use gks_index::delta::{commit_delta, compact, index_directory};
-use gks_index::{Corpus, GksIndex, IndexFormat, IndexOptions, ShardManifest};
+use gks_index::{Corpus, GksIndex, IndexOptions, PostingsReader, ShardManifest};
 use proptest::prelude::*;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -177,14 +178,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Format equivalence on the wire: the same base+delta shard set must
-    /// search **byte-identically** whether its shard files are stored in
-    /// format v3 (block-compressed postings served off the mmap) or
-    /// rewritten as eager v2 — tombstone masks, document renumbering, rank
-    /// order, and the cost ledger included. This is the contract that lets
-    /// `gks index --format` be a pure storage choice.
+    /// Reader equivalence on the wire: the same base+delta shard set must
+    /// search **byte-identically** — tombstone masks, document renumbering,
+    /// rank order and the cost ledgers included — whether each shard serves
+    /// block-compressed postings off its mapped file or a fully decoded heap
+    /// copy of them (what a fresh build, or any index after a mutation,
+    /// holds).
     #[test]
-    fn v2_and_v3_shard_files_search_byte_identically(
+    fn mapped_and_heap_shards_search_byte_identically(
         initial in prop::collection::vec(prop::collection::vec(0usize..6, 1..5), 1..4),
         rounds in prop::collection::vec(arb_round(), 1..3),
         shards in 1usize..4,
@@ -225,30 +226,29 @@ proptest! {
         )
         .unwrap();
         let options = SearchOptions { s: Threshold::Fixed(1), limit: 16 };
-        let run = |manifest: &ShardManifest| {
-            let loaded = load_manifest_engines(manifest).unwrap();
+        let run = |loaded: &[(Engine, DocMap)]| {
             let engines: Vec<&Engine> = loaded.iter().map(|(e, _)| e).collect();
             let maps: Vec<_> = loaded.iter().map(|(_, m)| m.clone()).collect();
             let merged = sharded_search_mapped(&engines, &maps, &query, options).unwrap();
-            wire::search_response_json_sharded(&engines, &merged)
+            wire::search_response_json_sharded_explained(&engines, &merged)
         };
 
-        // Search the shard set as written (v3 everywhere: `index_directory`,
-        // `commit_delta`, and `compact` all save the default format).
+        // The shard set as written and opened: every shard mapped.
         let manifest = ShardManifest::load(&manifest_path).unwrap();
-        let v3_json = run(&manifest);
+        let mapped = load_manifest_engines(&manifest).unwrap();
 
-        // Rewrite every shard file as eager v2 in place — the manifest
-        // carries no per-file format knowledge, so nothing else changes —
-        // and search the same manifest again.
-        for entry in &manifest.shards {
-            let ix = GksIndex::load(&entry.path).unwrap();
-            // The v3 layout carries on-disk version number 5.
-            prop_assert_eq!(ix.format_version(), 5, "shards are written v3 by default");
-            ix.save_as(&entry.path, IndexFormat::V2).unwrap();
+        // The same files with every posting run decoded onto the heap: an
+        // append (of nothing) is a mutation, and mutations give up the map.
+        let mut heap = Vec::new();
+        for (entry, view) in manifest.shards.iter().zip(manifest.shard_views()) {
+            let mut ix = GksIndex::load(&entry.path).unwrap();
+            prop_assert_eq!(ix.format_version(), 6);
+            prop_assert!(matches!(ix.inverted(), PostingsReader::Mapped(_)));
+            ix.append(&Corpus::new()).unwrap();
+            prop_assert!(matches!(ix.inverted(), PostingsReader::Heap(_)));
+            heap.push(shard_engine(entry, view, Some(Arc::new(ix))).unwrap());
         }
-        let v2_json = run(&ShardManifest::load(&manifest_path).unwrap());
-        prop_assert_eq!(v2_json, v3_json, "wire bytes must not depend on the on-disk format");
+        prop_assert_eq!(run(&heap), run(&mapped), "wire bytes must not depend on the reader");
         fs::remove_dir_all(&root).ok();
     }
 }

@@ -528,7 +528,7 @@ impl GksIndex {
     }
 
     /// Inverted-index lookup: the document-ordered posting list `S_i` of a
-    /// normalized term. On a mapped (format v3) index this decodes the
+    /// normalized term. On a mapped index this decodes the
     /// term's blocked run on first access and caches it.
     pub fn postings(&self, term: &str) -> &[DeweyId] {
         self.inverted.postings(term)
@@ -579,8 +579,8 @@ impl GksIndex {
         &self.inverted
     }
 
-    /// On-disk version number of the file this index was loaded from (4 for
-    /// the v2 layout, 5 for the v3 layout), 0 for an index built in memory.
+    /// On-disk version number of the file this index was loaded from, 0 for
+    /// an index built in memory.
     pub fn format_version(&self) -> u32 {
         self.format_version
     }
@@ -598,7 +598,7 @@ impl GksIndex {
         self.inverted.bytes_mapped()
     }
 
-    /// Posting runs decoded so far — 0 right after a v3 open, grows as
+    /// Posting runs decoded so far — 0 right after an open, grows as
     /// queries touch terms.
     pub fn decoded_terms(&self) -> usize {
         self.inverted.decoded_terms()

@@ -98,7 +98,7 @@ pub enum Violation {
         /// The raw value whose norm is wrong.
         value: String,
     },
-    /// A format-v3 posting run failed to decode (the open-path checksum
+    /// A mapped posting run failed to decode (the open-path checksum
     /// covers only the header and footer, so block corruption surfaces
     /// lazily; the doctor forces every run and reports the first failure).
     PostingsCorrupt {
@@ -106,8 +106,8 @@ pub enum Violation {
         detail: String,
     },
     /// A term's dictionary posting count disagrees with its decoded run
-    /// (format v3 serves counts straight from the dictionary, so a mismatch
-    /// would skew cost accounting and scoring).
+    /// (a mapped index serves counts straight from the dictionary, so a
+    /// mismatch would skew cost accounting and scoring).
     PostingCountMismatch {
         /// The term whose count is broken.
         term: String,
@@ -192,8 +192,8 @@ fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
         if let Some(node) = list.iter().find(|id| index.node_table().get(id).is_none()) {
             out.push(Violation::PostingUnknownNode { term: term.to_string(), node: node.clone() });
         }
-        // Format v3 serves counts from the term dictionary without decoding;
-        // the audit forces the decode and cross-checks the two.
+        // A mapped index serves counts from the term dictionary without
+        // decoding; the audit forces the decode and cross-checks the two.
         let in_dict = index.posting_count(term);
         if in_dict != list.len() {
             out.push(Violation::PostingCountMismatch {

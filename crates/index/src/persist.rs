@@ -2,30 +2,24 @@
 //!
 //! "For a given XML data repository, we first prepare an index on it. This is
 //! a onetime activity" (paper §2.4); Table 4 then reports on-disk index sizes
-//! comparable to the raw data. Two formats are supported:
+//! comparable to the raw data.
 //!
-//! * **v2** — one eagerly-decoded stream: posting lists and the node table
-//!   use the delta-prefix Dewey codec, strings are length-prefixed UTF-8,
-//!   integers are LEB128 varints. Loading decodes everything onto the heap.
-//! * **v3** (default) — the zero-copy tier. The same eager sections for
-//!   options, document names, labels, node table, attribute store and stats,
-//!   followed by a **sorted term dictionary** (term bytes + posting-run
-//!   offset/length/count per term), a fixed-width offset table for binary
-//!   search straight off the file, and a postings region of blocked
-//!   delta-prefix runs ([`gks_dewey::codec::encode_blocked_run`]). A fixed
-//!   footer carries the section offsets and an FNV-64 checksum over the
-//!   header and footer metadata. Loading `mmap`s the file, validates the
-//!   header/footer and dictionary, and hands the engine lazily-decoded
-//!   posting cursors — posting blocks are never read at open.
+//! One layout: eager sections for options, document names, labels, node
+//! table, attribute store and stats (strings are length-prefixed UTF-8,
+//! integers LEB128 varints, the node table a delta-prefix Dewey run),
+//! followed by a **sorted term dictionary** (term bytes + posting-run
+//! offset/count per term), a fixed-width offset table for binary search
+//! straight off the file, and a postings region of blocked delta-prefix runs
+//! ([`gks_dewey::codec::encode_blocked_run`]). A fixed footer carries the
+//! section offsets and an FNV-64 checksum over the header and footer
+//! metadata. Loading `mmap`s the file, validates the header/footer and
+//! dictionary, and hands the engine lazily-decoded posting cursors — posting
+//! blocks are never read at open, and the map stays alive inside
+//! [`crate::postings::MappedPostings`].
 //!
-//! `v2` and `v3` name layouts. The version *number* in the header (4 and 5
-//! today) moves whenever a section either layout contains changes shape, and
-//! a file carrying any other number is refused with
+//! The version number in the header moves whenever a section changes shape,
+//! and a file carrying any other number is refused with
 //! [`IndexError::VersionMismatch`] before anything else is read.
-//!
-//! Both loads share one buffer end to end: v2 decodes in place from the
-//! mapped file (strings are built straight from subslices), v3 keeps the map
-//! alive inside [`crate::postings::MappedPostings`].
 
 use std::fs;
 use std::path::Path;
@@ -46,47 +40,33 @@ use crate::categorize::NodeFlags;
 use crate::error::IndexError;
 use crate::node_table::{NodeMeta, NodeTable};
 use crate::options::IndexOptions;
-use crate::postings::{InvertedIndex, MappedPostings, PostingsReader, TermEntry};
+use crate::postings::{MappedPostings, PostingsReader, TermEntry};
 use crate::stats::{CategoryCensus, IndexStats};
 
 const MAGIC: &[u8; 5] = b"GKSIX";
-/// Version number carried by files in the v2 layout. `IndexFormat` names a
-/// layout; the number moves whenever a section either layout contains
-/// changes shape (2 → 4 when the attribute section became interned tables).
-const VERSION_V2: u32 = 4;
-/// Version number carried by files in the v3 layout (3 → 5, as above).
-const VERSION_V3: u32 = 5;
-/// Trailing magic of the v3 footer; lets the doctor tell "not a v3 file"
-/// from "v3 file with a torn footer".
+/// The one file version (5 → 6 when the stats section stopped carrying the
+/// wall-clock build time).
+const VERSION: u32 = 6;
+/// Trailing magic of the footer; lets the doctor tell "not an index file"
+/// from "index file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
-/// v3 footer: 8 section offsets + term count + file length + checksum
+/// Footer: 8 section offsets + term count + file length + checksum
 /// (u64 big-endian each), then [`TAIL_MAGIC`].
 const FOOTER_LEN: usize = 11 * 8 + TAIL_MAGIC.len();
 
-/// On-disk format selector for [`GksIndex::save_as`].
+/// On-disk format selector for [`GksIndex::save_as`]. There is one layout;
+/// the enum survives only because the frozen `perf/` benchmark names
+/// `IndexFormat::V3`, until the next `[benchmark]` PR can drop that call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexFormat {
-    /// Eager single-stream format (pre-zero-copy).
-    V2,
     /// Blocked postings + term dictionary + footer; opens via `mmap`.
     V3,
-}
-
-impl IndexFormat {
-    /// Parses a CLI `--format` value.
-    pub fn parse(s: &str) -> Option<IndexFormat> {
-        match s {
-            "v2" | "2" => Some(IndexFormat::V2),
-            "v3" | "3" => Some(IndexFormat::V3),
-            _ => None,
-        }
-    }
 }
 
 /// Per-section byte breakdown of an index file (`gks doctor`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SectionSizes {
-    /// On-disk version number (4 for the v2 layout, 5 for the v3 layout).
+    /// On-disk version number.
     pub version: u32,
     /// Total file bytes.
     pub total: u64,
@@ -102,12 +82,11 @@ pub struct SectionSizes {
     pub attr_store: u64,
     /// Stats section bytes.
     pub stats: u64,
-    /// Term-dictionary bytes (v3: records + offset table; v2: the term
-    /// strings interleaved with the posting runs).
+    /// Term-dictionary bytes (records + offset table).
     pub term_dict: u64,
-    /// Posting bytes (v3: blocked runs; v2: delta-prefix runs).
+    /// Posting bytes (blocked runs).
     pub postings: u64,
-    /// Footer bytes (v3 only; 0 for v2).
+    /// Footer bytes.
     pub footer: u64,
 }
 
@@ -157,7 +136,7 @@ fn read_census(input: &mut impl Buf) -> Result<CategoryCensus, IndexError> {
     })
 }
 
-/// Reads the magic and version prefix shared by both formats.
+/// Reads the magic and version prefix.
 fn sniff_version(bytes: &[u8]) -> Result<u32, IndexError> {
     if bytes.len() < MAGIC.len() + 4 {
         return Err(IndexError::Corrupt("header too short".into()));
@@ -170,7 +149,7 @@ fn sniff_version(bytes: &[u8]) -> Result<u32, IndexError> {
     Ok(u32::from_be_bytes(v))
 }
 
-// ----- shared section codecs (identical byte layout in v2 and v3) -----
+// ----- section codecs -----
 
 fn write_options(out: &mut BytesMut, o: &IndexOptions) {
     out.put_u8(u8::from(o.analyzer.remove_stopwords));
@@ -235,7 +214,7 @@ fn write_node_table(out: &mut BytesMut, ix: &GksIndex) {
 }
 
 /// Reads the label section into a fresh `NodeTable` (the node rows follow in
-/// [`read_nodes`]; v2 interleaves the two, v3 gives each its own section).
+/// [`read_nodes`]).
 fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     let label_count = read_varint(input)? as usize;
     let mut node_table = NodeTable::new();
@@ -265,8 +244,8 @@ fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError
     Ok(())
 }
 
-/// Attribute section, shared by both layouts: the three interned tables,
-/// then the entities with their entries inline.
+/// Attribute section: the three interned tables, then the entities with
+/// their entries inline.
 ///
 /// ```text
 /// paths:    count · (len · label id*)*
@@ -370,6 +349,8 @@ fn read_attrs(input: &mut &[u8], label_count: usize) -> Result<AttrStore, IndexE
     Ok(attrs)
 }
 
+/// Everything in [`IndexStats`] but `build_millis`: the bytes are a function
+/// of the corpus, not of the clock (CI `cmp`s two builds).
 fn write_stats(out: &mut BytesMut, ix: &GksIndex) {
     let s = ix.stats();
     write_varint(out, s.doc_count);
@@ -385,7 +366,6 @@ fn write_stats(out: &mut BytesMut, ix: &GksIndex) {
     write_varint(out, s.distinct_terms);
     write_varint(out, s.total_postings);
     write_varint(out, s.posting_depth_sum);
-    write_varint(out, s.build_millis);
 }
 
 fn read_stats(input: &mut &[u8]) -> Result<IndexStats, IndexError> {
@@ -406,43 +386,83 @@ fn read_stats(input: &mut &[u8]) -> Result<IndexStats, IndexError> {
     stats.distinct_terms = read_varint(input)?;
     stats.total_postings = read_varint(input)?;
     stats.posting_depth_sum = read_varint(input)?;
-    stats.build_millis = read_varint(input)?;
     Ok(stats)
 }
 
-impl GksIndex {
-    /// Serializes the index to format-v2 bytes.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_slice(MAGIC);
-        out.put_u32(VERSION_V2);
-        write_options(&mut out, self.options());
-        write_doc_names(&mut out, self);
-        write_labels(&mut out, self);
-        write_node_table(&mut out, self);
+/// The validated frame of an index file: everything [`GksIndex::from_mapped`]
+/// and [`section_sizes`] need before they read a section.
+struct Frame {
+    options: IndexOptions,
+    /// Magic + version + options; the first section starts here.
+    header_len: usize,
+    /// Section starts in file order — doc names, labels, node table,
+    /// attribute store, stats, term dictionary, term offset table, postings
+    /// — non-decreasing, the first at `header_len`, the last at most
+    /// `footer_off`.
+    offsets: [u64; 8],
+    term_count: u64,
+    /// End of the postings region, start of the footer.
+    footer_off: usize,
+}
 
-        // Inverted index: term strings interleaved with posting runs.
-        write_varint(&mut out, self.inverted().term_count() as u64);
-        for (term, list) in self.inverted().iter() {
-            write_str(&mut out, term);
-            encode_sorted_run(list, &mut out);
-        }
-
-        write_attrs(&mut out, self);
-        write_stats(&mut out, self);
-        out.freeze()
+/// Parses and validates header and footer: magic, version, tail magic,
+/// recorded file length, checksum and section-offset order. The one place a
+/// footer is trusted, so no caller subtracts offsets it has not checked.
+fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
+    let version = sniff_version(bytes)?;
+    if version != VERSION {
+        return Err(IndexError::VersionMismatch { found: version, expected: VERSION });
     }
+    let mut header_cur = &bytes[MAGIC.len() + 4..];
+    let before = header_cur.len();
+    let options = read_options(&mut header_cur)?;
+    let header_len = MAGIC.len() + 4 + (before - header_cur.len());
 
-    /// Serializes the index to format-v3 bytes: eager sections, then the
-    /// sorted term dictionary, its offset table, the blocked postings
-    /// region, and the checksummed footer.
+    if bytes.len() < header_len + FOOTER_LEN {
+        return Err(IndexError::Corrupt("file too short for footer".into()));
+    }
+    let footer_off = bytes.len() - FOOTER_LEN;
+    let footer = &bytes[footer_off..];
+    if &footer[FOOTER_LEN - TAIL_MAGIC.len()..] != TAIL_MAGIC {
+        return Err(IndexError::Corrupt("bad footer magic".into()));
+    }
+    let mut fcur = footer;
+    let mut offsets = [0u64; 8];
+    for f in &mut offsets {
+        *f = fcur.get_u64();
+    }
+    let (term_count, file_len, checksum) = (fcur.get_u64(), fcur.get_u64(), fcur.get_u64());
+    if file_len != bytes.len() as u64 {
+        return Err(IndexError::Corrupt(format!(
+            "file length mismatch: footer says {file_len}, file is {}",
+            bytes.len()
+        )));
+    }
+    let computed = fnv64(&[&bytes[..header_len], &footer[..FOOTER_LEN - TAIL_MAGIC.len() - 8]]);
+    if computed != checksum {
+        return Err(IndexError::Corrupt("header/footer checksum mismatch".into()));
+    }
+    if offsets[0] != header_len as u64
+        || offsets.windows(2).any(|w| w[0] > w[1])
+        || offsets[7] > footer_off as u64
+    {
+        return Err(IndexError::Corrupt("section offsets out of order".into()));
+    }
+    Ok(Frame { options, header_len, offsets, term_count, footer_off })
+}
+
+impl GksIndex {
+    /// Serializes the index: eager sections, then the sorted term
+    /// dictionary, its offset table, the blocked postings region, and the
+    /// checksummed footer. (The `_v3` suffix is the name the frozen `perf/`
+    /// benchmark calls.)
     ///
     /// Errors only if the term dictionary outgrows the fixed-width `u32`
     /// offset table (4GiB of term records — far past any real corpus).
     pub fn to_bytes_v3(&self) -> Result<Bytes, IndexError> {
         let mut out = BytesMut::new();
         out.put_slice(MAGIC);
-        out.put_u32(VERSION_V3);
+        out.put_u32(VERSION);
         write_options(&mut out, self.options());
         let header_len = out.len();
 
@@ -461,9 +481,7 @@ impl GksIndex {
         // tightly in dictionary order. Each record stores only the term,
         // the run's start offset, and its posting count: the run's byte
         // length is the gap to the next record's start (or the region
-        // end), and the run itself carries no framing of its own — that
-        // redundancy is what would make sparse-vocabulary corpora larger
-        // in v3 than v2.
+        // end), and the run itself carries no framing of its own.
         let mut terms: Vec<(&str, &[DeweyId])> = self.inverted().iter().collect();
         terms.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
         let mut post_buf: Vec<u8> = Vec::new();
@@ -473,7 +491,7 @@ impl GksIndex {
             let run_start = post_buf.len() as u64;
             encode_blocked_run(list, &mut post_buf);
             let rec = u32::try_from(dict_buf.len())
-                .map_err(|_| IndexError::Invariant("format-v3 term dictionary exceeds 4GiB"))?;
+                .map_err(|_| IndexError::Invariant("term dictionary exceeds 4GiB"))?;
             rec_offsets.push(rec);
             write_str(&mut dict_buf, term);
             write_varint(&mut dict_buf, run_start);
@@ -504,91 +522,14 @@ impl GksIndex {
         Ok(out.freeze())
     }
 
-    /// Deserializes a format-v2 index produced by [`Self::to_bytes`].
-    pub fn from_bytes(bytes: Bytes) -> Result<GksIndex, IndexError> {
-        GksIndex::from_slice_v2(bytes.as_slice())
-    }
-
-    /// Format-v2 decode straight off one buffer (no double-buffering: the
-    /// strings and runs are built in place from subslices of `bytes`).
-    fn from_slice_v2(bytes: &[u8]) -> Result<GksIndex, IndexError> {
-        let version = sniff_version(bytes)?;
-        if version != VERSION_V2 {
-            return Err(IndexError::VersionMismatch { found: version, expected: VERSION_V2 });
-        }
-        let mut input = &bytes[MAGIC.len() + 4..];
-        let input = &mut input;
-        let options = read_options(input)?;
-        let doc_names = read_doc_names(input)?;
-        let mut node_table = read_labels(input)?;
-        read_nodes(input, &mut node_table)?;
-
-        let term_count = read_varint(input)? as usize;
-        let mut inverted = InvertedIndex::new();
-        for _ in 0..term_count {
-            let term = read_str(input)?.to_string();
-            let list = decode_sorted_run(input)?;
-            inverted.load_term(term, list);
-        }
-
-        let attrs = read_attrs(input, node_table.labels().len())?;
-        let stats = read_stats(input)?;
-        Ok(GksIndex::from_parts(
-            options,
-            node_table,
-            PostingsReader::Heap(inverted),
-            attrs,
-            stats,
-            doc_names,
-        ))
-    }
-
-    /// Opens a format-v3 index over a mapped file: validates the header,
-    /// footer checksum, section offsets and term dictionary, decodes the
-    /// eager sections, and leaves every posting run encoded in the map.
+    /// Opens an index over a mapped file: validates the header, footer
+    /// checksum, section offsets and term dictionary, decodes the eager
+    /// sections, and leaves every posting run encoded in the map.
     pub fn from_mapped(map: Arc<Mmap>) -> Result<GksIndex, IndexError> {
         let bytes = map.as_slice();
-        let version = sniff_version(bytes)?;
-        if version != VERSION_V3 {
-            return Err(IndexError::VersionMismatch { found: version, expected: VERSION_V3 });
-        }
-        let mut header_cur = &bytes[MAGIC.len() + 4..];
-        let before = header_cur.len();
-        let options = read_options(&mut header_cur)?;
-        let header_len = MAGIC.len() + 4 + (before - header_cur.len());
-
-        if bytes.len() < header_len + FOOTER_LEN {
-            return Err(IndexError::Corrupt("v3 file too short for footer".into()));
-        }
-        let footer_off = bytes.len() - FOOTER_LEN;
-        let footer = &bytes[footer_off..];
-        if &footer[FOOTER_LEN - TAIL_MAGIC.len()..] != TAIL_MAGIC {
-            return Err(IndexError::Corrupt("bad v3 footer magic".into()));
-        }
-        let mut fcur = footer;
-        let mut fields = [0u64; 11];
-        for f in &mut fields {
-            *f = fcur.get_u64();
-        }
-        let [doc_off, lab_off, node_off, attr_off, stat_off, dict_off, offs_off, post_off, term_count, file_len, checksum] =
-            fields;
-        if file_len != bytes.len() as u64 {
-            return Err(IndexError::Corrupt(format!(
-                "v3 file length mismatch: footer says {file_len}, file is {}",
-                bytes.len()
-            )));
-        }
-        let computed = fnv64(&[&bytes[..header_len], &footer[..FOOTER_LEN - TAIL_MAGIC.len() - 8]]);
-        if computed != checksum {
-            return Err(IndexError::Corrupt("v3 header/footer checksum mismatch".into()));
-        }
-        let bounds = [doc_off, lab_off, node_off, attr_off, stat_off, dict_off, offs_off, post_off];
-        if doc_off != header_len as u64
-            || bounds.windows(2).any(|w| w[0] > w[1])
-            || post_off > footer_off as u64
-        {
-            return Err(IndexError::Corrupt("v3 section offsets out of order".into()));
-        }
+        let Frame { options, offsets, term_count, footer_off, .. } = read_frame(bytes)?;
+        let [doc_off, lab_off, node_off, attr_off, stat_off, dict_off, offs_off, post_off] =
+            offsets;
 
         let section = |from: u64, to: u64| &bytes[from as usize..to as usize];
         let doc_names = read_doc_names(&mut section(doc_off, lab_off))?;
@@ -603,11 +544,11 @@ impl GksIndex {
         // gap to the next record's run start; the final run ends at the
         // posting region's end.
         let term_count = term_count as usize;
-        if (post_off - offs_off) as usize != term_count * 4 {
-            return Err(IndexError::Corrupt("v3 term offset table length mismatch".into()));
+        if term_count.checked_mul(4) != Some((post_off - offs_off) as usize) {
+            return Err(IndexError::Corrupt("term offset table length mismatch".into()));
         }
         if stats.distinct_terms != term_count as u64 {
-            return Err(IndexError::Corrupt("v3 term count disagrees with stats".into()));
+            return Err(IndexError::Corrupt("term count disagrees with stats".into()));
         }
         let dict = section(dict_off, offs_off);
         let post_section_len = footer_off - post_off as usize;
@@ -618,14 +559,14 @@ impl GksIndex {
         for _ in 0..term_count {
             let rec_off = offs_cur.get_u32() as usize;
             if rec_off >= dict.len() {
-                return Err(IndexError::Corrupt("v3 term record offset out of range".into()));
+                return Err(IndexError::Corrupt("term record offset out of range".into()));
             }
             let mut cur = &dict[rec_off..];
             let before = cur.len();
             let term_len = read_varint(&mut cur)? as usize;
             let len_bytes = before - cur.len();
             if cur.len() < term_len {
-                return Err(IndexError::Corrupt("v3 truncated term".into()));
+                return Err(IndexError::Corrupt("truncated term".into()));
             }
             let term_start = dict_off as usize + rec_off + len_bytes;
             let term_bytes = &cur[..term_len];
@@ -634,7 +575,7 @@ impl GksIndex {
             }
             if let Some((ps, pl)) = prev_term {
                 if &bytes[ps..ps + pl] >= term_bytes {
-                    return Err(IndexError::Corrupt("v3 term dictionary not sorted".into()));
+                    return Err(IndexError::Corrupt("term dictionary not sorted".into()));
                 }
             }
             prev_term = Some((term_start, term_len));
@@ -642,17 +583,17 @@ impl GksIndex {
             let run_start = read_varint(&mut cur)? as usize;
             let count = read_varint(&mut cur)? as usize;
             if run_start > post_section_len {
-                return Err(IndexError::Corrupt("v3 posting run out of range".into()));
+                return Err(IndexError::Corrupt("posting run out of range".into()));
             }
             if let Some(prev) = terms.last_mut() {
                 let prev: &mut TermEntry = prev;
                 let prev_start = prev.post_start - post_off as usize;
                 if run_start < prev_start {
-                    return Err(IndexError::Corrupt("v3 posting runs out of order".into()));
+                    return Err(IndexError::Corrupt("posting runs out of order".into()));
                 }
                 prev.post_len = run_start - prev_start;
             } else if run_start != 0 {
-                return Err(IndexError::Corrupt("v3 first posting run not at offset 0".into()));
+                return Err(IndexError::Corrupt("first posting run not at offset 0".into()));
             }
             total += count as u64;
             terms.push(TermEntry {
@@ -668,10 +609,10 @@ impl GksIndex {
             last.post_len = post_section_len - last_start;
         }
         if terms.iter().any(|t| (t.count == 0) != (t.post_len == 0)) {
-            return Err(IndexError::Corrupt("v3 empty run disagrees with its count".into()));
+            return Err(IndexError::Corrupt("empty run disagrees with its count".into()));
         }
         if total != stats.total_postings {
-            return Err(IndexError::Corrupt("v3 posting counts disagree with stats".into()));
+            return Err(IndexError::Corrupt("posting counts disagree with stats".into()));
         }
 
         let mapped = MappedPostings::from_parts(map, terms);
@@ -685,17 +626,20 @@ impl GksIndex {
         ))
     }
 
-    /// Writes the index to a file in the given format, returning the number
-    /// of bytes written (the "Index Size" of Table 4). The write is atomic —
-    /// bytes land in a sibling temp file renamed into place — so a
-    /// concurrent reader (the server's per-shard reload, the delta commit
-    /// protocol) never observes a torn index file.
-    pub fn save_as(&self, path: impl AsRef<Path>, format: IndexFormat) -> Result<u64, IndexError> {
+    /// Writes the index to a file. Survives only because the frozen `perf/`
+    /// benchmark calls it, until the next `[benchmark]` PR can drop the call.
+    pub fn save_as(&self, path: impl AsRef<Path>, _format: IndexFormat) -> Result<u64, IndexError> {
+        self.save(path)
+    }
+
+    /// Writes the index to a file, returning the number of bytes written
+    /// (the "Index Size" of Table 4). The write is atomic — bytes land in a
+    /// sibling temp file renamed into place — so a concurrent reader (the
+    /// server's per-shard reload, the delta commit protocol) never observes
+    /// a torn index file.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, IndexError> {
         let path = path.as_ref();
-        let bytes = match format {
-            IndexFormat::V2 => self.to_bytes(),
-            IndexFormat::V3 => self.to_bytes_v3()?,
-        };
+        let bytes = self.to_bytes_v3()?;
         let tmp = crate::shard::sibling_tmp_path(path);
         fs::write(&tmp, &bytes)?;
         if let Err(e) = fs::rename(&tmp, path) {
@@ -705,137 +649,38 @@ impl GksIndex {
         Ok(bytes.len() as u64)
     }
 
-    /// Writes the index in the default format (v3).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, IndexError> {
-        self.save_as(path, IndexFormat::V3)
-    }
-
-    /// Loads an index written by [`Self::save`] or [`Self::save_as`].
+    /// Loads an index written by [`Self::save`].
     ///
-    /// The file is mapped, never slurped: a v3 index stays mapped for its
-    /// lifetime with posting blocks untouched until queried; a v2 index is
-    /// decoded in place from the map (one buffer, no copies of the raw
-    /// file), after which the map is dropped.
+    /// The file is mapped, never slurped, and stays mapped for the index's
+    /// lifetime with posting blocks untouched until queried.
     pub fn load(path: impl AsRef<Path>) -> Result<GksIndex, IndexError> {
         let _open_span = gks_trace::span(gks_trace::SpanKind::IndexOpen);
         let start = Instant::now();
         let map = Mmap::open(path.as_ref()).map_err(IndexError::Io)?;
-        let version = sniff_version(map.as_slice())?;
-        let mut ix = match version {
-            VERSION_V2 => GksIndex::from_slice_v2(map.as_slice())?,
-            VERSION_V3 => GksIndex::from_mapped(Arc::new(map))?,
-            other => {
-                return Err(IndexError::VersionMismatch { found: other, expected: VERSION_V3 })
-            }
-        };
-        ix.set_open_info(version, start.elapsed().as_millis() as u64);
+        let mut ix = GksIndex::from_mapped(Arc::new(map))?;
+        ix.set_open_info(VERSION, start.elapsed().as_millis() as u64);
         Ok(ix)
     }
 }
 
-/// Measures the per-section byte breakdown of an index file without fully
-/// materializing it (v3 reads the footer; v2 walks the stream off the map).
+/// Measures the per-section byte breakdown of an index file from its
+/// validated footer, without materializing any section.
 pub fn section_sizes(path: impl AsRef<Path>) -> Result<SectionSizes, IndexError> {
     let map = Mmap::open(path.as_ref()).map_err(IndexError::Io)?;
-    let bytes = map.as_slice();
-    let version = sniff_version(bytes)?;
-    match version {
-        VERSION_V2 => section_sizes_v2(bytes),
-        VERSION_V3 => section_sizes_v3(bytes),
-        other => Err(IndexError::VersionMismatch { found: other, expected: VERSION_V3 }),
-    }
-}
-
-fn section_sizes_v3(bytes: &[u8]) -> Result<SectionSizes, IndexError> {
-    // Validate via the real open path, then read the footer offsets.
-    let mut header_cur = &bytes[MAGIC.len() + 4..];
-    let before = header_cur.len();
-    read_options(&mut header_cur)?;
-    let header_len = (MAGIC.len() + 4 + (before - header_cur.len())) as u64;
-    if bytes.len() < header_len as usize + FOOTER_LEN {
-        return Err(IndexError::Corrupt("v3 file too short for footer".into()));
-    }
-    let footer_off = (bytes.len() - FOOTER_LEN) as u64;
-    let mut fcur = &bytes[footer_off as usize..];
-    let mut fields = [0u64; 8];
-    for f in &mut fields {
-        *f = fcur.get_u64();
-    }
-    let [_doc, lab, node, attr, stat, dict, _offs, post] = fields;
+    let Frame { header_len, offsets, footer_off, .. } = read_frame(map.as_slice())?;
+    let [doc, lab, node, attr, stat, dict, _offs, post] = offsets;
     Ok(SectionSizes {
-        version: VERSION_V3,
-        total: bytes.len() as u64,
-        header: header_len,
-        doc_names: lab - header_len,
+        version: VERSION,
+        total: map.len() as u64,
+        header: header_len as u64,
+        doc_names: lab - doc,
         labels: node - lab,
         node_table: attr - node,
         attr_store: stat - attr,
         stats: dict - stat,
         term_dict: post - dict,
-        postings: footer_off - post,
+        postings: footer_off as u64 - post,
         footer: FOOTER_LEN as u64,
-    })
-}
-
-fn section_sizes_v2(bytes: &[u8]) -> Result<SectionSizes, IndexError> {
-    let total = bytes.len() as u64;
-    let mut input = &bytes[MAGIC.len() + 4..];
-    let input = &mut input;
-    let mark = |input: &&[u8]| total - input.len() as u64;
-    read_options(input)?;
-    let header = mark(input);
-
-    read_doc_names(input)?;
-    let after_docs = mark(input);
-    // Labels + node table share one cursor (v2 interleaves them).
-    let label_count = read_varint(input)? as usize;
-    for _ in 0..label_count {
-        read_str(input)?;
-    }
-    let after_labels = mark(input);
-    let ids = decode_sorted_run(input)?;
-    for _ in 0..ids.len() {
-        read_varint(input)?; // child_count
-        if !input.has_remaining() {
-            return Err(IndexError::Corrupt("truncated node meta".into()));
-        }
-        input.get_u8(); // flags
-        read_varint(input)?; // label
-    }
-    let after_nodes = mark(input);
-
-    // Inverted region: term strings (and the term-count varint) count as
-    // dictionary bytes, posting runs as posting bytes.
-    let term_count = read_varint(input)? as usize;
-    let mut dict_bytes = mark(input) - after_nodes;
-    let mut post_bytes = 0u64;
-    for _ in 0..term_count {
-        let before = mark(input);
-        read_str(input)?;
-        let after_term = mark(input);
-        decode_sorted_run(input)?;
-        dict_bytes += after_term - before;
-        post_bytes += mark(input) - after_term;
-    }
-    let after_inverted = mark(input);
-
-    read_attrs(input, label_count)?;
-    let after_attrs = mark(input);
-    read_stats(input)?;
-    let after_stats = mark(input);
-
-    Ok(SectionSizes {
-        version: VERSION_V2,
-        total,
-        header,
-        doc_names: after_docs - header,
-        labels: after_labels - after_docs,
-        node_table: after_nodes - after_labels,
-        attr_store: after_attrs - after_inverted,
-        stats: after_stats - after_attrs,
-        term_dict: dict_bytes,
-        postings: post_bytes,
-        footer: total - after_stats,
     })
 }
 
@@ -856,16 +701,9 @@ mod tests {
         GksIndex::build(&corpus, IndexOptions::default()).unwrap()
     }
 
-    /// Writes `bytes` to a scratch file and loads it back through the real
-    /// open path (either layout).
-    fn load_bytes(bytes: &[u8], tag: &str) -> Result<GksIndex, IndexError> {
-        let dir = std::env::temp_dir().join(format!("gks-persist-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}.gksix", bytes.len()));
-        std::fs::write(&path, bytes).unwrap();
-        let loaded = GksIndex::load(&path);
-        std::fs::remove_file(&path).ok();
-        loaded
+    /// Opens serialized bytes through the real open path, off the heap.
+    fn open_bytes(bytes: &[u8]) -> Result<GksIndex, IndexError> {
+        GksIndex::from_mapped(Arc::new(Mmap::from(bytes.to_vec())))
     }
 
     fn assert_indexes_equal(loaded: &GksIndex, ix: &GksIndex) {
@@ -900,21 +738,32 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let ix = sample_index();
-        let loaded = GksIndex::from_bytes(ix.to_bytes()).unwrap();
+        let loaded = open_bytes(&ix.to_bytes_v3().unwrap()).unwrap();
         assert_indexes_equal(&loaded, &ix);
     }
 
     #[test]
-    fn v3_round_trip_preserves_everything() {
+    fn save_load_via_filesystem() {
         let ix = sample_index();
-        let dir = std::env::temp_dir().join(format!("gks-persist-v3-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("gks-persist-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.gksix");
-        ix.save_as(&path, IndexFormat::V3).unwrap();
+        let written = ix.save(&path).unwrap();
+        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         let loaded = GksIndex::load(&path).unwrap();
-        assert_eq!(loaded.format_version(), VERSION_V3);
+        assert_eq!(loaded.format_version(), VERSION);
         assert_indexes_equal(&loaded, &ix);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn two_builds_of_one_corpus_serialize_identically() {
+        // Whatever the clock said while each was built.
+        let (a, mut b) = (sample_index(), sample_index());
+        b.stats_mut().build_millis = a.stats().build_millis + 1_000;
+        assert_eq!(a.to_bytes_v3().unwrap(), b.to_bytes_v3().unwrap());
+        let loaded = open_bytes(&b.to_bytes_v3().unwrap()).unwrap();
+        assert_eq!(loaded.stats().build_millis, 0, "build time is not persisted");
     }
 
     #[test]
@@ -923,11 +772,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gks-persist-lazy-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("lazy.gksix");
-        ix.save(&path).unwrap(); // default format is v3
+        ix.save(&path).unwrap();
         let loaded = GksIndex::load(&path).unwrap();
         // Open touches the dictionary but no posting run.
         assert_eq!(loaded.decoded_terms(), 0, "open must not decode postings");
-        assert!(loaded.bytes_mapped() > 0, "v3 index is served off the map");
+        assert!(loaded.bytes_mapped() > 0, "a loaded index is served off the map");
         // First query decodes exactly the terms it touches.
         let mut terms = ix.inverted().iter().map(|(t, _)| t.to_string());
         let (first, second) = (terms.next().unwrap(), terms.next().unwrap());
@@ -940,70 +789,31 @@ mod tests {
     }
 
     #[test]
-    fn save_load_via_filesystem_both_formats() {
-        let ix = sample_index();
-        let dir = std::env::temp_dir().join(format!("gks-persist-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, format) in [("v2.gksix", IndexFormat::V2), ("v3.gksix", IndexFormat::V3)] {
-            let path = dir.join(name);
-            let written = ix.save_as(&path, format).unwrap();
-            assert!(written > 0);
-            let loaded = GksIndex::load(&path).unwrap();
-            for (term, list) in ix.inverted().iter() {
-                assert_eq!(loaded.postings(term), list, "postings for {term}");
-            }
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn v3_is_smaller_than_v2() {
-        // The folded document flag in v3 blocks must beat v2's per-entry
-        // flag byte on a pool-shaped corpus (bounded vocabulary, high term
-        // frequency — the shape the synthetic benchmark corpora have).
-        let mut xml = String::from("<dblp>");
-        for i in 0..300 {
-            xml.push_str(&format!(
-                "<article><title>generic keyword search over xml data part {}</title>\
-                 <author>Ada Lovelace</author><author>Alan Turing</author></article>",
-                i % 10
-            ));
-        }
-        xml.push_str("</dblp>");
-        let corpus = Corpus::from_named_strs([("big", xml.as_str())]).unwrap();
-        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        let v2 = ix.to_bytes().len();
-        let v3 = ix.to_bytes_v3().unwrap().len();
-        assert!(v3 < v2, "v3 ({v3} B) must be smaller than v2 ({v2} B)");
-    }
-
-    #[test]
     fn bad_magic_rejected() {
-        let err = GksIndex::from_bytes(Bytes::from_static(b"NOTIX\0\0\0\0rest")).unwrap_err();
+        let err = open_bytes(b"NOTIX\0\0\0\0rest").unwrap_err();
         assert!(matches!(err, IndexError::Corrupt(_)));
     }
 
     #[test]
     fn version_mismatch_rejected() {
         let ix = sample_index();
-        let mut bytes = ix.to_bytes().to_vec();
+        let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
         bytes[5..9].copy_from_slice(&99u32.to_be_bytes());
-        let err = GksIndex::from_bytes(Bytes::from(bytes)).unwrap_err();
+        let err = open_bytes(&bytes).unwrap_err();
         assert!(matches!(err, IndexError::VersionMismatch { found: 99, .. }));
     }
 
     #[test]
     fn files_of_the_previous_versions_are_refused_by_number() {
         // Versions 2 and 3 carried one string and one path per attribute
-        // entry; reading one as the current layout would mis-parse, so the
+        // entry, 4 was the eager single-stream layout, 5 had one more stats
+        // field; reading one as the current layout would mis-parse, so the
         // number — checked before anything else — is what refuses it.
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for (old, bytes) in
-            [(2u32, ix.to_bytes().to_vec()), (3, ix.to_bytes_v3().unwrap().to_vec())]
-        {
-            let mut bytes = bytes;
+        for old in [2u32, 3, 4, 5] {
+            let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
             bytes[5..9].copy_from_slice(&old.to_be_bytes());
             let path = dir.join(format!("v{old}.gksix"));
             std::fs::write(&path, &bytes).unwrap();
@@ -1028,13 +838,8 @@ mod tests {
         let (title, gray) = (id_of("System R"), id_of("Jim Gray"));
         let grays_norm = store.norm_of(gray);
         ix.attrs_mut().set_norm_of(title, grays_norm);
-        for bytes in [ix.to_bytes(), ix.to_bytes_v3().unwrap()] {
-            let loaded = load_bytes(&bytes, "norm").unwrap();
-            assert_eq!(
-                loaded.doctor(),
-                vec![Violation::AttrNormMismatch { value: "System R".into() }]
-            );
-        }
+        let loaded = open_bytes(&ix.to_bytes_v3().unwrap()).unwrap();
+        assert_eq!(loaded.doctor(), vec![Violation::AttrNormMismatch { value: "System R".into() }]);
     }
 
     #[test]
@@ -1042,13 +847,9 @@ mod tests {
         let corrupt = |tamper: &dyn Fn(&mut GksIndex), what: &str| {
             let mut ix = sample_index();
             tamper(&mut ix);
-            for bytes in [ix.to_bytes(), ix.to_bytes_v3().unwrap()] {
-                match load_bytes(&bytes, "ids") {
-                    Err(IndexError::Corrupt(message)) => {
-                        assert!(message.contains(what), "{message}")
-                    }
-                    other => panic!("{what}: expected Corrupt, got {other:?}"),
-                }
+            match open_bytes(&ix.to_bytes_v3().unwrap()) {
+                Err(IndexError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
         };
         corrupt(
@@ -1085,23 +886,15 @@ mod tests {
     fn non_utf8_attr_value_is_a_typed_error_at_open() {
         let ix = sample_index();
         // The raw title occurs only in the value table (the dictionary holds
-        // analysed terms), and v3 checksums only the header and footer, so
+        // analysed terms), and the checksum covers only header and footer, so
         // the flipped byte reaches the attribute reader.
         let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
         let at = bytes.windows(8).position(|w| w == b"System R").unwrap();
         bytes[at] = 0xff;
-        match load_bytes(&bytes, "utf8") {
+        match open_bytes(&bytes) {
             Err(IndexError::Corrupt(message)) => assert!(message.contains("UTF-8"), "{message}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn truncated_input_rejected() {
-        let ix = sample_index();
-        let bytes = ix.to_bytes();
-        let truncated = bytes.slice(..bytes.len() / 2);
-        assert!(GksIndex::from_bytes(truncated).is_err());
     }
 
     #[test]
@@ -1129,52 +922,72 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_footer_offset_is_a_typed_error_for_open_and_section_sizes() {
+        let good = sample_index().to_bytes_v3().unwrap().to_vec();
+        let dir = std::env::temp_dir().join(format!("gks-persist-footer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("footer.gksix");
+        let footer_off = good.len() - FOOTER_LEN;
+        let check = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            for err in [GksIndex::load(&path).unwrap_err(), section_sizes(&path).unwrap_err()] {
+                match err {
+                    IndexError::Corrupt(message) => assert!(message.contains(what), "{message}"),
+                    other => panic!("{what}: expected Corrupt, got {other:?}"),
+                }
+            }
+        };
+
+        // The label-section offset points far past the file: the checksum
+        // catches it ...
+        let mut bytes = good.clone();
+        bytes[footer_off + 8] = 0x7f;
+        check(&bytes, "checksum");
+
+        // ... and when the checksum is recomputed to match, the order check.
+        let header_len = u64::from_be_bytes(bytes[footer_off..footer_off + 8].try_into().unwrap());
+        let sum_at = good.len() - TAIL_MAGIC.len() - 8;
+        let sum = fnv64(&[&bytes[..header_len as usize], &bytes[footer_off..sum_at]]);
+        bytes[sum_at..sum_at + 8].copy_from_slice(&sum.to_be_bytes());
+        check(&bytes, "offsets out of order");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn section_sizes_cover_the_file() {
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-sizes-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, format) in [("v2.gksix", IndexFormat::V2), ("v3.gksix", IndexFormat::V3)] {
-            let path = dir.join(name);
-            let written = ix.save_as(&path, format).unwrap();
-            let s = section_sizes(&path).unwrap();
-            assert_eq!(s.total, written, "{name}");
-            let sum = s.header
-                + s.doc_names
-                + s.labels
-                + s.node_table
-                + s.attr_store
-                + s.stats
-                + s.term_dict
-                + s.postings
-                + s.footer;
-            assert_eq!(sum, s.total, "{name}: sections must tile the file");
-            assert!(s.postings > 0 && s.term_dict > 0 && s.node_table > 0, "{name}");
-            std::fs::remove_file(&path).ok();
-        }
+        let path = dir.join("sizes.gksix");
+        let written = ix.save(&path).unwrap();
+        let s = section_sizes(&path).unwrap();
+        assert_eq!(s.total, written);
+        let sum = s.header
+            + s.doc_names
+            + s.labels
+            + s.node_table
+            + s.attr_store
+            + s.stats
+            + s.term_dict
+            + s.postings
+            + s.footer;
+        assert_eq!(sum, s.total, "sections must tile the file");
+        assert!(s.postings > 0 && s.term_dict > 0 && s.node_table > 0);
+        std::fs::remove_file(&path).ok();
     }
 
+    /// A heap `InvertedIndex` reader (the fresh build) and a `MappedPostings`
+    /// reader (the same index reopened) answer every posting query alike.
     #[test]
-    fn v2_and_v3_search_surfaces_agree() {
-        let ix = sample_index();
-        let dir = std::env::temp_dir().join(format!("gks-persist-agree-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p2 = dir.join("a.gksix");
-        let p3 = dir.join("b.gksix");
-        ix.save_as(&p2, IndexFormat::V2).unwrap();
-        ix.save_as(&p3, IndexFormat::V3).unwrap();
-        let v2 = GksIndex::load(&p2).unwrap();
-        let v3 = GksIndex::load(&p3).unwrap();
-        assert_eq!(v2.format_version(), VERSION_V2);
-        assert_eq!(v3.format_version(), VERSION_V3);
-        for (term, _) in ix.inverted().iter() {
-            assert_eq!(v2.postings(term), v3.postings(term), "postings for {term}");
-            assert_eq!(v2.posting_count(term), v3.posting_count(term));
-            let (m2, d2) = v2.postings_masked(term, &[0]);
-            let (m3, d3) = v3.postings_masked(term, &[0]);
-            assert_eq!(m2, m3);
-            assert_eq!(d2, d3);
+    fn built_and_reopened_search_surfaces_agree() {
+        let built = sample_index();
+        let reopened = open_bytes(&built.to_bytes_v3().unwrap()).unwrap();
+        assert!(matches!(built.inverted(), PostingsReader::Heap(_)));
+        assert!(matches!(reopened.inverted(), PostingsReader::Mapped(_)));
+        for (term, _) in built.inverted().iter() {
+            assert_eq!(built.postings(term), reopened.postings(term), "postings for {term}");
+            assert_eq!(built.posting_count(term), reopened.posting_count(term));
+            assert_eq!(built.postings_masked(term, &[0]), reopened.postings_masked(term, &[0]));
         }
-        std::fs::remove_file(&p2).ok();
-        std::fs::remove_file(&p3).ok();
     }
 }

@@ -122,7 +122,7 @@ fn list_bytes(list: &[DeweyId]) -> u64 {
     (std::mem::size_of_val(list) + spilled) as u64
 }
 
-/// One term's dictionary record in a mapped (format v3) index: byte ranges
+/// One term's dictionary record in a mapped index: byte ranges
 /// into the map plus the posting count from the skip header.
 #[derive(Debug, Clone)]
 pub(crate) struct TermEntry {
@@ -136,7 +136,7 @@ pub(crate) struct TermEntry {
     pub count: usize,
 }
 
-/// Lazily-decoded posting lists over a memory-mapped format-v3 index.
+/// Lazily-decoded posting lists over a memory-mapped index file.
 ///
 /// The term dictionary (validated at open) lives as byte ranges into the
 /// map; each posting list stays encoded until the first [`Self::postings`]
@@ -353,8 +353,8 @@ impl MappedPostings {
 }
 
 /// How a [`crate::GksIndex`] holds its posting lists: fully decoded on the
-/// heap (fresh builds, format v2), or lazily decoded off a memory map
-/// (format v3). The engine only sees `&[DeweyId]` slices either way, so the
+/// heap (fresh builds), or lazily decoded off a memory map (loaded
+/// indexes). The engine only sees `&[DeweyId]` slices either way, so the
 /// k-way merge, the sweep, tombstone masking and cost accounting run
 /// unchanged over both representations. The slices are borrowed from the
 /// reader; a caller that needs an owned list ([`Self::postings_masked`], the
@@ -362,9 +362,9 @@ impl MappedPostings {
 /// paths within the inline depth of [`DeweyId`], which own no heap memory.
 #[derive(Debug)]
 pub enum PostingsReader {
-    /// Heap-resident lists (v2 loads and in-memory builds).
+    /// Heap-resident lists (in-memory builds).
     Heap(InvertedIndex),
-    /// Mapped, block-compressed lists decoded on first touch (v3).
+    /// Mapped, block-compressed lists decoded on first touch (loaded files).
     Mapped(MappedPostings),
 }
 
@@ -471,7 +471,7 @@ impl PostingsReader {
     }
 
     /// First lazy-decode corruption observed, if any (always `None` for
-    /// heap indexes, whose decode happens — and fails loudly — at load).
+    /// heap indexes, which are built, not decoded).
     pub fn corrupt(&self) -> Option<&str> {
         match self {
             PostingsReader::Heap(_) => None,

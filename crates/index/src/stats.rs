@@ -76,6 +76,7 @@ pub struct IndexStats {
     /// corpora (§7.1.2: 6.7–6.9 for NASA, 3.1–3.5 for SwissProt).
     pub posting_depth_sum: u64,
     /// Wall-clock build time in milliseconds ("Index Preparation Time").
+    /// Set by the build and never persisted: 0 on a loaded index.
     pub build_millis: u64,
 }
 

@@ -1,6 +1,9 @@
 //! Property tests of the index builder's structural invariants over random
 //! documents.
 
+use std::sync::Arc;
+
+use bytes::Mmap;
 use gks_dewey::{DeweyId, DocId};
 use gks_index::{Corpus, GksIndex, IndexOptions};
 use proptest::prelude::*;
@@ -148,7 +151,8 @@ proptest! {
     #[test]
     fn persistence_round_trip(tree in arb_tree()) {
         let ix = build(&tree);
-        let loaded = GksIndex::from_bytes(ix.to_bytes()).unwrap();
+        let bytes = ix.to_bytes_v3().unwrap().to_vec();
+        let loaded = GksIndex::from_mapped(Arc::new(Mmap::from(bytes))).unwrap();
         prop_assert_eq!(loaded.node_table().len(), ix.node_table().len());
         prop_assert_eq!(loaded.stats().census, ix.stats().census);
         for (term, list) in ix.inverted().iter() {

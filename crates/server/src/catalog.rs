@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use gks_core::engine::Engine;
-use gks_core::shard::DocMap;
+use gks_core::shard::{shard_engine, DocMap};
 use gks_core::{CostLedger, ShardExecutor};
 use gks_index::delta::{commit_delta, compact, wall_clock_ms, CommitStats, CompactStats};
 use gks_index::{GksIndex, ShardManifest};
@@ -471,18 +471,9 @@ fn build_manifest_slots(
                 s.shard_id == Some(entry.id) && s.source.as_deref() == Some(entry.path.as_path())
             })
             .map(|slot| slot_loaded(slot).engine.index_shared());
-        let index = match reused {
-            Some(index) => index,
-            None => Arc::new(GksIndex::load(&entry.path).map_err(|e| ServeError::Index {
-                name: name.to_string(),
-                message: e.to_string(),
-            })?),
-        };
-        let engine = Arc::new(Engine::from_shared(index, view.tombstones));
-        let doc_map = Some(match view.doc_map {
-            Some(forward) => DocMap::table(forward),
-            None => DocMap::base(view.doc_base),
-        });
+        let (engine, doc_map) = shard_engine(entry, view, reused)
+            .map_err(|e| ServeError::Index { name: name.to_string(), message: e.to_string() })?;
+        let (engine, doc_map) = (Arc::new(engine), Some(doc_map));
         let identity = slot_identity(&engine, doc_map.as_ref());
         slots.push(Arc::new(ShardSlot {
             shard_id: Some(entry.id),
@@ -608,8 +599,8 @@ impl ResidentIndex {
     }
 
     /// Index-file bytes served straight from the mmap, summed across all
-    /// shard slots. Zero for format-v2 (eager heap) indexes, so the gauge
-    /// doubles as an on-disk-format indicator per index.
+    /// shard slots. Zero for indexes built in process (heap postings, no
+    /// file), so the gauge shows whether the zero-copy tier is engaged.
     pub fn bytes_mapped(&self) -> u64 {
         self.slots_snapshot()
             .iter()

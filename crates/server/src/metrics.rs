@@ -216,7 +216,7 @@ pub struct IndexMetricsView<'a> {
     /// Total wall-clock milliseconds spent compacting.
     pub compaction_millis_total: u64,
     /// Index-file bytes served straight from the mmap across all shard
-    /// slots — zero for format-v2 (eager heap) indexes.
+    /// slots — zero for indexes built in process rather than loaded.
     pub bytes_mapped: u64,
     /// Milliseconds spent opening the shard files currently serving,
     /// summed across slots.

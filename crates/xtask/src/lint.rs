@@ -26,7 +26,7 @@
 //!   harness) are allowlisted with reasons.
 //! * `no-eager-decode-in-open` — the index open path (`persist.rs`,
 //!   `postings.rs` in `gks-index`) must not slurp shard files with
-//!   `fs::read` / `read_to_string` / `read_to_end`: format-v3 opens are
+//!   `fs::read` / `read_to_string` / `read_to_end`: index opens are
 //!   O(dictionary) because the file is served off an mmap and posting
 //!   blocks decode lazily, and one eager read would silently regress every
 //!   shard open back to O(file).
@@ -491,7 +491,7 @@ fn check_eager_decode(path: &str, lines: &[Line], out: &mut Vec<Violation>) {
                     line: i + 1,
                     rule: "no-eager-decode-in-open",
                     message: format!(
-                        "`{}` in the index open path — a format-v3 open must stay \
+                        "`{}` in the index open path — an open must stay \
                          O(dictionary): serve the file off the mmap and let posting \
                          blocks decode lazily",
                         pattern.trim_end_matches('(')
