@@ -46,7 +46,9 @@ use gks_core::search::{Response, SearchOptions};
 
 /// Runs a search `reps` times and returns (median wall-clock µs, response).
 /// The response's own `elapsed_micros` covers a single run; the median over
-/// repetitions is what the RT experiments report.
+/// repetitions is what the RT experiments report (it also absorbs the
+/// first-touch decode of each term's posting run, which the first
+/// repetition over a fresh index pays).
 pub fn timed_search(
     engine: &Engine,
     query: &Query,

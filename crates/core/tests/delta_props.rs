@@ -11,15 +11,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use gks_core::engine::Engine;
 use gks_core::query::Query;
 use gks_core::search::{SearchOptions, Threshold};
-use gks_core::shard::{load_manifest_engines, shard_engine, sharded_search_mapped, DocMap};
+use gks_core::shard::{load_manifest_engines, sharded_search_mapped};
 use gks_core::wire;
 use gks_index::delta::{commit_delta, compact, index_directory};
-use gks_index::{Corpus, GksIndex, IndexOptions, PostingsReader, ShardManifest};
+use gks_index::{Corpus, IndexOptions, ShardManifest};
 use proptest::prelude::*;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -171,84 +170,6 @@ proptest! {
             want_cost.postings_scanned,
             "masked-out postings are exactly the scan excess"
         );
-        fs::remove_dir_all(&root).ok();
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Reader equivalence on the wire: the same base+delta shard set must
-    /// search **byte-identically** — tombstone masks, document renumbering,
-    /// rank order and the cost ledgers included — whether each shard serves
-    /// block-compressed postings off its mapped file or a fully decoded heap
-    /// copy of them (what a fresh build, or any index after a mutation,
-    /// holds).
-    #[test]
-    fn mapped_and_heap_shards_search_byte_identically(
-        initial in prop::collection::vec(prop::collection::vec(0usize..6, 1..5), 1..4),
-        rounds in prop::collection::vec(arb_round(), 1..3),
-        shards in 1usize..4,
-        query_words in prop::collection::hash_set(0usize..6, 1..3),
-    ) {
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let root = std::env::temp_dir()
-            .join(format!("gks-format-props-{}-{case}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        let corpus = root.join("corpus");
-        fs::create_dir_all(&corpus).unwrap();
-        for (slot, words) in initial.iter().enumerate() {
-            fs::write(doc_path(&corpus, slot), doc_xml(words)).unwrap();
-        }
-        let manifest_path = root.join("corpus.shards");
-        index_directory(&corpus, &manifest_path, shards, IndexOptions::default()).unwrap();
-        for round in &rounds {
-            for op in &round.ops {
-                match op {
-                    Op::Write { slot, words } => {
-                        fs::write(doc_path(&corpus, *slot), doc_xml(words)).unwrap();
-                    }
-                    Op::Delete { slot } => {
-                        if live_docs(&corpus) > 1 {
-                            let _ = fs::remove_file(doc_path(&corpus, *slot));
-                        }
-                    }
-                }
-            }
-            commit_delta(&manifest_path).unwrap();
-            if round.compact_after {
-                compact(&manifest_path).unwrap();
-            }
-        }
-
-        let query = Query::from_keywords(
-            query_words.iter().map(|&w| WORDS[w].to_string()),
-        )
-        .unwrap();
-        let options = SearchOptions { s: Threshold::Fixed(1), limit: 16 };
-        let run = |loaded: &[(Engine, DocMap)]| {
-            let engines: Vec<&Engine> = loaded.iter().map(|(e, _)| e).collect();
-            let maps: Vec<_> = loaded.iter().map(|(_, m)| m.clone()).collect();
-            let merged = sharded_search_mapped(&engines, &maps, &query, options).unwrap();
-            wire::search_response_json_sharded_explained(&engines, &merged)
-        };
-
-        // The shard set as written and opened: every shard mapped.
-        let manifest = ShardManifest::load(&manifest_path).unwrap();
-        let mapped = load_manifest_engines(&manifest).unwrap();
-
-        // The same files with every posting run decoded onto the heap: an
-        // append (of nothing) is a mutation, and mutations give up the map.
-        let mut heap = Vec::new();
-        for (entry, view) in manifest.shards.iter().zip(manifest.shard_views()) {
-            let mut ix = GksIndex::load(&entry.path).unwrap();
-            prop_assert_eq!(ix.format_version(), 6);
-            prop_assert!(matches!(ix.inverted(), PostingsReader::Mapped(_)));
-            ix.append(&Corpus::new()).unwrap();
-            prop_assert!(matches!(ix.inverted(), PostingsReader::Heap(_)));
-            heap.push(shard_engine(entry, view, Some(Arc::new(ix))).unwrap());
-        }
-        prop_assert_eq!(run(&heap), run(&mapped), "wire bytes must not depend on the reader");
         fs::remove_dir_all(&root).ok();
     }
 }

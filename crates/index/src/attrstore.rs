@@ -255,7 +255,7 @@ impl AttrStore {
         })
     }
 
-    /// Drops the interning maps once a build, append or merge is complete.
+    /// Drops the interning maps once a build or merge is complete.
     pub(crate) fn seal(&mut self) {
         self.interner = None;
     }

@@ -22,16 +22,18 @@ use crate::error::IndexError;
 use crate::fasthash::FastMap;
 use crate::node_table::{NodeMeta, NodeTable};
 use crate::options::IndexOptions;
-use crate::postings::{InvertedIndex, PostingsReader};
+use crate::postings::{InvertedIndex, PostingStore};
 use crate::stats::IndexStats;
 
-/// A fully built GKS index over a corpus.
+/// A fully built GKS index over a corpus. Immutable: a build ends in one
+/// (see [`IndexBuilder`]), and incremental growth is a new delta shard
+/// ([`crate::delta`]), never a change to an index that exists.
 #[derive(Debug)]
 pub struct GksIndex {
     options: IndexOptions,
     analyzer: Analyzer,
     node_table: NodeTable,
-    inverted: PostingsReader,
+    inverted: PostingStore,
     attrs: AttrStore,
     stats: IndexStats,
     doc_names: Vec<String>,
@@ -118,12 +120,11 @@ impl GksIndex {
     /// Indexes a corpus sequentially.
     pub fn build(corpus: &Corpus, options: IndexOptions) -> Result<GksIndex, IndexError> {
         let start = Instant::now();
-        let mut ix = GksIndex::empty(options);
+        let mut builder = IndexBuilder::new(options);
         for (i, doc) in corpus.docs().iter().enumerate() {
-            ix.index_document(DocId(i as u32), &doc.name, &doc.xml)?;
+            builder.index_document(DocId(i as u32), &doc.name, &doc.xml)?;
         }
-        ix.finish(start);
-        Ok(ix)
+        builder.finish(start)
     }
 
     /// Indexes a corpus with one worker per chunk of documents, merging the
@@ -150,8 +151,8 @@ impl GksIndex {
             let options = options.clone();
             // submit() cannot fail here (the pool outlives the loop), and
             // even if it did the slot guard resolves the slot to Err.
-            let _ = pool.submit(scatter.task(w, move || -> Result<GksIndex, IndexError> {
-                let mut part = GksIndex::empty(options);
+            let _ = pool.submit(scatter.task(w, move || -> Result<IndexBuilder, IndexError> {
+                let mut part = IndexBuilder::new(options);
                 for (j, doc) in slice.iter().enumerate() {
                     part.index_document(DocId((w * chunk + j) as u32), &doc.name, &doc.xml)?;
                 }
@@ -175,71 +176,207 @@ impl GksIndex {
             }
         }
         let mut iter = parts.into_iter();
-        let Some(mut ix) = iter.next() else {
+        let Some(mut builder) = iter.next() else {
             // workers >= 2 implies at least one chunk, so this is unreachable
             // in practice; fall back to the sequential path rather than panic.
             return Self::build(corpus, options);
         };
         for part in iter {
-            ix.merge(part);
+            builder.merge(part);
         }
-        ix.finish(start);
-        Ok(ix)
+        builder.finish(start)
     }
 
-    /// Appends more documents to an existing index (incremental corpus
-    /// growth). New documents receive the next document ids; posting lists
-    /// are re-finalized. The result is identical to building one index over
-    /// the concatenated corpus.
-    pub fn append(&mut self, corpus: &Corpus) -> Result<(), IndexError> {
-        let start = Instant::now();
-        let base = self.doc_names.len() as u32;
-        let prior_millis = self.stats.build_millis;
-        for (i, doc) in corpus.docs().iter().enumerate() {
-            self.index_document(DocId(base + i as u32), &doc.name, &doc.xml)?;
-        }
-        self.finish(start);
-        self.stats.build_millis += prior_millis;
-        Ok(())
+    // ----- accessors used by the search engine -----
+
+    /// The options the index was built with.
+    pub fn options(&self) -> &IndexOptions {
+        &self.options
     }
 
-    fn empty(options: IndexOptions) -> GksIndex {
+    /// The analyzer matching the index's normalization (use it on query
+    /// keywords).
+    pub fn analyzer(&self) -> &Analyzer {
+        &self.analyzer
+    }
+
+    /// Inverted-index lookup: the document-ordered posting list `S_i` of a
+    /// normalized term. The first access decodes the term's blocked run and
+    /// caches it.
+    pub fn postings(&self, term: &str) -> &[DeweyId] {
+        self.inverted.postings(term)
+    }
+
+    /// Posting-list length for a term without forcing a decode: the term
+    /// dictionary's stored count. Always equals `self.postings(term).len()`.
+    pub fn posting_count(&self, term: &str) -> usize {
+        self.inverted.posting_count(term)
+    }
+
+    /// The posting list with documents in the sorted `dead` list masked out,
+    /// plus the exact number of postings dropped. While the term's run is
+    /// still cold, blocks lying entirely within dead documents are skipped
+    /// without decoding.
+    pub fn postings_masked(&self, term: &str, dead: &[u32]) -> (Vec<DeweyId>, u64) {
+        self.inverted.postings_masked(term, dead)
+    }
+
+    /// The node table (`entityHash` + `elementHash`).
+    pub fn node_table(&self) -> &NodeTable {
+        &self.node_table
+    }
+
+    /// The per-entity attribute store.
+    pub fn attr_store(&self) -> &AttrStore {
+        &self.attrs
+    }
+
+    /// Build statistics (Tables 4 and 5).
+    pub fn stats(&self) -> &IndexStats {
+        &self.stats
+    }
+
+    /// Name of an indexed document.
+    pub fn doc_name(&self, doc: DocId) -> Option<&str> {
+        self.doc_names.get(doc.0 as usize).map(String::as_str)
+    }
+
+    /// Document names in id order.
+    pub fn doc_names(&self) -> &[String] {
+        &self.doc_names
+    }
+
+    /// The posting store (persistence and diagnostics).
+    pub fn inverted(&self) -> &PostingStore {
+        &self.inverted
+    }
+
+    /// On-disk version number of the file this index was loaded from, 0 for
+    /// an index built in memory.
+    pub fn format_version(&self) -> u32 {
+        self.format_version
+    }
+
+    /// Wall-clock milliseconds [`GksIndex::load`] took (0 for in-memory
+    /// builds). Measured here rather than by callers so the server's
+    /// metrics never need raw timing outside the index crate.
+    pub fn open_millis(&self) -> u64 {
+        self.open_millis
+    }
+
+    /// Bytes of index file served straight off a kernel memory map (0 for an
+    /// index built in memory, whose encoded runs sit in an owned buffer).
+    pub fn bytes_mapped(&self) -> u64 {
+        self.inverted.bytes_mapped()
+    }
+
+    /// Posting runs decoded so far — 0 right after a build or an open, grows
+    /// as queries touch terms.
+    pub fn decoded_terms(&self) -> usize {
+        self.inverted.decoded_terms()
+    }
+
+    // ----- test-only mutators for the doctor's corrupted-index fixtures -----
+
+    #[cfg(test)]
+    pub(crate) fn set_inverted(&mut self, inverted: PostingStore) {
+        self.inverted = inverted;
+    }
+
+    #[cfg(test)]
+    pub(crate) fn node_table_mut(&mut self) -> &mut NodeTable {
+        &mut self.node_table
+    }
+
+    #[cfg(test)]
+    pub(crate) fn attrs_mut(&mut self) -> &mut AttrStore {
+        &mut self.attrs
+    }
+
+    #[cfg(test)]
+    pub(crate) fn stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
+    }
+
+    /// Crate-internal constructor, for a finished build and for the
+    /// persistence layer.
+    pub(crate) fn from_parts(
+        options: IndexOptions,
+        node_table: NodeTable,
+        inverted: PostingStore,
+        attrs: AttrStore,
+        stats: IndexStats,
+        doc_names: Vec<String>,
+    ) -> GksIndex {
         let analyzer = Analyzer::new(options.analyzer_options());
         GksIndex {
             options,
             analyzer,
-            node_table: NodeTable::new(),
-            inverted: PostingsReader::Heap(InvertedIndex::new()),
-            attrs: AttrStore::new(),
-            stats: IndexStats::default(),
-            doc_names: Vec::new(),
+            node_table,
+            inverted,
+            attrs,
+            stats,
+            doc_names,
             format_version: 0,
             open_millis: 0,
         }
     }
 
-    fn finish(&mut self, start: Instant) {
-        self.inverted.heap_mut().finalize();
-        self.attrs.seal();
-        self.stats.distinct_terms = self.inverted.term_count() as u64;
-        self.stats.total_postings = self.inverted.total_postings() as u64;
-        self.stats.posting_depth_sum = self
-            .inverted
-            .iter()
-            .flat_map(|(_, list)| list.iter())
-            .map(|d| d.depth() as u64)
-            .sum();
-        self.stats.build_millis = start.elapsed().as_millis() as u64;
+    /// Records where this index came from (persistence layer).
+    pub(crate) fn set_open_info(&mut self, format_version: u32, open_millis: u64) {
+        self.format_version = format_version;
+        self.open_millis = open_millis;
+    }
+}
+
+/// An index under construction: the tables a build fills, plus the posting
+/// accumulator that [`IndexBuilder::finish`] encodes. Private, so the only
+/// way to make a [`GksIndex`] outside [`crate::persist`] is to finish a
+/// build.
+struct IndexBuilder {
+    options: IndexOptions,
+    analyzer: Analyzer,
+    node_table: NodeTable,
+    inverted: InvertedIndex,
+    attrs: AttrStore,
+    stats: IndexStats,
+    doc_names: Vec<String>,
+}
+
+impl IndexBuilder {
+    fn new(options: IndexOptions) -> IndexBuilder {
+        let analyzer = Analyzer::new(options.analyzer_options());
+        IndexBuilder {
+            options,
+            analyzer,
+            node_table: NodeTable::new(),
+            inverted: InvertedIndex::default(),
+            attrs: AttrStore::new(),
+            stats: IndexStats::default(),
+            doc_names: Vec::new(),
+        }
+    }
+
+    /// Ends the build: encodes the accumulated postings as blocked runs and
+    /// opens them as the index's [`PostingStore`].
+    fn finish(self, start: Instant) -> Result<GksIndex, IndexError> {
+        let IndexBuilder { options, node_table, inverted, mut attrs, mut stats, doc_names, .. } =
+            self;
+        attrs.seal();
+        let inverted = inverted.finish()?.open(&mut stats)?;
+        stats.build_millis = start.elapsed().as_millis() as u64;
+        let index = GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names);
         // Debug builds audit every freshly built index so the doctor's
         // invariants are exercised by the whole test suite for free.
         #[cfg(debug_assertions)]
         {
-            let violations = crate::doctor::check(self);
+            let violations = crate::doctor::check(&index);
             debug_assert!(
                 violations.is_empty(),
                 "index doctor found violations in a fresh build: {violations:?}"
             );
         }
+        Ok(index)
     }
 
     /// Streams one document into the index.
@@ -276,9 +413,8 @@ impl GksIndex {
                         // their local part.
                         let local = tag.rsplit(':').next().unwrap_or(tag);
                         if let Some(term) = self.analyzer.normalize_term(local) {
-                            let inv = self.inverted.heap_mut();
-                            let tid = inv.term_id(&term);
-                            inv.push(tid, dewey.clone());
+                            let tid = self.inverted.term_id(&term);
+                            self.inverted.push(tid, dewey.clone());
                         }
                     }
                     let mut frame = OpenFrame {
@@ -305,10 +441,9 @@ impl GksIndex {
                     // for attribute nodes at candidate-generation time.
                     terms_buf.clear();
                     self.analyzer.analyze_into(&text, &mut terms_buf);
-                    let inv = self.inverted.heap_mut();
                     for term in &terms_buf {
-                        let tid = inv.term_id(term);
-                        inv.push(tid, frame.dewey.clone());
+                        let tid = self.inverted.term_id(term);
+                        self.inverted.push(tid, frame.dewey.clone());
                     }
                     if !text.trim().is_empty() {
                         if frame.has_text {
@@ -342,17 +477,15 @@ impl GksIndex {
         if self.options.index_element_names {
             let local = attr_name.rsplit(':').next().unwrap_or(attr_name);
             if let Some(term) = self.analyzer.normalize_term(local) {
-                let inv = self.inverted.heap_mut();
-                let tid = inv.term_id(&term);
-                inv.push(tid, dewey.clone());
+                let tid = self.inverted.term_id(&term);
+                self.inverted.push(tid, dewey.clone());
             }
         }
         let mut terms = Vec::new();
         self.analyzer.analyze_into(value, &mut terms);
-        let inv = self.inverted.heap_mut();
         for term in &terms {
-            let tid = inv.term_id(term);
-            inv.push(tid, dewey.clone());
+            let tid = self.inverted.term_id(term);
+            self.inverted.push(tid, dewey.clone());
         }
         self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
         frame.children.push(ChildInfo {
@@ -487,9 +620,9 @@ impl GksIndex {
         self.node_table.insert(dewey, meta);
     }
 
-    /// Merges another index (built over disjoint, higher document ids) into
-    /// this one. Label and term ids are remapped.
-    fn merge(&mut self, other: GksIndex) {
+    /// Merges another builder (over disjoint, higher document ids) into this
+    /// one. Label and term ids are remapped.
+    fn merge(&mut self, other: IndexBuilder) {
         // Remap labels.
         let label_map: Vec<u32> = other
             .node_table
@@ -503,156 +636,9 @@ impl GksIndex {
                 .insert(dewey.clone(), NodeMeta { label: label_map[meta.label as usize], ..*meta });
         }
         self.attrs.merge(&other.attrs, &label_map);
-        let inv = self.inverted.heap_mut();
-        for (term, list) in other.inverted.iter() {
-            let tid = inv.term_id(term);
-            for id in list {
-                inv.push(tid, id.clone());
-            }
-        }
+        self.inverted.absorb(other.inverted);
         self.stats.merge(&other.stats);
         self.doc_names.extend(other.doc_names);
-    }
-
-    // ----- accessors used by the search engine -----
-
-    /// The options the index was built with.
-    pub fn options(&self) -> &IndexOptions {
-        &self.options
-    }
-
-    /// The analyzer matching the index's normalization (use it on query
-    /// keywords).
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
-    /// Inverted-index lookup: the document-ordered posting list `S_i` of a
-    /// normalized term. On a mapped index this decodes the
-    /// term's blocked run on first access and caches it.
-    pub fn postings(&self, term: &str) -> &[DeweyId] {
-        self.inverted.postings(term)
-    }
-
-    /// Posting-list length for a term without forcing a decode: heap indexes
-    /// read the list length, mapped indexes the dictionary's stored count.
-    /// Always equals `self.postings(term).len()`.
-    pub fn posting_count(&self, term: &str) -> usize {
-        self.inverted.posting_count(term)
-    }
-
-    /// The posting list with documents in the sorted `dead` list masked out,
-    /// plus the exact number of postings dropped. On a mapped index whose
-    /// run is still cold, blocks lying entirely within dead documents are
-    /// skipped without decoding.
-    pub fn postings_masked(&self, term: &str, dead: &[u32]) -> (Vec<DeweyId>, u64) {
-        self.inverted.postings_masked(term, dead)
-    }
-
-    /// The node table (`entityHash` + `elementHash`).
-    pub fn node_table(&self) -> &NodeTable {
-        &self.node_table
-    }
-
-    /// The per-entity attribute store.
-    pub fn attr_store(&self) -> &AttrStore {
-        &self.attrs
-    }
-
-    /// Build statistics (Tables 4 and 5).
-    pub fn stats(&self) -> &IndexStats {
-        &self.stats
-    }
-
-    /// Name of an indexed document.
-    pub fn doc_name(&self, doc: DocId) -> Option<&str> {
-        self.doc_names.get(doc.0 as usize).map(String::as_str)
-    }
-
-    /// Document names in id order.
-    pub fn doc_names(&self) -> &[String] {
-        &self.doc_names
-    }
-
-    /// The posting-list reader (persistence and diagnostics).
-    pub fn inverted(&self) -> &PostingsReader {
-        &self.inverted
-    }
-
-    /// On-disk version number of the file this index was loaded from, 0 for
-    /// an index built in memory.
-    pub fn format_version(&self) -> u32 {
-        self.format_version
-    }
-
-    /// Wall-clock milliseconds [`GksIndex::load`] took (0 for in-memory
-    /// builds). Measured here rather than by callers so the server's
-    /// metrics never need raw timing outside the index crate.
-    pub fn open_millis(&self) -> u64 {
-        self.open_millis
-    }
-
-    /// Bytes of index file served straight off a kernel memory map (0 for
-    /// heap-resident indexes).
-    pub fn bytes_mapped(&self) -> u64 {
-        self.inverted.bytes_mapped()
-    }
-
-    /// Posting runs decoded so far — 0 right after an open, grows as
-    /// queries touch terms.
-    pub fn decoded_terms(&self) -> usize {
-        self.inverted.decoded_terms()
-    }
-
-    // ----- test-only mutators for the doctor's corrupted-index fixtures -----
-
-    #[cfg(test)]
-    pub(crate) fn inverted_mut(&mut self) -> &mut PostingsReader {
-        &mut self.inverted
-    }
-
-    #[cfg(test)]
-    pub(crate) fn node_table_mut(&mut self) -> &mut NodeTable {
-        &mut self.node_table
-    }
-
-    #[cfg(test)]
-    pub(crate) fn attrs_mut(&mut self) -> &mut AttrStore {
-        &mut self.attrs
-    }
-
-    #[cfg(test)]
-    pub(crate) fn stats_mut(&mut self) -> &mut IndexStats {
-        &mut self.stats
-    }
-
-    /// Crate-internal constructor for the persistence layer.
-    pub(crate) fn from_parts(
-        options: IndexOptions,
-        node_table: NodeTable,
-        inverted: PostingsReader,
-        attrs: AttrStore,
-        stats: IndexStats,
-        doc_names: Vec<String>,
-    ) -> GksIndex {
-        let analyzer = Analyzer::new(options.analyzer_options());
-        GksIndex {
-            options,
-            analyzer,
-            node_table,
-            inverted,
-            attrs,
-            stats,
-            doc_names,
-            format_version: 0,
-            open_millis: 0,
-        }
-    }
-
-    /// Records where this index came from (persistence layer).
-    pub(crate) fn set_open_info(&mut self, format_version: u32, open_millis: u64) {
-        self.format_version = format_version;
-        self.open_millis = open_millis;
     }
 }
 
@@ -913,6 +899,7 @@ mod tests {
         assert_eq!(seq.inverted().term_count(), par.inverted().term_count());
         for (term, list) in seq.inverted().iter() {
             assert_eq!(par.postings(term), list, "postings for {term}");
+            assert_eq!(par.posting_count(term), list.len(), "count for {term}");
         }
         assert_eq!(seq.node_table().len(), par.node_table().len());
         for (dewey, meta) in seq.node_table().iter() {
@@ -931,34 +918,40 @@ mod tests {
     }
 
     #[test]
-    fn append_equals_building_the_concatenated_corpus() {
-        let part1 = Corpus::from_named_strs([("a", FIG2A)]).unwrap();
-        let part2 =
-            Corpus::from_named_strs([("b", "<r><x>alpha</x><x>beta</x></r>"), ("c", FIG2A)])
-                .unwrap();
-        let mut incremental = GksIndex::build(&part1, IndexOptions::default()).unwrap();
-        incremental.append(&part2).unwrap();
+    fn a_fresh_build_holds_encoded_runs_only() {
+        let ix = build_fig2a();
+        assert_eq!(ix.decoded_terms(), 0, "a build decodes no run, the debug audit included");
+        assert_eq!(ix.inverted().resident_bytes(), 0);
+        assert_eq!(ix.bytes_mapped(), 0, "the runs sit in an owned buffer, not a map");
+        assert_eq!(ix.postings("karen").len(), 3);
+        assert_eq!(ix.decoded_terms(), 1, "a query decodes the terms it touches");
+    }
 
-        let mut all = Corpus::new();
-        all.push("a", FIG2A);
-        all.push("b", "<r><x>alpha</x><x>beta</x></r>");
-        all.push("c", FIG2A);
-        let oneshot = GksIndex::build(&all, IndexOptions::default()).unwrap();
-
-        assert_eq!(incremental.doc_names(), oneshot.doc_names());
-        assert_eq!(incremental.stats().total_nodes, oneshot.stats().total_nodes);
-        assert_eq!(incremental.stats().census, oneshot.stats().census);
-        for (term, list) in oneshot.inverted().iter() {
-            assert_eq!(incremental.postings(term), list, "postings for {term}");
+    #[test]
+    fn masking_agrees_before_and_after_a_terms_first_decode() {
+        // "zebra" lives in document 0 alone, so masking that document skips
+        // its whole block off the skip table; "alpha" spans documents, so
+        // its run decodes into the slot.
+        let corpus = Corpus::from_named_strs([
+            ("a", "<r><x>alpha</x><x>zebra</x></r>"),
+            ("b", FIG2A),
+            ("c", "<r><y>alpha</y></r>"),
+        ])
+        .unwrap();
+        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        assert_eq!(ix.postings_masked("zebra", &[0]), (Vec::new(), 1));
+        assert_eq!(ix.decoded_terms(), 0, "a skipped block is not decoded");
+        let terms: Vec<String> = ix.inverted().iter().map(|(t, _)| t.to_string()).collect();
+        let fresh = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        for term in &terms {
+            let cold = fresh.postings_masked(term, &[0]);
+            let all = fresh.postings(term);
+            let survivors: Vec<DeweyId> =
+                all.iter().filter(|d| d.doc() != DocId(0)).cloned().collect();
+            assert_eq!(cold.1 as usize, all.len() - survivors.len(), "masked tally for {term}");
+            assert_eq!(cold.0, survivors, "cold mask for {term}");
+            assert_eq!(fresh.postings_masked(term, &[0]), cold, "cached mask for {term}");
         }
-        assert_eq!(incremental.node_table().len(), oneshot.node_table().len());
-        // The append re-opened a sealed store: it must have found the values
-        // and paths already interned rather than storing them again.
-        assert_eq!(resolved_attrs(&incremental), resolved_attrs(&oneshot));
-        let (inc, one) = (incremental.attr_store(), oneshot.attr_store());
-        assert_eq!(inc.values().len(), one.values().len());
-        assert_eq!(inc.norms().len(), one.norms().len());
-        assert_eq!(inc.paths().len(), one.paths().len());
     }
 
     #[test]

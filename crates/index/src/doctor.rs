@@ -98,16 +98,16 @@ pub enum Violation {
         /// The raw value whose norm is wrong.
         value: String,
     },
-    /// A mapped posting run failed to decode (the open-path checksum
-    /// covers only the header and footer, so block corruption surfaces
-    /// lazily; the doctor forces every run and reports the first failure).
+    /// A posting run failed to decode (the open-path checksum covers only
+    /// the header and footer, so block corruption surfaces lazily; the
+    /// doctor decodes every run and reports the first failure).
     PostingsCorrupt {
         /// Decoder error description.
         detail: String,
     },
     /// A term's dictionary posting count disagrees with its decoded run
-    /// (a mapped index serves counts straight from the dictionary, so a
-    /// mismatch would skew cost accounting and scoring).
+    /// (counts are served straight from the dictionary, so a mismatch would
+    /// skew cost accounting and scoring).
     PostingCountMismatch {
         /// The term whose count is broken.
         term: String,
@@ -184,17 +184,24 @@ pub fn check(index: &GksIndex) -> Vec<Violation> {
 /// the Dewey id of all the nodes which contain that keyword", document-
 /// ordered and deduplicated), and every posting must resolve in the node
 /// table. One violation per broken list keeps reports readable.
+///
+/// Each run is decoded into a local and dropped: the audit of a live index
+/// leaves its posting slots as it found them.
 fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
-    for (term, list) in index.inverted().iter() {
+    let mut corrupt = None;
+    for (slot, (term, in_dict, run)) in index.inverted().audit().enumerate() {
+        let list = run.unwrap_or_else(|e| {
+            corrupt.get_or_insert(format!("posting run for term #{slot} failed to decode: {e}"));
+            Vec::new()
+        });
         if let Some(pos) = list.windows(2).position(|w| w[0] >= w[1]) {
             out.push(Violation::UnsortedPostings { term: term.to_string(), position: pos + 1 });
         }
         if let Some(node) = list.iter().find(|id| index.node_table().get(id).is_none()) {
             out.push(Violation::PostingUnknownNode { term: term.to_string(), node: node.clone() });
         }
-        // A mapped index serves counts from the term dictionary without
-        // decoding; the audit forces the decode and cross-checks the two.
-        let in_dict = index.posting_count(term);
+        // Queries read counts from the term dictionary without decoding;
+        // the audit cross-checks them against the decoded runs.
         if in_dict != list.len() {
             out.push(Violation::PostingCountMismatch {
                 term: term.to_string(),
@@ -203,10 +210,8 @@ fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
             });
         }
     }
-    // Iterating above forced every mapped run through its decoder; report
-    // any block-level corruption it surfaced.
-    if let Some(detail) = index.inverted().corrupt() {
-        out.push(Violation::PostingsCorrupt { detail: detail.to_string() });
+    if let Some(detail) = corrupt {
+        out.push(Violation::PostingsCorrupt { detail });
     }
 }
 
@@ -309,7 +314,18 @@ mod tests {
     use crate::corpus::Corpus;
     use crate::node_table::NodeMeta;
     use crate::options::IndexOptions;
+    use crate::postings::PostingStore;
+    use bytes::Mmap;
     use gks_dewey::{DeweyId, DocId};
+    use std::sync::Arc;
+
+    /// Rewrites one term's posting list and re-encodes the store as handed.
+    fn tamper(ix: &mut GksIndex, term: &str, edit: impl FnOnce(&mut Vec<DeweyId>)) {
+        let mut lists: Vec<(String, Vec<DeweyId>)> =
+            ix.inverted().iter().map(|(t, list)| (t.to_string(), list.to_vec())).collect();
+        edit(&mut lists.iter_mut().find(|(t, _)| t == term).unwrap().1);
+        ix.set_inverted(PostingStore::from_raw_lists(&lists).unwrap());
+    }
 
     fn build() -> GksIndex {
         let xml = "<Area><Name>DB</Name><Courses>\
@@ -332,8 +348,7 @@ mod tests {
     fn detects_unsorted_posting_list() {
         let mut ix = build();
         // Corrupt the "karen" list by swapping its (two) postings.
-        let tid = ix.inverted_mut().heap_mut().term_id("karen");
-        ix.inverted_mut().heap_mut().list_mut(tid).reverse();
+        tamper(&mut ix, "karen", |list| list.reverse());
         let violations = ix.doctor();
         assert!(
             violations.iter().any(|v| matches!(
@@ -342,6 +357,24 @@ mod tests {
             )),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn auditing_an_opened_index_decodes_into_no_slot() {
+        let mut ix = build();
+        tamper(&mut ix, "karen", |list| list.reverse());
+        let bytes = ix.to_bytes_v3().unwrap().to_vec();
+        let reopened = GksIndex::from_mapped(Arc::new(Mmap::from(bytes))).unwrap();
+        let violations = reopened.doctor();
+        assert_eq!(
+            violations,
+            vec![Violation::UnsortedPostings { term: "karen".into(), position: 1 }]
+        );
+        assert_eq!(violations, ix.doctor());
+        for index in [&reopened, &ix] {
+            assert_eq!(index.decoded_terms(), 0, "the audit must leave every run cold");
+            assert_eq!(index.inverted().resident_bytes(), 0);
+        }
     }
 
     #[test]
@@ -392,9 +425,8 @@ mod tests {
     #[test]
     fn detects_dangling_posting_and_bad_attr_entry() {
         let mut ix = build();
-        let tid = ix.inverted_mut().heap_mut().term_id("karen");
         // A posting beyond every real node, appended in order.
-        ix.inverted_mut().heap_mut().list_mut(tid).push(DeweyId::new(DocId(7), vec![1]));
+        tamper(&mut ix, "karen", |list| list.push(DeweyId::new(DocId(7), vec![1])));
         let entity = DeweyId::new(DocId(0), vec![5, 5]);
         let analyzer = ix.analyzer().clone();
         let attrs = ix.attrs_mut();

@@ -50,7 +50,7 @@ pub use error::IndexError;
 pub use node_table::{NodeMeta, NodeTable};
 pub use options::IndexOptions;
 pub use persist::{section_sizes, IndexFormat, SectionSizes};
-pub use postings::{InvertedIndex, MappedPostings, PostingsReader};
+pub use postings::PostingStore;
 pub use schema::{PathStats, SchemaSummary};
 pub use shard::{
     split_corpus, DocEntry, ShardEntry, ShardKind, ShardManifest, ShardView, Tombstone, DEAD_DOC,

@@ -7,15 +7,18 @@
 //! One layout: eager sections for options, document names, labels, node
 //! table, attribute store and stats (strings are length-prefixed UTF-8,
 //! integers LEB128 varints, the node table a delta-prefix Dewey run),
-//! followed by a **sorted term dictionary** (term bytes + posting-run
-//! offset/count per term), a fixed-width offset table for binary search
-//! straight off the file, and a postings region of blocked delta-prefix runs
-//! ([`gks_dewey::codec::encode_blocked_run`]). A fixed footer carries the
-//! section offsets and an FNV-64 checksum over the header and footer
-//! metadata. Loading `mmap`s the file, validates the header/footer and
-//! dictionary, and hands the engine lazily-decoded posting cursors — posting
-//! blocks are never read at open, and the map stays alive inside
-//! [`crate::postings::MappedPostings`].
+//! followed by the posting tier exactly as the index's
+//! [`PostingStore`](crate::postings::PostingStore) holds it: a **sorted term
+//! dictionary** (term bytes + posting-run offset/count per term), a
+//! fixed-width offset table for binary search straight off the file, and a
+//! postings region of blocked delta-prefix runs
+//! ([`gks_dewey::codec::encode_blocked_run`]). Saving copies that tier
+//! verbatim — no run is decoded or re-encoded, whether the index was built
+//! or opened. A fixed footer carries the section offsets and an FNV-64
+//! checksum over the header and footer metadata. Loading `mmap`s the file,
+//! validates the header/footer and dictionary, and hands the engine
+//! lazily-decoded posting cursors — posting blocks are never read at open,
+//! and the map stays alive inside the store.
 //!
 //! The version number in the header moves whenever a section changes shape,
 //! and a file carrying any other number is refused with
@@ -28,8 +31,7 @@ use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut, Mmap};
 use gks_dewey::codec::{
-    decode_id, decode_sorted_run, encode_blocked_run, encode_id, encode_sorted_run, read_varint,
-    write_varint,
+    decode_id, decode_sorted_run, encode_id, encode_sorted_run, read_varint, write_varint,
 };
 use gks_dewey::DeweyId;
 use gks_text::AnalyzerOptions;
@@ -40,7 +42,7 @@ use crate::categorize::NodeFlags;
 use crate::error::IndexError;
 use crate::node_table::{NodeMeta, NodeTable};
 use crate::options::IndexOptions;
-use crate::postings::{MappedPostings, PostingsReader, TermEntry};
+use crate::postings::{PostingStore, Tier};
 use crate::stats::{CategoryCensus, IndexStats};
 
 const MAGIC: &[u8; 5] = b"GKSIX";
@@ -356,8 +358,12 @@ fn write_stats(out: &mut BytesMut, ix: &GksIndex) {
     write_varint(out, s.doc_count);
     write_varint(out, s.total_nodes);
     write_census(out, &s.census);
-    write_varint(out, s.per_label.len() as u64);
-    for (label, census) in &s.per_label {
+    // Sorted, not hash-map order (which depends on insertion history): an
+    // index reopened from these bytes writes the same bytes again.
+    let mut per_label: Vec<_> = s.per_label.iter().collect();
+    per_label.sort_unstable_by_key(|(label, _)| label.as_str());
+    write_varint(out, per_label.len() as u64);
+    for (label, census) in per_label {
         write_str(out, label);
         write_census(out, census);
     }
@@ -452,13 +458,11 @@ fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
 }
 
 impl GksIndex {
-    /// Serializes the index: eager sections, then the sorted term
-    /// dictionary, its offset table, the blocked postings region, and the
-    /// checksummed footer. (The `_v3` suffix is the name the frozen `perf/`
-    /// benchmark calls.)
-    ///
-    /// Errors only if the term dictionary outgrows the fixed-width `u32`
-    /// offset table (4GiB of term records — far past any real corpus).
+    /// Serializes the index: eager sections, then the posting tier (sorted
+    /// term dictionary, its offset table, the blocked postings region)
+    /// copied verbatim from the store, and the checksummed footer. (The
+    /// `_v3` suffix is the name the frozen `perf/` benchmark calls, and the
+    /// `Result` the type it unwraps; nothing here fails.)
     pub fn to_bytes_v3(&self) -> Result<Bytes, IndexError> {
         let mut out = BytesMut::new();
         out.put_slice(MAGIC);
@@ -477,34 +481,10 @@ impl GksIndex {
         let stat_off = out.len() as u64;
         write_stats(&mut out, self);
 
-        // Dictionary sorted by term bytes, postings as blocked runs packed
-        // tightly in dictionary order. Each record stores only the term,
-        // the run's start offset, and its posting count: the run's byte
-        // length is the gap to the next record's start (or the region
-        // end), and the run itself carries no framing of its own.
-        let mut terms: Vec<(&str, &[DeweyId])> = self.inverted().iter().collect();
-        terms.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-        let mut post_buf: Vec<u8> = Vec::new();
-        let mut dict_buf = BytesMut::new();
-        let mut rec_offsets: Vec<u32> = Vec::with_capacity(terms.len());
-        for (term, list) in &terms {
-            let run_start = post_buf.len() as u64;
-            encode_blocked_run(list, &mut post_buf);
-            let rec = u32::try_from(dict_buf.len())
-                .map_err(|_| IndexError::Invariant("term dictionary exceeds 4GiB"))?;
-            rec_offsets.push(rec);
-            write_str(&mut dict_buf, term);
-            write_varint(&mut dict_buf, run_start);
-            write_varint(&mut dict_buf, list.len() as u64);
-        }
+        let (tier, offs, post) = self.inverted().tier_bytes();
         let dict_off = out.len() as u64;
-        out.put_slice(dict_buf.as_ref());
-        let offs_off = out.len() as u64;
-        for rec in &rec_offsets {
-            out.put_u32(*rec);
-        }
-        let post_off = out.len() as u64;
-        out.put_slice(&post_buf);
+        out.put_slice(tier);
+        let (offs_off, post_off) = (dict_off + offs as u64, dict_off + post as u64);
 
         // Footer: offsets + term count + file length, checksummed together
         // with the header so a truncated or resected file fails fast at
@@ -513,7 +493,7 @@ impl GksIndex {
         for v in [doc_off, lab_off, node_off, attr_off, stat_off, dict_off, offs_off, post_off] {
             footer.put_u64(v);
         }
-        footer.put_u64(terms.len() as u64);
+        footer.put_u64(self.inverted().term_count() as u64);
         footer.put_u64(out.len() as u64 + FOOTER_LEN as u64);
         let checksum = fnv64(&[&out.as_ref()[..header_len], footer.as_ref()]);
         footer.put_u64(checksum);
@@ -538,92 +518,14 @@ impl GksIndex {
         let attrs = read_attrs(&mut section(attr_off, stat_off), node_table.labels().len())?;
         let stats = read_stats(&mut section(stat_off, dict_off))?;
 
-        // Term dictionary: fixed-width u32 offset table into varint
-        // records of (term, run start, posting count). Runs are packed
-        // tightly in dictionary order, so each run's byte length is the
-        // gap to the next record's run start; the final run ends at the
-        // posting region's end.
-        let term_count = term_count as usize;
-        if term_count.checked_mul(4) != Some((post_off - offs_off) as usize) {
-            return Err(IndexError::Corrupt("term offset table length mismatch".into()));
-        }
-        if stats.distinct_terms != term_count as u64 {
-            return Err(IndexError::Corrupt("term count disagrees with stats".into()));
-        }
-        let dict = section(dict_off, offs_off);
-        let post_section_len = footer_off - post_off as usize;
-        let mut offs_cur = section(offs_off, post_off);
-        let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count.min(1 << 20));
-        let mut total: u64 = 0;
-        let mut prev_term: Option<(usize, usize)> = None;
-        for _ in 0..term_count {
-            let rec_off = offs_cur.get_u32() as usize;
-            if rec_off >= dict.len() {
-                return Err(IndexError::Corrupt("term record offset out of range".into()));
-            }
-            let mut cur = &dict[rec_off..];
-            let before = cur.len();
-            let term_len = read_varint(&mut cur)? as usize;
-            let len_bytes = before - cur.len();
-            if cur.len() < term_len {
-                return Err(IndexError::Corrupt("truncated term".into()));
-            }
-            let term_start = dict_off as usize + rec_off + len_bytes;
-            let term_bytes = &cur[..term_len];
-            if std::str::from_utf8(term_bytes).is_err() {
-                return Err(IndexError::Corrupt("invalid UTF-8 in term".into()));
-            }
-            if let Some((ps, pl)) = prev_term {
-                if &bytes[ps..ps + pl] >= term_bytes {
-                    return Err(IndexError::Corrupt("term dictionary not sorted".into()));
-                }
-            }
-            prev_term = Some((term_start, term_len));
-            cur = &cur[term_len..];
-            let run_start = read_varint(&mut cur)? as usize;
-            let count = read_varint(&mut cur)? as usize;
-            if run_start > post_section_len {
-                return Err(IndexError::Corrupt("posting run out of range".into()));
-            }
-            if let Some(prev) = terms.last_mut() {
-                let prev: &mut TermEntry = prev;
-                let prev_start = prev.post_start - post_off as usize;
-                if run_start < prev_start {
-                    return Err(IndexError::Corrupt("posting runs out of order".into()));
-                }
-                prev.post_len = run_start - prev_start;
-            } else if run_start != 0 {
-                return Err(IndexError::Corrupt("first posting run not at offset 0".into()));
-            }
-            total += count as u64;
-            terms.push(TermEntry {
-                term_start,
-                term_len,
-                post_start: post_off as usize + run_start,
-                post_len: 0, // patched when the next record pins the run's end
-                count,
-            });
-        }
-        if let Some(last) = terms.last_mut() {
-            let last_start = last.post_start - post_off as usize;
-            last.post_len = post_section_len - last_start;
-        }
-        if terms.iter().any(|t| (t.count == 0) != (t.post_len == 0)) {
-            return Err(IndexError::Corrupt("empty run disagrees with its count".into()));
-        }
-        if total != stats.total_postings {
-            return Err(IndexError::Corrupt("posting counts disagree with stats".into()));
-        }
-
-        let mapped = MappedPostings::from_parts(map, terms);
-        Ok(GksIndex::from_parts(
-            options,
-            node_table,
-            PostingsReader::Mapped(mapped),
-            attrs,
-            stats,
-            doc_names,
-        ))
+        let tier = Tier {
+            dict: dict_off as usize,
+            offs: offs_off as usize,
+            post: post_off as usize,
+            end: footer_off,
+        };
+        let inverted = PostingStore::open(map, tier, term_count, &stats)?;
+        Ok(GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names))
     }
 
     /// Writes the index to a file. Survives only because the frozen `perf/`
@@ -976,14 +878,23 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A heap `InvertedIndex` reader (the fresh build) and a `MappedPostings`
-    /// reader (the same index reopened) answer every posting query alike.
+    /// Re-serialising an opened index copies its posting tier: the bytes
+    /// come back as written, and no run was decoded to produce them.
+    #[test]
+    fn an_opened_index_serializes_to_the_bytes_it_was_opened_from() {
+        let bytes = sample_index().to_bytes_v3().unwrap();
+        let reopened = open_bytes(&bytes).unwrap();
+        assert_eq!(reopened.to_bytes_v3().unwrap(), bytes);
+        assert_eq!(reopened.decoded_terms(), 0, "serializing must not decode postings");
+    }
+
+    /// A fresh build and the same index reopened (node table, attribute
+    /// store and tier all decoded from bytes) answer every posting query
+    /// alike.
     #[test]
     fn built_and_reopened_search_surfaces_agree() {
         let built = sample_index();
         let reopened = open_bytes(&built.to_bytes_v3().unwrap()).unwrap();
-        assert!(matches!(built.inverted(), PostingsReader::Heap(_)));
-        assert!(matches!(reopened.inverted(), PostingsReader::Mapped(_)));
         for (term, _) in built.inverted().iter() {
             assert_eq!(built.postings(term), reopened.postings(term), "postings for {term}");
             assert_eq!(built.posting_count(term), reopened.posting_count(term));

@@ -7,33 +7,39 @@
 //! tag-name keywords); the §2.1.1 rule that an attribute node's parent is the
 //! lowest meaningful ancestor is applied at candidate-generation time by the
 //! search engine, which promotes attribute-node candidates to their parents.
+//!
+//! There is one store, [`PostingStore`]: a sorted term dictionary, a
+//! fixed-width offset table and the blocked runs
+//! ([`gks_dewey::codec::encode_blocked_run`]), laid out as in a `.gksix`
+//! file. An opened index reads that tier off its mapped file; a built one
+//! off an owned buffer the builder's [`InvertedIndex`] accumulator encoded.
+//! Either way a run stays encoded until a query first touches its term.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::Mmap;
-use gks_dewey::codec::BlockedRunReader;
+use bytes::{Buf, BufMut, Mmap};
+use gks_dewey::codec::{
+    encode_blocked_run, read_varint, write_varint, BlockedRunReader, DecodeError,
+};
 use gks_dewey::DeweyId;
 
+use crate::error::IndexError;
 use crate::fasthash::FastMap;
+use crate::stats::IndexStats;
 
-/// Inverted index from normalized terms to document-ordered posting lists.
-#[derive(Debug, Default, Clone)]
-pub struct InvertedIndex {
+/// Build-time accumulator of posting lists, by interned term. It does not
+/// outlive the build: [`Self::finish`] turns it into an [`EncodedTier`].
+#[derive(Debug, Default)]
+pub(crate) struct InvertedIndex {
     term_ids: FastMap<String, u32>,
     terms: Vec<String>,
     lists: Vec<Vec<DeweyId>>,
-    finalized: bool,
 }
 
 impl InvertedIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        InvertedIndex::default()
-    }
-
     /// Interns `term` and returns its id.
-    pub fn term_id(&mut self, term: &str) -> u32 {
+    pub(crate) fn term_id(&mut self, term: &str) -> u32 {
         if let Some(&id) = self.term_ids.get(term) {
             return id;
         }
@@ -45,73 +51,39 @@ impl InvertedIndex {
     }
 
     /// Appends a posting for `term_id`. Postings may arrive out of order and
-    /// with duplicates; [`Self::finalize`] sorts and dedups.
-    pub fn push(&mut self, term_id: u32, id: DeweyId) {
+    /// with duplicates; [`Self::finish`] sorts and dedups.
+    pub(crate) fn push(&mut self, term_id: u32, id: DeweyId) {
         self.lists[term_id as usize].push(id);
-        self.finalized = false;
     }
 
-    /// Sorts every list into document order and removes duplicate postings
-    /// (a node contains a keyword once no matter how many times the keyword
-    /// occurs in one text value).
-    pub fn finalize(&mut self) {
-        for list in &mut self.lists {
+    /// Moves every posting of `other` in (parallel builds merge their
+    /// workers' accumulators).
+    pub(crate) fn absorb(&mut self, other: InvertedIndex) {
+        for (term, list) in other.terms.iter().zip(other.lists) {
+            let tid = self.term_id(term);
+            self.lists[tid as usize].extend(list);
+        }
+    }
+
+    /// Sorts every list into document order, removes duplicate postings (a
+    /// node contains a keyword once no matter how many times the keyword
+    /// occurs in one text value) and encodes the lists, in term-byte order,
+    /// as one posting tier. Each list is freed as soon as it is encoded.
+    ///
+    /// Errors only if the term dictionary outgrows the fixed-width `u32`
+    /// offset table (4GiB of term records — far past any real corpus).
+    pub(crate) fn finish(self) -> Result<EncodedTier, IndexError> {
+        let InvertedIndex { terms, mut lists, .. } = self;
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+        order.sort_unstable_by(|&a, &b| terms[a].as_bytes().cmp(terms[b].as_bytes()));
+        let mut tier = EncodedTier::default();
+        for i in order {
+            let mut list = std::mem::take(&mut lists[i]);
             list.sort_unstable();
             list.dedup();
-            list.shrink_to_fit();
+            tier.push(&terms[i], &list)?;
         }
-        self.finalized = true;
-    }
-
-    /// The posting list for a term, by name. Empty slice for unknown terms.
-    pub fn postings(&self, term: &str) -> &[DeweyId] {
-        debug_assert!(self.finalized, "postings() before finalize()");
-        match self.term_ids.get(term) {
-            Some(&id) => &self.lists[id as usize],
-            None => &[],
-        }
-    }
-
-    /// Whether the term occurs anywhere in the corpus.
-    pub fn contains_term(&self, term: &str) -> bool {
-        self.term_ids.contains_key(term)
-    }
-
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Total postings across all lists.
-    pub fn total_postings(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
-    }
-
-    /// Iterates `(term, postings)` in term-id order (for persistence).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[DeweyId])> {
-        self.terms.iter().map(String::as_str).zip(self.lists.iter().map(Vec::as_slice))
-    }
-
-    /// Mutable access to one posting list, for crate-internal corruption in
-    /// doctor tests. Deliberately not public: callers could break the
-    /// sorted-list invariant.
-    #[cfg(test)]
-    pub(crate) fn list_mut(&mut self, term_id: u32) -> &mut Vec<DeweyId> {
-        &mut self.lists[term_id as usize]
-    }
-
-    /// Bulk-loads a term with an already-sorted list (persistence path).
-    pub fn load_term(&mut self, term: String, list: Vec<DeweyId>) {
-        let id = self.terms.len() as u32;
-        self.term_ids.insert(term.clone(), id);
-        self.terms.push(term);
-        self.lists.push(list);
-        self.finalized = true;
-    }
-
-    /// Estimated heap bytes held by decoded posting lists.
-    pub fn resident_bytes(&self) -> u64 {
-        self.lists.iter().map(|l| list_bytes(l)).sum()
+        Ok(tier)
     }
 }
 
@@ -122,71 +94,226 @@ fn list_bytes(list: &[DeweyId]) -> u64 {
     (std::mem::size_of_val(list) + spilled) as u64
 }
 
-/// One term's dictionary record in a mapped index: byte ranges
-/// into the map plus the posting count from the skip header.
-#[derive(Debug, Clone)]
-pub(crate) struct TermEntry {
-    /// Absolute byte range of the UTF-8 term in the map.
-    pub term_start: usize,
-    pub term_len: usize,
-    /// Absolute byte range of the term's blocked posting run in the map.
-    pub post_start: usize,
-    pub post_len: usize,
-    /// Posting count, known without decoding the run.
-    pub count: usize,
+/// Where a posting tier sits in its backing bytes: term records in
+/// `dict..offs`, the `u32` record-offset table in `offs..post`, the blocked
+/// runs in `post..end`. Everything inside is relative to `dict` (record
+/// offsets) or `post` (run starts), so a tier can be copied anywhere.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tier {
+    pub dict: usize,
+    pub offs: usize,
+    pub post: usize,
+    pub end: usize,
 }
 
-/// Lazily-decoded posting lists over a memory-mapped index file.
+/// A posting tier being encoded: the three regions, still apart.
 ///
-/// The term dictionary (validated at open) lives as byte ranges into the
-/// map; each posting list stays encoded until the first [`Self::postings`]
-/// call, which decodes its blocked run into a per-term [`OnceLock`] slot.
-/// Opening an index therefore never touches posting blocks, and a shard only
-/// pays decode cost (and heap residency) for the terms queries actually hit.
-pub struct MappedPostings {
+/// The dictionary is sorted by term bytes and the runs are packed tightly
+/// in dictionary order. Each record stores only the term, the run's start
+/// offset, and its posting count: the run's byte length is the gap to the
+/// next record's start (or the region end), and the run itself carries no
+/// framing of its own.
+#[derive(Debug, Default)]
+pub(crate) struct EncodedTier {
+    dict: Vec<u8>,
+    rec_offsets: Vec<u32>,
+    runs: Vec<u8>,
+    postings: u64,
+    depth_sum: u64,
+}
+
+impl EncodedTier {
+    /// Encodes the next term's list as handed (the caller brings terms in
+    /// byte order).
+    fn push(&mut self, term: &str, list: &[DeweyId]) -> Result<(), IndexError> {
+        let rec = u32::try_from(self.dict.len())
+            .map_err(|_| IndexError::Invariant("term dictionary exceeds 4GiB"))?;
+        self.rec_offsets.push(rec);
+        write_varint(&mut self.dict, term.len() as u64);
+        self.dict.put_slice(term.as_bytes());
+        write_varint(&mut self.dict, self.runs.len() as u64);
+        write_varint(&mut self.dict, list.len() as u64);
+        encode_blocked_run(list, &mut self.runs);
+        self.postings += list.len() as u64;
+        self.depth_sum += list.iter().map(|d| d.depth() as u64).sum::<u64>();
+        Ok(())
+    }
+
+    /// Joins the regions into one owned `dict ‖ offsets ‖ runs` buffer,
+    /// records the tier's totals in `stats` and opens it through the parser
+    /// every opened file goes through.
+    pub(crate) fn open(self, stats: &mut IndexStats) -> Result<PostingStore, IndexError> {
+        let EncodedTier { dict: mut bytes, rec_offsets, runs, postings, depth_sum } = self;
+        let offs = bytes.len();
+        bytes.reserve_exact(rec_offsets.len() * 4 + runs.len());
+        for rec in &rec_offsets {
+            bytes.put_u32(*rec);
+        }
+        let post = bytes.len();
+        bytes.put_slice(&runs);
+        let tier = Tier { dict: 0, offs, post, end: bytes.len() };
+        stats.distinct_terms = rec_offsets.len() as u64;
+        stats.total_postings = postings;
+        stats.posting_depth_sum = depth_sum;
+        PostingStore::open(Arc::new(Mmap::from(bytes)), tier, stats.distinct_terms, stats)
+    }
+}
+
+/// One term's dictionary record: byte ranges into the backing bytes plus the
+/// posting count.
+#[derive(Debug, Clone)]
+struct TermEntry {
+    /// Absolute byte range of the UTF-8 term.
+    term_start: usize,
+    term_len: usize,
+    /// Absolute byte range of the term's blocked posting run.
+    post_start: usize,
+    post_len: usize,
+    /// Posting count, known without decoding the run.
+    count: usize,
+}
+
+/// The posting lists of an index, built or opened: a validated term
+/// dictionary over lazily-decoded blocked runs.
+///
+/// The dictionary lives as byte ranges into the backing bytes — the mapped
+/// index file, or the buffer a build encoded; each posting list stays
+/// encoded until the first [`Self::postings`] call, which decodes its
+/// blocked run into a per-term [`OnceLock`] slot. Making an index therefore
+/// never touches posting blocks, and a shard only pays decode cost (and
+/// heap residency) for the terms queries actually hit. The engine only sees
+/// `&[DeweyId]` slices borrowed from the slots; a caller that needs an
+/// owned list ([`Self::postings_masked`], the engine's per-keyword fetch)
+/// copies the ids out once — a flat copy for paths within the inline depth
+/// of [`DeweyId`], which own no heap memory.
+pub struct PostingStore {
     map: Arc<Mmap>,
+    tier: Tier,
     /// Dictionary records, sorted by term bytes for binary search.
     terms: Vec<TermEntry>,
     /// Decoded posting lists, filled on first access.
     slots: Vec<OnceLock<Vec<DeweyId>>>,
     /// Number of slots that have been decoded (posting blocks touched).
     decoded: AtomicUsize,
-    /// First lazy-decode corruption observed, if any. Decode errors yield
-    /// empty lists (the engine is panic-free past open) but are recorded
-    /// here so `doctor` can surface them.
-    corrupt: OnceLock<String>,
-    total_postings: u64,
-    /// Empty heap index handed out by [`PostingsReader::heap_mut`]'s
-    /// impossible arm; keeps that projection total without a panic path.
-    scratch: InvertedIndex,
 }
 
-impl std::fmt::Debug for MappedPostings {
+impl std::fmt::Debug for PostingStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "MappedPostings({} terms, {} decoded, {} mapped bytes)",
+            "PostingStore({} terms, {} decoded, {} tier bytes)",
             self.terms.len(),
             self.decoded.load(Ordering::Relaxed),
-            self.map.len()
+            self.tier.end - self.tier.dict
         )
     }
 }
 
-impl MappedPostings {
-    /// Assembles a reader from an open map and its validated dictionary.
-    pub(crate) fn from_parts(map: Arc<Mmap>, terms: Vec<TermEntry>) -> MappedPostings {
-        let total_postings = terms.iter().map(|t| t.count as u64).sum();
-        let slots = terms.iter().map(|_| OnceLock::new()).collect();
-        MappedPostings {
-            map,
-            terms,
-            slots,
-            decoded: AtomicUsize::new(0),
-            corrupt: OnceLock::new(),
-            total_postings,
-            scratch: InvertedIndex::new(),
+impl PostingStore {
+    /// Parses and validates the term dictionary of the tier at `tier` in
+    /// `map` — the one way a store is made, for an opened file and for the
+    /// buffer a build just encoded alike. `tier` must be ordered and lie
+    /// within `map` ([`crate::persist`] checks a file's footer before it
+    /// trusts the offsets). No posting run is read: each run's byte length
+    /// is the gap to the next record's run start, the last run ending at the
+    /// tier's end.
+    pub(crate) fn open(
+        map: Arc<Mmap>,
+        tier: Tier,
+        term_count: u64,
+        stats: &IndexStats,
+    ) -> Result<PostingStore, IndexError> {
+        let bytes = map.as_slice();
+        let term_count = term_count as usize;
+        if term_count.checked_mul(4) != Some(tier.post - tier.offs) {
+            return Err(IndexError::Corrupt("term offset table length mismatch".into()));
         }
+        if stats.distinct_terms != term_count as u64 {
+            return Err(IndexError::Corrupt("term count disagrees with stats".into()));
+        }
+        let dict = &bytes[tier.dict..tier.offs];
+        let post_section_len = tier.end - tier.post;
+        let mut offs_cur = &bytes[tier.offs..tier.post];
+        let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count.min(1 << 20));
+        let mut total: u64 = 0;
+        let mut prev_term: &[u8] = &[];
+        for _ in 0..term_count {
+            let rec_off = offs_cur.get_u32() as usize;
+            if rec_off >= dict.len() {
+                return Err(IndexError::Corrupt("term record offset out of range".into()));
+            }
+            let mut cur = &dict[rec_off..];
+            let before = cur.len();
+            let term_len = read_varint(&mut cur)? as usize;
+            let len_bytes = before - cur.len();
+            if cur.len() < term_len {
+                return Err(IndexError::Corrupt("truncated term".into()));
+            }
+            let term_bytes = &cur[..term_len];
+            if std::str::from_utf8(term_bytes).is_err() {
+                return Err(IndexError::Corrupt("invalid UTF-8 in term".into()));
+            }
+            if !terms.is_empty() && prev_term >= term_bytes {
+                return Err(IndexError::Corrupt("term dictionary not sorted".into()));
+            }
+            prev_term = term_bytes;
+            cur = &cur[term_len..];
+            let run_start = read_varint(&mut cur)? as usize;
+            let count = read_varint(&mut cur)? as usize;
+            if run_start > post_section_len {
+                return Err(IndexError::Corrupt("posting run out of range".into()));
+            }
+            if let Some(prev) = terms.last_mut() {
+                let prev_start = prev.post_start - tier.post;
+                if run_start < prev_start {
+                    return Err(IndexError::Corrupt("posting runs out of order".into()));
+                }
+                prev.post_len = run_start - prev_start;
+            } else if run_start != 0 {
+                return Err(IndexError::Corrupt("first posting run not at offset 0".into()));
+            }
+            total += count as u64;
+            terms.push(TermEntry {
+                term_start: tier.dict + rec_off + len_bytes,
+                term_len,
+                post_start: tier.post + run_start,
+                post_len: 0, // patched when the next record pins the run's end
+                count,
+            });
+        }
+        if let Some(last) = terms.last_mut() {
+            last.post_len = tier.end - last.post_start;
+        }
+        if terms.iter().any(|t| (t.count == 0) != (t.post_len == 0)) {
+            return Err(IndexError::Corrupt("empty run disagrees with its count".into()));
+        }
+        if total != stats.total_postings {
+            return Err(IndexError::Corrupt("posting counts disagree with stats".into()));
+        }
+        let slots = terms.iter().map(|_| OnceLock::new()).collect();
+        Ok(PostingStore { map, tier, terms, slots, decoded: AtomicUsize::new(0) })
+    }
+
+    /// A store over exactly the lists handed in — in term-byte order, but
+    /// otherwise unchecked — for the doctor's corrupted-index fixtures. (The
+    /// block codec stores documents absolutely and steps by shared prefix,
+    /// so an out-of-order list encodes.)
+    #[cfg(test)]
+    pub(crate) fn from_raw_lists(
+        lists: &[(String, Vec<DeweyId>)],
+    ) -> Result<PostingStore, IndexError> {
+        let mut tier = EncodedTier::default();
+        for (term, list) in lists {
+            tier.push(term, list)?;
+        }
+        tier.open(&mut IndexStats::default())
+    }
+
+    /// The encoded tier, `dict ‖ offsets ‖ runs`, and where the offset table
+    /// and the runs start within it (persistence copies it verbatim).
+    pub(crate) fn tier_bytes(&self) -> (&[u8], usize, usize) {
+        let Tier { dict, offs, post, end } = self.tier;
+        (&self.map.as_slice()[dict..end], offs - dict, post - dict)
     }
 
     fn term_bytes(&self, i: usize) -> &[u8] {
@@ -195,8 +322,8 @@ impl MappedPostings {
     }
 
     fn term_str(&self, i: usize) -> &str {
-        // Term bytes were UTF-8 validated when the dictionary was parsed at
-        // open; a stale map cannot change under MAP_PRIVATE.
+        // Term bytes were UTF-8 validated when the dictionary was parsed; a
+        // stale map cannot change under MAP_PRIVATE.
         std::str::from_utf8(self.term_bytes(i)).unwrap_or("")
     }
 
@@ -210,32 +337,20 @@ impl MappedPostings {
             .ok()
     }
 
-    fn run_bytes(&self, i: usize) -> &[u8] {
+    fn run_reader(&self, i: usize) -> Result<BlockedRunReader<'_>, DecodeError> {
         let e = &self.terms[i];
-        &self.map.as_slice()[e.post_start..e.post_start + e.post_len]
-    }
-
-    fn record_corrupt(&self, term_slot: usize, err: &gks_dewey::codec::DecodeError) {
-        let _ = self
-            .corrupt
-            .set(format!("posting run for term #{term_slot} failed to decode: {err}"));
+        let mut input = &self.map.as_slice()[e.post_start..e.post_start + e.post_len];
+        BlockedRunReader::parse(&mut input, e.count)
     }
 
     /// The decoded posting list for slot `i`, decoding (and caching) the
-    /// blocked run on first access.
+    /// blocked run on first access. A run that fails to decode yields an
+    /// empty list — the engine is panic-free past open — and the doctor's
+    /// [`Self::audit`] reports it.
     fn list_at(&self, i: usize) -> &[DeweyId] {
         self.slots[i].get_or_init(|| {
             self.decoded.fetch_add(1, Ordering::Relaxed);
-            let mut input = self.run_bytes(i);
-            match BlockedRunReader::parse(&mut input, self.terms[i].count)
-                .and_then(|r| r.decode_all())
-            {
-                Ok(ids) => ids,
-                Err(e) => {
-                    self.record_corrupt(i, &e);
-                    Vec::new()
-                }
-            }
+            self.run_reader(i).and_then(|r| r.decode_all()).unwrap_or_default()
         })
     }
 
@@ -264,21 +379,11 @@ impl MappedPostings {
             return (self.list_at(i).to_vec(), 0);
         }
         if self.slots[i].get().is_none() {
-            let mut input = self.run_bytes(i);
-            match BlockedRunReader::parse(&mut input, self.terms[i].count) {
+            match self.run_reader(i) {
                 Ok(reader) if reader.any_block_skippable(dead) => {
-                    return match reader.decode_masked(dead) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            self.record_corrupt(i, &e);
-                            (Vec::new(), 0)
-                        }
-                    };
+                    return reader.decode_masked(dead).unwrap_or_default();
                 }
-                Err(e) => {
-                    self.record_corrupt(i, &e);
-                    return (Vec::new(), 0);
-                }
+                Err(_) => return (Vec::new(), 0),
                 Ok(_) => {} // nothing skippable: decode into the cache below
             }
         }
@@ -297,38 +402,37 @@ impl MappedPostings {
         self.lookup(term).map_or(0, |i| self.terms[i].count)
     }
 
-    /// Whether the term occurs anywhere in the corpus.
-    pub fn contains_term(&self, term: &str) -> bool {
-        self.lookup(term).is_some()
-    }
-
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
         self.terms.len()
     }
 
-    /// Total postings across all lists (from the dictionary, no decode).
-    pub fn total_postings(&self) -> usize {
-        self.total_postings as usize
-    }
-
-    /// Iterates `(term, postings)` in sorted term order, decoding each list.
+    /// Iterates `(term, postings)` in sorted term order, decoding each list
+    /// into its slot (the borrowed slices need somewhere to live).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[DeweyId])> {
         (0..self.terms.len()).map(move |i| (self.term_str(i), self.list_at(i)))
     }
 
-    /// How many posting runs have been decoded so far (0 right after open).
+    /// Each term in sorted order with its dictionary count and a transient
+    /// decode of its run: the slots stay as they were, so auditing a live
+    /// index makes none of its lists resident.
+    pub(crate) fn audit(
+        &self,
+    ) -> impl Iterator<Item = (&str, usize, Result<Vec<DeweyId>, DecodeError>)> {
+        (0..self.terms.len()).map(move |i| {
+            let run = self.run_reader(i).and_then(|r| r.decode_all());
+            (self.term_str(i), self.terms[i].count, run)
+        })
+    }
+
+    /// How many posting runs have been decoded so far (0 for an index just
+    /// built or just opened).
     pub fn decoded_terms(&self) -> usize {
         self.decoded.load(Ordering::Relaxed)
     }
 
-    /// First corruption hit by a lazy decode, if any.
-    pub fn corrupt(&self) -> Option<&str> {
-        self.corrupt.get().map(String::as_str)
-    }
-
-    /// Bytes of the underlying file view counted as kernel-mapped (0 when
-    /// the read-the-file fallback was used).
+    /// Bytes of the backing view counted as kernel-mapped (0 for a built
+    /// index's owned buffer, and when the read-the-file fallback was used).
     pub fn bytes_mapped(&self) -> u64 {
         if self.map.is_mapped() {
             self.map.len() as u64
@@ -341,160 +445,6 @@ impl MappedPostings {
     pub fn resident_bytes(&self) -> u64 {
         self.slots.iter().filter_map(OnceLock::get).map(|l| list_bytes(l)).sum()
     }
-
-    /// Fully decodes into a heap [`InvertedIndex`] (mutation paths).
-    pub fn to_inverted(&self) -> InvertedIndex {
-        let mut inv = InvertedIndex::new();
-        for i in 0..self.terms.len() {
-            inv.load_term(self.term_str(i).to_string(), self.list_at(i).to_vec());
-        }
-        inv
-    }
-}
-
-/// How a [`crate::GksIndex`] holds its posting lists: fully decoded on the
-/// heap (fresh builds), or lazily decoded off a memory map (loaded
-/// indexes). The engine only sees `&[DeweyId]` slices either way, so the
-/// k-way merge, the sweep, tombstone masking and cost accounting run
-/// unchanged over both representations. The slices are borrowed from the
-/// reader; a caller that needs an owned list ([`Self::postings_masked`], the
-/// engine's per-keyword fetch) copies the ids out once — a flat copy for
-/// paths within the inline depth of [`DeweyId`], which own no heap memory.
-#[derive(Debug)]
-pub enum PostingsReader {
-    /// Heap-resident lists (in-memory builds).
-    Heap(InvertedIndex),
-    /// Mapped, block-compressed lists decoded on first touch (loaded files).
-    Mapped(MappedPostings),
-}
-
-impl Default for PostingsReader {
-    fn default() -> Self {
-        PostingsReader::Heap(InvertedIndex::new())
-    }
-}
-
-impl PostingsReader {
-    /// The posting list for a term, by name. Empty slice for unknown terms.
-    pub fn postings(&self, term: &str) -> &[DeweyId] {
-        match self {
-            PostingsReader::Heap(inv) => inv.postings(term),
-            PostingsReader::Mapped(m) => m.postings(term),
-        }
-    }
-
-    /// Posting count for a term without forcing a decode.
-    pub fn posting_count(&self, term: &str) -> usize {
-        match self {
-            PostingsReader::Heap(inv) => inv.postings(term).len(),
-            PostingsReader::Mapped(m) => m.posting_count(term),
-        }
-    }
-
-    /// The posting list with `dead` documents masked out, plus the number of
-    /// postings masked. `dead` must be sorted.
-    pub fn postings_masked(&self, term: &str, dead: &[u32]) -> (Vec<DeweyId>, u64) {
-        match self {
-            PostingsReader::Heap(inv) => {
-                let list = inv.postings(term);
-                if dead.is_empty() {
-                    return (list.to_vec(), 0);
-                }
-                let survivors: Vec<DeweyId> = list
-                    .iter()
-                    .filter(|id| dead.binary_search(&id.doc().0).is_err())
-                    .cloned()
-                    .collect();
-                let masked = (list.len() - survivors.len()) as u64;
-                (survivors, masked)
-            }
-            PostingsReader::Mapped(m) => m.postings_masked(term, dead),
-        }
-    }
-
-    /// Whether the term occurs anywhere in the corpus.
-    pub fn contains_term(&self, term: &str) -> bool {
-        match self {
-            PostingsReader::Heap(inv) => inv.contains_term(term),
-            PostingsReader::Mapped(m) => m.contains_term(term),
-        }
-    }
-
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        match self {
-            PostingsReader::Heap(inv) => inv.term_count(),
-            PostingsReader::Mapped(m) => m.term_count(),
-        }
-    }
-
-    /// Total postings across all lists.
-    pub fn total_postings(&self) -> usize {
-        match self {
-            PostingsReader::Heap(inv) => inv.total_postings(),
-            PostingsReader::Mapped(m) => m.total_postings(),
-        }
-    }
-
-    /// Iterates `(term, postings)` — term-id order for heap indexes, sorted
-    /// term order for mapped ones (decoding every list).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (&str, &[DeweyId])> + '_> {
-        match self {
-            PostingsReader::Heap(inv) => Box::new(inv.iter()),
-            PostingsReader::Mapped(m) => Box::new(m.iter()),
-        }
-    }
-
-    /// Posting runs decoded so far: equals [`Self::term_count`] for heap
-    /// indexes (everything is resident), grows from 0 on mapped ones.
-    pub fn decoded_terms(&self) -> usize {
-        match self {
-            PostingsReader::Heap(inv) => inv.term_count(),
-            PostingsReader::Mapped(m) => m.decoded_terms(),
-        }
-    }
-
-    /// Bytes served straight off a kernel memory map (0 for heap indexes).
-    pub fn bytes_mapped(&self) -> u64 {
-        match self {
-            PostingsReader::Heap(_) => 0,
-            PostingsReader::Mapped(m) => m.bytes_mapped(),
-        }
-    }
-
-    /// Estimated heap bytes held by decoded posting lists.
-    pub fn resident_bytes(&self) -> u64 {
-        match self {
-            PostingsReader::Heap(inv) => inv.resident_bytes(),
-            PostingsReader::Mapped(m) => m.resident_bytes(),
-        }
-    }
-
-    /// First lazy-decode corruption observed, if any (always `None` for
-    /// heap indexes, which are built, not decoded).
-    pub fn corrupt(&self) -> Option<&str> {
-        match self {
-            PostingsReader::Heap(_) => None,
-            PostingsReader::Mapped(m) => m.corrupt(),
-        }
-    }
-
-    /// Mutable heap access, converting a mapped reader into a fully decoded
-    /// [`InvertedIndex`] first (append/merge paths mutate posting lists, so
-    /// they give up zero-copy residency).
-    pub fn heap_mut(&mut self) -> &mut InvertedIndex {
-        if let PostingsReader::Mapped(m) = &*self {
-            let inv = m.to_inverted();
-            *self = PostingsReader::Heap(inv);
-        }
-        match self {
-            PostingsReader::Heap(inv) => inv,
-            // Unreachable — Mapped was just converted to Heap above — but the
-            // projection stays total without a panic path: hand out the
-            // reader's empty scratch index.
-            PostingsReader::Mapped(m) => &mut m.scratch,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -506,44 +456,51 @@ mod tests {
         DeweyId::new(DocId(doc), steps.to_vec())
     }
 
+    fn finish(acc: InvertedIndex) -> PostingStore {
+        acc.finish().unwrap().open(&mut IndexStats::default()).unwrap()
+    }
+
     #[test]
     fn postings_sorted_and_deduped() {
-        let mut ix = InvertedIndex::new();
-        let karen = ix.term_id("karen");
-        ix.push(karen, d(0, &[0, 1, 1, 2]));
-        ix.push(karen, d(0, &[0, 1, 1, 0]));
-        ix.push(karen, d(0, &[0, 1, 1, 0])); // duplicate occurrence
-        ix.push(karen, d(1, &[0]));
-        ix.finalize();
+        let mut acc = InvertedIndex::default();
+        let karen = acc.term_id("karen");
+        acc.push(karen, d(0, &[0, 1, 1, 2]));
+        acc.push(karen, d(0, &[0, 1, 1, 0]));
+        acc.push(karen, d(0, &[0, 1, 1, 0])); // duplicate occurrence
+        acc.push(karen, d(1, &[0]));
+        let ix = finish(acc);
         assert_eq!(ix.postings("karen"), &[d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])]);
     }
 
     #[test]
     fn unknown_term_is_empty() {
-        let mut ix = InvertedIndex::new();
-        ix.finalize();
+        let ix = finish(InvertedIndex::default());
         assert!(ix.postings("nothing").is_empty());
-        assert!(!ix.contains_term("nothing"));
+        assert_eq!(ix.posting_count("nothing"), 0);
     }
 
     #[test]
     fn term_ids_are_stable() {
-        let mut ix = InvertedIndex::new();
-        let a = ix.term_id("a");
-        let b = ix.term_id("b");
+        let mut acc = InvertedIndex::default();
+        let a = acc.term_id("a");
+        let b = acc.term_id("b");
         assert_ne!(a, b);
-        assert_eq!(ix.term_id("a"), a);
-        assert_eq!(ix.term_count(), 2);
+        assert_eq!(acc.term_id("a"), a);
+        assert_eq!(finish(acc).term_count(), 2);
     }
 
     #[test]
     fn counters() {
-        let mut ix = InvertedIndex::new();
-        let a = ix.term_id("a");
-        ix.push(a, d(0, &[0]));
-        ix.push(a, d(0, &[1]));
-        ix.finalize();
-        assert_eq!(ix.total_postings(), 2);
+        let mut acc = InvertedIndex::default();
+        let a = acc.term_id("a");
+        acc.push(a, d(0, &[0]));
+        acc.push(a, d(0, &[1]));
+        let mut stats = IndexStats::default();
+        let ix = acc.finish().unwrap().open(&mut stats).unwrap();
+        assert_eq!(
+            (stats.distinct_terms, stats.total_postings, stats.posting_depth_sum),
+            (1, 2, 2)
+        );
         let pairs: Vec<_> = ix.iter().collect();
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].0, "a");

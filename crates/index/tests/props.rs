@@ -151,8 +151,11 @@ proptest! {
     #[test]
     fn persistence_round_trip(tree in arb_tree()) {
         let ix = build(&tree);
-        let bytes = ix.to_bytes_v3().unwrap().to_vec();
-        let loaded = GksIndex::from_mapped(Arc::new(Mmap::from(bytes))).unwrap();
+        let bytes = ix.to_bytes_v3().unwrap();
+        let loaded = GksIndex::from_mapped(Arc::new(Mmap::from(bytes.to_vec()))).unwrap();
+        // The posting tier is copied, not decoded and re-encoded.
+        prop_assert_eq!(loaded.to_bytes_v3().unwrap(), bytes);
+        prop_assert_eq!(loaded.decoded_terms(), 0);
         prop_assert_eq!(loaded.node_table().len(), ix.node_table().len());
         prop_assert_eq!(loaded.stats().census, ix.stats().census);
         for (term, list) in ix.inverted().iter() {
@@ -195,6 +198,7 @@ proptest! {
         prop_assert_eq!(seq.node_table().len(), par.node_table().len());
         for (term, list) in seq.inverted().iter() {
             prop_assert_eq!(par.postings(term), list, "term {}", term);
+            prop_assert_eq!(par.posting_count(term), list.len(), "term {}", term);
         }
     }
 

@@ -619,16 +619,13 @@ impl ResidentIndex {
     }
 
     /// Seconds since the serving manifest generation was committed, or
-    /// `-1` when this index is not manifest-backed. This is the freshness
+    /// `None` when this index is not manifest-backed. This is the freshness
     /// lag a scrape observes: it grows between commits and drops to ~0
     /// right after every delta commit or compaction is synced in.
-    pub fn freshness_seconds(&self) -> i64 {
-        if self.manifest.is_none() {
-            return -1;
-        }
+    pub fn freshness_seconds(&self) -> Option<u64> {
+        self.manifest.as_ref()?;
         let committed = self.committed_ms.load(Ordering::Relaxed);
-        let lag_ms = wall_clock_ms().saturating_sub(committed);
-        i64::try_from(lag_ms / 1000).unwrap_or(i64::MAX)
+        Some(wall_clock_ms().saturating_sub(committed) / 1000)
     }
 
     fn record_manifest_stats(&self, manifest: &ShardManifest) {
@@ -1149,7 +1146,7 @@ mod tests {
         assert!(resident.reload().is_err(), "engine-backed indexes cannot reload");
         assert!(resident.poll_corpus().is_err(), "engine-backed indexes cannot watch");
         assert!(resident.compact_now().is_err(), "engine-backed indexes cannot compact");
-        assert_eq!(resident.freshness_seconds(), -1, "freshness is manifest-only");
+        assert_eq!(resident.freshness_seconds(), None, "freshness is manifest-only");
 
         let replacement = tiny_engine("two");
         let new_identity = index_identity(replacement.index());

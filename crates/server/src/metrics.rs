@@ -9,14 +9,11 @@
 //! nanoseconds to the request path. Quantiles are derived from cumulative
 //! bucket counts: the reported value is the upper bound of the bucket
 //! containing the target rank, i.e. an over-estimate by at most one bucket
-//! width. A histogram with **zero samples** never renders a bucket bound or
-//! `NaN`: the legacy request-scale families (`gks_latency_micros`,
-//! `gks_shard_fanout`, `gks_shard_straggler_micros`, the maintenance
-//! histograms) keep their historical `-1` sentinel, while the per-phase and
-//! cost families **omit** their quantile lines entirely and rely on the
-//! always-present `_count` (plus `gks_phase_samples_total`) to distinguish
-//! "no traffic" from "sub-50µs traffic" — see the wire-format note in
-//! DESIGN.md.
+//! width. A histogram with **zero samples** never renders a bucket bound,
+//! `NaN` or a negative stand-in: every family **omits** its quantile lines
+//! and relies on its always-present `_count` (plus, for engine phases,
+//! `gks_phase_samples_total`) to distinguish "no traffic" from "sub-50µs
+//! traffic" — see the wire-format note in DESIGN.md.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -206,9 +203,10 @@ pub struct IndexMetricsView<'a> {
     pub delta_shards: u64,
     /// Documents living in delta shards.
     pub delta_docs: u64,
-    /// Seconds since the serving manifest generation was committed, or the
-    /// `-1` sentinel for indexes without an update path.
-    pub freshness_seconds: i64,
+    /// Seconds since the serving manifest generation was committed; `None`
+    /// (and no `gks_index_freshness_seconds` line) for an index without an
+    /// update path.
+    pub freshness_seconds: Option<u64>,
     /// Delta commits synced into the serving set.
     pub delta_commits_total: u64,
     /// Compactions completed.
@@ -235,36 +233,28 @@ pub struct IndexMetricsView<'a> {
 /// The quantiles `/metrics` reports for every histogram.
 const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
 
-/// Appends one quantile line, rendering the zero-sample sentinel `-1`.
-fn write_quantile(out: &mut String, name: &str, labels: &str, q_label: &str, value: Option<u64>) {
+/// Appends `hist`'s quantile lines — none at zero samples: the family's
+/// always-present `_count` (and, for engine phases,
+/// `gks_phase_samples_total`) distinguishes "no traffic" from "fast traffic"
+/// without a nonstandard negative sample (wire-format note in DESIGN.md).
+/// `labels` is empty or a label block ending in `,`.
+fn write_quantiles(out: &mut String, name: &str, labels: &str, hist: &Histogram) {
     use std::fmt::Write as _;
-    match value {
-        Some(v) => {
+    for (q, q_label) in QUANTILES {
+        if let Some(v) = hist.quantile(q) {
             let _ = writeln!(out, "{name}{{{labels}quantile=\"{q_label}\"}} {v}");
-        }
-        None => {
-            let _ = writeln!(out, "{name}{{{labels}quantile=\"{q_label}\"}} -1");
         }
     }
 }
 
 /// Appends one labeled histogram as quantile lines plus `_sum`/`_count`.
-/// Unlike the legacy `-1` sentinel, quantile lines are **omitted** entirely
-/// at zero samples — the always-present `_count` (and, for engine phases,
-/// `gks_phase_samples_total`) distinguishes "no traffic" from "fast
-/// traffic" without a nonstandard negative sample (wire-format note in
-/// DESIGN.md). `labels` must be a non-empty label block ending in `,`.
+/// `labels` must be a non-empty label block ending in `,`.
 fn write_sampled_histogram(out: &mut String, name: &str, labels: &str, hist: &Histogram) {
     use std::fmt::Write as _;
-    let count = hist.count();
-    if count > 0 {
-        for (q, label) in QUANTILES {
-            write_quantile(out, name, labels, label, hist.quantile(q));
-        }
-    }
+    write_quantiles(out, name, labels, hist);
     let bare = labels.trim_end_matches(',');
     let _ = writeln!(out, "{name}_sum{{{bare}}} {}", hist.sum());
-    let _ = writeln!(out, "{name}_count{{{bare}}} {count}");
+    let _ = writeln!(out, "{name}_count{{{bare}}} {}", hist.count());
 }
 
 impl Metrics {
@@ -323,27 +313,13 @@ impl Metrics {
         let _ = writeln!(out, "gks_cache_capacity_bytes {}", cache.capacity);
         let _ = writeln!(out, "gks_slow_queries_total {}", load(&self.slow_queries_total));
         let _ = writeln!(out, "gks_in_flight {}", load(&self.in_flight));
-        for (q, label) in QUANTILES {
-            write_quantile(&mut out, "gks_latency_micros", "", label, self.latency.quantile(q));
-        }
+        write_quantiles(&mut out, "gks_latency_micros", "", &self.latency);
         let _ = writeln!(out, "gks_latency_micros_sum {}", self.latency.sum());
         let _ = writeln!(out, "gks_latency_micros_count {}", self.latency.count());
-        // Scatter/gather fan-out stats for sharded indexes. Zero-sample
-        // quantiles render the -1 sentinel, so an unsharded deployment
-        // exposes the same line set with sentinel values.
-        for (q, label) in QUANTILES {
-            write_quantile(&mut out, "gks_shard_fanout", "", label, self.shard_fanout.quantile(q));
-        }
+        // Scatter/gather fan-out stats for sharded indexes.
+        write_quantiles(&mut out, "gks_shard_fanout", "", &self.shard_fanout);
         let _ = writeln!(out, "gks_shard_fanout_count {}", self.shard_fanout.count());
-        for (q, label) in QUANTILES {
-            write_quantile(
-                &mut out,
-                "gks_shard_straggler_micros",
-                "",
-                label,
-                self.shard_straggler_micros.quantile(q),
-            );
-        }
+        write_quantiles(&mut out, "gks_shard_straggler_micros", "", &self.shard_straggler_micros);
         let _ =
             writeln!(out, "gks_shard_straggler_micros_sum {}", self.shard_straggler_micros.sum());
         let _ = writeln!(
@@ -404,16 +380,13 @@ impl Metrics {
             );
         }
         // Maintenance (update-path) latency: delta builds and compactions,
-        // aggregated process-wide by gks-trace. Zero-sample quantiles render
-        // the -1 sentinel on deployments with no update path.
+        // aggregated process-wide by gks-trace.
         for (kind, name) in [
             (SpanKind::DeltaBuild, "gks_delta_build_micros"),
             (SpanKind::Compaction, "gks_compaction_micros"),
         ] {
             let hist = gks_trace::histogram(kind);
-            for (q, label) in QUANTILES {
-                write_quantile(&mut out, name, "", label, hist.quantile(q));
-            }
+            write_quantiles(&mut out, name, "", hist);
             let _ = writeln!(out, "{name}_sum {}", hist.sum());
             let _ = writeln!(out, "{name}_count {}", hist.count());
         }
@@ -475,16 +448,18 @@ impl Metrics {
                 view.name, view.cache_rejected_total
             );
             // Update-path gauges and counters. Non-manifest indexes expose
-            // the same lines with zeros (and the -1 freshness sentinel) so
-            // dashboards need no per-deployment templating.
+            // the same lines with zeros (freshness, which has no zero, is
+            // left out) so dashboards need no per-deployment templating.
             let _ =
                 writeln!(out, "gks_delta_shards{{index=\"{}\"}} {}", view.name, view.delta_shards);
             let _ = writeln!(out, "gks_delta_docs{{index=\"{}\"}} {}", view.name, view.delta_docs);
-            let _ = writeln!(
-                out,
-                "gks_index_freshness_seconds{{index=\"{}\"}} {}",
-                view.name, view.freshness_seconds
-            );
+            if let Some(seconds) = view.freshness_seconds {
+                let _ = writeln!(
+                    out,
+                    "gks_index_freshness_seconds{{index=\"{}\"}} {seconds}",
+                    view.name
+                );
+            }
             let _ = writeln!(
                 out,
                 "gks_delta_commits_total{{index=\"{}\"}} {}",
@@ -553,8 +528,7 @@ impl Metrics {
 
 /// Extracts the value of a metric line (`name value` or `name{…} value`)
 /// from a rendered exposition. Used by the load generator and tests to read
-/// hit rates back without a metrics client. Signed, because zero-sample
-/// quantiles render the `-1` sentinel.
+/// hit rates back without a metrics client.
 pub fn metric_value(exposition: &str, name: &str) -> Option<i64> {
     for line in exposition.lines() {
         let Some(rest) = line.strip_prefix(name) else {
@@ -610,7 +584,7 @@ mod tests {
             reloads_total: 1,
             delta_shards: 2,
             delta_docs: 17,
-            freshness_seconds: 3,
+            freshness_seconds: Some(3),
             delta_commits_total: 4,
             compactions_total: 1,
             compaction_millis_total: 250,
@@ -710,7 +684,7 @@ mod tests {
             reloads_total: 0,
             delta_shards: 0,
             delta_docs: 0,
-            freshness_seconds: -1,
+            freshness_seconds: None,
             delta_commits_total: 0,
             compactions_total: 0,
             compaction_millis_total: 0,
@@ -734,7 +708,7 @@ mod tests {
             reloads_total: 2,
             delta_shards: 3,
             delta_docs: 9,
-            freshness_seconds: 0,
+            freshness_seconds: Some(0),
             delta_commits_total: 5,
             compactions_total: 2,
             compaction_millis_total: 40,
@@ -764,14 +738,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_sample_quantiles_render_sentinel() {
+    fn zero_sample_quantiles_are_omitted() {
         let m = Metrics::default();
         let text = m.render(&[]);
-        // No latency samples recorded → every quantile is the -1 sentinel,
-        // not a bucket bound and not NaN.
-        assert_eq!(metric_value(&text, "gks_latency_micros{quantile=\"0.5\"}"), Some(-1));
-        assert_eq!(metric_value(&text, "gks_latency_micros{quantile=\"0.99\"}"), Some(-1));
-        assert!(!text.contains("NaN"));
+        // No latency samples recorded → no quantile line at all (not a
+        // bucket bound, not NaN, not a negative stand-in); `_count` says so.
+        assert!(!text.contains("gks_latency_micros{"), "{text}");
+        assert_eq!(metric_value(&text, "gks_latency_micros_count"), Some(0));
+        assert!(!text.contains("NaN") && !text.contains(" -1"));
         m.latency.record(70);
         let text = m.render(&[]);
         assert_eq!(metric_value(&text, "gks_latency_micros{quantile=\"0.5\"}"), Some(100));
@@ -781,9 +755,9 @@ mod tests {
     fn per_phase_lines_are_exposed() {
         let m = Metrics::default();
         let text = m.render(&[]);
-        // Phase quantile lines are *omitted* at zero samples (no `-1`
-        // sentinel for this family); `_count` and the explicit samples
-        // counter are always present. The global trace histograms are
+        // Phase quantile lines are *omitted* at zero samples; `_count` and
+        // the explicit samples counter are always present. The global trace
+        // histograms are
         // process-wide shared state, so other tests may have recorded into
         // them — assert only the unconditional lines here.
         for phase in ["parse", "postings", "sweep", "rank", "di", "scatter", "gather"] {
@@ -792,10 +766,12 @@ mod tests {
             let samples = format!("gks_phase_samples_total{{phase=\"{phase}\"}}");
             assert!(metric_value(&text, &samples).is_some(), "missing {samples}");
         }
-        // Shard fan-out lines exist even with zero samples (the -1 sentinel
-        // pattern is kept for the legacy scatter/gather families).
-        assert_eq!(metric_value(&text, "gks_shard_fanout{quantile=\"0.5\"}"), Some(-1));
-        assert_eq!(metric_value(&text, "gks_shard_straggler_micros{quantile=\"0.99\"}"), Some(-1));
+        // The scatter/gather families follow the same convention.
+        assert!(
+            !text.contains("gks_shard_fanout{") && !text.contains("gks_shard_straggler_micros{")
+        );
+        assert_eq!(metric_value(&text, "gks_shard_fanout_count"), Some(0));
+        assert_eq!(metric_value(&text, "gks_shard_straggler_micros_count"), Some(0));
         assert_eq!(metric_value(&text, "gks_shard_retries_total"), Some(0));
         assert_eq!(metric_value(&text, "gks_shard_mixed_generation_total"), Some(0));
     }
@@ -818,7 +794,7 @@ mod tests {
             reloads_total: 0,
             delta_shards: 0,
             delta_docs: 0,
-            freshness_seconds: -1,
+            freshness_seconds: None,
             delta_commits_total: 0,
             compactions_total: 0,
             compaction_millis_total: 0,

@@ -80,8 +80,8 @@ impl Histogram {
     /// The `q`-quantile (0 < q ≤ 1) as the upper bound of the bucket holding
     /// the target rank. Observations past the last bound report that bound
     /// (the histogram cannot resolve further). Returns `None` with no data —
-    /// callers must render an explicit sentinel rather than a bucket bound
-    /// (the `/metrics` exposition emits `-1`).
+    /// callers must not render a bucket bound (the `/metrics` exposition
+    /// omits the line).
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let total = self.count();
         if total == 0 {
