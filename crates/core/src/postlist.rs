@@ -6,15 +6,31 @@
 //! model at text-node granularity, since author names, course titles, etc.
 //! each live in one text node.
 //!
+//! Phrase intersection is one merge-join kernel. The terms are taken in
+//! order of their dictionary counts, which the index answers without
+//! decoding, so an absent term ends the phrase before any partner is
+//! decoded. The two shortest lists are joined straight into the owned
+//! result: by a two-pointer walk while their lengths are comparable (first
+//! and last names interleave across the whole list, so there is nothing to
+//! skip), by galloping each short id through the long list once the long
+//! one is [`GALLOP_RATIO`] times longer. Every later term filters the
+//! already-small result with the same galloping seek.
+//!
 //! The index hands out borrowed `&[DeweyId]` slices; the merge consumes owned
 //! lists. Each keyword's list is therefore materialised exactly once, after
-//! any intersection and masking have run over the borrowed slices.
+//! any intersection has run over the borrowed slices.
+
+use std::cmp::Ordering;
 
 use gks_dewey::DeweyId;
 use gks_index::GksIndex;
 
 use crate::cost::CostLedger;
 use crate::query::Keyword;
+
+/// Long-to-short length ratio from which the first pair of a phrase is
+/// joined by galloping rather than by a walk over both lists.
+const GALLOP_RATIO: usize = 16;
 
 /// The document-ordered list of nodes matching `keyword`, empty if any term
 /// is absent from the corpus.
@@ -55,9 +71,8 @@ pub fn keyword_postings_counted(
 /// the mask dropped. A single-term keyword goes through
 /// [`GksIndex::postings_masked`], which on a format-v3 index can skip
 /// fully-tombstoned blocks without decoding them. A phrase intersects its
-/// terms' lists as borrowed slices first and masks the (smaller)
-/// intersection, preserving the ledger algebra of the eager path; only the
-/// survivors are copied, once.
+/// terms' lists first and masks the (smaller) intersection, preserving the
+/// ledger algebra of the eager path.
 fn masked_keyword_postings(
     index: &GksIndex,
     dead: &[u32],
@@ -67,41 +82,96 @@ fn masked_keyword_postings(
         [] => (Vec::new(), 0),
         [term] => index.postings_masked(term, dead),
         terms => {
-            // Intersect starting from the shortest list.
-            let mut lists: Vec<&[DeweyId]> = terms.iter().map(|t| index.postings(t)).collect();
-            lists.sort_by_key(|l| l.len());
-            let mut common: Vec<&DeweyId> = lists[0].iter().collect();
-            for list in &lists[1..] {
-                if common.is_empty() {
-                    break;
-                }
-                intersect(&mut common, list);
-            }
-            let live: Vec<DeweyId> = common
-                .iter()
-                .filter(|id| dead.binary_search(&id.doc().0).is_err())
-                .map(|&id| id.clone())
-                .collect();
-            let masked = (common.len() - live.len()) as u64;
-            (live, masked)
+            let mut by_count: Vec<(usize, &str)> =
+                terms.iter().map(|t| (index.posting_count(t), t.as_str())).collect();
+            by_count.sort_unstable();
+            let mut common = intersect(by_count.iter().map(|&(_, t)| index.postings(t)));
+            let before = common.len();
+            common.retain(|id| dead.binary_search(&id.doc().0).is_err());
+            let masked = (before - common.len()) as u64;
+            (common, masked)
         }
     }
 }
 
-/// Keeps the elements of the sorted `short` that also occur in the sorted
-/// `long`: binary-search each in the not-yet-consumed tail of `long`.
-fn intersect(short: &mut Vec<&DeweyId>, long: &[DeweyId]) {
-    let mut lo = 0usize;
-    short.retain(|id| match long[lo..].binary_search(id) {
-        Ok(pos) => {
-            lo += pos + 1;
-            true
+/// Intersects sorted, deduplicated lists, drawn shortest first. Lists are
+/// pulled lazily: an empty first list or an empty running result stops the
+/// join before the next list is fetched (and, from the index, decoded).
+fn intersect<'a>(mut lists: impl Iterator<Item = &'a [DeweyId]>) -> Vec<DeweyId> {
+    let first = match lists.next() {
+        Some(list) if !list.is_empty() => list,
+        _ => return Vec::new(),
+    };
+    let Some(second) = lists.next() else {
+        return first.to_vec();
+    };
+    let (short, long) = if first.len() <= second.len() {
+        (first, second)
+    } else {
+        (second, first)
+    };
+    if short.is_empty() {
+        return Vec::new();
+    }
+    let mut common = if long.len() / short.len() < GALLOP_RATIO {
+        walk_join(short, long)
+    } else {
+        gallop_join(short, long)
+    };
+    while !common.is_empty() {
+        let Some(list) = lists.next() else { break };
+        common = gallop_join(&common, list);
+    }
+    common
+}
+
+/// The ids common to two lists of comparable length, by one pass over both.
+/// Each step advances whichever side compared lower, both on a match.
+fn walk_join(a: &[DeweyId], b: &[DeweyId]) -> Vec<DeweyId> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let order = a[i].cmp(&b[j]);
+        if order == Ordering::Equal {
+            out.push(a[i].clone());
         }
-        Err(pos) => {
-            lo += pos;
-            false
+        i += usize::from(order != Ordering::Greater);
+        j += usize::from(order != Ordering::Less);
+    }
+    out
+}
+
+/// The ids of `short` that occur in `long`, each sought by galloping from
+/// where the previous seek stopped: O(|short| · log gap) comparisons.
+fn gallop_join(short: &[DeweyId], long: &[DeweyId]) -> Vec<DeweyId> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    for id in short {
+        at = gallop(long, at, id);
+        match long.get(at) {
+            None => break,
+            Some(found) if found == id => {
+                out.push(id.clone());
+                at += 1;
+            }
+            Some(_) => {}
         }
-    });
+    }
+    out
+}
+
+/// The first position at or after `from` whose id is not below `target`
+/// (`list.len()` if none): doubling steps bracket it, a binary search
+/// finds it inside the bracket.
+fn gallop(list: &[DeweyId], from: usize, target: &DeweyId) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < list.len() && list[hi] < *target {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(list.len());
+    lo + list[lo..hi].partition_point(|id| id < target)
 }
 
 #[cfg(test)]
@@ -109,32 +179,128 @@ mod tests {
     use super::*;
     use gks_dewey::DocId;
     use gks_index::{Corpus, IndexOptions};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn d(steps: &[u32]) -> DeweyId {
         DeweyId::new(DocId(0), steps.to_vec())
     }
 
-    fn intersected(short: &[DeweyId], long: &[DeweyId]) -> Vec<DeweyId> {
-        let mut common: Vec<&DeweyId> = short.iter().collect();
-        intersect(&mut common, long);
-        common.into_iter().cloned().collect()
+    fn intersected(lists: &[&[DeweyId]]) -> Vec<DeweyId> {
+        intersect(lists.iter().copied())
     }
 
     #[test]
     fn intersect_basics() {
         let a = vec![d(&[0]), d(&[1]), d(&[3]), d(&[7])];
         let b = vec![d(&[1]), d(&[2]), d(&[3]), d(&[9])];
-        assert_eq!(intersected(&a, &b), vec![d(&[1]), d(&[3])]);
-        assert_eq!(intersected(&a, &[]), vec![]);
-        assert_eq!(intersected(&[], &b), vec![]);
-        assert_eq!(intersected(&a, &a), a);
+        assert_eq!(intersected(&[&a, &b]), vec![d(&[1]), d(&[3])]);
+        assert_eq!(intersected(&[&b, &a]), vec![d(&[1]), d(&[3])]);
+        assert_eq!(intersected(&[&a, &[]]), vec![]);
+        assert_eq!(intersected(&[&[], &b]), vec![]);
+        assert_eq!(intersected(&[&a, &a]), a);
+        assert_eq!(intersected(&[&a]), a);
+        assert_eq!(intersected(&[]), vec![]);
     }
 
     #[test]
     fn intersect_large_gallop() {
         let long: Vec<DeweyId> = (0..1000).map(|i| d(&[i])).collect();
         let short = vec![d(&[0]), d(&[500]), d(&[999]), d(&[2000])];
-        assert_eq!(intersected(&short, &long), vec![d(&[0]), d(&[500]), d(&[999])]);
+        assert!(long.len() / short.len() >= GALLOP_RATIO);
+        let want = vec![d(&[0]), d(&[500]), d(&[999])];
+        assert_eq!(intersected(&[&short, &long]), want);
+        assert_eq!(gallop_join(&short, &long), want);
+    }
+
+    #[test]
+    fn walk_and_gallop_agree_on_disjoint_and_nested_ranges() {
+        let low: Vec<DeweyId> = (0..40).map(|i| d(&[i])).collect();
+        let high: Vec<DeweyId> = (100..140).map(|i| d(&[i])).collect();
+        assert!(walk_join(&low, &high).is_empty());
+        assert!(gallop_join(&low, &high).is_empty());
+        assert!(gallop_join(&high, &low).is_empty());
+        // Ancestors sort right before their descendants: a prefix is not a match.
+        let parents = vec![d(&[1]), d(&[2])];
+        let children = vec![d(&[1, 0]), d(&[2, 0])];
+        assert!(walk_join(&parents, &children).is_empty());
+        assert!(gallop_join(&parents, &children).is_empty());
+    }
+
+    #[test]
+    fn gallop_seeks_the_first_id_not_below_the_target() {
+        let list: Vec<DeweyId> = (0..100).map(|i| d(&[2 * i])).collect();
+        assert_eq!(gallop(&list, 0, &d(&[0])), 0);
+        assert_eq!(gallop(&list, 0, &d(&[1])), 1);
+        assert_eq!(gallop(&list, 10, &d(&[20])), 10);
+        assert_eq!(gallop(&list, 10, &d(&[151])), 76);
+        assert_eq!(gallop(&list, 0, &d(&[198])), 99);
+        assert_eq!(gallop(&list, 0, &d(&[199])), 100);
+        assert_eq!(gallop(&list, 100, &d(&[0])), 100);
+        assert_eq!(gallop(&[], 0, &d(&[0])), 0);
+    }
+
+    /// A random id over `docs` documents at depth 0..=9, so inline and
+    /// spilled ids (more than six steps) mix.
+    fn random_id(rng: &mut proptest::TestRng, docs: usize) -> DeweyId {
+        let doc = DocId(rng.below(docs) as u32);
+        let steps = (0..rng.below(10)).map(|_| rng.below(3) as u32).collect();
+        DeweyId::new(doc, steps)
+    }
+
+    /// A sorted, deduplicated list of exactly `len` ids, about half of them
+    /// drawn from `pool` so that independently drawn lists overlap.
+    fn random_list(
+        rng: &mut proptest::TestRng,
+        pool: &[DeweyId],
+        docs: usize,
+        len: usize,
+    ) -> Vec<DeweyId> {
+        let mut set = BTreeSet::new();
+        while set.len() < len {
+            set.insert(match rng.below(2) {
+                0 => pool[rng.below(pool.len())].clone(),
+                _ => random_id(rng, docs),
+            });
+        }
+        set.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The kernel equals a `BTreeSet` intersection for 2–4 lists, with
+        /// the first pair on both sides of [`GALLOP_RATIO`].
+        #[test]
+        fn intersect_matches_btreeset(
+            seed in 0u64..u64::MAX,
+            long_len in 0usize..400,
+            ratio in prop::sample::select(vec![1usize, 15, 16, 17, 200]),
+            extra in 0usize..3,
+            docs in 1usize..4,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let pool: Vec<DeweyId> = (0..64).map(|_| random_id(&mut rng, docs)).collect();
+            let mut lists = vec![
+                random_list(&mut rng, &pool, docs, long_len / ratio),
+                random_list(&mut rng, &pool, docs, long_len),
+            ];
+            for _ in 0..extra {
+                let len = rng.below(400);
+                lists.push(random_list(&mut rng, &pool, docs, len));
+            }
+            lists.sort_by_key(Vec::len);
+            let want: Vec<DeweyId> = lists
+                .iter()
+                .map(|l| l.iter().cloned().collect::<BTreeSet<_>>())
+                .reduce(|acc, s| acc.intersection(&s).cloned().collect())
+                .map(|s| s.into_iter().collect())
+                .unwrap_or_default();
+            let got = intersect(lists.iter().map(Vec::as_slice));
+            prop_assert_eq!(got, want);
+            // Both joins are exact whatever the ratio; it only picks the cheaper.
+            prop_assert_eq!(walk_join(&lists[0], &lists[1]), gallop_join(&lists[0], &lists[1]));
+        }
     }
 
     #[test]
@@ -165,6 +331,23 @@ mod tests {
     }
 
     #[test]
+    fn absent_term_decodes_no_partner() {
+        let xml = "<r><a>Peter Buneman</a><a>Peter Chen</a></r>";
+        let corpus = Corpus::from_named_strs([("d", xml)]).unwrap();
+        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        let decoded = ix.decoded_terms();
+        let q = crate::query::Query::parse(r#""Peter Buneman Nosuch""#).unwrap();
+        let kw = &q.normalized(ix.analyzer())[0];
+        assert!(keyword_postings(&ix, kw).is_empty());
+        assert_eq!(ix.decoded_terms(), decoded, "no term of a dead phrase is decoded");
+        // A live phrase does decode its terms.
+        let q = crate::query::Query::parse(r#""Peter Buneman""#).unwrap();
+        let kw = &q.normalized(ix.analyzer())[0];
+        assert_eq!(keyword_postings(&ix, kw), vec![d(&[0])]);
+        assert_eq!(ix.decoded_terms(), decoded + 2);
+    }
+
+    #[test]
     fn counted_postings_track_scans_and_mask_drops() {
         let xml = "<r><a>ka</a><a>ka</a><a>kb</a></r>";
         let corpus = Corpus::from_named_strs([("d", xml)]).unwrap();
@@ -184,6 +367,21 @@ mod tests {
         assert_eq!(masked.postings_scanned, 2);
         assert_eq!(masked.tombstone_masked, 2);
         assert_eq!(masked.per_keyword, vec![0]);
+    }
+
+    #[test]
+    fn counted_phrase_masks_only_the_intersection() {
+        let docs = [("d0", "<r><a>ka kb</a><a>ka</a></r>"), ("d1", "<r><a>ka kb</a><a>kb</a></r>")];
+        let corpus = Corpus::from_named_strs(docs).unwrap();
+        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        let q = crate::query::Query::parse(r#""ka kb""#).unwrap();
+        let kw = &q.normalized(ix.analyzer())[0];
+        let mut ledger = crate::cost::CostLedger::default();
+        let list = keyword_postings_counted(&ix, &[1], kw, &mut ledger);
+        assert_eq!(list, vec![DeweyId::new(DocId(0), vec![0])]);
+        assert_eq!(ledger.postings_scanned, 6, "the dictionary counts of both terms");
+        assert_eq!(ledger.tombstone_masked, 1, "only the dead intersection entry");
+        assert_eq!(ledger.per_keyword, vec![1]);
     }
 
     #[test]

@@ -282,7 +282,6 @@ pub fn corpus_dir_of(manifest: &ShardManifest, manifest_path: &Path) -> Option<P
 /// unchanged (the idempotent watcher poll). The manifest file itself is
 /// the unit of atomicity — see the [module docs](self).
 pub fn commit_delta(manifest_path: &Path) -> Result<Option<CommitStats>, IndexError> {
-    let _span = gks_trace::span(gks_trace::SpanKind::DeltaBuild);
     // Parse the raw text rather than `load` so stored paths stay verbatim
     // (relative entries stay relocatable when we re-render the manifest).
     let text = fs::read_to_string(manifest_path)?;
@@ -299,6 +298,8 @@ pub fn commit_delta(manifest_path: &Path) -> Result<Option<CommitStats>, IndexEr
     if plan.is_clean() {
         return Ok(None);
     }
+    // Opened past the no-op return, so the span count is the commit count.
+    let _span = gks_trace::span(gks_trace::SpanKind::DeltaBuild);
     let new_epoch = manifest.epoch.saturating_add(1);
     let upserts: Vec<(&str, &str)> = plan
         .docs
@@ -374,12 +375,13 @@ pub struct CompactStats {
 /// directory at scan time.) Returns `None` when there is nothing to fold —
 /// no delta shards and no tombstones.
 pub fn compact(manifest_path: &Path) -> Result<Option<CompactStats>, IndexError> {
-    let _span = gks_trace::span(gks_trace::SpanKind::Compaction);
     let text = fs::read_to_string(manifest_path)?;
     let old = ShardManifest::parse(&text)?;
     if old.delta_shard_count() == 0 && old.tombstones.is_empty() {
         return Ok(None);
     }
+    // Opened past the no-op return, so the span count is the compaction count.
+    let _span = gks_trace::span(gks_trace::SpanKind::Compaction);
     let dir = manifest_dir(manifest_path);
     let corpus_dir = corpus_dir_of(&old, manifest_path).ok_or_else(|| {
         IndexError::Corrupt("manifest records no corpus directory; cannot compact".into())

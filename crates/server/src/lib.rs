@@ -409,11 +409,11 @@ impl ServeState {
     }
 
     /// `POST /admin/compact?index=<name>` (or `POST /ix/<name>/admin/compact`):
-    /// folds the named index's delta shards into its base shards under a
-    /// compaction trace span and hot-swaps the compacted generation in.
-    /// Reports `"compacted":false` when there was no delta backlog. `400`
-    /// for indexes without a manifest (no update path), `404` for unknown
-    /// names, `500` when the fold itself fails.
+    /// folds the named index's delta shards into its base shards and
+    /// hot-swaps the compacted generation in. Reports `"compacted":false`
+    /// when there was no delta backlog. `400` for indexes without a manifest
+    /// (no update path), `404` for unknown names, `500` when the fold itself
+    /// fails.
     fn handle_compact(&self, request: &Request, route_index: Option<&str>) -> HttpResponse {
         let named = request.param("index").map(|s| s.to_ascii_lowercase());
         let name = named.as_deref().or(route_index);
@@ -421,10 +421,7 @@ impl ServeState {
             Ok(resident) => resident,
             Err(response) => return response,
         };
-        let span = gks_trace::span_labeled(SpanKind::Compaction, resident.name());
-        let outcome = resident.compact_now();
-        drop(span);
-        match outcome {
+        match resident.compact_now() {
             Ok(stats) => HttpResponse::json(
                 200,
                 wire::compact_response_json(
@@ -1013,9 +1010,7 @@ fn maintenance_loop(state: &ServeState, stop: &AtomicBool) {
                     if resident.manifest_path().is_none() {
                         continue;
                     }
-                    let span = gks_trace::span_labeled(SpanKind::DeltaBuild, resident.name());
                     let _ = resident.poll_corpus();
-                    drop(span);
                 }
                 next_poll_ms = now.saturating_add(interval);
             }
@@ -1023,9 +1018,7 @@ fn maintenance_loop(state: &ServeState, stop: &AtomicBool) {
         if let Some(threshold) = state.config.compact_threshold {
             for resident in state.catalog().iter() {
                 if resident.manifest_path().is_some() && resident.delta_shards() >= threshold {
-                    let span = gks_trace::span_labeled(SpanKind::Compaction, resident.name());
                     let _ = resident.compact_now();
-                    drop(span);
                 }
             }
         }

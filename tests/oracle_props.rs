@@ -12,6 +12,9 @@
 //!    node that is not above it (entities absorb candidates from below).
 //! 4. **SLCA consistency** — for s = |Q|, every SLCA node is covered by the
 //!    response.
+//!
+//! Leaves hold one to three words and some keywords are two-word phrases, so
+//! phrase intersection is checked against the oracle's co-occurrence model.
 
 use gks::prelude::*;
 use gks_baselines::oracle::GroundTruth;
@@ -23,7 +26,7 @@ use proptest::prelude::*;
 /// queries hit often.
 #[derive(Debug, Clone)]
 enum Tree {
-    Leaf(String),
+    Leaf(Vec<String>),
     Node { label: String, children: Vec<Tree> },
 }
 
@@ -32,12 +35,17 @@ fn arb_word() -> impl Strategy<Value = String> {
         .prop_map(str::to_string)
 }
 
+/// A single word or, as often, a two-word phrase.
+fn arb_keyword() -> impl Strategy<Value = String> {
+    prop_oneof![arb_word(), (arb_word(), arb_word()).prop_map(|(a, b)| format!("{a} {b}"))]
+}
+
 fn arb_label() -> impl Strategy<Value = String> {
     prop::sample::select(vec!["item", "name", "group", "entry", "tag"]).prop_map(str::to_string)
 }
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
-    let leaf = arb_word().prop_map(Tree::Leaf);
+    let leaf = prop::collection::vec(arb_word(), 1..=3).prop_map(Tree::Leaf);
     leaf.prop_recursive(4, 40, 4, |inner| {
         (arb_label(), prop::collection::vec(inner, 1..4))
             .prop_map(|(label, children)| Tree::Node { label, children })
@@ -46,9 +54,9 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
 
 fn to_xml(tree: &Tree, out: &mut String) {
     match tree {
-        Tree::Leaf(w) => {
+        Tree::Leaf(words) => {
             out.push_str("<w>");
-            out.push_str(w);
+            out.push_str(&words.join(" "));
             out.push_str("</w>");
         }
         Tree::Node { label, children } => {
@@ -71,7 +79,7 @@ proptest! {
     #[test]
     fn gks_masks_and_coverage_match_oracle(
         tree in arb_tree(),
-        kws in prop::collection::hash_set(arb_word(), 1..4),
+        kws in prop::collection::hash_set(arb_keyword(), 1..4),
         s in 1usize..3,
     ) {
         let mut xml = String::from("<root>");
@@ -142,7 +150,7 @@ proptest! {
     #[test]
     fn all_three_slca_algorithms_agree_on_random_corpora(
         tree in arb_tree(),
-        kws in prop::collection::hash_set(arb_word(), 1..4),
+        kws in prop::collection::hash_set(arb_keyword(), 1..4),
     ) {
         let mut xml = String::from("<root>");
         to_xml(&tree, &mut xml);
@@ -159,7 +167,7 @@ proptest! {
     #[test]
     fn naive_oracle_covered_by_gks(
         tree in arb_tree(),
-        kws in prop::collection::hash_set(arb_word(), 2..4),
+        kws in prop::collection::hash_set(arb_keyword(), 2..4),
     ) {
         // Every node the naive exponential method returns is covered by the
         // GKS response at the same s.
