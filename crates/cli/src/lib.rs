@@ -4,9 +4,10 @@
 //!
 //! * `index [--shards N] <out.gksix> <file.xml>…` — build and persist an
 //!   index (`--shards N` partitions the corpus by document into N shard
-//!   indexes plus a shard manifest). A single *directory* argument builds
-//!   an updatable corpus-directory manifest (`gks_index::index_directory`)
-//!   that `watch`/`compact` and the serve-side watcher can keep fresh;
+//!   indexes plus a shard manifest, `gks_index::index_corpus`). A single
+//!   *directory* argument builds an updatable corpus-directory manifest
+//!   (`gks_index::index_directory`) that `watch`/`compact` and the
+//!   serve-side watcher can keep fresh;
 //! * `search <index.gksix> [-s N] [--limit N] [--di] [--analytics] <kw>…` —
 //!   query it (quote phrases: `'"Peter Buneman"'`);
 //! * `suggest <index.gksix> <kw>…` — refinement suggestions for a query;
@@ -16,22 +17,22 @@
 //! * `doctor <index.gksix|manifest>…` — audit persisted indexes against the
 //!   structural invariants of paper §2.1/§2.4 (sorted postings, parent
 //!   closure, census consistency, attribute-store resolvability); shard
-//!   manifests are additionally checked for update-path invariants
-//!   (duplicate ids, doc-table referential integrity, orphaned shard
-//!   files) and every shard file they reference is audited too;
+//!   manifests first get `gks_index::audit_manifest` (the findings the
+//!   server's `/doctor` reports too), then every shard file they list gets
+//!   the same single-file audit;
 //! * `watch <manifest> [--interval-ms N] [--compact-threshold N] [--once]`
-//!   — poll the manifest's corpus directory and commit a delta shard for
-//!   every batch of changes (the standalone form of `serve --watch`);
+//!   — run `gks_index::maintain`, the tick `serve --watch` runs: commit a
+//!   delta shard per batch of changes, fold the backlog at the threshold;
 //! * `compact <manifest>` — fold the delta backlog into fresh base shards;
 //! * `generate <dataset> <scale> <out.xml>` — write a synthetic corpus;
 //! * `serve [<index.gksix>] [--index NAME=PATH]…` — run the resident HTTP
 //!   query service (`gks-server`: a catalog of indexes routed by
 //!   `/ix/<name>/` prefix, worker pool, admission control, per-index result
 //!   caches, /metrics). SIGHUP or `POST /admin/reload` hot-swaps an index
-//!   without dropping in-flight requests; `--watch` runs the incremental
-//!   update loop in-process so corpus mutations become searchable live,
-//!   and `--compact-threshold N` folds the delta backlog once it reaches
-//!   N shards (`POST /admin/compact` forces a fold);
+//!   without dropping in-flight requests; `--watch` runs the `gks watch`
+//!   tick in-process so corpus mutations become searchable live, and
+//!   `--compact-threshold N` folds the delta backlog once it reaches N
+//!   shards (`POST /admin/compact` forces a fold);
 //! * `loadgen <host:port> <workload.txt>` — load generator against a
 //!   running `serve` (closed-loop by default, `--open-loop --rate` for a
 //!   paced schedule, `--index NAME[=WEIGHT]` for a multi-index traffic
@@ -57,8 +58,8 @@ use gks_core::search::{SearchOptions, Threshold};
 use gks_core::wire;
 use gks_datagen::Dataset;
 use gks_index::{
-    commit_delta, compact, index_directory, split_corpus, validate_manifest,
-    validate_manifest_files, Corpus, GksIndex, IndexOptions, SchemaSummary, ShardManifest,
+    audit_manifest, compact, index_corpus, index_directory, is_manifest_file, maintain, Corpus,
+    GksIndex, IndexOptions, MaintenanceOutcome, SchemaSummary, ShardManifest,
 };
 use gks_server::catalog::{IndexSpec, DEFAULT_INDEX_NAME};
 use gks_server::{loadgen, signal, ServeConfig};
@@ -102,7 +103,7 @@ USAGE:
   gks repl <index.gksix>
   gks serve [<index.gksix>] [--index NAME=PATH[,PATH...]]...
             [--default-index NAME] [--addr HOST:PORT] [--workers N]
-            [--queue N] [--deadline-ms N] [--cache-mb N] [--cache-admission]
+            [--queue N] [--deadline-ms N] [--cache-mb N]
             [--query-log FILE] [--slow-log FILE] [--slow-ms N]
             [--trace-ring N] [--trace-sample N|1/N] [--no-trace]
             [--watch] [--watch-interval-ms N] [--compact-threshold N]
@@ -119,17 +120,21 @@ CLI prints it after the hits, `--json` splices it into the wire body,
 and `loadgen --explain` sends explain=1 so its report can summarize
 work per query (postings p50/p99) next to QPS.
 `index --shards N` partitions the corpus by document into N shard
-indexes next to <out> plus a shard manifest at <out> itself.
+indexes next to <out> (<stem>.base0.<i>.gksix) plus a shard manifest at
+<out> itself.
 `index <out> <corpus-dir>` builds an updatable manifest that records the
 corpus directory and per-document content hashes; `gks watch` (or
 `serve --watch`) then commits delta shards as the directory changes, and
-`gks compact` folds the backlog into fresh base shards.
+`gks compact` folds the backlog into fresh base shards. Both watchers run
+one policy: commit, then compact once the manifest carries
+--compact-threshold N (>= 1) delta shards; serve needs --watch for it.
+`doctor <manifest>` audits the manifest (missing, unreadable and orphaned
+shard files, document table), then every shard file it lists.
 `serve` hosts a catalog: the positional index registers as \"default\",
 each --index NAME=PATH adds another, reachable under /ix/NAME/search.
 An index source may be a comma-separated shard list (NAME=p1,p2) or a
 shard manifest path; `/search` then scatters over the shards in
-parallel and gathers a lossless merge. --cache-admission gates result
-cache fills through a TinyLFU frequency sketch.
+parallel and gathers a lossless merge.
 SIGHUP (or POST /admin/reload?index=NAME&shard=I) hot-swaps an index —
 or one shard of it — in place;
 --trace-sample 1/N keeps one in N request traces. `serve` drains
@@ -242,7 +247,24 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
     let corpus = Corpus::from_paths(files.iter().copied())
         .map_err(|e| CliError::runtime(format!("cannot read corpus: {e}")))?;
     if shards > 1 {
-        return cmd_index_sharded(out, &corpus, shards);
+        let out_path = std::path::Path::new(out.as_str());
+        let manifest = index_corpus(&corpus, out_path, shards, IndexOptions::default())
+            .map_err(|e| CliError::runtime(format!("cannot build shard set {out:?}: {e}")))?;
+        let mut report = String::new();
+        for s in &manifest.shards {
+            let (id, docs, nodes, terms) = (s.id, s.doc_count, s.total_nodes, s.distinct_terms);
+            let path = out_path.with_file_name(&s.path);
+            let _ =
+                writeln!(report, "shard {id}: {docs} document(s), {nodes} nodes, {terms} terms");
+            let _ = writeln!(report, "  -> {}", path.display());
+        }
+        let _ = writeln!(
+            report,
+            "wrote shard manifest ({} shard(s), {} document(s)) to {out}",
+            manifest.shards.len(),
+            manifest.doc_count()
+        );
+        return Ok(report);
     }
     let index = GksIndex::build(&corpus, IndexOptions::default())
         .map_err(|e| CliError::runtime(format!("indexing failed: {e}")))?;
@@ -260,55 +282,6 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
         s.total_postings,
         s.build_millis
     ))
-}
-
-/// `gks index --shards N`: partition the corpus by document into N
-/// self-contained shard indexes (written next to `out`) plus the shard
-/// manifest at `out` itself. Shard paths are stored relative to the
-/// manifest, so the whole set can be moved as a directory.
-fn cmd_index_sharded(out: &str, corpus: &Corpus, shards: usize) -> Result<String, CliError> {
-    let out_path = std::path::Path::new(out);
-    let stem = out_path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .ok_or_else(|| CliError::usage(format!("bad output path {out:?}")))?
-        .to_string();
-    let parts = split_corpus(corpus, shards);
-    let mut manifest = ShardManifest::default();
-    let mut report = String::new();
-    let mut base = 0u32;
-    for (i, part) in parts.iter().enumerate() {
-        let index = GksIndex::build(part, IndexOptions::default())
-            .map_err(|e| CliError::runtime(format!("indexing shard {i} failed: {e}")))?;
-        let file = format!("{stem}.shard{i}.gksix");
-        let path = out_path.with_file_name(&file);
-        let written = index
-            .save(&path)
-            .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))?;
-        let s = index.stats();
-        let _ = writeln!(
-            report,
-            "shard {i}: {} document(s), {} nodes, {} terms -> {} ({written} bytes)",
-            s.doc_count,
-            s.total_nodes,
-            s.distinct_terms,
-            path.display()
-        );
-        let mut entry = ShardManifest::entry_for(&index, &file, base);
-        entry.id = u64::try_from(i).unwrap_or(u64::MAX);
-        manifest.shards.push(entry);
-        base = base.saturating_add(u32::try_from(part.len()).unwrap_or(u32::MAX));
-    }
-    manifest
-        .save(out_path)
-        .map_err(|e| CliError::runtime(format!("cannot write manifest {out:?}: {e}")))?;
-    let _ = writeln!(
-        report,
-        "wrote shard manifest ({} shard(s), {} document(s)) to {out}",
-        parts.len(),
-        corpus.len()
-    );
-    Ok(report)
 }
 
 fn cmd_search(args: &[String]) -> Result<String, CliError> {
@@ -649,12 +622,6 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// True when `path` holds a shard manifest (either header version) rather
-/// than a single persisted index.
-fn is_manifest_file(path: &str) -> bool {
-    std::fs::read(path).is_ok_and(|bytes| bytes.starts_with(gks_index::MANIFEST_MAGIC.as_bytes()))
-}
-
 /// Appends the per-section byte breakdown of one index file (`gks doctor`):
 /// term dictionary, postings, node table and attribute store.
 fn section_report(path: &std::path::Path, indent: &str, out: &mut String) {
@@ -688,18 +655,48 @@ fn section_report(path: &std::path::Path, indent: &str, out: &mut String) {
     );
 }
 
-/// Audits one shard manifest: structural invariants of the update path
-/// (duplicate ids, doc-table referential integrity, tombstone sanity),
-/// disk-level state (missing/orphaned shard files, name mismatches), and
-/// the index-level doctor for every shard file that loads. Returns whether
-/// anything was sick; the report is appended to `out`.
-fn doctor_manifest(path: &str, out: &mut String) -> Result<bool, CliError> {
-    let manifest = ShardManifest::load(path)
-        .map_err(|e| CliError::runtime(format!("cannot load shard manifest {path:?}: {e}")))?;
-    let mut violations = validate_manifest(&manifest);
-    violations.extend(validate_manifest_files(&manifest, std::path::Path::new(path)));
-    let mut sick = !violations.is_empty();
-    if violations.is_empty() {
+/// The single-file audit `gks doctor` runs on a bare index path and on
+/// every shard of a manifest: load, check the structural invariants, and
+/// on a healthy file print the per-section byte breakdown. Appends the
+/// report under `label`, indented by `indent`; returns whether it was sick.
+fn doctor_file(path: &std::path::Path, label: &str, indent: &str, out: &mut String) -> bool {
+    let index = match GksIndex::load(path) {
+        Ok(index) => index,
+        Err(e) => {
+            let _ = writeln!(out, "{indent}{label}: cannot load index: {e}");
+            return true;
+        }
+    };
+    let violations = index.doctor();
+    if !violations.is_empty() {
+        let _ = writeln!(out, "{indent}{label}: {} violation(s) found", violations.len());
+        for v in &violations {
+            let _ = writeln!(out, "{indent}  {v}");
+        }
+        return true;
+    }
+    let s = index.stats();
+    let _ = writeln!(
+        out,
+        "{indent}{label}: healthy — 0 violation(s) across {} node(s), {} term(s), {} posting(s)",
+        s.total_nodes, s.distinct_terms, s.total_postings
+    );
+    section_report(path, &format!("{indent}  "), out);
+    false
+}
+
+/// `gks doctor <manifest>`: prints the manifest audit's findings (the ones
+/// `/doctor` reports for a served manifest), then runs [`doctor_file`] on
+/// every shard the manifest lists. Returns whether anything was sick.
+fn doctor_shard_set(path: &str, out: &mut String) -> bool {
+    let (manifest, findings) = match audit_manifest(std::path::Path::new(path)) {
+        Ok(audit) => audit,
+        Err(e) => {
+            let _ = writeln!(out, "{path}: cannot load shard manifest: {e}");
+            return true;
+        }
+    };
+    if findings.is_empty() {
         let _ = writeln!(
             out,
             "{path}: manifest is healthy — epoch {}, {} shard(s) ({} delta), {} document(s), {} tombstone(s)",
@@ -710,40 +707,16 @@ fn doctor_manifest(path: &str, out: &mut String) -> Result<bool, CliError> {
             manifest.tombstones.len()
         );
     } else {
-        let _ = writeln!(out, "{path}: {} manifest violation(s) found", violations.len());
-        for v in &violations {
+        let _ = writeln!(out, "{path}: {} manifest violation(s) found", findings.len());
+        for v in &findings {
             let _ = writeln!(out, "  {v}");
         }
     }
-    let dir = std::path::Path::new(path)
-        .parent()
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_default();
+    let mut sick = !findings.is_empty();
     for entry in &manifest.shards {
-        let full = dir.join(&entry.path);
-        let shown = full.display();
-        let Ok(index) = GksIndex::load(&full) else {
-            // Already reported as MissingShardFile by validate_manifest_files.
-            continue;
-        };
-        let shard_violations = index.doctor();
-        if shard_violations.is_empty() {
-            let _ = writeln!(out, "  shard {}: healthy ({})", entry.id, shown);
-            section_report(&full, "    ", out);
-        } else {
-            sick = true;
-            let _ = writeln!(
-                out,
-                "  shard {}: {} violation(s) found ({shown})",
-                entry.id,
-                shard_violations.len()
-            );
-            for v in &shard_violations {
-                let _ = writeln!(out, "    {v}");
-            }
-        }
+        sick |= doctor_file(&entry.path, &format!("shard {}", entry.id), "  ", out);
     }
-    Ok(sick)
+    sick
 }
 
 fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
@@ -753,34 +726,15 @@ fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
     // Audit every index (mirroring the server's catalog-wide GET /doctor);
     // the run fails if any one of them is sick, but all are still reported.
     let mut out = String::new();
-    let mut sick = 0usize;
+    let mut sick = false;
     for path in args {
-        if is_manifest_file(path) {
-            if doctor_manifest(path, &mut out)? {
-                sick += 1;
-            }
-            continue;
-        }
-        let index = GksIndex::load(path)
-            .map_err(|e| CliError::runtime(format!("cannot load index {path:?}: {e}")))?;
-        let violations = index.doctor();
-        if violations.is_empty() {
-            let s = index.stats();
-            let _ = writeln!(
-                out,
-                "{path}: index is healthy — 0 violation(s) across {} node(s), {} term(s), {} posting(s)",
-                s.total_nodes, s.distinct_terms, s.total_postings
-            );
-            section_report(std::path::Path::new(path), "  ", &mut out);
+        sick |= if is_manifest_file(path) {
+            doctor_shard_set(path, &mut out)
         } else {
-            sick += 1;
-            let _ = writeln!(out, "{path}: {} violation(s) found", violations.len());
-            for v in &violations {
-                let _ = writeln!(out, "  {v}");
-            }
-        }
+            doctor_file(std::path::Path::new(path), path, "", &mut out)
+        };
     }
-    if sick > 0 {
+    if sick {
         return Err(CliError::runtime(out));
     }
     Ok(out)
@@ -797,6 +751,16 @@ fn parse_value<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, CliEr
     value
         .parse()
         .map_err(|_| CliError::usage(format!("bad {flag} value {value:?}")))
+}
+
+/// Parses the value of `--compact-threshold` (`watch` and `serve`): a
+/// delta-shard count of at least 1.
+fn parse_threshold(it: &mut std::slice::Iter<'_, String>) -> Result<u64, CliError> {
+    let n = parse_value(take_value(it, "--compact-threshold")?, "--compact-threshold")?;
+    if n == 0 {
+        return Err(CliError::usage("--compact-threshold must be >= 1"));
+    }
+    Ok(n)
 }
 
 /// Parses a `--trace-sample` spelling: `N` or `1/N`, N ≥ 1.
@@ -823,7 +787,7 @@ fn index_spec_for(name: &str, spec: &str) -> Result<IndexSpec, CliError> {
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     const SERVE_USAGE: &str = "usage: gks serve [<index.gksix>] [--index NAME=PATH[,PATH...]]... \
         [--default-index NAME] [--addr HOST:PORT] [--workers N] [--queue N] \
-        [--deadline-ms N] [--cache-mb N] [--cache-admission] [--query-log FILE] \
+        [--deadline-ms N] [--cache-mb N] [--query-log FILE] \
         [--slow-log FILE] [--slow-ms N] [--trace-ring N] [--trace-sample N|1/N] \
         [--no-trace] [--watch] [--watch-interval-ms N] [--compact-threshold N] \
         [--max-connections N] [--idle-timeout-ms N] [--shard-workers N]";
@@ -854,12 +818,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 }
                 config.watch_interval = Some(std::time::Duration::from_millis(ms));
             }
-            "--compact-threshold" => {
-                config.compact_threshold = Some(parse_value(
-                    take_value(&mut it, "--compact-threshold")?,
-                    "--compact-threshold",
-                )?);
-            }
+            "--compact-threshold" => config.compact_threshold = Some(parse_threshold(&mut it)?),
             "--index" => {
                 let v = take_value(&mut it, "--index")?;
                 let Some((name, path)) = v.split_once('=') else {
@@ -891,7 +850,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 let mb: usize = parse_value(take_value(&mut it, "--cache-mb")?, "--cache-mb")?;
                 config.cache_bytes = mb * 1024 * 1024;
             }
-            "--cache-admission" => config.cache_admission = true,
             "--query-log" => {
                 config.query_log =
                     Some(std::path::PathBuf::from(take_value(&mut it, "--query-log")?));
@@ -932,6 +890,11 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     // implies watching.
     if watch && config.watch_interval.is_none() {
         config.watch_interval = Some(std::time::Duration::from_millis(2000));
+    }
+    if config.compact_threshold.is_some() && config.watch_interval.is_none() {
+        return Err(CliError::usage(
+            "--compact-threshold needs --watch: compaction runs on the watcher tick",
+        ));
     }
     let index_names: Vec<String> = specs.iter().map(|s| s.name().to_string()).collect();
     let server = gks_server::serve_catalog(specs, default_index.as_deref(), config.clone())
@@ -1080,53 +1043,29 @@ fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
     Ok(report.render())
 }
 
-/// One watcher tick: commit a delta for whatever changed in the corpus
-/// directory, then fold the backlog when it reaches the threshold. Appends
-/// a line per event to `out` and returns whether anything happened.
-fn watch_tick(
-    manifest_path: &std::path::Path,
-    threshold: Option<u64>,
-    out: &mut String,
-) -> Result<bool, CliError> {
-    let mut acted = false;
-    match commit_delta(manifest_path) {
-        Ok(Some(stats)) => {
-            acted = true;
-            let _ = writeln!(
-                out,
-                "committed epoch {}: +{} added, ~{} changed, -{} deleted",
-                stats.epoch, stats.added, stats.changed, stats.deleted
-            );
-        }
-        Ok(None) => {}
-        Err(e) => {
-            // Non-fatal: a mid-mutation scan or transient I/O failure is
-            // retried on the next tick; the manifest on disk is untouched.
-            let _ = writeln!(out, "delta commit failed (will retry): {e}");
-        }
-    }
-    if let Some(threshold) = threshold {
-        let backlog = ShardManifest::load(manifest_path)
-            .map(|m| u64::try_from(m.delta_shard_count()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        if backlog >= threshold.max(1) {
-            match compact(manifest_path) {
-                Ok(Some(stats)) => {
-                    acted = true;
-                    let _ = writeln!(
-                        out,
-                        "compacted to epoch {}: {} base shard(s), {} document(s), {} old file(s) removed",
-                        stats.epoch, stats.base_shards, stats.docs, stats.removed_files
-                    );
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    let _ = writeln!(out, "compaction failed (will retry): {e}");
-                }
-            }
-        }
-    }
-    Ok(acted)
+/// Renders one [`maintain`] tick as `gks watch` lines, one per step that
+/// did or failed something. Failures are not fatal: a mid-mutation scan or
+/// a transient I/O error is retried on the next tick, and the manifest on
+/// disk is untouched by a failed step.
+fn render_tick(outcome: &MaintenanceOutcome, out: &mut String) {
+    let _ = match &outcome.commit {
+        Ok(None) => Ok(()),
+        Ok(Some(s)) => writeln!(
+            out,
+            "committed epoch {}: +{} added, ~{} changed, -{} deleted",
+            s.epoch, s.added, s.changed, s.deleted
+        ),
+        Err(e) => writeln!(out, "delta commit failed (will retry): {e}"),
+    };
+    let _ = match &outcome.compaction {
+        Ok(None) => Ok(()),
+        Ok(Some(s)) => writeln!(
+            out,
+            "compacted to epoch {}: {} base shard(s), {} document(s), {} old file(s) removed",
+            s.epoch, s.base_shards, s.docs, s.removed_files
+        ),
+        Err(e) => writeln!(out, "compaction failed (will retry): {e}"),
+    };
 }
 
 fn cmd_watch(args: &[String]) -> Result<String, CliError> {
@@ -1145,12 +1084,7 @@ fn cmd_watch(args: &[String]) -> Result<String, CliError> {
                     return Err(CliError::usage("--interval-ms must be >= 1"));
                 }
             }
-            "--compact-threshold" => {
-                threshold = Some(parse_value(
-                    take_value(&mut it, "--compact-threshold")?,
-                    "--compact-threshold",
-                )?);
-            }
+            "--compact-threshold" => threshold = Some(parse_threshold(&mut it)?),
             "--once" => once = true,
             other if other.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown watch flag {other:?}")));
@@ -1166,15 +1100,17 @@ fn cmd_watch(args: &[String]) -> Result<String, CliError> {
     let manifest = ShardManifest::load(&manifest_path).map_err(|e| {
         CliError::runtime(format!("cannot load shard manifest {manifest_arg:?}: {e}"))
     })?;
-    if gks_index::delta::corpus_dir_of(&manifest, &manifest_path).is_none() {
+    if manifest.corpus_dir.is_none() {
         return Err(CliError::runtime(format!(
             "manifest {manifest_arg:?} records no corpus directory — rebuild it with \
              `gks index <manifest> <corpus-dir>` to enable the update path"
         )));
     }
     if once {
+        let outcome = maintain(&manifest_path, threshold);
         let mut out = String::new();
-        if !watch_tick(&manifest_path, threshold, &mut out)? {
+        render_tick(&outcome, &mut out);
+        if out.is_empty() {
             let _ = writeln!(out, "corpus unchanged — nothing to commit");
         }
         return Ok(out);
@@ -1194,7 +1130,7 @@ fn cmd_watch(args: &[String]) -> Result<String, CliError> {
     let _ = std::io::Write::flush(&mut std::io::stdout());
     while !signal::shutdown_requested() {
         let mut events = String::new();
-        let _ = watch_tick(&manifest_path, threshold, &mut events)?;
+        render_tick(&maintain(&manifest_path, threshold), &mut events);
         if !events.is_empty() {
             print!("gks-watch: {events}");
             let _ = std::io::Write::flush(&mut std::io::stdout());
@@ -1414,6 +1350,11 @@ mod tests {
         let manifest = ShardManifest::load(&manifest_path).unwrap();
         assert_eq!(manifest.shards.len(), 2);
         assert_eq!(manifest.doc_count(), 2);
+        // The shared base-shard writer: base-set names and a real commit time.
+        assert_eq!(manifest.shards[1].path, dir.join("corpus.base0.1.gksix"));
+        assert!(manifest.committed_ms > 0, "file-list manifests record when they were built");
+        let out = run(&args(&["doctor", manifest_path.to_str().unwrap()])).unwrap();
+        assert!(out.contains("manifest is healthy"), "{out}");
         // Every shard file exists, is a healthy index, and the serve-side
         // spec sniffing recognizes both spellings.
         let mut shard_paths = Vec::new();
@@ -1502,6 +1443,13 @@ mod tests {
             "unknown watch flag"
         );
         assert_eq!(
+            run(&args(&["watch", &manifest_s, "--once", "--compact-threshold", "0"]))
+                .unwrap_err()
+                .code,
+            2,
+            "zero compact threshold"
+        );
+        assert_eq!(
             run(&args(&["watch", "/no/such.shards", "--once"])).unwrap_err().code,
             1,
             "missing manifest is a runtime error"
@@ -1542,6 +1490,25 @@ mod tests {
     }
 
     #[test]
+    fn doctor_reports_a_shard_that_does_not_open() {
+        let dir = tmpdir().join("doctor-unreadable");
+        let corpus = dir.join("corpus");
+        std::fs::create_dir_all(&corpus).unwrap();
+        std::fs::write(corpus.join("a.xml"), "<r><x>alpha beta gamma</x></r>").unwrap();
+        let manifest = dir.join("live.shards");
+        let manifest_s = manifest.to_str().unwrap();
+        run(&args(&["index", manifest_s, corpus.to_str().unwrap()])).unwrap();
+        let shard = dir.join("live.base0.0.gksix");
+        let bytes = std::fs::read(&shard).unwrap();
+        std::fs::write(&shard, &bytes[..bytes.len() / 2]).unwrap();
+        let err = run(&args(&["doctor", manifest_s])).unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
+        assert!(err.message.contains("1 manifest violation(s) found"), "{}", err.message);
+        assert!(err.message.contains("does not open"), "{}", err.message);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn serve_and_loadgen_flag_validation() {
         assert_eq!(run(&args(&["serve"])).unwrap_err().code, 2, "no index at all");
         let err = run(&args(&["serve", "/tmp/x.gksix", "--bogus"])).unwrap_err();
@@ -1568,6 +1535,12 @@ mod tests {
         let err =
             run(&args(&["serve", "/tmp/x.gksix", "--compact-threshold", "soon"])).unwrap_err();
         assert_eq!(err.code, 2, "non-numeric compact threshold");
+        let err = run(&args(&["serve", "/tmp/x.gksix", "--watch", "--compact-threshold", "0"]))
+            .unwrap_err();
+        assert_eq!(err.code, 2, "zero compact threshold");
+        let err = run(&args(&["serve", "/tmp/x.gksix", "--compact-threshold", "2"])).unwrap_err();
+        assert_eq!(err.code, 2, "a compact threshold without --watch");
+        assert!(err.message.contains("needs --watch"), "{}", err.message);
         // A catalog made only of --index flags (no positional) is accepted
         // at parse time; a missing file is then a runtime (load) error.
         let err = run(&args(&["serve", "--index", "a=/no/such.gksix"])).unwrap_err();
@@ -1633,7 +1606,6 @@ mod tests {
             "--index",
             "--default-index",
             "--shards",
-            "--cache-admission",
             "--watch",
             "--watch-interval-ms",
             "--compact-threshold",

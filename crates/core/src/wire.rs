@@ -253,18 +253,21 @@ pub fn suggest_response_json(
     out
 }
 
-/// Serializes an index-doctor report over every shard of one logical index
-/// as one deterministic JSON object (stable, shared with `GET /doctor`):
+/// Serializes one catalog index's doctor report over every shard of the
+/// index as one deterministic JSON object (stable, shared with
+/// `GET /doctor`):
 ///
 /// ```json
-/// {"healthy":true,"violations":[],"nodes":12,"terms":34,"postings":56}
+/// {"index":"dblp","healthy":true,"violations":[],"nodes":12,"terms":34,"postings":56}
 /// ```
 ///
-/// `healthy` is the conjunction over the shards and `nodes`/`terms`/
-/// `postings` are per-shard sums. With more than one shard each violation
-/// carries a `shard-<i>:` prefix naming the shard it was found in; a set of
-/// one reports its violations bare.
-pub fn doctor_response_json(shards: &[&Engine]) -> String {
+/// `healthy` is the conjunction over the shards and `extra`, and `nodes`/
+/// `terms`/`postings` are per-shard sums. With more than one shard each
+/// violation carries a `shard-<i>:` prefix naming the shard it was found
+/// in; a set of one reports its violations bare. `extra` holds findings
+/// about the set as a whole (the server passes its manifest audit's),
+/// appended verbatim after the shards' own.
+pub fn doctor_entry_json(name: &str, shards: &[&Engine], extra: &[String]) -> String {
     let mut violations = Vec::new();
     let (mut nodes, mut terms, mut postings) = (0u64, 0u64, 0u64);
     for (i, engine) in shards.iter().enumerate() {
@@ -280,25 +283,14 @@ pub fn doctor_response_json(shards: &[&Engine]) -> String {
         terms += stats.distinct_terms;
         postings += stats.total_postings;
     }
-    let mut out = String::with_capacity(128);
-    let _ = write!(out, "{{\"healthy\":{}", violations.is_empty());
+    violations.extend_from_slice(extra);
+    let mut out = String::with_capacity(128 + name.len());
+    out.push_str("{\"index\":");
+    push_json_str(&mut out, name);
+    let _ = write!(out, ",\"healthy\":{}", violations.is_empty());
     out.push_str(",\"violations\":");
     push_json_str_array(&mut out, &violations);
     let _ = write!(out, ",\"nodes\":{nodes},\"terms\":{terms},\"postings\":{postings}}}");
-    out
-}
-
-/// Serializes one catalog index's doctor report: the [`doctor_response_json`]
-/// object with an `"index"` route-key field prepended —
-/// `{"index":"dblp","healthy":true,…}`.
-pub fn doctor_entry_json(name: &str, shards: &[&Engine]) -> String {
-    let inner = doctor_response_json(shards);
-    let mut out = String::with_capacity(inner.len() + name.len() + 16);
-    out.push_str("{\"index\":");
-    push_json_str(&mut out, name);
-    out.push(',');
-    // Splice the per-index fields out of the inner object (skip its '{').
-    out.push_str(&inner[1..]);
     out
 }
 
@@ -449,21 +441,26 @@ mod tests {
         assert!(j.contains("\"unmatched\":[\"zzznothing\"]"), "{j}");
         assert!(j.contains("\"insights\":["), "{j}");
 
-        let d = doctor_response_json(&[&e]);
-        assert!(d.starts_with("{\"healthy\":true,\"violations\":[]"), "{d}");
+        let d = doctor_entry_json("x", &[&e], &[]);
+        assert!(d.starts_with("{\"index\":\"x\",\"healthy\":true,\"violations\":[]"), "{d}");
+        let sick = doctor_entry_json("x", &[&e], &["manifest: orphan".to_string()]);
+        assert!(
+            sick.contains("\"healthy\":false,\"violations\":[\"manifest: orphan\"]"),
+            "{sick}"
+        );
     }
 
     #[test]
     fn catalog_doctor_json_shapes() {
         let e = engine();
-        let entry = doctor_entry_json("dblp", &[&e]);
+        let entry = doctor_entry_json("dblp", &[&e], &[]);
         assert!(entry.starts_with("{\"index\":\"dblp\",\"healthy\":true"), "{entry}");
         // Two shards: counts are per-shard sums, the shape is unchanged.
-        let pair = doctor_entry_json("dblp", &[&e, &e]);
+        let pair = doctor_entry_json("dblp", &[&e, &e], &[]);
         let nodes = e.index().stats().total_nodes;
         assert!(pair.contains(&format!("\"violations\":[],\"nodes\":{}", 2 * nodes)), "{pair}");
 
-        let all = catalog_doctor_json(&[entry.clone(), doctor_entry_json("nasa", &[&e])]);
+        let all = catalog_doctor_json(&[entry.clone(), doctor_entry_json("nasa", &[&e], &[])]);
         assert!(all.starts_with("{\"healthy\":true,\"indexes\":[{\"index\":\"dblp\""), "{all}");
         assert!(all.contains("{\"index\":\"nasa\""), "{all}");
 

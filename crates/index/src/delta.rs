@@ -15,8 +15,14 @@
 //! point: shard files are written (atomically, see `GksIndex::save`)
 //! *before* the manifest that references them, so a crash mid-commit
 //! leaves the old epoch fully intact plus, at worst, orphaned shard files
-//! that [`validate_manifest_files`] reports and the next compaction
-//! sweeps away.
+//! that [`audit_manifest`] reports and the next compaction sweeps away.
+//!
+//! The policy lives here, not in its callers: [`maintain`] is the one
+//! watcher tick (commit, then compact once the on-disk backlog reaches a
+//! threshold) that `gks watch` and `serve --watch` both run, and
+//! [`audit_manifest`] is the one manifest audit behind `gks doctor` and
+//! the server's `/doctor`. Relative manifest and corpus paths resolve
+//! against the working directory, as every other path argument does.
 //!
 //! Document numbering is the invariant that keeps delta search
 //! byte-identical to a full rebuild: the manifest's document table is kept
@@ -252,11 +258,14 @@ fn resolve_in(dir: &Path, p: &Path) -> PathBuf {
     }
 }
 
+/// The directory a manifest's relative entries resolve against: its
+/// parent, or the working directory for a bare file name (whose parent is
+/// the empty path, which `read_dir` refuses).
 fn manifest_dir(manifest_path: &Path) -> PathBuf {
-    manifest_path
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
+    match manifest_path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+        _ => PathBuf::from("."),
+    }
 }
 
 fn manifest_stem(manifest_path: &Path) -> String {
@@ -268,7 +277,7 @@ fn manifest_stem(manifest_path: &Path) -> String {
 
 /// The corpus directory a manifest's update path scans, resolved against
 /// the manifest's own directory.
-pub fn corpus_dir_of(manifest: &ShardManifest, manifest_path: &Path) -> Option<PathBuf> {
+fn corpus_dir_of(manifest: &ShardManifest, manifest_path: &Path) -> Option<PathBuf> {
     manifest
         .corpus_dir
         .as_ref()
@@ -363,6 +372,8 @@ pub struct CompactStats {
     pub docs: usize,
     /// Superseded shard files deleted after the commit.
     pub removed_files: usize,
+    /// Wall-clock milliseconds the fold took, rebuild and sweep included.
+    pub elapsed_ms: u64,
 }
 
 /// Folds all deltas and tombstones back into a fresh base shard set.
@@ -381,7 +392,7 @@ pub fn compact(manifest_path: &Path) -> Result<Option<CompactStats>, IndexError>
         return Ok(None);
     }
     // Opened past the no-op return, so the span count is the compaction count.
-    let _span = gks_trace::span(gks_trace::SpanKind::Compaction);
+    let span = gks_trace::span(gks_trace::SpanKind::Compaction);
     let dir = manifest_dir(manifest_path);
     let corpus_dir = corpus_dir_of(&old, manifest_path).ok_or_else(|| {
         IndexError::Corrupt("manifest records no corpus directory; cannot compact".into())
@@ -413,7 +424,47 @@ pub fn compact(manifest_path: &Path) -> Result<Option<CompactStats>, IndexError>
         base_shards: manifest.shards.len(),
         docs: manifest.docs.len(),
         removed_files,
+        elapsed_ms: span.elapsed_micros() / 1000,
     }))
+}
+
+/// What one [`maintain`] tick did. Each step reports on its own, so a
+/// failed commit does not hide the compaction check that followed it.
+#[derive(Debug)]
+pub struct MaintenanceOutcome {
+    /// The delta commit; `Ok(None)` when the corpus was unchanged.
+    pub commit: Result<Option<CommitStats>, IndexError>,
+    /// The compaction; `Ok(None)` when the backlog was below the threshold
+    /// or there was nothing to fold.
+    pub compaction: Result<Option<CompactStats>, IndexError>,
+}
+
+impl MaintenanceOutcome {
+    /// True when either step changed the manifest.
+    pub fn changed(&self) -> bool {
+        matches!(self.commit, Ok(Some(_))) || matches!(self.compaction, Ok(Some(_)))
+    }
+}
+
+/// One tick of the update policy `gks watch` and `serve --watch` share:
+/// commit a delta for whatever changed in the corpus directory, then fold
+/// the backlog once the manifest **on disk** carries at least `compact_at`
+/// delta shards (`None` never compacts). The compaction check runs even
+/// when the commit failed: a mid-mutation scan is retried next tick, while
+/// a backlog committed earlier can still be folded now.
+pub fn maintain(manifest_path: &Path, compact_at: Option<u64>) -> MaintenanceOutcome {
+    let commit = commit_delta(manifest_path);
+    let compaction = match compact_at {
+        None => Ok(None),
+        Some(at) => ShardManifest::load(manifest_path).and_then(|m| {
+            if u64::try_from(m.delta_shard_count()).unwrap_or(u64::MAX) >= at {
+                compact(manifest_path)
+            } else {
+                Ok(None)
+            }
+        }),
+    };
+    MaintenanceOutcome { commit, compaction }
 }
 
 /// Builds a complete sharded index over `corpus_dir` and writes a fresh v2
@@ -428,20 +479,34 @@ pub fn index_directory(
 ) -> Result<ShardManifest, IndexError> {
     // Store the corpus dir relative to the manifest when it lives inside
     // the manifest's directory (keeps the pair relocatable), else absolute.
-    let dir = manifest_dir(manifest_path);
-    let resolved = resolve_in(&dir, corpus_dir);
-    let stored = resolved
+    let dir = std::path::absolute(manifest_dir(manifest_path))?;
+    let corpus_dir = std::path::absolute(corpus_dir)?;
+    let stored = corpus_dir
         .strip_prefix(&dir)
         .map(Path::to_path_buf)
-        .unwrap_or_else(|_| fs::canonicalize(&resolved).unwrap_or_else(|_| resolved.clone()));
-    let manifest = build_base_set(manifest_path, &resolved, Some(stored), options, shards, 0)?;
+        .unwrap_or(corpus_dir.clone());
+    let manifest = build_base_set(manifest_path, &corpus_dir, Some(stored), options, shards, 0)?;
     manifest.save(manifest_path)?;
     Ok(manifest)
 }
 
-/// Shared by [`index_directory`] and [`compact`]: scans `corpus_dir`,
-/// splits it into `shards` base shards, builds and saves each shard file
-/// as `{stem}.base{epoch}.{i}.gksix` next to the manifest, and returns the
+/// Builds a sharded index over an in-memory corpus (`gks index --shards N`
+/// over a file list) with the same shard files and manifest fields as
+/// [`index_directory`], minus the corpus directory and document table: a
+/// file list records nothing to re-scan, so the set has no update path.
+pub fn index_corpus(
+    corpus: &Corpus,
+    manifest_path: &Path,
+    shards: usize,
+    options: IndexOptions,
+) -> Result<ShardManifest, IndexError> {
+    let manifest = write_base_set(manifest_path, corpus, options, shards, 0)?;
+    manifest.save(manifest_path)?;
+    Ok(manifest)
+}
+
+/// Shared by [`index_directory`] and [`compact`]: scans `corpus_dir` and
+/// writes it as a base shard set ([`write_base_set`]), returning the
 /// manifest (not yet saved) with a full document table.
 fn build_base_set(
     manifest_path: &Path,
@@ -451,8 +516,6 @@ fn build_base_set(
     shards: usize,
     epoch: u64,
 ) -> Result<ShardManifest, IndexError> {
-    let dir = manifest_dir(manifest_path);
-    let stem = manifest_stem(manifest_path);
     let scanned = scan_corpus_dir(corpus_dir)?;
     if scanned.is_empty() {
         return Err(IndexError::Corrupt(format!(
@@ -461,42 +524,56 @@ fn build_base_set(
         )));
     }
     let mut corpus = Corpus::new();
-    let mut hashes = Vec::with_capacity(scanned.len());
-    for doc in &scanned {
+    let mut table = Vec::with_capacity(scanned.len());
+    for doc in scanned {
         let xml = fs::read_to_string(&doc.path)?;
-        hashes.push(content_hash(xml.as_bytes()));
-        corpus.push(doc.name.clone(), xml);
+        let hash = content_hash(xml.as_bytes());
+        let name = doc.name.clone();
+        table.push(DocEntry { shard: 0, local: 0, hash, mtime_ms: doc.mtime_ms, name });
+        corpus.push(doc.name, xml);
     }
-    let parts = split_corpus(&corpus, shards);
+    let mut manifest = write_base_set(manifest_path, &corpus, options, shards, epoch)?;
+    // The split is contiguous, so scan order walks the shards in order.
+    let mut table = table.into_iter();
+    for shard in &manifest.shards {
+        for (local, mut doc) in (0..shard.doc_count).zip(table.by_ref()) {
+            (doc.shard, doc.local) = (shard.id, local);
+            manifest.docs.push(doc);
+        }
+    }
+    manifest.corpus_dir = stored_corpus_dir;
+    Ok(manifest)
+}
+
+/// The one base-shard writer: splits `corpus` into `shards` contiguous
+/// parts, builds and saves each as `{stem}.base{epoch}.{i}.gksix` next to
+/// the manifest, and returns the manifest (not yet saved, no document
+/// table) stamped with the current wall clock.
+fn write_base_set(
+    manifest_path: &Path,
+    corpus: &Corpus,
+    options: IndexOptions,
+    shards: usize,
+    epoch: u64,
+) -> Result<ShardManifest, IndexError> {
+    let dir = manifest_dir(manifest_path);
+    let stem = manifest_stem(manifest_path);
     let mut manifest = ShardManifest {
         epoch,
         committed_ms: wall_clock_ms(),
-        corpus_dir: stored_corpus_dir,
         options: options.clone(),
         ..ShardManifest::default()
     };
-    let mut global = 0usize;
     let mut doc_base = 0u32;
-    for (i, part) in parts.iter().enumerate() {
+    for (i, part) in split_corpus(corpus, shards).iter().enumerate() {
         let ix = GksIndex::build(part, options.clone())?;
         let file = format!("{stem}.base{epoch}.{i}.gksix");
         ix.save(dir.join(&file))?;
         let mut entry = ShardManifest::entry_for(&ix, PathBuf::from(&file), doc_base);
         entry.id = i as u64;
         entry.born = epoch;
-        let count = entry.doc_count;
+        doc_base = doc_base.saturating_add(entry.doc_count);
         manifest.shards.push(entry);
-        for (local, doc) in part.docs().iter().enumerate() {
-            manifest.docs.push(DocEntry {
-                shard: i as u64,
-                local: u32::try_from(local).unwrap_or(u32::MAX),
-                hash: hashes.get(global).copied().unwrap_or(0),
-                mtime_ms: scanned.get(global).map(|s| s.mtime_ms).unwrap_or(0),
-                name: doc.name.clone(),
-            });
-            global += 1;
-        }
-        doc_base = doc_base.saturating_add(count);
     }
     Ok(manifest)
 }
@@ -594,6 +671,14 @@ pub enum ManifestViolation {
         /// The resolved path.
         path: PathBuf,
     },
+    /// A shard file referenced by the manifest exists but does not open as
+    /// an index (truncated, bit-flipped, wrong format version).
+    UnreadableShardFile {
+        /// The resolved path.
+        path: PathBuf,
+        /// The load error.
+        error: String,
+    },
     /// A `{stem}.*.gksix` file next to the manifest is referenced by no
     /// shard entry — debris from a crashed commit or compaction.
     OrphanShardFile {
@@ -660,6 +745,9 @@ impl fmt::Display for ManifestViolation {
             ManifestViolation::MissingShardFile { path } => {
                 write!(f, "shard file {} is missing on disk", path.display())
             }
+            ManifestViolation::UnreadableShardFile { path, error } => {
+                write!(f, "shard file {} does not open: {error}", path.display())
+            }
             ManifestViolation::OrphanShardFile { path } => {
                 write!(
                     f,
@@ -678,9 +766,8 @@ impl fmt::Display for ManifestViolation {
 
 /// Structural validation of a manifest's incremental-update state: epoch
 /// monotonicity and document-table / tombstone referential integrity.
-/// Purely in-memory — see [`validate_manifest_files`] for the disk checks.
-/// Findings are sorted by rendered message, like `GksIndex::doctor`.
-pub fn validate_manifest(manifest: &ShardManifest) -> Vec<ManifestViolation> {
+/// Purely in-memory; [`audit_manifest`] adds the disk checks and sorts.
+fn validate_manifest(manifest: &ShardManifest) -> Vec<ManifestViolation> {
     let mut out = Vec::new();
     let mut prev_born = 0u64;
     for s in &manifest.shards {
@@ -757,44 +844,47 @@ pub fn validate_manifest(manifest: &ShardManifest) -> Vec<ManifestViolation> {
             });
         }
     }
-    out.sort_by_key(ManifestViolation::to_string);
     out
 }
 
-/// Disk-level validation: missing shard files, orphaned `{stem}.*.gksix`
-/// files next to the manifest, and — for shards that load — document-name
-/// referential integrity between the manifest and the shard contents.
-pub fn validate_manifest_files(
-    manifest: &ShardManifest,
+/// The manifest audit `gks doctor` and the server's `/doctor` both report:
+/// parses the manifest once, resolves its paths once against the
+/// manifest's (absolute) directory, and returns the resolved manifest with
+/// every finding sorted by rendered message — the structural ones (epoch
+/// order, document-table and tombstone integrity) plus the disk checks:
+/// missing, unreadable and orphaned
+/// (`{stem}.*.gksix`, referenced by no entry) shard files, and document
+/// names that disagree with what the shard stores at their slot.
+pub fn audit_manifest(
     manifest_path: &Path,
-) -> Vec<ManifestViolation> {
-    let dir = manifest_dir(manifest_path);
-    let stem = manifest_stem(manifest_path);
-    let mut out = Vec::new();
-    let referenced: Vec<PathBuf> =
-        manifest.shards.iter().map(|s| resolve_in(&dir, &s.path)).collect();
-    if let Ok(entries) = fs::read_dir(&dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if name.starts_with(&format!("{stem}."))
-                && name.ends_with(".gksix")
-                && !referenced.contains(&path)
-            {
-                out.push(ManifestViolation::OrphanShardFile { path });
-            }
+) -> Result<(ShardManifest, Vec<ManifestViolation>), IndexError> {
+    let mut manifest = ShardManifest::parse(&fs::read_to_string(manifest_path)?)?;
+    let dir = std::path::absolute(manifest_dir(manifest_path))?;
+    manifest.resolve_paths(&dir);
+    let mut out = validate_manifest(&manifest);
+    let orphan_prefix = format!("{}.", manifest_stem(manifest_path));
+    for entry in fs::read_dir(&dir)?.flatten() {
+        let path = entry.path();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.starts_with(&orphan_prefix)
+            && name.ends_with(".gksix")
+            && !manifest.shards.iter().any(|s| s.path == path)
+        {
+            out.push(ManifestViolation::OrphanShardFile { path });
         }
     }
     for s in &manifest.shards {
-        let full = resolve_in(&dir, &s.path);
-        if !full.exists() {
-            out.push(ManifestViolation::MissingShardFile { path: full });
+        if !s.path.exists() {
+            out.push(ManifestViolation::MissingShardFile { path: s.path.clone() });
             continue;
         }
-        let Ok(ix) = GksIndex::load(&full) else {
-            continue;
+        let ix = match GksIndex::load(&s.path) {
+            Ok(ix) => ix,
+            Err(e) => {
+                let error = e.to_string();
+                out.push(ManifestViolation::UnreadableShardFile { path: s.path.clone(), error });
+                continue;
+            }
         };
         for d in manifest.docs.iter().filter(|d| d.shard == s.id) {
             let actual = ix.doc_name(gks_dewey::DocId(d.local)).unwrap_or("");
@@ -820,7 +910,7 @@ pub fn validate_manifest_files(
         }
     }
     out.sort_by_key(ManifestViolation::to_string);
-    out
+    Ok((manifest, out))
 }
 
 #[cfg(test)]
@@ -850,6 +940,10 @@ mod tests {
         manifest_path
     }
 
+    fn findings(manifest_path: &Path) -> Vec<ManifestViolation> {
+        audit_manifest(manifest_path).unwrap().1
+    }
+
     #[test]
     fn content_hash_is_stable_and_discriminating() {
         assert_eq!(content_hash(b"abc"), content_hash(b"abc"));
@@ -869,8 +963,7 @@ mod tests {
         assert_eq!(m.corpus_dir, Some(root.join("corpus")));
         let names: Vec<&str> = m.docs.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["alpha", "beta", "gamma"], "table follows scan order");
-        assert!(validate_manifest(&m).is_empty());
-        assert!(validate_manifest_files(&m, &manifest_path).is_empty());
+        assert_eq!(findings(&manifest_path), []);
         fs::remove_dir_all(&root).ok();
     }
 
@@ -904,8 +997,7 @@ mod tests {
         assert_eq!(m.tombstones.len(), 2);
         let names: Vec<&str> = m.docs.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["alpha", "delta", "gamma"], "scan order = rebuild order");
-        assert!(validate_manifest(&m).is_empty());
-        assert!(validate_manifest_files(&m, &manifest_path).is_empty());
+        assert_eq!(findings(&manifest_path), []);
 
         // The shard views mask exactly the superseded/deleted locals.
         let views = m.shard_views();
@@ -964,8 +1056,7 @@ mod tests {
         assert_eq!(m.delta_shard_count(), 0);
         assert!(m.tombstones.is_empty());
         assert_eq!(m.epoch, 2);
-        assert!(validate_manifest(&m).is_empty());
-        assert!(validate_manifest_files(&m, &manifest_path).is_empty());
+        assert_eq!(findings(&manifest_path), []);
         // Nothing left to fold: compaction is now a no-op.
         assert!(compact(&manifest_path).unwrap().is_none());
         fs::remove_dir_all(&root).ok();
@@ -996,14 +1087,32 @@ mod tests {
         let root = temp_root("orphan");
         let manifest_path = fresh(&root, 1);
         fs::write(root.join("corpus.delta9.gksix"), b"debris").unwrap();
-        let m = ShardManifest::load(&manifest_path).unwrap();
-        let found = validate_manifest_files(&m, &manifest_path);
+        let found = findings(&manifest_path);
         assert!(
             found
                 .iter()
                 .any(|v| matches!(v, ManifestViolation::OrphanShardFile { path } if path.ends_with("corpus.delta9.gksix"))),
             "{found:?}"
         );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn maintain_compacts_at_the_threshold_even_after_a_failed_commit() {
+        let root = temp_root("maintain");
+        let manifest_path = fresh(&root, 1);
+        let corpus = root.join("corpus");
+        write_doc(&corpus, "delta", "<r><t>elderberry</t></r>");
+        let tick = maintain(&manifest_path, Some(2));
+        assert!(tick.changed() && matches!(tick.compaction, Ok(None)), "one delta, below 2");
+        assert!(maintain(&manifest_path, Some(1)).compaction.unwrap().is_some(), "1 reaches 1");
+        // A commit that fails (unparsable XML) does not skip the check: the
+        // fold is attempted over the same broken corpus and fails too.
+        write_doc(&corpus, "epsilon", "<r><t>fig</t></r>");
+        assert!(maintain(&manifest_path, None).commit.unwrap().is_some());
+        write_doc(&corpus, "broken", "<r><unclosed></r>");
+        let tick = maintain(&manifest_path, Some(1));
+        assert!(tick.commit.is_err() && tick.compaction.is_err(), "{tick:?}");
         fs::remove_dir_all(&root).ok();
     }
 }

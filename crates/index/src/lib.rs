@@ -42,8 +42,8 @@ pub use builder::GksIndex;
 pub use categorize::{NodeCategory, NodeFlags};
 pub use corpus::Corpus;
 pub use delta::{
-    commit_delta, compact, index_directory, plan_delta, validate_manifest, validate_manifest_files,
-    CommitStats, CompactStats, DeltaPlan, ManifestViolation,
+    audit_manifest, commit_delta, compact, index_corpus, index_directory, maintain, plan_delta,
+    CommitStats, CompactStats, DeltaPlan, MaintenanceOutcome, ManifestViolation,
 };
 pub use doctor::Violation;
 pub use error::IndexError;
@@ -53,7 +53,7 @@ pub use persist::{section_sizes, IndexFormat, SectionSizes};
 pub use postings::PostingStore;
 pub use schema::{PathStats, SchemaSummary};
 pub use shard::{
-    split_corpus, DocEntry, ShardEntry, ShardKind, ShardManifest, ShardView, Tombstone, DEAD_DOC,
-    MANIFEST_MAGIC,
+    is_manifest_file, split_corpus, DocEntry, ShardEntry, ShardKind, ShardManifest, ShardView,
+    Tombstone, DEAD_DOC,
 };
 pub use stats::{CategoryCensus, IndexStats};

@@ -34,6 +34,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 
 use gks_dewey::DocId;
@@ -49,6 +50,15 @@ pub const MANIFEST_HEADER: &str = "gks-shard-manifest v2";
 /// Version-agnostic prefix shared by every manifest format version — what a
 /// file-type sniff should match instead of a specific header.
 pub const MANIFEST_MAGIC: &str = "gks-shard-manifest v";
+
+/// True when `path` holds a shard manifest of any format version rather
+/// than a single index: its first bytes are [`MANIFEST_MAGIC`]. Reads only
+/// that prefix, so sniffing a large index file costs one short read.
+pub fn is_manifest_file(path: impl AsRef<Path>) -> bool {
+    let mut head = [0u8; MANIFEST_MAGIC.len()];
+    fs::File::open(path).and_then(|mut file| file.read_exact(&mut head)).is_ok()
+        && head.as_slice() == MANIFEST_MAGIC.as_bytes()
+}
 
 /// Sentinel in a shard view's local→global table marking a dead (tombstoned)
 /// local document id.
@@ -777,6 +787,25 @@ mod tests {
         let loaded = ShardManifest::load(&path).unwrap();
         assert_eq!(loaded.shards[0].path, dir.join("s0.gksix"));
         assert_eq!(loaded.corpus_dir, Some(dir.join("xmls")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_sniff_reads_only_the_header() {
+        let dir = std::env::temp_dir().join(format!("gks-manifest-sniff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.shards");
+        std::fs::write(&manifest, format!("{MANIFEST_HEADER}\nshards 0\n")).unwrap();
+        assert!(is_manifest_file(&manifest));
+        let short = dir.join("short");
+        std::fs::write(&short, &MANIFEST_MAGIC.as_bytes()[..5]).unwrap();
+        assert!(!is_manifest_file(&short), "shorter than the header");
+        let index = dir.join("x.gksix");
+        GksIndex::build(&corpus(2), IndexOptions::default())
+            .unwrap()
+            .save(&index)
+            .unwrap();
+        assert!(!is_manifest_file(&index), "a real index");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,18 +18,6 @@
 //! bulk complement: it drops every entry when the resident identity changes,
 //! reclaiming memory that the per-entry tags would otherwise only retire
 //! lazily through LRU pressure.
-//!
-//! **Frequency-sketch admission (TinyLFU).** With
-//! [`ResultCache::with_admission`] each shard additionally keeps a 4-bit
-//! count-min sketch ([`FrequencySketch`]) of key access frequencies. When a
-//! put would force an eviction, the candidate is admitted only if its
-//! estimated frequency is at least the LRU victim's — one-hit-wonder
-//! responses (typical of a Zipf query tail) then never displace hot entries.
-//! Admission is off by default (pure LRU, byte-identical to the historical
-//! behavior); the [`ResultCache::admitted_total`] / [`rejected_total`]
-//! counters make the gate's effect observable in `/metrics`.
-//!
-//! [`rejected_total`]: ResultCache::rejected_total
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,103 +29,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const ENTRY_OVERHEAD: usize = 96;
 
 const NIL: usize = usize::MAX;
-
-/// A 4-bit count-min sketch over key hashes — the frequency estimator
-/// behind TinyLFU admission. Four hash functions index into a table of
-/// 4-bit saturating counters (16 per `u64` word); when the total number of
-/// increments reaches the sample size every counter is halved, aging out
-/// stale popularity so the sketch tracks *recent* frequency.
-#[derive(Debug)]
-struct FrequencySketch {
-    table: Vec<u64>,
-    mask: u64,
-    increments: u64,
-    sample_size: u64,
-}
-
-impl FrequencySketch {
-    /// A sketch sized for roughly `entries` resident keys.
-    fn new(entries: usize) -> FrequencySketch {
-        let words = entries.max(16).next_power_of_two();
-        FrequencySketch {
-            table: vec![0u64; words],
-            mask: (words as u64) - 1,
-            increments: 0,
-            sample_size: (words as u64) * 10,
-        }
-    }
-
-    /// The four (word, nibble) positions for `hash`, one per hash function.
-    fn positions(&self, hash: u64) -> [(usize, u32); 4] {
-        let mut out = [(0usize, 0u32); 4];
-        let mut h = hash;
-        for slot in &mut out {
-            // SplitMix64-style remix per function: cheap, well distributed.
-            h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = h;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            // Index stays in range: the table length is a power of two and
-            // `mask` is length - 1.
-            *slot = ((z & self.mask) as usize, ((z >> 32) & 0xf) as u32 * 4);
-        }
-        out
-    }
-
-    /// Bumps the 4-bit counters for `hash` (saturating at 15), halving the
-    /// whole table when the sample window fills.
-    fn increment(&mut self, hash: u64) {
-        let mut bumped = false;
-        for (word, shift) in self.positions(hash) {
-            if let Some(cell) = self.table.get_mut(word) {
-                let current = (*cell >> shift) & 0xf;
-                if current < 15 {
-                    *cell += 1u64 << shift;
-                    bumped = true;
-                }
-            }
-        }
-        if bumped {
-            self.increments += 1;
-            if self.increments >= self.sample_size {
-                self.halve();
-            }
-        }
-    }
-
-    /// Estimated access frequency of `hash`: the minimum of its counters.
-    fn estimate(&self, hash: u64) -> u64 {
-        let mut min = u64::MAX;
-        for (word, shift) in self.positions(hash) {
-            let cell = self.table.get(word).copied().unwrap_or(0);
-            min = min.min((cell >> shift) & 0xf);
-        }
-        min
-    }
-
-    /// Halves every counter (the TinyLFU aging step).
-    fn halve(&mut self) {
-        for cell in &mut self.table {
-            *cell = (*cell >> 1) & 0x7777_7777_7777_7777;
-        }
-        self.increments /= 2;
-    }
-}
-
-/// Outcome of a [`Shard::put`] with respect to the admission gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admission {
-    /// Stored without the gate being consulted (no eviction pressure, or
-    /// admission disabled).
-    Stored,
-    /// Under eviction pressure; the candidate beat the LRU victim's
-    /// frequency and was stored.
-    Admitted,
-    /// Under eviction pressure; the candidate was colder than the LRU
-    /// victim and was **not** stored.
-    Rejected,
-}
 
 #[derive(Debug)]
 struct Slot {
@@ -162,15 +53,11 @@ struct Shard {
     tail: usize,
     bytes: usize,
     capacity: usize,
-    /// TinyLFU admission sketch; `None` means pure LRU (the default).
-    sketch: Option<FrequencySketch>,
 }
 
 impl Shard {
-    fn new(capacity: usize, admission: bool) -> Shard {
-        let sketch =
-            admission.then(|| FrequencySketch::new(capacity / (ENTRY_OVERHEAD * 4).max(1)));
-        Shard { head: NIL, tail: NIL, capacity, sketch, ..Shard::default() }
+    fn new(capacity: usize) -> Shard {
+        Shard { head: NIL, tail: NIL, capacity, ..Shard::default() }
     }
 
     fn detach(&mut self, idx: usize) {
@@ -214,9 +101,6 @@ impl Shard {
     }
 
     fn get(&mut self, key: &str, identity: u64) -> Option<Arc<[u8]>> {
-        if let Some(sketch) = &mut self.sketch {
-            sketch.increment(fnv1a(key.as_bytes()));
-        }
         let idx = *self.map.get(key)?;
         let slot = self.slots.get(idx).and_then(|s| s.as_ref())?;
         if slot.identity != identity {
@@ -247,38 +131,13 @@ impl Shard {
         }
     }
 
-    fn put(&mut self, key: String, value: Arc<[u8]>, identity: u64) -> Admission {
+    fn put(&mut self, key: String, value: Arc<[u8]>, identity: u64) {
         let charge = key.len() + value.len() + ENTRY_OVERHEAD;
         if charge > self.capacity {
-            return Admission::Stored; // would evict the whole shard for one oversized entry
+            return; // would evict the whole shard for one oversized entry
         }
-        let replacing = self.map.contains_key(&key);
-        let mut outcome = Admission::Stored;
-        if self.sketch.is_some() {
-            let candidate_hash = fnv1a(key.as_bytes());
-            if let Some(sketch) = &mut self.sketch {
-                sketch.increment(candidate_hash);
-            }
-            // The gate only arbitrates *displacement*: a put that fits
-            // without evicting (or replaces its own key) always proceeds.
-            if !replacing && self.bytes + charge > self.capacity && self.tail != NIL {
-                let victim_hash = self
-                    .slots
-                    .get(self.tail)
-                    .and_then(|s| s.as_ref())
-                    .map(|s| fnv1a(s.key.as_bytes()));
-                if let (Some(sketch), Some(victim_hash)) = (self.sketch.as_ref(), victim_hash) {
-                    if sketch.estimate(candidate_hash) < sketch.estimate(victim_hash) {
-                        return Admission::Rejected;
-                    }
-                }
-                outcome = Admission::Admitted;
-            }
-        }
-        if replacing {
-            if let Some(&idx) = self.map.get(&key) {
-                self.remove_slot(idx); // replace: simplest way to re-account bytes
-            }
+        if let Some(&idx) = self.map.get(&key) {
+            self.remove_slot(idx); // replace: simplest way to re-account bytes
         }
         let idx = match self.free.pop() {
             Some(i) => i,
@@ -293,7 +152,6 @@ impl Shard {
         self.push_front(idx);
         self.bytes += charge;
         self.evict_to_capacity();
-        outcome
     }
 
     fn clear(&mut self) {
@@ -334,17 +192,12 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// A sharded, byte-capacity-bounded LRU cache of serialized responses,
-/// optionally fronted by a TinyLFU admission gate.
+/// A sharded, byte-capacity-bounded LRU cache of serialized responses.
 #[derive(Debug)]
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     identity: AtomicU64,
     mask: u64,
-    /// Puts admitted by the frequency gate under eviction pressure.
-    admitted: AtomicU64,
-    /// Puts rejected by the frequency gate (candidate colder than victim).
-    rejected: AtomicU64,
 }
 
 fn lock_shard(m: &Mutex<Shard>) -> gks_trace::lockorder::Tracked<MutexGuard<'_, Shard>> {
@@ -359,44 +212,14 @@ fn lock_shard(m: &Mutex<Shard>) -> gks_trace::lockorder::Tracked<MutexGuard<'_, 
 impl ResultCache {
     /// Creates a cache with `capacity_bytes` split over `shards` shards
     /// (rounded up to a power of two, minimum 1), bound to index `identity`.
-    /// Pure LRU — no admission gate.
     pub fn new(capacity_bytes: usize, shards: usize, identity: u64) -> ResultCache {
-        ResultCache::with_admission(capacity_bytes, shards, identity, false)
-    }
-
-    /// Like [`ResultCache::new`], with the TinyLFU frequency-sketch
-    /// admission gate enabled when `admission` is set: under eviction
-    /// pressure a new entry is stored only if its estimated access
-    /// frequency is at least the LRU victim's.
-    pub fn with_admission(
-        capacity_bytes: usize,
-        shards: usize,
-        identity: u64,
-        admission: bool,
-    ) -> ResultCache {
         let shard_count = shards.max(1).next_power_of_two();
         let per_shard = (capacity_bytes / shard_count).max(ENTRY_OVERHEAD * 4);
         ResultCache {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(Shard::new(per_shard, admission)))
-                .collect(),
+            shards: (0..shard_count).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
             identity: AtomicU64::new(identity),
             mask: (shard_count as u64) - 1,
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
         }
-    }
-
-    /// Puts admitted by the frequency gate under eviction pressure (0 when
-    /// admission is disabled).
-    pub fn admitted_total(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Puts rejected by the frequency gate because the candidate was colder
-    /// than the LRU victim (0 when admission is disabled).
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 
     fn shard_for(&self, key: &str) -> &Mutex<Shard> {
@@ -431,16 +254,7 @@ impl ResultCache {
     /// `identity`. A late writer on a superseded generation only inserts an
     /// entry current readers will ignore (and LRU pressure will retire).
     pub fn put_for(&self, key: String, value: Arc<[u8]>, identity: u64) {
-        let outcome = lock_shard(self.shard_for(&key)).put(key, value, identity);
-        match outcome {
-            Admission::Stored => {}
-            Admission::Admitted => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-            }
-            Admission::Rejected => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        lock_shard(self.shard_for(&key)).put(key, value, identity);
     }
 
     /// Drops every entry.
@@ -604,66 +418,6 @@ mod tests {
         c.put_for("late".into(), val(10), 6);
         assert!(c.get_for("late", 7).is_none());
         assert!(c.get_for("late", 6).is_some());
-    }
-
-    #[test]
-    fn admission_rejects_one_hit_wonders() {
-        // Capacity for exactly three entries; admission on.
-        let cap = 3 * charge("hot1", 1);
-        let c = ResultCache::with_admission(cap, 1, 1, true);
-        c.put("hot1".into(), val(1));
-        c.put("hot2".into(), val(1));
-        c.put("hot3".into(), val(1));
-        // Build frequency for the resident entries.
-        for _ in 0..8 {
-            assert!(c.get("hot1").is_some());
-            assert!(c.get("hot2").is_some());
-            assert!(c.get("hot3").is_some());
-        }
-        // A cold candidate must not displace a hot victim…
-        c.put("cold".into(), val(1));
-        assert!(c.get("cold").is_none(), "cold candidate should be rejected");
-        assert!(c.get("hot1").is_some(), "hot entries survive the cold put");
-        assert_eq!(c.stats().entries, 3);
-        assert!(c.rejected_total() >= 1);
-        // …but a candidate as frequent as the victim is admitted.
-        for _ in 0..8 {
-            let _ = c.get("warm");
-        }
-        c.put("warm".into(), val(1));
-        assert!(c.get("warm").is_some(), "frequent candidate should be admitted");
-        assert!(c.admitted_total() >= 1);
-    }
-
-    #[test]
-    fn admission_disabled_is_pure_lru() {
-        let cap = 2 * charge("k1", 1);
-        let c = single_shard(cap);
-        c.put("k1".into(), val(1));
-        for _ in 0..8 {
-            assert!(c.get("k1").is_some());
-        }
-        c.put("k2".into(), val(1));
-        c.put("k3".into(), val(1));
-        // Pure LRU always admits: k3 displaced k1 despite k1's frequency.
-        assert!(c.get("k3").is_some());
-        assert_eq!(c.admitted_total(), 0);
-        assert_eq!(c.rejected_total(), 0);
-    }
-
-    #[test]
-    fn sketch_estimates_and_ages() {
-        let mut s = FrequencySketch::new(64);
-        let hot = fnv1a(b"hot");
-        let cold = fnv1a(b"cold");
-        for _ in 0..10 {
-            s.increment(hot);
-        }
-        assert!(s.estimate(hot) >= 5, "hot key should accumulate frequency");
-        assert!(s.estimate(hot) > s.estimate(cold));
-        let before = s.estimate(hot);
-        s.halve();
-        assert!(s.estimate(hot) <= before / 2 + 1, "halving ages counters");
     }
 
     #[test]

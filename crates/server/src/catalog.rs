@@ -39,11 +39,11 @@
 //! path — shard files are immutable once written) are **reused**: the
 //! loaded index is shared via `Arc` and only re-wrapped with the new
 //! tombstone mask and document map, so a delta commit touching one shard
-//! re-reads one file, not N. [`ResidentIndex::poll_corpus`] (the watcher)
-//! and [`ResidentIndex::compact_now`] (`POST /admin/compact`, or the
-//! background compactor once the `--compact-threshold` backlog is reached)
-//! both funnel through a maintenance mutex so at most one manifest
-//! mutation runs per index at a time.
+//! re-reads one file, not N. [`ResidentIndex::maintain`] (the watcher tick,
+//! `gks_index::maintain` — the policy `gks watch` runs) and
+//! [`ResidentIndex::compact_now`] (`POST /admin/compact`) share one locked
+//! body behind a maintenance mutex, so at most one manifest mutation runs
+//! per index at a time and each syncs the new generation in once.
 //!
 //! Lock order within this module: `catalog.maintenance` →
 //! `catalog.slots` → `catalog.loaded` (checked statically by
@@ -61,8 +61,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use gks_core::engine::Engine;
 use gks_core::shard::{shard_engine, DocMap};
 use gks_core::{CostLedger, ShardExecutor};
-use gks_index::delta::{commit_delta, compact, wall_clock_ms, CommitStats, CompactStats};
-use gks_index::{GksIndex, ShardManifest};
+use gks_index::delta::{compact, wall_clock_ms, CommitStats, CompactStats, MaintenanceOutcome};
+use gks_index::{GksIndex, IndexError, ShardManifest};
 use gks_trace::{CompletedTrace, Histogram, SpanKind};
 
 use crate::cache::ResultCache;
@@ -409,7 +409,7 @@ pub struct ResidentIndex {
     /// Bumped after every swap; lets readers detect a reload racing their
     /// slot sweep (see [`ResidentIndex::snapshot_all`]).
     epoch: AtomicU64,
-    /// Delta shards currently serving (the compactor's backlog gauge).
+    /// Delta shards currently serving (the `/metrics` backlog gauge).
     delta_shards: AtomicU64,
     /// Documents living in delta shards.
     delta_docs: AtomicU64,
@@ -533,12 +533,7 @@ impl ResidentIndex {
             delta_shards: AtomicU64::new(0),
             delta_docs: AtomicU64::new(0),
             committed_ms: AtomicU64::new(0),
-            cache: ResultCache::with_admission(
-                config.cache_bytes,
-                config.cache_shards,
-                0,
-                config.cache_admission,
-            ),
+            cache: ResultCache::new(config.cache_bytes, config.cache_shards, 0),
             counters: IndexCounters::new(),
             executor,
         };
@@ -588,7 +583,7 @@ impl ResidentIndex {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Delta shards currently serving (the compactor's backlog gauge).
+    /// Delta shards currently serving (the `/metrics` backlog gauge).
     pub fn delta_shards(&self) -> u64 {
         self.delta_shards.load(Ordering::Relaxed)
     }
@@ -759,8 +754,7 @@ impl ResidentIndex {
         };
         let before = self.identity();
         let old = slot_loaded(slot);
-        let index = GksIndex::load(&path)
-            .map_err(|e| ServeError::Index { name: self.name.clone(), message: e.to_string() })?;
+        let index = GksIndex::load(&path).map_err(|e| self.index_error(e))?;
         let engine =
             Arc::new(Engine::from_shared(Arc::new(index), old.engine.tombstones().to_vec()));
         let identity = slot_identity(&engine, old.doc_map.as_ref());
@@ -802,8 +796,7 @@ impl ResidentIndex {
                 self.name
             )));
         };
-        let manifest = ShardManifest::load(&path)
-            .map_err(|e| ServeError::Index { name: self.name.clone(), message: e.to_string() })?;
+        let manifest = ShardManifest::load(&path).map_err(|e| self.index_error(e))?;
         let before = self.identity();
         let current = self.slots_snapshot();
         let replacement = build_manifest_slots(&self.name, &manifest, &current)?;
@@ -826,42 +819,46 @@ impl ResidentIndex {
         Ok((before, after))
     }
 
-    /// One watcher tick: scans the manifest's corpus directory, commits a
-    /// delta for whatever changed, and syncs the new generation in.
-    /// Returns `Ok(None)` when the corpus is unchanged. Serialized with
-    /// compactions through the maintenance mutex, so at most one manifest
-    /// mutation runs per index at a time; holding the mutex across the
-    /// commit I/O is the point — it is the serialization, and it is never
-    /// taken on the request path.
-    pub fn poll_corpus(&self) -> Result<Option<CommitStats>, ServeError> {
-        let Some(path) = self.manifest.clone() else {
-            return Err(ServeError::BadConfig(format!(
-                "index {:?} is not manifest-backed and cannot watch a corpus",
-                self.name
-            )));
-        };
-        let _maintenance = gks_trace::lockorder::track(
-            "server/catalog.maintenance",
-            self.maintenance.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        let stats = commit_delta(&path)
-            .map_err(|e| ServeError::Index { name: self.name.clone(), message: e.to_string() })?;
-        if stats.is_some() {
-            self.counters.delta_commits_total.fetch_add(1, Ordering::Relaxed);
-            self.sync_manifest()?;
-        }
-        Ok(stats)
+    /// One watcher tick of the shared update policy
+    /// ([`gks_index::maintain`], what `gks watch` runs): commit a delta for
+    /// whatever changed in the corpus directory, fold the backlog once the
+    /// manifest on disk carries `compact_at` delta shards, and sync the new
+    /// generation in — once, whatever the tick did. Returns the delta the
+    /// tick committed (`None` for an unchanged corpus). Both steps always
+    /// run; the error is the first one that failed.
+    pub fn maintain(&self, compact_at: Option<u64>) -> Result<Option<CommitStats>, ServeError> {
+        let MaintenanceOutcome { commit, compaction } =
+            self.mutate_manifest("watch a corpus", |path| gks_index::maintain(path, compact_at))?;
+        let commit = commit.map_err(|e| self.index_error(e))?;
+        compaction.map_err(|e| self.index_error(e))?;
+        Ok(commit)
     }
 
     /// Folds this index's delta shards back into its base shards
-    /// (`POST /admin/compact`, or the background compactor once the
-    /// backlog crosses the threshold) and syncs the compacted generation
-    /// in. Returns `Ok(None)` when there was nothing to fold. Serialized
-    /// with watcher commits through the maintenance mutex.
+    /// (`POST /admin/compact`) and syncs the compacted generation in.
+    /// Returns `Ok(None)` when there was nothing to fold.
     pub fn compact_now(&self) -> Result<Option<CompactStats>, ServeError> {
-        let Some(path) = self.manifest.clone() else {
+        let outcome = self.mutate_manifest("compact", |path| MaintenanceOutcome {
+            commit: Ok(None),
+            compaction: compact(path),
+        })?;
+        outcome.compaction.map_err(|e| self.index_error(e))
+    }
+
+    /// The locked body of [`ResidentIndex::maintain`] and
+    /// [`ResidentIndex::compact_now`]: runs one manifest mutation under the
+    /// maintenance mutex, counts what it did, and syncs the new generation
+    /// in if anything changed. The mutex keeps at most one mutation per
+    /// index in flight; holding it across the I/O is the point, and it is
+    /// never taken on the request path.
+    fn mutate_manifest(
+        &self,
+        what: &str,
+        step: impl FnOnce(&Path) -> MaintenanceOutcome,
+    ) -> Result<MaintenanceOutcome, ServeError> {
+        let Some(path) = self.manifest.as_deref() else {
             return Err(ServeError::BadConfig(format!(
-                "index {:?} is not manifest-backed and cannot compact",
+                "index {:?} is not manifest-backed and cannot {what}",
                 self.name
             )));
         };
@@ -869,16 +866,24 @@ impl ResidentIndex {
             "server/catalog.maintenance",
             self.maintenance.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
         );
-        let started_ms = wall_clock_ms();
-        let stats = compact(&path)
-            .map_err(|e| ServeError::Index { name: self.name.clone(), message: e.to_string() })?;
-        if stats.is_some() {
-            let elapsed = wall_clock_ms().saturating_sub(started_ms);
+        let outcome = step(path);
+        if let Ok(Some(_)) = &outcome.commit {
+            self.counters.delta_commits_total.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Ok(Some(stats)) = &outcome.compaction {
             self.counters.compactions_total.fetch_add(1, Ordering::Relaxed);
-            self.counters.compaction_millis_total.fetch_add(elapsed, Ordering::Relaxed);
+            self.counters
+                .compaction_millis_total
+                .fetch_add(stats.elapsed_ms, Ordering::Relaxed);
+        }
+        if outcome.changed() {
             self.sync_manifest()?;
         }
-        Ok(stats)
+        Ok(outcome)
+    }
+
+    fn index_error(&self, e: IndexError) -> ServeError {
+        ServeError::Index { name: self.name.clone(), message: e.to_string() }
     }
 
     /// Folds one engine run's cost ledger into this index's totals and
@@ -910,8 +915,6 @@ impl ResidentIndex {
             requests_total: self.counters.requests_total.load(Ordering::Relaxed),
             cache_hits_total: self.counters.cache_hits_total.load(Ordering::Relaxed),
             cache_misses_total: self.counters.cache_misses_total.load(Ordering::Relaxed),
-            cache_admitted_total: self.cache.admitted_total(),
-            cache_rejected_total: self.cache.rejected_total(),
             reloads_total: self.counters.reloads_total.load(Ordering::Relaxed),
             delta_shards: self.delta_shards(),
             delta_docs: self.delta_docs(),
@@ -1144,7 +1147,7 @@ mod tests {
         resident.cache().put("k".into(), Arc::from(&b"v"[..]));
         assert!(resident.cache().get("k").is_some());
         assert!(resident.reload().is_err(), "engine-backed indexes cannot reload");
-        assert!(resident.poll_corpus().is_err(), "engine-backed indexes cannot watch");
+        assert!(resident.maintain(None).is_err(), "engine-backed indexes cannot watch");
         assert!(resident.compact_now().is_err(), "engine-backed indexes cannot compact");
         assert_eq!(resident.freshness_seconds(), None, "freshness is manifest-only");
 

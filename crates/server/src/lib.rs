@@ -56,13 +56,13 @@
 //!
 //! * **live updates** — an index registered from a shard manifest follows
 //!   the incremental update path (`gks_index::delta`): an optional watcher
-//!   thread polls the corpus directory and commits delta shards for
-//!   whatever changed, and a background compactor folds the delta backlog
-//!   into base shards once it crosses `--compact-threshold` (or on demand
-//!   via `POST /admin/compact`). Both publish through the same hot-swap
-//!   protocol, so a mutation becomes visible to `/search` without a
-//!   restart and without a dropped request; `gks_index_freshness_seconds`
-//!   tracks the corpus-to-serving lag.
+//!   thread runs `delta::maintain` — the same tick as `gks watch` — on
+//!   every interval, committing a delta shard for whatever changed and
+//!   folding the backlog once it reaches `--compact-threshold` delta
+//!   shards (`POST /admin/compact` folds on demand). Both publish through
+//!   the same hot-swap protocol, so a mutation becomes visible to
+//!   `/search` without a restart and without a dropped request;
+//!   `gks_index_freshness_seconds` tracks the corpus-to-serving lag.
 //!
 //! * **cost accounting** — every engine run carries a
 //!   [`gks_core::CostLedger`] of the work it did (postings scanned, heap
@@ -107,11 +107,9 @@ use gks_core::engine::Engine;
 use gks_core::query::Query;
 use gks_core::search::{Response, SearchOptions, Threshold};
 use gks_core::wire;
-use gks_index::delta::wall_clock_ms;
-use gks_index::GksIndex;
+use gks_index::{audit_manifest, GksIndex};
 use gks_trace::SpanKind;
 
-use crate::cache::ResultCache;
 use crate::catalog::{EngineCatalog, IndexSpec, ResidentIndex, ShardSet};
 use crate::error::ServeError;
 use crate::http::{HttpResponse, Request};
@@ -147,10 +145,6 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Result-cache shard count (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Enable TinyLFU frequency-sketch cache admission: under eviction
-    /// pressure a response is cached only if its key has been requested at
-    /// least as often as the entry it would displace.
-    pub cache_admission: bool,
     /// `limit` applied to `/search` when the request does not pass one.
     pub default_limit: usize,
     /// Upper bound on the `limit` a request may ask for.
@@ -175,10 +169,12 @@ pub struct ServeConfig {
     /// the corpus directory is scanned and changes are committed as a
     /// delta shard, then hot-swapped in. `None` disables watching.
     pub watch_interval: Option<Duration>,
-    /// Background-compaction trigger: once a manifest-backed index serves
-    /// at least this many delta shards, the maintenance thread folds them
-    /// into the base shards. `None` leaves compaction manual
-    /// (`POST /admin/compact` or `gks compact`).
+    /// Compaction trigger for the watcher tick (`gks_index::delta::maintain`):
+    /// once a manifest on disk carries at least this many delta shards, the
+    /// tick folds them into the base shards. `None` leaves compaction
+    /// manual (`POST /admin/compact` or `gks compact`). Needs
+    /// `watch_interval` and must be ≥ 1: [`serve_catalog`] rejects anything
+    /// else.
     pub compact_threshold: Option<u64>,
 }
 
@@ -194,7 +190,6 @@ impl Default for ServeConfig {
             shard_workers: 0,
             cache_bytes: 32 * 1024 * 1024,
             cache_shards: 8,
-            cache_admission: false,
             default_limit: 20,
             max_limit: 1_000,
             trace: true,
@@ -295,11 +290,6 @@ impl ServeState {
     /// The service counters.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The default index's result cache (single-index compatibility view).
-    pub fn cache(&self) -> &ResultCache {
-        self.catalog.default_index().cache()
     }
 
     /// The active configuration.
@@ -447,11 +437,18 @@ impl ServeState {
     }
 
     /// `GET /doctor` audits every shard of every resident index; under an
-    /// `/ix/<name>/` prefix it reports just that index.
+    /// `/ix/<name>/` prefix it reports just that index. A manifest-backed
+    /// index also reports `gks_index::audit_manifest`'s findings — the ones
+    /// `gks doctor <manifest>` prints — prefixed `manifest:`.
     fn handle_doctor(&self, route_index: Option<&str>, resident: &ResidentIndex) -> HttpResponse {
         let entry = |r: &ResidentIndex| {
             let set = self.pin(r)?;
-            Ok(wire::doctor_entry_json(r.name(), &set.engines()))
+            let findings: Vec<String> = match r.manifest_path().map(audit_manifest) {
+                None => Vec::new(),
+                Some(Ok((_, found))) => found.iter().map(|v| format!("manifest: {v}")).collect(),
+                Some(Err(e)) => vec![format!("manifest: cannot be read: {e}")],
+            };
+            Ok(wire::doctor_entry_json(r.name(), &set.engines(), &findings))
         };
         let body = if route_index.is_some() {
             entry(resident)
@@ -910,6 +907,16 @@ pub fn serve_catalog(
     if config.max_connections == 0 {
         return Err(ServeError::BadConfig("max-connections must be > 0".into()));
     }
+    if config
+        .compact_threshold
+        .is_some_and(|n| n == 0 || config.watch_interval.is_none())
+    {
+        return Err(ServeError::BadConfig(
+            "compact-threshold must be >= 1 and needs a watch interval (it runs on the watcher \
+             tick)"
+                .into(),
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| ServeError::Bind { addr: config.addr.clone(), source: e })?;
     listener.set_nonblocking(true).map_err(ServeError::Io)?;
@@ -959,21 +966,19 @@ pub fn serve_catalog(
         })
         .collect::<Result<Vec<_>, _>>()?;
     // The maintenance thread exists only when there is update-path work to
-    // do: a watcher interval or a compaction threshold, and at least one
-    // manifest-backed index to apply it to.
-    let wants_maintenance = (config.watch_interval.is_some() || config.compact_threshold.is_some())
-        && state.catalog().iter().any(|r| r.manifest_path().is_some());
-    let maintenance = if wants_maintenance {
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        Some(
-            std::thread::Builder::new()
-                .name("gks-maintenance".to_string())
-                .spawn(move || maintenance_loop(&state, &stop))
-                .map_err(ServeError::Io)?,
-        )
-    } else {
-        None
+    // do: a watcher interval and at least one manifest-backed index.
+    let maintenance = match config.watch_interval {
+        Some(interval) if state.catalog().iter().any(|r| r.manifest_path().is_some()) => {
+            let state = Arc::clone(&state);
+            let stop = Arc::clone(&stop);
+            Some(
+                std::thread::Builder::new()
+                    .name("gks-maintenance".to_string())
+                    .spawn(move || maintenance_loop(&state, interval, &stop))
+                    .map_err(ServeError::Io)?,
+            )
+        }
+        _ => None,
     };
 
     Ok(Server {
@@ -988,45 +993,23 @@ pub fn serve_catalog(
     })
 }
 
-/// The background update loop: on every watcher tick, commit a delta for
-/// whatever changed in each manifest-backed index's corpus directory and
-/// hot-swap it in; whenever an index's delta backlog reaches the
-/// compaction threshold, fold it into the base shards. Errors are
-/// deliberately non-fatal — a mid-mutation corpus scan or a transient I/O
-/// failure is retried on the next tick, and the serving set is never left
-/// inconsistent because every publish goes through the manifest's atomic
-/// epoch bump. Sleeps in short slices so shutdown stays prompt.
-fn maintenance_loop(state: &ServeState, stop: &AtomicBool) {
-    let interval_ms = state
-        .config
-        .watch_interval
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX).max(1));
-    let mut next_poll_ms = 0u64;
+/// The background update loop: every `interval`, one
+/// [`ResidentIndex::maintain`] tick per manifest-backed index — the
+/// `gks watch` policy, publishing through the hot-swap protocol. Errors
+/// are deliberately non-fatal: a mid-mutation corpus scan or a transient
+/// I/O failure is retried on the next tick, and the serving set is never
+/// left inconsistent because every publish goes through the manifest's
+/// atomic epoch bump. Sleeps in short slices so shutdown stays prompt.
+fn maintenance_loop(state: &ServeState, interval: Duration, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
-        if let Some(interval) = interval_ms {
-            let now = wall_clock_ms();
-            if now >= next_poll_ms {
-                for resident in state.catalog().iter() {
-                    if resident.manifest_path().is_none() {
-                        continue;
-                    }
-                    let _ = resident.poll_corpus();
-                }
-                next_poll_ms = now.saturating_add(interval);
-            }
+        for resident in state.catalog().iter().filter(|r| r.manifest_path().is_some()) {
+            let _ = resident.maintain(state.config.compact_threshold);
         }
-        if let Some(threshold) = state.config.compact_threshold {
-            for resident in state.catalog().iter() {
-                if resident.manifest_path().is_some() && resident.delta_shards() >= threshold {
-                    let _ = resident.compact_now();
-                }
-            }
-        }
-        for _ in 0..5 {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+        let mut slept = Duration::ZERO;
+        while slept < interval && !stop.load(Ordering::SeqCst) {
+            let slice = (interval - slept).min(Duration::from_millis(10));
+            std::thread::sleep(slice);
+            slept += slice;
         }
     }
 }

@@ -193,10 +193,6 @@ pub struct IndexMetricsView<'a> {
     pub cache_hits_total: u64,
     /// Result-cache misses for this index.
     pub cache_misses_total: u64,
-    /// Cache puts admitted by the TinyLFU gate under eviction pressure.
-    pub cache_admitted_total: u64,
-    /// Cache puts rejected by the TinyLFU gate.
-    pub cache_rejected_total: u64,
     /// Completed hot-swap reloads of this index.
     pub reloads_total: u64,
     /// Delta shards currently serving (0 for non-manifest indexes).
@@ -358,11 +354,6 @@ impl Metrics {
         }
         let _ = writeln!(out, "gks_conn_accept_to_dispatch_micros_sum {}", dispatch.sum());
         let _ = writeln!(out, "gks_conn_accept_to_dispatch_micros_count {}", dispatch.count());
-        // TinyLFU admission outcomes, summed across every index's cache.
-        let admitted: u64 = indexes.iter().map(|v| v.cache_admitted_total).sum();
-        let rejected: u64 = indexes.iter().map(|v| v.cache_rejected_total).sum();
-        let _ = writeln!(out, "gks_cache_admitted_total {admitted}");
-        let _ = writeln!(out, "gks_cache_rejected_total {rejected}");
         // Per-phase engine latency, aggregated by gks-trace across every
         // span of that kind recorded process-wide (CLI-triggered searches
         // included, though in the server they all come from requests).
@@ -437,16 +428,6 @@ impl Metrics {
                 writeln!(out, "gks_index_identity{{index=\"{}\"}} {}", view.name, view.identity);
             let _ =
                 writeln!(out, "gks_index_shards{{index=\"{}\"}} {}", view.name, view.shard_count);
-            let _ = writeln!(
-                out,
-                "gks_index_cache_admitted_total{{index=\"{}\"}} {}",
-                view.name, view.cache_admitted_total
-            );
-            let _ = writeln!(
-                out,
-                "gks_index_cache_rejected_total{{index=\"{}\"}} {}",
-                view.name, view.cache_rejected_total
-            );
             // Update-path gauges and counters. Non-manifest indexes expose
             // the same lines with zeros (freshness, which has no zero, is
             // left out) so dashboards need no per-deployment templating.
@@ -579,8 +560,6 @@ mod tests {
             requests_total: 2,
             cache_hits_total: 3,
             cache_misses_total: 1,
-            cache_admitted_total: 5,
-            cache_rejected_total: 4,
             reloads_total: 1,
             delta_shards: 2,
             delta_docs: 17,
@@ -619,9 +598,6 @@ mod tests {
         assert_eq!(metric_value(&text, "gks_index_reloads_total{index=\"dblp\"}"), Some(1));
         assert_eq!(metric_value(&text, "gks_index_identity{index=\"dblp\"}"), Some(42));
         assert_eq!(metric_value(&text, "gks_index_shards{index=\"dblp\"}"), Some(2));
-        assert_eq!(metric_value(&text, "gks_cache_admitted_total"), Some(5));
-        assert_eq!(metric_value(&text, "gks_cache_rejected_total"), Some(4));
-        assert_eq!(metric_value(&text, "gks_index_cache_admitted_total{index=\"dblp\"}"), Some(5));
         // Update-path lines.
         assert_eq!(metric_value(&text, "gks_delta_shards{index=\"dblp\"}"), Some(2));
         assert_eq!(metric_value(&text, "gks_delta_docs{index=\"dblp\"}"), Some(17));
@@ -679,8 +655,6 @@ mod tests {
             requests_total: 4,
             cache_hits_total: 2,
             cache_misses_total: 2,
-            cache_admitted_total: 1,
-            cache_rejected_total: 0,
             reloads_total: 0,
             delta_shards: 0,
             delta_docs: 0,
@@ -703,8 +677,6 @@ mod tests {
             requests_total: 6,
             cache_hits_total: 1,
             cache_misses_total: 5,
-            cache_admitted_total: 0,
-            cache_rejected_total: 3,
             reloads_total: 2,
             delta_shards: 3,
             delta_docs: 9,
@@ -732,9 +704,6 @@ mod tests {
         assert_eq!(metric_value(&text, "gks_index_reloads_total{index=\"b\"}"), Some(2));
         assert_eq!(metric_value(&text, "gks_index_shards{index=\"a\"}"), Some(1));
         assert_eq!(metric_value(&text, "gks_index_shards{index=\"b\"}"), Some(4));
-        // Admission counters sum across the catalog.
-        assert_eq!(metric_value(&text, "gks_cache_admitted_total"), Some(1));
-        assert_eq!(metric_value(&text, "gks_cache_rejected_total"), Some(3));
     }
 
     #[test]
@@ -789,8 +758,6 @@ mod tests {
             requests_total: 0,
             cache_hits_total: 0,
             cache_misses_total: 0,
-            cache_admitted_total: 0,
-            cache_rejected_total: 0,
             reloads_total: 0,
             delta_shards: 0,
             delta_docs: 0,

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use gks_index::delta::index_directory;
 use gks_index::IndexOptions;
 use gks_server::client::http_get;
+use gks_server::error::ServeError;
 use gks_server::http::parse_request;
 use gks_server::metrics::metric_value;
 use gks_server::{catalog::IndexSpec, serve_catalog, ServeConfig, ServeState};
@@ -59,7 +60,7 @@ fn has_hits(body: &str) -> bool {
     !body.contains("\"total_hits\":0")
 }
 
-/// Mutations committed through `poll_corpus` are served by `/search`
+/// Mutations committed through `maintain` are served by `/search`
 /// immediately — adds, modifies, and deletes alike — and `/admin/compact`
 /// folds the backlog without changing what queries see.
 #[test]
@@ -78,7 +79,7 @@ fn mutations_become_visible_without_restart() {
 
     // Add a document: visible right after the poll commits the delta.
     write_doc(&corpus, "d3", "elderberry fig");
-    let stats = resident.poll_corpus().unwrap().expect("a delta was committed");
+    let stats = resident.maintain(None).unwrap().expect("a delta was committed");
     assert_eq!(stats.added, 1);
     let response = get(&state, "/search?q=elderberry");
     assert_eq!(response.status, 200);
@@ -88,17 +89,17 @@ fn mutations_become_visible_without_restart() {
 
     // Modify: the old content stops matching, the new content matches.
     write_doc(&corpus, "d0", "grape banana");
-    resident.poll_corpus().unwrap().expect("modify commits");
+    resident.maintain(None).unwrap().expect("modify commits");
     assert!(has_hits(&body(&state, "/search?q=grape")), "modified content matches");
     assert!(!has_hits(&body(&state, "/search?q=apple")), "old content stops matching");
 
     // Delete: the document disappears from results.
     std::fs::remove_file(corpus.join("d2.xml")).unwrap();
-    resident.poll_corpus().unwrap().expect("delete commits");
+    resident.maintain(None).unwrap().expect("delete commits");
     assert!(!has_hits(&body(&state, "/search?q=durian")), "deleted doc stops matching");
 
     // An unchanged corpus commits nothing.
-    assert!(resident.poll_corpus().unwrap().is_none(), "clean poll is a no-op");
+    assert!(resident.maintain(None).unwrap().is_none(), "clean poll is a no-op");
 
     // Freshness is exported and small right after a commit.
     let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
@@ -149,7 +150,7 @@ fn delete_first_equals_rebuild_for_one_and_two_base_shards() {
         let live = ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap();
 
         std::fs::remove_file(corpus.join("d0.xml")).unwrap();
-        let stats = live.catalog().default_index().poll_corpus().unwrap().expect("delete commits");
+        let stats = live.catalog().default_index().maintain(None).unwrap().expect("delete commits");
         assert_eq!((stats.added, stats.deleted), (0, 1));
         assert_eq!(live.catalog().default_index().shard_count(), base_shards, "no delta slot");
 
@@ -181,6 +182,31 @@ fn compact_without_manifest_is_rejected() {
     assert_eq!(post(&state, "/admin/compact").status, 400);
 }
 
+/// `/doctor` on a manifest-backed index reports the manifest audit
+/// `gks doctor` runs: an orphaned shard file next to the manifest makes
+/// the entry unhealthy, with a `manifest:` finding naming the file.
+#[test]
+fn doctor_reports_manifest_findings() {
+    let root = std::env::temp_dir().join(format!("gks-live-orphan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let manifest = seed_corpus(&root, 1);
+    let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
+    let state = ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap();
+    assert!(body(&state, "/ix/live/doctor").contains("\"healthy\":true"));
+
+    let orphan = root.join("corpus.base7.0.gksix");
+    std::fs::copy(root.join("corpus.base0.0.gksix"), &orphan).unwrap();
+    for target in ["/ix/live/doctor", "/doctor"] {
+        let sick = body(&state, target);
+        assert!(sick.contains("\"healthy\":false"), "{target}: {sick}");
+        assert!(sick.contains("\"manifest: orphaned shard file "), "{target}: {sick}");
+        assert!(sick.contains("corpus.base7.0.gksix"), "{target}: {sick}");
+    }
+    std::fs::remove_file(&orphan).unwrap();
+    assert!(body(&state, "/ix/live/doctor").contains("\"healthy\":true"));
+    std::fs::remove_dir_all(&root).ok();
+}
+
 fn wait_for<F: Fn() -> bool>(what: &str, deadline: Duration, f: F) {
     let started = Instant::now();
     while !f() {
@@ -203,10 +229,19 @@ fn watcher_thread_picks_up_changes_under_load() {
     let _ = std::fs::remove_dir_all(&root);
     let manifest = seed_corpus(&root, 2);
     let corpus = root.join("corpus");
+    // Compaction runs on the watcher tick: a threshold without a watcher,
+    // or of zero delta shards, is a configuration error.
+    let watch = Some(Duration::from_millis(40));
+    for (watch_interval, compact_threshold) in [(None, Some(1)), (watch, Some(0))] {
+        let config = ServeConfig { watch_interval, compact_threshold, ..ServeConfig::default() };
+        let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
+        let refused = serve_catalog(specs, None, config).map(|server| server.shutdown());
+        assert!(matches!(refused, Err(ServeError::BadConfig(_))), "{watch_interval:?}");
+    }
     let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        watch_interval: Some(Duration::from_millis(40)),
+        watch_interval: watch,
         compact_threshold: Some(1),
         ..ServeConfig::default()
     };

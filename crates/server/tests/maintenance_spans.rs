@@ -53,13 +53,13 @@ fn maintenance_spans_count_each_operation_once() {
     let resident = state.catalog().default_index();
 
     // An idle poll is not a delta build.
-    assert!(resident.poll_corpus().unwrap().is_none());
+    assert!(resident.maintain(None).unwrap().is_none());
     assert_eq!(counts(&state), [(Some(0), Some(0)), (Some(0), Some(0))]);
 
     // One commit, then one compaction through the admin route.
     write_doc(&corpus, "d2", "elderberry fig");
-    assert!(resident.poll_corpus().unwrap().is_some());
-    assert!(resident.poll_corpus().unwrap().is_none());
+    assert!(resident.maintain(None).unwrap().is_some());
+    assert!(resident.maintain(None).unwrap().is_none());
     let body = request(&state, "POST", "/admin/compact");
     assert!(body.contains("\"compacted\":true"), "{body}");
     assert_eq!(counts(&state), [(Some(1), Some(1)), (Some(1), Some(1))]);
