@@ -320,11 +320,24 @@ pub fn shard_engine(
 pub fn load_manifest_engines(
     manifest: &ShardManifest,
 ) -> Result<Vec<(Engine, DocMap)>, IndexError> {
+    load_manifest_engines_with(manifest, |_| None)
+}
+
+/// [`load_manifest_engines`] reusing indexes the caller already holds:
+/// `reuse(entry)` returns the open index of an entry whose file is
+/// unchanged, and only entries it declines are read from disk. Shard files
+/// are immutable once written, so (shard id, path) identifies the bytes —
+/// a manifest re-read after a delta commit opens the new delta shard and
+/// re-wraps every other shard with the new tombstone mask and document map.
+pub fn load_manifest_engines_with(
+    manifest: &ShardManifest,
+    reuse: impl Fn(&ShardEntry) -> Option<Arc<GksIndex>>,
+) -> Result<Vec<(Engine, DocMap)>, IndexError> {
     manifest
         .shards
         .iter()
         .zip(manifest.shard_views())
-        .map(|(entry, view)| shard_engine(entry, view, None))
+        .map(|(entry, view)| shard_engine(entry, view, reuse(entry)))
         .collect()
 }
 

@@ -150,17 +150,6 @@ pub fn search_response_json_explained(engine: &Engine, response: &Response) -> S
     out
 }
 
-/// The explain variant of [`search_response_json_sharded`]: the sharded body
-/// plus the gathered cost breakdown and one per-shard ledger each.
-pub fn search_response_json_sharded_explained(
-    shards: &[&Engine],
-    sharded: &ShardedResponse,
-) -> String {
-    let mut out = search_response_json_sharded(shards, sharded);
-    append_cost_explain(&mut out, sharded.response(), sharded.shard_costs());
-    out
-}
-
 /// Splices the `explain=1` cost breakdown into an already-rendered search
 /// body: three fields appended before the closing brace —
 ///

@@ -9,44 +9,46 @@
 //! `/search`) to a [`ResidentIndex`] bundling the engine generation, its
 //! result cache, and per-index counters.
 //!
-//! **Hot-swap protocol.** Each resident index is a **shard set**: one or
-//! more shard slots behind a `RwLock<Vec<…>>` (an unsharded index is a set
-//! of one), each slot carrying its current generation as
-//! `RwLock<Arc<Loaded>>`. A request pins a [`ShardSet`] (`Arc` clones
-//! under read locks) once, then runs entirely against that generation set
-//! — search, render, cache tagging. Replacement engines are
-//! always built *before* any write lock is taken, so locks are held only
-//! for pointer swaps; in-flight requests finish on the old engines, which
-//! are freed when the last snapshot drops. Stale cache entries are
-//! impossible by construction: every cache entry is tagged with the
-//! (combined) identity it was computed against
-//! ([`crate::cache::ResultCache::get_for`]), and a swap additionally
+//! **Hot-swap protocol.** Each resident index holds **one immutable
+//! generation**, a [`ShardSet`] behind `RwLock<Arc<…>>`: every shard's
+//! engine (an unsharded index is a set of one), its resolved document
+//! renumbering, the combined identity and an epoch, all computed once when
+//! the generation is built. A request pins the current generation with one
+//! `Arc` clone under one read lock ([`ResidentIndex::snapshot_all`]), then
+//! runs entirely against it — search, render, cache tagging. Every change
+//! builds a complete new generation off that lock and installs it through
+//! one private function (pointer swap, epoch bump, lane growth, cache
+//! rebind, reload count), so a pinned set never mixes shards from two
+//! builds, and a failed build installs nothing. In-flight requests finish
+//! on the old generation, which is freed when the last pin drops. Stale
+//! cache entries are impossible by construction: every cache entry is
+//! tagged with the (combined) identity it was computed against
+//! ([`crate::cache::ResultCache::get_for`]), and an install additionally
 //! bulk-clears the superseded generation's entries.
 //!
-//! **Reloads.** A resident index backed by N shards (a
-//! document-partitioned corpus, see `gks_index::shard`) reloads its shards
-//! one at a time. A monotonically increasing **epoch** counter is bumped
-//! after every swap; [`ResidentIndex::snapshot_all`] reads the epoch on
-//! both sides of the slot sweep and retries until both reads agree, so a
-//! scatter can never be handed shards from two different reload sweeps.
+//! **Reloads.** [`ResidentIndex::reload`] re-reads every shard's source
+//! path (or the manifest, for a manifest-backed index);
+//! [`ResidentIndex::reload_shard`] re-reads one shard and reuses the rest.
 //!
 //! **Manifest-backed indexes and the update path.** An index registered
 //! from a shard manifest ([`IndexSpec::with_manifest`]) tracks the
 //! manifest's **epoch**: delta commits (`gks_index::delta`) append delta
 //! shards and tombstones, compactions fold them back into base shards, and
-//! [`ResidentIndex::sync_manifest`] re-reads the manifest and installs the
-//! new shard set. Slots whose shard file is unchanged (same shard id, same
-//! path — shard files are immutable once written) are **reused**: the
-//! loaded index is shared via `Arc` and only re-wrapped with the new
-//! tombstone mask and document map, so a delta commit touching one shard
-//! re-reads one file, not N. [`ResidentIndex::maintain`] (the watcher tick,
+//! a re-read of the manifest installs the new shard set. Shards whose file
+//! is unchanged (same shard id, same path — shard files are immutable once
+//! written) are **reused** through
+//! [`gks_core::shard::load_manifest_engines_with`]: the loaded index is
+//! shared via `Arc` and only re-wrapped with the new tombstone mask and
+//! document map, so a delta commit touching one shard re-reads one file,
+//! not N. [`ResidentIndex::maintain`] (the watcher tick,
 //! `gks_index::maintain` — the policy `gks watch` runs) and
 //! [`ResidentIndex::compact_now`] (`POST /admin/compact`) share one locked
-//! body behind a maintenance mutex, so at most one manifest mutation runs
-//! per index at a time and each syncs the new generation in once.
+//! body behind the maintenance mutex, which every generation build holds,
+//! so at most one build runs per index at a time and each starts from the
+//! generation it replaces.
 //!
 //! Lock order within this module: `catalog.maintenance` →
-//! `catalog.slots` → `catalog.loaded` (checked statically by
+//! `catalog.slots` (the generation lock; checked statically by
 //! `cargo xtask analyze` and dynamically by the debug-build
 //! `gks_trace::lockorder` registry).
 //!
@@ -56,13 +58,13 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use gks_core::engine::Engine;
-use gks_core::shard::{shard_engine, DocMap};
+use gks_core::shard::{load_manifest_engines_with, DocMap};
 use gks_core::{CostLedger, ShardExecutor};
 use gks_index::delta::{compact, wall_clock_ms, CommitStats, CompactStats, MaintenanceOutcome};
-use gks_index::{GksIndex, IndexError, ShardManifest};
+use gks_index::{GksIndex, IndexError, ShardEntry, ShardManifest};
 use gks_trace::{CompletedTrace, Histogram, SpanKind};
 
 use crate::cache::ResultCache;
@@ -74,24 +76,23 @@ use crate::{index_identity, ServeConfig};
 /// single positional `gks serve` path).
 pub const DEFAULT_INDEX_NAME: &str = "default";
 
-/// One engine generation of one shard: the engine plus the identity
-/// fingerprint of the index it was built from. Only ever handed out inside
-/// a [`ShardSet`], which pairs it with its resolved document renumbering —
-/// there is no way to reach a shard's engine without its set.
-#[derive(Debug)]
+/// One shard of a generation: the engine, the identity fingerprint of the
+/// index it was built from, and where it came from. Only ever handed out
+/// inside a [`ShardSet`], which pairs it with its resolved document
+/// renumbering — there is no way to reach a shard's engine without its set.
+#[derive(Debug, Clone)]
 pub struct Loaded {
-    /// The resident engine of this generation (tombstone-masked when the
-    /// manifest carries tombstones for this shard).
+    /// The resident engine of this shard (tombstone-masked when the
+    /// manifest carries tombstones for it).
     pub engine: Arc<Engine>,
     /// Identity fingerprint of the engine's index, mixed with the
-    /// tombstone mask and document map when present ([`index_identity`]
-    /// alone for a plain frozen shard).
+    /// tombstone mask and explicit document map when present
+    /// ([`index_identity`] alone for a plain frozen shard).
     pub identity: u64,
-    /// Local→global document renumbering of this shard; `None` means the
-    /// positional dense tiling (global = local + sum of preceding shard
-    /// sizes), which is what frozen shard sets use. Private: readers get
-    /// the resolved map from [`ShardSet::doc_maps`].
-    doc_map: Option<DocMap>,
+    /// The file reloads re-read; `None` for an engine-backed shard.
+    source: Option<PathBuf>,
+    /// Manifest shard id; with `source`, the reuse key of manifest syncs.
+    shard_id: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -100,12 +101,11 @@ enum IndexSource {
     /// benches). Not reloadable.
     Engines(Vec<Arc<Engine>>),
     /// Self-contained `.gksix` shard files over a document-partitioned
-    /// corpus, in global document order; each shard reloads by re-reading
-    /// its own path.
+    /// corpus, in global document order; a reload re-reads every path.
     Paths(Vec<PathBuf>),
     /// A shard manifest file: the live-update source. Reloads re-read the
-    /// manifest and sync the slot set to it (delta shards, tombstones,
-    /// compactions — see `gks_index::delta`).
+    /// manifest and install the shard set it describes (delta shards,
+    /// tombstones, compactions — see `gks_index::delta`).
     Manifest(PathBuf),
 }
 
@@ -132,8 +132,8 @@ impl IndexSpec {
     }
 
     /// A spec registering one logical index backed by `paths.len()` shard
-    /// index files, in global document order. Each shard is re-read from
-    /// its own path on reload (one slot at a time).
+    /// index files, in global document order. A reload re-reads every
+    /// path into a new generation.
     pub fn with_shard_paths(
         name: impl Into<String>,
         paths: impl IntoIterator<Item = impl Into<PathBuf>>,
@@ -155,7 +155,8 @@ impl IndexSpec {
     /// (written by `gks index --shards N`); relative shard paths resolve
     /// against the manifest's directory. Manifest-backed indexes follow
     /// the incremental update path: delta commits and compactions are
-    /// picked up by [`ResidentIndex::sync_manifest`] without a restart.
+    /// picked up by [`ResidentIndex::reload`] and the watcher tick
+    /// ([`ResidentIndex::maintain`]) without a restart.
     pub fn with_manifest(
         name: impl Into<String>,
         path: impl AsRef<Path>,
@@ -279,39 +280,104 @@ impl CostCounters {
     }
 }
 
-/// One shard slot of a resident index: the shard's current engine
-/// generation plus the path reloads re-read (absent for engine-backed
-/// shards) and the manifest shard id — the slot-reuse key for manifest
-/// syncs.
-#[derive(Debug)]
-struct ShardSlot {
-    /// Manifest shard id, when this slot came from a manifest.
-    shard_id: Option<u64>,
-    source: Option<PathBuf>,
-    loaded: RwLock<Arc<Loaded>>,
-}
-
-/// A consistent point-in-time snapshot of every shard of a resident index,
-/// produced by [`ResidentIndex::snapshot_all`] — the only way a reader
-/// reaches an engine. The `Arc`s pin the generations; `epoch` is the reload
-/// epoch both sides of the slot sweep agreed on, so the set never mixes
-/// shards from two reload sweeps. Never empty.
+/// One immutable generation of a resident index: every shard in global
+/// document order with its resolved document renumbering, the combined
+/// identity, the manifest backlog it was read from, and the epoch it was
+/// installed at — all computed once, when the generation is built. A
+/// request pins one ([`ResidentIndex::snapshot_all`]) and runs entirely
+/// against it; every change builds a whole new generation and installs it
+/// in one pointer swap, so a pinned set never mixes shards from two builds.
+/// Never empty.
 #[derive(Debug)]
 pub struct ShardSet {
-    /// The pinned shard generations, in global document order.
-    pub shards: Vec<Arc<Loaded>>,
-    /// The reload epoch the snapshot was taken at.
+    /// The shards, in global document order.
+    pub shards: Vec<Loaded>,
+    /// The reload epoch this generation was installed at.
     pub epoch: u64,
-    /// Combined identity of the snapshot (equals the single shard's
-    /// identity for an unsharded index).
+    /// Combined identity of the set (equals the single shard's identity
+    /// for an unsharded index).
     pub identity: u64,
     /// Per-shard local→global document renumbering, in shard order:
     /// explicit maps for manifest-backed sets, dense positional bases
     /// otherwise.
     pub doc_maps: Vec<DocMap>,
+    /// Backlog of the manifest this generation was read from (zero when
+    /// the index is not manifest-backed).
+    backlog: Backlog,
+}
+
+/// The `/metrics` backlog gauges of one manifest generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Backlog {
+    delta_shards: u64,
+    delta_docs: u64,
+    /// `committed-ms` of the manifest.
+    committed_ms: u64,
 }
 
 impl ShardSet {
+    /// A generation over `shards` renumbered by `doc_maps`;
+    /// [`ResidentIndex::install`] stamps the epoch.
+    fn new(shards: Vec<Loaded>, doc_maps: Vec<DocMap>, backlog: Backlog) -> ShardSet {
+        let identities: Vec<u64> = shards.iter().map(|s| s.identity).collect();
+        ShardSet { identity: combined_identity(&identities), shards, epoch: 0, doc_maps, backlog }
+    }
+
+    /// A generation tiled positionally: each shard's document base is the
+    /// sum of the preceding shards' document counts.
+    fn positional(shards: Vec<Loaded>) -> ShardSet {
+        let mut next = 0u32;
+        let doc_maps = shards
+            .iter()
+            .map(|s| {
+                let map = DocMap::base(next);
+                let count = u32::try_from(s.engine.index().stats().doc_count).unwrap_or(u32::MAX);
+                next = next.saturating_add(count);
+                map
+            })
+            .collect();
+        ShardSet::new(shards, doc_maps, Backlog::default())
+    }
+
+    /// The generation `manifest` describes, reusing `current`'s open index
+    /// for every shard file it already serves (same shard id, same path),
+    /// so a delta commit touching one shard re-reads one file, not N.
+    fn from_manifest(
+        name: &str,
+        manifest: &ShardManifest,
+        current: Option<&ShardSet>,
+    ) -> Result<ShardSet, ServeError> {
+        if manifest.shards.is_empty() {
+            return Err(ServeError::BadConfig(format!("manifest for {name:?} lists no shards")));
+        }
+        let reuse = |entry: &ShardEntry| {
+            current?
+                .shards
+                .iter()
+                .find(|s| s.shard_id == Some(entry.id) && s.source.as_ref() == Some(&entry.path))
+                .map(|s| s.engine.index_shared())
+        };
+        let opened =
+            load_manifest_engines_with(manifest, reuse).map_err(|e| index_error(name, e))?;
+        let (shards, doc_maps) = manifest
+            .shards
+            .iter()
+            .zip(opened)
+            .map(|(entry, (engine, map))| {
+                let engine = Arc::new(engine);
+                let identity = shard_identity(&engine, Some(&map));
+                let source = Some(entry.path.clone());
+                (Loaded { engine, identity, source, shard_id: Some(entry.id) }, map)
+            })
+            .unzip();
+        let backlog = Backlog {
+            delta_shards: manifest.delta_shard_count() as u64,
+            delta_docs: manifest.delta_doc_count(),
+            committed_ms: manifest.committed_ms,
+        };
+        Ok(ShardSet::new(shards, doc_maps, backlog))
+    }
+
     /// The pinned engines, in shard order.
     pub fn engines(&self) -> Vec<&Engine> {
         self.shards.iter().map(|loaded| loaded.engine.as_ref()).collect()
@@ -344,12 +410,12 @@ fn mix64(h: &mut u64, v: u64) {
     }
 }
 
-/// Identity of one slot generation: the raw [`index_identity`] for a plain
-/// frozen shard, additionally folding the tombstone mask and explicit
-/// document map when present — re-masking an unchanged shard file must
-/// change the identity, or a post-commit cache lookup could replay bytes
-/// computed before the mask existed.
-fn slot_identity(engine: &Engine, doc_map: Option<&DocMap>) -> u64 {
+/// Identity of one shard: the raw [`index_identity`] for a plain frozen
+/// shard, additionally folding the tombstone mask and explicit document map
+/// when present — re-masking an unchanged shard file must change the
+/// identity, or a post-commit cache lookup could replay bytes computed
+/// before the mask existed.
+fn shard_identity(engine: &Engine, doc_map: Option<&DocMap>) -> u64 {
     let base = index_identity(engine.index());
     let table = match doc_map {
         Some(DocMap::Table { forward, .. }) => Some(forward),
@@ -373,48 +439,47 @@ fn slot_identity(engine: &Engine, doc_map: Option<&DocMap>) -> u64 {
     h
 }
 
-/// Derives the per-shard document maps of a snapshot: a slot's explicit
-/// map when it has one, otherwise the dense positional base computed from
-/// the preceding shards' document counts.
-fn doc_maps_of(shards: &[Arc<Loaded>]) -> Vec<DocMap> {
-    let mut maps = Vec::with_capacity(shards.len());
-    let mut next = 0u32;
-    for loaded in shards {
-        match &loaded.doc_map {
-            Some(map) => maps.push(map.clone()),
-            None => maps.push(DocMap::base(next)),
-        }
-        let count = u32::try_from(loaded.engine.index().stats().doc_count).unwrap_or(u32::MAX);
-        next = next.saturating_add(count);
-    }
-    maps
+fn index_error(name: &str, e: IndexError) -> ServeError {
+    ServeError::Index { name: name.to_string(), message: e.to_string() }
 }
 
-/// One resident (logical) index: shard slots each holding their current
-/// engine generation behind a `RwLock`, the identity-keyed result cache
-/// shared by all shards, a reload epoch, per-index counters, and — for
-/// manifest-backed indexes — the manifest path plus delta backlog gauges.
+/// An unmasked shard over `engine`, read from `source` if it has one.
+fn plain_shard(engine: Arc<Engine>, source: Option<PathBuf>) -> Loaded {
+    Loaded { identity: index_identity(engine.index()), engine, source, shard_id: None }
+}
+
+/// Opens one self-contained `.gksix` shard file.
+fn load_shard(name: &str, path: &Path) -> Result<Loaded, ServeError> {
+    let index = GksIndex::load(path).map_err(|e| index_error(name, e))?;
+    Ok(plain_shard(Arc::new(Engine::from_index(index)), Some(path.to_path_buf())))
+}
+
+/// Grows `executor`'s scatter lanes to `shards` — at build and after every
+/// install, so the request path never spawns. A set of one searches on the
+/// calling worker and gets no lane.
+fn grow_lanes(executor: &ShardExecutor, shards: usize) -> std::io::Result<()> {
+    if shards > 1 {
+        executor.ensure_lanes(shards)?;
+    }
+    Ok(())
+}
+
+/// One resident (logical) index: its current generation, the
+/// identity-keyed result cache shared by all shards, per-index counters,
+/// the scatter executor and — for manifest-backed indexes — the manifest
+/// path.
 #[derive(Debug)]
 pub struct ResidentIndex {
     name: String,
-    /// The shard slots, swapped wholesale by manifest syncs (the slot
-    /// *count* changes when delta shards appear or compaction folds them
-    /// away). Never empty. Lock order: `slots` before any slot's `loaded`.
-    slots: RwLock<Vec<Arc<ShardSlot>>>,
+    /// The current generation, replaced whole by
+    /// [`ResidentIndex::install`]. Ordered after `maintenance`.
+    slots: RwLock<Arc<ShardSet>>,
     /// Manifest path, for manifest-backed indexes.
     manifest: Option<PathBuf>,
-    /// Serializes manifest mutations (delta commits, compactions) and the
-    /// syncs they trigger. Ordered before `slots`.
+    /// Serializes generation builds (reloads, delta commits, compactions),
+    /// so each build starts from the generation it replaces. Ordered
+    /// before `slots`; never taken on the request path.
     maintenance: Mutex<()>,
-    /// Bumped after every swap; lets readers detect a reload racing their
-    /// slot sweep (see [`ResidentIndex::snapshot_all`]).
-    epoch: AtomicU64,
-    /// Delta shards currently serving (the `/metrics` backlog gauge).
-    delta_shards: AtomicU64,
-    /// Documents living in delta shards.
-    delta_docs: AtomicU64,
-    /// `committed-ms` of the manifest generation currently serving.
-    committed_ms: AtomicU64,
     cache: ResultCache,
     counters: IndexCounters,
     /// Persistent per-shard worker lanes for the scatter path: shard
@@ -423,65 +488,6 @@ pub struct ResidentIndex {
     /// can add delta shards) and never shrink; a set of one searches on
     /// the calling worker and has none.
     executor: Arc<ShardExecutor>,
-}
-
-fn load_engine(name: &str, path: &Path) -> Result<Arc<Engine>, ServeError> {
-    let index = GksIndex::load(path)
-        .map_err(|e| ServeError::Index { name: name.to_string(), message: e.to_string() })?;
-    Ok(Arc::new(Engine::from_index(index)))
-}
-
-fn slot_of(engine: Arc<Engine>, source: Option<PathBuf>) -> Arc<ShardSlot> {
-    let identity = index_identity(engine.index());
-    Arc::new(ShardSlot {
-        shard_id: None,
-        source,
-        loaded: RwLock::new(Arc::new(Loaded { engine, identity, doc_map: None })),
-    })
-}
-
-/// Reads a slot's current generation (`Arc` clone under the read lock).
-fn slot_loaded(slot: &ShardSlot) -> Arc<Loaded> {
-    let guard = gks_trace::lockorder::track(
-        "server/catalog.loaded",
-        slot.loaded.read().unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
-    Arc::clone(&guard)
-}
-
-/// Builds the slot set for one manifest generation, reusing `current`
-/// slots whose shard file is unchanged. Shard files are immutable once
-/// written (commits and compactions write new epoch-stamped files), so
-/// (shard id, path) identifies the bytes; a reused slot shares the loaded
-/// index via `Arc` and is re-wrapped with the new tombstone mask and
-/// document map.
-fn build_manifest_slots(
-    name: &str,
-    manifest: &ShardManifest,
-    current: &[Arc<ShardSlot>],
-) -> Result<Vec<Arc<ShardSlot>>, ServeError> {
-    if manifest.shards.is_empty() {
-        return Err(ServeError::BadConfig(format!("manifest for {name:?} lists no shards")));
-    }
-    let mut slots = Vec::with_capacity(manifest.shards.len());
-    for (entry, view) in manifest.shards.iter().zip(manifest.shard_views()) {
-        let reused = current
-            .iter()
-            .find(|s| {
-                s.shard_id == Some(entry.id) && s.source.as_deref() == Some(entry.path.as_path())
-            })
-            .map(|slot| slot_loaded(slot).engine.index_shared());
-        let (engine, doc_map) = shard_engine(entry, view, reused)
-            .map_err(|e| ServeError::Index { name: name.to_string(), message: e.to_string() })?;
-        let (engine, doc_map) = (Arc::new(engine), Some(doc_map));
-        let identity = slot_identity(&engine, doc_map.as_ref());
-        slots.push(Arc::new(ShardSlot {
-            shard_id: Some(entry.id),
-            source: Some(entry.path.clone()),
-            loaded: RwLock::new(Arc::new(Loaded { engine, identity, doc_map })),
-        }));
-    }
-    Ok(slots)
 }
 
 impl ResidentIndex {
@@ -494,28 +500,21 @@ impl ResidentIndex {
                 spec.name
             )));
         }
-        let mut manifest_path = None;
-        let mut manifest_loaded: Option<ShardManifest> = None;
-        let slots: Vec<Arc<ShardSlot>> = match spec.source {
-            IndexSource::Engines(engines) => {
-                engines.into_iter().map(|engine| slot_of(engine, None)).collect()
-            }
-            IndexSource::Paths(paths) => paths
-                .into_iter()
-                .map(|path| Ok(slot_of(load_engine(&name, &path)?, Some(path))))
-                .collect::<Result<_, ServeError>>()?,
+        let mut manifest = None;
+        let set = match spec.source {
+            IndexSource::Engines(engines) => ShardSet::positional(
+                engines.into_iter().map(|engine| plain_shard(engine, None)).collect(),
+            ),
+            IndexSource::Paths(paths) => ShardSet::positional(
+                paths.iter().map(|path| load_shard(&name, path)).collect::<Result<_, _>>()?,
+            ),
             IndexSource::Manifest(path) => {
-                let manifest = ShardManifest::load(&path).map_err(|e| ServeError::Index {
-                    name: name.clone(),
-                    message: e.to_string(),
-                })?;
-                let slots = build_manifest_slots(&name, &manifest, &[])?;
-                manifest_path = Some(path);
-                manifest_loaded = Some(manifest);
-                slots
+                let loaded = ShardManifest::load(&path).map_err(|e| index_error(&name, e))?;
+                manifest = Some(path);
+                ShardSet::from_manifest(&name, &loaded, None)?
             }
         };
-        if slots.is_empty() {
+        if set.shards.is_empty() {
             return Err(ServeError::BadConfig(format!("index {name:?} lists no shards")));
         }
         let per_lane = if config.shard_workers == 0 {
@@ -524,25 +523,16 @@ impl ResidentIndex {
             config.shard_workers
         };
         let executor = Arc::new(ShardExecutor::new(per_lane));
-        let resident = ResidentIndex {
+        grow_lanes(&executor, set.shards.len()).map_err(ServeError::Io)?;
+        Ok(ResidentIndex {
             name,
-            slots: RwLock::new(slots),
-            manifest: manifest_path,
+            manifest,
             maintenance: Mutex::new(()),
-            epoch: AtomicU64::new(0),
-            delta_shards: AtomicU64::new(0),
-            delta_docs: AtomicU64::new(0),
-            committed_ms: AtomicU64::new(0),
-            cache: ResultCache::new(config.cache_bytes, config.cache_shards, 0),
+            cache: ResultCache::new(config.cache_bytes, config.cache_shards, set.identity),
+            slots: RwLock::new(Arc::new(set)),
             counters: IndexCounters::new(),
             executor,
-        };
-        resident.grow_lanes().map_err(ServeError::Io)?;
-        if let Some(manifest) = &manifest_loaded {
-            resident.record_manifest_stats(manifest);
-        }
-        resident.cache.ensure_identity(resident.identity());
-        Ok(resident)
+        })
     }
 
     /// The normalized route key of this index.
@@ -555,10 +545,10 @@ impl ResidentIndex {
         self.manifest.as_deref()
     }
 
-    /// Number of shard slots backing this index (1 for unsharded; never 0:
+    /// Number of shards backing this index (1 for unsharded; never 0:
     /// construction and every manifest sync reject an empty shard set).
     pub fn shard_count(&self) -> usize {
-        self.slots_snapshot().len()
+        self.snapshot_all().shards.len()
     }
 
     /// The persistent scatter executor backing this index's fanned-out
@@ -567,50 +557,14 @@ impl ResidentIndex {
         &self.executor
     }
 
-    /// Grows the scatter lanes to the current shard count — at build and
-    /// after every manifest sync, so the request path never spawns. A set
-    /// of one searches on the calling worker and gets no lane.
-    fn grow_lanes(&self) -> std::io::Result<()> {
-        let shards = self.shard_count();
-        if shards > 1 {
-            self.executor.ensure_lanes(shards)?;
-        }
-        Ok(())
-    }
-
-    /// The current reload epoch (bumped after every slot swap).
+    /// The current reload epoch (bumped by every install).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.snapshot_all().epoch
     }
 
     /// Delta shards currently serving (the `/metrics` backlog gauge).
     pub fn delta_shards(&self) -> u64 {
-        self.delta_shards.load(Ordering::Relaxed)
-    }
-
-    /// Documents currently living in delta shards.
-    pub fn delta_docs(&self) -> u64 {
-        self.delta_docs.load(Ordering::Relaxed)
-    }
-
-    /// Index-file bytes served straight from the mmap, summed across all
-    /// shard slots. Zero for indexes built in process (heap postings, no
-    /// file), so the gauge shows whether the zero-copy tier is engaged.
-    pub fn bytes_mapped(&self) -> u64 {
-        self.slots_snapshot()
-            .iter()
-            .map(|s| slot_loaded(s).engine.index().bytes_mapped())
-            .sum()
-    }
-
-    /// Milliseconds spent opening the shard files currently serving,
-    /// summed across slots. Format-v3 opens skip posting decode, so this
-    /// stays near-constant as the corpus grows.
-    pub fn open_millis(&self) -> u64 {
-        self.slots_snapshot()
-            .iter()
-            .map(|s| slot_loaded(s).engine.index().open_millis())
-            .sum()
+        self.snapshot_all().backlog.delta_shards
     }
 
     /// Seconds since the serving manifest generation was committed, or
@@ -618,57 +572,29 @@ impl ResidentIndex {
     /// lag a scrape observes: it grows between commits and drops to ~0
     /// right after every delta commit or compaction is synced in.
     pub fn freshness_seconds(&self) -> Option<u64> {
+        self.freshness_of(&self.snapshot_all())
+    }
+
+    fn freshness_of(&self, set: &ShardSet) -> Option<u64> {
         self.manifest.as_ref()?;
-        let committed = self.committed_ms.load(Ordering::Relaxed);
-        Some(wall_clock_ms().saturating_sub(committed) / 1000)
+        Some(wall_clock_ms().saturating_sub(set.backlog.committed_ms) / 1000)
     }
 
-    fn record_manifest_stats(&self, manifest: &ShardManifest) {
-        self.delta_shards.store(manifest.delta_shard_count() as u64, Ordering::Relaxed);
-        self.delta_docs.store(manifest.delta_doc_count(), Ordering::Relaxed);
-        self.committed_ms.store(manifest.committed_ms, Ordering::Relaxed);
-    }
-
-    /// The current slot list (`Arc` clones under the read lock).
-    fn slots_snapshot(&self) -> Vec<Arc<ShardSlot>> {
-        let slots = gks_trace::lockorder::track(
+    /// Pins the current generation: one `Arc` clone under one read lock.
+    /// Later installs do not affect the pinned set, and its engines are
+    /// freed when the last pin holding them drops.
+    pub fn snapshot_all(&self) -> Arc<ShardSet> {
+        let current = gks_trace::lockorder::track(
             "server/catalog.slots",
             self.slots.read().unwrap_or_else(std::sync::PoisonError::into_inner),
         );
-        slots.iter().map(Arc::clone).collect()
+        Arc::clone(&current)
     }
 
-    /// A consistent snapshot of **every** shard, or `None` if a reload
-    /// storm kept invalidating the sweep. The returned `Arc`s pin the
-    /// generations: a reload swapping a slot does not affect the set, and
-    /// an old engine is freed when the last set holding it drops. The epoch
-    /// is read on both sides of the slot sweep and the sweep retries until
-    /// both reads agree, so a returned set never mixes shards from two
-    /// reload sweeps — the precondition for the gather stage's lossless
-    /// merge. `None` is the only mixed-generation outcome and requires ~64
-    /// reload sweeps to land inside one snapshot attempt each; callers turn
-    /// it into a `503`.
-    pub fn snapshot_all(&self) -> Option<ShardSet> {
-        for _ in 0..64 {
-            let before = self.epoch.load(Ordering::Acquire);
-            let slots = self.slots_snapshot();
-            let shards: Vec<Arc<Loaded>> = slots.iter().map(|s| slot_loaded(s)).collect();
-            if self.epoch.load(Ordering::Acquire) == before {
-                let identity =
-                    combined_identity(&shards.iter().map(|l| l.identity).collect::<Vec<u64>>());
-                let doc_maps = doc_maps_of(&shards);
-                return Some(ShardSet { shards, epoch: before, identity, doc_maps });
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-
-    /// Combined identity fingerprint of the current generation set (the raw
+    /// Combined identity fingerprint of the current generation (the raw
     /// shard identity when unsharded).
     pub fn identity(&self) -> u64 {
-        let ids: Vec<u64> = self.slots_snapshot().iter().map(|s| slot_loaded(s).identity).collect();
-        combined_identity(&ids)
+        self.snapshot_all().identity
     }
 
     /// This index's result cache.
@@ -681,142 +607,128 @@ impl ResidentIndex {
         &self.counters
     }
 
-    /// Swaps slot `i` to a new generation and bumps the epoch. The write
-    /// lock is held only for the pointer swap.
-    fn swap_slot(&self, i: usize, replacement: Arc<Loaded>) {
-        let slots = self.slots_snapshot();
-        if let Some(slot) = slots.get(i) {
-            let mut guard = gks_trace::lockorder::track(
-                "server/catalog.loaded",
-                slot.loaded.write().unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            **guard = replacement;
-        }
-        self.epoch.fetch_add(1, Ordering::Release);
+    /// Takes the maintenance mutex. Holding it across a build's I/O is the
+    /// point: at most one build per index is in flight.
+    fn maintenance(&self) -> gks_trace::lockorder::Tracked<MutexGuard<'_, ()>> {
+        gks_trace::lockorder::track(
+            "server/catalog.maintenance",
+            self.maintenance.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
     }
 
-    /// Hot-swap reload. Manifest-backed indexes delegate to
-    /// [`ResidentIndex::sync_manifest`]; path-backed indexes re-read every
-    /// shard's source into a fresh engine (the expensive part, done without
-    /// any lock held) and swap the slots in **one at a time**, bumping the
-    /// epoch after each swap so concurrent scatters detect the sweep.
-    /// In-flight requests holding old snapshots finish undisturbed. Returns
-    /// the combined `(identity_before, identity_after)`.
-    pub fn reload(&self) -> Result<(u64, u64), ServeError> {
-        if self.manifest.is_some() {
-            return self.sync_manifest();
-        }
-        let slots = self.slots_snapshot();
-        if slots.iter().any(|s| s.source.is_none()) {
-            return Err(ServeError::BadConfig(format!(
-                "index {:?} was registered without a source path and cannot be reloaded",
-                self.name
-            )));
-        }
-        let before = self.identity();
-        for (i, slot) in slots.iter().enumerate() {
-            let Some(path) = slot.source.clone() else {
-                continue;
-            };
-            let engine = load_engine(&self.name, &path)?;
-            let identity = index_identity(engine.index());
-            self.swap_slot(i, Arc::new(Loaded { engine, identity, doc_map: None }));
-            // Re-bind the cache after every swap: entries tagged with a
-            // mid-sweep combined identity are unservable either way, this
-            // just reclaims them eagerly.
-            self.cache.ensure_identity(self.identity());
-        }
-        self.counters.reloads_total.fetch_add(1, Ordering::Relaxed);
-        Ok((before, self.identity()))
-    }
-
-    /// Reloads only shard `i` from its source path — the shard-granular
-    /// counterpart of [`ResidentIndex::reload`]
-    /// (`POST /admin/reload?index=<name>&shard=<i>`). The replacement
-    /// generation keeps the slot's tombstone mask and document map, so a
-    /// manifest-backed shard re-reads its bytes without losing its masking.
-    /// Returns the combined `(identity_before, identity_after)`.
-    pub fn reload_shard(&self, i: usize) -> Result<(u64, u64), ServeError> {
-        let slots = self.slots_snapshot();
-        let Some(slot) = slots.get(i) else {
-            return Err(ServeError::BadConfig(format!(
-                "index {:?} has {} shards; shard {i} does not exist",
-                self.name,
-                slots.len()
-            )));
-        };
-        let Some(path) = slot.source.clone() else {
-            return Err(ServeError::BadConfig(format!(
-                "shard {i} of index {:?} was registered without a source path and cannot \
-                 be reloaded",
-                self.name
-            )));
-        };
-        let before = self.identity();
-        let old = slot_loaded(slot);
-        let index = GksIndex::load(&path).map_err(|e| self.index_error(e))?;
-        let engine =
-            Arc::new(Engine::from_shared(Arc::new(index), old.engine.tombstones().to_vec()));
-        let identity = slot_identity(&engine, old.doc_map.as_ref());
-        self.swap_slot(i, Arc::new(Loaded { engine, identity, doc_map: old.doc_map.clone() }));
-        let after = self.identity();
-        self.counters.reloads_total.fetch_add(1, Ordering::Relaxed);
-        self.cache.ensure_identity(after);
-        Ok((before, after))
-    }
-
-    /// Installs a replacement engine generation in the **first** shard slot
-    /// (the tail of [`ResidentIndex::reload`] for unsharded indexes, also
-    /// usable directly by tests). The write lock is held only for the
-    /// pointer swap. Returns the combined
+    /// Installs `next` as the current generation — the one place a
+    /// generation changes: pointer swap under the write lock (held for the
+    /// swap only), epoch bump, scatter-lane growth, cache rebind and reload
+    /// count. The caller holds the maintenance mutex, so `next` was built
+    /// from the generation it replaces. Returns the combined
     /// `(identity_before, identity_after)`.
-    pub fn swap_engine(&self, engine: Arc<Engine>, identity: u64) -> (u64, u64) {
-        let before = self.identity();
-        self.swap_slot(0, Arc::new(Loaded { engine, identity, doc_map: None }));
-        let after = self.identity();
-        self.counters.reloads_total.fetch_add(1, Ordering::Relaxed);
+    fn install(&self, _maintenance: &MutexGuard<'_, ()>, mut next: ShardSet) -> (u64, u64) {
+        let (shards, after) = (next.shards.len(), next.identity);
+        let previous = {
+            let mut current = gks_trace::lockorder::track(
+                "server/catalog.slots",
+                self.slots.write().unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
+            next.epoch = current.epoch.wrapping_add(1);
+            std::mem::replace(&mut **current, Arc::new(next))
+        };
+        // A sync can widen the set (new delta shards). Best-effort — the
+        // scatter falls back to round-robin over the existing lanes.
+        let _ = grow_lanes(&self.executor, shards);
         // Bulk-evict the superseded generation's entries. Correctness does
         // not depend on this — per-entry identity tags already make stale
         // entries unservable — it just reclaims the memory eagerly.
         self.cache.ensure_identity(after);
-        (before, after)
+        self.counters.reloads_total.fetch_add(1, Ordering::Relaxed);
+        (previous.identity, after)
     }
 
-    /// Re-reads the manifest and installs its shard set: the read side of
-    /// the incremental update path. Unchanged shard files are reused (the
-    /// loaded index is shared and only re-masked); new delta shards are
-    /// loaded; slots whose shard vanished (compaction) drop off. The slot
-    /// list is swapped wholesale under the write lock — held only for the
-    /// pointer swap — and the epoch bump makes concurrent scatters retry
-    /// on the new set. Returns `(identity_before, identity_after)`.
-    pub fn sync_manifest(&self) -> Result<(u64, u64), ServeError> {
-        let Some(path) = self.manifest.clone() else {
-            return Err(ServeError::BadConfig(format!(
-                "index {:?} is not manifest-backed and cannot sync",
-                self.name
-            )));
-        };
-        let manifest = ShardManifest::load(&path).map_err(|e| self.index_error(e))?;
-        let before = self.identity();
-        let current = self.slots_snapshot();
-        let replacement = build_manifest_slots(&self.name, &manifest, &current)?;
-        {
-            let mut guard = gks_trace::lockorder::track(
-                "server/catalog.slots",
-                self.slots.write().unwrap_or_else(std::sync::PoisonError::into_inner),
-            );
-            **guard = replacement;
-        }
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.record_manifest_stats(&manifest);
-        // A sync can widen the shard set (new delta shards); grow the
-        // scatter lanes to match. Best-effort — scatter falls back to
-        // round-robin over the existing lanes until the next sync.
-        let _ = self.grow_lanes();
-        let after = self.identity();
-        self.counters.reloads_total.fetch_add(1, Ordering::Relaxed);
-        self.cache.ensure_identity(after);
-        Ok((before, after))
+    /// Builds the next generation from the current one under the
+    /// maintenance mutex — off the generation lock, so readers keep
+    /// serving the current one meanwhile — and installs it. A failed build
+    /// installs nothing.
+    fn rebuild(
+        &self,
+        build: impl FnOnce(&ShardSet) -> Result<ShardSet, ServeError>,
+    ) -> Result<(u64, u64), ServeError> {
+        let maintenance = self.maintenance();
+        let next = build(&self.snapshot_all())?;
+        Ok(self.install(&maintenance, next))
+    }
+
+    /// Hot-swap reload: a new generation that re-reads every shard's source
+    /// path, or — for a manifest-backed index — re-reads the manifest.
+    /// In-flight requests finish on the generation they pinned. Returns the
+    /// combined `(identity_before, identity_after)`.
+    pub fn reload(&self) -> Result<(u64, u64), ServeError> {
+        self.rebuild(|current| match &self.manifest {
+            Some(path) => self.read_manifest(path, current),
+            None => {
+                let paths: Option<Vec<&Path>> =
+                    current.shards.iter().map(|s| s.source.as_deref()).collect();
+                let Some(paths) = paths else {
+                    return Err(ServeError::BadConfig(format!(
+                        "index {:?} was registered without a source path and cannot be reloaded",
+                        self.name
+                    )));
+                };
+                let shards = paths.into_iter().map(|path| load_shard(&self.name, path));
+                Ok(ShardSet::positional(shards.collect::<Result<_, _>>()?))
+            }
+        })
+    }
+
+    /// Reloads only shard `i` from its source path
+    /// (`POST /admin/reload?index=<name>&shard=<i>`): a new generation with
+    /// shard `i` re-read and every other shard reused. A manifest-backed
+    /// shard keeps its tombstone mask and document map; a path-list set
+    /// re-tiles its positional bases, so a shard whose document count
+    /// changed still lines up. Returns the combined
+    /// `(identity_before, identity_after)`.
+    pub fn reload_shard(&self, i: usize) -> Result<(u64, u64), ServeError> {
+        self.rebuild(|current| {
+            let Some(old) = current.shards.get(i) else {
+                return Err(ServeError::BadConfig(format!(
+                    "index {:?} has {} shards; shard {i} does not exist",
+                    self.name,
+                    current.shards.len()
+                )));
+            };
+            let Some(path) = old.source.as_deref() else {
+                return Err(ServeError::BadConfig(format!(
+                    "shard {i} of index {:?} was registered without a source path and cannot \
+                     be reloaded",
+                    self.name
+                )));
+            };
+            let index = GksIndex::load(path).map_err(|e| self.index_error(e))?;
+            let engine =
+                Arc::new(Engine::from_shared(Arc::new(index), old.engine.tombstones().to_vec()));
+            let identity = shard_identity(&engine, current.doc_maps.get(i));
+            let replacement = Loaded { engine, identity, ..old.clone() };
+            let mut shards = current.shards.clone();
+            shards.splice(i..=i, [replacement]);
+            Ok(if self.manifest.is_some() {
+                ShardSet::new(shards, current.doc_maps.clone(), current.backlog)
+            } else {
+                ShardSet::positional(shards)
+            })
+        })
+    }
+
+    /// Installs `engine` as the whole generation — a set of one with the
+    /// given identity (tests substitute in-memory engines this way).
+    /// Returns the combined `(identity_before, identity_after)`.
+    pub fn swap_engine(&self, engine: Arc<Engine>, identity: u64) -> (u64, u64) {
+        let shard = Loaded { engine, identity, source: None, shard_id: None };
+        self.install(&self.maintenance(), ShardSet::positional(vec![shard]))
+    }
+
+    /// The generation the manifest at `path` describes now, reusing
+    /// `current`'s open shard files.
+    fn read_manifest(&self, path: &Path, current: &ShardSet) -> Result<ShardSet, ServeError> {
+        let manifest = ShardManifest::load(path).map_err(|e| self.index_error(e))?;
+        ShardSet::from_manifest(&self.name, &manifest, Some(current))
     }
 
     /// One watcher tick of the shared update policy
@@ -847,10 +759,8 @@ impl ResidentIndex {
 
     /// The locked body of [`ResidentIndex::maintain`] and
     /// [`ResidentIndex::compact_now`]: runs one manifest mutation under the
-    /// maintenance mutex, counts what it did, and syncs the new generation
-    /// in if anything changed. The mutex keeps at most one mutation per
-    /// index in flight; holding it across the I/O is the point, and it is
-    /// never taken on the request path.
+    /// maintenance mutex, counts what it did, and installs the manifest's
+    /// new generation if anything changed.
     fn mutate_manifest(
         &self,
         what: &str,
@@ -862,10 +772,7 @@ impl ResidentIndex {
                 self.name
             )));
         };
-        let _maintenance = gks_trace::lockorder::track(
-            "server/catalog.maintenance",
-            self.maintenance.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let maintenance = self.maintenance();
         let outcome = step(path);
         if let Ok(Some(_)) = &outcome.commit {
             self.counters.delta_commits_total.fetch_add(1, Ordering::Relaxed);
@@ -877,13 +784,14 @@ impl ResidentIndex {
                 .fetch_add(stats.elapsed_ms, Ordering::Relaxed);
         }
         if outcome.changed() {
-            self.sync_manifest()?;
+            let next = self.read_manifest(path, &self.snapshot_all())?;
+            self.install(&maintenance, next);
         }
         Ok(outcome)
     }
 
     fn index_error(&self, e: IndexError) -> ServeError {
-        ServeError::Index { name: self.name.clone(), message: e.to_string() }
+        index_error(&self.name, e)
     }
 
     /// Folds one engine run's cost ledger into this index's totals and
@@ -905,25 +813,33 @@ impl ResidentIndex {
         }
     }
 
-    /// Point-in-time view of this index for `/metrics` rendering.
+    /// Point-in-time view of this index for `/metrics` rendering; every
+    /// generation-derived gauge comes from one pinned generation.
     pub fn metrics_view(&self) -> IndexMetricsView<'_> {
+        let set = self.snapshot_all();
+        let index_sum = |f: fn(&GksIndex) -> u64| -> u64 {
+            set.shards.iter().map(|s| f(s.engine.index())).sum()
+        };
         IndexMetricsView {
             name: &self.name,
             cache: self.cache.stats(),
-            identity: self.identity(),
-            shard_count: self.shard_count(),
+            identity: set.identity,
+            shard_count: set.shards.len(),
             requests_total: self.counters.requests_total.load(Ordering::Relaxed),
             cache_hits_total: self.counters.cache_hits_total.load(Ordering::Relaxed),
             cache_misses_total: self.counters.cache_misses_total.load(Ordering::Relaxed),
             reloads_total: self.counters.reloads_total.load(Ordering::Relaxed),
-            delta_shards: self.delta_shards(),
-            delta_docs: self.delta_docs(),
-            freshness_seconds: self.freshness_seconds(),
+            delta_shards: set.backlog.delta_shards,
+            delta_docs: set.backlog.delta_docs,
+            freshness_seconds: self.freshness_of(&set),
             delta_commits_total: self.counters.delta_commits_total.load(Ordering::Relaxed),
             compactions_total: self.counters.compactions_total.load(Ordering::Relaxed),
             compaction_millis_total: self.counters.compaction_millis_total.load(Ordering::Relaxed),
-            bytes_mapped: self.bytes_mapped(),
-            open_millis: self.open_millis(),
+            // Index-file bytes served straight from the mmap (zero for
+            // indexes built in process), and milliseconds spent opening
+            // the shard files currently serving.
+            bytes_mapped: index_sum(GksIndex::bytes_mapped),
+            open_millis: index_sum(GksIndex::open_millis),
             phases: &self.counters.phases,
             cost: self.counters.cost.snapshot(),
             work_postings: &self.counters.work_postings,
@@ -1143,7 +1059,7 @@ mod tests {
         let specs = vec![IndexSpec::with_engine("a", tiny_engine("one"))];
         let catalog = EngineCatalog::build(specs, None, &config).unwrap();
         let resident = catalog.get("a").unwrap();
-        let old = resident.snapshot_all().unwrap();
+        let old = resident.snapshot_all();
         resident.cache().put("k".into(), Arc::from(&b"v"[..]));
         assert!(resident.cache().get("k").is_some());
         assert!(resident.reload().is_err(), "engine-backed indexes cannot reload");
@@ -1169,14 +1085,14 @@ mod tests {
     #[test]
     fn masked_identity_differs_from_plain() {
         let engine = tiny_engine("mask");
-        let plain = slot_identity(&engine, None);
+        let plain = shard_identity(&engine, None);
         assert_eq!(plain, index_identity(engine.index()), "no mask, raw identity");
         let masked = Engine::from_shared(engine.index_shared(), vec![0]);
-        assert_ne!(slot_identity(&masked, None), plain, "tombstones change the identity");
+        assert_ne!(shard_identity(&masked, None), plain, "tombstones change the identity");
         let mapped = DocMap::table(vec![3, 7]);
-        assert_ne!(slot_identity(&engine, Some(&mapped)), plain, "a doc map changes it too");
+        assert_ne!(shard_identity(&engine, Some(&mapped)), plain, "a doc map changes it too");
         assert_eq!(
-            slot_identity(&engine, Some(&DocMap::base(0))),
+            shard_identity(&engine, Some(&DocMap::base(0))),
             plain,
             "a dense base map is the plain case"
         );

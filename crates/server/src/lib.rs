@@ -371,10 +371,11 @@ impl ServeState {
 
     /// `POST /admin/reload?index=<name>` (or `POST /ix/<name>/admin/reload`):
     /// hot-swaps the named index — default when unnamed — and reports the
-    /// identity transition. Sharded indexes swap their shards one at a time;
-    /// `&shard=<i>` reloads only that shard slot. `400` for engine-backed
-    /// (unreloadable) indexes, `404` for unknown names, `500` when
-    /// re-reading a source fails.
+    /// identity transition. Every shard is re-read into one new generation,
+    /// swapped in whole; `&shard=<i>` re-reads only that shard. `400` for
+    /// engine-backed (unreloadable) indexes, `404` for unknown names, `500`
+    /// when re-reading a source fails — the index then keeps serving the
+    /// generation it had.
     fn handle_reload(&self, request: &Request, route_index: Option<&str>) -> HttpResponse {
         let named = request.param("index").map(|s| s.to_ascii_lowercase());
         let name = named.as_deref().or(route_index);
@@ -424,45 +425,26 @@ impl ServeState {
         }
     }
 
-    /// Pins a consistent snapshot of every shard of `resident`; `Err` is the
-    /// ready-to-send `503` for the one case that cannot be served — the
-    /// epoch kept moving across every snapshot attempt, so no set that
-    /// coexisted at one instant could be pinned at all.
-    fn pin(&self, resident: &ResidentIndex) -> Result<ShardSet, HttpResponse> {
-        resident.snapshot_all().ok_or_else(|| {
-            self.metrics.shard_mixed_generation_total.fetch_add(1, Ordering::Relaxed);
-            HttpResponse::error(503, "index reloading, retry shortly")
-                .with_header("Retry-After", "1".to_string())
-        })
-    }
-
     /// `GET /doctor` audits every shard of every resident index; under an
     /// `/ix/<name>/` prefix it reports just that index. A manifest-backed
     /// index also reports `gks_index::audit_manifest`'s findings — the ones
     /// `gks doctor <manifest>` prints — prefixed `manifest:`.
     fn handle_doctor(&self, route_index: Option<&str>, resident: &ResidentIndex) -> HttpResponse {
         let entry = |r: &ResidentIndex| {
-            let set = self.pin(r)?;
             let findings: Vec<String> = match r.manifest_path().map(audit_manifest) {
                 None => Vec::new(),
                 Some(Ok((_, found))) => found.iter().map(|v| format!("manifest: {v}")).collect(),
                 Some(Err(e)) => vec![format!("manifest: cannot be read: {e}")],
             };
-            Ok(wire::doctor_entry_json(r.name(), &set.engines(), &findings))
+            wire::doctor_entry_json(r.name(), &r.snapshot_all().engines(), &findings)
         };
         let body = if route_index.is_some() {
             entry(resident)
         } else {
-            self.catalog
-                .iter()
-                .map(|r| entry(r))
-                .collect::<Result<Vec<String>, HttpResponse>>()
-                .map(|entries| wire::catalog_doctor_json(&entries))
+            let entries: Vec<String> = self.catalog.iter().map(|r| entry(r)).collect();
+            wire::catalog_doctor_json(&entries)
         };
-        match body {
-            Ok(body) => HttpResponse::json(200, body),
-            Err(response) => response,
-        }
+        HttpResponse::json(200, body)
     }
 
     /// Renders `/metrics`: global counters plus one labeled section per
@@ -604,7 +586,7 @@ impl ServeState {
         Ok(QueryParams { query, s, s_raw: s_raw.to_string(), limit, explain })
     }
 
-    /// The query pipeline — the only one. Pin a consistent shard set, probe
+    /// The query pipeline — the only one. Pin the current generation, probe
     /// the cache under the set's identity, search every shard
     /// ([`ServeState::search_set`]), gather — merge the per-shard answers
     /// losslessly by potential-flow score, renumber documents through each
@@ -613,15 +595,14 @@ impl ServeState {
     /// and takes exactly this path. Fills `record` as facts about the
     /// request become known.
     ///
-    /// One pinned set serves the whole request — search, render, and cache
-    /// tagging — so a concurrent hot-swap can never mix engine output with
-    /// the wrong cache identity, and a mixed-generation answer is never
-    /// merged: the set is taken under an epoch double-read
-    /// ([`ResidentIndex::snapshot_all`]), so every search runs against
-    /// shards that coexisted at one instant. If the epoch moved while the
-    /// searches ran, the first race re-runs once on the new generation
-    /// (freshness, not correctness — the pinned set is still internally
-    /// consistent); a second race serves the pinned answer.
+    /// One pinned generation serves the whole request — search, render, and
+    /// cache tagging — so a concurrent hot-swap can never mix engine output
+    /// with the wrong cache identity, and a mixed-generation answer is
+    /// never merged: [`ResidentIndex::snapshot_all`] hands out a whole
+    /// generation, which some single build produced. If the epoch moved
+    /// while the searches ran, the first race re-runs once on the new
+    /// generation (freshness, not correctness — the pinned set is still
+    /// internally consistent); a second race serves the pinned answer.
     ///
     /// `x-gks-shards`, `x-gks-gather-micros`, the gather span, and the
     /// per-shard `shard_costs` breakdown describe a fan-out, so they appear
@@ -644,10 +625,7 @@ impl ServeState {
         let options = SearchOptions { s: params.s, limit: params.limit };
 
         for attempt in 0..2u32 {
-            let set = match self.pin(resident) {
-                Ok(set) => set,
-                Err(response) => return response,
-            };
+            let set = resident.snapshot_all();
             let fanned = set.shards.len() > 1;
             if attempt == 0 && self.config.cache_bytes > 0 {
                 // Lookup pinned to the set's combined identity: a hit can

@@ -147,11 +147,9 @@ pub struct Metrics {
     /// Straggler overhead per sharded search: slowest shard minus fastest
     /// shard, µs — the wall-clock cost of waiting for the last shard.
     pub shard_straggler_micros: Histogram,
-    /// Scatters retried once because a reload sweep landed mid-flight.
+    /// Searches re-run once because a new generation was installed
+    /// mid-flight.
     pub shard_retries_total: AtomicU64,
-    /// Scatters abandoned (503) because the retry also raced a reload —
-    /// mixed-generation answers are never merged.
-    pub shard_mixed_generation_total: AtomicU64,
     /// Connections currently owned by the reactor (gauge; a socket being
     /// handled by a worker is counted by `in_flight` instead).
     pub conn_open: AtomicU64,
@@ -324,11 +322,6 @@ impl Metrics {
             self.shard_straggler_micros.count()
         );
         let _ = writeln!(out, "gks_shard_retries_total {}", load(&self.shard_retries_total));
-        let _ = writeln!(
-            out,
-            "gks_shard_mixed_generation_total {}",
-            load(&self.shard_mixed_generation_total)
-        );
         // Connection-layer stats from the reactor. The histogram follows
         // the sampled convention: quantile lines omitted at zero samples,
         // `_count` always present.
@@ -742,7 +735,6 @@ mod tests {
         assert_eq!(metric_value(&text, "gks_shard_fanout_count"), Some(0));
         assert_eq!(metric_value(&text, "gks_shard_straggler_micros_count"), Some(0));
         assert_eq!(metric_value(&text, "gks_shard_retries_total"), Some(0));
-        assert_eq!(metric_value(&text, "gks_shard_mixed_generation_total"), Some(0));
     }
 
     #[test]
