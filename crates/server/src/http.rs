@@ -10,6 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 /// Largest accepted request head (request line + headers), in bytes.
 /// Anything longer is rejected before buffering more — a resident service
@@ -225,8 +226,9 @@ pub struct HttpResponse {
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// Response body bytes.
-    pub body: Vec<u8>,
+    /// Response body bytes. Shared, so a result-cache body is copied only
+    /// once, into the serialized buffer.
+    pub body: Arc<[u8]>,
     /// Additional headers (name, value).
     pub headers: Vec<(&'static str, String)>,
 }
@@ -234,12 +236,13 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// A JSON response.
     pub fn json(status: u16, body: impl Into<Vec<u8>>) -> HttpResponse {
-        HttpResponse {
-            status,
-            content_type: "application/json",
-            body: body.into(),
-            headers: Vec::new(),
-        }
+        HttpResponse::shared_json(status, Arc::from(body.into()))
+    }
+
+    /// A JSON response over bytes someone else also holds — a result-cache
+    /// entry goes out without a copy of its own.
+    pub fn shared_json(status: u16, body: Arc<[u8]>) -> HttpResponse {
+        HttpResponse { status, content_type: "application/json", body, headers: Vec::new() }
     }
 
     /// A plain-text response.
@@ -247,7 +250,7 @@ impl HttpResponse {
         HttpResponse {
             status,
             content_type: "text/plain; charset=utf-8",
-            body: body.into(),
+            body: Arc::from(body.into()),
             headers: Vec::new(),
         }
     }
@@ -393,6 +396,6 @@ mod tests {
     #[test]
     fn error_body_is_json() {
         let r = HttpResponse::error(400, "no \"q\"");
-        assert_eq!(String::from_utf8(r.body).unwrap(), "{\"error\":\"no \\\"q\\\"\"}");
+        assert_eq!(String::from_utf8(r.body.to_vec()).unwrap(), "{\"error\":\"no \\\"q\\\"\"}");
     }
 }

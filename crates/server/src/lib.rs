@@ -17,8 +17,10 @@
 //! * **reactor** — one event-driven thread owns every client socket
 //!   (nonblocking, multiplexed with poll(2) on Unix) and does all the
 //!   accepting, request reading, and keep-alive parking. Slow readers and
-//!   writers cost a poll-set entry, not a thread. Only **fully-read**
-//!   requests cross the *admission control* boundary: a **bounded** queue
+//!   writers cost a poll-set entry, not a thread. A `/search` or `/suggest`
+//!   whose answer the result cache holds is answered right there
+//!   (`ServeState::inline_hit`); only **misses** (and every other
+//!   request) cross the *admission control* boundary: a **bounded** queue
 //!   ([`pool::BoundedQueue`]); when it is full the request is answered
 //!   `503 + Retry-After` immediately instead of queueing unboundedly.
 //! * **worker pool** — a fixed number of threads pop parsed requests,
@@ -361,8 +363,8 @@ impl ServeState {
             Endpoint::Doctor => self.handle_doctor(route.index.as_deref(), resident),
             Endpoint::DebugTraces => self.handle_debug_traces(request),
             Endpoint::DebugTop => self.handle_debug_top(request, route.index.as_deref()),
-            Endpoint::Search => self.handle_query(request, accepted_at, false, resident),
-            Endpoint::Suggest => self.handle_query(request, accepted_at, true, resident),
+            Endpoint::Search => self.handle_query(request, accepted_at, false, resident, None),
+            Endpoint::Suggest => self.handle_query(request, accepted_at, true, resident, None),
             Endpoint::AdminReload | Endpoint::AdminCompact | Endpoint::Other => {
                 HttpResponse::error(404, "unknown path")
             }
@@ -509,17 +511,69 @@ impl ServeState {
         HttpResponse::error(503, "deadline exceeded").with_header("Retry-After", "1".to_string())
     }
 
+    /// The reactor lane's entry: the result-cache hit for a `GET /search`
+    /// or `/suggest` request, or `None` — then the request takes the worker
+    /// lane, which handles everything. Side-effect free like
+    /// [`ServeState::probe`], which it calls.
+    ///
+    /// The lane rule: while a query log or a slow-query log is configured,
+    /// every request takes the worker lane — those sinks write files, and
+    /// the reactor never blocks.
+    pub(crate) fn inline_hit(&self, request: &Request) -> Option<CacheHit<'_>> {
+        let logging = self.query_log.is_some() || self.slow_log.is_some();
+        if logging || self.config.cache_bytes == 0 || request.method != "GET" {
+            return None;
+        }
+        let route = catalog::route_path(&request.path);
+        let suggest = match route.endpoint {
+            Endpoint::Search => false,
+            Endpoint::Suggest => true,
+            _ => return None,
+        };
+        let resident = self.resolve(route.index.as_deref()).ok()?;
+        let probe = self.probe(request, suggest, resident).ok()?;
+        probe
+            .hit
+            .is_some()
+            .then_some(CacheHit { endpoint: route.endpoint, resident, probe })
+    }
+
+    /// Answers a hit found by [`ServeState::inline_hit`] through the same
+    /// pipeline [`ServeState::handle`] runs — request counters, the
+    /// `request` span and every sink behind it — minus the second probe.
+    pub(crate) fn answer_hit(
+        &self,
+        request: &Request,
+        accepted_at: Instant,
+        hit: CacheHit<'_>,
+    ) -> HttpResponse {
+        self.metrics.record_request(hit.endpoint);
+        let suggest = hit.endpoint == Endpoint::Suggest;
+        self.handle_query(request, accepted_at, suggest, hit.resident, Some(hit.probe))
+    }
+
+    /// The response tail every answered request shares, whichever thread
+    /// answers it: status and latency recorded, `x-gks-micros` attached,
+    /// serialized with `Connection: keep-alive` or `close`.
+    pub(crate) fn finish(&self, response: HttpResponse, micros: u64, keep_alive: bool) -> Vec<u8> {
+        self.metrics.record_status(response.status);
+        self.metrics.latency.record(micros);
+        response.with_header("x-gks-micros", micros.to_string()).serialize(keep_alive)
+    }
+
     /// `/search` and `/suggest`: runs the query under a `request` root span
     /// labeled with the index's route key, then fans the outcome out to
     /// every observability sink — the `Server-Timing` header, the query log,
     /// the per-index phase histograms, and (over the threshold) the
-    /// slow-query log with the full span tree.
+    /// slow-query log with the full span tree. `probed` is a probe the
+    /// caller already made; `None` probes here.
     fn handle_query(
         &self,
         request: &Request,
         accepted_at: Instant,
         suggest: bool,
         resident: &ResidentIndex,
+        probed: Option<Probe>,
     ) -> HttpResponse {
         resident.counters().requests_total.fetch_add(1, Ordering::Relaxed);
         let request_span = gks_trace::span_labeled(SpanKind::Request, resident.name());
@@ -527,7 +581,8 @@ impl ServeState {
         record.index = resident.name().to_string();
         record.query = request.param("q").unwrap_or_default().to_string();
         record.s = request.param("s").unwrap_or("1").to_string();
-        let mut response = self.run_query(request, accepted_at, suggest, resident, &mut record);
+        let mut response =
+            self.run_query(request, accepted_at, suggest, resident, &mut record, probed);
         record.status = response.status;
         record.micros = request_span.elapsed_micros();
         // Engine runs (cache hits and errors carry no ledger) feed the
@@ -586,8 +641,31 @@ impl ServeState {
         Ok(QueryParams { query, s, s_raw: s_raw.to_string(), limit, explain })
     }
 
-    /// The query pipeline — the only one. Pin the current generation, probe
-    /// the cache under the set's identity, search every shard
+    /// The cache probe — the only one: parse the parameters, build the key,
+    /// pin the current generation and look the key up under the set's
+    /// identity, so a hit can only ever return bytes computed against this
+    /// exact generation. No counter, span, record or log: the reactor runs
+    /// it too, and a hit's sinks are fed once, by [`ServeState::run_query`].
+    /// `Err` is the ready-to-send 400 response.
+    fn probe(
+        &self,
+        request: &Request,
+        suggest: bool,
+        resident: &ResidentIndex,
+    ) -> Result<Probe, HttpResponse> {
+        let params = self.parse_query_params(request)?;
+        let key = cache_key(suggest, &params);
+        let set = resident.snapshot_all();
+        let hit = if self.config.cache_bytes > 0 {
+            resident.cache().get_for(&key, set.identity)
+        } else {
+            None
+        };
+        Ok(Probe { params, key, set, hit })
+    }
+
+    /// The query pipeline — the only one. Probe the cache under the pinned
+    /// generation ([`ServeState::probe`]), search every shard
     /// ([`ServeState::search_set`]), gather — merge the per-shard answers
     /// losslessly by potential-flow score, renumber documents through each
     /// shard's [`gks_core::shard::DocMap`], re-truncate to the limit — and
@@ -606,8 +684,8 @@ impl ServeState {
     ///
     /// `x-gks-shards`, `x-gks-gather-micros`, the gather span, and the
     /// per-shard `shard_costs` breakdown describe a fan-out, so they appear
-    /// only when the set has more than one shard; bodies are byte-identical
-    /// across fan-outs.
+    /// only when the set has more than one shard (a hit carries
+    /// `x-gks-shards` alone); bodies are byte-identical across fan-outs.
     fn run_query(
         &self,
         request: &Request,
@@ -615,37 +693,34 @@ impl ServeState {
         suggest: bool,
         resident: &ResidentIndex,
         record: &mut qlog::QueryRecord,
+        probed: Option<Probe>,
     ) -> HttpResponse {
-        let params = match self.parse_query_params(request) {
-            Ok(params) => params,
+        let probe = match probed.map_or_else(|| self.probe(request, suggest, resident), Ok) {
+            Ok(probe) => probe,
             Err(response) => return response,
         };
+        let Probe { params, key, mut set, hit } = probe;
         record.limit = params.limit;
-        let key = cache_key(suggest, &params);
+        if let Some(body) = hit {
+            self.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
+            resident.counters().cache_hits_total.fetch_add(1, Ordering::Relaxed);
+            record.cached = true;
+            let hit =
+                HttpResponse::shared_json(200, body).with_header("x-gks-cache", "hit".to_string());
+            return if set.shards.len() > 1 {
+                hit.with_header("x-gks-shards", set.shards.len().to_string())
+            } else {
+                hit
+            };
+        }
+        if self.config.cache_bytes > 0 {
+            self.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
+            resident.counters().cache_misses_total.fetch_add(1, Ordering::Relaxed);
+        }
         let options = SearchOptions { s: params.s, limit: params.limit };
-
-        for attempt in 0..2u32 {
-            let set = resident.snapshot_all();
+        let mut retried = false;
+        loop {
             let fanned = set.shards.len() > 1;
-            if attempt == 0 && self.config.cache_bytes > 0 {
-                // Lookup pinned to the set's combined identity: a hit can
-                // only ever return bytes computed against this exact
-                // generation set.
-                if let Some(body) = resident.cache().get_for(&key, set.identity) {
-                    self.metrics.cache_hits_total.fetch_add(1, Ordering::Relaxed);
-                    resident.counters().cache_hits_total.fetch_add(1, Ordering::Relaxed);
-                    record.cached = true;
-                    let hit = HttpResponse::json(200, body.to_vec())
-                        .with_header("x-gks-cache", "hit".to_string());
-                    return if fanned {
-                        hit.with_header("x-gks-shards", set.shards.len().to_string())
-                    } else {
-                        hit
-                    };
-                }
-                self.metrics.cache_misses_total.fetch_add(1, Ordering::Relaxed);
-                resident.counters().cache_misses_total.fetch_add(1, Ordering::Relaxed);
-            }
             // Admission + queueing may already have consumed the budget; do
             // not start a search we are not allowed to finish.
             if self.budget_left(accepted_at).is_none() {
@@ -660,8 +735,10 @@ impl ServeState {
             // answer describes the previous generation. Re-run once on the
             // new generation; if the epoch races again, serve the pinned
             // (consistent) answer rather than fail.
-            if attempt == 0 && resident.epoch() != set.epoch {
+            if !retried && resident.epoch() != set.epoch {
                 self.metrics.shard_retries_total.fetch_add(1, Ordering::Relaxed);
+                retried = true;
+                set = resident.snapshot_all();
                 continue;
             }
             // Gather: lossless merge — exact re-sort by (rank, keyword
@@ -716,14 +793,15 @@ impl ServeState {
                 wire::append_cost_explain(&mut body, merged.response(), shard_costs);
             }
             record.cost = Some(merged.response().cost().clone());
+            let body: Arc<[u8]> = Arc::from(body.into_bytes());
             if self.config.cache_bytes > 0 {
                 // Tagged with the pinned set's identity, not the live one:
                 // if a swap landed mid-request this entry is already stale
                 // and must stay invisible to post-swap readers.
-                resident.cache().put_for(key, Arc::from(body.as_bytes()), set.identity);
+                resident.cache().put_for(key, Arc::clone(&body), set.identity);
             }
             let mut http =
-                HttpResponse::json(200, body).with_header("x-gks-cache", "miss".to_string());
+                HttpResponse::shared_json(200, body).with_header("x-gks-cache", "miss".to_string());
             if let Some(micros) = gather_micros {
                 http = http
                     .with_header("x-gks-shards", set.shards.len().to_string())
@@ -735,9 +813,6 @@ impl ServeState {
                 http
             };
         }
-        // Unreachable: both loop iterations return on every path; the
-        // second never takes the `continue` branch.
-        HttpResponse::error(503, "index reloading, retry shortly")
     }
 
     /// The search stage: one [`Engine::search`] per shard of the pinned
@@ -806,6 +881,25 @@ impl ServeState {
     }
 }
 
+/// What [`ServeState::probe`] found for one `/search`-`/suggest` request.
+#[derive(Debug)]
+struct Probe {
+    params: QueryParams,
+    key: String,
+    /// The generation the lookup was pinned to; a miss searches it first.
+    set: Arc<ShardSet>,
+    /// The cached body, when the pinned generation's cache holds one.
+    hit: Option<Arc<[u8]>>,
+}
+
+/// A result-cache hit the reactor answers inline ([`ServeState::inline_hit`]).
+#[derive(Debug)]
+pub(crate) struct CacheHit<'s> {
+    endpoint: Endpoint,
+    resident: &'s ResidentIndex,
+    probe: Probe,
+}
+
 /// Parsed, validated `/search`-`/suggest` parameters.
 #[derive(Debug)]
 struct QueryParams {
@@ -836,6 +930,11 @@ fn cache_key(suggest: bool, params: &QueryParams) -> String {
     key.push('\u{2}');
     key.push(if params.explain { '1' } else { '0' });
     key
+}
+
+/// Whole microseconds from `since` to now, saturating.
+pub(crate) fn micros_since(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Totals reported by [`Server::shutdown`] after the drain completes.
@@ -1008,14 +1107,10 @@ fn worker_loop(
         let conn::WorkItem { mut stream, request, accepted_at, residual, requests_served } = item;
         state.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         let response = state.handle(&request, accepted_at);
-        let micros = u64::try_from(accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-        state.metrics.record_status(response.status);
-        state.metrics.latency.record(micros);
-        let response = response.with_header("x-gks-micros", micros.to_string());
         // A drain closes keep-alive connections after their in-flight
         // response: honoring `keep_alive` would park them forever.
         let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-        let buf = response.serialize(keep_alive);
+        let buf = state.finish(response, micros_since(accepted_at), keep_alive);
         let mut written = 0;
         match conn::write_some(&mut stream, &buf, &mut written) {
             conn::WriteOutcome::Done => {
@@ -1121,18 +1216,18 @@ mod tests {
 
         let search = get(&state, "/search?q=keyword+search&s=2");
         assert_eq!(search.status, 200);
-        let body = String::from_utf8(search.body).unwrap();
+        let body = String::from_utf8(search.body.to_vec()).unwrap();
         assert!(body.starts_with("{\"query\":[\"keyword\",\"search\"]"), "{body}");
 
         let suggest = get(&state, "/suggest?q=agarwal");
         assert_eq!(suggest.status, 200);
-        assert!(String::from_utf8(suggest.body).unwrap().contains("\"sub_queries\""));
+        assert!(String::from_utf8(suggest.body.to_vec()).unwrap().contains("\"sub_queries\""));
 
         let doctor = get(&state, "/doctor");
-        assert!(String::from_utf8(doctor.body).unwrap().contains("\"healthy\":true"));
+        assert!(String::from_utf8(doctor.body.to_vec()).unwrap().contains("\"healthy\":true"));
 
         let metrics = get(&state, "/metrics");
-        let text = String::from_utf8(metrics.body).unwrap();
+        let text = String::from_utf8(metrics.body.to_vec()).unwrap();
         assert!(metrics::metric_value(&text, "gks_requests_total").unwrap() >= 4);
         assert!(
             metrics::metric_value(&text, "gks_index_requests_total{index=\"default\"}").is_some(),
@@ -1194,8 +1289,8 @@ mod tests {
         let plain = get(&state, "/search?q=twig+joins&s=1");
         let explained = get(&state, "/search?q=twig+joins&s=1&explain=1");
         assert_eq!(explained.status, 200);
-        let plain_body = String::from_utf8(plain.body).unwrap();
-        let body = String::from_utf8(explained.body).unwrap();
+        let plain_body = String::from_utf8(plain.body.to_vec()).unwrap();
+        let body = String::from_utf8(explained.body.to_vec()).unwrap();
         // Strict superset: the explain splice extends the plain body.
         assert!(body.starts_with(plain_body.trim_end_matches('}')), "{body}");
         assert!(body.contains("\"cost\":{\"postings_scanned\":"), "{body}");
@@ -1216,10 +1311,10 @@ mod tests {
         );
         // Both keys cache independently and replay their own bytes.
         let replay = get(&state, "/search?q=twig+joins&s=1&explain=1");
-        assert_eq!(String::from_utf8(replay.body).unwrap(), body);
+        assert_eq!(String::from_utf8(replay.body.to_vec()).unwrap(), body);
         // The engine runs fed the per-index cost counters and the top-K table.
         let metrics = get(&state, "/metrics");
-        let text = String::from_utf8(metrics.body).unwrap();
+        let text = String::from_utf8(metrics.body.to_vec()).unwrap();
         assert!(
             metrics::metric_value(&text, "gks_cost_postings_scanned_total{index=\"default\"}")
                 .is_some_and(|v| v > 0),
@@ -1231,7 +1326,7 @@ mod tests {
             "{text}"
         );
         let top = get(&state, "/debug/top");
-        let top_body = String::from_utf8(top.body).unwrap();
+        let top_body = String::from_utf8(top.body.to_vec()).unwrap();
         assert!(top_body.contains("\"query\":\"twig joins\""), "{top_body}");
     }
 

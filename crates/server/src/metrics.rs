@@ -164,8 +164,12 @@ pub struct Metrics {
     /// Connections evicted by the reactor: request deadline while reading
     /// (answered 408), idle timeout between requests, or a stalled flush.
     pub conn_evictions_total: AtomicU64,
-    /// First byte of a request to worker dispatch, µs — the read-side wait
-    /// the reactor absorbed on behalf of the worker pool.
+    /// Requests the reactor answered itself from the result cache, without
+    /// a worker (the hit lane).
+    pub conn_reactor_hits_total: AtomicU64,
+    /// First byte of a request to the reactor's decision on it — answered
+    /// inline (a cache hit) or handed off to the worker queue — in µs: the
+    /// read-side wait the reactor absorbed before anyone computed.
     pub conn_accept_to_dispatch_micros: Histogram,
     /// Rolling top-K most-expensive-query table (`GET /debug/top?n=`).
     pub top_queries: TopQueries,
@@ -334,6 +338,8 @@ impl Metrics {
             load(&self.conn_keepalive_requests_total)
         );
         let _ = writeln!(out, "gks_conn_evictions_total {}", load(&self.conn_evictions_total));
+        let _ =
+            writeln!(out, "gks_conn_reactor_hits_total {}", load(&self.conn_reactor_hits_total));
         let dispatch = &self.conn_accept_to_dispatch_micros;
         if dispatch.count() > 0 {
             for (q, label) in QUANTILES {

@@ -1,18 +1,33 @@
 //! The event-driven connection layer: one reactor thread owns **every**
 //! client socket and multiplexes them with [`poller`] readiness (poll(2)
 //! on Unix), so a slow or idle connection costs a poll-set entry instead
-//! of a parked worker thread. Workers receive only **fully-read**
-//! requests ([`WorkItem`]) through the bounded admission queue; after
-//! answering they either close the socket, hand it back idle for the
-//! next keep-alive request, or hand back a partially-flushed response
-//! for the reactor to finish ([`Retired`]). Slowloris-style readers and
+//! of a parked worker thread. A fully-read `/search` or `/suggest` whose
+//! body the result cache already holds is answered on the spot — the hit
+//! lane ([`ServeState::inline_hit`], [`ServeState::answer_hit`]): its
+//! response is serialized into the connection's `Writing` state, which
+//! flushes it and goes on to the next keep-alive request. Workers receive
+//! only **misses** — and every other fully-read request — as
+//! [`WorkItem`]s through the bounded admission queue; after answering
+//! they either close the socket, hand it back idle for the next
+//! keep-alive request, or hand back a partially-flushed response for the
+//! reactor to finish ([`Retired`]). Slowloris-style readers and
 //! slow-to-drain writers therefore cannot exhaust the worker pool.
+//!
+//! Both lanes feed every sink once per request: the request and cache
+//! counters, the `request` span, and the one response tail
+//! ([`ServeState::finish`]). The hit lane does no engine work and no file
+//! I/O: it takes the catalog's generation read lock and one result-cache
+//! shard mutex, in the workers' order (plus the `gks-trace` ring push when
+//! the span is sampled), and closes while a query or slow log is
+//! configured (the lane rule — those sinks write files).
 //!
 //! Invariants the reactor maintains:
 //!
-//! * Admission control is unchanged: a fully-read request that does not
-//!   fit the bounded queue is answered `503 + Retry-After` immediately,
-//!   counted in `rejected_total`, without touching a worker.
+//! * Admission control sheds only work that needs a worker: a cache hit
+//!   takes no queue slot and is answered even while the queue is full; a
+//!   request that does not fit the bounded queue is answered
+//!   `503 + Retry-After` immediately, counted in `rejected_total`, without
+//!   touching a worker.
 //! * The per-request deadline anchors at the **first byte** of the
 //!   request (previously: at accept). A request that cannot finish
 //!   arriving within the deadline is evicted with `408`; a connection
@@ -21,7 +36,8 @@
 //!   closes idle and mid-read connections (no request was accepted on
 //!   them), finishes every in-progress response flush, and exits only
 //!   once every dispatched request has been answered — zero 5xx from
-//!   the drain itself.
+//!   the drain itself. A hit answered while stopping goes out with
+//!   `Connection: close`.
 //!
 //! The reactor is the only thread allowed to block in `poll`; everything
 //! it does to a socket is a nonblocking single shot. Workers wake it
@@ -40,11 +56,17 @@ use crate::conn::{self, ConnState, ReadOutcome, Retired, RetiredKind, WorkItem, 
 use crate::http::{self, HttpResponse};
 use crate::poller::{self, Slot, Source};
 use crate::pool::BoundedQueue;
-use crate::ServeState;
+use crate::{micros_since, ServeState};
 
 /// Poll tick: bounds deadline-sweep latency and the portable fallback's
 /// nap. Readiness and wakes interrupt it early on Unix.
 const POLL_MS: i32 = 25;
+
+/// Cache hits one [`Loop::drive`] pass answers inline. Past it, the
+/// connection's next pipelined request takes the worker lane, whose retire
+/// re-drives the socket a poll round later — so a client pipelining hits
+/// back to back cannot hold the reactor away from every other socket.
+const INLINE_HITS_PER_DRIVE: usize = 16;
 
 /// State shared between the reactor and the workers: the hand-back list
 /// of retired sockets, the count of dispatched-but-unanswered requests
@@ -297,6 +319,7 @@ impl Loop {
     /// Returns the connection to keep polling, or `None` when its socket
     /// moved to a worker or closed.
     fn drive(&mut self, mut conn: Conn, now: Instant) -> Option<Conn> {
+        let mut inline_left = INLINE_HITS_PER_DRIVE;
         loop {
             let step = match &mut conn.state {
                 ConnState::Reading { buf, started } => {
@@ -360,8 +383,36 @@ impl Loop {
                     if conn.requests_served > 0 {
                         metrics.conn_keepalive_requests_total.fetch_add(1, Ordering::Relaxed);
                     }
-                    // pending++ strictly before the push: a worker may
-                    // answer and decrement before try_push even returns.
+                    // The hit lane: answered here, no queue slot, so a hit
+                    // is served even while the queue is full. `drive` then
+                    // flushes it and goes on to the residual.
+                    let hit = if inline_left > 0 {
+                        self.state.inline_hit(&request)
+                    } else {
+                        None
+                    };
+                    if let Some(hit) = hit {
+                        inline_left -= 1;
+                        metrics.conn_reactor_hits_total.fetch_add(1, Ordering::Relaxed);
+                        let response = self.state.answer_hit(&request, started, hit);
+                        // While stopping, close after this response, as a
+                        // worker does.
+                        let keep_alive = request.keep_alive && !self.stop.load(Ordering::SeqCst);
+                        let buf = self.state.finish(response, micros_since(started), keep_alive);
+                        conn.requests_served += 1;
+                        conn.state = ConnState::Writing {
+                            buf,
+                            written: 0,
+                            keep_alive,
+                            residual,
+                            count_served: true,
+                        };
+                        conn.since = now;
+                        continue;
+                    }
+                    // The miss lane. pending++ strictly before the push: a
+                    // worker may answer and decrement before try_push even
+                    // returns.
                     self.shared.pending.fetch_add(1, Ordering::SeqCst);
                     let item = WorkItem {
                         stream: conn.stream,
@@ -406,18 +457,7 @@ impl Loop {
                     }
                 }
                 Step::Respond { response, started, count_served } => {
-                    // Reactor-built error responses mirror the worker path:
-                    // status + latency recorded, `x-gks-micros` attached.
-                    let micros = started
-                        .map(|t| {
-                            u64::try_from(now.duration_since(t).as_micros()).unwrap_or(u64::MAX)
-                        })
-                        .unwrap_or(0);
-                    let metrics = self.state.metrics();
-                    metrics.record_status(response.status);
-                    metrics.latency.record(micros);
-                    let buf =
-                        response.with_header("x-gks-micros", micros.to_string()).serialize(false);
+                    let buf = self.state.finish(response, started.map_or(0, micros_since), false);
                     conn.state = ConnState::Writing {
                         buf,
                         written: 0,
@@ -466,11 +506,7 @@ impl Loop {
         }
         for (mut conn, started) in timed_out {
             let response = HttpResponse::error(408, "request deadline exceeded while reading");
-            let micros = u64::try_from(now.duration_since(started).as_micros()).unwrap_or(u64::MAX);
-            let metrics = self.state.metrics();
-            metrics.record_status(response.status);
-            metrics.latency.record(micros);
-            let buf = response.with_header("x-gks-micros", micros.to_string()).serialize(false);
+            let buf = self.state.finish(response, micros_since(started), false);
             conn.state = ConnState::Writing {
                 buf,
                 written: 0,

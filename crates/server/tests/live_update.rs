@@ -50,7 +50,7 @@ fn post(state: &ServeState, target: &str) -> gks_server::http::HttpResponse {
 }
 
 fn body(state: &ServeState, target: &str) -> String {
-    String::from_utf8(get(state, target).body).unwrap()
+    String::from_utf8(get(state, target).body.to_vec()).unwrap()
 }
 
 /// True when a search body reports at least one hit. The response echoes
@@ -83,7 +83,7 @@ fn mutations_become_visible_without_restart() {
     assert_eq!(stats.added, 1);
     let response = get(&state, "/search?q=elderberry");
     assert_eq!(response.status, 200);
-    let text = String::from_utf8(response.body).unwrap();
+    let text = String::from_utf8(response.body.to_vec()).unwrap();
     assert!(has_hits(&text), "new doc is searchable: {text}");
     assert!(resident.delta_shards() >= 1, "the add lives in a delta shard");
 
@@ -102,7 +102,7 @@ fn mutations_become_visible_without_restart() {
     assert!(resident.maintain(None).unwrap().is_none(), "clean poll is a no-op");
 
     // Freshness is exported and small right after a commit.
-    let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
+    let text = String::from_utf8(get(&state, "/metrics").body.to_vec()).unwrap();
     let fresh = metric_value(&text, "gks_index_freshness_seconds{index=\"live\"}").unwrap();
     assert!((0..60).contains(&fresh), "freshness just after a commit: {fresh}");
     assert!(metric_value(&text, "gks_delta_shards{index=\"live\"}").unwrap() >= 1);
@@ -112,7 +112,7 @@ fn mutations_become_visible_without_restart() {
     let grape_before = get(&state, "/search?q=grape+banana&s=1").body;
     let response = post(&state, "/admin/compact");
     assert_eq!(response.status, 200);
-    let body = String::from_utf8(response.body).unwrap();
+    let body = String::from_utf8(response.body.to_vec()).unwrap();
     assert!(body.contains("\"compacted\":true"), "{body}");
     assert_eq!(resident.delta_shards(), 0, "backlog folded");
     assert_eq!(
@@ -121,9 +121,9 @@ fn mutations_become_visible_without_restart() {
         "compaction preserves answers byte-for-byte"
     );
     // A second compaction has nothing to fold.
-    let body = String::from_utf8(post(&state, "/admin/compact").body).unwrap();
+    let body = String::from_utf8(post(&state, "/admin/compact").body.to_vec()).unwrap();
     assert!(body.contains("\"compacted\":false"), "{body}");
-    let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
+    let text = String::from_utf8(get(&state, "/metrics").body.to_vec()).unwrap();
     assert_eq!(metric_value(&text, "gks_compactions_total{index=\"live\"}"), Some(1));
     assert_eq!(metric_value(&text, "gks_delta_shards{index=\"live\"}"), Some(0));
 

@@ -20,7 +20,7 @@ fn write_doc(corpus: &Path, name: &str, text: &str) {
 
 fn request(state: &ServeState, method: &str, target: &str) -> String {
     let request = parse_request(&format!("{method} {target} HTTP/1.1\r\n\r\n")).unwrap();
-    String::from_utf8(state.handle(&request, Instant::now()).body).unwrap()
+    String::from_utf8(state.handle(&request, Instant::now()).body.to_vec()).unwrap()
 }
 
 /// `(span count, operation total)` for delta builds and for compactions.

@@ -137,7 +137,8 @@ fn sinks_round_trip_through_the_json_parser() {
     // /debug/traces: deterministic JSON, well-formed spans, n= respected.
     let dump = get(&state, "/debug/traces?n=2");
     assert_eq!(dump.status, 200);
-    let v = Json::parse(&String::from_utf8(dump.body).unwrap()).expect("traces dump parses");
+    let v =
+        Json::parse(&String::from_utf8(dump.body.to_vec()).unwrap()).expect("traces dump parses");
     assert_eq!(v.get("enabled"), Some(&Json::Bool(true)));
     let traces = v.get("traces").and_then(Json::as_array).expect("traces array");
     assert!(traces.len() <= 2, "n=2 limits the dump");
@@ -150,7 +151,7 @@ fn sinks_round_trip_through_the_json_parser() {
     // /metrics: per-phase percentiles exist and the postings phase has
     // recorded samples from the searches above.
     let metrics = get(&state, "/metrics");
-    let text = String::from_utf8(metrics.body).unwrap();
+    let text = String::from_utf8(metrics.body.to_vec()).unwrap();
     for phase in ["parse", "postings", "sweep", "rank", "di"] {
         let count =
             metric_value(&text, &format!("gks_phase_latency_micros_count{{phase=\"{phase}\"}}"))

@@ -51,7 +51,7 @@ fn sampled_out_requests_still_count_in_span_totals() {
         assert_eq!(has_timing, i % 4 == 0, "request {i}: timing header only when sampled");
     }
 
-    let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
+    let text = String::from_utf8(get(&state, "/metrics").body.to_vec()).unwrap();
     // Aggregate span counts tally every request, sampled or not.
     assert_eq!(metric_value(&text, "gks_trace_spans_total{kind=\"request\"}"), Some(40));
     assert_eq!(metric_value(&text, "gks_requests{endpoint=\"search\"}"), Some(40));
@@ -62,7 +62,7 @@ fn sampled_out_requests_still_count_in_span_totals() {
 
     // The ring holds the ten sampled traces, nothing more.
     let dump = get(&state, "/debug/traces?n=64");
-    let v = Json::parse(&String::from_utf8(dump.body).unwrap()).unwrap();
+    let v = Json::parse(&String::from_utf8(dump.body.to_vec()).unwrap()).unwrap();
     let traces = v.get("traces").and_then(Json::as_array).unwrap();
     assert_eq!(traces.len(), 10);
 }

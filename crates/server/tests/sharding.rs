@@ -124,8 +124,8 @@ proptest! {
             // The explained bodies agree on everything up to the per-shard
             // breakdown (`shard_costs` legitimately differs: [] vs N
             // entries) — the merged `cost` object itself is byte-identical.
-            let mono_body = String::from_utf8(mono_explained.body).unwrap();
-            let split_body = String::from_utf8(split_explained.body).unwrap();
+            let mono_body = String::from_utf8(mono_explained.body.to_vec()).unwrap();
+            let split_body = String::from_utf8(split_explained.body.to_vec()).unwrap();
             let up_to_shards = |body: &str| body.split("\"shard_costs\":").next().unwrap().to_string();
             prop_assert_eq!(
                 up_to_shards(&mono_body),
@@ -163,7 +163,7 @@ fn sharded_explain_carries_scatter_timing_cost_and_top_entry() {
     let ledger = gks_core::CostLedger::parse_summary_header(summary).expect("parseable summary");
     assert!(ledger.postings_scanned > 0, "work was accounted: {summary}");
     assert!(ledger.result_bytes > 0, "result bytes were accounted: {summary}");
-    let body = String::from_utf8(response.body).unwrap();
+    let body = String::from_utf8(response.body.to_vec()).unwrap();
     assert!(body.contains("\"cost\":{\"postings_scanned\":"), "{body}");
     assert!(body.contains("\"shard_costs\":[{"), "per-shard breakdown present: {body}");
     // Non-explain requests carry no cost header.
@@ -172,11 +172,13 @@ fn sharded_explain_carries_scatter_timing_cost_and_top_entry() {
     // Both engine runs above aggregated into the offender table.
     let top = get(&split, "/debug/top?n=5");
     assert_eq!(top.status, 200);
-    let top_body = String::from_utf8(top.body).unwrap();
+    let top_body = String::from_utf8(top.body.to_vec()).unwrap();
     assert!(top_body.contains("\"query\":\"alpha gamma\""), "{top_body}");
     assert!(top_body.contains("\"count\":2"), "two engine runs aggregated: {top_body}");
     let filtered = get(&split, "/ix/default/debug/top?n=5");
-    assert!(String::from_utf8(filtered.body).unwrap().contains("\"index\":\"default\""));
+    assert!(String::from_utf8(filtered.body.to_vec())
+        .unwrap()
+        .contains("\"index\":\"default\""));
     let bad = get(&split, "/debug/top?n=wat");
     assert_eq!(bad.status, 400);
 }
@@ -254,7 +256,7 @@ fn doctor_audits_every_shard_of_the_set() {
         let specs = vec![IndexSpec::with_manifest("default", &manifest_path).unwrap()];
         ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap()
     };
-    let healthy = String::from_utf8(get(&serve(), "/doctor").body).unwrap();
+    let healthy = String::from_utf8(get(&serve(), "/doctor").body.to_vec()).unwrap();
     assert!(healthy.starts_with("{\"healthy\":true,"), "{healthy}");
     assert!(healthy.contains("\"violations\":[]"), "{healthy}");
     let whole = Engine::build(&corpus, IndexOptions::default()).unwrap();
@@ -275,7 +277,7 @@ fn doctor_audits_every_shard_of_the_set() {
 
     let state = serve();
     for target in ["/doctor", "/ix/default/doctor"] {
-        let sick = String::from_utf8(get(&state, target).body).unwrap();
+        let sick = String::from_utf8(get(&state, target).body.to_vec()).unwrap();
         assert!(sick.contains("\"healthy\":false"), "{target}: {sick}");
         assert!(!sick.contains("\"healthy\":true"), "{target}: {sick}");
         assert!(sick.contains("\"shard-1: a posting run failed to decode"), "{target}: {sick}");
@@ -343,7 +345,7 @@ fn reload_one_shard_under_load_is_invisible() {
     assert_eq!(failures.load(Ordering::Relaxed), 0, "no 5xx, no torn merges");
     let text = {
         let request = parse_request("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
-        String::from_utf8(state.handle(&request, Instant::now()).body).unwrap()
+        String::from_utf8(state.handle(&request, Instant::now()).body.to_vec()).unwrap()
     };
     assert!(
         !text.contains("generation_total"),
@@ -436,7 +438,7 @@ fn failed_path_list_reload_installs_nothing() {
     let after = get(&state, "/search?q=alpha&s=1");
     assert_eq!(after.status, 200);
     assert_eq!(after.body, before.body, "the pre-reload generation keeps serving");
-    let text = String::from_utf8(get(&state, "/metrics").body).unwrap();
+    let text = String::from_utf8(get(&state, "/metrics").body.to_vec()).unwrap();
     assert_eq!(metric_value(&text, "gks_index_reloads_total{index=\"default\"}"), Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -456,16 +458,16 @@ fn reload_shard_retiles_positional_bases() {
         ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap()
     };
     let state = serve();
-    let before = String::from_utf8(get(&state, "/search?q=omega&s=1").body).unwrap();
+    let before = String::from_utf8(get(&state, "/search?q=omega&s=1").body.to_vec()).unwrap();
     assert!(before.contains("\"node\":\"2:") && before.contains("\"node\":\"3:"), "{before}");
 
     save_shard(&paths[0], &shard_docs("a", 3, "alpha"));
     let (old, new) = state.catalog().default_index().reload_shard(0).unwrap();
     assert_ne!(old, new, "shard 0 changed, so the combined identity did");
-    let after = String::from_utf8(get(&state, "/search?q=omega&s=1").body).unwrap();
+    let after = String::from_utf8(get(&state, "/search?q=omega&s=1").body.to_vec()).unwrap();
     assert!(!after.contains("\"node\":\"2:"), "shard 1 no longer starts at 2: {after}");
     assert!(after.contains("\"node\":\"3:") && after.contains("\"node\":\"4:"), "{after}");
-    let fresh = String::from_utf8(get(&serve(), "/search?q=omega&s=1").body).unwrap();
+    let fresh = String::from_utf8(get(&serve(), "/search?q=omega&s=1").body.to_vec()).unwrap();
     assert_eq!(after, fresh, "re-tiled generation equals a fresh catalog over the new files");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -203,6 +203,56 @@ fn overload_rejects_with_503_and_retry_after() {
 }
 
 #[test]
+fn admission_sheds_misses_but_answers_hits() {
+    // The shape of the overload test: a burst of distinct misses outruns a
+    // worker+queue capacity of 2. A warmed query needs no queue slot — the
+    // reactor answers it from the cache even while the queue is full.
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 1,
+        deadline: Duration::from_secs(2),
+        ..ServeConfig::default()
+    };
+    let server = serve(dblp_engine(), config).unwrap();
+    let addr = server.local_addr();
+    let warmed = "/search?q=keyword+search&s=1";
+    assert_eq!(http_get(addr, warmed, TIMEOUT).unwrap().header("x-gks-cache"), Some("miss"));
+
+    let mut rejected = 0u64;
+    for round in 0..5 {
+        let probes: Vec<_> = (0..24)
+            .map(|i| {
+                let path = if i % 3 == 0 {
+                    warmed.to_string()
+                } else {
+                    format!("/search?q=shed{round}x{i}&s=1")
+                };
+                std::thread::spawn(move || (i % 3 == 0, http_get(addr, &path, TIMEOUT)))
+            })
+            .collect();
+        for probe in probes {
+            let (warm, response) = probe.join().unwrap();
+            let response = response.expect("every request is answered");
+            if warm {
+                assert_eq!(response.status, 200, "a hit is never shed");
+                assert_eq!(response.header("x-gks-cache"), Some("hit"));
+            } else if response.status == 503 {
+                assert_eq!(response.header("retry-after"), Some("1"));
+                rejected += 1;
+            }
+        }
+        if rejected > 0 {
+            break;
+        }
+    }
+    assert!(rejected > 0, "admission control must still shed misses");
+    let text = http_get(addr, "/metrics", TIMEOUT).unwrap().body_text();
+    assert!(metric_value(&text, "gks_conn_reactor_hits_total").unwrap() >= 8, "{text}");
+    server.shutdown();
+}
+
+#[test]
 fn keep_alive_connections_are_reused_and_counted() {
     let server = serve(dblp_engine(), ephemeral_config()).unwrap();
     let addr = server.local_addr();
@@ -279,6 +329,31 @@ fn drain_finishes_cleanly_with_parked_connections() {
     let mut partial = std::net::TcpStream::connect_timeout(&addr, TIMEOUT).unwrap();
     partial.write_all(b"GET /search?q=half HTTP/1.1\r\n").unwrap();
 
+    // Cache hits answered on the reactor are in flight too: keep-alive
+    // clients repeat the warmed query until the server closes on them.
+    let started = Arc::new(std::sync::Barrier::new(4));
+    let hitters: Vec<_> = (0..3)
+        .map(|_| {
+            let started = Arc::clone(&started);
+            std::thread::spawn(move || {
+                let mut client = gks_server::client::HttpClient::connect(addr, TIMEOUT).unwrap();
+                let mut answered = Vec::new();
+                while let Ok(response) = client.get("/search?q=keyword&s=1") {
+                    let close = response.header("connection") == Some("close");
+                    answered.push(response);
+                    if answered.len() == 1 {
+                        started.wait();
+                    }
+                    if close {
+                        break;
+                    }
+                }
+                answered
+            })
+        })
+        .collect();
+    started.wait();
+
     // In-flight traffic racing the shutdown must either complete cleanly or
     // fail at the transport layer (connect refused after the listener
     // closes) — never a 5xx. The shutdown itself must not hang on the
@@ -297,7 +372,19 @@ fn drain_finishes_cleanly_with_parked_connections() {
         let status = probe.join().unwrap();
         assert!(status == 200 || status == 0, "no 5xx during drain, got {status}");
     }
-    assert!(report.served >= 1);
+    let mut hits = 0;
+    for hitter in hitters {
+        // Each loop ended on `Connection: close` (answered after stop) or
+        // on the server closing the idle socket; every answer was a 200.
+        let answered = hitter.join().unwrap();
+        assert!(!answered.is_empty());
+        for response in &answered {
+            assert_eq!(response.status, 200, "no 5xx during drain");
+            assert_eq!(response.header("x-gks-cache"), Some("hit"));
+        }
+        hits += answered.len() as u64;
+    }
+    assert!(report.served > hits, "the warm-up and every hit were served");
 }
 
 #[test]
