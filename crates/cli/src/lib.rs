@@ -105,9 +105,9 @@ USAGE:
             [--default-index NAME] [--addr HOST:PORT] [--workers N]
             [--queue N] [--deadline-ms N] [--cache-mb N]
             [--query-log FILE] [--slow-log FILE] [--slow-ms N]
-            [--trace-ring N] [--trace-sample N|1/N] [--no-trace]
+            [--trace-sample N|1/N] [--no-trace]
             [--watch] [--watch-interval-ms N] [--compact-threshold N]
-            [--max-connections N] [--idle-timeout-ms N] [--shard-workers N]
+            [--max-connections N] [--idle-timeout-ms N]
   gks loadgen <host:port> <workload.txt> [--clients N] [--requests N]
             [--zipf S] [--seed N] [--timeout-ms N] [--open-loop --rate QPS]
             [--index NAME[=WEIGHT]]... [--explain] [--keep-alive]
@@ -135,8 +135,9 @@ each --index NAME=PATH adds another, reachable under /ix/NAME/search.
 An index source may be a comma-separated shard list (NAME=p1,p2) or a
 shard manifest path; `/search` then scatters over the shards in
 parallel and gathers a lossless merge.
-SIGHUP (or POST /admin/reload?index=NAME&shard=I) hot-swaps an index —
-or one shard of it — in place;
+SIGHUP (or POST /admin/reload?index=NAME) hot-swaps an index in place,
+reopening only the shard files that changed (none changed: nothing is
+swapped and the cache stays warm);
 --trace-sample 1/N keeps one in N request traces. `serve` drains
 in-flight requests and exits 0 on SIGTERM/ctrl-c; its query/slow logs
 are JSONL, one object per request.
@@ -788,9 +789,9 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     const SERVE_USAGE: &str = "usage: gks serve [<index.gksix>] [--index NAME=PATH[,PATH...]]... \
         [--default-index NAME] [--addr HOST:PORT] [--workers N] [--queue N] \
         [--deadline-ms N] [--cache-mb N] [--query-log FILE] \
-        [--slow-log FILE] [--slow-ms N] [--trace-ring N] [--trace-sample N|1/N] \
+        [--slow-log FILE] [--slow-ms N] [--trace-sample N|1/N] \
         [--no-trace] [--watch] [--watch-interval-ms N] [--compact-threshold N] \
-        [--max-connections N] [--idle-timeout-ms N] [--shard-workers N]";
+        [--max-connections N] [--idle-timeout-ms N]";
     // The positional path (registered as the "default" index) is optional
     // when --index flags supply the catalog.
     let (positional, rest) = match args.split_first() {
@@ -862,10 +863,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 let ms: u64 = parse_value(take_value(&mut it, "--slow-ms")?, "--slow-ms")?;
                 config.slow_threshold = std::time::Duration::from_millis(ms);
             }
-            "--trace-ring" => {
-                config.trace_ring =
-                    parse_value(take_value(&mut it, "--trace-ring")?, "--trace-ring")?;
-            }
             "--no-trace" => config.trace = false,
             "--max-connections" => {
                 config.max_connections =
@@ -875,10 +872,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
                 let ms: u64 =
                     parse_value(take_value(&mut it, "--idle-timeout-ms")?, "--idle-timeout-ms")?;
                 config.idle_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--shard-workers" => {
-                config.shard_workers =
-                    parse_value(take_value(&mut it, "--shard-workers")?, "--shard-workers")?;
             }
             other => return Err(CliError::usage(format!("unknown serve flag {other:?}"))),
         }
@@ -1598,7 +1591,6 @@ mod tests {
             "--query-log",
             "--slow-log",
             "--slow-ms",
-            "--trace-ring",
             "--trace-sample",
             "--no-trace",
             "--open-loop",
@@ -1613,7 +1605,6 @@ mod tests {
             "--once",
             "--max-connections",
             "--idle-timeout-ms",
-            "--shard-workers",
             "--keep-alive",
             "--connections",
             "--slow-clients",

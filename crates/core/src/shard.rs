@@ -294,9 +294,9 @@ pub fn sharded_search_mapped(
 }
 
 /// One shard of a manifest as queries see it: its index — `open` when the
-/// caller already holds the file's index (shard files are immutable once
-/// written), loaded from `entry.path` otherwise — behind the view's
-/// tombstone mask, paired with the view's [`DocMap`].
+/// caller already holds the index of the file now at `entry.path`, loaded
+/// from `entry.path` otherwise — behind the view's tombstone mask, paired
+/// with the view's [`DocMap`].
 pub fn shard_engine(
     entry: &ShardEntry,
     view: ShardView,
@@ -324,11 +324,12 @@ pub fn load_manifest_engines(
 }
 
 /// [`load_manifest_engines`] reusing indexes the caller already holds:
-/// `reuse(entry)` returns the open index of an entry whose file is
-/// unchanged, and only entries it declines are read from disk. Shard files
-/// are immutable once written, so (shard id, path) identifies the bytes —
-/// a manifest re-read after a delta commit opens the new delta shard and
-/// re-wraps every other shard with the new tombstone mask and document map.
+/// `reuse(entry)` must return the open index only while the file at
+/// `entry.path` is the one it was opened from (a shard path can be
+/// rewritten in place, e.g. by `gks index --shards N`), and only entries it
+/// declines are read from disk. A manifest re-read after a delta commit
+/// then opens the new delta shard and re-wraps every other shard with the
+/// new tombstone mask and document map.
 pub fn load_manifest_engines_with(
     manifest: &ShardManifest,
     reuse: impl Fn(&ShardEntry) -> Option<Arc<GksIndex>>,

@@ -10,14 +10,15 @@
 //! Capacity is accounted in **bytes** (key + value + bookkeeping overhead),
 //! split evenly across shards. Each shard is an intrusive doubly-linked LRU
 //! list over a slot vector, so `get`/`put`/evict are O(1). The cache is tied
-//! to an **index identity** fingerprint at two levels: every entry is tagged
-//! with the identity it was computed against, and a hit is returned only
-//! when the tag matches the reader's identity ([`ResultCache::get_for`]) —
-//! so a hot-swapped index can never serve stale bytes even while old-engine
-//! requests are still in flight. [`ResultCache::ensure_identity`] is the
-//! bulk complement: it drops every entry when the resident identity changes,
-//! reclaiming memory that the per-entry tags would otherwise only retire
-//! lazily through LRU pressure.
+//! to an **identity** — the resident index passes its generation's epoch,
+//! and every install takes a fresh one — at two levels: every entry is
+//! tagged with the identity it was computed against, and a hit is returned
+//! only when the tag matches the reader's identity
+//! ([`ResultCache::get_for`]) — so a hot-swapped index can never serve stale
+//! bytes even while old-generation requests are still in flight.
+//! [`ResultCache::ensure_identity`] is the bulk complement: it drops every
+//! entry when the resident identity changes, reclaiming memory that the
+//! per-entry tags would otherwise only retire lazily through LRU pressure.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

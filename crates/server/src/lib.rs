@@ -32,7 +32,7 @@
 //! * **query pipeline** — every resident index is a *shard set*; an
 //!   unsharded index is a set of one. `/search` and `/suggest` run one
 //!   pipeline ([`ServeState::handle`]): pin a consistent set, probe the
-//!   cache under the set's identity, search every shard, gather, render.
+//!   cache under the set's epoch, search every shard, gather, render.
 //!   A set of more than one scatters over a persistent per-shard worker
 //!   pool ([`gks_core::ShardExecutor`]) — a channel send, never a thread
 //!   spawn on the request path; a set of one searches on the calling
@@ -41,8 +41,9 @@
 //!   keyed on the normalized `(endpoint, query, s, limit)` tuple, storing
 //!   the exact response bytes; the deterministic wire format
 //!   (`gks_core::wire`) makes a hit byte-identical to recomputation. Every
-//!   entry is tagged with the index identity ([`index_identity`]) it was
-//!   computed against, so a hot-swap can never serve stale bytes.
+//!   entry is tagged with the epoch of the generation it was computed
+//!   against, and every hot-swap installs a fresh epoch, so a swap can
+//!   never serve stale bytes.
 //! * **metrics** — lock-free counters and a latency histogram
 //!   ([`metrics::Metrics`]) exposed at `GET /metrics`.
 //! * **graceful shutdown** — [`Server::shutdown`] stops accepting, drains
@@ -118,6 +119,12 @@ use crate::http::{HttpResponse, Request};
 use crate::metrics::{Endpoint, Metrics};
 use crate::pool::BoundedQueue;
 
+/// `limit` applied to `/search` when the request does not pass one.
+pub const DEFAULT_LIMIT: usize = 20;
+
+/// Upper bound on the `limit` a request may ask for.
+pub const MAX_LIMIT: usize = 1_000;
+
 /// Server tuning knobs. `Default` matches the CLI's defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -139,23 +146,13 @@ pub struct ServeConfig {
     /// How long a keep-alive connection may sit idle between requests
     /// before the reactor closes it.
     pub idle_timeout: Duration,
-    /// Threads per shard lane of the persistent scatter executor backing
-    /// sharded indexes (0 = match `workers`, preserving the peak shard
-    /// concurrency of the old spawn-per-request scatter).
-    pub shard_workers: usize,
     /// Result-cache capacity in bytes (0 disables caching).
     pub cache_bytes: usize,
     /// Result-cache shard count (rounded up to a power of two).
     pub cache_shards: usize,
-    /// `limit` applied to `/search` when the request does not pass one.
-    pub default_limit: usize,
-    /// Upper bound on the `limit` a request may ask for.
-    pub max_limit: usize,
     /// Enable `gks-trace` span recording (per-phase metrics, the
     /// `/debug/traces` ring, `Server-Timing` headers, slow-log span trees).
     pub trace: bool,
-    /// Capacity of the completed-trace ring buffer.
-    pub trace_ring: usize,
     /// Trace head-sampling rate: keep 1-in-N root spans (1 = keep all).
     /// Sampled-out requests still count in `gks_trace_spans_total`, but skip
     /// the histogram/ring/slow-log-tree writes.
@@ -189,13 +186,9 @@ impl Default for ServeConfig {
             deadline: Duration::from_millis(2_000),
             max_connections: 8_192,
             idle_timeout: Duration::from_secs(30),
-            shard_workers: 0,
             cache_bytes: 32 * 1024 * 1024,
             cache_shards: 8,
-            default_limit: 20,
-            max_limit: 1_000,
             trace: true,
-            trace_ring: gks_trace::DEFAULT_RING_CAPACITY,
             trace_sample: 1,
             query_log: None,
             slow_log: None,
@@ -204,36 +197,6 @@ impl Default for ServeConfig {
             compact_threshold: None,
         }
     }
-}
-
-/// A stable fingerprint of an index's identity, used to invalidate the
-/// result cache when the resident index changes. FNV-1a over the document
-/// names and the structural counts — two indexes over different corpora (or
-/// rebuilt over changed data) collide only if every one of these agrees.
-pub fn index_identity(index: &GksIndex) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for name in index.doc_names() {
-        mix(name.as_bytes());
-    }
-    let stats = index.stats();
-    for v in [
-        stats.doc_count,
-        stats.total_nodes,
-        stats.distinct_terms,
-        stats.total_postings,
-        stats.raw_bytes,
-    ] {
-        mix(&v.to_le_bytes());
-    }
-    h
 }
 
 /// Shared per-server state: the engine catalog, metrics, config. Routing
@@ -274,7 +237,6 @@ impl ServeState {
         let query_log = config.query_log.as_deref().map(qlog::LogFile::open).transpose()?;
         let slow_log = config.slow_log.as_deref().map(qlog::LogFile::open).transpose()?;
         if config.trace {
-            gks_trace::set_ring_capacity(config.trace_ring);
             gks_trace::set_enabled(true);
             gks_trace::set_sample_every(config.trace_sample);
         }
@@ -305,7 +267,7 @@ impl ServeState {
     }
 
     /// Hot-swap reloads the default index (the SIGHUP action). Returns
-    /// `(identity_before, identity_after)`.
+    /// `(epoch_before, epoch_after)`.
     pub fn reload_default(&self) -> Result<(u64, u64), ServeError> {
         self.catalog.default_index().reload()
     }
@@ -373,11 +335,12 @@ impl ServeState {
 
     /// `POST /admin/reload?index=<name>` (or `POST /ix/<name>/admin/reload`):
     /// hot-swaps the named index — default when unnamed — and reports the
-    /// identity transition. Every shard is re-read into one new generation,
-    /// swapped in whole; `&shard=<i>` re-reads only that shard. `400` for
-    /// engine-backed (unreloadable) indexes, `404` for unknown names, `500`
-    /// when re-reading a source fails — the index then keeps serving the
-    /// generation it had.
+    /// identity transition: the generation epoch before and after. Every
+    /// changed shard file is re-read into one new generation, swapped in
+    /// whole; when no file changed nothing is installed and the response
+    /// says `"changed":false`. `400` for engine-backed (unreloadable)
+    /// indexes, `404` for unknown names, `500` when re-reading a source
+    /// fails — the index then keeps serving the generation it had.
     fn handle_reload(&self, request: &Request, route_index: Option<&str>) -> HttpResponse {
         let named = request.param("index").map(|s| s.to_ascii_lowercase());
         let name = named.as_deref().or(route_index);
@@ -385,14 +348,7 @@ impl ServeState {
             Ok(resident) => resident,
             Err(response) => return response,
         };
-        let outcome = match request.param("shard") {
-            None => resident.reload(),
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(i) => resident.reload_shard(i),
-                Err(_) => return HttpResponse::error(400, &format!("bad shard value {raw:?}")),
-            },
-        };
-        match outcome {
+        match resident.reload() {
             Ok((before, after)) => {
                 HttpResponse::json(200, wire::reload_response_json(resident.name(), before, after))
             }
@@ -631,9 +587,9 @@ impl ServeState {
             return Err(HttpResponse::error(400, &format!("bad s value {s_raw:?}")));
         };
         let limit = match request.param("limit") {
-            None => self.config.default_limit,
+            None => DEFAULT_LIMIT,
             Some(v) => match v.parse::<usize>() {
-                Ok(n) if n > 0 => n.min(self.config.max_limit),
+                Ok(n) if n > 0 => n.min(MAX_LIMIT),
                 _ => return Err(HttpResponse::error(400, &format!("bad limit value {v:?}"))),
             },
         };
@@ -643,7 +599,7 @@ impl ServeState {
 
     /// The cache probe — the only one: parse the parameters, build the key,
     /// pin the current generation and look the key up under the set's
-    /// identity, so a hit can only ever return bytes computed against this
+    /// epoch, so a hit can only ever return bytes computed against this
     /// exact generation. No counter, span, record or log: the reactor runs
     /// it too, and a hit's sinks are fed once, by [`ServeState::run_query`].
     /// `Err` is the ready-to-send 400 response.
@@ -657,7 +613,7 @@ impl ServeState {
         let key = cache_key(suggest, &params);
         let set = resident.snapshot_all();
         let hit = if self.config.cache_bytes > 0 {
-            resident.cache().get_for(&key, set.identity)
+            resident.cache().get_for(&key, set.epoch)
         } else {
             None
         };
@@ -675,7 +631,7 @@ impl ServeState {
     ///
     /// One pinned generation serves the whole request — search, render, and
     /// cache tagging — so a concurrent hot-swap can never mix engine output
-    /// with the wrong cache identity, and a mixed-generation answer is
+    /// with the wrong cache epoch, and a mixed-generation answer is
     /// never merged: [`ResidentIndex::snapshot_all`] hands out a whole
     /// generation, which some single build produced. If the epoch moved
     /// while the searches ran, the first race re-runs once on the new
@@ -795,10 +751,10 @@ impl ServeState {
             record.cost = Some(merged.response().cost().clone());
             let body: Arc<[u8]> = Arc::from(body.into_bytes());
             if self.config.cache_bytes > 0 {
-                // Tagged with the pinned set's identity, not the live one:
-                // if a swap landed mid-request this entry is already stale
-                // and must stay invisible to post-swap readers.
-                resident.cache().put_for(key, Arc::clone(&body), set.identity);
+                // Tagged with the pinned set's epoch, not the live one: if
+                // a swap landed mid-request this entry is already stale and
+                // must stay invisible to post-swap readers.
+                resident.cache().put_for(key, Arc::clone(&body), set.epoch);
             }
             let mut http =
                 HttpResponse::shared_json(200, body).with_header("x-gks-cache", "miss".to_string());
@@ -1337,14 +1293,5 @@ mod tests {
         let response = get(&state, "/search?q=twig");
         assert_eq!(response.status, 503);
         assert_eq!(state.metrics.deadline_aborts_total.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn identity_differs_across_corpora() {
-        let other = {
-            let corpus = Corpus::from_named_strs([("x", "<r><a>hi</a><a>ho</a></r>")]).unwrap();
-            Arc::new(Engine::build(&corpus, IndexOptions::default()).unwrap())
-        };
-        assert_ne!(index_identity(small_engine().index()), index_identity(other.index()),);
     }
 }

@@ -184,8 +184,8 @@ pub struct IndexMetricsView<'a> {
     pub name: &'a str,
     /// Cache occupancy of this index's result cache.
     pub cache: CacheStats,
-    /// Identity fingerprint of the currently resident engine generation
-    /// (combined across shards for a sharded index).
+    /// Result-cache identity of the resident generation: its epoch, bumped
+    /// by every install.
     pub identity: u64,
     /// Number of shards backing this index (1 when unsharded).
     pub shard_count: usize,
@@ -287,7 +287,7 @@ impl Metrics {
             cache.bytes += view.cache.bytes;
             cache.capacity += view.cache.capacity;
         }
-        let index_identity = indexes.first().map_or(0, |v| v.identity);
+        let default_identity = indexes.first().map_or(0, |v| v.identity);
         let mut out = String::with_capacity(2048 + indexes.len() * 1024);
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let _ = writeln!(out, "gks_requests_total {}", load(&self.requests_total));
@@ -390,7 +390,7 @@ impl Metrics {
                 gks_trace::span_count(kind)
             );
         }
-        let _ = writeln!(out, "gks_index_identity {index_identity}");
+        let _ = writeln!(out, "gks_index_identity {default_identity}");
         // Per-index sections: one block per resident catalog index.
         for view in indexes {
             let _ = writeln!(

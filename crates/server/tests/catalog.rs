@@ -2,7 +2,7 @@
 //! hot-swap/cache contract: a multi-index server routes `/ix/<name>/…`
 //! prefixes to isolated engines and caches, `/admin/reload` swaps a
 //! path-backed index atomically under concurrent load with zero 5xx, and a
-//! cache hit is never served across an identity change.
+//! cache hit is never served across a generation change.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,7 +13,7 @@ use gks_server::catalog::IndexSpec;
 use gks_server::client::{http_get, http_post};
 use gks_server::http::{parse_request, HttpResponse};
 use gks_server::metrics::metric_value;
-use gks_server::{index_identity, serve_catalog, ServeConfig, ServeState};
+use gks_server::{serve_catalog, ServeConfig, ServeState};
 use proptest::prelude::*;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -75,10 +75,9 @@ fn two_index_server_routes_and_isolates() {
     };
     assert_eq!(requests("nasa"), 2);
     assert_eq!(requests("dblp"), 2);
-    // The identity fingerprint is a full u64 (can exceed i64), so check the
-    // exposition line textually rather than through `metric_value`.
-    assert!(text.contains("gks_index_identity{index=\"nasa\"}"), "{text}");
-    assert!(text.contains("gks_index_identity{index=\"dblp\"}"), "{text}");
+    // Each index reports its own generation epoch; nothing has reloaded.
+    assert_eq!(metric_value(&text, "gks_index_identity{index=\"nasa\"}"), Some(0));
+    assert_eq!(metric_value(&text, "gks_index_identity{index=\"dblp\"}"), Some(0));
 
     // Per-index doctor answers on the prefix; the bare endpoint covers all.
     let doctor = http_get(addr, "/ix/dblp/doctor", TIMEOUT).unwrap();
@@ -94,8 +93,8 @@ fn two_index_server_routes_and_isolates() {
 }
 
 /// Saves a freshly built index generation at `path` (the reload source).
-/// The item count varies per generation, so both the identity fingerprint
-/// and the result bytes for `q=alpha` change across saves.
+/// The item count varies per generation, so the result bytes for `q=alpha`
+/// change across saves.
 fn save_index(generation: usize, path: &std::path::Path) {
     let mut xml = String::from("<catalog>");
     for i in 0..=generation {
@@ -145,8 +144,9 @@ fn admin_reload_swaps_identity_and_invalidates_the_cache() {
     assert_eq!(after.header("x-gks-cache"), Some("miss"), "stale hit across reload");
     assert_ne!(after.body, before.body);
 
-    // /metrics reports the new identity and the reload count.
+    // /metrics reports the new identity (the next epoch) and the reload count.
     let text = http_get(addr, "/metrics", TIMEOUT).unwrap().body_text();
+    assert_eq!(metric_value(&text, "gks_index_identity{index=\"live\"}"), Some(1));
     assert_eq!(metric_value(&text, "gks_index_reloads_total{index=\"live\"}"), Some(1));
 
     // The path-backed index was loaded from a format-v3 file, so its
@@ -245,7 +245,7 @@ proptest! {
 
     /// For any interleaving of queries and hot swaps, the bytes served —
     /// cached or not — always come from the *current* generation: a cache
-    /// hit implies the entry's identity matches the live engine's.
+    /// hit implies the entry's epoch tag matches the live generation's.
     #[test]
     fn served_bytes_always_match_the_live_generation(
         ops in prop::collection::vec(0u8..4, 1..40),
@@ -266,8 +266,7 @@ proptest! {
             if op == 3 {
                 generation = 1 - generation;
                 let engine = Arc::clone(&engines[generation]);
-                let identity = index_identity(engine.index());
-                resident.swap_engine(engine, identity);
+                resident.swap_engine(engine);
                 continue;
             }
             let target = format!("/search?q={}&s=1", ["alpha", "beta", "gamma"][op as usize]);

@@ -17,7 +17,7 @@ use gks_server::catalog::IndexSpec;
 use gks_server::client::{parse_response, ClientResponse, HttpClient};
 use gks_server::http::parse_request;
 use gks_server::metrics::metric_value;
-use gks_server::{serve_catalog, ServeConfig, Server};
+use gks_server::{serve_catalog, ServeConfig, Server, DEFAULT_LIMIT};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 const ENTRIES: [&str; 2] = ["flat", "sharded"];
@@ -43,10 +43,7 @@ fn serve_entries(config: ServeConfig) -> (Arc<Engine>, Server) {
 /// What the in-memory engine answers for `/search?q=<q>&s=1` at the
 /// server's default limit.
 fn expected_body(engine: &Engine, q: &str) -> Vec<u8> {
-    let options = SearchOptions {
-        s: Threshold::parse("1").unwrap(),
-        limit: ServeConfig::default().default_limit,
-    };
+    let options = SearchOptions { s: Threshold::parse("1").unwrap(), limit: DEFAULT_LIMIT };
     let response = engine.search(&Query::parse(q).unwrap(), options).unwrap();
     wire::search_response_json(engine, &response).into_bytes()
 }

@@ -31,7 +31,6 @@ fn get(state: &ServeState, target: &str) -> HttpResponse {
 fn sampled_out_requests_still_count_in_span_totals() {
     let config = ServeConfig {
         trace: true,
-        trace_ring: 64,
         trace_sample: 4,
         // No cache: every request exercises the engine phases, so the
         // sampled share of histogram writes is exact.

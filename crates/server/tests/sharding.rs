@@ -288,8 +288,8 @@ fn doctor_audits_every_shard_of_the_set() {
 
 /// Reloading one shard under concurrent query load never surfaces a 5xx
 /// and never merges a mixed-generation answer: every response is
-/// byte-identical to the quiescent answer (the corpus on disk never
-/// changes, so any deviation would be a torn merge).
+/// byte-identical to the quiescent answer (shard 1's file is replaced by a
+/// copy of itself, so any deviation would be a torn merge).
 #[test]
 fn reload_one_shard_under_load_is_invisible() {
     let dir = std::env::temp_dir().join(format!("gks-shard-reload-{}", std::process::id()));
@@ -328,15 +328,21 @@ fn reload_one_shard_under_load_is_invisible() {
                 }
             });
         }
-        // Reload shard 1 repeatedly while the query threads hammer.
+        // Replace shard 1's file and reload, repeatedly, while the query
+        // threads hammer: each reload reopens shard 1 and reuses shard 0.
         let resident = Arc::clone(state.catalog().default_index());
+        let (shard1, copy) = (dir.join("shard-1.gksix"), dir.join("shard-1.copy"));
         for _ in 0..25 {
-            resident.reload_shard(1).unwrap();
+            std::fs::copy(&shard1, &copy).unwrap();
+            std::fs::rename(&copy, &shard1).unwrap();
+            let (before, after) = resident.reload().unwrap();
+            assert_ne!(before, after, "a replaced file is a new generation");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        // And a few full reloads (every shard re-read into one generation).
+        // Reloads with no file changed install nothing.
         for _ in 0..5 {
-            resident.reload().unwrap();
+            let (before, after) = resident.reload().unwrap();
+            assert_eq!(before, after, "unchanged files, same generation");
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -352,16 +358,17 @@ fn reload_one_shard_under_load_is_invisible() {
         "whole-generation swaps cannot mix shards, so there is nothing to count: {text}"
     );
     assert_eq!(metric_value(&text, "gks_index_shards{index=\"default\"}"), Some(2));
-    assert!(
-        metric_value(&text, "gks_index_reloads_total{index=\"default\"}").unwrap() >= 30,
-        "reloads were recorded"
+    assert_eq!(
+        metric_value(&text, "gks_index_reloads_total{index=\"default\"}"),
+        Some(25),
+        "every reload of a replaced file was recorded, and only those"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The shard-granular reload rejects out-of-range slots, and a manifest
-/// spec round-trips through the catalog (doc bases derived from the loaded
-/// shards match the manifest's record).
+/// A manifest spec round-trips through the catalog (doc bases derived from
+/// the loaded shards match the manifest's record), and reloading it with no
+/// file changed keeps the generation.
 #[test]
 fn shard_reload_validation_and_manifest_spec() {
     let dir = std::env::temp_dir().join(format!("gks-shard-spec-{}", std::process::id()));
@@ -377,7 +384,6 @@ fn shard_reload_validation_and_manifest_spec() {
     let state = ServeState::with_catalog(specs, Some("m"), ServeConfig::default()).unwrap();
     let resident = state.catalog().default_index();
     assert_eq!(resident.shard_count(), 2);
-    assert!(resident.reload_shard(7).is_err(), "out-of-range shard slot");
     let set = resident.snapshot_all();
     let manifest = ShardManifest::load(&manifest_path).unwrap();
     let expected: Vec<gks_core::shard::DocMap> = manifest
@@ -386,10 +392,9 @@ fn shard_reload_validation_and_manifest_spec() {
         .map(|s| gks_core::shard::DocMap::base(s.doc_base))
         .collect();
     assert_eq!(set.doc_maps, expected, "loaded doc maps match the manifest split");
-    assert_eq!(set.identity, resident.identity());
-    // A shard-granular reload of the same bytes keeps the identity.
-    let (before, after) = resident.reload_shard(0).unwrap();
-    assert_eq!(before, after, "same bytes on disk, same combined identity");
+    assert_eq!(set.epoch, resident.identity());
+    let (before, after) = resident.reload().unwrap();
+    assert_eq!(before, after, "same files on disk, same generation");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -443,11 +448,11 @@ fn failed_path_list_reload_installs_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `reload_shard` re-tiles a path-list set's positional document bases:
-/// after shard 0 grows by one document, shard 1's hits carry global ids
-/// shifted by one, and the body equals a fresh catalog over the new files.
+/// A path-list reload re-tiles the set's positional document bases: after
+/// shard 0 grows by one document, shard 1's hits carry global ids shifted
+/// by one, and the body equals a fresh catalog over the new files.
 #[test]
-fn reload_shard_retiles_positional_bases() {
+fn reload_retiles_positional_bases() {
     let dir = std::env::temp_dir().join(format!("gks-shard-retile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let paths = [dir.join("s0.gksix"), dir.join("s1.gksix")];
@@ -462,8 +467,8 @@ fn reload_shard_retiles_positional_bases() {
     assert!(before.contains("\"node\":\"2:") && before.contains("\"node\":\"3:"), "{before}");
 
     save_shard(&paths[0], &shard_docs("a", 3, "alpha"));
-    let (old, new) = state.catalog().default_index().reload_shard(0).unwrap();
-    assert_ne!(old, new, "shard 0 changed, so the combined identity did");
+    let (old, new) = state.catalog().default_index().reload().unwrap();
+    assert_ne!(old, new, "shard 0 changed, so the generation did");
     let after = String::from_utf8(get(&state, "/search?q=omega&s=1").body.to_vec()).unwrap();
     assert!(!after.contains("\"node\":\"2:"), "shard 1 no longer starts at 2: {after}");
     assert!(after.contains("\"node\":\"3:") && after.contains("\"node\":\"4:"), "{after}");
