@@ -842,6 +842,9 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             }
             "--queue" => {
                 config.queue_depth = parse_value(take_value(&mut it, "--queue")?, "--queue")?;
+                if config.queue_depth == 0 {
+                    return Err(CliError::usage("--queue must be > 0"));
+                }
             }
             "--deadline-ms" => {
                 let ms: u64 = parse_value(take_value(&mut it, "--deadline-ms")?, "--deadline-ms")?;
@@ -1523,6 +1526,9 @@ mod tests {
         assert_eq!(err.code, 2, "non-numeric 1/N sample rate");
         let err = run(&args(&["serve", "/tmp/x.gksix", "--watch-interval-ms", "0"])).unwrap_err();
         assert_eq!(err.code, 2, "zero watch interval");
+        let err = run(&args(&["serve", "/tmp/x.gksix", "--queue", "0"])).unwrap_err();
+        assert_eq!(err.code, 2, "zero queue depth: {}", err.message);
+        assert!(err.message.contains("--queue must be > 0"), "{}", err.message);
         let err = run(&args(&["serve", "/tmp/x.gksix", "--compact-threshold"])).unwrap_err();
         assert_eq!(err.code, 2, "missing compact threshold");
         let err =

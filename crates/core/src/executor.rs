@@ -1,11 +1,12 @@
 //! Persistent shard executor: a grow-only set of per-shard worker lanes
 //! that replaces the `thread::scope`-per-request scatter.
 //!
-//! Each resident shard set owns one [`ShardExecutor`]. Lane `i` is a
-//! [`WorkerPool`] dedicated to shard `i`, created **once** (at catalog
-//! build, or when a manifest sync grows the shard count) and reused for
-//! every request, so a sharded search costs one queue push per shard
-//! instead of one thread spawn per shard. [`ShardExecutor::scatter`] keeps
+//! A server catalog owns one [`ShardExecutor`], shared by all its indexes.
+//! Lane `i` is a [`WorkerPool`] dedicated to shard slot `i`, created
+//! **once** (at catalog build, or when a manifest sync grows the widest
+//! shard count) and reused for every request, so a sharded search costs
+//! one queue push per shard instead of one thread spawn per shard.
+//! [`ShardExecutor::scatter`] keeps
 //! the `thread::scope` contract exactly: results come back in shard order,
 //! a panicking task surfaces as `Err` for that slot only, and every slot
 //! always resolves (the `gks-exec` drop guards rule out a hung gather).

@@ -5,17 +5,22 @@
 //! request, and the parallel index builder spawned one thread per chunk per
 //! build. This crate replaces both with a single primitive: a
 //! [`WorkerPool`] of named threads spawned **once**, fed through a
-//! `Mutex`+`Condvar` job deque (bounded by construction — producers submit
-//! exactly as many jobs as they wait for), plus a [`Scatter`] collector
-//! that returns results **in submission order** with panics captured as
-//! `Err` values instead of poisoned joins.
+//! `Mutex`+`Condvar` job deque, plus a [`Scatter`] collector that returns
+//! results **in submission order** with panics captured as `Err` values
+//! instead of poisoned joins. The server's request workers are a pool too:
+//! [`WorkerPool::bounded`] caps the deque, and [`WorkerPool::try_submit`]
+//! hands the input back instead of queueing past the cap — the admission
+//! control behind `503 + Retry-After`.
 //!
 //! Design rules, enforced by construction:
 //!
 //! * a worker never holds the queue lock while running a job;
+//! * there is one shutdown rule, drain: [`WorkerPool::close`] stops
+//!   admissions, queued jobs still run, and workers exit once the queue is
+//!   empty; [`Drop`] is close + join;
 //! * a scatter slot is **always** filled — by the job's result, by the
-//!   captured panic message, or (if the pool shuts down before the job
-//!   runs) by a drop guard — so [`Scatter::wait`] cannot hang;
+//!   captured panic message, or (if the job is refused by a closed pool)
+//!   by a drop guard — so [`Scatter::wait`] cannot hang;
 //! * waiting on a scatter from *inside* the same pool is a deadlock by
 //!   design and must not be done (documented on [`Scatter::wait`]).
 //!
@@ -25,17 +30,19 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use gks_trace::lockorder::track;
+use gks_trace::lockorder::{track, Tracked};
 
 /// A unit of work accepted by [`WorkerPool::submit`].
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
     jobs: VecDeque<Job>,
-    shutdown: bool,
+    /// Set by [`WorkerPool::close`]: no admissions; workers drain `jobs`
+    /// and then exit.
+    closed: bool,
 }
 
 struct PoolShared {
@@ -43,13 +50,21 @@ struct PoolShared {
     available: Condvar,
 }
 
+/// Poison only means a thread panicked while holding the lock; the deque
+/// is still structurally sound, so keep going.
+fn lock(state: &Mutex<PoolState>) -> Tracked<MutexGuard<'_, PoolState>> {
+    track("exec/lib.state", state.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
 /// A fixed set of named worker threads draining a shared job deque. Spawned
-/// once at construction; [`Drop`] shuts the queue, discards jobs that never
-/// started (their [`Scatter`] slots resolve to `Err`), and joins every
-/// thread.
+/// once at construction; [`Drop`] closes the pool, lets the workers finish
+/// every queued job, and joins them.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: Vec<JoinHandle<()>>,
+    /// Queued jobs beyond which [`WorkerPool::try_submit`] refuses; `submit`
+    /// ignores it.
+    capacity: usize,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -60,40 +75,37 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns `threads` workers (clamped to at least 1) named
-    /// `<name>-<i>`. Fails only if the OS refuses a thread; already-spawned
-    /// workers are shut down and joined before the error returns.
+    /// `<name>-<i>`, with no cap on the queue. Fails only if the OS
+    /// refuses a thread; already-spawned workers are joined before the
+    /// error returns.
     pub fn new(name: &str, threads: usize) -> std::io::Result<WorkerPool> {
+        WorkerPool::bounded(name, threads, usize::MAX)
+    }
+
+    /// [`WorkerPool::new`] with at most `capacity` jobs waiting for a
+    /// worker, as far as [`WorkerPool::try_submit`] is concerned.
+    pub fn bounded(name: &str, threads: usize, capacity: usize) -> std::io::Result<WorkerPool> {
         let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState { jobs: VecDeque::new(), shutdown: false }),
+            state: Mutex::new(PoolState { jobs: VecDeque::new(), closed: false }),
             available: Condvar::new(),
         });
-        let mut handles = Vec::with_capacity(threads.max(1));
+        let mut pool = WorkerPool { shared, threads: Vec::with_capacity(threads.max(1)), capacity };
         for i in 0..threads.max(1) {
-            let worker_shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
+            let worker_shared = Arc::clone(&pool.shared);
+            let handle = std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
-                .spawn(move || worker_loop(&worker_shared));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    let pool = WorkerPool { shared, threads: handles };
-                    drop(pool); // joins the workers that did start
-                    return Err(e);
-                }
-            }
+                .spawn(move || worker_loop(&worker_shared))?; // drops `pool`: joins those started
+            pool.threads.push(handle);
         }
-        Ok(WorkerPool { shared, threads: handles })
+        Ok(pool)
     }
 
     /// Enqueues one job. Returns `false` (dropping the job, which resolves
-    /// any scatter slot it carries to `Err`) once the pool is shut down.
+    /// any scatter slot it carries to `Err`) once the pool is closed.
     pub fn submit(&self, job: Job) -> bool {
         {
-            let mut state = track(
-                "exec/lib.state",
-                self.shared.state.lock().unwrap_or_else(PoisonError::into_inner),
-            );
-            if state.shutdown {
+            let mut state = lock(&self.shared.state);
+            if state.closed {
                 return false; // `job` drops here; its slot guard fires
             }
             state.jobs.push_back(job);
@@ -102,73 +114,76 @@ impl WorkerPool {
         true
     }
 
+    /// Enqueues `run(input)` without blocking, unless the pool is closed or
+    /// already holds `capacity` queued jobs: then `input` comes straight
+    /// back and nothing was queued. The job is boxed only once admitted.
+    pub fn try_submit<T, F>(&self, input: T, run: F) -> Result<(), T>
+    where
+        T: Send + 'static,
+        F: FnOnce(T) + Send + 'static,
+    {
+        {
+            let mut state = lock(&self.shared.state);
+            if state.closed || state.jobs.len() >= self.capacity {
+                return Err(input);
+            }
+            state.jobs.push_back(Box::new(move || run(input)));
+        }
+        self.shared.available.notify_one();
+        Ok(())
+    }
+
+    /// Stops admissions and wakes every idle worker. Queued jobs still run;
+    /// each worker exits once the queue is empty. Idempotent.
+    pub fn close(&self) {
+        lock(&self.shared.state).closed = true;
+        self.shared.available.notify_all();
+    }
+
     /// Number of worker threads in the pool. Every one is spawned by
-    /// [`WorkerPool::new`] and none after it, so this is also the pool's
-    /// lifetime spawn count: whoever holds the pool can prove a request
-    /// path spawn-free by reading it before and after.
+    /// [`WorkerPool::bounded`] and none after it, so this is also the
+    /// pool's lifetime spawn count: whoever holds the pool can prove a
+    /// request path spawn-free by reading it before and after.
     pub fn threads(&self) -> usize {
         self.threads.len()
     }
 
     /// Jobs queued and not yet picked up by a worker.
     pub fn queued(&self) -> usize {
-        let state = track(
-            "exec/lib.state",
-            self.shared.state.lock().unwrap_or_else(PoisonError::into_inner),
-        );
-        state.jobs.len()
+        lock(&self.shared.state).jobs.len()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let abandoned: Vec<Job> = {
-            let mut state = track(
-                "exec/lib.state",
-                self.shared.state.lock().unwrap_or_else(PoisonError::into_inner),
-            );
-            state.shutdown = true;
-            state.jobs.drain(..).collect()
-        };
-        // Dropped outside the queue lock: a job's drop guard takes the
-        // scatter lock, and holding both would put an edge in the lock
-        // graph for no reason.
-        drop(abandoned);
-        self.shared.available.notify_all();
+        self.close();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// One worker: pop under the lock, run outside it. A panicking job is
-/// caught so the worker survives; [`Scatter`] jobs convert the payload to
-/// an `Err` before it ever reaches here.
+/// One worker: pop under the lock, run outside it, exit once the pool is
+/// closed and drained. A panicking job is caught so the worker survives;
+/// [`Scatter`] jobs convert the payload to an `Err` before it ever reaches
+/// here.
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
-            let mut state = track(
-                "exec/lib.state",
-                shared.state.lock().unwrap_or_else(PoisonError::into_inner),
-            );
+            let mut state = lock(&shared.state);
             loop {
                 if let Some(job) = state.jobs.pop_front() {
-                    break Some(job);
+                    break job;
                 }
-                if state.shutdown {
-                    break None;
+                if state.closed {
+                    return;
                 }
                 state = state.wait(&shared.available);
             }
         };
-        match job {
-            Some(job) => {
-                // The guard died at the block close above: the job runs
-                // with no lock held, so long tasks never serialize the pool.
-                let _ = catch_unwind(AssertUnwindSafe(job));
-            }
-            None => return,
-        }
+        // The guard died at the block close above: the job runs with no
+        // lock held, so long tasks never serialize the pool.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -299,7 +314,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn scatter_returns_results_in_submission_order() {
@@ -365,12 +381,128 @@ mod tests {
     #[test]
     fn submit_after_shutdown_reports_false_and_resolves_slot() {
         let pool = WorkerPool::new("t-late", 1).unwrap();
-        let shared = Arc::clone(&pool.shared);
-        drop(pool);
-        let zombie = WorkerPool { shared, threads: Vec::new() };
+        pool.close();
         let scatter = Scatter::new(1);
-        assert!(!zombie.submit(scatter.task(0, || 1u32)));
+        assert!(!pool.submit(scatter.task(0, || 1u32)));
         assert!(scatter.wait()[0].is_err());
+    }
+
+    /// A one-worker pool whose worker is parked inside a job; every job
+    /// submitted through [`Gate::record`] also waits for one token from
+    /// [`Gate::release`] before recording its value, in run order.
+    struct Gate {
+        // Declared first so a failing test drops it first: the parked jobs
+        // then see a hung-up channel instead of blocking the pool's join.
+        tokens: mpsc::Sender<()>,
+        pool: WorkerPool,
+        waiting: Arc<Mutex<mpsc::Receiver<()>>>,
+        ran: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl Gate {
+        fn new(capacity: usize) -> Gate {
+            let pool = WorkerPool::bounded("t-gate", 1, capacity).unwrap();
+            let (tokens, rx) = mpsc::channel();
+            let waiting = Arc::new(Mutex::new(rx));
+            let (started_tx, started) = mpsc::channel();
+            let blocker = Arc::clone(&waiting);
+            assert!(pool.submit(Box::new(move || {
+                started_tx.send(()).unwrap();
+                blocker.lock().unwrap().recv().unwrap();
+            })));
+            started.recv().unwrap();
+            Gate { tokens, pool, waiting, ran: Arc::new(Mutex::new(Vec::new())) }
+        }
+
+        fn record(&self, value: u32) -> Result<(), u32> {
+            let (waiting, ran) = (Arc::clone(&self.waiting), Arc::clone(&self.ran));
+            self.pool.try_submit(value, move |value| {
+                waiting.lock().unwrap().recv().unwrap();
+                ran.lock().unwrap().push(value);
+            })
+        }
+
+        fn release(&self, jobs: usize) {
+            for _ in 0..jobs {
+                self.tokens.send(()).unwrap();
+            }
+        }
+
+        /// Drops the pool (close + join) and returns what ran.
+        fn finish(self) -> Vec<u32> {
+            drop(self.pool);
+            let ran = self.ran.lock().unwrap();
+            ran.clone()
+        }
+    }
+
+    #[test]
+    fn rejects_when_full() {
+        let gate = Gate::new(2);
+        assert_eq!(gate.record(1), Ok(()));
+        assert_eq!(gate.record(2), Ok(()));
+        assert_eq!(gate.record(3), Err(3), "third job must be refused");
+        // Free the worker: it pops job 1 (which parks on the gate), leaving
+        // one queued job and one free slot.
+        gate.release(1);
+        while gate.pool.queued() > 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(gate.record(3), Ok(()), "space freed by a pop");
+        gate.release(3);
+        assert_eq!(gate.finish(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn drains_after_shutdown() {
+        let gate = Gate::new(8);
+        assert_eq!(gate.record(1), Ok(()));
+        assert_eq!(gate.record(2), Ok(()));
+        gate.pool.close();
+        assert_eq!(gate.record(3), Err(3), "no admissions after close");
+        gate.release(3);
+        // Drop joins the worker: it returns only once the queue is empty.
+        assert_eq!(gate.finish(), vec![1, 2], "queued work still drains");
+    }
+
+    #[test]
+    fn unblocks_waiting_consumers_on_shutdown() {
+        let pool = WorkerPool::bounded("t-idle", 2, 4).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(pool.threads.iter().all(|h| !h.is_finished()), "idle workers wait");
+        pool.close();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !pool.threads.iter().all(JoinHandle::is_finished) {
+            assert!(std::time::Instant::now() < deadline, "close must release idle workers");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn producers_and_consumers_agree_on_totals() {
+        let pool = WorkerPool::bounded("t-totals", 4, 16).unwrap();
+        let consumed = Arc::new(AtomicU64::new(0));
+        let mut pushed = 0u64;
+        for v in 1..=200u64 {
+            let mut item = v;
+            loop {
+                let consumed = Arc::clone(&consumed);
+                match pool.try_submit(item, move |v| {
+                    consumed.fetch_add(v, Ordering::Relaxed);
+                }) {
+                    Ok(()) => {
+                        pushed += v;
+                        break;
+                    }
+                    Err(back) => {
+                        item = back;
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        }
+        drop(pool);
+        assert_eq!(consumed.load(Ordering::Relaxed), pushed);
     }
 
     #[test]

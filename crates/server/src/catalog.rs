@@ -445,8 +445,8 @@ fn grow_lanes(executor: &ShardExecutor, shards: usize) -> std::io::Result<()> {
 
 /// One resident (logical) index: its current generation, the
 /// epoch-keyed result cache shared by all shards, per-index counters,
-/// the scatter executor and — for manifest-backed indexes — the manifest
-/// path.
+/// the catalog's scatter executor and — for manifest-backed indexes — the
+/// manifest path.
 #[derive(Debug)]
 pub struct ResidentIndex {
     name: String,
@@ -461,16 +461,20 @@ pub struct ResidentIndex {
     maintenance: Mutex<()>,
     cache: ResultCache,
     counters: IndexCounters,
-    /// Persistent per-shard worker lanes for the scatter path: shard
-    /// fan-out is a channel send to a long-lived lane, never a thread
-    /// spawn per request. Lanes grow with the shard count (manifest syncs
-    /// can add delta shards) and never shrink; a set of one searches on
-    /// the calling worker and has none.
+    /// The catalog's persistent per-shard worker lanes for the scatter
+    /// path, shared by every index: shard fan-out is a queue push to a
+    /// long-lived lane, never a thread spawn per request. Lanes grow to the
+    /// widest set (manifest syncs can add delta shards) and never shrink; a
+    /// set of one searches on the calling worker and needs none.
     executor: Arc<ShardExecutor>,
 }
 
 impl ResidentIndex {
-    fn from_spec(spec: IndexSpec, config: &ServeConfig) -> Result<ResidentIndex, ServeError> {
+    fn from_spec(
+        spec: IndexSpec,
+        config: &ServeConfig,
+        executor: &Arc<ShardExecutor>,
+    ) -> Result<ResidentIndex, ServeError> {
         let name = spec.name.to_ascii_lowercase();
         if name.is_empty() || name.contains('/') || name.chars().any(char::is_whitespace) {
             return Err(ServeError::BadConfig(format!(
@@ -496,8 +500,7 @@ impl ResidentIndex {
         if set.shards.is_empty() {
             return Err(ServeError::BadConfig(format!("index {name:?} lists no shards")));
         }
-        let executor = Arc::new(ShardExecutor::new(config.workers));
-        grow_lanes(&executor, set.shards.len()).map_err(ServeError::Io)?;
+        grow_lanes(executor, set.shards.len()).map_err(ServeError::Io)?;
         Ok(ResidentIndex {
             name,
             manifest,
@@ -505,7 +508,7 @@ impl ResidentIndex {
             cache: ResultCache::new(config.cache_bytes, config.cache_shards, set.epoch),
             slots: RwLock::new(Arc::new(set)),
             counters: IndexCounters::new(),
-            executor,
+            executor: Arc::clone(executor),
         })
     }
 
@@ -526,7 +529,7 @@ impl ResidentIndex {
     }
 
     /// The persistent scatter executor backing this index's fanned-out
-    /// searches.
+    /// searches — the catalog's one executor, shared by every index.
     pub fn executor(&self) -> &ShardExecutor {
         &self.executor
     }
@@ -812,9 +815,14 @@ impl EngineCatalog {
         if specs.is_empty() {
             return Err(ServeError::BadConfig("the catalog needs at least one index".into()));
         }
+        // One executor for the whole catalog. Only request workers scatter,
+        // each runs one request at a time, and a request puts at most one
+        // job on each lane: a lane of `workers` threads never queues one
+        // index's shard behind another's.
+        let executor = Arc::new(ShardExecutor::new(config.workers));
         let mut indexes: Vec<Arc<ResidentIndex>> = Vec::with_capacity(specs.len());
         for spec in specs {
-            let resident = ResidentIndex::from_spec(spec, config)?;
+            let resident = ResidentIndex::from_spec(spec, config, &executor)?;
             if indexes.iter().any(|r| r.name == resident.name) {
                 return Err(ServeError::BadConfig(format!(
                     "duplicate index name {:?} (route keys are case-insensitive)",

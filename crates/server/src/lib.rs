@@ -20,11 +20,12 @@
 //!   writers cost a poll-set entry, not a thread. A `/search` or `/suggest`
 //!   whose answer the result cache holds is answered right there
 //!   (`ServeState::inline_hit`); only **misses** (and every other
-//!   request) cross the *admission control* boundary: a **bounded** queue
-//!   ([`pool::BoundedQueue`]); when it is full the request is answered
-//!   `503 + Retry-After` immediately instead of queueing unboundedly.
-//! * **worker pool** — a fixed number of threads pop parsed requests,
-//!   route them ([`ServeState::handle`]), and write the response,
+//!   request) cross the *admission control* boundary: the worker pool's
+//!   **bounded** queue ([`gks_exec::WorkerPool::try_submit`]); when it is
+//!   full the request is answered `503 + Retry-After` immediately instead
+//!   of queueing unboundedly.
+//! * **worker pool** — a fixed number of `gks-exec` threads run parsed
+//!   requests, route them ([`ServeState::handle`]), and write the response,
 //!   handing the socket back to the reactor if the write would block or
 //!   the connection is keep-alive. Each request carries a **deadline**
 //!   from its first byte; work still pending past the deadline
@@ -33,10 +34,10 @@
 //!   unsharded index is a set of one. `/search` and `/suggest` run one
 //!   pipeline ([`ServeState::handle`]): pin a consistent set, probe the
 //!   cache under the set's epoch, search every shard, gather, render.
-//!   A set of more than one scatters over a persistent per-shard worker
-//!   pool ([`gks_core::ShardExecutor`]) — a channel send, never a thread
-//!   spawn on the request path; a set of one searches on the calling
-//!   worker.
+//!   A set of more than one scatters over the catalog's persistent
+//!   per-shard worker lanes ([`gks_core::ShardExecutor`], one per server)
+//!   — a queue push, never a thread spawn on the request path; a set of
+//!   one searches on the calling worker.
 //! * **result cache** — one sharded LRU per index ([`cache::ResultCache`])
 //!   keyed on the normalized `(endpoint, query, s, limit)` tuple, storing
 //!   the exact response bytes; the deterministic wire format
@@ -89,20 +90,21 @@ pub mod error;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
-pub mod pool;
 pub mod qlog;
 pub mod signal;
 pub mod topk;
 
+mod config;
 mod conn;
+mod lifecycle;
 mod poller;
 mod reactor;
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+pub use config::{ServeConfig, DEFAULT_LIMIT, MAX_LIMIT};
+pub use lifecycle::{serve, serve_catalog, DrainReport, Server};
+
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gks_core::di::DiOptions;
@@ -117,87 +119,6 @@ use crate::catalog::{EngineCatalog, IndexSpec, ResidentIndex, ShardSet};
 use crate::error::ServeError;
 use crate::http::{HttpResponse, Request};
 use crate::metrics::{Endpoint, Metrics};
-use crate::pool::BoundedQueue;
-
-/// `limit` applied to `/search` when the request does not pass one.
-pub const DEFAULT_LIMIT: usize = 20;
-
-/// Upper bound on the `limit` a request may ask for.
-pub const MAX_LIMIT: usize = 1_000;
-
-/// Server tuning knobs. `Default` matches the CLI's defaults.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Listen address, e.g. `127.0.0.1:7070` (port 0 picks an ephemeral
-    /// port — used by tests).
-    pub addr: String,
-    /// Worker threads executing queries.
-    pub workers: usize,
-    /// Bounded queue depth between the reactor and the workers; the
-    /// admission-control limit.
-    pub queue_depth: usize,
-    /// Per-request deadline measured from the request's first byte
-    /// (read and queueing time included).
-    pub deadline: Duration,
-    /// Upper bound on concurrently open client connections; at the cap the
-    /// reactor stops polling the listener (new connects wait in the
-    /// kernel backlog) until a slot frees.
-    pub max_connections: usize,
-    /// How long a keep-alive connection may sit idle between requests
-    /// before the reactor closes it.
-    pub idle_timeout: Duration,
-    /// Result-cache capacity in bytes (0 disables caching).
-    pub cache_bytes: usize,
-    /// Result-cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
-    /// Enable `gks-trace` span recording (per-phase metrics, the
-    /// `/debug/traces` ring, `Server-Timing` headers, slow-log span trees).
-    pub trace: bool,
-    /// Trace head-sampling rate: keep 1-in-N root spans (1 = keep all).
-    /// Sampled-out requests still count in `gks_trace_spans_total`, but skip
-    /// the histogram/ring/slow-log-tree writes.
-    pub trace_sample: u64,
-    /// JSONL query log path (`None` disables it).
-    pub query_log: Option<PathBuf>,
-    /// JSONL slow-query log path (`None` disables it).
-    pub slow_log: Option<PathBuf>,
-    /// Queries at least this slow count as slow (logged with their span
-    /// tree when `slow_log` is set).
-    pub slow_threshold: Duration,
-    /// Watcher poll interval for manifest-backed indexes: every interval
-    /// the corpus directory is scanned and changes are committed as a
-    /// delta shard, then hot-swapped in. `None` disables watching.
-    pub watch_interval: Option<Duration>,
-    /// Compaction trigger for the watcher tick (`gks_index::delta::maintain`):
-    /// once a manifest on disk carries at least this many delta shards, the
-    /// tick folds them into the base shards. `None` leaves compaction
-    /// manual (`POST /admin/compact` or `gks compact`). Needs
-    /// `watch_interval` and must be ≥ 1: [`serve_catalog`] rejects anything
-    /// else.
-    pub compact_threshold: Option<u64>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:7070".to_string(),
-            workers: 4,
-            queue_depth: 64,
-            deadline: Duration::from_millis(2_000),
-            max_connections: 8_192,
-            idle_timeout: Duration::from_secs(30),
-            cache_bytes: 32 * 1024 * 1024,
-            cache_shards: 8,
-            trace: true,
-            trace_sample: 1,
-            query_log: None,
-            slow_log: None,
-            slow_threshold: Duration::from_millis(500),
-            watch_interval: None,
-            compact_threshold: None,
-        }
-    }
-}
 
 /// Shared per-server state: the engine catalog, metrics, config. Routing
 /// lives here ([`ServeState::handle`]) so tests and the property suite can
@@ -775,8 +696,8 @@ impl ServeState {
     /// set, answers in shard order. A set of one has nothing to fan out —
     /// its search runs right here on the calling worker, with no lane hop.
     /// Wider sets scatter: every shard searches concurrently on its own
-    /// lane of the resident index's persistent executor — a channel send
-    /// per shard, no thread spawn on the request path — and each task
+    /// lane of the catalog's persistent executor — a queue push per
+    /// shard, no thread spawn on the request path — and each task
     /// captures its span subtree (timed even when the request is sampled
     /// out) so the shard trees can be grafted under the scatter span.
     fn search_set(
@@ -891,254 +812,6 @@ fn cache_key(suggest: bool, params: &QueryParams) -> String {
 /// Whole microseconds from `since` to now, saturating.
 pub(crate) fn micros_since(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Totals reported by [`Server::shutdown`] after the drain completes.
-#[derive(Debug, Clone, Copy)]
-pub struct DrainReport {
-    /// Connections accepted over the server's lifetime.
-    pub accepted: u64,
-    /// Requests fully served (a response was written).
-    pub served: u64,
-    /// Connections rejected by admission control.
-    pub rejected: u64,
-}
-
-/// A running server: reactor thread + worker pool over a [`ServeState`].
-#[derive(Debug)]
-pub struct Server {
-    state: Arc<ServeState>,
-    addr: SocketAddr,
-    queue: Arc<BoundedQueue<conn::WorkItem>>,
-    shared: Arc<reactor::ReactorShared>,
-    stop: Arc<AtomicBool>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    maintenance: Option<JoinHandle<()>>,
-}
-
-/// Binds `config.addr` and spawns the accept loop and worker pool over a
-/// single-index catalog. The returned [`Server`] is live until
-/// [`Server::shutdown`].
-pub fn serve(engine: Arc<Engine>, config: ServeConfig) -> Result<Server, ServeError> {
-    let specs = vec![IndexSpec::with_engine(catalog::DEFAULT_INDEX_NAME, engine)];
-    serve_catalog(specs, None, config)
-}
-
-/// Binds `config.addr` and spawns the accept loop and worker pool over a
-/// catalog built from `specs` (`default` names the index bare `/search`
-/// addresses; `None` → the first spec). The returned [`Server`] is live
-/// until [`Server::shutdown`].
-pub fn serve_catalog(
-    specs: Vec<IndexSpec>,
-    default: Option<&str>,
-    config: ServeConfig,
-) -> Result<Server, ServeError> {
-    if config.workers == 0 {
-        return Err(ServeError::BadConfig("workers must be > 0".into()));
-    }
-    if config.max_connections == 0 {
-        return Err(ServeError::BadConfig("max-connections must be > 0".into()));
-    }
-    if config
-        .compact_threshold
-        .is_some_and(|n| n == 0 || config.watch_interval.is_none())
-    {
-        return Err(ServeError::BadConfig(
-            "compact-threshold must be >= 1 and needs a watch interval (it runs on the watcher \
-             tick)"
-                .into(),
-        ));
-    }
-    let listener = TcpListener::bind(&config.addr)
-        .map_err(|e| ServeError::Bind { addr: config.addr.clone(), source: e })?;
-    listener.set_nonblocking(true).map_err(ServeError::Io)?;
-    let addr = listener.local_addr().map_err(ServeError::Io)?;
-    let state = Arc::new(ServeState::with_catalog(specs, default, config.clone())?);
-    let queue: Arc<BoundedQueue<conn::WorkItem>> = Arc::new(BoundedQueue::new(config.queue_depth));
-    let stop = Arc::new(AtomicBool::new(false));
-    // The reactor's wake channel is a loopback self-pipe: workers write a
-    // byte to pop it out of poll(). Built here — blocking connect/accept
-    // are fine outside the reactor.
-    let (wake_tx, wake_rx) = {
-        let pipe = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;
-        let pipe_addr = pipe.local_addr().map_err(ServeError::Io)?;
-        let tx = TcpStream::connect(pipe_addr).map_err(ServeError::Io)?;
-        let (rx, _) = pipe.accept().map_err(ServeError::Io)?;
-        tx.set_nonblocking(true).map_err(ServeError::Io)?;
-        let _ = tx.set_nodelay(true);
-        rx.set_nonblocking(true).map_err(ServeError::Io)?;
-        (tx, rx)
-    };
-    let shared = Arc::new(reactor::ReactorShared::new(wake_tx));
-
-    let reactor_handle = {
-        let reactor = reactor::Reactor {
-            listener,
-            wake_rx,
-            shared: Arc::clone(&shared),
-            queue: Arc::clone(&queue),
-            stop: Arc::clone(&stop),
-            state: Arc::clone(&state),
-        };
-        std::thread::Builder::new()
-            .name("gks-reactor".to_string())
-            .spawn(move || reactor.run())
-            .map_err(ServeError::Io)?
-    };
-    let workers = (0..config.workers)
-        .map(|i| {
-            let state = Arc::clone(&state);
-            let queue = Arc::clone(&queue);
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("gks-worker-{i}"))
-                .spawn(move || worker_loop(&state, &queue, &shared, &stop))
-                .map_err(ServeError::Io)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    // The maintenance thread exists only when there is update-path work to
-    // do: a watcher interval and at least one manifest-backed index.
-    let maintenance = match config.watch_interval {
-        Some(interval) if state.catalog().iter().any(|r| r.manifest_path().is_some()) => {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            Some(
-                std::thread::Builder::new()
-                    .name("gks-maintenance".to_string())
-                    .spawn(move || maintenance_loop(&state, interval, &stop))
-                    .map_err(ServeError::Io)?,
-            )
-        }
-        _ => None,
-    };
-
-    Ok(Server {
-        state,
-        addr,
-        queue,
-        shared,
-        stop,
-        reactor: Some(reactor_handle),
-        workers,
-        maintenance,
-    })
-}
-
-/// The background update loop: every `interval`, one
-/// [`ResidentIndex::maintain`] tick per manifest-backed index — the
-/// `gks watch` policy, publishing through the hot-swap protocol. Errors
-/// are deliberately non-fatal: a mid-mutation corpus scan or a transient
-/// I/O failure is retried on the next tick, and the serving set is never
-/// left inconsistent because every publish goes through the manifest's
-/// atomic epoch bump. Sleeps in short slices so shutdown stays prompt.
-fn maintenance_loop(state: &ServeState, interval: Duration, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        for resident in state.catalog().iter().filter(|r| r.manifest_path().is_some()) {
-            let _ = resident.maintain(state.config.compact_threshold);
-        }
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::SeqCst) {
-            let slice = (interval - slept).min(Duration::from_millis(10));
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-    }
-}
-
-/// Pops fully-read requests off the admission queue, routes them, and
-/// writes the response with nonblocking single shots. The socket's final
-/// disposition goes back to the reactor: idle for the next keep-alive
-/// request, a partial flush to finish, or dropped on close. The pending
-/// decrement is strictly last — the reactor's drain barrier counts on it
-/// coming after the retired socket is visible.
-fn worker_loop(
-    state: &ServeState,
-    queue: &BoundedQueue<conn::WorkItem>,
-    shared: &reactor::ReactorShared,
-    stop: &AtomicBool,
-) {
-    while let Some(item) = queue.pop() {
-        let conn::WorkItem { mut stream, request, accepted_at, residual, requests_served } = item;
-        state.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        let response = state.handle(&request, accepted_at);
-        // A drain closes keep-alive connections after their in-flight
-        // response: honoring `keep_alive` would park them forever.
-        let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-        let buf = state.finish(response, micros_since(accepted_at), keep_alive);
-        let mut written = 0;
-        match conn::write_some(&mut stream, &buf, &mut written) {
-            conn::WriteOutcome::Done => {
-                state.served.fetch_add(1, Ordering::Relaxed);
-                if keep_alive {
-                    shared.retire(conn::Retired {
-                        stream,
-                        kind: conn::RetiredKind::Idle { residual },
-                        requests_served: requests_served + 1,
-                    });
-                }
-            }
-            conn::WriteOutcome::Blocked => {
-                // Slow reader: park the remaining bytes on the reactor
-                // instead of pinning this worker (it counts `served` when
-                // the flush completes).
-                shared.retire(conn::Retired {
-                    stream,
-                    kind: conn::RetiredKind::Flush { buf, written, keep_alive, residual },
-                    requests_served: requests_served + 1,
-                });
-            }
-            conn::WriteOutcome::Closed => {}
-        }
-        state.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-        shared.pending.fetch_sub(1, Ordering::SeqCst);
-        // `retire()` above wakes the reactor when a socket went back; a
-        // closed socket needs no wake — except during a drain, where the
-        // reactor may be parked in poll waiting for pending to hit zero.
-        if stop.load(Ordering::SeqCst) {
-            shared.wake();
-        }
-    }
-}
-
-impl Server {
-    /// The bound address (resolves port 0 to the actual ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared state (metrics, cache) — e.g. for in-process inspection.
-    pub fn state(&self) -> &Arc<ServeState> {
-        &self.state
-    }
-
-    /// Graceful shutdown: stop accepting, drain queued and in-flight
-    /// requests, join all threads, and report totals. Idempotent by
-    /// construction (consumes the server).
-    pub fn shutdown(mut self) -> DrainReport {
-        self.stop.store(true, Ordering::SeqCst);
-        // No more admissions; workers drain the backlog, then exit.
-        self.queue.shutdown();
-        // Pop the reactor out of poll() so it sees the stop flag; it exits
-        // once every dispatched request has been answered and every
-        // in-progress response flush has completed.
-        self.shared.wake();
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.maintenance.take() {
-            let _ = handle.join();
-        }
-        DrainReport {
-            accepted: self.state.accepted.load(Ordering::Relaxed),
-            served: self.state.served.load(Ordering::Relaxed),
-            rejected: self.state.metrics.rejected_total.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]

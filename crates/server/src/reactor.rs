@@ -7,7 +7,8 @@
 //! response is serialized into the connection's `Writing` state, which
 //! flushes it and goes on to the next keep-alive request. Workers receive
 //! only **misses** — and every other fully-read request — as
-//! [`WorkItem`]s through the bounded admission queue; after answering
+//! [`WorkItem`]s admitted to the bounded worker pool
+//! ([`WorkerPool::try_submit`]); after answering
 //! they either close the socket, hand it back idle for the next
 //! keep-alive request, or hand back a partially-flushed response for the
 //! reactor to finish ([`Retired`]). Slowloris-style readers and
@@ -50,13 +51,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use gks_exec::WorkerPool;
 use gks_trace::lockorder::{self, Tracked};
 
 use crate::conn::{self, ConnState, ReadOutcome, Retired, RetiredKind, WorkItem, WriteOutcome};
 use crate::http::{self, HttpResponse};
 use crate::poller::{self, Slot, Source};
-use crate::pool::BoundedQueue;
-use crate::{micros_since, ServeState};
+use crate::{lifecycle, micros_since, ServeState};
 
 /// Poll tick: bounds deadline-sweep latency and the portable fallback's
 /// nap. Readiness and wakes interrupt it early on Unix.
@@ -150,15 +151,15 @@ pub(crate) struct Reactor {
     pub listener: TcpListener,
     pub wake_rx: TcpStream,
     pub shared: Arc<ReactorShared>,
-    pub queue: Arc<BoundedQueue<WorkItem>>,
+    pub workers: Arc<WorkerPool>,
     pub stop: Arc<AtomicBool>,
     pub state: Arc<ServeState>,
 }
 
 impl Reactor {
     pub(crate) fn run(self) {
-        let Reactor { listener, wake_rx, shared, queue, stop, state } = self;
-        let mut r = Loop { listener, wake_rx, shared, queue, stop, state, conns: Vec::new() };
+        let Reactor { listener, wake_rx, shared, workers, stop, state } = self;
+        let mut r = Loop { listener, wake_rx, shared, workers, stop, state, conns: Vec::new() };
         r.run();
     }
 }
@@ -167,7 +168,7 @@ struct Loop {
     listener: TcpListener,
     wake_rx: TcpStream,
     shared: Arc<ReactorShared>,
-    queue: Arc<BoundedQueue<WorkItem>>,
+    workers: Arc<WorkerPool>,
     stop: Arc<AtomicBool>,
     state: Arc<ServeState>,
     conns: Vec<Conn>,
@@ -410,8 +411,8 @@ impl Loop {
                         conn.since = now;
                         continue;
                     }
-                    // The miss lane. pending++ strictly before the push: a
-                    // worker may answer and decrement before try_push even
+                    // The miss lane. pending++ strictly before the submit: a
+                    // worker may answer and decrement before try_submit even
                     // returns.
                     self.shared.pending.fetch_add(1, Ordering::SeqCst);
                     let item = WorkItem {
@@ -421,11 +422,14 @@ impl Loop {
                         residual,
                         requests_served: conn.requests_served,
                     };
-                    match self.queue.try_push(item) {
+                    let (state, shared, stop) =
+                        (Arc::clone(&self.state), Arc::clone(&self.shared), Arc::clone(&self.stop));
+                    let job = move |item| lifecycle::answer(&state, &shared, &stop, item);
+                    match self.workers.try_submit(item, job) {
                         Ok(()) => return None, // the worker owns the socket now
                         Err(_) if self.stop.load(Ordering::SeqCst) => {
-                            // The queue was shut down mid-round (stop is set
-                            // strictly before queue.shutdown()): this is the
+                            // The pool was closed mid-round (stop is set
+                            // strictly before workers.close()): this is the
                             // drain, not overload. Close instead of 503 —
                             // same outcome as a still-mid-read connection.
                             self.shared.pending.fetch_sub(1, Ordering::SeqCst);
@@ -533,6 +537,6 @@ impl Loop {
             })
             .count();
         metrics.conn_parked.store(parked as u64, Ordering::Relaxed);
-        metrics.conn_queue_depth.store(self.queue.len() as u64, Ordering::Relaxed);
+        metrics.conn_queue_depth.store(self.workers.queued() as u64, Ordering::Relaxed);
     }
 }

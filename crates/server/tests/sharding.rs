@@ -218,6 +218,43 @@ fn sharded_search_spawns_no_threads_on_the_request_path() {
     );
 }
 
+/// One executor per catalog, not per index: two 2-shard indexes scatter
+/// over the same two lanes, so a warm miss burst on both leaves exactly
+/// `2 × workers` lane threads spawned — not that many per index.
+#[test]
+fn sharded_indexes_share_one_executor() {
+    let mut corpus = Corpus::new();
+    for i in 0..8 {
+        corpus.push(format!("doc{i}"), format!("<r><a>alpha beta</a><b>gamma doc{i}</b></r>"));
+    }
+    let engines = || -> Vec<Arc<Engine>> {
+        split_corpus(&corpus, 2)
+            .iter()
+            .map(|part| Arc::new(Engine::build(part, IndexOptions::default()).unwrap()))
+            .collect()
+    };
+    let specs = vec![
+        IndexSpec::with_shard_engines("left", engines()),
+        IndexSpec::with_shard_engines("right", engines()),
+    ];
+    let config = ServeConfig::default();
+    let workers = config.workers;
+    let state = ServeState::with_catalog(specs, None, config).unwrap();
+    let left = state.catalog().get("left").unwrap().executor();
+    let right = state.catalog().get("right").unwrap().executor();
+    assert!(std::ptr::eq(left, right), "both indexes share the catalog's executor");
+    for i in 0..10 {
+        for entry in ["left", "right"] {
+            // Distinct queries dodge the result cache, forcing a real scatter.
+            let response = get(&state, &format!("/ix/{entry}/search?q=alpha+gamma+doc{i}&s=1"));
+            assert_eq!(response.status, 200);
+            assert_eq!(header(&response, "x-gks-cache"), Some("miss"));
+            assert_eq!(header(&response, "x-gks-shards"), Some("2"));
+        }
+    }
+    assert_eq!(left.threads_spawned(), 2 * workers, "one lane per shard slot, catalog-wide");
+}
+
 /// Builds a 2-shard on-disk index set (plus manifest) for the reload test.
 fn persist_shards(dir: &std::path::Path, corpus: &Corpus) -> std::path::PathBuf {
     std::fs::create_dir_all(dir).unwrap();

@@ -11,7 +11,7 @@
 //! concurrency test thereby doubles as a deadlock detector.
 //!
 //! Names are shared with the static analyzer's lock identities
-//! (`server/pool.state`, `trace/lib.RING`, …), so a dynamic report and a
+//! (`server/catalog.slots`, `trace/lib.RING`, …), so a dynamic report and a
 //! `lock-order` diagnostic point at the same thing.
 //!
 //! Costs and caveats:

@@ -13,8 +13,8 @@
 //!   `thread::scope` at a scatter site; the child's lifetime is unbounded
 //!   from the guard's point of view.
 //! * `no-unbounded-channel` — `mpsc::channel()` in the serving crate; the
-//!   admission-controlled pool must stay bounded (`sync_channel` or the
-//!   `BoundedQueue` are fine).
+//!   admission-controlled pool must stay bounded (`sync_channel` or
+//!   `WorkerPool::try_submit` are fine).
 //! * `no-blocking-in-reactor` — any blocking operation in a `*reactor.rs`
 //!   file, guard or no guard. The reactor thread owns every connection;
 //!   one blocking call stalls all of them, so its event loop must stay
@@ -426,7 +426,7 @@ fn walk_fn(
                         message: format!(
                             "`mpsc::channel()` in fn `{}` — an unbounded queue defeats \
                              the admission-controlled pool; use `mpsc::sync_channel` \
-                             or `BoundedQueue`",
+                             or `WorkerPool::try_submit`",
                             f.name
                         ),
                     });

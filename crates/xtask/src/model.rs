@@ -7,7 +7,7 @@
 //!
 //! * **lock declarations** — struct fields, statics, and `let` bindings
 //!   whose type (or initializer) is `Mutex<..>` / `RwLock<..>`, identified
-//!   as `<crate>/<file-stem>.<name>` (e.g. `server/pool.state`);
+//!   as `<crate>/<file-stem>.<name>` (e.g. `server/catalog.slots`);
 //! * **functions** — name, span, parameters (flagging lock-typed ones),
 //!   whether the return type hands a guard or a `&Mutex`/`&RwLock` back to
 //!   the caller, and an ordered list of **events** inside the body:
@@ -204,7 +204,7 @@ pub struct FnModel {
 pub struct FileModel {
     /// Workspace-relative path.
     pub path: String,
-    /// File stem (`pool` for `pool.rs`), used in lock identities.
+    /// File stem (`catalog` for `catalog.rs`), used in lock identities.
     pub stem: String,
     /// Scanned lines (for allowlist matching in the driver).
     pub lines: Vec<Line>,
