@@ -50,15 +50,6 @@ impl Engine {
         Ok(Engine::from_index(GksIndex::build(corpus, options)?))
     }
 
-    /// Indexes a corpus with `workers` parallel workers.
-    pub fn build_parallel(
-        corpus: &Corpus,
-        options: IndexOptions,
-        workers: usize,
-    ) -> Result<Engine, IndexError> {
-        Ok(Engine::from_index(GksIndex::build_parallel(corpus, options, workers)?))
-    }
-
     /// Wraps an existing index (e.g. loaded via [`GksIndex::load`]).
     pub fn from_index(index: GksIndex) -> Engine {
         Engine { index: Arc::new(index), tombstones: Vec::new() }

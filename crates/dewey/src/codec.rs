@@ -1,25 +1,23 @@
 //! Compact binary codec for Dewey ids and sorted Dewey-id runs.
 //!
-//! Two encodings are provided:
+//! One encoding for standalone ids and one for runs:
 //!
 //! * [`encode_id`] / [`decode_id`] — a standalone id as LEB128 varints
 //!   (document id, path length, then each step).
-//! * [`encode_sorted_run`] / [`decode_sorted_run`] — a **delta-prefix**
-//!   encoding for a document-ordered run of ids, as stored in inverted-index
-//!   posting lists. Consecutive Dewey ids share long prefixes (they are
+//! * [`encode_blocked_run`] / [`BlockedRunReader`] — a **delta-prefix**
+//!   encoding for a document-ordered run of ids, as stored in posting lists
+//!   and the node table. Consecutive Dewey ids share long prefixes (they are
 //!   pre-order neighbours), so each entry stores only the number of leading
-//!   steps shared with its predecessor plus the fresh suffix. This is what
-//!   keeps the on-disk index roughly the size of the input data, as the paper
-//!   reports in Table 4.
-//! * [`encode_blocked_run`] / [`BlockedRunReader`] — the format-v3 layout:
-//!   delta-prefix entries restarted every [`BLOCK_SIZE`] postings behind a
-//!   skip table (first id, last document id and byte offset per block), so a
-//!   reader can decode one block, skip fully-tombstoned blocks, or count
-//!   postings without touching the block bytes at all. Block entries are
-//!   denser than run entries: the per-entry document flag is folded into the
-//!   shared-prefix varint (`0` marks a document change, otherwise the value
-//!   is `shared + 1`), and the first entry of a block is always absolute so
-//!   it carries neither flag nor shared-prefix field.
+//!   steps shared with its predecessor plus the fresh suffix; this is what
+//!   keeps the on-disk index roughly the size of the input data, as the
+//!   paper reports in Table 4. Entries restart every [`BLOCK_SIZE`] ids
+//!   behind a skip table (first id, last document id and byte offset per
+//!   block), so a reader can decode one block, skip fully-tombstoned blocks,
+//!   or count postings without touching the block bytes at all. The
+//!   per-entry document flag is folded into the shared-prefix varint (`0`
+//!   marks a document change, otherwise the value is `shared + 1`), and the
+//!   first entry of a block is always absolute so it carries neither flag
+//!   nor shared-prefix field.
 //!
 //! All integers use unsigned LEB128 ([`write_varint`] / [`read_varint`]).
 
@@ -111,86 +109,6 @@ pub fn decode_id(input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
     DeweyId::try_from_fn(DocId(doc), len, || read_varint_u32(input))
 }
 
-/// Encodes one run entry relative to its predecessor: document id delta flag
-/// + shared prefix length + suffix length + suffix steps.
-fn encode_run_entry(prev: Option<&DeweyId>, id: &DeweyId, out: &mut impl BufMut) {
-    let shared = match prev {
-        Some(p) if p.doc() == id.doc() => p.common_prefix_len(id).unwrap_or(0),
-        _ => 0,
-    };
-    // Document id is re-stated whenever it changes (or at the start).
-    let new_doc = prev.is_none_or(|p| p.doc() != id.doc());
-    write_varint(out, u64::from(new_doc));
-    if new_doc {
-        write_varint(out, u64::from(id.doc().0));
-    }
-    write_varint(out, shared as u64);
-    let suffix = &id.steps()[shared..];
-    write_varint(out, suffix.len() as u64);
-    for &s in suffix {
-        write_varint(out, u64::from(s));
-    }
-}
-
-/// Streaming decoder for delta-prefix run entries; one per run (or per
-/// block, since blocks restart the prefix chain).
-struct RunDecoder {
-    doc: DocId,
-    prev_steps: Vec<Step>,
-    first: bool,
-}
-
-impl RunDecoder {
-    fn new() -> Self {
-        RunDecoder { doc: DocId(0), prev_steps: Vec::new(), first: true }
-    }
-
-    fn next(&mut self, input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
-        let new_doc = read_varint(input)? != 0;
-        if new_doc {
-            self.doc = DocId(read_varint_u32(input)?);
-            self.prev_steps.clear();
-        } else if self.first {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        self.first = false;
-        let shared = read_varint(input)? as usize;
-        if shared > self.prev_steps.len() {
-            return Err(DecodeError::BadSharedPrefix { shared, prev_depth: self.prev_steps.len() });
-        }
-        let suffix_len = read_varint(input)? as usize;
-        self.prev_steps.truncate(shared);
-        for _ in 0..suffix_len {
-            self.prev_steps.push(read_varint_u32(input)?);
-        }
-        Ok(DeweyId::from_slice(self.doc, &self.prev_steps))
-    }
-}
-
-/// Encodes a document-ordered run of Dewey ids with prefix sharing.
-///
-/// Layout: count, then for each id: document id delta flag + shared prefix
-/// length + suffix length + suffix steps. The first id shares nothing.
-pub fn encode_sorted_run(ids: &[DeweyId], out: &mut impl BufMut) {
-    write_varint(out, ids.len() as u64);
-    let mut prev: Option<&DeweyId> = None;
-    for id in ids {
-        encode_run_entry(prev, id, out);
-        prev = Some(id);
-    }
-}
-
-/// Decodes a run produced by [`encode_sorted_run`].
-pub fn decode_sorted_run(input: &mut impl Buf) -> Result<Vec<DeweyId>, DecodeError> {
-    let count = read_varint(input)? as usize;
-    let mut ids: Vec<DeweyId> = Vec::with_capacity(count.min(MAX_PREALLOC));
-    let mut decoder = RunDecoder::new();
-    for _ in 0..count {
-        ids.push(decoder.next(input)?);
-    }
-    Ok(ids)
-}
-
 /// Cap speculative pre-allocation from untrusted counts: corrupt input can
 /// claim any count, so reserve at most this many entries up front.
 const MAX_PREALLOC: usize = 1 << 16;
@@ -205,10 +123,9 @@ pub const BLOCK_SIZE: usize = 128;
 /// id, depth, steps. Later entries start with a header varint: `0` means the
 /// document changed (absolute form follows), any other value `h` means the
 /// entry shares `h - 1` leading steps with its predecessor and is followed by
-/// the suffix length and suffix steps. Compared with [`encode_run_entry`]
-/// this saves one byte on every same-document posting and two on block
-/// leaders, which is what lets the blocked format beat the v2 run layout
-/// despite its skip tables.
+/// the suffix length and suffix steps. Folding the document flag into the
+/// header saves one byte on every same-document entry, and an absolute
+/// leader needs no header at all; together they pay for the skip table.
 fn encode_block_entry(prev: Option<&DeweyId>, id: &DeweyId, out: &mut impl BufMut) {
     match prev {
         None => write_varint(out, u64::from(id.doc().0)),
@@ -298,11 +215,12 @@ pub struct SkipEntry {
 /// Encodes a document-ordered run as [`BLOCK_SIZE`]-posting blocks behind a
 /// skip table (the format-v3 posting layout).
 ///
-/// The run carries **no framing of its own**: the posting count and the
-/// run's byte extent both live in the format-v3 term dictionary, so
-/// duplicating them here would cost several bytes on every single-posting
-/// term. [`BlockedRunReader::parse`] takes the count as a parameter and
-/// consumes its entire input slice. An empty run encodes to zero bytes.
+/// The run carries **no framing of its own**: the caller stores the id
+/// count and the run's byte extent (for a posting list they live in the
+/// term dictionary, so duplicating them here would cost several bytes on
+/// every single-posting term). [`BlockedRunReader::parse`] takes the count
+/// as a parameter and consumes its entire input slice. An empty run encodes
+/// to zero bytes.
 ///
 /// Layout: the skip data, then the concatenated blocks (the rest of the
 /// run). The block count is implicit (`total.div_ceil(BLOCK_SIZE)`), as are
@@ -549,38 +467,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sorted_run_round_trip_and_compression() {
-        // Pre-order neighbours in a deep tree share long prefixes, which is
-        // the case posting lists actually exhibit.
-        let mut ids = Vec::new();
-        for i in 0..32u32 {
-            ids.push(d(0, &[0, 3, 1, 4, 1, 5, i]));
-            ids.push(d(0, &[0, 3, 1, 4, 1, 5, i, 2]));
-        }
-        ids.push(d(1, &[]));
-        ids.push(d(1, &[0, 0]));
-        let mut buf = BytesMut::new();
-        encode_sorted_run(&ids, &mut buf);
-        let run = buf.freeze();
-        // Prefix sharing must beat the naive per-id encoding.
-        let mut naive = BytesMut::new();
-        for id in &ids {
-            encode_id(id, &mut naive);
-        }
-        assert!(run.len() < naive.len(), "{} !< {}", run.len(), naive.len());
-        let mut slice = run;
-        assert_eq!(decode_sorted_run(&mut slice).unwrap(), ids);
-    }
-
-    #[test]
-    fn empty_run_round_trip() {
-        let mut buf = BytesMut::new();
-        encode_sorted_run(&[], &mut buf);
-        let mut slice = buf.freeze();
-        assert_eq!(decode_sorted_run(&mut slice).unwrap(), Vec::<DeweyId>::new());
-    }
-
     fn blocked_round_trip(ids: &[DeweyId]) {
         let mut buf = BytesMut::new();
         encode_blocked_run(ids, &mut buf);
@@ -701,35 +587,21 @@ mod tests {
     }
 
     #[test]
-    fn blocked_run_denser_than_sorted_run() {
-        // The folded document flag must make the blocked layout smaller than
-        // the v2 run layout on a same-document posting list, even counting
-        // the blocked framing (this is what pays for format v3's skip data).
-        let ids: Vec<_> = (0..300u32).map(|i| d(0, &[0, 3, 1, i / 10, i % 10])).collect();
-        let mut run = BytesMut::new();
-        encode_sorted_run(&ids, &mut run);
-        let mut blocked = BytesMut::new();
-        encode_blocked_run(&ids, &mut blocked);
-        assert!(blocked.len() < run.len(), "blocked {} !< run {}", blocked.len(), run.len());
-    }
-
-    #[test]
     fn corrupt_shared_prefix_rejected() {
-        // Hand-craft a run whose second entry claims a longer shared prefix
-        // than the first entry's depth.
+        // Hand-craft a one-block run whose second entry claims a longer
+        // shared prefix than the leader's depth.
         let mut buf = BytesMut::new();
-        write_varint(&mut buf, 2); // count
-        write_varint(&mut buf, 1); // new doc
-        write_varint(&mut buf, 0); // doc id
-        write_varint(&mut buf, 0); // shared
-        write_varint(&mut buf, 1); // suffix len
-        write_varint(&mut buf, 5); // suffix
-        write_varint(&mut buf, 0); // same doc
-        write_varint(&mut buf, 9); // bogus shared prefix
+        write_varint(&mut buf, 0); // last_doc (single-block skip data)
+        write_varint(&mut buf, 0); // leader: doc id
+        write_varint(&mut buf, 1); // leader: depth
+        write_varint(&mut buf, 5); // leader: step
+        write_varint(&mut buf, 9 + 1); // header: shared prefix 9, same doc
         write_varint(&mut buf, 0); // suffix len
-        let mut slice = buf.freeze();
+        let frozen = buf.freeze();
+        let mut slice: &[u8] = frozen.as_slice();
+        let reader = BlockedRunReader::parse(&mut slice, 2).unwrap();
         assert!(matches!(
-            decode_sorted_run(&mut slice),
+            reader.decode_all(),
             Err(DecodeError::BadSharedPrefix { shared: 9, prev_depth: 1 })
         ));
     }

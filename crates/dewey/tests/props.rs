@@ -73,15 +73,20 @@ proptest! {
         prop_assert_eq!(codec::decode_id(&mut slice).unwrap(), a);
     }
 
-    /// Sorted-run codec round trip over arbitrary sorted, deduped runs.
+    /// Blocked-run codec round trip over arbitrary sorted runs of shallow
+    /// ids from a small pool: long enough to span several blocks, and not
+    /// deduplicated, so equal neighbours (an entry sharing its whole
+    /// predecessor) land inside blocks and across block boundaries.
     #[test]
-    fn codec_run_round_trip(mut ids in proptest::collection::vec(arb_id(), 0..40)) {
+    fn codec_run_round_trip(mut ids in proptest::collection::vec(arb_id(), 0..400)) {
         ids.sort();
-        ids.dedup();
         let mut buf = bytes::BytesMut::new();
-        codec::encode_sorted_run(&ids, &mut buf);
-        let mut slice = buf.freeze();
-        prop_assert_eq!(codec::decode_sorted_run(&mut slice).unwrap(), ids);
+        codec::encode_blocked_run(&ids, &mut buf);
+        let frozen = buf.freeze();
+        let mut slice = frozen.as_ref();
+        let reader = codec::BlockedRunReader::parse(&mut slice, ids.len()).unwrap();
+        prop_assert!(slice.is_empty(), "parse must consume the run exactly");
+        prop_assert_eq!(reader.decode_all().unwrap(), ids);
     }
 
     /// Parent/child are inverses.
@@ -298,8 +303,8 @@ proptest! {
         prop_assert_eq!(walked.heap_bytes(), direct.heap_bytes());
     }
 
-    /// All three run codecs round-trip TreeBank-depth runs, and the masked
-    /// decode still equals decode-then-filter there.
+    /// The blocked run codec round-trips TreeBank-depth runs, and the
+    /// masked decode still equals decode-then-filter there.
     #[test]
     fn boundary_codecs_round_trip_deep_runs(
         ids in arb_deep_run(),
@@ -307,10 +312,6 @@ proptest! {
     ) {
         dead.sort();
         dead.dedup();
-        let mut run = bytes::BytesMut::new();
-        codec::encode_sorted_run(&ids, &mut run);
-        prop_assert_eq!(codec::decode_sorted_run(&mut run.freeze()).unwrap(), ids.clone());
-
         let mut blocked = bytes::BytesMut::new();
         codec::encode_blocked_run(&ids, &mut blocked);
         let frozen = blocked.freeze();

@@ -1,9 +1,7 @@
 //! # gks-exec — persistent worker pools and ordered scatter/gather
 //!
-//! Every fan-out site in the workspace used to pay a thread spawn per unit
-//! of work: the sharded `/search` scatter spawned one thread per shard per
-//! request, and the parallel index builder spawned one thread per chunk per
-//! build. This crate replaces both with a single primitive: a
+//! The sharded `/search` scatter used to spawn one thread per shard per
+//! request. This crate replaces that with a single primitive: a
 //! [`WorkerPool`] of named threads spawned **once**, fed through a
 //! `Mutex`+`Condvar` job deque, plus a [`Scatter`] collector that returns
 //! results **in submission order** with panics captured as `Err` values

@@ -317,38 +317,6 @@ impl AttrStore {
         self.entities.insert(e, record);
     }
 
-    /// Merges `other` (built over disjoint documents with the same analyzer
-    /// options) into this store by re-interning its tables; `label_map[l]`
-    /// is this index's id for `other`'s label `l`.
-    pub(crate) fn merge(&mut self, other: &AttrStore, label_map: &[u32]) {
-        let relabel = |l: u32| label_map.get(l as usize).copied().unwrap_or(l);
-        let mut scratch: Vec<u32> = Vec::new();
-        let path_map: Vec<u32> = other
-            .paths
-            .iter()
-            .map(|path| {
-                scratch.clear();
-                scratch.extend(path.iter().map(|&l| relabel(l)));
-                self.intern_path(&scratch)
-            })
-            .collect();
-        let value_map: Vec<u32> = other
-            .values
-            .iter()
-            .map(|v| self.intern_value_with(&v.raw, || other.norm(v.norm).to_string()))
-            .collect();
-        let mut remapped: Vec<AttrIds> = Vec::new();
-        for (entity, entries) in other.iter() {
-            remapped.clear();
-            remapped.extend(entries.ids().iter().map(|e| AttrIds {
-                path: path_map.get(e.path as usize).copied().unwrap_or(u32::MAX),
-                value: value_map.get(e.value as usize).copied().unwrap_or(u32::MAX),
-                source: e.source,
-            }));
-            self.insert(entity.clone(), relabel(entries.label()), &remapped);
-        }
-    }
-
     // ----- loading (persistence layer) -----
 
     /// Appends a path read from disk as the next path id.
@@ -477,27 +445,5 @@ mod tests {
         assert_eq!(one_entry(&mut s, 1, "Karen"), a);
         assert_ne!(one_entry(&mut s, 1, "Mike").value, a.value);
         assert_eq!((s.paths().len(), s.values().len(), s.norms().len()), (1, 2, 2));
-    }
-
-    #[test]
-    fn merge_reinterns_tables_and_remaps_labels() {
-        let mut left = AttrStore::new();
-        let l = one_entry(&mut left, 0, "Karen");
-        left.insert(d(&[0]), 5, &[l]);
-        let mut right = AttrStore::new();
-        let r_new = one_entry(&mut right, 1, "Mike");
-        let r_shared = one_entry(&mut right, 0, "Karen");
-        right.insert(DeweyId::new(DocId(1), vec![0]), 2, &[r_new, r_shared]);
-        // right's labels 0, 1, 2 are left's 10, 0, 5.
-        left.merge(&right, &[10, 0, 5]);
-        let merged = left.entries(&DeweyId::new(DocId(1), vec![0]));
-        assert_eq!(merged.label(), 5);
-        let views: Vec<AttrView<'_>> = merged.iter().collect();
-        assert_eq!(views[0].path, &[0]);
-        assert_eq!(views[0].value, "Mike");
-        assert_eq!(views[1].path, &[10]);
-        assert_eq!(merged.ids()[0].path, l.path, "right's [1] is left's [0]: one path id");
-        assert_eq!(merged.ids()[1].value, l.value, "Karen is stored once");
-        assert_eq!(left.values().len(), 2);
     }
 }

@@ -11,13 +11,12 @@
 use std::time::Instant;
 
 use gks_dewey::{DeweyId, DocId};
-use gks_exec::{Scatter, WorkerPool};
 use gks_text::Analyzer;
 use gks_xml::{Event, Reader};
 
 use crate::attrstore::{AttrIds, AttrSource, AttrStore};
 use crate::categorize::{close_element, finalize_child_flags, self_flags, ChildSummary};
-use crate::corpus::{Corpus, CorpusDoc};
+use crate::corpus::Corpus;
 use crate::error::IndexError;
 use crate::fasthash::FastMap;
 use crate::node_table::{NodeMeta, NodeTable};
@@ -37,8 +36,6 @@ pub struct GksIndex {
     attrs: AttrStore,
     stats: IndexStats,
     doc_names: Vec<String>,
-    /// On-disk format this index was loaded from (0 for in-memory builds).
-    format_version: u32,
     /// Wall-clock milliseconds [`GksIndex::load`] spent opening this index.
     open_millis: u64,
 }
@@ -127,66 +124,6 @@ impl GksIndex {
         builder.finish(start)
     }
 
-    /// Indexes a corpus with one worker per chunk of documents, merging the
-    /// partial indexes. Produces the same index as [`Self::build`].
-    pub fn build_parallel(
-        corpus: &Corpus,
-        options: IndexOptions,
-        workers: usize,
-    ) -> Result<GksIndex, IndexError> {
-        let start = Instant::now();
-        let docs = corpus.docs();
-        let workers = workers.clamp(1, docs.len().max(1));
-        if workers == 1 {
-            return Self::build(corpus, options);
-        }
-        let chunk = docs.len().div_ceil(workers);
-        // Jobs on a persistent pool must own their input, so each chunk's
-        // documents are cloned out of the corpus; the clones die with the
-        // jobs, and the partial indexes the workers build dwarf them anyway.
-        let chunks: Vec<Vec<CorpusDoc>> = docs.chunks(chunk).map(<[CorpusDoc]>::to_vec).collect();
-        let pool = WorkerPool::new("gks-build", workers).map_err(IndexError::Io)?;
-        let scatter = Scatter::new(chunks.len());
-        for (w, slice) in chunks.into_iter().enumerate() {
-            let options = options.clone();
-            // submit() cannot fail here (the pool outlives the loop), and
-            // even if it did the slot guard resolves the slot to Err.
-            let _ = pool.submit(scatter.task(w, move || -> Result<IndexBuilder, IndexError> {
-                let mut part = IndexBuilder::new(options);
-                for (j, doc) in slice.iter().enumerate() {
-                    part.index_document(DocId((w * chunk + j) as u32), &doc.name, &doc.xml)?;
-                }
-                Ok(part)
-            }));
-        }
-        // Slots come back in submission order, so the merge below needs no
-        // sort and the lowest-index chunk's error wins deterministically.
-        let slots = scatter.wait();
-        drop(pool);
-        let mut parts = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Ok(Ok(part)) => parts.push(part),
-                Ok(Err(e)) => return Err(e),
-                Err(msg) => {
-                    return Err(IndexError::Io(std::io::Error::other(format!(
-                        "index build worker failed: {msg}"
-                    ))))
-                }
-            }
-        }
-        let mut iter = parts.into_iter();
-        let Some(mut builder) = iter.next() else {
-            // workers >= 2 implies at least one chunk, so this is unreachable
-            // in practice; fall back to the sequential path rather than panic.
-            return Self::build(corpus, options);
-        };
-        for part in iter {
-            builder.merge(part);
-        }
-        builder.finish(start)
-    }
-
     // ----- accessors used by the search engine -----
 
     /// The options the index was built with.
@@ -251,12 +188,6 @@ impl GksIndex {
         &self.inverted
     }
 
-    /// On-disk version number of the file this index was loaded from, 0 for
-    /// an index built in memory.
-    pub fn format_version(&self) -> u32 {
-        self.format_version
-    }
-
     /// Wall-clock milliseconds [`GksIndex::load`] took (0 for in-memory
     /// builds). Measured here rather than by callers so the server's
     /// metrics never need raw timing outside the index crate.
@@ -317,14 +248,12 @@ impl GksIndex {
             attrs,
             stats,
             doc_names,
-            format_version: 0,
             open_millis: 0,
         }
     }
 
-    /// Records where this index came from (persistence layer).
-    pub(crate) fn set_open_info(&mut self, format_version: u32, open_millis: u64) {
-        self.format_version = format_version;
+    /// Records how long [`GksIndex::load`] took (persistence layer).
+    pub(crate) fn set_open_millis(&mut self, open_millis: u64) {
         self.open_millis = open_millis;
     }
 }
@@ -619,27 +548,6 @@ impl IndexBuilder {
         self.stats.per_label.entry(label_name).or_default().add(primary);
         self.node_table.insert(dewey, meta);
     }
-
-    /// Merges another builder (over disjoint, higher document ids) into this
-    /// one. Label and term ids are remapped.
-    fn merge(&mut self, other: IndexBuilder) {
-        // Remap labels.
-        let label_map: Vec<u32> = other
-            .node_table
-            .labels()
-            .names()
-            .iter()
-            .map(|name| self.node_table.labels_mut().intern(name))
-            .collect();
-        for (dewey, meta) in other.node_table.iter() {
-            self.node_table
-                .insert(dewey.clone(), NodeMeta { label: label_map[meta.label as usize], ..*meta });
-        }
-        self.attrs.merge(&other.attrs, &label_map);
-        self.inverted.absorb(other.inverted);
-        self.stats.merge(&other.stats);
-        self.doc_names.extend(other.doc_names);
-    }
 }
 
 /// One line per entity, in Dewey order, with every id resolved to names and
@@ -881,40 +789,6 @@ mod tests {
         assert_eq!(postings[0].doc(), DocId(0));
         assert_eq!(postings[1].doc(), DocId(1));
         assert_eq!(ix.doc_name(DocId(1)), Some("two"));
-    }
-
-    #[test]
-    fn parallel_build_equals_sequential() {
-        let corpus = Corpus::from_named_strs([
-            ("a", FIG2A),
-            ("b", "<r><x>alpha</x><x>beta</x><name>gamma</name></r>"),
-            ("c", "<r><y>alpha</y></r>"),
-            ("d", FIG2A),
-        ])
-        .unwrap();
-        let seq = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        let par = GksIndex::build_parallel(&corpus, IndexOptions::default(), 3).unwrap();
-        assert_eq!(seq.stats().total_nodes, par.stats().total_nodes);
-        assert_eq!(seq.stats().census, par.stats().census);
-        assert_eq!(seq.inverted().term_count(), par.inverted().term_count());
-        for (term, list) in seq.inverted().iter() {
-            assert_eq!(par.postings(term), list, "postings for {term}");
-            assert_eq!(par.posting_count(term), list.len(), "count for {term}");
-        }
-        assert_eq!(seq.node_table().len(), par.node_table().len());
-        for (dewey, meta) in seq.node_table().iter() {
-            let other = par.node_table().get(dewey).expect("node present");
-            assert_eq!(other.child_count, meta.child_count);
-            assert_eq!(other.flags, meta.flags);
-            assert_eq!(
-                par.node_table().labels().name(other.label),
-                seq.node_table().labels().name(meta.label)
-            );
-        }
-        // The merge re-interned the workers' tables: same entries, and the
-        // values the documents share are stored once.
-        assert_eq!(resolved_attrs(&par), resolved_attrs(&seq));
-        assert_eq!(par.attr_store().values().len(), seq.attr_store().values().len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! One layout: eager sections for options, document names, labels, node
 //! table, attribute store and stats (strings are length-prefixed UTF-8,
-//! integers LEB128 varints, the node table a delta-prefix Dewey run),
+//! integers LEB128 varints, the node table a blocked Dewey run),
 //! followed by the posting tier exactly as the index's
 //! [`PostingStore`](crate::postings::PostingStore) holds it: a **sorted term
 //! dictionary** (term bytes + posting-run offset/count per term), a
@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut, Mmap};
 use gks_dewey::codec::{
-    decode_id, decode_sorted_run, encode_id, encode_sorted_run, read_varint, write_varint,
+    decode_id, encode_blocked_run, encode_id, read_varint, write_varint, BlockedRunReader,
 };
 use gks_dewey::DeweyId;
 use gks_text::AnalyzerOptions;
@@ -46,9 +46,8 @@ use crate::postings::{PostingStore, Tier};
 use crate::stats::{CategoryCensus, IndexStats};
 
 const MAGIC: &[u8; 5] = b"GKSIX";
-/// The one file version (5 → 6 when the stats section stopped carrying the
-/// wall-clock build time).
-const VERSION: u32 = 6;
+/// The one file version (6 → 7 when the node ids became one blocked run).
+const VERSION: u32 = 7;
 /// Trailing magic of the footer; lets the doctor tell "not an index file"
 /// from "index file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
@@ -78,7 +77,7 @@ pub struct SectionSizes {
     pub doc_names: u64,
     /// Label-name section bytes.
     pub labels: u64,
-    /// Node-table bytes (Dewey run + per-node metadata).
+    /// Node-table bytes (blocked Dewey run + per-node metadata).
     pub node_table: u64,
     /// Attribute-store bytes.
     pub attr_store: u64,
@@ -202,12 +201,19 @@ fn write_labels(out: &mut BytesMut, ix: &GksIndex) {
     }
 }
 
+/// Node-table section: `count · run bytes · blocked run · (child count ·
+/// flags · label id)*`, the rows in the run's order. The run is the posting
+/// lists' codec, framed here by its id count and byte length.
 fn write_node_table(out: &mut BytesMut, ix: &GksIndex) {
     // Sorted by Dewey id so the run codec compresses.
     let mut nodes: Vec<(&DeweyId, &NodeMeta)> = ix.node_table().iter().collect();
     nodes.sort_by(|a, b| a.0.cmp(b.0));
     let ids: Vec<DeweyId> = nodes.iter().map(|(d, _)| (*d).clone()).collect();
-    encode_sorted_run(&ids, out);
+    let mut run = Vec::new();
+    encode_blocked_run(&ids, &mut run);
+    write_varint(out, ids.len() as u64);
+    write_varint(out, run.len() as u64);
+    out.put_slice(&run);
     for (_, meta) in &nodes {
         write_varint(out, u64::from(meta.child_count));
         out.put_u8(meta.flags.bits());
@@ -226,10 +232,17 @@ fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     Ok(node_table)
 }
 
-/// Reads the node rows (Dewey run + per-node metadata) into `table`.
+/// Reads the node rows (blocked Dewey run + per-node metadata) into `table`.
 fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError> {
     let label_count = table.labels().names().len();
-    let ids = decode_sorted_run(input)?;
+    let count = read_varint(input)? as usize;
+    let run_len = read_varint(input)? as usize;
+    if input.len() < run_len {
+        return Err(IndexError::Corrupt("truncated node id run".into()));
+    }
+    let (mut run, rest) = input.split_at(run_len);
+    *input = rest;
+    let ids = BlockedRunReader::parse(&mut run, count)?.decode_all()?;
     table.reserve(ids.len());
     for id in ids {
         let child_count = read_varint(input)? as u32;
@@ -560,7 +573,7 @@ impl GksIndex {
         let start = Instant::now();
         let map = Mmap::open(path.as_ref()).map_err(IndexError::Io)?;
         let mut ix = GksIndex::from_mapped(Arc::new(map))?;
-        ix.set_open_info(VERSION, start.elapsed().as_millis() as u64);
+        ix.set_open_millis(start.elapsed().as_millis() as u64);
         Ok(ix)
     }
 }
@@ -653,7 +666,6 @@ mod tests {
         let written = ix.save(&path).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         let loaded = GksIndex::load(&path).unwrap();
-        assert_eq!(loaded.format_version(), VERSION);
         assert_indexes_equal(&loaded, &ix);
         std::fs::remove_file(&path).ok();
     }
@@ -709,24 +721,28 @@ mod tests {
     fn files_of_the_previous_versions_are_refused_by_number() {
         // Versions 2 and 3 carried one string and one path per attribute
         // entry, 4 was the eager single-stream layout, 5 had one more stats
-        // field; reading one as the current layout would mis-parse, so the
-        // number — checked before anything else — is what refuses it.
+        // field, 6 stored the node ids in the older sorted-run codec; reading
+        // one as the current layout would mis-parse, so the number — checked
+        // before anything else — is what refuses it.
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for old in [2u32, 3, 4, 5] {
+        for old in [2u32, 3, 4, 5, 6] {
             let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
             bytes[5..9].copy_from_slice(&old.to_be_bytes());
             let path = dir.join(format!("v{old}.gksix"));
             std::fs::write(&path, &bytes).unwrap();
             let err = GksIndex::load(&path).unwrap_err();
-            assert!(matches!(err, IndexError::VersionMismatch { found, .. } if found == old));
+            assert!(matches!(
+                err,
+                IndexError::VersionMismatch { found, expected: VERSION } if found == old
+            ));
             let message = err.to_string();
             assert!(message.contains(&format!("version {old}")), "{message}");
             assert!(message.contains("re-run `gks index`"), "{message}");
             assert!(matches!(
                 section_sizes(&path),
-                Err(IndexError::VersionMismatch { found, .. }) if found == old
+                Err(IndexError::VersionMismatch { found, expected: VERSION }) if found == old
             ));
             std::fs::remove_file(&path).ok();
         }
@@ -886,6 +902,49 @@ mod tests {
         let reopened = open_bytes(&bytes).unwrap();
         assert_eq!(reopened.to_bytes_v3().unwrap(), bytes);
         assert_eq!(reopened.decoded_terms(), 0, "serializing must not decode postings");
+    }
+
+    /// A node table of several run blocks, with ids deep enough to spill
+    /// out of the inline Dewey form, reopens to the rows it was built with
+    /// and re-serializes to the bytes it was opened from.
+    #[test]
+    fn a_node_table_of_several_blocks_reopens_to_the_built_rows() {
+        // TreeBank-shaped: nested phrases down to depth 12, with one to
+        // three children per node and a word at each leaf.
+        fn phrase(xml: &mut String, depth: u32, seed: &mut u32) {
+            *seed = seed.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let tag = ["S", "NP", "VP", "PP"][(*seed >> 16) as usize % 4];
+            xml.push_str(&format!("<{tag}>"));
+            if depth == 12 {
+                xml.push_str(&format!("word{}", *seed % 97));
+            } else {
+                for _ in 0..1 + (*seed >> 20) % 3 {
+                    phrase(xml, depth + 1, seed);
+                }
+            }
+            xml.push_str(&format!("</{tag}>"));
+        }
+        let mut xml = String::from("<treebank>");
+        let mut seed = 7;
+        while xml.len() < 20_000 {
+            phrase(&mut xml, 1, &mut seed);
+        }
+        xml.push_str("</treebank>");
+        let corpus = Corpus::from_named_strs([("treebank", xml)]).unwrap();
+        let built = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        assert!(built.node_table().len() > 2 * gks_dewey::codec::BLOCK_SIZE);
+        assert!(built.stats().max_depth >= 12);
+
+        let bytes = built.to_bytes_v3().unwrap();
+        let reopened = open_bytes(&bytes).unwrap();
+        let rows = |ix: &GksIndex| {
+            let mut rows: Vec<(DeweyId, NodeMeta)> =
+                ix.node_table().iter().map(|(id, meta)| (id.clone(), *meta)).collect();
+            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            rows
+        };
+        assert_eq!(rows(&reopened), rows(&built));
+        assert_eq!(reopened.to_bytes_v3().unwrap(), bytes);
     }
 
     /// A fresh build and the same index reopened (node table, attribute

@@ -56,15 +56,6 @@ impl InvertedIndex {
         self.lists[term_id as usize].push(id);
     }
 
-    /// Moves every posting of `other` in (parallel builds merge their
-    /// workers' accumulators).
-    pub(crate) fn absorb(&mut self, other: InvertedIndex) {
-        for (term, list) in other.terms.iter().zip(other.lists) {
-            let tid = self.term_id(term);
-            self.lists[tid as usize].extend(list);
-        }
-    }
-
     /// Sorts every list into document order, removes duplicate postings (a
     /// node contains a keyword once no matter how many times the keyword
     /// occurs in one text value) and encodes the lists, in term-byte order,

@@ -41,14 +41,6 @@ impl CategoryCensus {
             NodeCategory::Connecting => self.connecting,
         }
     }
-
-    /// Merges another census into this one.
-    pub fn merge(&mut self, other: &CategoryCensus) {
-        self.attribute += other.attribute;
-        self.repeating += other.repeating;
-        self.entity += other.entity;
-        self.connecting += other.connecting;
-    }
 }
 
 /// Corpus- and index-level statistics gathered during the build pass.
@@ -91,22 +83,6 @@ impl IndexStats {
     }
 }
 
-impl IndexStats {
-    /// Merges per-document stats (used by the parallel builder).
-    pub fn merge(&mut self, other: &IndexStats) {
-        self.doc_count += other.doc_count;
-        self.total_nodes += other.total_nodes;
-        self.census.merge(&other.census);
-        for (label, census) in &other.per_label {
-            self.per_label.entry(label.clone()).or_default().merge(census);
-        }
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.raw_bytes += other.raw_bytes;
-        // Term/posting counters are corpus-global; the builder refreshes
-        // them after merging, so they are not summed here.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,24 +97,5 @@ mod tests {
         assert_eq!(c.entity, 1);
         assert_eq!(c.total(), 3);
         assert_eq!(c.get(NodeCategory::Repeating), 0);
-    }
-
-    #[test]
-    fn census_merge() {
-        let mut a = CategoryCensus { attribute: 1, repeating: 2, entity: 3, connecting: 4 };
-        let b = CategoryCensus { attribute: 10, repeating: 20, entity: 30, connecting: 40 };
-        a.merge(&b);
-        assert_eq!(a.total(), 110);
-    }
-
-    #[test]
-    fn stats_merge_keeps_max_depth_and_sums() {
-        let mut a =
-            IndexStats { max_depth: 3, total_nodes: 10, doc_count: 1, ..Default::default() };
-        let b = IndexStats { max_depth: 7, total_nodes: 5, doc_count: 2, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.max_depth, 7);
-        assert_eq!(a.total_nodes, 15);
-        assert_eq!(a.doc_count, 3);
     }
 }

@@ -178,30 +178,6 @@ proptest! {
         prop_assert!(loaded.doctor().is_empty());
     }
 
-    /// Sequential and parallel builds agree on a multi-document corpus.
-    #[test]
-    fn parallel_build_agrees(trees in prop::collection::vec(arb_tree(), 2..5)) {
-        let docs: Vec<(String, String)> = trees
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let mut xml = String::from("<root>");
-                to_xml(t, &mut xml);
-                xml.push_str("</root>");
-                (format!("d{i}"), xml)
-            })
-            .collect();
-        let corpus = Corpus::from_named_strs(docs).unwrap();
-        let seq = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        let par = GksIndex::build_parallel(&corpus, IndexOptions::default(), 3).unwrap();
-        prop_assert_eq!(seq.stats().census, par.stats().census);
-        prop_assert_eq!(seq.node_table().len(), par.node_table().len());
-        for (term, list) in seq.inverted().iter() {
-            prop_assert_eq!(par.postings(term), list, "term {}", term);
-            prop_assert_eq!(par.posting_count(term), list.len(), "term {}", term);
-        }
-    }
-
     /// The root of every document is recorded with DocId i.
     #[test]
     fn roots_are_recorded(trees in prop::collection::vec(arb_tree(), 1..4)) {

@@ -55,9 +55,9 @@
 //! `cargo xtask analyze` and dynamically by the debug-build
 //! `gks_trace::lockorder` registry).
 //!
-//! Route keys are normalized ([`normalize_path`]) — duplicate slashes,
-//! trailing slashes, and ASCII case differences all resolve to the same
-//! index and therefore the same cache.
+//! Route keys are normalized ([`crate::http::normalize_path`]) — duplicate
+//! slashes, trailing slashes, and ASCII case differences all resolve to the
+//! same index and therefore the same cache.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +73,7 @@ use gks_trace::{CompletedTrace, Histogram, SpanKind};
 
 use crate::cache::ResultCache;
 use crate::error::ServeError;
-use crate::metrics::{Endpoint, IndexMetricsView};
+use crate::metrics::IndexMetricsView;
 use crate::ServeConfig;
 
 /// Route key used for an index registered without an explicit name (the
@@ -871,54 +871,6 @@ impl EngineCatalog {
     }
 }
 
-/// Normalizes a request path into its route form: duplicate slashes
-/// collapse, trailing slashes drop (except the root itself), and ASCII case
-/// folds — `/ix/DBLP//search/` and `/ix/dblp/search` are the same route and
-/// therefore reach the same index and cache. Percent-decoding happened
-/// upstream in the HTTP parser.
-pub fn normalize_path(path: &str) -> String {
-    let mut out = String::with_capacity(path.len() + 1);
-    out.push('/');
-    for segment in path.split('/').filter(|s| !s.is_empty()) {
-        if !out.ends_with('/') {
-            out.push('/');
-        }
-        for c in segment.chars() {
-            out.push(c.to_ascii_lowercase());
-        }
-    }
-    out
-}
-
-/// A routed request: which endpoint, and which index it explicitly
-/// addressed (`None` means the catalog default).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    /// The endpoint the (suffix) path names.
-    pub endpoint: Endpoint,
-    /// Route key from an `/ix/<name>/…` prefix, if one was present.
-    pub index: Option<String>,
-}
-
-/// Parses a request path into a [`Route`]: `/ix/<name>/<endpoint>` selects
-/// index `<name>`, any other path addresses the default index. The path is
-/// normalized first ([`normalize_path`]).
-pub fn route_path(path: &str) -> Route {
-    let normalized = normalize_path(path);
-    if let Some(rest) = normalized.strip_prefix("/ix/") {
-        return match rest.split_once('/') {
-            Some((name, suffix)) if !name.is_empty() => Route {
-                endpoint: Endpoint::of_path(&format!("/{suffix}")),
-                index: Some(name.into()),
-            },
-            // `/ix/<name>` with no endpoint suffix, or `/ix//…`: addressed
-            // an index but not an endpoint.
-            _ => Route { endpoint: Endpoint::Other, index: None },
-        };
-    }
-    Route { endpoint: Endpoint::of_path(&normalized), index: None }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,38 +880,6 @@ mod tests {
         let xml = format!("<r><a>{tag}</a><a>shared words</a></r>");
         let corpus = Corpus::from_named_strs([(tag, xml.as_str())]).unwrap();
         Arc::new(Engine::build(&corpus, IndexOptions::default()).unwrap())
-    }
-
-    #[test]
-    fn normalizer_collapses_slashes_case_and_trailers() {
-        assert_eq!(normalize_path("/ix/dblp/search"), "/ix/dblp/search");
-        assert_eq!(normalize_path("/ix/dblp//search"), "/ix/dblp/search");
-        assert_eq!(normalize_path("/ix/DBLP/Search/"), "/ix/dblp/search");
-        assert_eq!(normalize_path("//ix///dblp///search//"), "/ix/dblp/search");
-        assert_eq!(normalize_path("/"), "/");
-        assert_eq!(normalize_path(""), "/");
-        assert_eq!(normalize_path("/debug/traces"), "/debug/traces");
-    }
-
-    #[test]
-    fn routes_resolve_prefix_and_default() {
-        let r = route_path("/ix/dblp/search");
-        assert_eq!(r.endpoint, Endpoint::Search);
-        assert_eq!(r.index.as_deref(), Some("dblp"));
-        // Normalization variants are the same route.
-        assert_eq!(route_path("/ix/DBLP//search/"), r);
-        assert_eq!(route_path("/search"), Route { endpoint: Endpoint::Search, index: None });
-        assert_eq!(
-            route_path("/ix/nasa/debug/traces"),
-            Route { endpoint: Endpoint::DebugTraces, index: Some("nasa".into()) }
-        );
-        assert_eq!(
-            route_path("/ix/dblp/admin/compact"),
-            Route { endpoint: Endpoint::AdminCompact, index: Some("dblp".into()) }
-        );
-        assert_eq!(route_path("/ix/dblp/nope").endpoint, Endpoint::Other);
-        assert_eq!(route_path("/ix/dblp").endpoint, Endpoint::Other);
-        assert_eq!(route_path("/ix//search").endpoint, Endpoint::Other);
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::http::head_content_length;
+
 /// A parsed response: status code, headers, body bytes.
 #[derive(Debug)]
 pub struct ClientResponse {
@@ -133,18 +135,6 @@ impl HttpClient {
             self.buf.extend_from_slice(&chunk[..n]);
         }
     }
-}
-
-/// `Content-Length` value in a response head, if present.
-fn head_content_length(head: &str) -> Option<usize> {
-    head.lines().skip(1).find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            value.trim().parse().ok()
-        } else {
-            None
-        }
-    })
 }
 
 /// Splits a raw HTTP/1.1 response into status, headers, and body. Returns

@@ -85,7 +85,6 @@ pub(crate) fn drive_read(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReadOutco
                         ReadOutcome::Complete { request, residual: buf.split_off(total) }
                     }
                     Err(http::HttpError::Malformed(m)) => ReadOutcome::Malformed(m),
-                    Err(_) => ReadOutcome::Malformed("unparseable request head"),
                 };
             }
         } else if buf.len() >= http::MAX_REQUEST_BYTES {

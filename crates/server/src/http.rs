@@ -4,13 +4,14 @@
 //! close` honored per message). No TLS, no chunked bodies — requests are
 //! framed by the head terminator plus an optional `Content-Length`.
 //!
-//! Parsing is separated from socket I/O ([`parse_request`] vs
-//! [`read_request`]) so the router, the reactor's connection state machine
-//! and their tests never need a socket.
+//! Parsing is separated from socket I/O: the reactor frames a request with
+//! `find_head_end` and [`head_content_length`] and hands the head to
+//! [`parse_request`], so the router, the connection state machine and their
+//! tests never need a socket. Routing ([`route_path`]) lives here too.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
+
+use crate::metrics::Endpoint;
 
 /// Largest accepted request head (request line + headers), in bytes.
 /// Anything longer is rejected before buffering more — a resident service
@@ -44,18 +45,12 @@ impl Request {
 pub enum HttpError {
     /// The request line or headers are not valid HTTP.
     Malformed(&'static str),
-    /// The request head exceeds [`MAX_REQUEST_BYTES`].
-    TooLarge,
-    /// The socket failed or timed out before a full head arrived.
-    Io(String),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
-            HttpError::TooLarge => write!(f, "request head exceeds {MAX_REQUEST_BYTES} bytes"),
-            HttpError::Io(m) => write!(f, "request I/O: {m}"),
         }
     }
 }
@@ -173,7 +168,7 @@ pub fn parse_request(head: &str) -> Result<Request, HttpError> {
 }
 
 /// The trimmed value of header `name` (ASCII case-insensitive) in a raw
-/// request head, if present.
+/// request or response head, if present.
 fn header_value<'h>(head: &'h str, name: &str) -> Option<&'h str> {
     head.lines().skip(1).find_map(|line| {
         let (k, v) = line.split_once(':')?;
@@ -181,34 +176,13 @@ fn header_value<'h>(head: &'h str, name: &str) -> Option<&'h str> {
     })
 }
 
-/// The request's declared `Content-Length`, if any — how many body bytes
-/// follow the head terminator. Unparsable values read as `None` (the body,
-/// if real, then bleeds into the next message and fails parsing there —
-/// acceptable for a GET-only service).
+/// The head's declared `Content-Length`, if any — how many body bytes
+/// follow the head terminator (the reactor frames requests and
+/// [`crate::client::HttpClient`] frames responses by it). Unparsable values
+/// read as `None` (a request body, if real, then bleeds into the next
+/// message and fails parsing there — acceptable for a GET-only service).
 pub fn head_content_length(head: &str) -> Option<usize> {
     header_value(head, "content-length").and_then(|v| v.parse().ok())
-}
-
-/// Reads one request head from `stream` (until the blank line), bounded by
-/// [`MAX_REQUEST_BYTES`]. Any request body is ignored — every endpoint is a
-/// `GET`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(end) = find_head_end(&buf) {
-            let head = String::from_utf8_lossy(&buf[..end]);
-            return parse_request(&head);
-        }
-        if buf.len() >= MAX_REQUEST_BYTES {
-            return Err(HttpError::TooLarge);
-        }
-        let n = stream.read(&mut chunk).map_err(|e| HttpError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(HttpError::Malformed("connection closed mid-request"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
 }
 
 /// Offset one past the head's final header line (i.e. up to and including
@@ -217,6 +191,54 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
 /// offset.
 pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 2)
+}
+
+/// Normalizes a request path into its route form: duplicate slashes
+/// collapse, trailing slashes drop (except the root itself), and ASCII case
+/// folds — `/ix/DBLP//search/` and `/ix/dblp/search` are the same route and
+/// therefore reach the same index and cache. Percent-decoding happened
+/// upstream in the HTTP parser.
+pub fn normalize_path(path: &str) -> String {
+    let mut out = String::with_capacity(path.len() + 1);
+    out.push('/');
+    for segment in path.split('/').filter(|s| !s.is_empty()) {
+        if !out.ends_with('/') {
+            out.push('/');
+        }
+        for c in segment.chars() {
+            out.push(c.to_ascii_lowercase());
+        }
+    }
+    out
+}
+
+/// A routed request: which endpoint, and which index it explicitly
+/// addressed (`None` means the catalog default).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Route {
+    /// The endpoint the (suffix) path names.
+    pub endpoint: Endpoint,
+    /// Route key from an `/ix/<name>/…` prefix, if one was present.
+    pub index: Option<String>,
+}
+
+/// Parses a request path into a [`Route`]: `/ix/<name>/<endpoint>` selects
+/// index `<name>`, any other path addresses the default index. The path is
+/// normalized first ([`normalize_path`]).
+pub fn route_path(path: &str) -> Route {
+    let normalized = normalize_path(path);
+    if let Some(rest) = normalized.strip_prefix("/ix/") {
+        return match rest.split_once('/') {
+            Some((name, suffix)) if !name.is_empty() => Route {
+                endpoint: Endpoint::of_path(&format!("/{suffix}")),
+                index: Some(name.into()),
+            },
+            // `/ix/<name>` with no endpoint suffix, or `/ix//…`: addressed
+            // an index but not an endpoint.
+            _ => Route { endpoint: Endpoint::Other, index: None },
+        };
+    }
+    Route { endpoint: Endpoint::of_path(&normalized), index: None }
 }
 
 /// An HTTP response ready to be written to a socket.
@@ -292,13 +314,6 @@ impl HttpResponse {
         let mut out = head.into_bytes();
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Writes the `Connection: close` serialization to `w` — the one-shot
-    /// path used by tests and by the drain's courtesy responses.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        w.write_all(&self.serialize(false))?;
-        w.flush()
     }
 }
 
@@ -381,16 +396,46 @@ mod tests {
 
     #[test]
     fn response_serialization() {
-        let mut out = Vec::new();
-        HttpResponse::json(200, "{}")
+        let out = HttpResponse::json(200, "{}")
             .with_header("x-gks-cache", "hit".to_string())
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"), "{text}");
         assert!(text.contains("x-gks-cache: hit\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");
+    }
+
+    #[test]
+    fn normalizer_collapses_slashes_case_and_trailers() {
+        assert_eq!(normalize_path("/ix/dblp/search"), "/ix/dblp/search");
+        assert_eq!(normalize_path("/ix/dblp//search"), "/ix/dblp/search");
+        assert_eq!(normalize_path("/ix/DBLP/Search/"), "/ix/dblp/search");
+        assert_eq!(normalize_path("//ix///dblp///search//"), "/ix/dblp/search");
+        assert_eq!(normalize_path("/"), "/");
+        assert_eq!(normalize_path(""), "/");
+        assert_eq!(normalize_path("/debug/traces"), "/debug/traces");
+    }
+
+    #[test]
+    fn routes_resolve_prefix_and_default() {
+        let r = route_path("/ix/dblp/search");
+        assert_eq!(r.endpoint, Endpoint::Search);
+        assert_eq!(r.index.as_deref(), Some("dblp"));
+        // Normalization variants are the same route.
+        assert_eq!(route_path("/ix/DBLP//search/"), r);
+        assert_eq!(route_path("/search"), Route { endpoint: Endpoint::Search, index: None });
+        assert_eq!(
+            route_path("/ix/nasa/debug/traces"),
+            Route { endpoint: Endpoint::DebugTraces, index: Some("nasa".into()) }
+        );
+        assert_eq!(
+            route_path("/ix/dblp/admin/compact"),
+            Route { endpoint: Endpoint::AdminCompact, index: Some("dblp".into()) }
+        );
+        assert_eq!(route_path("/ix/dblp/nope").endpoint, Endpoint::Other);
+        assert_eq!(route_path("/ix/dblp").endpoint, Endpoint::Other);
+        assert_eq!(route_path("/ix//search").endpoint, Endpoint::Other);
     }
 
     #[test]

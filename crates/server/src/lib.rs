@@ -208,7 +208,7 @@ impl ServeState {
     /// Routes one parsed request. `accepted_at` anchors the per-request
     /// deadline (time spent queued counts against the budget).
     pub fn handle(&self, request: &Request, accepted_at: Instant) -> HttpResponse {
-        let route = catalog::route_path(&request.path);
+        let route = http::route_path(&request.path);
         self.metrics.record_request(route.endpoint);
         if route.endpoint == Endpoint::AdminReload {
             if request.method != "POST" {
@@ -401,7 +401,7 @@ impl ServeState {
         if logging || self.config.cache_bytes == 0 || request.method != "GET" {
             return None;
         }
-        let route = catalog::route_path(&request.path);
+        let route = http::route_path(&request.path);
         let suggest = match route.endpoint {
             Endpoint::Search => false,
             Endpoint::Suggest => true,

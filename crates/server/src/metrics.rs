@@ -457,8 +457,8 @@ impl Metrics {
             );
             // Zero-copy tier gauges: how much of the index stays on the
             // mmap instead of the heap, and what opening the serving
-            // shard files cost. A v2 (eager) index reports 0 mapped
-            // bytes, so the ratio doubles as a format indicator.
+            // shard files cost. An index built in memory, not opened from
+            // a file, reports 0 mapped bytes.
             let _ = writeln!(
                 out,
                 "gks_index_bytes_mapped{{index=\"{}\"}} {}",

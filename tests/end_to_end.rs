@@ -109,28 +109,6 @@ fn persistence_round_trip_preserves_search() {
 }
 
 #[test]
-fn parallel_and_sequential_engines_agree() {
-    let docs: Vec<(String, String)> = (0..6)
-        .map(|i| {
-            let out = dblp::generate(&dblp::Config { articles: 40, ..Default::default() }, i);
-            (format!("dblp{i}"), out.xml)
-        })
-        .collect();
-    let corpus = Corpus::from_named_strs(docs).unwrap();
-    let seq = Engine::build(&corpus, IndexOptions::default()).unwrap();
-    let par = Engine::build_parallel(&corpus, IndexOptions::default(), 4).unwrap();
-
-    let q = Query::parse("keyword search xml").unwrap();
-    let a = seq.search(&q, SearchOptions::with_s(2)).unwrap();
-    let b = par.search(&q, SearchOptions::with_s(2)).unwrap();
-    assert_eq!(a.hits().len(), b.hits().len());
-    for (x, y) in a.hits().iter().zip(b.hits()) {
-        assert_eq!(x.node, y.node);
-        assert!((x.rank - y.rank).abs() < 1e-9);
-    }
-}
-
-#[test]
 fn recursive_di_terminates_and_links_rounds() {
     let out = dblp::generate(&dblp::Config { articles: 150, ..Default::default() }, 9);
     let corpus = Corpus::from_named_strs([("dblp", out.xml)]).unwrap();
