@@ -1,54 +1,15 @@
-//! Implementation of the `gks` command-line tool.
+//! Implementation of the `gks` command-line tool: [`run`] parses one
+//! subcommand's arguments, calls the engine, the index tools or the server,
+//! and returns the text to print. [`USAGE`] is the reference for every
+//! subcommand, flag and exit code. The long-running commands (`serve`,
+//! `loadgen`, `watch`) live in `service.rs`.
 //!
-//! Subcommands (see [`run`] and `gks --help`):
-//!
-//! * `index [--shards N] <out.gksix> <file.xml>…` — build and persist an
-//!   index (`--shards N` partitions the corpus by document into N shard
-//!   indexes plus a shard manifest, `gks_index::index_corpus`). A single
-//!   *directory* argument builds an updatable corpus-directory manifest
-//!   (`gks_index::index_directory`) that `watch`/`compact` and the
-//!   serve-side watcher can keep fresh;
-//! * `search <index.gksix> [-s N] [--limit N] [--di] [--analytics] <kw>…` —
-//!   query it (quote phrases: `'"Peter Buneman"'`);
-//! * `suggest <index.gksix> <kw>…` — refinement suggestions for a query;
-//! * `census <file.xml>…` — the §7.2 node-category census (`--schema` adds
-//!   the schema-harmonized view);
-//! * `info <index.gksix>` — index statistics;
-//! * `doctor <index.gksix|manifest>…` — audit persisted indexes against the
-//!   structural invariants of paper §2.1/§2.4 (sorted postings, parent
-//!   closure, census consistency, attribute-store resolvability); shard
-//!   manifests first get `gks_index::audit_manifest` (the findings the
-//!   server's `/doctor` reports too), then every shard file they list gets
-//!   the same single-file audit;
-//! * `watch <manifest> [--interval-ms N] [--compact-threshold N] [--once]`
-//!   — run `gks_index::maintain`, the tick `serve --watch` runs: commit a
-//!   delta shard per batch of changes, fold the backlog at the threshold;
-//! * `compact <manifest>` — fold the delta backlog into fresh base shards;
-//! * `generate <dataset> <scale> <out.xml>` — write a synthetic corpus;
-//! * `serve [<index.gksix>] [--index NAME=PATH]…` — run the resident HTTP
-//!   query service (`gks-server`: a catalog of indexes routed by
-//!   `/ix/<name>/` prefix, worker pool, admission control, per-index result
-//!   caches, /metrics). SIGHUP or `POST /admin/reload` hot-swaps an index
-//!   without dropping in-flight requests; `--watch` runs the `gks watch`
-//!   tick in-process so corpus mutations become searchable live, and
-//!   `--compact-threshold N` folds the delta backlog once it reaches N
-//!   shards (`POST /admin/compact` forces a fold);
-//! * `loadgen <host:port> <workload.txt>` — load generator against a
-//!   running `serve` (closed-loop by default, `--open-loop --rate` for a
-//!   paced schedule, `--index NAME[=WEIGHT]` for a multi-index traffic
-//!   mix), reporting QPS and latency percentiles.
-//!
-//! `search` and `suggest` accept `--json`, emitting exactly the wire format
-//! the serve endpoints return (`gks_core::wire`), so scripts can switch
-//! between one-shot CLI calls and the service without reparsing.
-//!
-//! Exit codes: `0` success, `1` runtime error (missing file, failed search,
-//! unhealthy index), `2` usage error.
-//!
-//! The library form exists so the behaviour is unit-testable; `main` just
+//! The library form exists so the behaviour is testable; `main` just
 //! forwards `std::env::args` and prints.
 
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
+use std::time::Duration;
 
 use gks_core::analytics::AnalyticsOptions;
 use gks_core::di::DiOptions;
@@ -58,11 +19,11 @@ use gks_core::search::{SearchOptions, Threshold};
 use gks_core::wire;
 use gks_datagen::Dataset;
 use gks_index::{
-    audit_manifest, compact, index_corpus, index_directory, is_manifest_file, maintain, Corpus,
-    GksIndex, IndexOptions, MaintenanceOutcome, SchemaSummary, ShardManifest,
+    audit_manifest, compact, index_corpus, index_directory, is_manifest_file, Corpus, GksIndex,
+    IndexOptions, SchemaSummary,
 };
-use gks_server::catalog::{IndexSpec, DEFAULT_INDEX_NAME};
-use gks_server::{loadgen, signal, ServeConfig};
+
+mod service;
 
 /// CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -156,7 +117,8 @@ DATASETS (for generate):
 EXIT CODES:
   0  success
   1  runtime error (missing file, failed search, unhealthy index)
-  2  usage error (unknown command or bad flags)
+  2  usage error (unknown command or bad flags, or a serve
+     configuration the server refuses)
 ";
 
 /// Runs the CLI on pre-split arguments (without the program name),
@@ -173,15 +135,34 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "schema" => cmd_schema(rest),
         "info" => cmd_info(rest),
         "doctor" => cmd_doctor(rest),
-        "watch" => cmd_watch(rest),
+        "watch" => service::cmd_watch(rest),
         "compact" => cmd_compact(rest),
         "generate" => cmd_generate(rest),
         "repl" => cmd_repl(rest),
-        "serve" => cmd_serve(rest),
-        "loadgen" => cmd_loadgen(rest),
+        "serve" => service::cmd_serve(rest),
+        "loadgen" => service::cmd_loadgen(rest),
         "--help" | "-h" | "help" => Ok(USAGE.to_string()),
         other => Err(CliError::usage(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
+}
+
+/// Reads the value of `flag` off `it` and parses it; a missing or
+/// unparsable value is a usage error.
+fn value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, CliError> {
+    let v = it.next().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?;
+    v.parse().map_err(|_| CliError::usage(format!("bad {flag} value {v:?}")))
+}
+
+/// [`value`] for a flag that counts milliseconds.
+fn millis(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<Duration, CliError> {
+    value(it, flag).map(Duration::from_millis)
+}
+
+fn unknown_flag(command: &str, flag: &str) -> CliError {
+    CliError::usage(format!("unknown {command} flag {flag:?}"))
 }
 
 fn load_engine(path: &str) -> Result<Engine, CliError> {
@@ -206,14 +187,12 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--shards" => {
-                shards = parse_value(take_value(&mut it, "--shards")?, "--shards")?;
+                shards = value(&mut it, "--shards")?;
                 if shards == 0 {
                     return Err(CliError::usage("--shards must be >= 1"));
                 }
             }
-            other if other.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown index flag {other:?}")));
-            }
+            other if other.starts_with("--") => return Err(unknown_flag("index", other)),
             _ => positional.push(arg),
         }
     }
@@ -301,20 +280,18 @@ fn cmd_search(args: &[String]) -> Result<String, CliError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-s" => {
-                let v = it.next().ok_or_else(|| CliError::usage("-s needs a value"))?;
-                s = Threshold::parse(v)
+                let v: String = value(&mut it, "-s")?;
+                s = Threshold::parse(&v)
                     .ok_or_else(|| CliError::usage(format!("bad -s value {v:?}")))?;
             }
-            "--limit" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--limit needs a value"))?;
-                limit =
-                    v.parse().map_err(|_| CliError::usage(format!("bad --limit value {v:?}")))?;
-            }
+            // The rule `/search` applies to `limit`: at least 1.
+            "--limit" => limit = value::<NonZeroUsize>(&mut it, "--limit")?.get(),
             "--di" => want_di = true,
             "--analytics" => want_analytics = true,
             "--json" => want_json = true,
             "--trace" => want_trace = true,
             "--explain" => want_explain = true,
+            other if other.starts_with("--") => return Err(unknown_flag("search", other)),
             _ => keywords.push(arg.clone()),
         }
     }
@@ -427,8 +404,15 @@ fn cmd_suggest(args: &[String]) -> Result<String, CliError> {
     let Some((index_path, rest)) = args.split_first() else {
         return Err(CliError::usage("usage: gks suggest <index.gksix> [--json] <keyword>..."));
     };
-    let want_json = rest.iter().any(|a| a == "--json");
-    let keywords: Vec<String> = rest.iter().filter(|a| *a != "--json").cloned().collect();
+    let mut want_json = false;
+    let mut keywords: Vec<String> = Vec::new();
+    for arg in rest {
+        match arg.as_str() {
+            "--json" => want_json = true,
+            other if other.starts_with("--") => return Err(unknown_flag("suggest", other)),
+            _ => keywords.push(arg.clone()),
+        }
+    }
     let engine = load_engine(index_path)?;
     let query = parse_query(&keywords)?;
     let resp = engine
@@ -460,8 +444,15 @@ fn cmd_suggest(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_census(args: &[String]) -> Result<String, CliError> {
-    let schema = args.iter().any(|a| a == "--schema");
-    let files: Vec<&String> = args.iter().filter(|a| *a != "--schema").collect();
+    let mut schema = false;
+    let mut files: Vec<&String> = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--schema" => schema = true,
+            other if other.starts_with("--") => return Err(unknown_flag("census", other)),
+            _ => files.push(arg),
+        }
+    }
     if files.is_empty() {
         return Err(CliError::usage("usage: gks census [--schema] <file.xml>..."));
     }
@@ -741,407 +732,6 @@ fn cmd_doctor(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn take_value<'a>(
-    it: &mut std::slice::Iter<'a, String>,
-    flag: &str,
-) -> Result<&'a String, CliError> {
-    it.next().ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-}
-
-fn parse_value<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, CliError> {
-    value
-        .parse()
-        .map_err(|_| CliError::usage(format!("bad {flag} value {value:?}")))
-}
-
-/// Parses the value of `--compact-threshold` (`watch` and `serve`): a
-/// delta-shard count of at least 1.
-fn parse_threshold(it: &mut std::slice::Iter<'_, String>) -> Result<u64, CliError> {
-    let n = parse_value(take_value(it, "--compact-threshold")?, "--compact-threshold")?;
-    if n == 0 {
-        return Err(CliError::usage("--compact-threshold must be >= 1"));
-    }
-    Ok(n)
-}
-
-/// Parses a `--trace-sample` spelling: `N` or `1/N`, N ≥ 1.
-fn parse_trace_sample(value: &str) -> Option<u64> {
-    let n = value.strip_prefix("1/").unwrap_or(value);
-    n.parse::<u64>().ok().filter(|&n| n >= 1)
-}
-
-/// Builds the catalog spec for one index source spelling:
-/// `p1,p2,…` registers the comma-separated paths as shards, a path whose
-/// file starts with the shard-manifest header loads the manifest, and
-/// anything else is a plain single-index path.
-fn index_spec_for(name: &str, spec: &str) -> Result<IndexSpec, CliError> {
-    if spec.contains(',') {
-        return Ok(IndexSpec::with_shard_paths(name, spec.split(',')));
-    }
-    if is_manifest_file(spec) {
-        return IndexSpec::with_manifest(name, spec)
-            .map_err(|e| CliError::runtime(format!("cannot load shard manifest {spec:?}: {e}")));
-    }
-    Ok(IndexSpec::with_source(name, spec))
-}
-
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    const SERVE_USAGE: &str = "usage: gks serve [<index.gksix>] [--index NAME=PATH[,PATH...]]... \
-        [--default-index NAME] [--addr HOST:PORT] [--workers N] [--queue N] \
-        [--deadline-ms N] [--cache-mb N] [--query-log FILE] \
-        [--slow-log FILE] [--slow-ms N] [--trace-sample N|1/N] \
-        [--no-trace] [--watch] [--watch-interval-ms N] [--compact-threshold N] \
-        [--max-connections N] [--idle-timeout-ms N]";
-    // The positional path (registered as the "default" index) is optional
-    // when --index flags supply the catalog.
-    let (positional, rest) = match args.split_first() {
-        Some((first, rest)) if !first.starts_with("--") => (Some(first), rest),
-        _ => (None, args),
-    };
-    let mut config = ServeConfig::default();
-    let mut specs: Vec<IndexSpec> = Vec::new();
-    if let Some(path) = positional {
-        specs.push(index_spec_for(DEFAULT_INDEX_NAME, path)?);
-    }
-    let mut default_index: Option<String> = None;
-    let mut watch = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--watch" => watch = true,
-            "--watch-interval-ms" => {
-                let ms: u64 = parse_value(
-                    take_value(&mut it, "--watch-interval-ms")?,
-                    "--watch-interval-ms",
-                )?;
-                if ms == 0 {
-                    return Err(CliError::usage("--watch-interval-ms must be >= 1"));
-                }
-                config.watch_interval = Some(std::time::Duration::from_millis(ms));
-            }
-            "--compact-threshold" => config.compact_threshold = Some(parse_threshold(&mut it)?),
-            "--index" => {
-                let v = take_value(&mut it, "--index")?;
-                let Some((name, path)) = v.split_once('=') else {
-                    return Err(CliError::usage(format!("--index wants NAME=PATH, got {v:?}")));
-                };
-                specs.push(index_spec_for(name, path)?);
-            }
-            "--default-index" => {
-                default_index = Some(take_value(&mut it, "--default-index")?.clone());
-            }
-            "--trace-sample" => {
-                let v = take_value(&mut it, "--trace-sample")?;
-                config.trace_sample = parse_trace_sample(v).ok_or_else(|| {
-                    CliError::usage(format!("bad --trace-sample value {v:?} (want N or 1/N)"))
-                })?;
-            }
-            "--addr" => config.addr = take_value(&mut it, "--addr")?.clone(),
-            "--workers" => {
-                config.workers = parse_value(take_value(&mut it, "--workers")?, "--workers")?;
-            }
-            "--queue" => {
-                config.queue_depth = parse_value(take_value(&mut it, "--queue")?, "--queue")?;
-                if config.queue_depth == 0 {
-                    return Err(CliError::usage("--queue must be > 0"));
-                }
-            }
-            "--deadline-ms" => {
-                let ms: u64 = parse_value(take_value(&mut it, "--deadline-ms")?, "--deadline-ms")?;
-                config.deadline = std::time::Duration::from_millis(ms);
-            }
-            "--cache-mb" => {
-                let mb: usize = parse_value(take_value(&mut it, "--cache-mb")?, "--cache-mb")?;
-                config.cache_bytes = mb * 1024 * 1024;
-            }
-            "--query-log" => {
-                config.query_log =
-                    Some(std::path::PathBuf::from(take_value(&mut it, "--query-log")?));
-            }
-            "--slow-log" => {
-                config.slow_log =
-                    Some(std::path::PathBuf::from(take_value(&mut it, "--slow-log")?));
-            }
-            "--slow-ms" => {
-                let ms: u64 = parse_value(take_value(&mut it, "--slow-ms")?, "--slow-ms")?;
-                config.slow_threshold = std::time::Duration::from_millis(ms);
-            }
-            "--no-trace" => config.trace = false,
-            "--max-connections" => {
-                config.max_connections =
-                    parse_value(take_value(&mut it, "--max-connections")?, "--max-connections")?;
-            }
-            "--idle-timeout-ms" => {
-                let ms: u64 =
-                    parse_value(take_value(&mut it, "--idle-timeout-ms")?, "--idle-timeout-ms")?;
-                config.idle_timeout = std::time::Duration::from_millis(ms);
-            }
-            other => return Err(CliError::usage(format!("unknown serve flag {other:?}"))),
-        }
-    }
-    if specs.is_empty() {
-        return Err(CliError::usage(SERVE_USAGE));
-    }
-    // Bare `--watch` picks the default cadence; an explicit interval
-    // implies watching.
-    if watch && config.watch_interval.is_none() {
-        config.watch_interval = Some(std::time::Duration::from_millis(2000));
-    }
-    if config.compact_threshold.is_some() && config.watch_interval.is_none() {
-        return Err(CliError::usage(
-            "--compact-threshold needs --watch: compaction runs on the watcher tick",
-        ));
-    }
-    let index_names: Vec<String> = specs.iter().map(|s| s.name().to_string()).collect();
-    let server = gks_server::serve_catalog(specs, default_index.as_deref(), config.clone())
-        .map_err(|e| CliError::runtime(format!("cannot start server: {e}")))?;
-    // Clear any stale flags (e.g. a prior run in the same test process),
-    // then hook SIGTERM/ctrl-c so `kill` triggers a drain instead of a hard
-    // stop, and SIGHUP so it hot-swaps the default index.
-    signal::request_shutdown(false);
-    signal::request_reload(false);
-    let have_signals = signal::install_shutdown_handler();
-    println!(
-        "gks-serve: listening on {} ({} worker(s), queue {}, deadline {} ms, cache {} MiB)",
-        server.local_addr(),
-        config.workers,
-        config.queue_depth,
-        config.deadline.as_millis(),
-        config.cache_bytes / (1024 * 1024)
-    );
-    println!(
-        "gks-serve: catalog [{}], default index {:?}",
-        index_names.join(", "),
-        server.state().catalog().default_index().name()
-    );
-    if let Some(interval) = config.watch_interval {
-        println!(
-            "gks-serve: watching manifest corpus directories every {} ms{}",
-            interval.as_millis(),
-            config
-                .compact_threshold
-                .map(|t| format!(", compacting at {t} delta shard(s)"))
-                .unwrap_or_default()
-        );
-    }
-    if let Some(path) = &config.query_log {
-        println!("gks-serve: query log -> {}", path.display());
-    }
-    if let Some(path) = &config.slow_log {
-        println!(
-            "gks-serve: slow log -> {} (threshold {} ms)",
-            path.display(),
-            config.slow_threshold.as_millis()
-        );
-    }
-    if !have_signals {
-        println!("gks-serve: no signal support on this platform; stop by killing the process");
-    }
-    let _ = std::io::Write::flush(&mut std::io::stdout());
-    while !signal::shutdown_requested() {
-        if signal::take_reload_request() {
-            // SIGHUP: hot-swap the default index off the signal path (the
-            // handler only sets a flag; this loop does the actual work).
-            match server.state().reload_default() {
-                Ok((before, after)) => println!(
-                    "gks-serve: reloaded default index (identity {before:#x} -> {after:#x})"
-                ),
-                Err(e) => println!("gks-serve: reload failed: {e}"),
-            }
-            let _ = std::io::Write::flush(&mut std::io::stdout());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    let report = server.shutdown();
-    Ok(format!(
-        "gks-serve: drained — accepted {} connection(s), served {}, rejected {}\n",
-        report.accepted, report.served, report.rejected
-    ))
-}
-
-fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
-    const LOADGEN_USAGE: &str = "usage: gks loadgen <host:port> <workload.txt> \
-        [--clients N] [--requests N] [--zipf S] [--seed N] [--timeout-ms N] \
-        [--open-loop --rate QPS] [--index NAME[=WEIGHT]]... [--explain] \
-        [--keep-alive] [--connections N] [--slow-clients N]";
-    let [addr_raw, workload_path, rest @ ..] = args else {
-        return Err(CliError::usage(LOADGEN_USAGE));
-    };
-    let addr = {
-        use std::net::ToSocketAddrs as _;
-        addr_raw
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut addrs| addrs.next())
-            .ok_or_else(|| CliError::usage(format!("bad address {addr_raw:?}")))?
-    };
-    let mut config = loadgen::LoadgenConfig { addr, ..loadgen::LoadgenConfig::default() };
-    let mut open_loop = false;
-    let mut rate_qps: Option<f64> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--clients" => {
-                config.clients = parse_value(take_value(&mut it, "--clients")?, "--clients")?;
-            }
-            "--requests" => {
-                config.requests_per_client =
-                    parse_value(take_value(&mut it, "--requests")?, "--requests")?;
-            }
-            "--zipf" => config.zipf_s = parse_value(take_value(&mut it, "--zipf")?, "--zipf")?,
-            "--seed" => config.seed = parse_value(take_value(&mut it, "--seed")?, "--seed")?,
-            "--timeout-ms" => {
-                let ms: u64 = parse_value(take_value(&mut it, "--timeout-ms")?, "--timeout-ms")?;
-                config.timeout = std::time::Duration::from_millis(ms);
-            }
-            "--open-loop" => open_loop = true,
-            "--explain" => config.explain = true,
-            "--keep-alive" => config.keep_alive = true,
-            "--connections" => {
-                config.connections =
-                    parse_value(take_value(&mut it, "--connections")?, "--connections")?;
-            }
-            "--slow-clients" => {
-                config.slow_clients =
-                    parse_value(take_value(&mut it, "--slow-clients")?, "--slow-clients")?;
-            }
-            "--rate" => {
-                rate_qps = Some(parse_value(take_value(&mut it, "--rate")?, "--rate")?);
-            }
-            "--index" => {
-                let v = take_value(&mut it, "--index")?;
-                let target = loadgen::parse_index_target(v).ok_or_else(|| {
-                    CliError::usage(format!("bad --index value {v:?} (want NAME or NAME=WEIGHT)"))
-                })?;
-                config.targets.push(target);
-            }
-            other => return Err(CliError::usage(format!("unknown loadgen flag {other:?}"))),
-        }
-    }
-    config.pacing = match (open_loop, rate_qps) {
-        (true, Some(rate_qps)) if rate_qps > 0.0 => loadgen::Pacing::Open { rate_qps },
-        (true, Some(rate_qps)) => {
-            return Err(CliError::usage(format!("--rate must be > 0, got {rate_qps}")));
-        }
-        (true, None) => return Err(CliError::usage("--open-loop needs --rate QPS")),
-        (false, Some(_)) => {
-            return Err(CliError::usage("--rate only applies with --open-loop"));
-        }
-        (false, None) => loadgen::Pacing::Closed,
-    };
-    let text = std::fs::read_to_string(workload_path)
-        .map_err(|e| CliError::runtime(format!("cannot read workload {workload_path:?}: {e}")))?;
-    let workload = loadgen::parse_workload(&text);
-    if workload.is_empty() {
-        return Err(CliError::runtime(format!("workload {workload_path:?} has no queries")));
-    }
-    let report = loadgen::run(&config, &workload);
-    Ok(report.render())
-}
-
-/// Renders one [`maintain`] tick as `gks watch` lines, one per step that
-/// did or failed something. Failures are not fatal: a mid-mutation scan or
-/// a transient I/O error is retried on the next tick, and the manifest on
-/// disk is untouched by a failed step.
-fn render_tick(outcome: &MaintenanceOutcome, out: &mut String) {
-    let _ = match &outcome.commit {
-        Ok(None) => Ok(()),
-        Ok(Some(s)) => writeln!(
-            out,
-            "committed epoch {}: +{} added, ~{} changed, -{} deleted",
-            s.epoch, s.added, s.changed, s.deleted
-        ),
-        Err(e) => writeln!(out, "delta commit failed (will retry): {e}"),
-    };
-    let _ = match &outcome.compaction {
-        Ok(None) => Ok(()),
-        Ok(Some(s)) => writeln!(
-            out,
-            "compacted to epoch {}: {} base shard(s), {} document(s), {} old file(s) removed",
-            s.epoch, s.base_shards, s.docs, s.removed_files
-        ),
-        Err(e) => writeln!(out, "compaction failed (will retry): {e}"),
-    };
-}
-
-fn cmd_watch(args: &[String]) -> Result<String, CliError> {
-    const WATCH_USAGE: &str =
-        "usage: gks watch <manifest> [--interval-ms N] [--compact-threshold N] [--once]";
-    let mut interval_ms = 2000u64;
-    let mut threshold: Option<u64> = None;
-    let mut once = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--interval-ms" => {
-                interval_ms = parse_value(take_value(&mut it, "--interval-ms")?, "--interval-ms")?;
-                if interval_ms == 0 {
-                    return Err(CliError::usage("--interval-ms must be >= 1"));
-                }
-            }
-            "--compact-threshold" => threshold = Some(parse_threshold(&mut it)?),
-            "--once" => once = true,
-            other if other.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown watch flag {other:?}")));
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let [manifest_arg] = positional.as_slice() else {
-        return Err(CliError::usage(WATCH_USAGE));
-    };
-    let manifest_path = std::path::PathBuf::from(manifest_arg.as_str());
-    // Fail fast on a path that is not an updatable manifest at all.
-    let manifest = ShardManifest::load(&manifest_path).map_err(|e| {
-        CliError::runtime(format!("cannot load shard manifest {manifest_arg:?}: {e}"))
-    })?;
-    if manifest.corpus_dir.is_none() {
-        return Err(CliError::runtime(format!(
-            "manifest {manifest_arg:?} records no corpus directory — rebuild it with \
-             `gks index <manifest> <corpus-dir>` to enable the update path"
-        )));
-    }
-    if once {
-        let outcome = maintain(&manifest_path, threshold);
-        let mut out = String::new();
-        render_tick(&outcome, &mut out);
-        if out.is_empty() {
-            let _ = writeln!(out, "corpus unchanged — nothing to commit");
-        }
-        return Ok(out);
-    }
-    signal::request_shutdown(false);
-    let have_signals = signal::install_shutdown_handler();
-    println!(
-        "gks-watch: polling {} every {interval_ms} ms{}",
-        manifest_arg,
-        threshold
-            .map(|t| format!(", compacting at {t} delta shard(s)"))
-            .unwrap_or_default()
-    );
-    if !have_signals {
-        println!("gks-watch: no signal support on this platform; stop by killing the process");
-    }
-    let _ = std::io::Write::flush(&mut std::io::stdout());
-    while !signal::shutdown_requested() {
-        let mut events = String::new();
-        render_tick(&maintain(&manifest_path, threshold), &mut events);
-        if !events.is_empty() {
-            print!("gks-watch: {events}");
-            let _ = std::io::Write::flush(&mut std::io::stdout());
-        }
-        // Sleep in short slices so SIGTERM/ctrl-c stays prompt.
-        let mut remaining = interval_ms;
-        while remaining > 0 && !signal::shutdown_requested() {
-            let slice = remaining.min(50);
-            std::thread::sleep(std::time::Duration::from_millis(slice));
-            remaining -= slice;
-        }
-    }
-    Ok("gks-watch: stopped\n".to_string())
-}
-
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     let [path] = args else {
         return Err(CliError::usage("usage: gks compact <manifest>"));
@@ -1180,464 +770,4 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
     std::fs::write(out_path, xml)
         .map_err(|e| CliError::runtime(format!("cannot write {out_path:?}: {e}")))?;
     Ok(format!("wrote {bytes} bytes of synthetic {} to {out_path}\n", ds.name()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gks-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn help_and_unknown_command() {
-        assert!(run(&args(&["--help"])).unwrap().contains("USAGE"));
-        let err = run(&args(&["frobnicate"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown command"));
-        assert_eq!(run(&[]).unwrap_err().code, 2);
-    }
-
-    #[test]
-    fn full_workflow_generate_index_search_suggest_info() {
-        // A subdirectory of its own: the cleanup below must not take the
-        // sibling tests' directories with it.
-        let dir = tmpdir().join("workflow");
-        std::fs::create_dir_all(&dir).unwrap();
-        let xml = dir.join("dblp.xml");
-        let ix = dir.join("dblp.gksix");
-        let xml_s = xml.to_str().unwrap();
-        let ix_s = ix.to_str().unwrap();
-
-        let out = run(&args(&["generate", "dblp", "200", xml_s])).unwrap();
-        assert!(out.contains("synthetic DBLP"), "{out}");
-
-        let out = run(&args(&["index", ix_s, xml_s])).unwrap();
-        assert!(out.contains("indexed 1 document(s)"), "{out}");
-
-        // The bytes are a function of the corpus, not of the clock.
-        let again = dir.join("again.gksix");
-        run(&args(&["index", again.to_str().unwrap(), xml_s])).unwrap();
-        assert!(std::fs::read(&ix).unwrap() == std::fs::read(&again).unwrap());
-
-        let out = run(&args(&["search", ix_s, "-s", "1", "--di", "keyword", "search"])).unwrap();
-        assert!(out.contains("hit(s):"), "{out}");
-        assert!(out.contains("deeper analytical insights"), "{out}");
-
-        let out = run(&args(&["search", ix_s, "--trace", "keyword", "search"])).unwrap();
-        assert!(out.contains("spans:"), "{out}");
-        assert!(out.contains("trace #"), "{out}");
-        for label in ["index_open", "search", "parse", "postings", "sweep", "rank"] {
-            assert!(out.contains(label), "span tree missing {label}:\n{out}");
-        }
-
-        let out = run(&args(&["search", ix_s, "--analytics", "xml"])).unwrap();
-        assert!(out.contains("hits by entity type"), "{out}");
-
-        let out = run(&args(&["search", ix_s, "--explain", "keyword", "search"])).unwrap();
-        assert!(out.contains("cost (work, not time):"), "{out}");
-        assert!(out.contains("postings scanned:"), "{out}");
-        assert!(out.contains("total work:"), "{out}");
-
-        let out =
-            run(&args(&["search", ix_s, "--json", "--explain", "keyword", "search"])).unwrap();
-        assert!(out.contains("\"cost\":{\"postings_scanned\":"), "{out}");
-        assert!(out.contains("\"cost_keywords\":[{\"keyword\":"), "{out}");
-
-        let out = run(&args(&["suggest", ix_s, "keyword", "zzznothing"])).unwrap();
-        assert!(out.contains("unmatched keywords"), "{out}");
-
-        let out = run(&args(&["info", ix_s])).unwrap();
-        assert!(out.contains("documents: 1"), "{out}");
-
-        // Acceptance bar: a freshly built synthetic-DBLP index is healthy.
-        let out = run(&args(&["doctor", ix_s])).unwrap();
-        assert!(out.contains("0 violation(s)"), "{out}");
-
-        let out = run(&args(&["census", "--schema", xml_s])).unwrap();
-        assert!(out.contains("instance-level census"), "{out}");
-        assert!(out.contains("schema-level census"), "{out}");
-        assert!(out.contains("/dblp/"), "{out}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn schema_and_repl_over_a_real_index() {
-        let dir = tmpdir().join("schema-repl");
-        std::fs::create_dir_all(&dir).unwrap();
-        let xml = dir.join("m.xml");
-        let ix = dir.join("m.gksix");
-        run(&args(&["generate", "mondial", "10", xml.to_str().unwrap()])).unwrap();
-        run(&args(&["index", ix.to_str().unwrap(), xml.to_str().unwrap()])).unwrap();
-
-        let out = run(&args(&["schema", ix.to_str().unwrap()])).unwrap();
-        assert!(out.contains("/mondial/country"), "{out}");
-        assert!(out.contains("entity types:"), "{out}");
-
-        // Drive the REPL through an in-memory session.
-        let engine = Engine::from_index(GksIndex::load(ix.to_str().unwrap()).unwrap());
-        let session = b":s 2\ncountry name\n:nope\n:q\n" as &[u8];
-        let mut input = std::io::BufReader::new(session);
-        let mut output = Vec::new();
-        repl_loop(&engine, &mut input, &mut output).unwrap();
-        let text = String::from_utf8(output).unwrap();
-        assert!(text.contains("s = 2"), "{text}");
-        assert!(text.contains("hit(s) (s = 2"), "{text}");
-        assert!(text.contains("unknown command :nope"), "{text}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn json_output_matches_wire_format() {
-        let dir = tmpdir().join("json-out");
-        std::fs::create_dir_all(&dir).unwrap();
-        let xml = dir.join("d.xml");
-        let ix = dir.join("d.gksix");
-        run(&args(&["generate", "dblp", "100", xml.to_str().unwrap()])).unwrap();
-        run(&args(&["index", ix.to_str().unwrap(), xml.to_str().unwrap()])).unwrap();
-        let ix_s = ix.to_str().unwrap();
-
-        let out = run(&args(&["search", ix_s, "--json", "-s", "1", "keyword", "search"])).unwrap();
-        assert!(out.starts_with("{\"query\":[\"keyword\",\"search\"],\"s\":"), "{out}");
-        assert!(out.ends_with("}\n"), "newline-terminated JSON document");
-
-        let out = run(&args(&["suggest", ix_s, "--json", "keyword"])).unwrap();
-        assert!(out.starts_with("{\"query\":[\"keyword\"]"), "{out}");
-        assert!(out.contains("\"sub_queries\""), "{out}");
-
-        // --json is the machine format; the human-only flags conflict.
-        let err = run(&args(&["search", ix_s, "--json", "--di", "x"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        let err = run(&args(&["search", ix_s, "--json", "--trace", "x"])).unwrap_err();
-        assert_eq!(err.code, 2);
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_index_builds_manifest_and_shard_files() {
-        let dir = tmpdir().join("sharded-index");
-        std::fs::create_dir_all(&dir).unwrap();
-        let xml = dir.join("d.xml");
-        run(&args(&["generate", "dblp", "120", xml.to_str().unwrap()])).unwrap();
-        // Two documents so a 2-way document split is possible.
-        let xml2 = dir.join("d2.xml");
-        std::fs::copy(&xml, &xml2).unwrap();
-        let manifest_path = dir.join("corpus.shards");
-        let out = run(&args(&[
-            "index",
-            "--shards",
-            "2",
-            manifest_path.to_str().unwrap(),
-            xml.to_str().unwrap(),
-            xml2.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("wrote shard manifest (2 shard(s), 2 document(s))"), "{out}");
-        let manifest = ShardManifest::load(&manifest_path).unwrap();
-        assert_eq!(manifest.shards.len(), 2);
-        assert_eq!(manifest.doc_count(), 2);
-        // The shared base-shard writer: base-set names and a real commit time.
-        assert_eq!(manifest.shards[1].path, dir.join("corpus.base0.1.gksix"));
-        assert!(manifest.committed_ms > 0, "file-list manifests record when they were built");
-        let out = run(&args(&["doctor", manifest_path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("manifest is healthy"), "{out}");
-        // Every shard file exists, is a healthy index, and the serve-side
-        // spec sniffing recognizes both spellings.
-        let mut shard_paths = Vec::new();
-        for entry in &manifest.shards {
-            let path = dir.join(&entry.path);
-            assert!(path.exists(), "missing shard file {}", path.display());
-            run(&args(&["doctor", path.to_str().unwrap()])).unwrap();
-            shard_paths.push(path.to_str().unwrap().to_string());
-        }
-        assert!(index_spec_for("m", manifest_path.to_str().unwrap()).is_ok(), "manifest sniffed");
-        assert!(index_spec_for("m", &shard_paths.join(",")).is_ok(), "comma list accepted");
-
-        // Shard flag validation.
-        assert_eq!(run(&args(&["index", "--shards"])).unwrap_err().code, 2, "missing value");
-        let err = run(&args(&["index", "--shards", "0", "/tmp/x", "/tmp/y.xml"])).unwrap_err();
-        assert_eq!(err.code, 2, "zero shards");
-        let err = run(&args(&["index", "--shards", "x", "/tmp/x", "/tmp/y.xml"])).unwrap_err();
-        assert_eq!(err.code, 2, "non-numeric shards");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn directory_index_watch_and_compact_round_trip() {
-        let dir = tmpdir().join("watch-compact");
-        let corpus = dir.join("corpus");
-        std::fs::create_dir_all(&corpus).unwrap();
-        std::fs::write(corpus.join("a.xml"), "<r><x>alpha</x></r>").unwrap();
-        std::fs::write(corpus.join("b.xml"), "<r><x>beta</x></r>").unwrap();
-        let manifest = dir.join("corpus.shards");
-        let manifest_s = manifest.to_str().unwrap().to_string();
-
-        // A directory argument builds an updatable manifest.
-        let out = run(&args(&["index", &manifest_s, corpus.to_str().unwrap()])).unwrap();
-        assert!(out.contains("2 document(s)"), "{out}");
-        assert!(out.contains("gks watch"), "{out}");
-
-        // The fresh manifest and its shards pass the manifest-aware doctor.
-        let out = run(&args(&["doctor", &manifest_s])).unwrap();
-        assert!(out.contains("manifest is healthy"), "{out}");
-        assert!(out.contains("shard 0: healthy"), "{out}");
-
-        // A clean poll commits nothing.
-        let out = run(&args(&["watch", &manifest_s, "--once"])).unwrap();
-        assert!(out.contains("nothing to commit"), "{out}");
-
-        // Mutate the corpus; one watch tick commits a delta.
-        std::fs::write(corpus.join("c.xml"), "<r><x>gamma</x></r>").unwrap();
-        let out = run(&args(&["watch", &manifest_s, "--once"])).unwrap();
-        assert!(out.contains("+1 added"), "{out}");
-        let loaded = ShardManifest::load(&manifest).unwrap();
-        assert_eq!(loaded.delta_shard_count(), 1);
-
-        // Searching via a serve-side spec sees the delta-committed doc.
-        assert!(index_spec_for("m", &manifest_s).is_ok());
-
-        // Compact folds the backlog; a second compact is a no-op.
-        let out = run(&args(&["compact", &manifest_s])).unwrap();
-        assert!(out.contains("compacted"), "{out}");
-        let out = run(&args(&["compact", &manifest_s])).unwrap();
-        assert!(out.contains("nothing to compact"), "{out}");
-        let loaded = ShardManifest::load(&manifest).unwrap();
-        assert_eq!(loaded.delta_shard_count(), 0);
-        assert_eq!(loaded.doc_count(), 3);
-
-        // A --once tick with a threshold of 1 commits and compacts in one go.
-        std::fs::write(corpus.join("d.xml"), "<r><x>delta</x></r>").unwrap();
-        let out =
-            run(&args(&["watch", &manifest_s, "--once", "--compact-threshold", "1"])).unwrap();
-        assert!(out.contains("+1 added"), "{out}");
-        assert!(out.contains("compacted to epoch"), "{out}");
-
-        // Doctor still passes after the full update cycle.
-        let out = run(&args(&["doctor", &manifest_s])).unwrap();
-        assert!(out.contains("manifest is healthy"), "{out}");
-
-        // Watch flag validation.
-        assert_eq!(run(&args(&["watch"])).unwrap_err().code, 2, "manifest required");
-        assert_eq!(
-            run(&args(&["watch", &manifest_s, "--interval-ms", "0"])).unwrap_err().code,
-            2,
-            "zero interval"
-        );
-        assert_eq!(
-            run(&args(&["watch", &manifest_s, "--bogus"])).unwrap_err().code,
-            2,
-            "unknown watch flag"
-        );
-        assert_eq!(
-            run(&args(&["watch", &manifest_s, "--once", "--compact-threshold", "0"]))
-                .unwrap_err()
-                .code,
-            2,
-            "zero compact threshold"
-        );
-        assert_eq!(
-            run(&args(&["watch", "/no/such.shards", "--once"])).unwrap_err().code,
-            1,
-            "missing manifest is a runtime error"
-        );
-        assert_eq!(run(&args(&["compact"])).unwrap_err().code, 2, "compact wants one path");
-        assert_eq!(
-            run(&args(&["compact", "/no/such.shards"])).unwrap_err().code,
-            1,
-            "missing manifest is a runtime error"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn watch_rejects_manifest_without_corpus_dir() {
-        // A file-list manifest (classic `index --shards N` over .xml files)
-        // records no corpus directory, so the update path refuses it.
-        let dir = tmpdir().join("watch-no-dir");
-        std::fs::create_dir_all(&dir).unwrap();
-        let xml = dir.join("d.xml");
-        run(&args(&["generate", "dblp", "60", xml.to_str().unwrap()])).unwrap();
-        let xml2 = dir.join("d2.xml");
-        std::fs::copy(&xml, &xml2).unwrap();
-        let manifest = dir.join("legacy.shards");
-        run(&args(&[
-            "index",
-            "--shards",
-            "2",
-            manifest.to_str().unwrap(),
-            xml.to_str().unwrap(),
-            xml2.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let err = run(&args(&["watch", manifest.to_str().unwrap(), "--once"])).unwrap_err();
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("no corpus directory"), "{}", err.message);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn doctor_reports_a_shard_that_does_not_open() {
-        let dir = tmpdir().join("doctor-unreadable");
-        let corpus = dir.join("corpus");
-        std::fs::create_dir_all(&corpus).unwrap();
-        std::fs::write(corpus.join("a.xml"), "<r><x>alpha beta gamma</x></r>").unwrap();
-        let manifest = dir.join("live.shards");
-        let manifest_s = manifest.to_str().unwrap();
-        run(&args(&["index", manifest_s, corpus.to_str().unwrap()])).unwrap();
-        let shard = dir.join("live.base0.0.gksix");
-        let bytes = std::fs::read(&shard).unwrap();
-        std::fs::write(&shard, &bytes[..bytes.len() / 2]).unwrap();
-        let err = run(&args(&["doctor", manifest_s])).unwrap_err();
-        assert_eq!(err.code, 1, "{}", err.message);
-        assert!(err.message.contains("1 manifest violation(s) found"), "{}", err.message);
-        assert!(err.message.contains("does not open"), "{}", err.message);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serve_and_loadgen_flag_validation() {
-        assert_eq!(run(&args(&["serve"])).unwrap_err().code, 2, "no index at all");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--bogus"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown serve flag"));
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--workers"])).unwrap_err();
-        assert_eq!(err.code, 2, "missing flag value");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--deadline-ms", "soon"])).unwrap_err();
-        assert_eq!(err.code, 2, "non-numeric flag value");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--slow-ms", "soon"])).unwrap_err();
-        assert_eq!(err.code, 2, "non-numeric slow threshold");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--query-log"])).unwrap_err();
-        assert_eq!(err.code, 2, "missing log path");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--index", "noequals"])).unwrap_err();
-        assert_eq!(err.code, 2, "--index wants NAME=PATH");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--trace-sample", "0"])).unwrap_err();
-        assert_eq!(err.code, 2, "sample rate must be >= 1");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--trace-sample", "1/x"])).unwrap_err();
-        assert_eq!(err.code, 2, "non-numeric 1/N sample rate");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--watch-interval-ms", "0"])).unwrap_err();
-        assert_eq!(err.code, 2, "zero watch interval");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--queue", "0"])).unwrap_err();
-        assert_eq!(err.code, 2, "zero queue depth: {}", err.message);
-        assert!(err.message.contains("--queue must be > 0"), "{}", err.message);
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--compact-threshold"])).unwrap_err();
-        assert_eq!(err.code, 2, "missing compact threshold");
-        let err =
-            run(&args(&["serve", "/tmp/x.gksix", "--compact-threshold", "soon"])).unwrap_err();
-        assert_eq!(err.code, 2, "non-numeric compact threshold");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--watch", "--compact-threshold", "0"]))
-            .unwrap_err();
-        assert_eq!(err.code, 2, "zero compact threshold");
-        let err = run(&args(&["serve", "/tmp/x.gksix", "--compact-threshold", "2"])).unwrap_err();
-        assert_eq!(err.code, 2, "a compact threshold without --watch");
-        assert!(err.message.contains("needs --watch"), "{}", err.message);
-        // A catalog made only of --index flags (no positional) is accepted
-        // at parse time; a missing file is then a runtime (load) error.
-        let err = run(&args(&["serve", "--index", "a=/no/such.gksix"])).unwrap_err();
-        assert_eq!(err.code, 1, "parse passed, load failed");
-        // Same for a comma-separated shard list: spec parses, load fails.
-        let err = run(&args(&["serve", "--index", "a=/no/1.gksix,/no/2.gksix"])).unwrap_err();
-        assert_eq!(err.code, 1, "shard list parsed, load failed");
-
-        assert_eq!(parse_trace_sample("1"), Some(1));
-        assert_eq!(parse_trace_sample("16"), Some(16));
-        assert_eq!(parse_trace_sample("1/8"), Some(8));
-        assert_eq!(parse_trace_sample("1/0"), None);
-        assert_eq!(parse_trace_sample("0"), None);
-        assert_eq!(parse_trace_sample("2/3"), None);
-
-        assert_eq!(run(&args(&["loadgen"])).unwrap_err().code, 2);
-        let err = run(&args(&["loadgen", "not-an-addr", "/tmp/w.txt"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        let err = run(&args(&["loadgen", "127.0.0.1:1", "/no/such/workload.txt"])).unwrap_err();
-        assert_eq!(err.code, 1, "unreadable workload is a runtime error");
-        // Open-loop pacing needs both halves of the flag pair and a
-        // positive rate; these all fail before touching the network.
-        let err = run(&args(&["loadgen", "127.0.0.1:1", "/tmp/w.txt", "--open-loop"])).unwrap_err();
-        assert_eq!(err.code, 2, "--open-loop without --rate");
-        let err =
-            run(&args(&["loadgen", "127.0.0.1:1", "/tmp/w.txt", "--rate", "50"])).unwrap_err();
-        assert_eq!(err.code, 2, "--rate without --open-loop");
-        let err =
-            run(&args(&["loadgen", "127.0.0.1:1", "/tmp/w.txt", "--open-loop", "--rate", "0"]))
-                .unwrap_err();
-        assert_eq!(err.code, 2, "zero rate");
-        let err = run(&args(&[
-            "loadgen",
-            "127.0.0.1:1",
-            "/tmp/w.txt",
-            "--open-loop",
-            "--rate",
-            "fast",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code, 2, "non-numeric rate");
-        let err =
-            run(&args(&["loadgen", "127.0.0.1:1", "/tmp/w.txt", "--index", "a=0"])).unwrap_err();
-        assert_eq!(err.code, 2, "zero traffic weight");
-
-        // The usage text must list every subcommand (satellite: docs drift).
-        for sub in [
-            "index", "search", "suggest", "census", "schema", "info", "doctor", "watch", "compact",
-            "generate", "repl", "serve", "loadgen",
-        ] {
-            assert!(USAGE.contains(&format!("gks {sub} ")), "USAGE missing {sub}");
-        }
-        for flag in [
-            "--trace",
-            "--query-log",
-            "--slow-log",
-            "--slow-ms",
-            "--trace-sample",
-            "--no-trace",
-            "--open-loop",
-            "--rate",
-            "--index",
-            "--default-index",
-            "--shards",
-            "--watch",
-            "--watch-interval-ms",
-            "--compact-threshold",
-            "--interval-ms",
-            "--once",
-            "--max-connections",
-            "--idle-timeout-ms",
-            "--keep-alive",
-            "--connections",
-            "--slow-clients",
-        ] {
-            assert!(USAGE.contains(flag), "USAGE missing {flag}");
-        }
-        assert!(USAGE.contains("EXIT CODES"));
-    }
-
-    #[test]
-    fn missing_files_produce_runtime_errors() {
-        let err = run(&args(&["info", "/no/such/file.gksix"])).unwrap_err();
-        assert_eq!(err.code, 1);
-        let err = run(&args(&["index", "/tmp/x.gksix", "/no/such.xml"])).unwrap_err();
-        assert_eq!(err.code, 1);
-    }
-
-    #[test]
-    fn bad_options_produce_usage_errors() {
-        assert_eq!(run(&args(&["search"])).unwrap_err().code, 2);
-        assert_eq!(run(&args(&["generate", "bogus", "5", "/tmp/x"])).unwrap_err().code, 2);
-        assert_eq!(run(&args(&["generate", "dblp", "NaN", "/tmp/x"])).unwrap_err().code, 2);
-        assert_eq!(run(&args(&["census"])).unwrap_err().code, 2);
-        // There is one on-disk layout and no flag to pick another.
-        let err =
-            run(&args(&["index", "--format", "v2", "/tmp/x.gksix", "/tmp/x.xml"])).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown index flag \"--format\""), "{}", err.message);
-    }
 }

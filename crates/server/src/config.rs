@@ -51,7 +51,8 @@ pub struct ServeConfig {
     pub slow_threshold: Duration,
     /// Watcher poll interval for manifest-backed indexes: every interval
     /// the corpus directory is scanned and changes are committed as a
-    /// delta shard, then hot-swapped in. `None` disables watching.
+    /// delta shard, then hot-swapped in. `None` disables watching; a zero
+    /// interval is rejected by [`crate::serve_catalog`].
     pub watch_interval: Option<Duration>,
     /// Compaction trigger for the watcher tick (`gks_index::delta::maintain`):
     /// once a manifest on disk carries at least this many delta shards, the

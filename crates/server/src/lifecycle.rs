@@ -67,6 +67,9 @@ pub fn serve_catalog(
     if config.max_connections == 0 {
         return Err(ServeError::BadConfig("max-connections must be > 0".into()));
     }
+    if config.watch_interval == Some(Duration::ZERO) {
+        return Err(ServeError::BadConfig("watch-interval must be > 0".into()));
+    }
     if config
         .compact_threshold
         .is_some_and(|n| n == 0 || config.watch_interval.is_none())
@@ -87,19 +90,7 @@ pub fn serve_catalog(
             .map_err(ServeError::Io)?,
     );
     let stop = Arc::new(AtomicBool::new(false));
-    // The reactor's wake channel is a loopback self-pipe: workers write a
-    // byte to pop it out of poll(). Built here — blocking connect/accept
-    // are fine outside the reactor.
-    let (wake_tx, wake_rx) = {
-        let pipe = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;
-        let pipe_addr = pipe.local_addr().map_err(ServeError::Io)?;
-        let tx = TcpStream::connect(pipe_addr).map_err(ServeError::Io)?;
-        let (rx, _) = pipe.accept().map_err(ServeError::Io)?;
-        tx.set_nonblocking(true).map_err(ServeError::Io)?;
-        let _ = tx.set_nodelay(true);
-        rx.set_nonblocking(true).map_err(ServeError::Io)?;
-        (tx, rx)
-    };
+    let (wake_tx, wake_rx) = wake_pipe().map_err(ServeError::Io)?;
     let shared = Arc::new(reactor::ReactorShared::new(wake_tx));
 
     let reactor_handle = {
@@ -135,6 +126,19 @@ pub fn serve_catalog(
     Ok(Server { state, addr, workers, shared, stop, reactor: Some(reactor_handle), maintenance })
 }
 
+/// The reactor's wake channel: a loopback self-pipe `(tx, rx)`. Workers
+/// write a byte to `tx` to pop the reactor out of poll(). Built before the
+/// reactor starts — blocking connect/accept are fine there.
+fn wake_pipe() -> std::io::Result<(TcpStream, TcpStream)> {
+    let pipe = TcpListener::bind("127.0.0.1:0")?;
+    let tx = TcpStream::connect(pipe.local_addr()?)?;
+    let (rx, _) = pipe.accept()?;
+    tx.set_nonblocking(true)?;
+    let _ = tx.set_nodelay(true);
+    rx.set_nonblocking(true)?;
+    Ok((tx, rx))
+}
+
 /// The background update loop: every `interval`, one
 /// [`ResidentIndex::maintain`](crate::catalog::ResidentIndex::maintain)
 /// tick per manifest-backed index — the `gks watch` policy, publishing
@@ -161,16 +165,15 @@ fn maintenance_loop(state: &ServeState, interval: Duration, stop: &AtomicBool) {
 /// worker pool. Routes it, then writes the response with nonblocking single
 /// shots. The socket's final disposition goes back to the reactor: idle
 /// for the next keep-alive request, a partial flush to finish, or dropped
-/// on close. The pending decrement is strictly last — the reactor's drain
-/// barrier counts on it coming after the retired socket is visible.
+/// on close. The job's counters are released by [`JobCounters`].
 pub(crate) fn answer(
     state: &ServeState,
     shared: &reactor::ReactorShared,
     stop: &AtomicBool,
     item: conn::WorkItem,
 ) {
+    let _job = JobCounters::enter(state, shared, stop);
     let conn::WorkItem { mut stream, request, accepted_at, residual, requests_served } = item;
-    state.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
     let response = state.handle(&request, accepted_at);
     // A drain closes keep-alive connections after their in-flight
     // response: honoring `keep_alive` would park them forever.
@@ -200,13 +203,41 @@ pub(crate) fn answer(
         }
         conn::WriteOutcome::Closed => {}
     }
-    state.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-    shared.pending.fetch_sub(1, Ordering::SeqCst);
-    // `retire()` above wakes the reactor when a socket went back; a closed
-    // socket needs no wake — except during a drain, where the reactor may
-    // be parked in poll waiting for pending to hit zero.
-    if stop.load(Ordering::SeqCst) {
-        shared.wake();
+}
+
+/// A request job's hold on `in_flight` and the reactor's `pending` count,
+/// released on drop — also when `state.handle` panics and the pool catches
+/// the unwind, so a later drain never waits for a job that is gone.
+/// [`answer`] declares it first, so it drops last: the pending decrement
+/// is strictly last, and the reactor's drain barrier counts on it coming
+/// after the retired socket is visible.
+struct JobCounters<'a> {
+    state: &'a ServeState,
+    shared: &'a reactor::ReactorShared,
+    stop: &'a AtomicBool,
+}
+
+impl<'a> JobCounters<'a> {
+    fn enter(
+        state: &'a ServeState,
+        shared: &'a reactor::ReactorShared,
+        stop: &'a AtomicBool,
+    ) -> JobCounters<'a> {
+        state.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        JobCounters { state, shared, stop }
+    }
+}
+
+impl Drop for JobCounters<'_> {
+    fn drop(&mut self) {
+        self.state.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.shared.pending.fetch_sub(1, Ordering::SeqCst);
+        // `retire()` wakes the reactor when a socket went back; a closed
+        // socket needs no wake — except during a drain, where the reactor
+        // may be parked in poll waiting for pending to hit zero.
+        if self.stop.load(Ordering::SeqCst) {
+            self.shared.wake();
+        }
     }
 }
 
@@ -273,6 +304,35 @@ mod tests {
                     panic!("expected {expected:?}, but the server started");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_releases_its_counters() {
+        let corpus = Corpus::from_named_strs([("d", "<r><a>alpha</a></r>")]).unwrap();
+        let engine = Arc::new(Engine::build(&corpus, IndexOptions::default()).unwrap());
+        let specs = vec![IndexSpec::with_engine(catalog::DEFAULT_INDEX_NAME, engine)];
+        let state = ServeState::with_catalog(specs, None, ServeConfig::default()).unwrap();
+        let (wake_tx, _wake_rx) = wake_pipe().unwrap();
+        let shared = reactor::ReactorShared::new(wake_tx);
+        let counters = || {
+            (
+                state.metrics.in_flight.load(Ordering::SeqCst),
+                shared.pending.load(Ordering::SeqCst),
+            )
+        };
+        let before = counters();
+        for stop in [false, true] {
+            // What the reactor does before it submits the job.
+            shared.pending.fetch_add(1, Ordering::SeqCst);
+            let stop = AtomicBool::new(stop);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _job = JobCounters::enter(&state, &shared, &stop);
+                assert_eq!(counters(), (before.0 + 1, before.1 + 1));
+                panic!("a handler bug");
+            }));
+            assert!(outcome.is_err());
+            assert_eq!(counters(), before, "stop = {}", stop.load(Ordering::SeqCst));
         }
     }
 }

@@ -230,9 +230,11 @@ fn watcher_thread_picks_up_changes_under_load() {
     let manifest = seed_corpus(&root, 2);
     let corpus = root.join("corpus");
     // Compaction runs on the watcher tick: a threshold without a watcher,
-    // or of zero delta shards, is a configuration error.
+    // or of zero delta shards, is a configuration error. So is a watcher
+    // that never sleeps between corpus scans.
     let watch = Some(Duration::from_millis(40));
-    for (watch_interval, compact_threshold) in [(None, Some(1)), (watch, Some(0))] {
+    let refused = [(None, Some(1)), (watch, Some(0)), (Some(Duration::ZERO), None)];
+    for (watch_interval, compact_threshold) in refused {
         let config = ServeConfig { watch_interval, compact_threshold, ..ServeConfig::default() };
         let specs = vec![IndexSpec::with_manifest("live", &manifest).unwrap()];
         let refused = serve_catalog(specs, None, config).map(|server| server.shutdown());
