@@ -40,7 +40,6 @@
 use std::sync::Arc;
 
 use gks_dewey::DeweyId;
-use gks_text::Analyzer;
 
 use crate::error::IndexError;
 use crate::fasthash::FastMap;
@@ -271,13 +270,10 @@ impl AttrStore {
         id
     }
 
-    /// Interns a raw attribute value, returning its id. A value seen for the
-    /// first time is analysed here — the only time it ever is.
-    pub(crate) fn intern_value(&mut self, raw: &str, analyzer: &Analyzer) -> u32 {
-        self.intern_value_with(raw, || analyzer.analyze(raw).join(" "))
-    }
-
-    fn intern_value_with(&mut self, raw: &str, norm: impl FnOnce() -> String) -> u32 {
+    /// Interns a raw attribute value, returning its id. `norm` gives the
+    /// value's analysed terms, space-joined; it runs only for a value seen
+    /// for the first time — the only time a value is ever analysed.
+    pub(crate) fn intern_value(&mut self, raw: &str, norm: impl FnOnce() -> String) -> u32 {
         if let Some(&id) = self.interner().values.get(raw) {
             return id;
         }
@@ -385,6 +381,7 @@ impl AttrStore {
 mod tests {
     use super::*;
     use gks_dewey::DocId;
+    use gks_text::Analyzer;
 
     fn d(steps: &[u32]) -> DeweyId {
         DeweyId::new(DocId(0), steps.to_vec())
@@ -393,7 +390,7 @@ mod tests {
     fn one_entry(s: &mut AttrStore, label: u32, raw: &str) -> AttrIds {
         AttrIds {
             path: s.intern_path(&[label]),
-            value: s.intern_value(raw, &Analyzer::default()),
+            value: s.intern_value(raw, || Analyzer::default().analyze(raw).join(" ")),
             source: AttrSource::Attribute,
         }
     }

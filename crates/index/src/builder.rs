@@ -15,14 +15,15 @@ use gks_text::Analyzer;
 use gks_xml::{Event, Reader};
 
 use crate::attrstore::{AttrIds, AttrSource, AttrStore};
-use crate::categorize::{close_element, finalize_child_flags, self_flags, ChildSummary};
+use crate::categorize::{
+    close_element, finalize_child_flags, self_flags, ChildSummary, CloseScratch,
+};
 use crate::corpus::Corpus;
 use crate::error::IndexError;
-use crate::fasthash::FastMap;
 use crate::node_table::{NodeMeta, NodeTable};
 use crate::options::IndexOptions;
 use crate::postings::{InvertedIndex, PostingStore};
-use crate::stats::IndexStats;
+use crate::stats::{CategoryCensus, IndexStats};
 
 /// A fully built GKS index over a corpus. Immutable: a build ends in one
 /// (see [`IndexBuilder`]), and incremental growth is a new delta shard
@@ -103,9 +104,18 @@ impl AttrArena {
     }
 }
 
+/// Buffers [`IndexBuilder::close_frame`] reuses from one element to the next.
+#[derive(Default)]
+struct ElementScratch {
+    summaries: Vec<ChildSummary>,
+    close: CloseScratch,
+}
+
 /// One open element during the streaming pass.
 struct OpenFrame {
     dewey: DeweyId,
+    /// Pre-order ordinal: what the element's postings record.
+    ordinal: u32,
     label: u32,
     next_ordinal: u32,
     has_text: bool,
@@ -269,6 +279,8 @@ struct IndexBuilder {
     inverted: InvertedIndex,
     attrs: AttrStore,
     stats: IndexStats,
+    /// Census per label id, named into `stats.per_label` at finish.
+    label_census: Vec<CategoryCensus>,
     doc_names: Vec<String>,
 }
 
@@ -282,13 +294,19 @@ impl IndexBuilder {
             inverted: InvertedIndex::default(),
             attrs: AttrStore::new(),
             stats: IndexStats::default(),
+            label_census: Vec::new(),
             doc_names: Vec::new(),
         }
     }
 
     /// Ends the build: encodes the accumulated postings as blocked runs and
     /// opens them as the index's [`PostingStore`].
-    fn finish(self, start: Instant) -> Result<GksIndex, IndexError> {
+    fn finish(mut self, start: Instant) -> Result<GksIndex, IndexError> {
+        for (name, census) in self.node_table.labels().names().iter().zip(&self.label_census) {
+            if census.total() > 0 {
+                self.stats.per_label.insert(name.clone(), *census);
+            }
+        }
         let IndexBuilder { options, node_table, inverted, mut attrs, mut stats, doc_names, .. } =
             self;
         attrs.seal();
@@ -316,8 +334,7 @@ impl IndexBuilder {
 
         let mut reader = Reader::new(xml);
         let mut stack: Vec<OpenFrame> = Vec::new();
-        let mut scratch: FastMap<u32, u32> = FastMap::default();
-        let mut terms_buf: Vec<String> = Vec::new();
+        let mut scratch = ElementScratch::default();
         let mut arena = AttrArena::default();
 
         loop {
@@ -336,18 +353,14 @@ impl IndexBuilder {
                         None => DeweyId::root(doc_id),
                     };
                     self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
+                    let ordinal = self.inverted.node(&dewey)?;
                     let label = self.node_table.labels_mut().intern(tag);
                     if self.options.index_element_names {
-                        // Namespace-prefixed names ("dblp:author") index by
-                        // their local part.
-                        let local = tag.rsplit(':').next().unwrap_or(tag);
-                        if let Some(term) = self.analyzer.normalize_term(local) {
-                            let tid = self.inverted.term_id(&term);
-                            self.inverted.push(tid, dewey.clone());
-                        }
+                        self.inverted.post_label(label, tag, ordinal, &self.analyzer);
                     }
                     let mut frame = OpenFrame {
                         dewey,
+                        ordinal,
                         label,
                         next_ordinal: 0,
                         has_text: false,
@@ -356,7 +369,7 @@ impl IndexBuilder {
                     };
                     if self.options.xml_attributes_as_elements {
                         for attr in &attributes {
-                            self.push_synthetic_attr_child(&mut frame, attr.name, &attr.value);
+                            self.push_synthetic_attr_child(&mut frame, attr.name, &attr.value)?;
                         }
                     }
                     stack.push(frame);
@@ -368,12 +381,7 @@ impl IndexBuilder {
                     // Index the words at the containing element itself; the
                     // search engine applies the §2.1.1 parent-promotion rule
                     // for attribute nodes at candidate-generation time.
-                    terms_buf.clear();
-                    self.analyzer.analyze_into(&text, &mut terms_buf);
-                    for term in &terms_buf {
-                        let tid = self.inverted.term_id(term);
-                        self.inverted.push(tid, frame.dewey.clone());
-                    }
+                    self.inverted.post_text(&text, frame.ordinal, &self.analyzer);
                     if !text.trim().is_empty() {
                         if frame.has_text {
                             frame.text.push(' ');
@@ -399,23 +407,20 @@ impl IndexBuilder {
     }
 
     /// Materializes an XML attribute `k="v"` as a text-only child element.
-    fn push_synthetic_attr_child(&mut self, frame: &mut OpenFrame, attr_name: &str, value: &str) {
+    fn push_synthetic_attr_child(
+        &mut self,
+        frame: &mut OpenFrame,
+        attr_name: &str,
+        value: &str,
+    ) -> Result<(), IndexError> {
         let dewey = frame.dewey.child(frame.next_ordinal);
         frame.next_ordinal += 1;
+        let ordinal = self.inverted.node(&dewey)?;
         let label = self.node_table.labels_mut().intern(attr_name);
         if self.options.index_element_names {
-            let local = attr_name.rsplit(':').next().unwrap_or(attr_name);
-            if let Some(term) = self.analyzer.normalize_term(local) {
-                let tid = self.inverted.term_id(&term);
-                self.inverted.push(tid, dewey.clone());
-            }
+            self.inverted.post_label(label, attr_name, ordinal, &self.analyzer);
         }
-        let mut terms = Vec::new();
-        self.analyzer.analyze_into(value, &mut terms);
-        for term in &terms {
-            let tid = self.inverted.term_id(term);
-            self.inverted.push(tid, dewey.clone());
-        }
+        self.inverted.post_text(value, ordinal, &self.analyzer);
         self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
         frame.children.push(ChildInfo {
             dewey,
@@ -434,6 +439,7 @@ impl IndexBuilder {
                 has_rep_inside: false,
             },
         });
+        Ok(())
     }
 
     /// Runs categorization for a closing element: finalizes its children,
@@ -442,15 +448,16 @@ impl IndexBuilder {
     fn close_frame(
         &mut self,
         mut frame: OpenFrame,
-        scratch: &mut FastMap<u32, u32>,
+        scratch: &mut ElementScratch,
         arena: &mut AttrArena,
     ) -> ChildInfo {
-        let summaries: Vec<ChildSummary> =
-            frame.children.iter().map(|c| c.summary.clone()).collect();
-        let outcome = close_element(&summaries, scratch);
+        let ElementScratch { summaries, close } = scratch;
+        summaries.clear();
+        summaries.extend(frame.children.iter().map(|c| c.summary));
+        let outcome = close_element(summaries, close);
 
         let mut attr_entries: Vec<PendingAttr> = Vec::new();
-        for (child, &repeating) in frame.children.iter_mut().zip(&outcome.child_repeating) {
+        for (child, &repeating) in frame.children.iter_mut().zip(outcome.child_repeating) {
             if child.text_only && !child.text.is_empty() {
                 attr_entries.push(PendingAttr {
                     path: arena.prepend(child.label, AttrArena::NIL),
@@ -482,7 +489,7 @@ impl IndexBuilder {
         let real_children = frame.children.iter().filter(|c| !c.synthetic).count();
 
         // Children are fully decided now: record them.
-        for (child, &repeating) in frame.children.into_iter().zip(&outcome.child_repeating) {
+        for (child, &repeating) in frame.children.into_iter().zip(outcome.child_repeating) {
             let mut flags = self_flags(child.text_only, child.is_entity, child.has_attr_child);
             finalize_child_flags(&mut flags, repeating);
             self.record_node(
@@ -500,7 +507,9 @@ impl IndexBuilder {
                     let text = &arena.texts[e.text as usize];
                     AttrIds {
                         path: self.attrs.intern_path(&path),
-                        value: self.attrs.intern_value(text, &self.analyzer),
+                        value: self
+                            .attrs
+                            .intern_value(text, || self.inverted.norm(text, &self.analyzer)),
                         source: e.source,
                     }
                 })
@@ -544,8 +553,11 @@ impl IndexBuilder {
         self.stats.total_nodes += 1;
         let primary = meta.flags.primary();
         self.stats.census.add(primary);
-        let label_name = self.node_table.labels().name(meta.label).to_string();
-        self.stats.per_label.entry(label_name).or_default().add(primary);
+        let slot = meta.label as usize;
+        if slot >= self.label_census.len() {
+            self.label_census.resize(slot + 1, CategoryCensus::default());
+        }
+        self.label_census[slot].add(primary);
         self.node_table.insert(dewey, meta);
     }
 }

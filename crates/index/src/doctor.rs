@@ -432,7 +432,7 @@ mod tests {
         let attrs = ix.attrs_mut();
         let entry = AttrIds {
             path: attrs.intern_path(&[u32::MAX]),
-            value: attrs.intern_value("x", &analyzer),
+            value: attrs.intern_value("x", || analyzer.analyze("x").join(" ")),
             source: AttrSource::Attribute,
         };
         attrs.insert(entity.clone(), 0, &[entry]);

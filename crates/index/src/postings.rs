@@ -23,6 +23,7 @@ use gks_dewey::codec::{
     encode_blocked_run, read_varint, write_varint, BlockedRunReader, DecodeError,
 };
 use gks_dewey::DeweyId;
+use gks_text::{tokenize_into, Analyzer};
 
 use crate::error::IndexError;
 use crate::fasthash::FastMap;
@@ -30,11 +31,32 @@ use crate::stats::IndexStats;
 
 /// Build-time accumulator of posting lists, by interned term. It does not
 /// outlive the build: [`Self::finish`] turns it into an [`EncodedTier`].
+///
+/// A posting is a node's pre-order ordinal, a `u32`, not its [`DeweyId`]:
+/// pre-order is Dewey order, so the lists sort and dedup as integers, and
+/// the id column resolves each ordinal once, when its term is encoded.
+///
+/// Analysis is memoised here too. An element name is normalized once per
+/// label and a token is analysed once per distinct token, so the memos grow
+/// with the vocabulary, as the term dictionary does, not with the corpus.
 #[derive(Debug, Default)]
 pub(crate) struct InvertedIndex {
     term_ids: FastMap<String, u32>,
     terms: Vec<String>,
-    lists: Vec<Vec<DeweyId>>,
+    lists: Vec<Vec<u32>>,
+    /// The pre-order id column: the Dewey id of node ordinal `i`.
+    nodes: Vec<DeweyId>,
+    /// Element-name term per label id: `None` until the label's first
+    /// node, then the term of its normalized local name, if it has one.
+    label_terms: Vec<Option<Option<u32>>>,
+    /// Token (as [`tokenize_into`] yields it) → term of its analysed form,
+    /// `None` for a token the analyzer drops.
+    token_terms: FastMap<Box<str>, Option<u32>>,
+}
+
+/// The ordinal of the node after `count` others, or an error past `u32`.
+fn ordinal(count: usize) -> Result<u32, IndexError> {
+    u32::try_from(count).map_err(|_| IndexError::Invariant("more than 2^32 nodes in one build"))
 }
 
 impl InvertedIndex {
@@ -50,10 +72,82 @@ impl InvertedIndex {
         id
     }
 
-    /// Appends a posting for `term_id`. Postings may arrive out of order and
-    /// with duplicates; [`Self::finish`] sorts and dedups.
-    pub(crate) fn push(&mut self, term_id: u32, id: DeweyId) {
-        self.lists[term_id as usize].push(id);
+    /// Appends the next node in pre-order and returns its ordinal.
+    pub(crate) fn node(&mut self, id: &DeweyId) -> Result<u32, IndexError> {
+        let ord = ordinal(self.nodes.len())?;
+        self.nodes.push(id.clone());
+        Ok(ord)
+    }
+
+    /// Appends a posting for `term_id` at node ordinal `ord`. Postings may
+    /// arrive out of order and with duplicates; [`Self::finish`] sorts and
+    /// dedups.
+    pub(crate) fn push(&mut self, term_id: u32, ord: u32) {
+        self.lists[term_id as usize].push(ord);
+    }
+
+    /// Posts the element-name term of label `label`, named `name`, at node
+    /// `ord`. Namespace-prefixed names ("dblp:author") index by their local
+    /// part.
+    pub(crate) fn post_label(&mut self, label: u32, name: &str, ord: u32, analyzer: &Analyzer) {
+        let slot = label as usize;
+        if slot >= self.label_terms.len() {
+            self.label_terms.resize(slot + 1, None);
+        }
+        let term = match self.label_terms[slot] {
+            Some(term) => term,
+            None => {
+                let local = name.rsplit(':').next().unwrap_or(name);
+                let term = analyzer.normalize_term(local).map(|t| self.term_id(&t));
+                self.label_terms[slot] = Some(term);
+                term
+            }
+        };
+        if let Some(tid) = term {
+            self.push(tid, ord);
+        }
+    }
+
+    /// Posts every analysed term of `text` at node `ord`.
+    pub(crate) fn post_text(&mut self, text: &str, ord: u32, analyzer: &Analyzer) {
+        tokenize_into(text, |tok| {
+            if let Some(tid) = self.token_term(tok, analyzer) {
+                self.push(tid, ord);
+            }
+        });
+    }
+
+    fn token_term(&mut self, tok: &str, analyzer: &Analyzer) -> Option<u32> {
+        if let Some(&term) = self.token_terms.get(tok) {
+            return term;
+        }
+        let term = analyzer.analyze_token(tok).map(|t| self.term_id(&t));
+        self.token_terms.insert(tok.into(), term);
+        term
+    }
+
+    /// The analysed terms of `text`, space-joined: what
+    /// `analyzer.analyze(text).join(" ")` returns, read off the token memo
+    /// where it can be.
+    pub(crate) fn norm(&self, text: &str, analyzer: &Analyzer) -> String {
+        let mut norm = String::new();
+        tokenize_into(text, |tok| {
+            let analysed;
+            let term = match self.token_terms.get(tok) {
+                Some(term) => term.map(|tid| self.terms[tid as usize].as_str()),
+                None => {
+                    analysed = analyzer.analyze_token(tok);
+                    analysed.as_deref()
+                }
+            };
+            if let Some(term) = term {
+                if !norm.is_empty() {
+                    norm.push(' ');
+                }
+                norm.push_str(term);
+            }
+        });
+        norm
     }
 
     /// Sorts every list into document order, removes duplicate postings (a
@@ -64,15 +158,21 @@ impl InvertedIndex {
     /// Errors only if the term dictionary outgrows the fixed-width `u32`
     /// offset table (4GiB of term records — far past any real corpus).
     pub(crate) fn finish(self) -> Result<EncodedTier, IndexError> {
-        let InvertedIndex { terms, mut lists, .. } = self;
+        let InvertedIndex { terms, mut lists, nodes, .. } = self;
         let mut order: Vec<usize> = (0..terms.len()).collect();
         order.sort_unstable_by(|&a, &b| terms[a].as_bytes().cmp(terms[b].as_bytes()));
         let mut tier = EncodedTier::default();
+        let mut ids: Vec<DeweyId> = Vec::new();
         for i in order {
             let mut list = std::mem::take(&mut lists[i]);
             list.sort_unstable();
             list.dedup();
-            tier.push(&terms[i], &list)?;
+            ids.clear();
+            for &ord in &list {
+                let id = nodes.get(ord as usize).ok_or(IndexError::Invariant("unknown ordinal"))?;
+                ids.push(id.clone());
+            }
+            tier.push(&terms[i], &ids)?;
         }
         Ok(tier)
     }
@@ -451,16 +551,50 @@ mod tests {
         acc.finish().unwrap().open(&mut IndexStats::default()).unwrap()
     }
 
+    /// An accumulator holding `ids` as its nodes, in pre-order.
+    fn with_nodes(ids: &[DeweyId]) -> InvertedIndex {
+        let mut acc = InvertedIndex::default();
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(acc.node(id).unwrap(), i as u32);
+        }
+        acc
+    }
+
     #[test]
     fn postings_sorted_and_deduped() {
-        let mut acc = InvertedIndex::default();
+        let mut acc = with_nodes(&[d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])]);
         let karen = acc.term_id("karen");
-        acc.push(karen, d(0, &[0, 1, 1, 2]));
-        acc.push(karen, d(0, &[0, 1, 1, 0]));
-        acc.push(karen, d(0, &[0, 1, 1, 0])); // duplicate occurrence
-        acc.push(karen, d(1, &[0]));
+        acc.push(karen, 1);
+        acc.push(karen, 0);
+        acc.push(karen, 0); // duplicate occurrence
+        acc.push(karen, 2);
         let ix = finish(acc);
         assert_eq!(ix.postings("karen"), &[d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])]);
+    }
+
+    #[test]
+    fn an_ordinal_past_u32_is_an_error() {
+        assert_eq!(ordinal(u32::MAX as usize).unwrap(), u32::MAX);
+        assert!(matches!(ordinal(u32::MAX as usize + 1), Err(IndexError::Invariant(_))));
+    }
+
+    #[test]
+    fn memoised_analysis_posts_what_the_analyzer_yields() {
+        let analyzer = Analyzer::default();
+        let mut acc = with_nodes(&[d(0, &[]), d(0, &[0]), d(0, &[1])]);
+        acc.post_label(0, "dblp:Authors", 0, &analyzer);
+        acc.post_label(0, "dblp:Authors", 2, &analyzer);
+        acc.post_label(1, "the", 1, &analyzer); // a stop word: no term
+        acc.post_text("Searching the Databases", 1, &analyzer);
+        acc.post_text("databases SEARCHING", 2, &analyzer);
+        for text in ["Searching the Databases", "unseen Words, searching"] {
+            assert_eq!(acc.norm(text, &analyzer), analyzer.analyze(text).join(" "));
+        }
+        assert_eq!(acc.terms, ["author", "search", "databas"]);
+        let ix = finish(acc);
+        assert_eq!(ix.postings("author"), &[d(0, &[]), d(0, &[1])]);
+        assert_eq!(ix.postings("search"), &[d(0, &[0]), d(0, &[1])]);
+        assert_eq!(ix.postings("databas"), &[d(0, &[0]), d(0, &[1])]);
     }
 
     #[test]
@@ -482,10 +616,10 @@ mod tests {
 
     #[test]
     fn counters() {
-        let mut acc = InvertedIndex::default();
+        let mut acc = with_nodes(&[d(0, &[0]), d(0, &[1])]);
         let a = acc.term_id("a");
-        acc.push(a, d(0, &[0]));
-        acc.push(a, d(0, &[1]));
+        acc.push(a, 0);
+        acc.push(a, 1);
         let mut stats = IndexStats::default();
         let ix = acc.finish().unwrap().open(&mut stats).unwrap();
         assert_eq!(

@@ -1,11 +1,14 @@
 //! Property tests of the index builder's structural invariants over random
 //! documents.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Mmap;
 use gks_dewey::{DeweyId, DocId};
 use gks_index::{Corpus, GksIndex, IndexOptions};
+use gks_text::Analyzer;
+use gks_xml::{Event, Reader};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -18,12 +21,25 @@ enum Tree {
     },
 }
 
+/// Words repeat across nodes, as real text does, so the builder's analysis
+/// memo is hit; some are stop words, capitalised or not ASCII.
 fn arb_word() -> impl Strategy<Value = String> {
-    prop::sample::select(vec!["alpha", "beta", "gamma", "delta"]).prop_map(str::to_string)
+    prop::sample::select(vec![
+        "alpha",
+        "beta",
+        "gamma",
+        "delta",
+        "The Alpha",
+        "Searching, searched",
+        "of the",
+        "İstanbul Straße",
+    ])
+    .prop_map(str::to_string)
 }
 
 fn arb_label() -> impl Strategy<Value = String> {
-    prop::sample::select(vec!["item", "name", "grp", "rec"]).prop_map(str::to_string)
+    prop::sample::select(vec!["item", "name", "grp", "rec", "x:Items", "the"])
+        .prop_map(str::to_string)
 }
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
@@ -31,7 +47,10 @@ fn arb_tree() -> impl Strategy<Value = Tree> {
     leaf.prop_recursive(4, 48, 4, |inner| {
         (
             arb_label(),
-            prop::collection::vec((prop::sample::select(vec!["k1", "k2"]), arb_word()), 0..2),
+            prop::collection::vec(
+                (prop::sample::select(vec!["k1", "k2", "x:Keys"]), arb_word()),
+                0..2,
+            ),
             prop::collection::vec(inner, 0..4),
         )
             .prop_map(|(label, attrs, children)| Tree::Node {
@@ -66,16 +85,106 @@ fn to_xml(tree: &Tree, out: &mut String) {
     }
 }
 
-fn build(tree: &Tree) -> GksIndex {
+fn document(tree: &Tree) -> String {
     let mut xml = String::from("<root>");
     to_xml(tree, &mut xml);
     xml.push_str("</root>");
-    let corpus = Corpus::from_named_strs([("t", xml)]).unwrap();
+    xml
+}
+
+fn build(tree: &Tree) -> GksIndex {
+    let corpus = Corpus::from_named_strs([("t", document(tree))]).unwrap();
     GksIndex::build(&corpus, IndexOptions::default()).unwrap()
+}
+
+/// Every term's posting set, computed straight from the reader's events:
+/// an element (or a lifted XML attribute) posts its normalized local name
+/// and the analysed terms of its own text. Shares no code with the builder.
+fn oracle_postings(docs: &[String], options: &IndexOptions) -> BTreeMap<String, Vec<DeweyId>> {
+    let analyzer = Analyzer::new(options.analyzer_options());
+    let mut postings: BTreeMap<String, BTreeSet<DeweyId>> = BTreeMap::new();
+    let mut post = |term: String, id: &DeweyId| {
+        postings.entry(term).or_default().insert(id.clone());
+    };
+    let local = |name: &str| name.rsplit(':').next().unwrap_or(name).to_string();
+    for (doc, xml) in docs.iter().enumerate() {
+        // Open elements: the id and the number of children handed out.
+        let mut open: Vec<(DeweyId, u32)> = Vec::new();
+        let mut reader = Reader::new(xml);
+        while let Some(event) = reader.next_event().unwrap() {
+            match event {
+                Event::Start { name, attributes } => {
+                    let id = match open.last_mut() {
+                        Some((parent, next)) => {
+                            *next += 1;
+                            parent.child(*next - 1)
+                        }
+                        None => DeweyId::root(DocId(doc as u32)),
+                    };
+                    if options.index_element_names {
+                        analyzer
+                            .normalize_term(&local(name))
+                            .into_iter()
+                            .for_each(|t| post(t, &id));
+                    }
+                    let mut next = 0;
+                    if options.xml_attributes_as_elements {
+                        for attr in &attributes {
+                            let child = id.child(next);
+                            next += 1;
+                            if options.index_element_names {
+                                analyzer
+                                    .normalize_term(&local(attr.name))
+                                    .into_iter()
+                                    .for_each(|t| post(t, &child));
+                            }
+                            analyzer.analyze(&attr.value).into_iter().for_each(|t| post(t, &child));
+                        }
+                    }
+                    open.push((id, next));
+                }
+                Event::Text(text) => {
+                    let (id, _) = open.last().unwrap();
+                    let mut terms = Vec::new();
+                    analyzer.analyze_into(&text, &mut terms);
+                    terms.into_iter().for_each(|t| post(t, id));
+                }
+                Event::End { .. } => {
+                    open.pop();
+                }
+                _ => {}
+            }
+        }
+    }
+    postings
+        .into_iter()
+        .map(|(term, ids)| (term, ids.into_iter().collect()))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every term's posting list is exactly the oracle's, with element names
+    /// and lifted XML attributes each on and off, over documents that share
+    /// their words.
+    #[test]
+    fn postings_match_an_event_oracle(
+        trees in prop::collection::vec(arb_tree(), 1..3),
+        flags in 0u32..4,
+    ) {
+        let options = IndexOptions {
+            index_element_names: flags & 1 != 0,
+            xml_attributes_as_elements: flags & 2 != 0,
+            ..Default::default()
+        };
+        let docs: Vec<String> = trees.iter().map(document).collect();
+        let named = docs.iter().enumerate().map(|(i, xml)| (format!("d{i}"), xml.clone()));
+        let ix = GksIndex::build(&Corpus::from_named_strs(named).unwrap(), options.clone()).unwrap();
+        let built: BTreeMap<String, Vec<DeweyId>> =
+            ix.inverted().iter().map(|(term, list)| (term.to_string(), list.to_vec())).collect();
+        prop_assert_eq!(built, oracle_postings(&docs, &options));
+    }
 
     /// Posting lists are sorted, deduplicated, and every posting's node is
     /// in the node table.

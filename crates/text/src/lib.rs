@@ -70,15 +70,23 @@ impl Analyzer {
         if cleaned.is_empty() {
             return None;
         }
-        if self.options.remove_stopwords && stopwords::is_stopword(&cleaned) {
+        self.analyze_token(&cleaned)
+    }
+
+    /// Analyses one token as [`tokenize_into`] yields it: `None` for a stop
+    /// word or for a term shorter than `min_term_len` after stemming, else the
+    /// (stemmed) term. [`Self::analyze_into`] applies exactly this rule to
+    /// every token, so an indexer may analyse each distinct token once.
+    pub fn analyze_token(&self, tok: &str) -> Option<String> {
+        if self.options.remove_stopwords && stopwords::is_stopword(tok) {
             return None;
         }
-        let out = if self.options.stem {
-            stem(&cleaned)
+        let term = if self.options.stem {
+            stem(tok)
         } else {
-            cleaned
+            tok.to_string()
         };
-        (out.len() >= self.options.min_term_len).then_some(out)
+        (term.len() >= self.options.min_term_len).then_some(term)
     }
 
     /// Runs the full pipeline over free text, returning the surviving terms
@@ -91,22 +99,9 @@ impl Analyzer {
     }
 
     /// Like [`Self::analyze`] but pushes into the caller's buffer, per the
-    /// "workhorse collection" idiom — the indexer calls this once per text
-    /// node.
+    /// "workhorse collection" idiom.
     pub fn analyze_into(&self, text: &str, out: &mut Vec<String>) {
-        tokenize_into(text, |tok| {
-            if self.options.remove_stopwords && stopwords::is_stopword(tok) {
-                return;
-            }
-            let term = if self.options.stem {
-                stem(tok)
-            } else {
-                tok.to_string()
-            };
-            if term.len() >= self.options.min_term_len {
-                out.push(term);
-            }
-        });
+        tokenize_into(text, |tok| out.extend(self.analyze_token(tok)));
     }
 }
 

@@ -1,7 +1,25 @@
 //! Property tests for the text pipeline.
 
-use gks_text::{stem, tokenize, Analyzer};
+use gks_text::{stem, stopwords, tokenize, tokenize_into, Analyzer, AnalyzerOptions};
 use proptest::prelude::*;
+
+/// Text drawn from the whole of Unicode, weighted towards separators, digits
+/// and chars whose lower case is several chars ('İ', 'ẞ' is one, 'ǅ' a
+/// title-case one) or depends on context in `str::to_lowercase` ('Σ').
+fn arb_text() -> impl Strategy<Value = String> {
+    let piece = (0u32..3, 0u32..0x11_0000, "[aZ İΣẞΩǄǅﬁ,.'0-9]").prop_map(|(pick, code, class)| {
+        match (pick, char::from_u32(code)) {
+            (0, Some(c)) => c.to_string(),
+            _ => class,
+        }
+    });
+    prop::collection::vec(piece, 0..48).prop_map(|pieces| pieces.concat())
+}
+
+/// The analyser options of `flags` (bit 0: stop words, bit 1: stemming).
+fn options(flags: u32, min_term_len: usize) -> AnalyzerOptions {
+    AnalyzerOptions { remove_stopwords: flags & 1 != 0, stem: flags & 2 != 0, min_term_len }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -66,5 +84,46 @@ proptest! {
                 prop_assert_eq!(thrice.as_deref(), Some(twice.as_str()));
             }
         }
+    }
+
+    /// Analysing token by token is analysing the text: an indexer that
+    /// memoises `analyze_token` per distinct token posts exactly the terms
+    /// `analyze_into` yields, under every option set.
+    #[test]
+    fn analyze_token_per_token_is_analyze_into(
+        text in arb_text(),
+        flags in 0u32..4,
+        min_term_len in 1usize..=5,
+    ) {
+        let analyzer = Analyzer::new(options(flags, min_term_len));
+        let mut whole = Vec::new();
+        analyzer.analyze_into(&text, &mut whole);
+        let mut per_token = Vec::new();
+        tokenize_into(&text, |tok| per_token.extend(analyzer.analyze_token(tok)));
+        prop_assert_eq!(&per_token, &whole);
+        // The rule itself, spelled out independently.
+        let spelled: Vec<String> = tokenize(&text)
+            .into_iter()
+            .filter(|t| !(flags & 1 != 0 && stopwords::is_stopword(t)))
+            .map(|t| if flags & 2 != 0 { stem(&t) } else { t })
+            .filter(|t| t.len() >= min_term_len)
+            .collect();
+        prop_assert_eq!(per_token, spelled);
+    }
+
+    /// The tokenizer hands out the same tokens whether or not it copies:
+    /// maximal alphanumeric runs, each char lower-cased on its own.
+    #[test]
+    fn tokenize_matches_per_char_lowering(text in arb_text()) {
+        let mut expected = Vec::new();
+        let mut run = String::new();
+        for c in text.chars().chain(std::iter::once(' ')) {
+            if c.is_alphanumeric() {
+                run.extend(c.to_lowercase());
+            } else if !run.is_empty() {
+                expected.push(std::mem::take(&mut run));
+            }
+        }
+        prop_assert_eq!(tokenize(&text), expected);
     }
 }
