@@ -179,6 +179,20 @@ fn parse_query(words: &[String]) -> Result<Query, CliError> {
         .map_err(|e| CliError::usage(format!("bad query: {e}")))
 }
 
+/// The warning `gks index` adds when `--shards` asked for more shards than
+/// it wrote: shards split a corpus by document, so a corpus of fewer
+/// documents than requested shards gets one shard per document. Empty when
+/// every requested shard was written.
+fn shard_shortfall(requested: usize, written: usize, docs: impl std::fmt::Display) -> String {
+    if written >= requested {
+        return String::new();
+    }
+    format!(
+        "warning: --shards {requested} requested but {written} shard(s) written: the corpus has \
+         {docs} document(s), and shards split a corpus by document\n"
+    )
+}
+
 fn cmd_index(args: &[String]) -> Result<String, CliError> {
     const INDEX_USAGE: &str = "usage: gks index [--shards N] <out.gksix> <file.xml>...";
     let mut shards = 1usize;
@@ -217,10 +231,11 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::runtime(format!("cannot index directory {dir:?}: {e}")))?;
             return Ok(format!(
                 "indexed corpus directory {dir}: {} document(s) across {} shard(s), epoch {}\n\
-                 wrote manifest to {out} — keep it fresh with `gks watch {out}`\n",
+                 wrote manifest to {out} — keep it fresh with `gks watch {out}`\n{}",
                 manifest.docs.len(),
                 manifest.shards.len(),
-                manifest.epoch
+                manifest.epoch,
+                shard_shortfall(shards, manifest.shards.len(), manifest.docs.len())
             ));
         }
     }
@@ -244,6 +259,7 @@ fn cmd_index(args: &[String]) -> Result<String, CliError> {
             manifest.shards.len(),
             manifest.doc_count()
         );
+        report.push_str(&shard_shortfall(shards, manifest.shards.len(), manifest.doc_count()));
         return Ok(report);
     }
     let index = GksIndex::build(&corpus, IndexOptions::default())

@@ -161,6 +161,7 @@ fn sharded_index_builds_manifest_and_shard_files() {
     ]))
     .unwrap();
     assert!(out.contains("wrote shard manifest (2 shard(s), 2 document(s))"), "{out}");
+    assert!(!out.contains("warning"), "{out}");
     let manifest = ShardManifest::load(&manifest_path).unwrap();
     assert_eq!(manifest.shards.len(), 2);
     assert_eq!(manifest.doc_count(), 2);
@@ -182,6 +183,46 @@ fn sharded_index_builds_manifest_and_shard_files() {
     assert_eq!(err.code, 2, "zero shards");
     let err = run(&args(&["index", "--shards", "x", "/tmp/x", "/tmp/y.xml"])).unwrap_err();
     assert_eq!(err.code, 2, "non-numeric shards");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--shards N` over fewer than N documents writes one shard per document,
+/// says so, and still succeeds — in the file-list and the directory form.
+#[test]
+fn more_shards_than_documents_warns_and_succeeds() {
+    let dir = tmpdir().join("shard-shortfall");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let xml = corpus.join("a.xml");
+    std::fs::write(&xml, "<r><x>alpha</x></r>").unwrap();
+    let manifest = dir.join("files.shards");
+    let out = run(&args(&[
+        "index",
+        "--shards",
+        "4",
+        manifest.to_str().unwrap(),
+        xml.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let warning = "warning: --shards 4 requested but 1 shard(s) written: the corpus has 1 \
+                   document(s)";
+    assert!(out.contains(warning), "{out}");
+    assert_eq!(ShardManifest::load(&manifest).unwrap().shards.len(), 1);
+
+    std::fs::write(corpus.join("b.xml"), "<r><x>beta</x></r>").unwrap();
+    let live = dir.join("live.shards");
+    let out = run(&args(&[
+        "index",
+        "--shards",
+        "3",
+        live.to_str().unwrap(),
+        corpus.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let warning = "warning: --shards 3 requested but 2 shard(s) written: the corpus has 2 \
+                   document(s)";
+    assert!(out.contains(warning), "{out}");
+    assert_eq!(ShardManifest::load(&live).unwrap().shards.len(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 

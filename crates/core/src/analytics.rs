@@ -109,7 +109,7 @@ pub fn analyze(
         // Facet contributions: one per attribute path, counting each value
         // once per hit.
         let mut seen_paths: Vec<Vec<String>> = Vec::new();
-        for entry in index.attr_store().entries(&hit.node).iter() {
+        for entry in index.entries(&hit.node).iter() {
             if entry.source == AttrSource::RepeatingText && !options.include_repeating_text {
                 continue;
             }

@@ -22,7 +22,6 @@ use crate::search::Hit;
 pub fn render_xml_chunk(index: &GksIndex, hit: &Hit) -> Result<String, WriterError> {
     let label = index.node_table().label_name(&hit.node).unwrap_or("node");
     let mut entries: Vec<(Vec<&str>, &str)> = index
-        .attr_store()
         .entries(&hit.node)
         .iter()
         .map(|e| {

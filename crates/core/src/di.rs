@@ -245,7 +245,7 @@ impl<'a> DiAccumulator<'a> {
             return;
         }
         let store = index.attr_store();
-        let entries = store.entries(node);
+        let entries = index.entries(node);
         if entries.is_empty() {
             return;
         }

@@ -123,14 +123,16 @@ impl Engine {
 
     /// The element labels along the path from the document root to `node`
     /// (inclusive) — an XPath-like location such as
-    /// `["dblp", "inproceedings", "author"]`.
+    /// `["dblp", "inproceedings", "author"]`, with `"?"` for each depth the
+    /// index does not record. One walk down the node table.
     pub fn node_path(&self, node: &DeweyId) -> Vec<String> {
-        (0..=node.depth())
-            .map(|depth| {
-                let prefix = node.ancestor_at_depth(depth);
-                self.index.node_table().label_name(&prefix).unwrap_or("?").to_string()
-            })
-            .collect()
+        let table = self.index.node_table();
+        let mut path: Vec<String> = table
+            .path(node)
+            .map(|meta| table.labels().name(meta.label).to_string())
+            .collect();
+        path.resize(node.depth() + 1, "?".to_string());
+        path
     }
 
     /// A short rendering of a hit: node description, Dewey id, matched
@@ -144,7 +146,7 @@ impl Engine {
             hit.keyword_count,
             hit.rank
         );
-        let attrs = self.index.attr_store().entries(&hit.node);
+        let attrs = self.index.entries(&hit.node);
         if !attrs.is_empty() {
             let shown: Vec<String> = attrs
                 .iter()

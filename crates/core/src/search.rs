@@ -399,14 +399,7 @@ pub fn search_masked(
         hits.into_iter().zip(keep).filter(|(_, k)| *k).map(|(h, _)| h).collect();
 
     // 7. Final ranking.
-    hits.sort_by(|a, b| {
-        b.rank
-            .partial_cmp(&a.rank)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.keyword_count.cmp(&a.keyword_count))
-            .then_with(|| a.node.cmp(&b.node))
-    });
-    hits.truncate(options.limit);
+    rank_top(&mut hits, options.limit);
     trace.assemble_micros = rank_span.elapsed_micros();
     drop(rank_span);
 
@@ -420,6 +413,28 @@ pub fn search_masked(
         trace,
         cost,
     })
+}
+
+/// Final ranking order: higher rank first, then more keywords, then
+/// document order. Total over hits with distinct nodes and comparable ranks.
+fn rank_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    b.rank
+        .partial_cmp(&a.rank)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| b.keyword_count.cmp(&a.keyword_count))
+        .then_with(|| a.node.cmp(&b.node))
+}
+
+/// Sorts `hits` by [`rank_order`] and keeps the first `limit`. When fewer
+/// than all are kept, a selection moves the best `limit` to the front
+/// first, so only they are sorted; the order is total, so the result is
+/// what sorting everything and truncating gives.
+fn rank_top(hits: &mut Vec<Hit>, limit: usize) {
+    if limit < hits.len() {
+        hits.select_nth_unstable_by(limit, rank_order);
+        hits.truncate(limit);
+    }
+    hits.sort_by(rank_order);
 }
 
 #[cfg(test)]
@@ -633,5 +648,39 @@ mod tests {
         let r = run(&ix, "ka kb kc kd", 2);
         let matched = r.hits()[0].matched_keywords(r.keywords());
         assert_eq!(matched, vec!["ka", "kb", "kc"]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Selecting the top `limit` and sorting them equals sorting every
+        /// hit and truncating, on hits whose ranks and keyword counts tie
+        /// often.
+        #[test]
+        fn rank_top_is_sort_and_truncate(
+            hits in proptest::collection::vec((0u8..4, 1u32..3, 0u32..40, 0u32..5), 0..60),
+            limit in 0usize..70,
+        ) {
+            let mut hits: Vec<Hit> = hits
+                .into_iter()
+                .map(|(rank, keyword_count, step, doc)| Hit {
+                    node: DeweyId::new(DocId(doc), vec![step]),
+                    kind: HitKind::Lce,
+                    keyword_mask: 1,
+                    keyword_count,
+                    rank: f64::from(rank) / 2.0,
+                })
+                .collect();
+            hits.sort_by(|a, b| a.node.cmp(&b.node));
+            hits.dedup_by(|a, b| a.node == b.node);
+            let mut expected = hits.clone();
+            expected.sort_by(rank_order);
+            expected.truncate(limit);
+            rank_top(&mut hits, limit);
+            let key = |hits: &[Hit]| -> Vec<(DeweyId, u32, f64)> {
+                hits.iter().map(|h| (h.node.clone(), h.keyword_count, h.rank)).collect()
+            };
+            proptest::prop_assert_eq!(key(&hits), key(&expected));
+        }
     }
 }

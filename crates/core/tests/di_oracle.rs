@@ -28,7 +28,7 @@ fn reference_di(index: &GksIndex, response: &Response, options: &DiOptions) -> (
             continue;
         }
         let entity_label = index.node_table().label_name(&hit.node).unwrap_or("?");
-        for entry in index.attr_store().entries(&hit.node).iter() {
+        for entry in index.entries(&hit.node).iter() {
             attrs_evaluated += 1;
             if entry.source == AttrSource::RepeatingText && !options.include_repeating_text {
                 continue;

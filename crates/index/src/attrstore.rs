@@ -31,15 +31,19 @@
 //!   when it is first interned, with the index's own analyzer, and the norm
 //!   is persisted — DI groups by norm id and never calls the analyzer;
 //! * **slab** — every entity's [`AttrIds`], one contiguous run per entity;
-//! * **entities** — `Dewey id → (entity label id, run of the slab)`.
+//! * **entities** — `(node-table row, entity label id, run of the slab)` in
+//!   recording order, with a row-indexed column pointing back into them.
+//!
+//! An entity is named by its node-table row
+//! ([`crate::node_table::NodeTable::row`]), never by a hashed Dewey id:
+//! [`crate::GksIndex::entries`] walks the id to its row and reads the
+//! column.
 //!
 //! The string → id maps interning needs exist only while a store is being
 //! built (or appended to); a finished or loaded store carries the tables
 //! alone.
 
 use std::sync::Arc;
-
-use gks_dewey::DeweyId;
 
 use crate::error::IndexError;
 use crate::fasthash::FastMap;
@@ -125,6 +129,7 @@ struct Value {
 
 #[derive(Debug, Clone, Copy)]
 struct EntityRecord {
+    row: u32,
     label: u32,
     start: u32,
     len: u32,
@@ -146,10 +151,17 @@ pub struct AttrStore {
     values: Vec<Value>,
     norms: Vec<Arc<str>>,
     slab: Vec<AttrIds>,
-    entities: FastMap<DeweyId, EntityRecord>,
+    /// One record per entity, in recording order (the slab's).
+    entities: Vec<EntityRecord>,
+    /// Node-table row → index into `entities`, [`NO_ENTITY`] for a row
+    /// without a record; ends at the last row that has one.
+    by_row: Vec<u32>,
     /// Present between the first interning call and [`AttrStore::seal`].
     interner: Option<Interner>,
 }
+
+/// Marks a row without an entity record in [`AttrStore::by_row`].
+const NO_ENTITY: u32 = u32::MAX;
 
 fn id_of(len: usize) -> u32 {
     u32::try_from(len).unwrap_or(u32::MAX)
@@ -161,10 +173,12 @@ impl AttrStore {
         AttrStore::default()
     }
 
-    /// `R(e)`: the qualifying attributes of entity `e` (empty for unknown or
-    /// attribute-less entities).
-    pub fn entries(&self, e: &DeweyId) -> Entries<'_> {
-        match self.entities.get(e) {
+    /// `R(e)` for the entity at node-table row `row`: its qualifying
+    /// attributes (empty for a row without any). [`crate::GksIndex::entries`]
+    /// finds the row of a Dewey id.
+    pub fn entries_at(&self, row: u32) -> Entries<'_> {
+        let record = self.by_row.get(row as usize).and_then(|&i| self.entities.get(i as usize));
+        match record {
             Some(record) => self.run(record),
             None => Entries { store: self, label: 0, ids: &[] },
         }
@@ -186,13 +200,11 @@ impl AttrStore {
         self.entities.is_empty()
     }
 
-    /// Iterates all `(entity, entries)` pairs in the order they were
-    /// recorded — the slab's order, so a whole-store scan (persist, merge,
-    /// doctor) is sequential in memory and repeats exactly run to run.
-    pub fn iter(&self) -> impl Iterator<Item = (&DeweyId, Entries<'_>)> {
-        let mut records: Vec<(&DeweyId, &EntityRecord)> = self.entities.iter().collect();
-        records.sort_unstable_by_key(|(_, record)| record.start);
-        records.into_iter().map(|(e, record)| (e, self.run(record)))
+    /// Iterates all `(entity row, entries)` pairs in the order they were
+    /// recorded — the slab's order, so a whole-store scan (persist, doctor)
+    /// is sequential in memory and repeats exactly run to run.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, Entries<'_>)> {
+        self.entities.iter().map(|record| (record.row, self.run(record)))
     }
 
     /// The label ids of path `id` (empty for an unknown id).
@@ -301,16 +313,31 @@ impl AttrStore {
         self.entities.reserve(additional);
     }
 
-    /// Records the qualifying attributes of entity `e`, whose own label is
-    /// `label`. An empty entry list records nothing.
-    pub(crate) fn insert(&mut self, e: DeweyId, label: u32, entries: &[AttrIds]) {
+    /// Records the qualifying attributes of the entity at node-table row
+    /// `row`, whose own label is `label`. An empty entry list records
+    /// nothing; a row already recorded is an error.
+    pub(crate) fn insert(
+        &mut self,
+        row: u32,
+        label: u32,
+        entries: &[AttrIds],
+    ) -> Result<(), IndexError> {
         if entries.is_empty() {
-            return;
+            return Ok(());
         }
+        let slot = row as usize;
+        if self.by_row.get(slot).is_some_and(|&i| i != NO_ENTITY) {
+            return Err(IndexError::Corrupt(format!("attr entity row {row} recorded twice")));
+        }
+        if slot >= self.by_row.len() {
+            self.by_row.resize(slot + 1, NO_ENTITY);
+        }
+        self.by_row[slot] = id_of(self.entities.len());
         let record =
-            EntityRecord { label, start: id_of(self.slab.len()), len: id_of(entries.len()) };
+            EntityRecord { row, label, start: id_of(self.slab.len()), len: id_of(entries.len()) };
         self.slab.extend_from_slice(entries);
-        self.entities.insert(e, record);
+        self.entities.push(record);
+        Ok(())
     }
 
     // ----- loading (persistence layer) -----
@@ -335,11 +362,11 @@ impl AttrStore {
         Ok(())
     }
 
-    /// Records an entity read from disk; every path and value id must
-    /// already be loaded.
+    /// Records an entity read from disk at node-table row `row`; every
+    /// path and value id must already be loaded.
     pub(crate) fn load_entity(
         &mut self,
-        e: DeweyId,
+        row: u32,
         label: u32,
         entries: &[AttrIds],
     ) -> Result<(), IndexError> {
@@ -360,8 +387,7 @@ impl AttrStore {
         if u32::try_from(self.slab.len() + entries.len()).is_err() {
             return Err(IndexError::Corrupt("attr slab exceeds u32 entries".into()));
         }
-        self.insert(e, label, entries);
-        Ok(())
+        self.insert(row, label, entries)
     }
 
     // ----- test-only mutators for corrupted-index fixtures -----
@@ -375,17 +401,18 @@ impl AttrStore {
     pub(crate) fn slab_mut(&mut self) -> &mut Vec<AttrIds> {
         &mut self.slab
     }
+
+    #[cfg(test)]
+    pub(crate) fn set_entity_label(&mut self, row: u32, label: u32) {
+        let i = self.by_row[row as usize];
+        self.entities[i as usize].label = label;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gks_dewey::DocId;
     use gks_text::Analyzer;
-
-    fn d(steps: &[u32]) -> DeweyId {
-        DeweyId::new(DocId(0), steps.to_vec())
-    }
 
     fn one_entry(s: &mut AttrStore, label: u32, raw: &str) -> AttrIds {
         AttrIds {
@@ -399,22 +426,26 @@ mod tests {
     fn entries_round_trip() {
         let mut s = AttrStore::new();
         let entry = one_entry(&mut s, 3, "Data Mining");
-        s.insert(d(&[0, 1]), 7, &[entry]);
-        let entries = s.entries(&d(&[0, 1]));
+        s.insert(4, 7, &[entry]).unwrap();
+        let entries = s.entries_at(4);
         assert_eq!(entries.label(), 7);
         let views: Vec<AttrView<'_>> = entries.iter().collect();
         assert_eq!(
             views,
             vec![AttrView { path: &[3], value: "Data Mining", source: AttrSource::Attribute }]
         );
-        assert!(s.entries(&d(&[9])).is_empty());
+        assert!(s.entries_at(9).is_empty());
+        assert!(s.entries_at(3).is_empty());
         assert_eq!(s.len(), 1);
+        assert!(matches!(s.insert(4, 7, &[entry]), Err(IndexError::Corrupt(_))));
+        let rows: Vec<u32> = s.iter().map(|(row, _)| row).collect();
+        assert_eq!(rows, [4]);
     }
 
     #[test]
     fn empty_entry_lists_not_stored() {
         let mut s = AttrStore::new();
-        s.insert(d(&[0]), 0, &[]);
+        s.insert(0, 0, &[]).unwrap();
         assert!(s.is_empty());
     }
 

@@ -5,8 +5,11 @@
 //! a single pass over XML data" (paper §2.4). The builder maintains a stack
 //! of open elements; each closing element runs the categorization step
 //! ([`crate::categorize::close_element`]), finalizes its children's
-//! attribute/repeating status, emits its children's node-table entries, and
-//! reports a structural summary to its parent.
+//! attribute/repeating status, fills in its children's node-table rows, and
+//! reports a structural summary to its parent. Rows are appended at each
+//! element's start, so the node table's id column is in pre-order — Dewey
+//! order — and doubles as the ordinal → id map the posting lists resolve
+//! through.
 
 use std::time::Instant;
 
@@ -14,7 +17,7 @@ use gks_dewey::{DeweyId, DocId};
 use gks_text::Analyzer;
 use gks_xml::{Event, Reader};
 
-use crate::attrstore::{AttrIds, AttrSource, AttrStore};
+use crate::attrstore::{AttrIds, AttrSource, AttrStore, Entries};
 use crate::categorize::{
     close_element, finalize_child_flags, self_flags, ChildSummary, CloseScratch,
 };
@@ -43,7 +46,8 @@ pub struct GksIndex {
 
 /// Everything a closed element hands to its parent.
 struct ChildInfo {
-    dewey: DeweyId,
+    /// Node-table row (pre-order ordinal).
+    row: u32,
     label: u32,
     child_count: u32,
     text_only: bool,
@@ -114,7 +118,8 @@ struct ElementScratch {
 /// One open element during the streaming pass.
 struct OpenFrame {
     dewey: DeweyId,
-    /// Pre-order ordinal: what the element's postings record.
+    /// Node-table row, the pre-order ordinal: what the element's postings
+    /// record.
     ordinal: u32,
     label: u32,
     next_ordinal: u32,
@@ -176,6 +181,22 @@ impl GksIndex {
     /// The per-entity attribute store.
     pub fn attr_store(&self) -> &AttrStore {
         &self.attrs
+    }
+
+    /// `R(e)`: the qualifying attributes of entity `e` (empty for an unknown
+    /// or attribute-less node), read from `e`'s node-table row.
+    pub fn entries(&self, e: &DeweyId) -> Entries<'_> {
+        let row = self.node_table.row(e);
+        self.attrs.entries_at(row.unwrap_or(u32::MAX))
+    }
+
+    /// Every entity with recorded attributes, with its entries, in the
+    /// attribute store's recording order.
+    pub fn entities(&self) -> impl Iterator<Item = (&DeweyId, Entries<'_>)> {
+        let ids = self.node_table.ids();
+        self.attrs
+            .iter()
+            .filter_map(move |(row, entries)| Some((ids.get(row as usize)?, entries)))
     }
 
     /// Build statistics (Tables 4 and 5).
@@ -307,10 +328,12 @@ impl IndexBuilder {
                 self.stats.per_label.insert(name.clone(), *census);
             }
         }
-        let IndexBuilder { options, node_table, inverted, mut attrs, mut stats, doc_names, .. } =
-            self;
+        let IndexBuilder {
+            options, mut node_table, inverted, mut attrs, mut stats, doc_names, ..
+        } = self;
         attrs.seal();
-        let inverted = inverted.finish()?.open(&mut stats)?;
+        node_table.link(doc_names.len())?;
+        let inverted = inverted.finish(node_table.ids())?.open(&mut stats)?;
         stats.build_millis = start.elapsed().as_millis() as u64;
         let index = GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names);
         // Debug builds audit every freshly built index so the doctor's
@@ -353,8 +376,8 @@ impl IndexBuilder {
                         None => DeweyId::root(doc_id),
                     };
                     self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
-                    let ordinal = self.inverted.node(&dewey)?;
                     let label = self.node_table.labels_mut().intern(tag);
+                    let ordinal = self.node_table.push(dewey.clone(), label)?;
                     if self.options.index_element_names {
                         self.inverted.post_label(label, tag, ordinal, &self.analyzer);
                     }
@@ -394,7 +417,7 @@ impl IndexBuilder {
                     let frame = stack
                         .pop()
                         .ok_or(IndexError::Invariant("end event with no open element"))?;
-                    let info = self.close_frame(frame, &mut scratch, &mut arena);
+                    let info = self.close_frame(frame, &mut scratch, &mut arena)?;
                     match stack.last_mut() {
                         Some(parent) => parent.children.push(info),
                         None => self.finalize_root(info),
@@ -415,15 +438,15 @@ impl IndexBuilder {
     ) -> Result<(), IndexError> {
         let dewey = frame.dewey.child(frame.next_ordinal);
         frame.next_ordinal += 1;
-        let ordinal = self.inverted.node(&dewey)?;
+        self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
         let label = self.node_table.labels_mut().intern(attr_name);
+        let ordinal = self.node_table.push(dewey, label)?;
         if self.options.index_element_names {
             self.inverted.post_label(label, attr_name, ordinal, &self.analyzer);
         }
         self.inverted.post_text(value, ordinal, &self.analyzer);
-        self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
         frame.children.push(ChildInfo {
-            dewey,
+            row: ordinal,
             label,
             child_count: 1,
             text_only: true,
@@ -450,7 +473,7 @@ impl IndexBuilder {
         mut frame: OpenFrame,
         scratch: &mut ElementScratch,
         arena: &mut AttrArena,
-    ) -> ChildInfo {
+    ) -> Result<ChildInfo, IndexError> {
         let ElementScratch { summaries, close } = scratch;
         summaries.clear();
         summaries.extend(frame.children.iter().map(|c| c.summary));
@@ -493,7 +516,7 @@ impl IndexBuilder {
             let mut flags = self_flags(child.text_only, child.is_entity, child.has_attr_child);
             finalize_child_flags(&mut flags, repeating);
             self.record_node(
-                child.dewey,
+                child.row,
                 NodeMeta { child_count: child.child_count, flags, label: child.label },
             );
         }
@@ -514,20 +537,20 @@ impl IndexBuilder {
                     }
                 })
                 .collect();
-            self.attrs.insert(frame.dewey.clone(), frame.label, &entries);
+            self.attrs.insert(frame.ordinal, frame.label, &entries)?;
         }
 
         let element_children = outcome.child_repeating.len() as u32;
         let child_count = (element_children + u32::from(frame.has_text)).max(1);
         let text_only = real_children == 0;
-        ChildInfo {
+        Ok(ChildInfo {
             summary: ChildSummary {
                 label: frame.label,
                 text_only,
                 qual_attr_inside: outcome.summary_qual_attr_inside,
                 has_rep_inside: outcome.summary_has_rep_inside,
             },
-            dewey: frame.dewey,
+            row: frame.ordinal,
             label: frame.label,
             child_count,
             text_only,
@@ -536,7 +559,7 @@ impl IndexBuilder {
             has_attr_child: outcome.has_attr_child,
             text: frame.text,
             attr_entries,
-        }
+        })
     }
 
     /// The document root has no parent to finalize it; it is never repeating.
@@ -544,12 +567,12 @@ impl IndexBuilder {
         let mut flags = self_flags(info.text_only, info.is_entity, info.has_attr_child);
         finalize_child_flags(&mut flags, false);
         self.record_node(
-            info.dewey,
+            info.row,
             NodeMeta { child_count: info.child_count, flags, label: info.label },
         );
     }
 
-    fn record_node(&mut self, dewey: DeweyId, meta: NodeMeta) {
+    fn record_node(&mut self, row: u32, meta: NodeMeta) {
         self.stats.total_nodes += 1;
         let primary = meta.flags.primary();
         self.stats.census.add(primary);
@@ -558,7 +581,7 @@ impl IndexBuilder {
             self.label_census.resize(slot + 1, CategoryCensus::default());
         }
         self.label_census[slot].add(primary);
-        self.node_table.insert(dewey, meta);
+        self.node_table.set_meta(row, meta);
     }
 }
 
@@ -569,7 +592,7 @@ impl IndexBuilder {
 pub(crate) fn resolved_attrs(ix: &GksIndex) -> Vec<String> {
     let labels = ix.node_table().labels();
     let store = ix.attr_store();
-    let mut entities: Vec<_> = store.iter().collect();
+    let mut entities: Vec<_> = ix.entities().collect();
     entities.sort_by(|a, b| a.0.cmp(b.0));
     entities
         .iter()
@@ -698,7 +721,7 @@ mod tests {
     #[test]
     fn fig2a_attr_store_exposes_course_names() {
         let ix = build_fig2a();
-        let entries = ix.attr_store().entries(&d(&[1, 1, 0]));
+        let entries = ix.entries(&d(&[1, 1, 0]));
         // The Data Mining course: attribute <Name> plus three repeating
         // Student text nodes.
         let names: Vec<&str> = entries
@@ -726,7 +749,7 @@ mod tests {
         let ix = build_fig2a();
         // Area's own attributes must not include course names (the path
         // crosses the repeating <Course> nodes).
-        let entries = ix.attr_store().entries(&d(&[1]));
+        let entries = ix.entries(&d(&[1]));
         assert!(entries.iter().all(|e| e.value != "Data Mining"));
         assert!(entries.iter().any(|e| e.value == "Databases"));
     }
@@ -775,7 +798,7 @@ mod tests {
         // attribute store carries the lifted values.
         let country = DeweyId::new(DocId(0), vec![0]);
         assert!(ix.node_table().is_entity(&country).is_some());
-        let values: Vec<&str> = ix.attr_store().entries(&country).iter().map(|e| e.value).collect();
+        let values: Vec<&str> = ix.entries(&country).iter().map(|e| e.value).collect();
         assert!(values.contains(&"Albania"));
     }
 

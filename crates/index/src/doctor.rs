@@ -3,12 +3,17 @@
 //! GKS correctness rests on structural invariants the paper assumes but
 //! never re-checks at runtime: posting lists are document-ordered by Dewey
 //! id (§2.4 — the stack-based sweep silently produces wrong SLCA/ELCA
-//! answers on out-of-order postings), the Dewey prefix algebra of §2.1
-//! implies every non-root node's parent exists, and the AN/RN/EN/CN census
-//! of Table 5 must agree with the node table's category flags. The doctor
-//! validates all of them plus the attribute store, returning a typed
-//! [`Violation`] report instead of panicking, so it is safe to run against
-//! untrusted persisted indexes (`gks doctor <index.gksix>`).
+//! answers on out-of-order postings), every posting names a recorded node,
+//! and the AN/RN/EN/CN census of Table 5 must agree with the node table's
+//! category flags. The doctor validates all of them plus the attribute
+//! store, returning a typed [`Violation`] report instead of panicking, so it
+//! is safe to run against untrusted persisted indexes (`gks doctor
+//! <index.gksix>`).
+//!
+//! The §2.1 prefix algebra — every non-root node's parent is recorded — is
+//! not audited here: a node table that breaks it cannot exist, because
+//! linking the table ([`crate::node_table::NodeTable::link`]) refuses it at
+//! build and at open.
 //!
 //! The builder re-runs these checks under `#[cfg(debug_assertions)]` after
 //! every build, so debug test runs exercise them continuously.
@@ -38,12 +43,6 @@ pub enum Violation {
         /// The term whose list contains the dangling posting.
         term: String,
         /// The unresolvable Dewey id.
-        node: DeweyId,
-    },
-    /// A non-root node's parent is missing from the node table, breaking
-    /// the §2.1 prefix algebra (ancestor walks, child-count lookups).
-    OrphanNode {
-        /// The node whose parent is absent.
         node: DeweyId,
     },
     /// The node table holds a different number of nodes than the build
@@ -128,9 +127,6 @@ impl fmt::Display for Violation {
             Violation::PostingUnknownNode { term, node } => {
                 write!(f, "posting list for {term:?} references unknown node {node}")
             }
-            Violation::OrphanNode { node } => {
-                write!(f, "node {node} has no parent entry in the node table")
-            }
             Violation::NodeCountMismatch { in_table, in_stats } => {
                 write!(f, "node table holds {in_table} node(s) but statistics record {in_stats}")
             }
@@ -171,7 +167,6 @@ impl fmt::Display for Violation {
 pub fn check(index: &GksIndex) -> Vec<Violation> {
     let mut violations = Vec::new();
     check_postings(index, &mut violations);
-    check_parents(index, &mut violations);
     check_census(index, &mut violations);
     check_attrs(index, &mut violations);
     // Hash-map iteration order is unspecified; sort so reports (and the
@@ -215,18 +210,6 @@ fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
     }
 }
 
-/// Every non-root node's parent must itself be recorded: ancestor walks
-/// (LCE derivation, §4.1) and potential-flow child-count lookups (§5) both
-/// assume the §2.1 prefix algebra closes over the table.
-fn check_parents(index: &GksIndex, out: &mut Vec<Violation>) {
-    for (id, _) in index.node_table().iter() {
-        let Some(parent) = id.parent() else { continue };
-        if index.node_table().get(&parent).is_none() {
-            out.push(Violation::OrphanNode { node: id.clone() });
-        }
-    }
-}
-
 /// The AN/RN/EN/CN census recorded during the build (Table 5) must agree
 /// with a recount over the node table's category flags.
 fn check_census(index: &GksIndex, out: &mut Vec<Violation>) {
@@ -265,7 +248,7 @@ fn check_census(index: &GksIndex, out: &mut Vec<Violation>) {
 fn check_attrs(index: &GksIndex, out: &mut Vec<Violation>) {
     let labels = index.node_table().labels();
     let store = index.attr_store();
-    for (entity, entries) in store.iter() {
+    for (entity, entries) in index.entities() {
         match index.node_table().get(entity) {
             Some(meta) if meta.flags.is_entity() => {
                 if meta.label != entries.label() {
@@ -311,7 +294,9 @@ impl GksIndex {
 mod tests {
     use super::*;
     use crate::attrstore::{AttrIds, AttrSource};
+    use crate::categorize::NodeFlags;
     use crate::corpus::Corpus;
+    use crate::error::IndexError;
     use crate::node_table::NodeMeta;
     use crate::options::IndexOptions;
     use crate::postings::PostingStore;
@@ -377,26 +362,25 @@ mod tests {
         }
     }
 
+    /// An orphan row — a node whose parent is not recorded — is refused when
+    /// the file opens, before any audit could see it. The orphan here is the
+    /// last row: `[9, 9, 9]` under an `<Area>` with two children.
     #[test]
-    fn detects_orphan_dewey_id() {
-        let mut ix = build();
-        // Insert a deep node whose parent chain does not exist.
+    fn an_orphan_dewey_id_is_refused_at_open() {
+        let ix = build();
+        let table = ix.node_table();
+        let mut ids = table.ids().to_vec();
+        let mut metas: Vec<NodeMeta> = table.iter().map(|(_, meta)| *meta).collect();
         let stray = DeweyId::new(DocId(0), vec![9, 9, 9]);
-        let meta =
-            NodeMeta { child_count: 1, flags: crate::categorize::NodeFlags::empty(), label: 0 };
-        ix.node_table_mut().insert(stray.clone(), meta);
-        // Keep total_nodes consistent so only the orphan fires, not the
-        // node-count check.
-        ix.stats_mut().total_nodes += 1;
-        ix.stats_mut().census.add(meta.flags.primary());
-        let violations = ix.doctor();
-        assert!(
-            violations.iter().any(|v| matches!(
-                v,
-                Violation::OrphanNode { node } if *node == stray
-            )),
-            "{violations:?}"
-        );
+        ids.push(stray.clone());
+        metas.push(NodeMeta { child_count: 1, flags: NodeFlags::empty(), label: 0 });
+        let bytes = crate::persist::with_node_rows(&ix, &ids, &metas);
+        match GksIndex::from_mapped(Arc::new(Mmap::from(bytes))) {
+            Err(IndexError::Corrupt(message)) => {
+                assert!(message.contains("parent absent") && message.contains(&stray.to_string()));
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -404,14 +388,12 @@ mod tests {
         let mut ix = build();
         // Flip one entity node's flags to empty (connecting): the recount
         // diverges from the recorded census in two categories.
-        let (id, meta) = ix
+        let row = ix
             .node_table()
             .iter()
-            .find(|(_, m)| m.flags.is_entity() && m.flags.primary() == NodeCategory::Entity)
-            .map(|(id, m)| (id.clone(), *m))
+            .position(|(_, m)| m.flags.is_entity() && m.flags.primary() == NodeCategory::Entity)
             .expect("built index has an entity node");
-        ix.node_table_mut()
-            .insert(id, NodeMeta { flags: crate::categorize::NodeFlags::empty(), ..meta });
+        ix.node_table_mut().meta_mut(row as u32).flags = NodeFlags::empty();
         let violations = ix.doctor();
         assert!(
             violations.iter().any(|v| matches!(
@@ -427,7 +409,9 @@ mod tests {
         let mut ix = build();
         // A posting beyond every real node, appended in order.
         tamper(&mut ix, "karen", |list| list.push(DeweyId::new(DocId(7), vec![1])));
-        let entity = DeweyId::new(DocId(0), vec![5, 5]);
+        // An entity record on <Courses>, a connecting node.
+        let entity = DeweyId::new(DocId(0), vec![1]);
+        let row = ix.node_table().row(&entity).unwrap();
         let analyzer = ix.analyzer().clone();
         let attrs = ix.attrs_mut();
         let entry = AttrIds {
@@ -435,7 +419,7 @@ mod tests {
             value: attrs.intern_value("x", || analyzer.analyze("x").join(" ")),
             source: AttrSource::Attribute,
         };
-        attrs.insert(entity.clone(), 0, &[entry]);
+        attrs.insert(row, 0, &[entry]).unwrap();
         let violations = ix.doctor();
         assert!(
             violations.iter().any(
@@ -476,10 +460,10 @@ mod tests {
     #[test]
     fn detects_an_entity_record_with_the_wrong_label() {
         let mut ix = build();
-        let (entity, entries) = ix.attr_store().iter().next().unwrap();
-        let (entity, ids) = (entity.clone(), entries.ids().to_vec());
+        let (row, entries) = ix.attr_store().iter().next().unwrap();
+        let entity = ix.node_table().id(row).unwrap().clone();
         let wrong = entries.label() + 1;
-        ix.attrs_mut().insert(entity.clone(), wrong, &ids);
+        ix.attrs_mut().set_entity_label(row, wrong);
         assert_eq!(ix.doctor(), vec![Violation::AttrEntityLabelMismatch { entity }]);
     }
 

@@ -202,19 +202,26 @@ fn write_labels(out: &mut BytesMut, ix: &GksIndex) {
 }
 
 /// Node-table section: `count · run bytes · blocked run · (child count ·
-/// flags · label id)*`, the rows in the run's order. The run is the posting
-/// lists' codec, framed here by its id count and byte length.
+/// flags · label id)*`, the rows in the run's order — the table's own Dewey
+/// order, in which the run codec compresses. The run is the posting lists'
+/// codec, framed here by its id count and byte length.
 fn write_node_table(out: &mut BytesMut, ix: &GksIndex) {
-    // Sorted by Dewey id so the run codec compresses.
-    let mut nodes: Vec<(&DeweyId, &NodeMeta)> = ix.node_table().iter().collect();
-    nodes.sort_by(|a, b| a.0.cmp(b.0));
-    let ids: Vec<DeweyId> = nodes.iter().map(|(d, _)| (*d).clone()).collect();
+    let table = ix.node_table();
+    write_node_rows(out, table.ids(), table.iter().map(|(_, meta)| meta));
+}
+
+/// The node-table section over rows given as columns.
+fn write_node_rows<'a>(
+    out: &mut BytesMut,
+    ids: &[DeweyId],
+    metas: impl Iterator<Item = &'a NodeMeta>,
+) {
     let mut run = Vec::new();
-    encode_blocked_run(&ids, &mut run);
+    encode_blocked_run(ids, &mut run);
     write_varint(out, ids.len() as u64);
     write_varint(out, run.len() as u64);
     out.put_slice(&run);
-    for (_, meta) in &nodes {
+    for meta in metas {
         write_varint(out, u64::from(meta.child_count));
         out.put_u8(meta.flags.bits());
         write_varint(out, u64::from(meta.label));
@@ -232,8 +239,15 @@ fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     Ok(node_table)
 }
 
-/// Reads the node rows (blocked Dewey run + per-node metadata) into `table`.
-fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError> {
+/// Reads the node rows (blocked Dewey run + per-node metadata) into
+/// `table`'s columns and links its child index, which refuses rows that are
+/// not a pre-order closed under parents (see [`NodeTable::link`]) over
+/// documents `0..doc_count`.
+fn read_nodes(
+    input: &mut &[u8],
+    table: &mut NodeTable,
+    doc_count: usize,
+) -> Result<(), IndexError> {
     let label_count = table.labels().names().len();
     let count = read_varint(input)? as usize;
     let run_len = read_varint(input)? as usize;
@@ -243,8 +257,8 @@ fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError
     let (mut run, rest) = input.split_at(run_len);
     *input = rest;
     let ids = BlockedRunReader::parse(&mut run, count)?.decode_all()?;
-    table.reserve(ids.len());
-    for id in ids {
+    let mut metas = Vec::with_capacity(ids.len());
+    for _ in 0..ids.len() {
         let child_count = read_varint(input)? as u32;
         if !input.has_remaining() {
             return Err(IndexError::Corrupt("truncated node meta".into()));
@@ -254,9 +268,10 @@ fn read_nodes(input: &mut &[u8], table: &mut NodeTable) -> Result<(), IndexError
         if label as usize >= label_count {
             return Err(IndexError::Corrupt(format!("label id {label} out of range")));
         }
-        table.insert(id, NodeMeta { child_count, flags, label });
+        metas.push(NodeMeta { child_count, flags, label });
     }
-    Ok(())
+    table.set_columns(ids, metas);
+    table.link(doc_count)
 }
 
 /// Attribute section: the three interned tables, then the entities with
@@ -293,7 +308,7 @@ fn write_attrs(out: &mut BytesMut, ix: &GksIndex) {
     // Recording order, not hash-map order: the bytes are a function of the
     // corpus and the build (CI `cmp`s two builds).
     write_varint(out, store.len() as u64);
-    for (entity, entries) in store.iter() {
+    for (entity, entries) in ix.entities() {
         encode_id(entity, out);
         write_varint(out, u64::from(entries.label()));
         write_varint(out, entries.len() as u64);
@@ -305,11 +320,12 @@ fn write_attrs(out: &mut BytesMut, ix: &GksIndex) {
     }
 }
 
-/// Reads the attribute section. Every id is range-checked here — label ids
-/// against `label_count`, path, value and norm ids against their tables —
-/// so a hostile file ends in [`IndexError::Corrupt`] at open and later
-/// lookups cannot miss.
-fn read_attrs(input: &mut &[u8], label_count: usize) -> Result<AttrStore, IndexError> {
+/// Reads the attribute section. Every id is range-checked here — entity ids
+/// against `table`'s rows, label ids against its labels, path, value and
+/// norm ids against their tables — so a hostile file ends in
+/// [`IndexError::Corrupt`] at open and later lookups cannot miss.
+fn read_attrs(input: &mut &[u8], table: &NodeTable) -> Result<AttrStore, IndexError> {
+    let label_count = table.labels().len();
     let check_label = |label: u64| {
         if label < label_count as u64 {
             Ok(label as u32)
@@ -342,6 +358,9 @@ fn read_attrs(input: &mut &[u8], label_count: usize) -> Result<AttrStore, IndexE
     attrs.reserve_entities(entity_count.min(input.len() / 4));
     for _ in 0..entity_count {
         let entity = decode_id(input)?;
+        let row = table
+            .row(&entity)
+            .ok_or_else(|| IndexError::Corrupt(format!("attr entity {entity} is not a node")))?;
         let label = check_label(read_varint(input)?)?;
         let entry_count = read_varint(input)? as usize;
         entries.clear();
@@ -359,7 +378,7 @@ fn read_attrs(input: &mut &[u8], label_count: usize) -> Result<AttrStore, IndexE
                 },
             });
         }
-        attrs.load_entity(entity, label, &entries)?;
+        attrs.load_entity(row, label, &entries)?;
     }
     Ok(attrs)
 }
@@ -477,6 +496,11 @@ impl GksIndex {
     /// `_v3` suffix is the name the frozen `perf/` benchmark calls, and the
     /// `Result` the type it unwraps; nothing here fails.)
     pub fn to_bytes_v3(&self) -> Result<Bytes, IndexError> {
+        Ok(self.serialize(write_node_table))
+    }
+
+    /// The file bytes, with the node-table section written by `nodes`.
+    fn serialize(&self, nodes: impl FnOnce(&mut BytesMut, &GksIndex)) -> Bytes {
         let mut out = BytesMut::new();
         out.put_slice(MAGIC);
         out.put_u32(VERSION);
@@ -488,7 +512,7 @@ impl GksIndex {
         let lab_off = out.len() as u64;
         write_labels(&mut out, self);
         let node_off = out.len() as u64;
-        write_node_table(&mut out, self);
+        nodes(&mut out, self);
         let attr_off = out.len() as u64;
         write_attrs(&mut out, self);
         let stat_off = out.len() as u64;
@@ -512,7 +536,7 @@ impl GksIndex {
         footer.put_u64(checksum);
         footer.put_slice(TAIL_MAGIC);
         out.put_slice(footer.as_ref());
-        Ok(out.freeze())
+        out.freeze()
     }
 
     /// Opens an index over a mapped file: validates the header, footer
@@ -527,8 +551,8 @@ impl GksIndex {
         let section = |from: u64, to: u64| &bytes[from as usize..to as usize];
         let doc_names = read_doc_names(&mut section(doc_off, lab_off))?;
         let mut node_table = read_labels(&mut section(lab_off, node_off))?;
-        read_nodes(&mut section(node_off, attr_off), &mut node_table)?;
-        let attrs = read_attrs(&mut section(attr_off, stat_off), node_table.labels().len())?;
+        read_nodes(&mut section(node_off, attr_off), &mut node_table, doc_names.len())?;
+        let attrs = read_attrs(&mut section(attr_off, stat_off), &node_table)?;
         let stats = read_stats(&mut section(stat_off, dict_off))?;
 
         let tier = Tier {
@@ -576,6 +600,13 @@ impl GksIndex {
         ix.set_open_millis(start.elapsed().as_millis() as u64);
         Ok(ix)
     }
+}
+
+/// `ix`'s file bytes with its node rows replaced by `ids` and `metas`: a
+/// hand-built node section, framed and checksummed as a real one is.
+#[cfg(test)]
+pub(crate) fn with_node_rows(ix: &GksIndex, ids: &[DeweyId], metas: &[NodeMeta]) -> Vec<u8> {
+    ix.serialize(|out, _| write_node_rows(out, ids, metas.iter())).to_vec()
 }
 
 /// Measures the per-section byte breakdown of an index file from its
@@ -945,6 +976,86 @@ mod tests {
         };
         assert_eq!(rows(&reopened), rows(&built));
         assert_eq!(reopened.to_bytes_v3().unwrap(), bytes);
+    }
+
+    /// The sample index's node rows as columns.
+    fn node_rows(ix: &GksIndex) -> (Vec<DeweyId>, Vec<NodeMeta>) {
+        let table = ix.node_table();
+        (table.ids().to_vec(), table.iter().map(|(_, meta)| *meta).collect())
+    }
+
+    /// Hand-built node sections that are not a pre-order closed under
+    /// parents are refused at open, each with its own reason.
+    #[test]
+    fn a_node_section_out_of_pre_order_is_refused_at_open() {
+        let ix = sample_index();
+        let refused = |edit: &dyn Fn(&mut Vec<DeweyId>, &mut Vec<NodeMeta>), what: &str| {
+            let (mut ids, mut metas) = node_rows(&ix);
+            edit(&mut ids, &mut metas);
+            match open_bytes(&with_node_rows(&ix, &ids, &metas)) {
+                Err(IndexError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        };
+        let (ids, metas) = node_rows(&ix);
+        assert!(open_bytes(&with_node_rows(&ix, &ids, &metas)).is_ok(), "the unedited rows open");
+        // <dblp> [] · <article> [0] · <title> [0, 0] · <author> [0, 1] ·
+        // <author> [0, 2] · <article> [1] ...
+        let d = |steps: &[u32]| DeweyId::new(gks_dewey::DocId(0), steps.to_vec());
+        assert_eq!((&ids[3], &ids[4], &ids[5]), (&d(&[0, 1]), &d(&[0, 2]), &d(&[1])));
+        refused(&|ids, _| ids.swap(4, 5), "not strictly increasing");
+        refused(
+            &|ids, metas| {
+                ids.insert(3, ids[2].clone());
+                metas.insert(3, metas[2]);
+            },
+            "not strictly increasing",
+        );
+        refused(&|ids, _| ids[4] = d(&[0, 3]), "sibling step");
+        refused(
+            &|ids, metas| {
+                ids.remove(1);
+                metas.remove(1);
+            },
+            "parent absent",
+        );
+        refused(
+            &|ids, metas| {
+                ids.push(DeweyId::root(gks_dewey::DocId(1)));
+                metas.push(metas[0]);
+            },
+            "past the document count",
+        );
+    }
+
+    /// Byte mutations across a saved index's node section, at a fixed seed:
+    /// each ends in a typed error at open, or in an index the doctor can
+    /// audit. None may panic.
+    #[test]
+    fn mutated_node_sections_fail_typed_or_open_auditably() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let good = sample_index().to_bytes_v3().unwrap().to_vec();
+        let Frame { offsets, .. } = read_frame(&good).unwrap();
+        let (node_off, attr_off) = (offsets[2] as usize, offsets[3] as usize);
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut refused, mut opened) = (0, 0);
+        for _ in 0..2_000 {
+            let mut bytes = good.clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(node_off..attr_off);
+                bytes[at] = rng.gen_range(0..256u32) as u8;
+            }
+            match open_bytes(&bytes) {
+                Ok(ix) => {
+                    let _ = ix.doctor();
+                    opened += 1;
+                }
+                Err(IndexError::Corrupt(_)) => refused += 1,
+                Err(other) => panic!("untyped refusal: {other:?}"),
+            }
+        }
+        assert!(refused > 0 && opened > 0, "refused {refused}, opened {opened}");
     }
 
     /// A fresh build and the same index reopened (node table, attribute

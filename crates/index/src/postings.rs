@@ -34,7 +34,8 @@ use crate::stats::IndexStats;
 ///
 /// A posting is a node's pre-order ordinal, a `u32`, not its [`DeweyId`]:
 /// pre-order is Dewey order, so the lists sort and dedup as integers, and
-/// the id column resolves each ordinal once, when its term is encoded.
+/// the node table's id column resolves each ordinal once, when its term is
+/// encoded.
 ///
 /// Analysis is memoised here too. An element name is normalized once per
 /// label and a token is analysed once per distinct token, so the memos grow
@@ -44,19 +45,12 @@ pub(crate) struct InvertedIndex {
     term_ids: FastMap<String, u32>,
     terms: Vec<String>,
     lists: Vec<Vec<u32>>,
-    /// The pre-order id column: the Dewey id of node ordinal `i`.
-    nodes: Vec<DeweyId>,
     /// Element-name term per label id: `None` until the label's first
     /// node, then the term of its normalized local name, if it has one.
     label_terms: Vec<Option<Option<u32>>>,
     /// Token (as [`tokenize_into`] yields it) → term of its analysed form,
     /// `None` for a token the analyzer drops.
     token_terms: FastMap<Box<str>, Option<u32>>,
-}
-
-/// The ordinal of the node after `count` others, or an error past `u32`.
-fn ordinal(count: usize) -> Result<u32, IndexError> {
-    u32::try_from(count).map_err(|_| IndexError::Invariant("more than 2^32 nodes in one build"))
 }
 
 impl InvertedIndex {
@@ -70,13 +64,6 @@ impl InvertedIndex {
         self.term_ids.insert(term.to_string(), id);
         self.lists.push(Vec::new());
         id
-    }
-
-    /// Appends the next node in pre-order and returns its ordinal.
-    pub(crate) fn node(&mut self, id: &DeweyId) -> Result<u32, IndexError> {
-        let ord = ordinal(self.nodes.len())?;
-        self.nodes.push(id.clone());
-        Ok(ord)
     }
 
     /// Appends a posting for `term_id` at node ordinal `ord`. Postings may
@@ -153,12 +140,14 @@ impl InvertedIndex {
     /// Sorts every list into document order, removes duplicate postings (a
     /// node contains a keyword once no matter how many times the keyword
     /// occurs in one text value) and encodes the lists, in term-byte order,
-    /// as one posting tier. Each list is freed as soon as it is encoded.
+    /// as one posting tier, resolving ordinal `i` to `nodes[i]` (the node
+    /// table's id column). Each list is freed as soon as it is encoded.
     ///
-    /// Errors only if the term dictionary outgrows the fixed-width `u32`
-    /// offset table (4GiB of term records — far past any real corpus).
-    pub(crate) fn finish(self) -> Result<EncodedTier, IndexError> {
-        let InvertedIndex { terms, mut lists, nodes, .. } = self;
+    /// Errors on an ordinal past `nodes`, or if the term dictionary outgrows
+    /// the fixed-width `u32` offset table (4GiB of term records — far past
+    /// any real corpus).
+    pub(crate) fn finish(self, nodes: &[DeweyId]) -> Result<EncodedTier, IndexError> {
+        let InvertedIndex { terms, mut lists, .. } = self;
         let mut order: Vec<usize> = (0..terms.len()).collect();
         order.sort_unstable_by(|&a, &b| terms[a].as_bytes().cmp(terms[b].as_bytes()));
         let mut tier = EncodedTier::default();
@@ -547,41 +536,37 @@ mod tests {
         DeweyId::new(DocId(doc), steps.to_vec())
     }
 
-    fn finish(acc: InvertedIndex) -> PostingStore {
-        acc.finish().unwrap().open(&mut IndexStats::default()).unwrap()
-    }
-
-    /// An accumulator holding `ids` as its nodes, in pre-order.
-    fn with_nodes(ids: &[DeweyId]) -> InvertedIndex {
-        let mut acc = InvertedIndex::default();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(acc.node(id).unwrap(), i as u32);
-        }
-        acc
+    /// Finishes `acc` with `nodes` as its id column.
+    fn finish(acc: InvertedIndex, nodes: &[DeweyId]) -> PostingStore {
+        acc.finish(nodes).unwrap().open(&mut IndexStats::default()).unwrap()
     }
 
     #[test]
     fn postings_sorted_and_deduped() {
-        let mut acc = with_nodes(&[d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])]);
+        let nodes = [d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])];
+        let mut acc = InvertedIndex::default();
         let karen = acc.term_id("karen");
         acc.push(karen, 1);
         acc.push(karen, 0);
         acc.push(karen, 0); // duplicate occurrence
         acc.push(karen, 2);
-        let ix = finish(acc);
+        let ix = finish(acc, &nodes);
         assert_eq!(ix.postings("karen"), &[d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])]);
     }
 
     #[test]
-    fn an_ordinal_past_u32_is_an_error() {
-        assert_eq!(ordinal(u32::MAX as usize).unwrap(), u32::MAX);
-        assert!(matches!(ordinal(u32::MAX as usize + 1), Err(IndexError::Invariant(_))));
+    fn an_ordinal_past_the_id_column_is_an_error() {
+        let mut acc = InvertedIndex::default();
+        let a = acc.term_id("a");
+        acc.push(a, 1);
+        assert!(matches!(acc.finish(&[d(0, &[])]), Err(IndexError::Invariant(_))));
     }
 
     #[test]
     fn memoised_analysis_posts_what_the_analyzer_yields() {
         let analyzer = Analyzer::default();
-        let mut acc = with_nodes(&[d(0, &[]), d(0, &[0]), d(0, &[1])]);
+        let nodes = [d(0, &[]), d(0, &[0]), d(0, &[1])];
+        let mut acc = InvertedIndex::default();
         acc.post_label(0, "dblp:Authors", 0, &analyzer);
         acc.post_label(0, "dblp:Authors", 2, &analyzer);
         acc.post_label(1, "the", 1, &analyzer); // a stop word: no term
@@ -591,7 +576,7 @@ mod tests {
             assert_eq!(acc.norm(text, &analyzer), analyzer.analyze(text).join(" "));
         }
         assert_eq!(acc.terms, ["author", "search", "databas"]);
-        let ix = finish(acc);
+        let ix = finish(acc, &nodes);
         assert_eq!(ix.postings("author"), &[d(0, &[]), d(0, &[1])]);
         assert_eq!(ix.postings("search"), &[d(0, &[0]), d(0, &[1])]);
         assert_eq!(ix.postings("databas"), &[d(0, &[0]), d(0, &[1])]);
@@ -599,7 +584,7 @@ mod tests {
 
     #[test]
     fn unknown_term_is_empty() {
-        let ix = finish(InvertedIndex::default());
+        let ix = finish(InvertedIndex::default(), &[]);
         assert!(ix.postings("nothing").is_empty());
         assert_eq!(ix.posting_count("nothing"), 0);
     }
@@ -611,17 +596,17 @@ mod tests {
         let b = acc.term_id("b");
         assert_ne!(a, b);
         assert_eq!(acc.term_id("a"), a);
-        assert_eq!(finish(acc).term_count(), 2);
+        assert_eq!(finish(acc, &[]).term_count(), 2);
     }
 
     #[test]
     fn counters() {
-        let mut acc = with_nodes(&[d(0, &[0]), d(0, &[1])]);
+        let mut acc = InvertedIndex::default();
         let a = acc.term_id("a");
         acc.push(a, 0);
         acc.push(a, 1);
         let mut stats = IndexStats::default();
-        let ix = acc.finish().unwrap().open(&mut stats).unwrap();
+        let ix = acc.finish(&[d(0, &[0]), d(0, &[1])]).unwrap().open(&mut stats).unwrap();
         assert_eq!(
             (stats.distinct_terms, stats.total_postings, stats.posting_depth_sum),
             (1, 2, 2)

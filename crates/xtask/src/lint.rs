@@ -30,6 +30,12 @@
 //!   O(dictionary) because the file is served off an mmap and posting
 //!   blocks decode lazily, and one eager read would silently regress every
 //!   shard open back to O(file).
+//! * `no-dewey-keyed-hash` — `gks-index` must not key a hash table by a
+//!   Dewey id (`FastMap`/`HashMap`/`FastSet`/`HashSet` over `DeweyId`)
+//!   outside `#[cfg(test)]` modules. A Dewey id is already the path from its
+//!   document root, so the node table follows its steps through a child
+//!   index instead; a hash over ids puts an insert per node back into every
+//!   build and every open.
 //!
 //! Tests, benches, `datagen`, the offline dependency shims, and this driver
 //! itself are exempt by construction (they are not in the scanned set).
@@ -72,6 +78,8 @@ const EAGER_DECODE_CHECKED: &[&str] = &["index"];
 /// path and a searchable index. Other `gks-index` files (the corpus
 /// scanner, the delta planner) legitimately read source XML.
 const OPEN_PATH_FILES: &[&str] = &["src/persist.rs", "src/postings.rs"];
+/// Crates that must not hash Dewey ids.
+const DEWEY_HASH_CHECKED: &[&str] = &["index"];
 
 /// Prints which crates each rule covers (`cargo xtask lint --crates`), one
 /// `rule: crate crate …` line per rule. CI greps this to assert new crates
@@ -84,6 +92,7 @@ pub fn print_coverage() {
         ("no-process-exit", EXIT_CHECKED),
         ("no-raw-timing", TIMING_CHECKED),
         ("no-eager-decode-in-open", EAGER_DECODE_CHECKED),
+        ("no-dewey-keyed-hash", DEWEY_HASH_CHECKED),
     ] {
         println!("{rule}: {}", crates.join(" "));
     }
@@ -139,6 +148,9 @@ pub fn run(root: &Path, verbose: bool) -> ExitCode {
             if EAGER_DECODE_CHECKED.contains(&krate) {
                 check_eager_decode(&rel, &lines, &mut file_violations);
             }
+            if DEWEY_HASH_CHECKED.contains(&krate) {
+                check_dewey_keyed_hash(&rel, &lines, &mut file_violations);
+            }
             for v in file_violations {
                 let (code, raw) = lines
                     .get(v.line.saturating_sub(1))
@@ -167,6 +179,7 @@ pub fn run(root: &Path, verbose: bool) -> ExitCode {
         "no-process-exit",
         "no-raw-timing",
         "no-eager-decode-in-open",
+        "no-dewey-keyed-hash",
     ];
     let mut unused = 0usize;
     for (entry, hits) in allowlist.entries.iter().zip(&allowed) {
@@ -503,6 +516,36 @@ fn check_eager_decode(path: &str, lines: &[Line], out: &mut Vec<Violation>) {
     }
 }
 
+/// Hash containers whose key type the `no-dewey-keyed-hash` rule reads.
+const HASH_CONTAINERS: &[&str] = &["FastMap<", "HashMap<", "FastSet<", "HashSet<"];
+
+fn check_dewey_keyed_hash(path: &str, lines: &[Line], out: &mut Vec<Violation>) {
+    for (i, line) in lines.iter().enumerate() {
+        if line.in_test_mod {
+            continue;
+        }
+        let code: String = line.code.chars().filter(|c| !c.is_whitespace()).collect();
+        let keyed_by_dewey = HASH_CONTAINERS.iter().any(|container| {
+            code.match_indices(container).any(|(at, _)| {
+                let rest = &code[at + container.len()..];
+                let key =
+                    rest[..rest.find([',', '>']).unwrap_or(rest.len())].trim_start_matches('&');
+                key == "DeweyId" || key.ends_with("::DeweyId")
+            })
+        });
+        if keyed_by_dewey {
+            out.push(Violation {
+                path: path.to_string(),
+                line: i + 1,
+                rule: "no-dewey-keyed-hash",
+                message: "hash table keyed by a Dewey id — walk the id's steps through the \
+                          node table's child index (`NodeTable::row`) instead"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// Extracts the function name from a `pub fn ...` line for diagnostics.
 fn fn_name(decl: &str) -> &str {
     let after = decl
@@ -645,6 +688,22 @@ mod tests {
         let mut elsewhere = Vec::new();
         check_eager_decode("crates/index/src/delta.rs", &lines, &mut elsewhere);
         assert!(elsewhere.is_empty());
+    }
+
+    #[test]
+    fn dewey_keyed_hash_flagged_outside_tests_only() {
+        let src = "\
+struct T { rows: FastMap<DeweyId, NodeMeta> }
+fn f() { let s: std::collections::HashSet< &gks_dewey::DeweyId > = HashSet::new(); }
+fn g() { let m: FastMap<String, DeweyId> = FastMap::default(); }
+// FastMap<DeweyId, u32> in a comment
+#[cfg(test)]
+mod tests {
+    fn t() { let m: HashMap<DeweyId, u64> = HashMap::new(); }
+}
+";
+        let hits = run_rule(src, check_dewey_keyed_hash);
+        assert_eq!(hits, vec![(1, "no-dewey-keyed-hash"), (2, "no-dewey-keyed-hash")]);
     }
 
     #[test]
