@@ -320,8 +320,9 @@ impl IndexBuilder {
         }
     }
 
-    /// Ends the build: encodes the accumulated postings as blocked runs and
-    /// opens them as the index's [`PostingStore`].
+    /// Ends the build: encodes the accumulated postings as blocked runs,
+    /// opens them as the index's [`PostingStore`] and links the node
+    /// table's child index.
     fn finish(mut self, start: Instant) -> Result<GksIndex, IndexError> {
         for (name, census) in self.node_table.labels().names().iter().zip(&self.label_census) {
             if census.total() > 0 {
@@ -332,8 +333,10 @@ impl IndexBuilder {
             options, mut node_table, inverted, mut attrs, mut stats, doc_names, ..
         } = self;
         attrs.seal();
-        node_table.link(doc_names.len())?;
         let inverted = inverted.finish(node_table.ids())?.open(&mut stats)?;
+        // After the posting lists are freed, so the child index's scratch
+        // does not add to their peak.
+        node_table.link(doc_names.len())?;
         stats.build_millis = start.elapsed().as_millis() as u64;
         let index = GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names);
         // Debug builds audit every freshly built index so the doctor's
