@@ -461,7 +461,7 @@ mod tests {
     fn detects_an_entity_record_with_the_wrong_label() {
         let mut ix = build();
         let (row, entries) = ix.attr_store().iter().next().unwrap();
-        let entity = ix.node_table().id(row).unwrap().clone();
+        let entity = ix.node_table().ids()[row as usize].clone();
         let wrong = entries.label() + 1;
         ix.attrs_mut().set_entity_label(row, wrong);
         assert_eq!(ix.doctor(), vec![Violation::AttrEntityLabelMismatch { entity }]);

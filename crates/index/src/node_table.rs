@@ -274,13 +274,7 @@ impl NodeTable {
         self.walk(id).nth(id.depth())
     }
 
-    /// The id of row `row`.
-    pub fn id(&self, row: u32) -> Option<&DeweyId> {
-        self.ids.get(row as usize)
-    }
-
-    /// The metadata of row `row`.
-    pub fn meta(&self, row: u32) -> Option<&NodeMeta> {
+    fn meta(&self, row: u32) -> Option<&NodeMeta> {
         self.metas.get(row as usize)
     }
 
@@ -338,7 +332,7 @@ impl NodeTable {
             .take(prefixes)
             .filter(|&row| self.meta(row).is_some_and(|m| m.flags.is_entity()))
             .last()?;
-        self.id(row).cloned()
+        self.ids.get(row as usize).cloned()
     }
 
     /// Number of recorded nodes.
@@ -442,7 +436,7 @@ mod tests {
         assert_eq!(t.get(&d(&[0, 0])), None);
         assert_eq!(t.get(&DeweyId::root(DocId(1))), None);
         assert_eq!(t.row(&d(&[1])), Some(2));
-        assert_eq!(t.id(2), Some(&d(&[1])));
+        assert_eq!(t.ids()[2], d(&[1]));
     }
 
     #[test]
