@@ -1026,6 +1026,15 @@ mod tests {
             },
             "past the document count",
         );
+        // Only the root left: the rows still link, but the attribute
+        // section names the first <article>, an entity.
+        refused(
+            &|ids, metas| {
+                ids.truncate(1);
+                metas.truncate(1);
+            },
+            "attr entity 0:0 is not a node",
+        );
     }
 
     /// Byte mutations across a saved index's node section, at a fixed seed:

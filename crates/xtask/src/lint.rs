@@ -693,8 +693,8 @@ mod tests {
     #[test]
     fn dewey_keyed_hash_flagged_outside_tests_only() {
         let src = "\
-struct T { rows: FastMap<DeweyId, NodeMeta> }
-fn f() { let s: std::collections::HashSet< &gks_dewey::DeweyId > = HashSet::new(); }
+struct T { rows: FastMap<gks_dewey::DeweyId, NodeMeta> }
+fn f() { let s: std::collections::HashSet< &DeweyId > = HashSet::new(); }
 fn g() { let m: FastMap<String, DeweyId> = FastMap::default(); }
 // FastMap<DeweyId, u32> in a comment
 #[cfg(test)]
