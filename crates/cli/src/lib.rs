@@ -82,7 +82,8 @@ and `loadgen --explain` sends explain=1 so its report can summarize
 work per query (postings p50/p99) next to QPS.
 `index --shards N` partitions the corpus by document into N shard
 indexes next to <out> (<stem>.base0.<i>.gksix) plus a shard manifest at
-<out> itself.
+<out> itself; a corpus of fewer than N documents gets one shard per
+document, and a warning says so.
 `index <out> <corpus-dir>` builds an updatable manifest that records the
 corpus directory and per-document content hashes; `gks watch` (or
 `serve --watch`) then commits delta shards as the directory changes, and
