@@ -362,33 +362,24 @@ impl<'a> BlockedRunReader<'a> {
 
     /// Decodes block `i` into owned ids.
     pub fn decode_block(&self, i: usize) -> Result<Vec<DeweyId>, DecodeError> {
-        let mut ids = Vec::with_capacity(self.skips[i].count.min(MAX_PREALLOC));
-        self.decode_block_into(i, &mut ids)?;
-        Ok(ids)
-    }
-
-    /// Decodes block `i`, appending its ids to `out`.
-    fn decode_block_into(&self, i: usize, out: &mut Vec<DeweyId>) -> Result<(), DecodeError> {
         let entry = &self.skips[i];
         let mut input = self.block_bytes(i);
         let mut decoder = BlockDecoder::new();
-        let start = out.len();
+        let mut ids = Vec::with_capacity(entry.count.min(MAX_PREALLOC));
         for _ in 0..entry.count {
-            out.push(decoder.next(&mut input)?);
+            ids.push(decoder.next(&mut input)?);
         }
-        if out.get(start) != Some(&entry.first) {
+        if ids.first() != Some(&entry.first) {
             return Err(DecodeError::BadBlockLayout("block first id disagrees with skip entry"));
         }
-        Ok(())
+        Ok(ids)
     }
 
-    /// Decodes the whole run into one vector, allocated once: every entry
-    /// takes at least one byte of the blocks region, so that length bounds
-    /// what an honest `total` can be.
+    /// Decodes the whole run.
     pub fn decode_all(&self) -> Result<Vec<DeweyId>, DecodeError> {
-        let mut ids = Vec::with_capacity(self.total.min(self.blocks.len()));
+        let mut ids = Vec::with_capacity(self.total.min(MAX_PREALLOC));
         for i in 0..self.skips.len() {
-            self.decode_block_into(i, &mut ids)?;
+            ids.extend(self.decode_block(i)?);
         }
         Ok(ids)
     }

@@ -17,7 +17,6 @@ pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
-const FINISH_ROTATE: u32 = 26;
 
 /// The FxHash mixing function: rotate, xor, multiply per word.
 #[derive(Debug, Default, Clone)]
@@ -70,13 +69,9 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
-    /// The state rotated so its best-mixed high bits land low: hash tables
-    /// pick buckets from the low bits, and a multiply leaves those depending
-    /// only on the input's low bits — keys that differ only in a high byte
-    /// (`"f12345"` and `"f12346"`) would otherwise share a bucket.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash.rotate_left(FINISH_ROTATE)
+        self.hash
     }
 }
 
