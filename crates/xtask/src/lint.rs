@@ -31,8 +31,8 @@
 //!   blocks decode lazily, and one eager read would silently regress every
 //!   shard open back to O(file).
 //! * `no-dewey-keyed-hash` — `gks-index` must not key a hash table by a
-//!   Dewey id (`FastMap`/`HashMap`/`FastSet`/`HashSet` over `DeweyId`)
-//!   outside `#[cfg(test)]` modules. A Dewey id is already the path from its
+//!   Dewey id (`FastMap`/`HashMap`/`FastSet`/`HashSet` whose key type names
+//!   `DeweyId` anywhere, tuples included) outside `#[cfg(test)]` modules. A Dewey id is already the path from its
 //!   document root, so the node table follows its steps through a child
 //!   index instead; a hash over ids puts an insert per node back into every
 //!   build and every open.
@@ -527,10 +527,9 @@ fn check_dewey_keyed_hash(path: &str, lines: &[Line], out: &mut Vec<Violation>) 
         let code: String = line.code.chars().filter(|c| !c.is_whitespace()).collect();
         let keyed_by_dewey = HASH_CONTAINERS.iter().any(|container| {
             code.match_indices(container).any(|(at, _)| {
-                let rest = &code[at + container.len()..];
-                let key =
-                    rest[..rest.find([',', '>']).unwrap_or(rest.len())].trim_start_matches('&');
-                key == "DeweyId" || key.ends_with("::DeweyId")
+                let key = first_generic_arg(&code[at + container.len()..]);
+                key.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .any(|tok| tok == "DeweyId")
             })
         });
         if keyed_by_dewey {
@@ -544,6 +543,26 @@ fn check_dewey_keyed_hash(path: &str, lines: &[Line], out: &mut Vec<Violation>) 
             });
         }
     }
+}
+
+/// The first generic argument at the start of `rest`: the text up to the `,`
+/// or `>` that ends it, stepping over nested `<>`, `()` and `[]` so a tuple
+/// or generic key is read whole.
+fn first_generic_arg(rest: &str) -> &str {
+    let mut depth = 0usize;
+    let mut prev = ' ';
+    for (i, c) in rest.char_indices() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            ')' | ']' => depth = depth.saturating_sub(1),
+            '>' if prev == '-' => {}
+            ',' | '>' if depth == 0 => return &rest[..i],
+            '>' => depth -= 1,
+            _ => {}
+        }
+        prev = c;
+    }
+    rest
 }
 
 /// Extracts the function name from a `pub fn ...` line for diagnostics.
@@ -697,13 +716,24 @@ struct T { rows: FastMap<gks_dewey::DeweyId, NodeMeta> }
 fn f() { let s: std::collections::HashSet< &DeweyId > = HashSet::new(); }
 fn g() { let m: FastMap<String, DeweyId> = FastMap::default(); }
 // FastMap<DeweyId, u32> in a comment
+fn h(m: FastMap<(DeweyId, u32), Vec<u8>>, s: FastSet<(DocId, DeweyId)>) {}
+fn k(m: FastMap<(DocId, Vec<u32>), DeweyId>, n: HashMap<fn(u8) -> u8, DeweyId>) {}
+fn p(m: FastMap<Box<[gks_dewey::DeweyId]>, u32>) {}
 #[cfg(test)]
 mod tests {
     fn t() { let m: HashMap<DeweyId, u64> = HashMap::new(); }
 }
 ";
         let hits = run_rule(src, check_dewey_keyed_hash);
-        assert_eq!(hits, vec![(1, "no-dewey-keyed-hash"), (2, "no-dewey-keyed-hash")]);
+        assert_eq!(
+            hits,
+            vec![
+                (1, "no-dewey-keyed-hash"),
+                (2, "no-dewey-keyed-hash"),
+                (5, "no-dewey-keyed-hash"),
+                (7, "no-dewey-keyed-hash"),
+            ]
+        );
     }
 
     #[test]
