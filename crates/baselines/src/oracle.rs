@@ -32,14 +32,7 @@ impl GroundTruth {
         let mut masks: FastMap<DeweyId, u64> = FastMap::default();
         for (i, doc) in corpus.docs().iter().enumerate() {
             let parsed = Document::parse(&doc.xml).expect("oracle corpus must be well-formed");
-            walk(
-                parsed.root(),
-                DeweyId::root(DocId(i as u32)),
-                &analyzer,
-                &keywords,
-                options,
-                &mut masks,
-            );
+            walk(parsed.root(), DeweyId::root(DocId(i as u32)), &analyzer, &keywords, &mut masks);
         }
         GroundTruth { masks, n_keywords: keywords.len() }
     }
@@ -70,16 +63,13 @@ fn walk(
     dewey: DeweyId,
     analyzer: &Analyzer,
     keywords: &[Keyword],
-    options: &IndexOptions,
     masks: &mut FastMap<DeweyId, u64>,
 ) -> u64 {
     let mut mask = 0u64;
 
     // Element-name keyword.
-    if options.index_element_names {
-        if let Some(term) = analyzer.normalize_term(node.name()) {
-            mask |= match_units(keywords, &[term]);
-        }
+    if let Some(term) = analyzer.normalize_term(node.name()) {
+        mask |= match_units(keywords, &[term]);
     }
 
     // Direct text of this element, as one co-occurrence unit.
@@ -97,29 +87,25 @@ fn walk(
 
     let mut ordinal = 0u32;
     // Synthetic XML-attribute children come first, as in the indexer.
-    if options.xml_attributes_as_elements {
-        for (name, value) in node.attributes() {
-            let child_dewey = dewey.child(ordinal);
-            ordinal += 1;
-            let mut child_mask = 0u64;
-            if options.index_element_names {
-                if let Some(term) = analyzer.normalize_term(name) {
-                    child_mask |= match_units(keywords, &[term]);
-                }
-            }
-            let terms = analyzer.analyze(value);
-            if !terms.is_empty() {
-                child_mask |= match_units(keywords, &terms);
-            }
-            masks.insert(child_dewey, child_mask);
-            mask |= child_mask;
+    for (name, value) in node.attributes() {
+        let child_dewey = dewey.child(ordinal);
+        ordinal += 1;
+        let mut child_mask = 0u64;
+        if let Some(term) = analyzer.normalize_term(name) {
+            child_mask |= match_units(keywords, &[term]);
         }
+        let terms = analyzer.analyze(value);
+        if !terms.is_empty() {
+            child_mask |= match_units(keywords, &terms);
+        }
+        masks.insert(child_dewey, child_mask);
+        mask |= child_mask;
     }
     for child in node.children() {
         if child.is_element() {
             let child_dewey = dewey.child(ordinal);
             ordinal += 1;
-            mask |= walk(child, child_dewey, analyzer, keywords, options, masks);
+            mask |= walk(child, child_dewey, analyzer, keywords, masks);
         }
     }
 

@@ -14,10 +14,7 @@ use gks_text::AnalyzerOptions;
 use crate::table::TextTable;
 
 fn config(stem: bool, stop: bool) -> IndexOptions {
-    IndexOptions {
-        analyzer: AnalyzerOptions { remove_stopwords: stop, stem, min_term_len: 1 },
-        ..Default::default()
-    }
+    IndexOptions { analyzer: AnalyzerOptions { remove_stopwords: stop, stem } }
 }
 
 /// Runs the experiment.

@@ -39,7 +39,7 @@ fn di_rank_of_true_coauthor(
 ) -> Option<usize> {
     let q = Query::from_keywords([author.to_string()]).expect("query");
     let r = engine.search(&q, SearchOptions::with_s(1)).expect("search");
-    let di = engine.discover_di(&r, &DiOptions { top_m, ..Default::default() });
+    let di = engine.discover_di(&r, &DiOptions { top_m });
     let best = &truth.first()?.0;
     di.iter()
         .filter(|i| i.path.last().map(String::as_str) == Some("author"))
@@ -78,12 +78,7 @@ pub fn run() -> String {
     // Recursive DI convergence: round sizes for one author.
     let q = Query::from_keywords([out.clusters[0][0].clone()]).expect("query");
     let rounds = engine
-        .recursive_di(
-            &q,
-            SearchOptions::with_s(1),
-            &DiOptions { top_m: 3, ..Default::default() },
-            3,
-        )
+        .recursive_di(&q, SearchOptions::with_s(1), &DiOptions { top_m: 3 }, 3)
         .expect("recursive di");
     let round_sizes: Vec<String> = rounds
         .iter()

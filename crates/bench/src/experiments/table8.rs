@@ -10,7 +10,7 @@ use crate::workloads::table6_workloads;
 
 /// Runs the experiment.
 pub fn run() -> String {
-    let di_opts = DiOptions { top_m: 2, ..Default::default() };
+    let di_opts = DiOptions { top_m: 2 };
     let mut t = TextTable::new(&["Query", "DI, s=1", "DI, s=|Q|/2"]);
     let mut qd1_walkthrough = String::new();
 

@@ -113,11 +113,6 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Wraps a static byte slice.
-    pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes::from(s.to_vec())
-    }
-
     /// Unconsumed length.
     pub fn len(&self) -> usize {
         self.data.len() - self.start

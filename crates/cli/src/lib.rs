@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use gks_core::analytics::AnalyticsOptions;
 use gks_core::di::DiOptions;
 use gks_core::engine::Engine;
 use gks_core::query::Query;
@@ -378,7 +377,7 @@ fn cmd_search(args: &[String]) -> Result<String, CliError> {
         }
     }
     if want_analytics {
-        let a = engine.analyze(&resp, &AnalyticsOptions::default());
+        let a = engine.analyze(&resp);
         let _ = writeln!(out, "\nhits by entity type:");
         for g in &a.by_type {
             let _ = writeln!(out, "  {}: {} hit(s), rank mass {:.2}", g.label, g.hits, g.rank_mass);
@@ -586,7 +585,7 @@ pub fn repl_loop(
                 for hit in resp.hits() {
                     writeln!(output, "  {}", engine.render_hit(hit, &resp))?;
                 }
-                let di = engine.discover_di(&resp, &DiOptions { top_m: 3, ..Default::default() });
+                let di = engine.discover_di(&resp, &DiOptions { top_m: 3 });
                 if !di.is_empty() {
                     let shown: Vec<String> = di.iter().map(|i| i.display()).collect();
                     writeln!(output, "  DI: {}", shown.join(", "))?;

@@ -9,29 +9,15 @@
 //! values distribute within the match set (every `<year>` in the response,
 //! every `<journal>`, …).
 
-use gks_index::attrstore::AttrSource;
 use gks_index::fasthash::FastMap;
 use gks_index::GksIndex;
 
 use crate::search::{HitKind, Response};
 
-/// Options for response analytics.
-#[derive(Debug, Clone)]
-pub struct AnalyticsOptions {
-    /// Keep at most this many distinct values per facet (most frequent
-    /// first).
-    pub top_values: usize,
-    /// Keep at most this many facets (highest coverage first).
-    pub top_facets: usize,
-    /// Include repeating text sources (author lists) as facets.
-    pub include_repeating_text: bool,
-}
-
-impl Default for AnalyticsOptions {
-    fn default() -> Self {
-        AnalyticsOptions { top_values: 8, top_facets: 8, include_repeating_text: true }
-    }
-}
+/// Distinct values kept per facet (most frequent first).
+const TOP_VALUES: usize = 8;
+/// Facets kept (highest coverage first).
+const TOP_FACETS: usize = 8;
 
 /// Hit count and rank mass for one entity type.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,12 +62,10 @@ pub struct ResponseAnalytics {
     pub keyword_hit_counts: Vec<usize>,
 }
 
-/// Computes group-bys and facets over a response's LCE hits.
-pub fn analyze(
-    index: &GksIndex,
-    response: &Response,
-    options: &AnalyticsOptions,
-) -> ResponseAnalytics {
+/// Computes group-bys and facets over a response's LCE hits. Every
+/// attribute entry contributes, repeating text sources (author lists)
+/// included.
+pub fn analyze(index: &GksIndex, response: &Response) -> ResponseAnalytics {
     let n = response.keywords().len();
     let mut keyword_hit_counts = vec![0usize; n];
     let mut by_type: FastMap<String, TypeGroup> = FastMap::default();
@@ -110,9 +94,6 @@ pub fn analyze(
         // once per hit.
         let mut seen_paths: Vec<Vec<String>> = Vec::new();
         for entry in index.entries(&hit.node).iter() {
-            if entry.source == AttrSource::RepeatingText && !options.include_repeating_text {
-                continue;
-            }
             let mut path = Vec::with_capacity(entry.path.len() + 1);
             path.push(label.clone());
             path.extend(
@@ -141,12 +122,12 @@ pub fn analyze(
             let mut values: Vec<FacetValue> =
                 values.into_iter().map(|(value, count)| FacetValue { value, count }).collect();
             values.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.value.cmp(&b.value)));
-            values.truncate(options.top_values);
+            values.truncate(TOP_VALUES);
             Facet { path, coverage, values }
         })
         .collect();
     facet_list.sort_by(|a, b| b.coverage.cmp(&a.coverage).then_with(|| a.path.cmp(&b.path)));
-    facet_list.truncate(options.top_facets);
+    facet_list.truncate(TOP_FACETS);
 
     ResponseAnalytics { by_type, facets: facet_list, keyword_hit_counts }
 }
@@ -177,7 +158,7 @@ mod tests {
     #[test]
     fn groups_hits_by_entity_type() {
         let (ix, r) = setup();
-        let a = analyze(&ix, &r, &AnalyticsOptions::default());
+        let a = analyze(&ix, &r);
         let labels: Vec<(&str, usize)> =
             a.by_type.iter().map(|g| (g.label.as_str(), g.hits)).collect();
         assert!(labels.contains(&("article", 2)), "{labels:?}");
@@ -187,7 +168,7 @@ mod tests {
     #[test]
     fn facets_histogram_attribute_values() {
         let (ix, r) = setup();
-        let a = analyze(&ix, &r, &AnalyticsOptions::default());
+        let a = analyze(&ix, &r);
         let year_facet =
             a.facets.iter().find(|f| f.path == ["article", "year"]).expect("year facet");
         assert_eq!(year_facet.coverage, 2);
@@ -197,31 +178,15 @@ mod tests {
     #[test]
     fn keyword_hit_counts_match_masks() {
         let (ix, r) = setup();
-        let a = analyze(&ix, &r, &AnalyticsOptions::default());
+        let a = analyze(&ix, &r);
         assert_eq!(a.keyword_hit_counts, vec![3], "Ada Alpha is in all three records");
     }
 
     #[test]
-    fn top_values_truncates() {
+    fn repeating_text_sources_are_facets() {
         let (ix, r) = setup();
-        let opts = AnalyticsOptions { top_values: 1, ..Default::default() };
-        let a = analyze(&ix, &r, &opts);
-        assert!(a.facets.iter().all(|f| f.values.len() <= 1));
-    }
-
-    #[test]
-    fn repeating_text_facets_can_be_excluded() {
-        let (ix, r) = setup();
-        let with = analyze(&ix, &r, &AnalyticsOptions::default());
-        let without = analyze(
-            &ix,
-            &r,
-            &AnalyticsOptions { include_repeating_text: false, ..Default::default() },
-        );
-        let has_author_facet =
-            |a: &ResponseAnalytics| a.facets.iter().any(|f| f.path.last().unwrap() == "author");
-        assert!(has_author_facet(&with));
-        assert!(!has_author_facet(&without));
+        let a = analyze(&ix, &r);
+        assert!(a.facets.iter().any(|f| f.path.last().unwrap() == "author"));
     }
 
     #[test]
@@ -229,7 +194,7 @@ mod tests {
         let (ix, _) = setup();
         let q = Query::parse("zzz").unwrap();
         let r = search(&ix, &q, SearchOptions::with_s(1)).unwrap();
-        let a = analyze(&ix, &r, &AnalyticsOptions::default());
+        let a = analyze(&ix, &r);
         assert!(a.by_type.is_empty());
         assert!(a.facets.is_empty());
         assert_eq!(a.keyword_hit_counts, vec![0]);

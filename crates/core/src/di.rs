@@ -36,12 +36,11 @@ use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 
 use gks_dewey::DeweyId;
-use gks_index::attrstore::AttrSource;
 use gks_index::fasthash::{FastMap, FxHasher};
 use gks_index::GksIndex;
 
 use crate::error::QueryError;
-use crate::query::{Keyword, Query};
+use crate::query::Query;
 use crate::search::{search, Hit, HitKind, Response, SearchOptions};
 
 /// Options for DI extraction.
@@ -49,18 +48,11 @@ use crate::search::{search, Hit, HitKind, Response, SearchOptions};
 pub struct DiOptions {
     /// How many top-weighted insights to return (`m`; "m is tunable").
     pub top_m: usize,
-    /// Include repeating text nodes (author lists etc.) as insight sources,
-    /// as the paper's DBLP examples do. When `false`, only true attribute
-    /// nodes contribute.
-    pub include_repeating_text: bool,
-    /// Consider at most this many top-ranked LCE hits (caps DI cost on huge
-    /// responses; `usize::MAX` = all).
-    pub max_hits: usize,
 }
 
 impl Default for DiOptions {
     fn default() -> Self {
-        DiOptions { top_m: 5, include_repeating_text: true, max_hits: usize::MAX }
+        DiOptions { top_m: 5 }
     }
 }
 
@@ -140,9 +132,6 @@ pub struct DiAccumulator<'a> {
     /// through the hash space.
     by_text: FastMap<u64, u32>,
     top_m: usize,
-    include_repeating_text: bool,
-    max_hits: usize,
-    observed: usize,
     attrs_evaluated: u64,
 }
 
@@ -191,9 +180,6 @@ impl<'a> DiAccumulator<'a> {
             by_ids: FastMap::default(),
             by_text: FastMap::default(),
             top_m: options.top_m,
-            include_repeating_text: options.include_repeating_text,
-            max_hits: options.max_hits,
-            observed: 0,
             attrs_evaluated: 0,
         }
     }
@@ -201,8 +187,8 @@ impl<'a> DiAccumulator<'a> {
     /// How many attribute-store entries [`observe`](Self::observe) has
     /// inspected so far — the DI term of the request's
     /// [`CostLedger`](crate::CostLedger). Counted per entry *considered*
-    /// (before the repeating-text and query-restating filters), so the
-    /// number reflects work done, not insights kept.
+    /// (before the query-restating filter), so the number reflects work
+    /// done, not insights kept.
     pub fn attrs_evaluated(&self) -> u64 {
         self.attrs_evaluated
     }
@@ -234,13 +220,8 @@ impl<'a> DiAccumulator<'a> {
     /// Feeds one hit, resolved against `index` via `node` — the hit's id in
     /// `index`'s own document numbering (shard-local for sharded search,
     /// `hit.node` itself otherwise). Hits must arrive in response rank
-    /// order; every call counts toward `max_hits`, matching the unsharded
-    /// pipeline where non-LCE hits consume budget without contributing.
+    /// order; only LCE hits contribute.
     pub fn observe(&mut self, index: &'a GksIndex, hit: &Hit, node: &DeweyId) {
-        if self.observed >= self.max_hits {
-            return;
-        }
-        self.observed += 1;
         if hit.kind != HitKind::Lce {
             return;
         }
@@ -253,9 +234,6 @@ impl<'a> DiAccumulator<'a> {
         let label = entries.label();
         for entry in entries.ids() {
             self.attrs_evaluated += 1;
-            if entry.source == AttrSource::RepeatingText && !self.include_repeating_text {
-                continue;
-            }
             let norm = store.norm_of(entry.value);
             let slot = match self.by_ids.entry((source, label, entry.path, norm)) {
                 Entry::Occupied(seen) => *seen.get(),
@@ -416,16 +394,6 @@ pub fn recursive_di(
     Ok(out)
 }
 
-/// Convenience: the raw spellings of keywords matched nowhere, used by
-/// refinement messages.
-pub fn missing_keywords(response: &Response) -> Vec<&Keyword> {
-    response
-        .missing_keyword_indices()
-        .iter()
-        .map(|&i| &response.keywords()[i])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +439,7 @@ mod tests {
         // example).
         let ix = dblp_index();
         let r = example2_response(&ix);
-        let di = discover_di(&ix, &r, &DiOptions { top_m: 10, ..Default::default() });
+        let di = discover_di(&ix, &r, &DiOptions { top_m: 10 });
         let pos = |needle: &str| {
             di.iter()
                 .position(|i| i.value.contains(needle))
@@ -484,7 +452,7 @@ mod tests {
     fn di_excludes_query_keywords() {
         let ix = dblp_index();
         let r = example2_response(&ix);
-        let di = discover_di(&ix, &r, &DiOptions { top_m: 50, ..Default::default() });
+        let di = discover_di(&ix, &r, &DiOptions { top_m: 50 });
         assert!(di.iter().all(|i| !i.value.contains("Buneman")));
         assert!(di.iter().all(|i| !i.value.contains("Banerjee")));
     }
@@ -493,21 +461,20 @@ mod tests {
     fn di_paths_expose_semantics() {
         let ix = dblp_index();
         let r = example2_response(&ix);
-        let di = discover_di(&ix, &r, &DiOptions { top_m: 20, ..Default::default() });
+        let di = discover_di(&ix, &r, &DiOptions { top_m: 20 });
         let year = di.iter().find(|i| i.value == "2001").expect("year insight");
         assert_eq!(year.path, vec!["inproceedings", "year"]);
         assert_eq!(year.display(), "<inproceedings: year: 2001>");
     }
 
     #[test]
-    fn repeating_text_sources_can_be_excluded() {
+    fn repeating_text_and_attribute_sources_both_contribute() {
         let ix = dblp_index();
         let r = example2_response(&ix);
-        let opts = DiOptions { top_m: 50, include_repeating_text: false, ..Default::default() };
-        let di = discover_di(&ix, &r, &opts);
+        let di = discover_di(&ix, &r, &DiOptions { top_m: 50 });
         // Co-author names come from repeating <author> nodes.
-        assert!(di.iter().all(|i| i.path.last().map(String::as_str) != Some("author")));
-        // Attribute-node insights (journal, year, title) remain.
+        assert!(di.iter().any(|i| i.path.last().map(String::as_str) == Some("author")));
+        // Attribute-node insights (journal, year, title) too.
         assert!(di.iter().any(|i| i.value == "2001"));
     }
 
@@ -515,14 +482,8 @@ mod tests {
     fn recursive_di_runs_multiple_rounds() {
         let ix = dblp_index();
         let q = Query::parse(r#""Peter Buneman""#).unwrap();
-        let rounds = recursive_di(
-            &ix,
-            &q,
-            SearchOptions::with_s(1),
-            &DiOptions { top_m: 2, ..Default::default() },
-            2,
-        )
-        .unwrap();
+        let rounds =
+            recursive_di(&ix, &q, SearchOptions::with_s(1), &DiOptions { top_m: 2 }, 2).unwrap();
         assert!(rounds.len() >= 2, "initial round plus at least one recursion");
         assert_eq!(rounds[0].query, q);
         // The second round queries the first round's insight values.
@@ -568,7 +529,7 @@ mod tests {
             let r = search(&ix, &q, SearchOptions::with_s(1)).unwrap();
             assert_eq!(r.hits().len(), 2);
             assert_eq!(r.hits()[0].rank.to_bits(), r.hits()[1].rank.to_bits(), "a real tie");
-            let di = discover_di(&ix, &r, &DiOptions { top_m, ..Default::default() });
+            let di = discover_di(&ix, &r, &DiOptions { top_m });
             di.iter().map(Insight::display).collect::<Vec<_>>()
         };
         for (first, second) in [("article", "inproceedings"), ("inproceedings", "article")] {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use gks_dewey::{DeweyId, DocId};
 use gks_index::{Corpus, GksIndex, IndexError, IndexOptions};
 
-use crate::analytics::{analyze, AnalyticsOptions, ResponseAnalytics};
+use crate::analytics::{analyze, ResponseAnalytics};
 use crate::chunk::render_xml_chunk;
 use crate::di::{discover_di, recursive_di, DiOptions, DiRound, Insight};
 use crate::error::QueryError;
@@ -110,8 +110,8 @@ impl Engine {
 
     /// Response analytics: entity-type group-bys and attribute facets over
     /// the answer set.
-    pub fn analyze(&self, response: &Response, options: &AnalyticsOptions) -> ResponseAnalytics {
-        analyze(&self.index, response, options)
+    pub fn analyze(&self, response: &Response) -> ResponseAnalytics {
+        analyze(&self.index, response)
     }
 
     /// Human-readable node description: `docname/label`.

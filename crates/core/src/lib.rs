@@ -52,7 +52,7 @@ pub mod sweep;
 pub mod window;
 pub mod wire;
 
-pub use analytics::{AnalyticsOptions, ResponseAnalytics};
+pub use analytics::ResponseAnalytics;
 pub use cost::CostLedger;
 pub use di::{DiOptions, Insight};
 pub use engine::Engine;

@@ -127,34 +127,6 @@ impl Hit {
     }
 }
 
-/// Per-stage counters and timings of one search — the §4.2 complexity
-/// analysis made observable (used by the pipeline-breakdown experiment and
-/// for diagnosing slow queries).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchTrace {
-    /// Candidate nodes from the sliding window (after attribute promotion
-    /// and dedup).
-    pub candidates: usize,
-    /// Distinct LCE nodes derived from the candidates.
-    pub lce_nodes: usize,
-    /// LCE nodes that survived witness filtering with ≥ s keywords.
-    pub witnessed_lce: usize,
-    /// LCP hits emitted because no surviving LCE covered them.
-    pub orphan_lcp: usize,
-    /// LCP hits dropped by SLCA-style pruning.
-    pub pruned: usize,
-    /// Query normalization and threshold resolution time (µs).
-    pub parse_micros: u64,
-    /// Posting fetch + k-way merge time (µs).
-    pub merge_micros: u64,
-    /// Sliding-window candidate generation time (µs).
-    pub window_micros: u64,
-    /// Statistics sweep time (µs) — masks, ranks, witnesses.
-    pub sweep_micros: u64,
-    /// Hit assembly, pruning and final sort time (µs).
-    pub assemble_micros: u64,
-}
-
 /// The response to a GKS search.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -170,8 +142,6 @@ pub struct Response {
     elapsed_micros: u64,
     /// Keywords (by index) with zero postings — candidates for refinement.
     missing: Vec<usize>,
-    /// Per-stage counters and timings.
-    trace: SearchTrace,
     /// Work performed: the per-request resource ledger.
     cost: CostLedger,
 }
@@ -207,11 +177,6 @@ impl Response {
         &self.missing
     }
 
-    /// Per-stage counters and timings of this search.
-    pub fn trace(&self) -> &SearchTrace {
-        &self.trace
-    }
-
     /// The work this search performed, in index-and-query-determined units
     /// (see [`crate::cost`]).
     pub fn cost(&self) -> &CostLedger {
@@ -235,7 +200,6 @@ impl Response {
     /// happens here: `hits` must already be sorted by the final comparator
     /// (rank desc, keyword count desc, document order) and truncated to the
     /// caller's limit.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         keywords: Vec<Keyword>,
         s: usize,
@@ -243,10 +207,9 @@ impl Response {
         sl_len: usize,
         elapsed_micros: u64,
         missing: Vec<usize>,
-        trace: SearchTrace,
         cost: CostLedger,
     ) -> Response {
-        Response { keywords, s, hits, sl_len, elapsed_micros, missing, trace, cost }
+        Response { keywords, s, hits, sl_len, elapsed_micros, missing, cost }
     }
 }
 
@@ -274,7 +237,6 @@ pub fn search_masked(
     options: SearchOptions,
 ) -> Result<Response, QueryError> {
     let search_span = span(SpanKind::Search);
-    let mut trace = SearchTrace::default();
     let mut cost = CostLedger::default();
 
     let parse_span = span(SpanKind::Parse);
@@ -284,7 +246,6 @@ pub fn search_masked(
     }
     let n = keywords.len();
     let s = options.s.resolve(n)?;
-    trace.parse_micros = parse_span.elapsed_micros();
     drop(parse_span);
 
     // 1.–2. Posting lists, merged into SL.
@@ -301,14 +262,11 @@ pub fn search_masked(
     gks_trace::annotate("postings_scanned", cost.postings_scanned);
     gks_trace::annotate("tombstone_masked", cost.tombstone_masked);
     gks_trace::annotate("heap_ops", cost.heap_ops);
-    trace.merge_micros = postings_span.elapsed_micros();
     drop(postings_span);
 
     // 3. Window → LCP candidates (already promoted past attribute nodes).
     let sweep_span = span(SpanKind::Sweep);
     let candidates = lcp_candidates(index, &sl, s, n);
-    trace.window_micros = sweep_span.elapsed_micros();
-    trace.candidates = candidates.len();
 
     // 4. LCE derivation: `lce_of[i]` belongs to `candidates[i]`.
     let lce_of: Vec<Option<DeweyId>> = candidates
@@ -324,14 +282,11 @@ pub fn search_masked(
     let mut stat_nodes: Vec<DeweyId> = candidates.iter().chain(&lces).cloned().collect();
     stat_nodes.sort();
     stat_nodes.dedup();
-    let pre_sweep_micros = sweep_span.elapsed_micros();
     let (stats, advances) = sweep_counted(index, &sl, &stat_nodes, n);
     cost.sweep_advances = advances;
     cost.rank_candidates = stat_nodes.len() as u64;
     gks_trace::annotate("sweep_advances", cost.sweep_advances);
     gks_trace::annotate("rank_candidates", cost.rank_candidates);
-    trace.sweep_micros = sweep_span.elapsed_micros().saturating_sub(pre_sweep_micros);
-    trace.lce_nodes = lces.len();
     drop(sweep_span);
     let rank_span = span(SpanKind::Rank);
 
@@ -351,7 +306,6 @@ pub fn search_masked(
     let mut hits: Vec<Hit> = Vec::new();
     // Witnessed LCE nodes with enough keywords.
     for st in lces.iter().filter_map(stat_of).filter(|st| survives(st)) {
-        trace.witnessed_lce += 1;
         hits.push(hit(HitKind::Lce, st));
     }
     // Candidates whose LCE is absent or did not survive fall back to plain
@@ -362,7 +316,6 @@ pub fn search_masked(
             continue;
         }
         if let Some(st) = stat_of(c).filter(|st| st.keyword_count() as usize >= s) {
-            trace.orphan_lcp += 1;
             hits.push(hit(HitKind::Lcp, st));
         }
     }
@@ -394,13 +347,11 @@ pub fn search_masked(
             keep[i] = false;
         }
     }
-    trace.pruned = keep.iter().filter(|&&k| !k).count();
     let mut hits: Vec<Hit> =
         hits.into_iter().zip(keep).filter(|(_, k)| *k).map(|(h, _)| h).collect();
 
     // 7. Final ranking.
     rank_top(&mut hits, options.limit);
-    trace.assemble_micros = rank_span.elapsed_micros();
     drop(rank_span);
 
     Ok(Response {
@@ -410,7 +361,6 @@ pub fn search_masked(
         sl_len,
         elapsed_micros: search_span.elapsed_micros(),
         missing,
-        trace,
         cost,
     })
 }

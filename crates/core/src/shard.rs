@@ -31,7 +31,7 @@ use crate::di::{DiAccumulator, DiOptions, Insight};
 use crate::engine::Engine;
 use crate::error::QueryError;
 use crate::query::Query;
-use crate::search::{Hit, Response, SearchOptions, SearchTrace};
+use crate::search::{Hit, Response, SearchOptions};
 
 /// How one shard's local document ids renumber into global ids.
 ///
@@ -194,7 +194,6 @@ pub fn merge_responses(
     let mut missing_counts = vec![0usize; n];
     let mut sl_len = 0usize;
     let mut elapsed_micros = 0u64;
-    let mut trace = SearchTrace::default();
     let mut cost = CostLedger::default();
     let mut shard_costs = Vec::with_capacity(shard_count);
     for (_, r) in &answers {
@@ -206,17 +205,6 @@ pub fn merge_responses(
         sl_len += r.sl_len();
         // Shards search in parallel: merged wall-clock is the straggler's.
         elapsed_micros = elapsed_micros.max(r.elapsed_micros());
-        let t = r.trace();
-        trace.candidates += t.candidates;
-        trace.lce_nodes += t.lce_nodes;
-        trace.witnessed_lce += t.witnessed_lce;
-        trace.orphan_lcp += t.orphan_lcp;
-        trace.pruned += t.pruned;
-        trace.parse_micros += t.parse_micros;
-        trace.merge_micros += t.merge_micros;
-        trace.window_micros += t.window_micros;
-        trace.sweep_micros += t.sweep_micros;
-        trace.assemble_micros += t.assemble_micros;
         // Every ledger counter is a per-document sum and shards partition
         // the documents, so the gathered ledger is the plain field-wise sum
         // — and equals the unsharded engine's ledger exactly.
@@ -253,8 +241,7 @@ pub fn merge_responses(
         hits.push(hit);
         origins.push(ordinal);
     }
-    let response =
-        Response::from_parts(keywords, s, hits, sl_len, elapsed_micros, missing, trace, cost);
+    let response = Response::from_parts(keywords, s, hits, sl_len, elapsed_micros, missing, cost);
     Ok(ShardedResponse { response, origins, doc_maps, shard_costs })
 }
 
@@ -494,7 +481,7 @@ mod tests {
         let query = Query::parse("karen mike").unwrap();
         let options = SearchOptions { s: Threshold::Fixed(1), limit: usize::MAX };
         let expected = whole.search(&query, options).unwrap();
-        let di_options = DiOptions { top_m: 20, ..Default::default() };
+        let di_options = DiOptions { top_m: 20 };
         let (expected_di, expected_attrs) =
             crate::di::discover_di_counted(whole.index(), &expected, &di_options);
         assert!(expected_di.iter().any(|i| i.support == 6), "alex spans every shard");

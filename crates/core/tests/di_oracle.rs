@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 use gks_core::di::{discover_di_counted, DiOptions, Insight};
 use gks_core::shard::{discover_di_sharded_counted, sharded_search};
 use gks_core::{Engine, HitKind, Query, Response, SearchOptions, Threshold};
-use gks_index::{split_corpus, AttrSource, Corpus, GksIndex, IndexOptions};
+use gks_index::{split_corpus, Corpus, GksIndex, IndexOptions};
 use proptest::prelude::*;
 
 /// The reference: one `(path names, analysed value)`-keyed map of insights
@@ -23,16 +23,13 @@ fn reference_di(index: &GksIndex, response: &Response, options: &DiOptions) -> (
     let labels = index.node_table().labels();
     let mut agg: HashMap<(Vec<String>, String), Insight> = HashMap::new();
     let mut attrs_evaluated = 0u64;
-    for hit in response.hits().iter().take(options.max_hits) {
+    for hit in response.hits() {
         if hit.kind != HitKind::Lce {
             continue;
         }
         let entity_label = index.node_table().label_name(&hit.node).unwrap_or("?");
         for entry in index.entries(&hit.node).iter() {
             attrs_evaluated += 1;
-            if entry.source == AttrSource::RepeatingText && !options.include_repeating_text {
-                continue;
-            }
             let value_terms = index.analyzer().analyze(entry.value);
             if value_terms.is_empty()
                 || value_terms.iter().any(|t| query_terms.contains(t.as_str()))
@@ -138,8 +135,6 @@ proptest! {
         ),
         s in 1usize..3,
         top_m in 1usize..9,
-        include_repeating_text in prop::sample::select(vec![true, false]),
-        max_hits in prop::sample::select(vec![1usize, 3, usize::MAX]),
         shards in 1usize..5,
     ) {
         let whole = Engine::build(&corpus, IndexOptions::default()).unwrap();
@@ -147,7 +142,7 @@ proptest! {
         let search_options =
             SearchOptions { s: Threshold::Fixed(s.min(keywords.len())), limit: usize::MAX };
         let response = whole.search(&query, search_options).unwrap();
-        let options = DiOptions { top_m, include_repeating_text, max_hits };
+        let options = DiOptions { top_m };
 
         let (expected, expected_attrs) = reference_di(whole.index(), &response, &options);
         let (got, got_attrs) = discover_di_counted(whole.index(), &response, &options);

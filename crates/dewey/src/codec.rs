@@ -349,11 +349,6 @@ impl<'a> BlockedRunReader<'a> {
         &self.skips
     }
 
-    /// Byte length of the blocks region.
-    pub fn blocks_len(&self) -> usize {
-        self.blocks.len()
-    }
-
     fn block_bytes(&self, i: usize) -> &'a [u8] {
         let start = self.skips[i].offset;
         let end = self.skips.get(i + 1).map_or(self.blocks.len(), |s| s.offset);

@@ -381,9 +381,7 @@ impl IndexBuilder {
                     self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
                     let label = self.node_table.labels_mut().intern(tag);
                     let ordinal = self.node_table.push(dewey.clone(), label)?;
-                    if self.options.index_element_names {
-                        self.inverted.post_label(label, tag, ordinal, &self.analyzer);
-                    }
+                    self.inverted.post_label(label, tag, ordinal, &self.analyzer);
                     let mut frame = OpenFrame {
                         dewey,
                         ordinal,
@@ -393,10 +391,8 @@ impl IndexBuilder {
                         text: String::new(),
                         children: Vec::new(),
                     };
-                    if self.options.xml_attributes_as_elements {
-                        for attr in &attributes {
-                            self.push_synthetic_attr_child(&mut frame, attr.name, &attr.value)?;
-                        }
+                    for attr in &attributes {
+                        self.push_synthetic_attr_child(&mut frame, attr.name, &attr.value)?;
                     }
                     stack.push(frame);
                 }
@@ -444,9 +440,7 @@ impl IndexBuilder {
         self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
         let label = self.node_table.labels_mut().intern(attr_name);
         let ordinal = self.node_table.push(dewey, label)?;
-        if self.options.index_element_names {
-            self.inverted.post_label(label, attr_name, ordinal, &self.analyzer);
-        }
+        self.inverted.post_label(label, attr_name, ordinal, &self.analyzer);
         self.inverted.post_text(value, ordinal, &self.analyzer);
         frame.children.push(ChildInfo {
             row: ordinal,
@@ -803,15 +797,6 @@ mod tests {
         assert!(ix.node_table().is_entity(&country).is_some());
         let values: Vec<&str> = ix.entries(&country).iter().map(|e| e.value).collect();
         assert!(values.contains(&"Albania"));
-    }
-
-    #[test]
-    fn xml_attribute_lifting_can_be_disabled() {
-        let xml = r#"<r><a k="needle"/><a k="other"/></r>"#;
-        let corpus = Corpus::from_named_strs([("m", xml)]).unwrap();
-        let opts = IndexOptions { xml_attributes_as_elements: false, ..Default::default() };
-        let ix = GksIndex::build(&corpus, opts).unwrap();
-        assert!(ix.postings("needle").is_empty());
     }
 
     #[test]

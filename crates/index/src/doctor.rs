@@ -412,13 +412,17 @@ mod tests {
         // An entity record on <Courses>, a connecting node.
         let entity = DeweyId::new(DocId(0), vec![1]);
         let row = ix.node_table().row(&entity).unwrap();
-        let analyzer = ix.analyzer().clone();
+        let norm = ix.analyzer().analyze("x").join(" ");
         let attrs = ix.attrs_mut();
         let entry = AttrIds {
-            path: attrs.intern_path(&[u32::MAX]),
-            value: attrs.intern_value("x", || analyzer.analyze("x").join(" ")),
+            path: attrs.paths().len() as u32,
+            value: attrs.values().len() as u32,
             source: AttrSource::Attribute,
         };
+        attrs.load_path(vec![u32::MAX]);
+        let norm_id = attrs.norms().len() as u64;
+        attrs.load_norm(&norm);
+        attrs.load_value("x", norm_id).unwrap();
         attrs.insert(row, 0, &[entry]).unwrap();
         let violations = ix.doctor();
         assert!(

@@ -46,8 +46,9 @@ use crate::postings::{PostingStore, Tier};
 use crate::stats::{CategoryCensus, IndexStats};
 
 const MAGIC: &[u8; 5] = b"GKSIX";
-/// The one file version (6 → 7 when the node ids became one blocked run).
-const VERSION: u32 = 7;
+/// The one file version (6 → 7 when the node ids became one blocked run,
+/// 7 → 8 when the header kept only the two analyzer option bytes).
+const VERSION: u32 = 8;
 /// Trailing magic of the footer; lets the doctor tell "not an index file"
 /// from "index file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
@@ -155,9 +156,6 @@ fn sniff_version(bytes: &[u8]) -> Result<u32, IndexError> {
 fn write_options(out: &mut BytesMut, o: &IndexOptions) {
     out.put_u8(u8::from(o.analyzer.remove_stopwords));
     out.put_u8(u8::from(o.analyzer.stem));
-    write_varint(out, o.analyzer.min_term_len as u64);
-    out.put_u8(u8::from(o.xml_attributes_as_elements));
-    out.put_u8(u8::from(o.index_element_names));
 }
 
 fn read_options(input: &mut &[u8]) -> Result<IndexOptions, IndexError> {
@@ -166,15 +164,7 @@ fn read_options(input: &mut &[u8]) -> Result<IndexOptions, IndexError> {
     }
     let remove_stopwords = input.get_u8() != 0;
     let stem = input.get_u8() != 0;
-    let min_term_len = read_varint(input)? as usize;
-    if input.len() < 2 {
-        return Err(IndexError::Corrupt("truncated options".into()));
-    }
-    Ok(IndexOptions {
-        analyzer: AnalyzerOptions { remove_stopwords, stem, min_term_len },
-        xml_attributes_as_elements: input.get_u8() != 0,
-        index_element_names: input.get_u8() != 0,
-    })
+    Ok(IndexOptions { analyzer: AnalyzerOptions { remove_stopwords, stem } })
 }
 
 fn write_doc_names(out: &mut BytesMut, ix: &GksIndex) {
@@ -758,7 +748,7 @@ mod tests {
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for old in [2u32, 3, 4, 5, 6] {
+        for old in [2u32, 3, 4, 5, 6, 7] {
             let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
             bytes[5..9].copy_from_slice(&old.to_be_bytes());
             let path = dir.join(format!("v{old}.gksix"));
@@ -825,7 +815,7 @@ mod tests {
         corrupt(
             &|ix| {
                 let past = ix.node_table().labels().len() as u32;
-                ix.attrs_mut().intern_path(&[past]);
+                ix.attrs_mut().load_path(vec![past]);
             },
             "attr label id",
         );

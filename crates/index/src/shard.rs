@@ -239,13 +239,9 @@ impl ShardManifest {
         let a = &self.options.analyzer;
         let _ = writeln!(
             out,
-            "options remove_stopwords={} stem={} min_term_len={} attrs_as_elements={} \
-             element_names={}",
+            "options remove_stopwords={} stem={}",
             u8::from(a.remove_stopwords),
             u8::from(a.stem),
-            a.min_term_len,
-            u8::from(self.options.xml_attributes_as_elements),
-            u8::from(self.options.index_element_names),
         );
         if let Some(dir) = &self.corpus_dir {
             let _ = writeln!(out, "corpus {}", dir.display());
@@ -558,7 +554,9 @@ fn parse_v2<'a>(lines: impl Iterator<Item = &'a str>) -> Result<ShardManifest, I
 }
 
 /// Parses the `options` line's `key=value` list. Unknown keys are ignored
-/// and missing keys keep their defaults, so the line can grow fields.
+/// and missing keys keep their defaults, so the line can grow fields and
+/// manifests that still carry retired keys (`min_term_len`,
+/// `attrs_as_elements`, `element_names`) parse.
 fn parse_options(rest: &str, options: &mut IndexOptions) {
     for pair in rest.split_whitespace() {
         let Some((key, value)) = pair.split_once('=') else {
@@ -567,13 +565,6 @@ fn parse_options(rest: &str, options: &mut IndexOptions) {
         match key {
             "remove_stopwords" => options.analyzer.remove_stopwords = value == "1",
             "stem" => options.analyzer.stem = value == "1",
-            "min_term_len" => {
-                if let Ok(v) = value.parse() {
-                    options.analyzer.min_term_len = v;
-                }
-            }
-            "attrs_as_elements" => options.xml_attributes_as_elements = value == "1",
-            "element_names" => options.index_element_names = value == "1",
             _ => {}
         }
     }
@@ -687,6 +678,18 @@ mod tests {
             }
             other => panic!("expected a typed version error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn retired_option_keys_parse_to_the_default_options() {
+        let text = format!(
+            "{MANIFEST_HEADER}\noptions remove_stopwords=1 stem=1 min_term_len=1 \
+             attrs_as_elements=1 element_names=1\n\
+             shards 1\nshard 0\tbase\t0\t0\t2\t9\t9\t9\ta.gksix\n"
+        );
+        let parsed = ShardManifest::parse(&text).unwrap();
+        assert_eq!(parsed.options, IndexOptions::default());
+        assert!(parsed.render().contains("\noptions remove_stopwords=1 stem=1\n"));
     }
 
     #[test]

@@ -121,25 +121,16 @@ fn oracle_postings(docs: &[String], options: &IndexOptions) -> BTreeMap<String, 
                         }
                         None => DeweyId::root(DocId(doc as u32)),
                     };
-                    if options.index_element_names {
-                        analyzer
-                            .normalize_term(&local(name))
-                            .into_iter()
-                            .for_each(|t| post(t, &id));
-                    }
+                    analyzer.normalize_term(&local(name)).into_iter().for_each(|t| post(t, &id));
                     let mut next = 0;
-                    if options.xml_attributes_as_elements {
-                        for attr in &attributes {
-                            let child = id.child(next);
-                            next += 1;
-                            if options.index_element_names {
-                                analyzer
-                                    .normalize_term(&local(attr.name))
-                                    .into_iter()
-                                    .for_each(|t| post(t, &child));
-                            }
-                            analyzer.analyze(&attr.value).into_iter().for_each(|t| post(t, &child));
-                        }
+                    for attr in &attributes {
+                        let child = id.child(next);
+                        next += 1;
+                        analyzer
+                            .normalize_term(&local(attr.name))
+                            .into_iter()
+                            .for_each(|t| post(t, &child));
+                        analyzer.analyze(&attr.value).into_iter().for_each(|t| post(t, &child));
                     }
                     open.push((id, next));
                 }
@@ -165,19 +156,11 @@ fn oracle_postings(docs: &[String], options: &IndexOptions) -> BTreeMap<String, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every term's posting list is exactly the oracle's, with element names
-    /// and lifted XML attributes each on and off, over documents that share
-    /// their words.
+    /// Every term's posting list is exactly the oracle's, over documents
+    /// that share their words.
     #[test]
-    fn postings_match_an_event_oracle(
-        trees in prop::collection::vec(arb_tree(), 1..3),
-        flags in 0u32..4,
-    ) {
-        let options = IndexOptions {
-            index_element_names: flags & 1 != 0,
-            xml_attributes_as_elements: flags & 2 != 0,
-            ..Default::default()
-        };
+    fn postings_match_an_event_oracle(trees in prop::collection::vec(arb_tree(), 1..3)) {
+        let options = IndexOptions::default();
         let docs: Vec<String> = trees.iter().map(document).collect();
         let named = docs.iter().enumerate().map(|(i, xml)| (format!("d{i}"), xml.clone()));
         let ix = GksIndex::build(&Corpus::from_named_strs(named).unwrap(), options.clone()).unwrap();

@@ -34,13 +34,11 @@ pub struct AnalyzerOptions {
     pub remove_stopwords: bool,
     /// Apply the Porter stemmer to each surviving term.
     pub stem: bool,
-    /// Drop terms shorter than this many bytes *after* normalization.
-    pub min_term_len: usize,
 }
 
 impl Default for AnalyzerOptions {
     fn default() -> Self {
-        AnalyzerOptions { remove_stopwords: true, stem: true, min_term_len: 1 }
+        AnalyzerOptions { remove_stopwords: true, stem: true }
     }
 }
 
@@ -63,7 +61,7 @@ impl Analyzer {
 
     /// Normalizes a single already-isolated term (e.g. an XML element name or
     /// one word of a phrase keyword). Returns `None` if the term is filtered
-    /// out by the stop list or the length threshold.
+    /// out by the stop list.
     pub fn normalize_term(&self, term: &str) -> Option<String> {
         let lowered = term.to_lowercase();
         let cleaned: String = lowered.chars().filter(|c| c.is_alphanumeric()).collect();
@@ -74,19 +72,18 @@ impl Analyzer {
     }
 
     /// Analyses one token as [`tokenize_into`] yields it: `None` for a stop
-    /// word or for a term shorter than `min_term_len` after stemming, else the
-    /// (stemmed) term. [`Self::analyze_into`] applies exactly this rule to
-    /// every token, so an indexer may analyse each distinct token once.
+    /// word, else the (stemmed) term. [`Self::analyze_into`] applies exactly
+    /// this rule to every token, so an indexer may analyse each distinct
+    /// token once.
     pub fn analyze_token(&self, tok: &str) -> Option<String> {
         if self.options.remove_stopwords && stopwords::is_stopword(tok) {
             return None;
         }
-        let term = if self.options.stem {
+        Some(if self.options.stem {
             stem(tok)
         } else {
             tok.to_string()
-        };
-        (term.len() >= self.options.min_term_len).then_some(term)
+        })
     }
 
     /// Runs the full pipeline over free text, returning the surviving terms
@@ -143,14 +140,6 @@ mod tests {
     fn numbers_and_mixed_tokens_survive() {
         let a = Analyzer::default();
         assert_eq!(a.analyze("SIGMOD 2001 vldb99"), vec!["sigmod", "2001", "vldb99"]);
-    }
-
-    #[test]
-    fn min_len_filter_applies_after_stemming() {
-        let a = Analyzer::new(AnalyzerOptions { min_term_len: 5, ..Default::default() });
-        // "databases" stems to "databas" (7 chars, kept); "cats" stems to
-        // "cat" (3 chars, dropped).
-        assert_eq!(a.analyze("databases cats"), vec!["databas"]);
     }
 
     #[test]

@@ -17,8 +17,8 @@ fn arb_text() -> impl Strategy<Value = String> {
 }
 
 /// The analyser options of `flags` (bit 0: stop words, bit 1: stemming).
-fn options(flags: u32, min_term_len: usize) -> AnalyzerOptions {
-    AnalyzerOptions { remove_stopwords: flags & 1 != 0, stem: flags & 2 != 0, min_term_len }
+fn options(flags: u32) -> AnalyzerOptions {
+    AnalyzerOptions { remove_stopwords: flags & 1 != 0, stem: flags & 2 != 0 }
 }
 
 proptest! {
@@ -90,12 +90,8 @@ proptest! {
     /// memoises `analyze_token` per distinct token posts exactly the terms
     /// `analyze_into` yields, under every option set.
     #[test]
-    fn analyze_token_per_token_is_analyze_into(
-        text in arb_text(),
-        flags in 0u32..4,
-        min_term_len in 1usize..=5,
-    ) {
-        let analyzer = Analyzer::new(options(flags, min_term_len));
+    fn analyze_token_per_token_is_analyze_into(text in arb_text(), flags in 0u32..4) {
+        let analyzer = Analyzer::new(options(flags));
         let mut whole = Vec::new();
         analyzer.analyze_into(&text, &mut whole);
         let mut per_token = Vec::new();
@@ -106,7 +102,6 @@ proptest! {
             .into_iter()
             .filter(|t| !(flags & 1 != 0 && stopwords::is_stopword(t)))
             .map(|t| if flags & 2 != 0 { stem(&t) } else { t })
-            .filter(|t| t.len() >= min_term_len)
             .collect();
         prop_assert_eq!(per_token, spelled);
     }

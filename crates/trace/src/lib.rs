@@ -16,8 +16,8 @@
 //!
 //! 1. **Near-zero cost when disabled.** [`span`] checks one relaxed atomic;
 //!    when tracing is off it only captures the start instant (which callers
-//!    need anyway for their own counters, e.g. `SearchTrace`) and touches no
-//!    shared or thread-local state. Drop is a branch.
+//!    need anyway for their own timings, e.g. a response's elapsed time) and
+//!    touches no shared or thread-local state. Drop is a branch.
 //! 2. **No locks on the hot path when enabled.** Open/close touch only the
 //!    thread-local stack and relaxed atomics; the ring-buffer mutex is taken
 //!    once per *completed trace* (i.e. once per query), not per span.
@@ -40,7 +40,7 @@ pub use tree::{CompletedTrace, SpanNode};
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -158,12 +158,12 @@ impl SpanKind {
 
 const KIND_COUNT: usize = SpanKind::ALL.len();
 
-/// Default capacity of the completed-trace ring buffer.
+/// Capacity of the completed-trace ring buffer: once it holds this many
+/// traces, each new one evicts the oldest.
 pub const DEFAULT_RING_CAPACITY: usize = 128;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 static RING: Mutex<VecDeque<CompletedTrace>> = Mutex::new(VecDeque::new());
 
 /// Head-sampling rate: a root span is *sampled* when its arrival number is a
@@ -234,26 +234,10 @@ pub fn set_sample_every(every: u64) {
     SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
 }
 
-/// The current head-sampling rate (1 = keep every trace).
-pub fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
 /// Total spans of `kind` closed while tracing was enabled, including spans
 /// whose trace was sampled out. Cleared by [`reset`].
 pub fn span_count(kind: SpanKind) -> u64 {
     SPAN_COUNTS.by_kind[kind.index()].load(Ordering::Relaxed)
-}
-
-/// Sets the capacity of the completed-trace ring buffer (minimum 1). The
-/// ring is trimmed immediately if it is over the new capacity.
-pub fn set_ring_capacity(capacity: usize) {
-    let capacity = capacity.max(1);
-    RING_CAPACITY.store(capacity, Ordering::Relaxed);
-    let mut ring = lock_ring();
-    while ring.len() > capacity {
-        ring.pop_front();
-    }
 }
 
 /// The global aggregate histogram for one span kind.
@@ -308,8 +292,8 @@ fn micros_u64(d: std::time::Duration) -> u64 {
 
 /// An open span. Created by [`span`]; closing happens on drop. The start
 /// instant is captured even when tracing is disabled so callers can reuse it
-/// for their own counters via [`Span::elapsed_micros`] — this is what lets
-/// `SearchTrace` keep its per-stage timings without a second clock read.
+/// for their own timings via [`Span::elapsed_micros`] — this is what lets a
+/// search report its elapsed time without a second clock read.
 #[derive(Debug)]
 pub struct Span {
     started: Instant,
@@ -549,9 +533,8 @@ fn complete_trace(root: SpanNode) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
     let trace = CompletedTrace { seq, root };
     LAST.with(|last| *last.borrow_mut() = Some(trace.clone()));
-    let capacity = RING_CAPACITY.load(Ordering::Relaxed).max(1);
     let mut ring = lock_ring();
-    while ring.len() >= capacity {
+    while ring.len() >= DEFAULT_RING_CAPACITY {
         ring.pop_front();
     }
     ring.push_back(trace);
@@ -570,7 +553,6 @@ mod tests {
         set_enabled(false);
         set_sample_every(1);
         reset();
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
         guard
     }
 
@@ -617,17 +599,17 @@ mod tests {
     fn ring_is_bounded_and_ordered() {
         let _x = exclusive();
         set_enabled(true);
-        set_ring_capacity(3);
-        for _ in 0..5 {
+        for _ in 0..=DEFAULT_RING_CAPACITY {
             let _s = span(SpanKind::Search);
         }
         set_enabled(false);
-        let traces = recent_traces(10);
-        assert_eq!(traces.len(), 3, "capacity bounds the ring");
+        let traces = recent_traces(usize::MAX);
+        assert_eq!(traces.len(), DEFAULT_RING_CAPACITY, "capacity bounds the ring");
         let seqs: Vec<u64> = traces.iter().map(|t| t.seq).collect();
-        assert_eq!(seqs, vec![3, 4, 5], "oldest first, newest kept");
+        let kept: Vec<u64> = (2..=DEFAULT_RING_CAPACITY as u64 + 1).collect();
+        assert_eq!(seqs, kept, "oldest evicted, order kept, newest last");
         assert_eq!(recent_traces(2).len(), 2, "n limits the dump");
-        assert_eq!(recent_traces(2)[0].seq, 4);
+        assert_eq!(recent_traces(2)[0].seq, DEFAULT_RING_CAPACITY as u64);
     }
 
     #[test]

@@ -115,12 +115,12 @@ pub struct Reader<'a> {
     pending_end: Option<&'a str>,
     seen_root: bool,
     finished: bool,
-    trim_text: bool,
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader over `input`. Whitespace-only text nodes are skipped
-    /// and other text is edge-trimmed by default (see [`Self::trim_text`]).
+    /// Creates a reader over `input`. Whitespace-only text events are
+    /// suppressed and other text is trimmed at both ends — the right
+    /// behaviour for data-oriented XML with pretty-printing indentation.
     pub fn new(input: &'a str) -> Self {
         Reader {
             input,
@@ -129,17 +129,7 @@ impl<'a> Reader<'a> {
             pending_end: None,
             seen_root: false,
             finished: false,
-            trim_text: true,
         }
-    }
-
-    /// Controls whitespace handling: when `true` (default), whitespace-only
-    /// text events are suppressed and other text is trimmed at both ends —
-    /// the right behaviour for data-oriented XML with pretty-printing
-    /// indentation. When `false`, text is delivered verbatim.
-    pub fn trim_text(mut self, trim: bool) -> Self {
-        self.trim_text = trim;
-        self
     }
 
     /// Current depth of open elements.
@@ -187,8 +177,7 @@ impl<'a> Reader<'a> {
             let start = self.pos;
             let end = self.rest().find('<').map_or(self.input.len(), |i| self.pos + i);
             self.pos = end;
-            let raw = &self.input[start..end];
-            let slice = if self.trim_text { raw.trim() } else { raw };
+            let slice = self.input[start..end].trim();
             if slice.is_empty() {
                 continue; // inter-element whitespace
             }
@@ -462,16 +451,16 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_only_text_skipped_by_default() {
+    fn whitespace_only_text_skipped() {
         let evs = events("<a>\n  <b>x</b>\n</a>").unwrap();
         assert_eq!(evs, vec![start("a"), start("b"), Event::Text("x".into()), end("b"), end("a")]);
     }
 
     #[test]
-    fn verbatim_mode_preserves_whitespace() {
-        let mut r = Reader::new("<a> x </a>").trim_text(false);
+    fn text_is_trimmed_at_both_ends() {
+        let mut r = Reader::new("<a> x </a>");
         r.next_event().unwrap();
-        assert_eq!(r.next_event().unwrap(), Some(Event::Text(" x ".into())));
+        assert_eq!(r.next_event().unwrap(), Some(Event::Text("x".into())));
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let insights = engine.discover_di(&response, &DiOptions { top_m: 6, ..Default::default() });
+    let insights = engine.discover_di(&response, &DiOptions { top_m: 6 });
     println!("\nDI (venues / years / co-authors relevant to the query):");
     for i in &insights {
         println!("  {}   weight={:.2}", i.display(), i.weight);

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  {} article(s) returned", response.hits().len());
 
     // DI over the response: co-authors, venues, years.
-    let insights = engine.discover_di(&response, &DiOptions { top_m: 5, ..Default::default() });
+    let insights = engine.discover_di(&response, &DiOptions { top_m: 5 });
     println!("  DI:");
     for i in &insights {
         println!("    {}   weight={:.2} support={}", i.display(), i.weight, i.support);
@@ -53,12 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Recursive DI: let the engine iterate the loop itself.
     println!("\nrecursive DI (2 rounds):");
-    let rounds = engine.recursive_di(
-        &query,
-        SearchOptions::with_s(1),
-        &DiOptions { top_m: 3, ..Default::default() },
-        2,
-    )?;
+    let rounds =
+        engine.recursive_di(&query, SearchOptions::with_s(1), &DiOptions { top_m: 3 }, 2)?;
     for (r, round) in rounds.iter().enumerate() {
         println!(
             "  round {r}: query = {} → {} hit(s), insights = {:?}",

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Deeper Analytical Insights: the course names give the keywords
     //    their context (<Course: Name: Data Mining> …).
-    let insights = engine.discover_di(&response, &DiOptions { top_m: 3, ..Default::default() });
+    let insights = engine.discover_di(&response, &DiOptions { top_m: 3 });
     println!("\ndeeper analytical insights:");
     for i in &insights {
         println!("  {}   weight={:.2} support={}", i.display(), i.weight, i.support);

@@ -8,7 +8,6 @@
 //! ```
 
 use gks::prelude::*;
-use gks_core::analytics::AnalyticsOptions;
 use gks_datagen::{dblp, sigmod};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let resp = engine.search(&query, SearchOptions::with_s(1))?;
     println!("query: {query} → {} hit(s)\n", resp.hits().len());
 
-    let analytics = engine.analyze(&resp, &AnalyticsOptions::default());
+    let analytics = engine.analyze(&resp);
     println!("hits by entity type:");
     for g in &analytics.by_type {
         println!("  {:<16} {:>4} hit(s)   rank mass {:.2}", g.label, g.hits, g.rank_mass);

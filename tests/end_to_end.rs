@@ -36,7 +36,7 @@ fn dblp_pipeline_example2_style() {
     assert!(resp.hits().iter().all(|h| h.keyword_count <= top));
 
     // DI exposes venues/years, never the query authors.
-    let di = engine.discover_di(&resp, &DiOptions { top_m: 8, ..Default::default() });
+    let di = engine.discover_di(&resp, &DiOptions { top_m: 8 });
     for insight in &di {
         for qa in &query_authors {
             assert_ne!(&insight.value, *qa);
@@ -116,12 +116,7 @@ fn recursive_di_terminates_and_links_rounds() {
     let author = out.clusters[0][0].clone();
     let q = Query::from_keywords([author]).unwrap();
     let rounds = engine
-        .recursive_di(
-            &q,
-            SearchOptions::with_s(1),
-            &DiOptions { top_m: 3, ..Default::default() },
-            3,
-        )
+        .recursive_di(&q, SearchOptions::with_s(1), &DiOptions { top_m: 3 }, 3)
         .unwrap();
     assert!(!rounds.is_empty());
     assert!(rounds.len() <= 4);
