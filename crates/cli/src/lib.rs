@@ -86,7 +86,9 @@ document, and a warning says so.
 `index <out> <corpus-dir>` builds an updatable manifest that records the
 corpus directory and per-document content hashes; `gks watch` (or
 `serve --watch`) then commits delta shards as the directory changes, and
-`gks compact` folds the backlog into fresh base shards. Both watchers run
+`gks compact` folds the committed backlog into fresh base shards; it
+reads no XML, so an edit not yet committed stays out of the fold until
+the next commit picks it up. Both watchers run
 one policy: commit, then compact once the manifest carries
 --compact-threshold N (>= 1) delta shards; serve needs --watch for it.
 `doctor <manifest>` audits the manifest (missing, unreadable and orphaned

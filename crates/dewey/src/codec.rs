@@ -163,6 +163,13 @@ impl BlockDecoder {
     }
 
     fn next(&mut self, input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
+        self.advance(input)?;
+        Ok(DeweyId::from_slice(self.doc, &self.prev_steps))
+    }
+
+    /// Reads the next entry into `doc` and `prev_steps` without building an
+    /// id.
+    fn advance(&mut self, input: &mut impl Buf) -> Result<(), DecodeError> {
         let shared = if self.first {
             self.first = false;
             self.doc = DocId(read_varint_u32(input)?);
@@ -190,7 +197,7 @@ impl BlockDecoder {
         for _ in 0..suffix_len {
             self.prev_steps.push(read_varint_u32(input)?);
         }
-        Ok(DeweyId::from_slice(self.doc, &self.prev_steps))
+        Ok(())
     }
 }
 
@@ -355,6 +362,32 @@ impl<'a> BlockedRunReader<'a> {
         &self.blocks[start..end]
     }
 
+    /// Decodes block `i`, handing each entry to `visit` as its document and
+    /// steps, in order. No id is built unless `visit` builds one, so a
+    /// caller that filters or renumbers pays only for the ids it keeps.
+    pub fn for_each_in_block(
+        &self,
+        i: usize,
+        mut visit: impl FnMut(DocId, &[Step]),
+    ) -> Result<(), DecodeError> {
+        let entry = &self.skips[i];
+        let mut input = self.block_bytes(i);
+        let mut decoder = BlockDecoder::new();
+        let mut first_agrees = false;
+        for k in 0..entry.count {
+            decoder.advance(&mut input)?;
+            if k == 0 {
+                first_agrees =
+                    decoder.doc == entry.first.doc() && decoder.prev_steps == entry.first.steps();
+            }
+            visit(decoder.doc, &decoder.prev_steps);
+        }
+        if !first_agrees {
+            return Err(DecodeError::BadBlockLayout("block first id disagrees with skip entry"));
+        }
+        Ok(())
+    }
+
     /// Decodes block `i` into owned ids.
     pub fn decode_block(&self, i: usize) -> Result<Vec<DeweyId>, DecodeError> {
         let entry = &self.skips[i];
@@ -500,6 +533,11 @@ mod tests {
             assert_eq!(&s.first, &ids[i * 128]);
             assert_eq!(s.last_doc, ids[(i * 128 + s.count) - 1].doc());
             assert_eq!(reader.decode_block(i).unwrap(), &ids[i * 128..i * 128 + s.count]);
+            let mut visited = Vec::new();
+            reader
+                .for_each_in_block(i, |doc, steps| visited.push(DeweyId::from_slice(doc, steps)))
+                .unwrap();
+            assert_eq!(visited, &ids[i * 128..i * 128 + s.count]);
         }
         // Seeks land on the right block without decoding predecessors.
         assert_eq!(reader.find_block(DocId(0)), 0);

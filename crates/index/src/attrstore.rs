@@ -246,7 +246,7 @@ impl AttrStore {
     // ----- building -----
 
     /// The reverse maps, created empty by the first interning call. Only a
-    /// build interns, into a fresh store: a sealed or loaded store has no
+    /// build or a merge interns, into a fresh store: a sealed or loaded store has no
     /// maps and is never interned into.
     fn interner(&mut self) -> &mut Interner {
         debug_assert!(

@@ -40,6 +40,8 @@ pub struct GksIndex {
     attrs: AttrStore,
     stats: IndexStats,
     doc_names: Vec<String>,
+    /// XML byte length per document, parallel to `doc_names`.
+    doc_bytes: Vec<u64>,
     /// Wall-clock milliseconds [`GksIndex::load`] spent opening this index.
     open_millis: u64,
 }
@@ -214,6 +216,12 @@ impl GksIndex {
         &self.doc_names
     }
 
+    /// XML byte length of each document, in id order; they sum to
+    /// [`IndexStats::raw_bytes`].
+    pub(crate) fn doc_bytes(&self) -> &[u64] {
+        &self.doc_bytes
+    }
+
     /// The posting store (persistence and diagnostics).
     pub fn inverted(&self) -> &PostingStore {
         &self.inverted
@@ -269,6 +277,7 @@ impl GksIndex {
         attrs: AttrStore,
         stats: IndexStats,
         doc_names: Vec<String>,
+        doc_bytes: Vec<u64>,
     ) -> GksIndex {
         let analyzer = Analyzer::new(options.analyzer_options());
         GksIndex {
@@ -279,6 +288,7 @@ impl GksIndex {
             attrs,
             stats,
             doc_names,
+            doc_bytes,
             open_millis: 0,
         }
     }
@@ -303,6 +313,7 @@ struct IndexBuilder {
     /// Census per label id, named into `stats.per_label` at finish.
     label_census: Vec<CategoryCensus>,
     doc_names: Vec<String>,
+    doc_bytes: Vec<u64>,
 }
 
 impl IndexBuilder {
@@ -317,6 +328,7 @@ impl IndexBuilder {
             stats: IndexStats::default(),
             label_census: Vec::new(),
             doc_names: Vec::new(),
+            doc_bytes: Vec::new(),
         }
     }
 
@@ -330,7 +342,14 @@ impl IndexBuilder {
             }
         }
         let IndexBuilder {
-            options, mut node_table, inverted, mut attrs, mut stats, doc_names, ..
+            options,
+            mut node_table,
+            inverted,
+            mut attrs,
+            mut stats,
+            doc_names,
+            doc_bytes,
+            ..
         } = self;
         attrs.seal();
         let inverted = inverted.finish(node_table.ids())?.open(&mut stats)?;
@@ -338,7 +357,8 @@ impl IndexBuilder {
         // does not add to their peak.
         node_table.link(doc_names.len())?;
         stats.build_millis = start.elapsed().as_millis() as u64;
-        let index = GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names);
+        let index =
+            GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names, doc_bytes);
         // Debug builds audit every freshly built index so the doctor's
         // invariants are exercised by the whole test suite for free.
         #[cfg(debug_assertions)]
@@ -355,6 +375,7 @@ impl IndexBuilder {
     /// Streams one document into the index.
     fn index_document(&mut self, doc_id: DocId, name: &str, xml: &str) -> Result<(), IndexError> {
         self.doc_names.push(name.to_string());
+        self.doc_bytes.push(xml.len() as u64);
         self.stats.doc_count += 1;
         self.stats.raw_bytes += xml.len() as u64;
 

@@ -7,22 +7,24 @@
 //! self-contained delta shard over the new/changed documents only, writes
 //! tombstones for every superseded or deleted copy, and replaces the
 //! manifest atomically with the epoch bumped by one. **Compaction** folds
-//! everything back down: it rebuilds the base shard set from the corpus
-//! directory, clears the tombstones, and atomically installs the new
-//! manifest before deleting the superseded shard files.
+//! everything back down: it merges the committed shards' live documents
+//! into a new base shard set — the files a rebuild would write, without
+//! reading the corpus directory — clears the tombstones, and atomically
+//! installs the new manifest before deleting the superseded shard files.
 //!
 //! Crash safety hangs entirely on the manifest rename being the commit
 //! point: shard files are written (atomically, see `GksIndex::save`)
 //! *before* the manifest that references them, so a crash mid-commit
 //! leaves the old epoch fully intact plus, at worst, orphaned shard files
-//! that [`audit_manifest`] reports and the next compaction sweeps away.
+//! that [`audit_manifest`](crate::audit_manifest) reports and the next
+//! commit or compaction of the same epoch overwrites by name.
 //!
 //! The policy lives here, not in its callers: [`maintain`] is the one
 //! watcher tick (commit, then compact once the on-disk backlog reaches a
-//! threshold) that `gks watch` and `serve --watch` both run, and
-//! [`audit_manifest`] is the one manifest audit behind `gks doctor` and
-//! the server's `/doctor`. Relative manifest and corpus paths resolve
-//! against the working directory, as every other path argument does.
+//! threshold) that `gks watch` and `serve --watch` both run. The manifest
+//! audit behind `gks doctor` and the server's `/doctor` lives in
+//! [`crate::audit`]. Relative manifest and corpus paths resolve against the
+//! working directory, as every other path argument does.
 //!
 //! Document numbering is the invariant that keeps delta search
 //! byte-identical to a full rebuild: the manifest's document table is kept
@@ -31,16 +33,18 @@
 //! table produces exactly the global ids a monolithic rebuild would.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::audit::validate_manifest;
 use crate::builder::GksIndex;
 use crate::corpus::Corpus;
 use crate::error::IndexError;
+use crate::fasthash::FastSet;
+use crate::merge::MergeSource;
 use crate::options::IndexOptions;
-use crate::shard::{split_corpus, DocEntry, ShardKind, ShardManifest, Tombstone};
+use crate::shard::{split_corpus, split_ranges, DocEntry, ShardKind, ShardManifest, Tombstone};
 
 /// Milliseconds since the Unix epoch, saturating at zero on a clock set
 /// before 1970. The manifest's `committed-ms` field and the server's
@@ -173,10 +177,10 @@ pub fn plan_delta(manifest: &ShardManifest, corpus_dir: &Path) -> Result<DeltaPl
     let old: HashMap<&str, &DocEntry> =
         manifest.docs.iter().map(|d| (d.name.as_str(), d)).collect();
     let mut plan = DeltaPlan::default();
-    let mut seen: Vec<&str> = Vec::new();
+    let mut seen: FastSet<&str> = FastSet::default();
     for scanned in scan_corpus_dir(corpus_dir)? {
         if let Some(&entry) = old.get(scanned.name.as_str()) {
-            seen.push(entry.name.as_str());
+            seen.insert(entry.name.as_str());
             // The mtime fast path is only trusted when the mtime predates
             // the last commit by a clear margin. Strict `<` is not enough:
             // file mtimes come from the kernel's coarse (tick-granularity)
@@ -222,7 +226,7 @@ pub fn plan_delta(manifest: &ShardManifest, corpus_dir: &Path) -> Result<DeltaPl
         }
     }
     for doc in &manifest.docs {
-        if !seen.contains(&doc.name.as_str()) {
+        if !seen.contains(doc.name.as_str()) {
             plan.deleted += 1;
             plan.tombstones.push(Tombstone {
                 shard: doc.shard,
@@ -261,14 +265,15 @@ fn resolve_in(dir: &Path, p: &Path) -> PathBuf {
 /// The directory a manifest's relative entries resolve against: its
 /// parent, or the working directory for a bare file name (whose parent is
 /// the empty path, which `read_dir` refuses).
-fn manifest_dir(manifest_path: &Path) -> PathBuf {
+pub(crate) fn manifest_dir(manifest_path: &Path) -> PathBuf {
     match manifest_path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
         _ => PathBuf::from("."),
     }
 }
 
-fn manifest_stem(manifest_path: &Path) -> String {
+/// The file stem shard files next to the manifest are named after.
+pub(crate) fn manifest_stem(manifest_path: &Path) -> String {
     manifest_path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
@@ -372,19 +377,35 @@ pub struct CompactStats {
     pub docs: usize,
     /// Superseded shard files deleted after the commit.
     pub removed_files: usize,
-    /// Wall-clock milliseconds the fold took, rebuild and sweep included.
+    /// Wall-clock milliseconds the fold took, merge and sweep included.
     pub elapsed_ms: u64,
 }
 
 /// Folds all deltas and tombstones back into a fresh base shard set.
 ///
-/// Compaction is a rebuild from the corpus directory: every live document
-/// is re-read from source, split into as many base shards as the previous
-/// epoch had, indexed, and committed under new shard files — then the
-/// superseded files are deleted. (Re-reading from source also absorbs any
-/// corpus change that raced the compaction; the result always matches the
-/// directory at scan time.) Returns `None` when there is nothing to fold —
+/// Compaction is a merge of the committed shards. The document table is
+/// cut into as many contiguous ranges as the previous epoch had base
+/// shards ([`split_ranges`], the split [`index_directory`] makes), and each
+/// range is merged out of the shards holding its documents into a new
+/// base shard — byte for byte the file a rebuild over those documents
+/// would write, because every fact in a shard is local to its documents
+/// (see [`crate::merge`]). The corpus directory is not read: a compaction
+/// folds the **committed** state, and a change made after the last commit
+/// is the next commit's to pick up. [`maintain`] commits before it folds;
+/// the manual entry points, `gks compact` and `POST /admin/compact`, call
+/// this directly, so their fold leaves out an uncommitted edit until a
+/// later commit detects it. Since a fold observes no corpus state, the new
+/// table keeps each document's hash and mtime, and the manifest keeps the
+/// last commit's `committed_ms`: stamping the current time would let [`plan_delta`]'s
+/// mtime fast path trust a file rewritten within the same clock tick as
+/// the write the commit hashed. The superseded files are deleted once the
+/// new manifest is in place. Returns `None` when there is nothing to fold —
 /// no delta shards and no tombstones.
+///
+/// Nothing is written unless the manifest passes structural validation,
+/// has a live document, and every referenced shard opens with the
+/// manifest's options and stores the names the table gives it, its locals
+/// increasing in table order; each refusal is a typed [`IndexError`].
 pub fn compact(manifest_path: &Path) -> Result<Option<CompactStats>, IndexError> {
     let text = fs::read_to_string(manifest_path)?;
     let old = ShardManifest::parse(&text)?;
@@ -393,24 +414,50 @@ pub fn compact(manifest_path: &Path) -> Result<Option<CompactStats>, IndexError>
     }
     // Opened past the no-op return, so the span count is the compaction count.
     let span = gks_trace::span(gks_trace::SpanKind::Compaction);
+    let findings = validate_manifest(&old);
+    if !findings.is_empty() {
+        let findings: Vec<String> = findings.iter().map(ToString::to_string).collect();
+        return Err(IndexError::Corrupt(format!(
+            "cannot compact an inconsistent manifest: {}",
+            findings.join("; ")
+        )));
+    }
+    if old.docs.is_empty() {
+        return Err(IndexError::Corrupt(
+            "manifest lists no live document — refusing to compact to an empty index".into(),
+        ));
+    }
     let dir = manifest_dir(manifest_path);
-    let corpus_dir = corpus_dir_of(&old, manifest_path).ok_or_else(|| {
-        IndexError::Corrupt("manifest records no corpus directory; cannot compact".into())
-    })?;
+    let Sources { shards, docs } = open_sources(&old, &dir)?;
+    let sources: Vec<&MergeSource> = shards.iter().collect();
     let base_shards = old.shards.iter().filter(|s| s.kind == ShardKind::Base).count().max(1);
-    let new_epoch = old.epoch.saturating_add(1);
-    let manifest = build_base_set(
-        manifest_path,
-        &corpus_dir,
-        old.corpus_dir.clone(),
-        old.options.clone(),
-        base_shards,
-        new_epoch,
-    )?;
+    let epoch = old.epoch.saturating_add(1);
+    let stem = manifest_stem(manifest_path);
+    let mut manifest = ShardManifest {
+        epoch,
+        committed_ms: old.committed_ms,
+        corpus_dir: old.corpus_dir.clone(),
+        options: old.options.clone(),
+        ..ShardManifest::default()
+    };
+    let mut doc_base = 0u32;
+    for (i, range) in split_ranges(docs.len(), base_shards).into_iter().enumerate() {
+        let ix = GksIndex::merge(&sources, &docs[range.clone()])?;
+        let file = format!("{stem}.base{epoch}.{i}.gksix");
+        ix.save(dir.join(&file))?;
+        let mut entry = ShardManifest::entry_for(&ix, PathBuf::from(&file), doc_base);
+        entry.id = i as u64;
+        entry.born = epoch;
+        doc_base = doc_base.saturating_add(entry.doc_count);
+        for (local, doc) in (0u32..).zip(&old.docs[range]) {
+            manifest.docs.push(DocEntry { shard: entry.id, local, ..doc.clone() });
+        }
+        manifest.shards.push(entry);
+    }
     manifest.save(manifest_path)?;
     // Only now is it safe to drop the superseded files. A crash between
     // the rename and these deletes leaves orphans, which `gks doctor`
-    // reports and the next compaction removes.
+    // reports.
     let keep: Vec<PathBuf> = manifest.shards.iter().map(|s| resolve_in(&dir, &s.path)).collect();
     let mut removed_files = 0usize;
     for shard in &old.shards {
@@ -426,6 +473,59 @@ pub fn compact(manifest_path: &Path) -> Result<Option<CompactStats>, IndexError>
         removed_files,
         elapsed_ms: span.elapsed_micros() / 1000,
     }))
+}
+
+/// The shards a document table references, each opened once, and the
+/// table as `(index into shards, local)` pairs.
+struct Sources {
+    shards: Vec<MergeSource>,
+    docs: Vec<(usize, u32)>,
+}
+
+/// Opens each shard `manifest`'s document table references, once. Refuses
+/// a shard built with other options than the manifest's, a table entry
+/// whose shard does not store its name at its local, and a shard whose
+/// locals do not increase in table order. The manifest has passed
+/// [`validate_manifest`], so every shard id the table names exists.
+fn open_sources(manifest: &ShardManifest, dir: &Path) -> Result<Sources, IndexError> {
+    let referenced: FastSet<u64> = manifest.docs.iter().map(|d| d.shard).collect();
+    let mut ids: Vec<u64> = Vec::new();
+    let mut shards: Vec<MergeSource> = Vec::new();
+    for entry in manifest.shards.iter().filter(|e| referenced.contains(&e.id)) {
+        let source = MergeSource::open(&resolve_in(dir, &entry.path))?;
+        if source.options != manifest.options {
+            return Err(IndexError::Corrupt(format!(
+                "shard {} was built with other options than the manifest records",
+                entry.path.display()
+            )));
+        }
+        ids.push(entry.id);
+        shards.push(source);
+    }
+    let mut last_local: Vec<Option<u32>> = vec![None; shards.len()];
+    let mut docs = Vec::with_capacity(manifest.docs.len());
+    for d in &manifest.docs {
+        let s = ids.iter().position(|&id| id == d.shard);
+        let stored = s
+            .and_then(|s| shards[s].doc_names.get(d.local as usize))
+            .map_or("", String::as_str);
+        let Some(s) = s.filter(|_| stored == d.name) else {
+            return Err(IndexError::Corrupt(format!(
+                "manifest names (shard {}, local {}) as {:?} but the shard stores {stored:?}",
+                d.shard, d.local, d.name
+            )));
+        };
+        if let Some(prev) = last_local[s].filter(|&prev| prev >= d.local) {
+            return Err(IndexError::Corrupt(format!(
+                "shard {} holds doc {:?} at local {} after local {prev}: its documents are out \
+                 of table order",
+                d.shard, d.name, d.local
+            )));
+        }
+        last_local[s] = Some(d.local);
+        docs.push((s, d.local));
+    }
+    Ok(Sources { shards, docs })
 }
 
 /// What one [`maintain`] tick did. Each step reports on its own, so a
@@ -505,9 +605,9 @@ pub fn index_corpus(
     Ok(manifest)
 }
 
-/// Shared by [`index_directory`] and [`compact`]: scans `corpus_dir` and
-/// writes it as a base shard set ([`write_base_set`]), returning the
-/// manifest (not yet saved) with a full document table.
+/// Behind [`index_directory`]: scans `corpus_dir` and writes it as a base
+/// shard set ([`write_base_set`]), returning the manifest (not yet saved)
+/// with a full document table.
 fn build_base_set(
     manifest_path: &Path,
     corpus_dir: &Path,
@@ -578,344 +678,10 @@ fn write_base_set(
     Ok(manifest)
 }
 
-/// One problem found while validating a manifest's incremental-update
-/// state. Mirrors the index-level `doctor::Violation` idiom: a typed,
-/// printable finding rather than a hard error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManifestViolation {
-    /// A shard claims it was born in a later epoch than the manifest's.
-    BornAfterEpoch {
-        /// Shard id.
-        shard: u64,
-        /// The shard's recorded birth epoch.
-        born: u64,
-        /// The manifest's epoch.
-        epoch: u64,
-    },
-    /// Shard birth epochs go backwards along the shard list.
-    BornNotMonotonic {
-        /// Shard id.
-        shard: u64,
-        /// The shard's recorded birth epoch.
-        born: u64,
-        /// The preceding shard's birth epoch.
-        prev: u64,
-    },
-    /// A document-table entry points at a shard id the manifest lacks.
-    DocShardMissing {
-        /// Document name.
-        name: String,
-        /// The missing shard id.
-        shard: u64,
-    },
-    /// A document-table entry's local id exceeds its shard's doc count.
-    DocLocalOutOfRange {
-        /// Document name.
-        name: String,
-        /// Shard id.
-        shard: u64,
-        /// The out-of-range local id.
-        local: u32,
-        /// The shard's document count.
-        doc_count: u32,
-    },
-    /// The same name appears twice in the document table.
-    DuplicateDocName {
-        /// The repeated name.
-        name: String,
-    },
-    /// Two document-table entries map to the same `(shard, local)` slot.
-    DuplicateDocSlot {
-        /// Shard id.
-        shard: u64,
-        /// The doubly-claimed local id.
-        local: u32,
-    },
-    /// A tombstone points at a shard id the manifest lacks.
-    TombstoneShardMissing {
-        /// Tombstoned document name.
-        name: String,
-        /// The missing shard id.
-        shard: u64,
-    },
-    /// A tombstone's local id exceeds its shard's doc count.
-    TombstoneLocalOutOfRange {
-        /// Tombstoned document name.
-        name: String,
-        /// Shard id.
-        shard: u64,
-        /// The out-of-range local id.
-        local: u32,
-        /// The shard's document count.
-        doc_count: u32,
-    },
-    /// A tombstone masks a slot the document table still lists as live.
-    TombstoneLive {
-        /// Document name.
-        name: String,
-        /// Shard id.
-        shard: u64,
-        /// Local id claimed both dead and live.
-        local: u32,
-    },
-    /// A tombstone points into a shard born in the current epoch — a doc
-    /// cannot be committed and superseded by the same commit.
-    TombstoneTooNew {
-        /// Tombstoned document name.
-        name: String,
-        /// Shard id.
-        shard: u64,
-    },
-    /// A shard file referenced by the manifest does not exist on disk.
-    MissingShardFile {
-        /// The resolved path.
-        path: PathBuf,
-    },
-    /// A shard file referenced by the manifest exists but does not open as
-    /// an index (truncated, bit-flipped, wrong format version).
-    UnreadableShardFile {
-        /// The resolved path.
-        path: PathBuf,
-        /// The load error.
-        error: String,
-    },
-    /// A `{stem}.*.gksix` file next to the manifest is referenced by no
-    /// shard entry — debris from a crashed commit or compaction.
-    OrphanShardFile {
-        /// The orphaned file.
-        path: PathBuf,
-    },
-    /// A loaded shard's document name disagrees with the manifest (the
-    /// referential-integrity check: every tombstone and table entry must
-    /// name the document actually stored at its `(shard, local)` slot).
-    NameMismatch {
-        /// Name recorded in the manifest.
-        name: String,
-        /// Shard id.
-        shard: u64,
-        /// Local id.
-        local: u32,
-        /// Name the shard itself stores at that slot (empty if none).
-        actual: String,
-    },
-}
-
-impl fmt::Display for ManifestViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ManifestViolation::BornAfterEpoch { shard, born, epoch } => {
-                write!(f, "shard {shard} born in epoch {born}, after the manifest epoch {epoch}")
-            }
-            ManifestViolation::BornNotMonotonic { shard, born, prev } => write!(
-                f,
-                "shard {shard} born in epoch {born}, earlier than the preceding shard's {prev}"
-            ),
-            ManifestViolation::DocShardMissing { name, shard } => {
-                write!(f, "doc {name:?} points at missing shard {shard}")
-            }
-            ManifestViolation::DocLocalOutOfRange { name, shard, local, doc_count } => write!(
-                f,
-                "doc {name:?} claims local id {local} in shard {shard}, which holds only \
-                 {doc_count} documents"
-            ),
-            ManifestViolation::DuplicateDocName { name } => {
-                write!(f, "doc {name:?} appears twice in the document table")
-            }
-            ManifestViolation::DuplicateDocSlot { shard, local } => {
-                write!(f, "two documents claim slot (shard {shard}, local {local})")
-            }
-            ManifestViolation::TombstoneShardMissing { name, shard } => {
-                write!(f, "tombstone {name:?} points at missing shard {shard}")
-            }
-            ManifestViolation::TombstoneLocalOutOfRange { name, shard, local, doc_count } => {
-                write!(
-                    f,
-                    "tombstone {name:?} claims local id {local} in shard {shard}, which holds \
-                     only {doc_count} documents"
-                )
-            }
-            ManifestViolation::TombstoneLive { name, shard, local } => write!(
-                f,
-                "tombstone {name:?} masks (shard {shard}, local {local}), which the document \
-                 table still lists as live"
-            ),
-            ManifestViolation::TombstoneTooNew { name, shard } => {
-                write!(f, "tombstone {name:?} points into shard {shard}, born in the current epoch")
-            }
-            ManifestViolation::MissingShardFile { path } => {
-                write!(f, "shard file {} is missing on disk", path.display())
-            }
-            ManifestViolation::UnreadableShardFile { path, error } => {
-                write!(f, "shard file {} does not open: {error}", path.display())
-            }
-            ManifestViolation::OrphanShardFile { path } => {
-                write!(
-                    f,
-                    "orphaned shard file {} is referenced by no manifest entry",
-                    path.display()
-                )
-            }
-            ManifestViolation::NameMismatch { name, shard, local, actual } => write!(
-                f,
-                "manifest names (shard {shard}, local {local}) as {name:?} but the shard \
-                 stores {actual:?}"
-            ),
-        }
-    }
-}
-
-/// Structural validation of a manifest's incremental-update state: epoch
-/// monotonicity and document-table / tombstone referential integrity.
-/// Purely in-memory; [`audit_manifest`] adds the disk checks and sorts.
-fn validate_manifest(manifest: &ShardManifest) -> Vec<ManifestViolation> {
-    let mut out = Vec::new();
-    let mut prev_born = 0u64;
-    for s in &manifest.shards {
-        if s.born > manifest.epoch {
-            out.push(ManifestViolation::BornAfterEpoch {
-                shard: s.id,
-                born: s.born,
-                epoch: manifest.epoch,
-            });
-        }
-        if s.born < prev_born {
-            out.push(ManifestViolation::BornNotMonotonic {
-                shard: s.id,
-                born: s.born,
-                prev: prev_born,
-            });
-        }
-        prev_born = s.born;
-    }
-    let mut slots: Vec<(u64, u32)> = Vec::with_capacity(manifest.docs.len());
-    for (i, d) in manifest.docs.iter().enumerate() {
-        if manifest.docs[..i].iter().any(|p| p.name == d.name) {
-            out.push(ManifestViolation::DuplicateDocName { name: d.name.clone() });
-        }
-        if slots.contains(&(d.shard, d.local)) {
-            out.push(ManifestViolation::DuplicateDocSlot { shard: d.shard, local: d.local });
-        }
-        slots.push((d.shard, d.local));
-        match manifest.shard_by_id(d.shard) {
-            None => out
-                .push(ManifestViolation::DocShardMissing { name: d.name.clone(), shard: d.shard }),
-            Some(s) if d.local >= s.doc_count => {
-                out.push(ManifestViolation::DocLocalOutOfRange {
-                    name: d.name.clone(),
-                    shard: d.shard,
-                    local: d.local,
-                    doc_count: s.doc_count,
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    for t in &manifest.tombstones {
-        match manifest.shard_by_id(t.shard) {
-            None => {
-                out.push(ManifestViolation::TombstoneShardMissing {
-                    name: t.name.clone(),
-                    shard: t.shard,
-                });
-                continue;
-            }
-            Some(s) => {
-                if t.local >= s.doc_count {
-                    out.push(ManifestViolation::TombstoneLocalOutOfRange {
-                        name: t.name.clone(),
-                        shard: t.shard,
-                        local: t.local,
-                        doc_count: s.doc_count,
-                    });
-                }
-                if s.born == manifest.epoch && manifest.epoch > 0 {
-                    out.push(ManifestViolation::TombstoneTooNew {
-                        name: t.name.clone(),
-                        shard: t.shard,
-                    });
-                }
-            }
-        }
-        if manifest.docs.iter().any(|d| d.shard == t.shard && d.local == t.local) {
-            out.push(ManifestViolation::TombstoneLive {
-                name: t.name.clone(),
-                shard: t.shard,
-                local: t.local,
-            });
-        }
-    }
-    out
-}
-
-/// The manifest audit `gks doctor` and the server's `/doctor` both report:
-/// parses the manifest once, resolves its paths once against the
-/// manifest's (absolute) directory, and returns the resolved manifest with
-/// every finding sorted by rendered message — the structural ones (epoch
-/// order, document-table and tombstone integrity) plus the disk checks:
-/// missing, unreadable and orphaned
-/// (`{stem}.*.gksix`, referenced by no entry) shard files, and document
-/// names that disagree with what the shard stores at their slot.
-pub fn audit_manifest(
-    manifest_path: &Path,
-) -> Result<(ShardManifest, Vec<ManifestViolation>), IndexError> {
-    let mut manifest = ShardManifest::parse(&fs::read_to_string(manifest_path)?)?;
-    let dir = std::path::absolute(manifest_dir(manifest_path))?;
-    manifest.resolve_paths(&dir);
-    let mut out = validate_manifest(&manifest);
-    let orphan_prefix = format!("{}.", manifest_stem(manifest_path));
-    for entry in fs::read_dir(&dir)?.flatten() {
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with(&orphan_prefix)
-            && name.ends_with(".gksix")
-            && !manifest.shards.iter().any(|s| s.path == path)
-        {
-            out.push(ManifestViolation::OrphanShardFile { path });
-        }
-    }
-    for s in &manifest.shards {
-        if !s.path.exists() {
-            out.push(ManifestViolation::MissingShardFile { path: s.path.clone() });
-            continue;
-        }
-        let ix = match GksIndex::load(&s.path) {
-            Ok(ix) => ix,
-            Err(e) => {
-                let error = e.to_string();
-                out.push(ManifestViolation::UnreadableShardFile { path: s.path.clone(), error });
-                continue;
-            }
-        };
-        for d in manifest.docs.iter().filter(|d| d.shard == s.id) {
-            let actual = ix.doc_name(gks_dewey::DocId(d.local)).unwrap_or("");
-            if actual != d.name {
-                out.push(ManifestViolation::NameMismatch {
-                    name: d.name.clone(),
-                    shard: d.shard,
-                    local: d.local,
-                    actual: actual.to_string(),
-                });
-            }
-        }
-        for t in manifest.tombstones.iter().filter(|t| t.shard == s.id) {
-            let actual = ix.doc_name(gks_dewey::DocId(t.local)).unwrap_or("");
-            if actual != t.name {
-                out.push(ManifestViolation::NameMismatch {
-                    name: t.name.clone(),
-                    shard: t.shard,
-                    local: t.local,
-                    actual: actual.to_string(),
-                });
-            }
-        }
-    }
-    out.sort_by_key(ManifestViolation::to_string);
-    Ok((manifest, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{audit_manifest, ManifestViolation};
     use crate::shard::DEAD_DOC;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -1107,12 +873,13 @@ mod tests {
         assert!(tick.changed() && matches!(tick.compaction, Ok(None)), "one delta, below 2");
         assert!(maintain(&manifest_path, Some(1)).compaction.unwrap().is_some(), "1 reaches 1");
         // A commit that fails (unparsable XML) does not skip the check: the
-        // fold is attempted over the same broken corpus and fails too.
+        // fold merges the committed shards, which the broken file never
+        // reached, and succeeds.
         write_doc(&corpus, "epsilon", "<r><t>fig</t></r>");
         assert!(maintain(&manifest_path, None).commit.unwrap().is_some());
         write_doc(&corpus, "broken", "<r><unclosed></r>");
         let tick = maintain(&manifest_path, Some(1));
-        assert!(tick.commit.is_err() && tick.compaction.is_err(), "{tick:?}");
+        assert!(tick.commit.is_err() && matches!(tick.compaction, Ok(Some(_))), "{tick:?}");
         fs::remove_dir_all(&root).ok();
     }
 }

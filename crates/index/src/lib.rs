@@ -22,6 +22,7 @@
 //! embody.
 
 pub mod attrstore;
+pub mod audit;
 pub mod builder;
 pub mod categorize;
 pub mod corpus;
@@ -29,6 +30,7 @@ pub mod delta;
 pub mod doctor;
 pub mod error;
 pub mod fasthash;
+mod merge;
 pub mod node_table;
 pub mod options;
 pub mod persist;
@@ -38,12 +40,13 @@ pub mod shard;
 pub mod stats;
 
 pub use attrstore::{AttrIds, AttrSource, AttrStore, AttrView, Entries};
+pub use audit::{audit_manifest, ManifestViolation};
 pub use builder::GksIndex;
 pub use categorize::{NodeCategory, NodeFlags};
 pub use corpus::Corpus;
 pub use delta::{
-    audit_manifest, commit_delta, compact, index_corpus, index_directory, maintain, plan_delta,
-    CommitStats, CompactStats, DeltaPlan, MaintenanceOutcome, ManifestViolation,
+    commit_delta, compact, index_corpus, index_directory, maintain, plan_delta, CommitStats,
+    CompactStats, DeltaPlan, MaintenanceOutcome,
 };
 pub use doctor::Violation;
 pub use error::IndexError;

@@ -164,9 +164,22 @@ impl NodeTable {
     /// metadata is a placeholder until [`Self::set_meta`]; the child index
     /// covers it once [`Self::link`] runs.
     pub(crate) fn push(&mut self, id: DeweyId, label: u32) -> Result<u32, IndexError> {
+        self.push_row(id, NodeMeta { child_count: 0, flags: NodeFlags::empty(), label })
+    }
+
+    /// Makes room for `additional` more rows, so a caller that knows the
+    /// count pushes without regrowing the columns.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.ids.reserve_exact(additional);
+        self.metas.reserve_exact(additional);
+    }
+
+    /// Appends the next node in Dewey order with its metadata, and returns
+    /// its row.
+    pub(crate) fn push_row(&mut self, id: DeweyId, meta: NodeMeta) -> Result<u32, IndexError> {
         let row = row_after(self.ids.len())?;
         self.ids.push(id);
-        self.metas.push(NodeMeta { child_count: 0, flags: NodeFlags::empty(), label });
+        self.metas.push(meta);
         Ok(row)
     }
 

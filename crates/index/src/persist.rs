@@ -47,8 +47,10 @@ use crate::stats::{CategoryCensus, IndexStats};
 
 const MAGIC: &[u8; 5] = b"GKSIX";
 /// The one file version (6 → 7 when the node ids became one blocked run,
-/// 7 → 8 when the header kept only the two analyzer option bytes).
-const VERSION: u32 = 8;
+/// 7 → 8 when the header kept only the two analyzer option bytes, 8 → 9
+/// when each document name gained its XML byte length and the stats section
+/// lost the corpus total those lengths sum to).
+const VERSION: u32 = 9;
 /// Trailing magic of the footer; lets the doctor tell "not an index file"
 /// from "index file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
@@ -167,20 +169,26 @@ fn read_options(input: &mut &[u8]) -> Result<IndexOptions, IndexError> {
     Ok(IndexOptions { analyzer: AnalyzerOptions { remove_stopwords, stem } })
 }
 
+/// Document section: `count · (name · XML byte length)*`. The lengths are
+/// the one record of how much XML each document was, so a shard merged from
+/// others states its `raw_bytes` exactly.
 fn write_doc_names(out: &mut BytesMut, ix: &GksIndex) {
     write_varint(out, ix.doc_names().len() as u64);
-    for name in ix.doc_names() {
+    for (name, &bytes) in ix.doc_names().iter().zip(ix.doc_bytes()) {
         write_str(out, name);
+        write_varint(out, bytes);
     }
 }
 
-fn read_doc_names(input: &mut &[u8]) -> Result<Vec<String>, IndexError> {
+pub(crate) fn read_doc_names(input: &mut &[u8]) -> Result<(Vec<String>, Vec<u64>), IndexError> {
     let doc_count = read_varint(input)? as usize;
     let mut doc_names = Vec::with_capacity(doc_count.min(1 << 16));
+    let mut doc_bytes = Vec::with_capacity(doc_count.min(1 << 16));
     for _ in 0..doc_count {
         doc_names.push(read_str(input)?.to_string());
+        doc_bytes.push(read_varint(input)?);
     }
-    Ok(doc_names)
+    Ok((doc_names, doc_bytes))
 }
 
 fn write_labels(out: &mut BytesMut, ix: &GksIndex) {
@@ -220,7 +228,7 @@ fn write_node_rows<'a>(
 
 /// Reads the label section into a fresh `NodeTable` (the node rows follow in
 /// [`read_nodes`]).
-fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
+pub(crate) fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     let label_count = read_varint(input)? as usize;
     let mut node_table = NodeTable::new();
     for _ in 0..label_count {
@@ -239,29 +247,41 @@ fn read_nodes(
     doc_count: usize,
 ) -> Result<(), IndexError> {
     let label_count = table.labels().names().len();
+    let (mut run, count) = split_node_run(input)?;
+    let ids = BlockedRunReader::parse(&mut run, count)?.decode_all()?;
+    let mut metas = Vec::with_capacity(ids.len());
+    for _ in 0..ids.len() {
+        metas.push(read_meta(input, label_count)?);
+    }
+    table.set_columns(ids, metas);
+    table.link(doc_count)
+}
+
+/// Splits the node section's id count and blocked id run off `input`,
+/// leaving the metadata rows.
+pub(crate) fn split_node_run<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], usize), IndexError> {
     let count = read_varint(input)? as usize;
     let run_len = read_varint(input)? as usize;
     if input.len() < run_len {
         return Err(IndexError::Corrupt("truncated node id run".into()));
     }
-    let (mut run, rest) = input.split_at(run_len);
+    let (run, rest) = input.split_at(run_len);
     *input = rest;
-    let ids = BlockedRunReader::parse(&mut run, count)?.decode_all()?;
-    let mut metas = Vec::with_capacity(ids.len());
-    for _ in 0..ids.len() {
-        let child_count = read_varint(input)? as u32;
-        if !input.has_remaining() {
-            return Err(IndexError::Corrupt("truncated node meta".into()));
-        }
-        let flags = NodeFlags::from_bits(input.get_u8());
-        let label = read_varint(input)? as u32;
-        if label as usize >= label_count {
-            return Err(IndexError::Corrupt(format!("label id {label} out of range")));
-        }
-        metas.push(NodeMeta { child_count, flags, label });
+    Ok((run, count))
+}
+
+/// One node's metadata row, its label checked against `label_count`.
+pub(crate) fn read_meta(input: &mut &[u8], label_count: usize) -> Result<NodeMeta, IndexError> {
+    let child_count = read_varint(input)? as u32;
+    if !input.has_remaining() {
+        return Err(IndexError::Corrupt("truncated node meta".into()));
     }
-    table.set_columns(ids, metas);
-    table.link(doc_count)
+    let flags = NodeFlags::from_bits(input.get_u8());
+    let label = read_varint(input)? as u32;
+    if label as usize >= label_count {
+        return Err(IndexError::Corrupt(format!("label id {label} out of range")));
+    }
+    Ok(NodeMeta { child_count, flags, label })
 }
 
 /// Attribute section: the three interned tables, then the entities with
@@ -316,13 +336,35 @@ fn write_attrs(out: &mut BytesMut, ix: &GksIndex) {
 /// [`IndexError::Corrupt`] at open and later lookups cannot miss.
 fn read_attrs(input: &mut &[u8], table: &NodeTable) -> Result<AttrStore, IndexError> {
     let label_count = table.labels().len();
-    let check_label = |label: u64| {
-        if label < label_count as u64 {
-            Ok(label as u32)
-        } else {
-            Err(IndexError::Corrupt(format!("attr label id {label} out of range")))
-        }
-    };
+    let mut attrs = read_attr_tables(input, label_count)?;
+    let count = read_varint(input)? as usize;
+    // An entity takes at least four bytes, which bounds a hostile count.
+    attrs.reserve_entities(count.min(input.len() / 4));
+    read_entities(input, count, label_count, |entity, label, entries| {
+        let row = table
+            .row(&entity)
+            .ok_or_else(|| IndexError::Corrupt(format!("attr entity {entity} is not a node")))?;
+        attrs.load_entity(row, label, entries)
+    })?;
+    Ok(attrs)
+}
+
+/// An attribute label id, checked against `label_count`.
+fn check_label(label: u64, label_count: usize) -> Result<u32, IndexError> {
+    if label < label_count as u64 {
+        Ok(label as u32)
+    } else {
+        Err(IndexError::Corrupt(format!("attr label id {label} out of range")))
+    }
+}
+
+/// The attribute section's three interned tables, into a store with no
+/// entity recorded yet.
+pub(crate) fn read_attr_tables(
+    input: &mut &[u8],
+    label_count: usize,
+) -> Result<AttrStore, IndexError> {
+    let check_label = |label: u64| check_label(label, label_count);
     let mut attrs = AttrStore::new();
     let path_count = read_varint(input)? as usize;
     for _ in 0..path_count {
@@ -342,16 +384,23 @@ fn read_attrs(input: &mut &[u8], table: &NodeTable) -> Result<AttrStore, IndexEr
         let raw = read_str(input)?;
         attrs.load_value(raw, read_varint(input)?)?;
     }
+    Ok(attrs)
+}
+
+/// The `count` entities that follow the attribute tables and their count:
+/// each one's id, label and entries handed to `visit` in recording order.
+/// Path and value ids are the visitor's to check; out-of-range ones
+/// saturate.
+pub(crate) fn read_entities(
+    input: &mut &[u8],
+    count: usize,
+    label_count: usize,
+    mut visit: impl FnMut(DeweyId, u32, &[AttrIds]) -> Result<(), IndexError>,
+) -> Result<(), IndexError> {
     let mut entries: Vec<AttrIds> = Vec::new();
-    let entity_count = read_varint(input)? as usize;
-    // An entity takes at least four bytes, which bounds a hostile count.
-    attrs.reserve_entities(entity_count.min(input.len() / 4));
-    for _ in 0..entity_count {
+    for _ in 0..count {
         let entity = decode_id(input)?;
-        let row = table
-            .row(&entity)
-            .ok_or_else(|| IndexError::Corrupt(format!("attr entity {entity} is not a node")))?;
-        let label = check_label(read_varint(input)?)?;
+        let label = check_label(read_varint(input)?, label_count)?;
         let entry_count = read_varint(input)? as usize;
         entries.clear();
         for _ in 0..entry_count {
@@ -368,13 +417,14 @@ fn read_attrs(input: &mut &[u8], table: &NodeTable) -> Result<AttrStore, IndexEr
                 },
             });
         }
-        attrs.load_entity(row, label, &entries)?;
+        visit(entity, label, &entries)?;
     }
-    Ok(attrs)
+    Ok(())
 }
 
-/// Everything in [`IndexStats`] but `build_millis`: the bytes are a function
-/// of the corpus, not of the clock (CI `cmp`s two builds).
+/// Everything in [`IndexStats`] but `build_millis`, which would make the
+/// bytes a function of the clock (CI `cmp`s two builds), and `raw_bytes`,
+/// which the reader sums from the document section.
 fn write_stats(out: &mut BytesMut, ix: &GksIndex) {
     let s = ix.stats();
     write_varint(out, s.doc_count);
@@ -390,13 +440,12 @@ fn write_stats(out: &mut BytesMut, ix: &GksIndex) {
         write_census(out, census);
     }
     write_varint(out, u64::from(s.max_depth));
-    write_varint(out, s.raw_bytes);
     write_varint(out, s.distinct_terms);
     write_varint(out, s.total_postings);
     write_varint(out, s.posting_depth_sum);
 }
 
-fn read_stats(input: &mut &[u8]) -> Result<IndexStats, IndexError> {
+pub(crate) fn read_stats(input: &mut &[u8]) -> Result<IndexStats, IndexError> {
     let mut stats = IndexStats {
         doc_count: read_varint(input)?,
         total_nodes: read_varint(input)?,
@@ -410,33 +459,33 @@ fn read_stats(input: &mut &[u8]) -> Result<IndexStats, IndexError> {
         stats.per_label.insert(label, census);
     }
     stats.max_depth = read_varint(input)? as u32;
-    stats.raw_bytes = read_varint(input)?;
     stats.distinct_terms = read_varint(input)?;
     stats.total_postings = read_varint(input)?;
     stats.posting_depth_sum = read_varint(input)?;
     Ok(stats)
 }
 
-/// The validated frame of an index file: everything [`GksIndex::from_mapped`]
-/// and [`section_sizes`] need before they read a section.
-struct Frame {
-    options: IndexOptions,
+/// The validated frame of an index file: everything [`GksIndex::from_mapped`],
+/// the merge's source reader and [`section_sizes`] need before they read a
+/// section.
+pub(crate) struct Frame {
+    pub(crate) options: IndexOptions,
     /// Magic + version + options; the first section starts here.
     header_len: usize,
     /// Section starts in file order — doc names, labels, node table,
     /// attribute store, stats, term dictionary, term offset table, postings
     /// — non-decreasing, the first at `header_len`, the last at most
     /// `footer_off`.
-    offsets: [u64; 8],
-    term_count: u64,
+    pub(crate) offsets: [u64; 8],
+    pub(crate) term_count: u64,
     /// End of the postings region, start of the footer.
-    footer_off: usize,
+    pub(crate) footer_off: usize,
 }
 
 /// Parses and validates header and footer: magic, version, tail magic,
 /// recorded file length, checksum and section-offset order. The one place a
 /// footer is trusted, so no caller subtracts offsets it has not checked.
-fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
+pub(crate) fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
     let version = sniff_version(bytes)?;
     if version != VERSION {
         return Err(IndexError::VersionMismatch { found: version, expected: VERSION });
@@ -539,11 +588,12 @@ impl GksIndex {
             offsets;
 
         let section = |from: u64, to: u64| &bytes[from as usize..to as usize];
-        let doc_names = read_doc_names(&mut section(doc_off, lab_off))?;
+        let (doc_names, doc_bytes) = read_doc_names(&mut section(doc_off, lab_off))?;
         let mut node_table = read_labels(&mut section(lab_off, node_off))?;
         read_nodes(&mut section(node_off, attr_off), &mut node_table, doc_names.len())?;
         let attrs = read_attrs(&mut section(attr_off, stat_off), &node_table)?;
-        let stats = read_stats(&mut section(stat_off, dict_off))?;
+        let mut stats = read_stats(&mut section(stat_off, dict_off))?;
+        stats.raw_bytes = doc_bytes.iter().fold(0u64, |sum, &b| sum.saturating_add(b));
 
         let tier = Tier {
             dict: dict_off as usize,
@@ -552,7 +602,9 @@ impl GksIndex {
             end: footer_off,
         };
         let inverted = PostingStore::open(map, tier, term_count, &stats)?;
-        Ok(GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names))
+        Ok(GksIndex::from_parts(
+            options, node_table, inverted, attrs, stats, doc_names, doc_bytes,
+        ))
     }
 
     /// Writes the index to a file. Survives only because the frozen `perf/`
@@ -645,6 +697,8 @@ mod tests {
     fn assert_indexes_equal(loaded: &GksIndex, ix: &GksIndex) {
         assert_eq!(loaded.options(), ix.options());
         assert_eq!(loaded.doc_names(), ix.doc_names());
+        assert_eq!(loaded.doc_bytes(), ix.doc_bytes());
+        assert_eq!(loaded.stats().raw_bytes, ix.stats().raw_bytes);
         assert_eq!(loaded.stats().total_nodes, ix.stats().total_nodes);
         assert_eq!(loaded.stats().census, ix.stats().census);
         assert_eq!(loaded.stats().max_depth, ix.stats().max_depth);
@@ -742,13 +796,14 @@ mod tests {
     fn files_of_the_previous_versions_are_refused_by_number() {
         // Versions 2 and 3 carried one string and one path per attribute
         // entry, 4 was the eager single-stream layout, 5 had one more stats
-        // field, 6 stored the node ids in the older sorted-run codec; reading
-        // one as the current layout would mis-parse, so the number — checked
-        // before anything else — is what refuses it.
+        // field, 6 stored the node ids in the older sorted-run codec, 7 had
+        // three more header bytes, 8 stored names without byte lengths;
+        // reading one as the current layout would mis-parse, so the number —
+        // checked before anything else — is what refuses it.
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for old in [2u32, 3, 4, 5, 6, 7] {
+        for old in [2u32, 3, 4, 5, 6, 7, 8] {
             let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
             bytes[5..9].copy_from_slice(&old.to_be_bytes());
             let path = dir.join(format!("v{old}.gksix"));

@@ -205,7 +205,7 @@ pub(crate) struct EncodedTier {
 impl EncodedTier {
     /// Encodes the next term's list as handed (the caller brings terms in
     /// byte order).
-    fn push(&mut self, term: &str, list: &[DeweyId]) -> Result<(), IndexError> {
+    pub(crate) fn push(&mut self, term: &str, list: &[DeweyId]) -> Result<(), IndexError> {
         let rec = u32::try_from(self.dict.len())
             .map_err(|_| IndexError::Invariant("term dictionary exceeds 4GiB"))?;
         self.rec_offsets.push(rec);
@@ -401,7 +401,8 @@ impl PostingStore {
         &self.map.as_slice()[e.term_start..e.term_start + e.term_len]
     }
 
-    fn term_str(&self, i: usize) -> &str {
+    /// Term `i` of the dictionary, in sorted order.
+    pub(crate) fn term_str(&self, i: usize) -> &str {
         // Term bytes were UTF-8 validated when the dictionary was parsed; a
         // stale map cannot change under MAP_PRIVATE.
         std::str::from_utf8(self.term_bytes(i)).unwrap_or("")
@@ -417,7 +418,10 @@ impl PostingStore {
             .ok()
     }
 
-    fn run_reader(&self, i: usize) -> Result<BlockedRunReader<'_>, DecodeError> {
+    /// A reader over term `i`'s blocked run, straight off the backing
+    /// bytes. No slot is filled, so a caller that reads every run (a merge)
+    /// leaves none of them resident.
+    pub(crate) fn run_reader(&self, i: usize) -> Result<BlockedRunReader<'_>, DecodeError> {
         let e = &self.terms[i];
         let mut input = &self.map.as_slice()[e.post_start..e.post_start + e.post_len];
         BlockedRunReader::parse(&mut input, e.count)

@@ -35,6 +35,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Read as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use gks_dewey::DocId;
@@ -571,29 +572,40 @@ fn parse_options(rest: &str, options: &mut IndexOptions) {
 }
 
 /// Splits a corpus into at most `shards` contiguous document ranges, in
-/// global document order. Every returned corpus is non-empty: when the
-/// corpus has fewer documents than `shards`, one single-document corpus is
-/// returned per document. Sizes differ by at most one document (the first
-/// `len % shards` ranges take the extra), so shard `i` starts at the global
-/// document id equal to the sum of the earlier range sizes.
+/// global document order ([`split_ranges`]). Every returned corpus is
+/// non-empty unless the corpus itself is.
 pub fn split_corpus(corpus: &Corpus, shards: usize) -> Vec<Corpus> {
     let docs = corpus.docs();
-    let shards = shards.clamp(1, docs.len().max(1));
-    let base_size = docs.len() / shards;
-    let remainder = docs.len() % shards;
-    let mut out = Vec::with_capacity(shards);
+    split_ranges(docs.len(), shards)
+        .into_iter()
+        .map(|range| {
+            let mut part = Corpus::new();
+            for d in &docs[range] {
+                part.push(d.name.clone(), d.xml.clone());
+            }
+            part
+        })
+        .collect()
+}
+
+/// The contiguous ranges `len` documents are cut into for `shards` shards —
+/// the one split behind [`split_corpus`] and compaction. There are at most
+/// `shards` ranges and at least one, and none is empty unless `len` is 0:
+/// with fewer documents than shards, each document gets its own range.
+/// Sizes differ by at most one document (the first `len % shards` ranges
+/// take the extra), so range `i` starts at the sum of the earlier sizes.
+pub(crate) fn split_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
+    let shards = shards.clamp(1, len.max(1));
+    let (base_size, remainder) = (len / shards, len % shards);
     let mut start = 0usize;
-    for i in 0..shards {
-        let size = base_size + usize::from(i < remainder);
-        let slice = &docs[start..start + size];
-        let mut part = Corpus::new();
-        for d in slice {
-            part.push(d.name.clone(), d.xml.clone());
-        }
-        out.push(part);
-        start += size;
-    }
-    out
+    (0..shards)
+        .map(|i| {
+            let end = start + base_size + usize::from(i < remainder);
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -695,8 +695,9 @@ impl ResidentIndex {
     }
 
     /// Folds this index's delta shards back into its base shards
-    /// (`POST /admin/compact`) and syncs the compacted generation in.
-    /// Returns `Ok(None)` when there was nothing to fold.
+    /// (`POST /admin/compact`) and syncs the compacted generation in. It
+    /// commits nothing first, so the fold leaves out an edit not yet
+    /// committed. Returns `Ok(None)` when there was nothing to fold.
     pub fn compact_now(&self) -> Result<Option<CompactStats>, ServeError> {
         let outcome = self.mutate_manifest("compact", |path| MaintenanceOutcome {
             commit: Ok(None),

@@ -63,7 +63,8 @@
 //!   thread runs `delta::maintain` — the same tick as `gks watch` — on
 //!   every interval, committing a delta shard for whatever changed and
 //!   folding the backlog once it reaches `--compact-threshold` delta
-//!   shards (`POST /admin/compact` folds on demand). Both publish through
+//!   shards (`POST /admin/compact` folds the committed shards on demand,
+//!   committing nothing first). Both publish through
 //!   the same hot-swap protocol, so a mutation becomes visible to
 //!   `/search` without a restart and without a dropped request;
 //!   `gks_index_freshness_seconds` tracks the corpus-to-serving lag.
@@ -280,7 +281,9 @@ impl ServeState {
 
     /// `POST /admin/compact?index=<name>` (or `POST /ix/<name>/admin/compact`):
     /// folds the named index's delta shards into its base shards and
-    /// hot-swaps the compacted generation in. Reports `"compacted":false`
+    /// hot-swaps the compacted generation in. The fold merges what is
+    /// committed and reads no XML: an edit the watcher has not committed
+    /// yet stays out until its next commit. Reports `"compacted":false`
     /// when there was no delta backlog. `400` for indexes without a manifest
     /// (no update path), `404` for unknown names, `500` when the fold itself
     /// fails.
