@@ -18,21 +18,33 @@
 //! All three are ids in the index's attribute store
 //! (`gks_index::attrstore`): the value was analysed once, at build time,
 //! and its norm id stands for its analysed terms. So the rank-weighted
-//! group-by is integer work — one hash lookup on four `u32`s and one
-//! `weight += rank` per attribute entry — and no string is built until the
-//! top-m survivors are known.
+//! group-by is integer work that reads no string. Each index fed has a
+//! dense head array indexed by norm id, leading to a chain of (label, path)
+//! links, almost always one link long, each naming its group's slot. An
+//! attribute entry costs one array read, one compare of two `u32`s and one
+//! `weight += rank`, and no string is built until the top-m survivors are
+//! known.
+//!
+//! A value that analyses to nothing, or one of whose terms is a query
+//! term, is left out of `Sw_Q`. That test reads the norm's text, so it is
+//! deferred to [`DiAccumulator::finish`]: the best m groups are selected,
+//! the restating ones dropped, and the next best fill the gap until m are
+//! kept. The test depends on the norm alone and the order is total, so the
+//! result is the one filtering every entry first would give.
 //!
 //! Each group accumulates into a single slot, in response rank order. A
 //! sharded gather feeds hits from several indexes, whose ids are unrelated;
 //! a key first seen in a second index is matched to an existing slot by
 //! hashing and comparing the strings the ids stand for, after which its ids
-//! map straight to that slot. Per-shard partial sums merged at the end
-//! would be simpler, but `f64` addition is not associative: the weights
-//! would differ in the last bits from the unsharded engine's, and the
-//! sharded ≡ unsharded byte equality the gather promises would be lost.
+//! lead straight to that slot. As that reads the norm's text anyway, the
+//! restating test runs there at first sight: once a second index is
+//! observed, a new group that restates the query is linked as dropped and
+//! never hashed. Per-shard partial sums merged at the end would be
+//! simpler, but `f64` addition is not associative: the weights would
+//! differ in the last bits from the unsharded engine's, and the sharded ≡
+//! unsharded byte equality the gather promises would be lost.
 
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 
 use gks_dewey::DeweyId;
@@ -89,11 +101,51 @@ impl Insight {
 #[derive(Debug)]
 struct Source<'a> {
     index: &'a GksIndex,
-    /// Per norm id of this index: `None` until a value with that norm is
-    /// met, then whether such values are kept (non-empty after analysis and
-    /// not restating the query).
-    kept: Vec<Option<bool>>,
+    /// Per norm id of this index: the first of the [`Link`]s that share the
+    /// norm, [`NONE`] until a value with that norm is met.
+    head: Vec<u32>,
+    /// Every group this index's ids have named, chained by norm.
+    links: Vec<Link>,
 }
+
+impl Source<'_> {
+    /// The slot of group `(label, path)` on the chain that starts at `at`.
+    fn find(&self, mut at: u32, label: u32, path: u32) -> Option<u32> {
+        while let Some(link) = self.links.get(at as usize) {
+            if link.label == label && link.path == path {
+                return Some(link.slot);
+            }
+            at = link.next;
+        }
+        None
+    }
+
+    /// Puts `link` at the head of norm `norm`'s chain.
+    fn push(&mut self, norm: u32, link: Link) {
+        if let Some(head) = self.head.get_mut(norm as usize) {
+            *head = id_of(self.links.len());
+            self.links.push(link);
+        }
+    }
+}
+
+/// One group as named by one index's ids: the norm is the chain it hangs
+/// off [`Source::head`], the entity label and path are compared along it.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    label: u32,
+    path: u32,
+    /// The group's slot, or [`DROPPED`] for a group that restates the query.
+    slot: u32,
+    /// The next link with the same norm, or [`NONE`].
+    next: u32,
+}
+
+/// An empty [`Source::head`] entry, and the end of a chain.
+const NONE: u32 = u32::MAX;
+
+/// The slot of a group left out at first sight; no slot has this id.
+const DROPPED: u32 = u32::MAX;
 
 /// One aggregation group.
 #[derive(Debug)]
@@ -124,9 +176,6 @@ pub struct DiAccumulator<'a> {
     query_terms: Vec<&'a str>,
     sources: Vec<Source<'a>>,
     slots: Vec<Slot>,
-    /// (source ordinal, entity label id, path id, norm id) → the group's
-    /// slot, or `None` for a norm that is not kept.
-    by_ids: FastMap<(u32, u32, u32, u32), Option<u32>>,
     /// Hash of a group's label, path and norm *strings* → slot. Filled only
     /// once a second index is observed; colliding groups probe linearly
     /// through the hash space.
@@ -177,7 +226,6 @@ impl<'a> DiAccumulator<'a> {
                 .collect(),
             sources: Vec::new(),
             slots: Vec::new(),
-            by_ids: FastMap::default(),
             by_text: FastMap::default(),
             top_m: options.top_m,
             attrs_evaluated: 0,
@@ -200,8 +248,8 @@ impl<'a> DiAccumulator<'a> {
         if let Some(i) = self.sources.iter().position(|s| std::ptr::eq(s.index, index)) {
             return i as u32;
         }
-        self.sources
-            .push(Source { index, kept: vec![None; index.attr_store().norms().len()] });
+        let head = vec![NONE; index.attr_store().norms().len()];
+        self.sources.push(Source { index, head, links: Vec::new() });
         if self.sources.len() == 2 {
             let first = self.sources[0].index;
             for (slot, i) in self.slots.iter().zip(0u32..) {
@@ -235,25 +283,38 @@ impl<'a> DiAccumulator<'a> {
         for entry in entries.ids() {
             self.attrs_evaluated += 1;
             let norm = store.norm_of(entry.value);
-            let slot = match self.by_ids.entry((source, label, entry.path, norm)) {
-                Entry::Occupied(seen) => *seen.get(),
-                Entry::Vacant(unseen) => *unseen.insert(new_group(
-                    &self.query_terms,
-                    &mut self.sources,
-                    &mut self.slots,
-                    &mut self.by_text,
-                    Slot {
-                        source,
-                        value: entry.value,
-                        label,
-                        path: entry.path,
-                        norm,
-                        weight: 0.0,
-                        support: 0,
-                    },
-                )),
+            let Some(src) = self.sources.get(source as usize) else {
+                continue;
             };
-            if let Some(slot) = slot.and_then(|i| self.slots.get_mut(i as usize)) {
+            let Some(&first) = src.head.get(norm as usize) else {
+                continue;
+            };
+            let slot = match src.find(first, label, entry.path) {
+                Some(slot) => slot,
+                None => {
+                    let slot = new_group(
+                        &self.query_terms,
+                        &self.sources,
+                        &mut self.slots,
+                        &mut self.by_text,
+                        Slot {
+                            source,
+                            value: entry.value,
+                            label,
+                            path: entry.path,
+                            norm,
+                            weight: 0.0,
+                            support: 0,
+                        },
+                    );
+                    let link = Link { label, path: entry.path, slot, next: first };
+                    if let Some(src) = self.sources.get_mut(source as usize) {
+                        src.push(norm, link);
+                    }
+                    slot
+                }
+            };
+            if let Some(slot) = self.slots.get_mut(slot as usize) {
                 slot.weight += hit.rank;
                 slot.support += 1;
             }
@@ -261,14 +322,18 @@ impl<'a> DiAccumulator<'a> {
     }
 
     /// Finishes the accumulation: selects the top-m by (weight desc, support
-    /// desc, value asc, path asc) and builds only those insights. Distinct
-    /// groups differ in value or path, so the order is total — a function
-    /// of the data, not of hash-map capacity or observation order.
+    /// desc, value asc, path asc) among the groups whose norm is non-empty
+    /// and does not restate the query, and builds only those insights.
+    /// Distinct groups differ in value or path, so the order is total — a
+    /// function of the data, not of hash-map capacity or observation order.
+    ///
+    /// The restating test reads the norm's text, so it runs on candidates
+    /// only: the best `m` slots are selected, the restating ones dropped,
+    /// and the best of the rest fill the gap until `m` are kept or none
+    /// remain. As the test depends on the norm alone, the kept groups are
+    /// the ones filtering before aggregating would have kept.
     pub fn finish(self) -> Vec<Insight> {
-        let DiAccumulator { sources, mut slots, top_m, .. } = self;
-        if top_m == 0 {
-            return Vec::new();
-        }
+        let DiAccumulator { query_terms, sources, mut slots, top_m, .. } = self;
         let by_rank = |a: &Slot, b: &Slot| {
             b.weight
                 .partial_cmp(&a.weight)
@@ -277,10 +342,29 @@ impl<'a> DiAccumulator<'a> {
                 .then_with(|| slot_value(&sources, a).cmp(slot_value(&sources, b)))
                 .then_with(|| slot_path(&sources, a).cmp(slot_path(&sources, b)))
         };
-        if slots.len() > top_m {
-            slots.select_nth_unstable_by(top_m - 1, by_rank);
-            slots.truncate(top_m);
+        let is_shown = |slot: &Slot| {
+            sources
+                .get(slot.source as usize)
+                .is_some_and(|s| shown(&query_terms, s.index.attr_store().norm(slot.norm)))
+        };
+        // slots[..kept] are kept, slots[kept..seen] dropped, the rest unseen.
+        let (mut kept, mut seen) = (0, 0);
+        while kept < top_m && seen < slots.len() {
+            let need = top_m - kept;
+            let unseen = &mut slots[seen..];
+            if unseen.len() > need {
+                unseen.select_nth_unstable_by(need - 1, by_rank);
+            }
+            let end = seen + need.min(unseen.len());
+            for i in seen..end {
+                if slots.get(i).is_some_and(is_shown) {
+                    slots.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            seen = end;
         }
+        slots.truncate(kept);
         slots.sort_unstable_by(by_rank);
         slots
             .iter()
@@ -294,46 +378,59 @@ impl<'a> DiAccumulator<'a> {
     }
 }
 
-/// Resolves a key met for the first time under `new`'s ids: `None` when its
-/// norm is not kept, an existing slot when another index already opened the
-/// same group, otherwise a fresh slot.
+/// Whether a group with analysed value `norm` may be shown: it analyses to
+/// something, and none of its terms is a query term ("if a keyword in the
+/// attribute node is part of the user query Q, it is not included").
+fn shown(query_terms: &[&str], norm: &str) -> bool {
+    !norm.is_empty() && !norm.split(' ').any(|term| query_terms.contains(&term))
+}
+
+fn id_of(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(NONE)
+}
+
+/// The slot of a group met for the first time under `new`'s ids. With one
+/// index that is always a fresh slot. Once several indexes are observed, a
+/// group that restates the query is [`DROPPED`] at first sight, and one
+/// another index already opened continues that index's slot.
 fn new_group(
     query_terms: &[&str],
-    sources: &mut [Source<'_>],
+    sources: &[Source<'_>],
     slots: &mut Vec<Slot>,
     by_text: &mut FastMap<u64, u32>,
     new: Slot,
-) -> Option<u32> {
-    let sharded = sources.len() > 1;
-    let source = sources.get_mut(new.source as usize)?;
-    let index = source.index;
-    // The query-restating test runs once per distinct norm per query.
-    let kept = *source.kept.get_mut(new.norm as usize)?.get_or_insert_with(|| {
+) -> u32 {
+    let id = match u32::try_from(slots.len()) {
+        Ok(id) if id != DROPPED => id,
+        _ => return DROPPED,
+    };
+    if sources.len() > 1 {
+        // The group is hashed by its text anyway, so the restating test
+        // costs one more scan of a string already read.
+        let Some(index) = sources.get(new.source as usize).map(|s| s.index) else {
+            return DROPPED;
+        };
         let norm = index.attr_store().norm(new.norm);
-        !norm.is_empty() && !norm.split(' ').any(|term| query_terms.contains(&term))
-    });
-    if !kept {
-        return None;
-    }
-    let id = u32::try_from(slots.len()).ok()?;
-    if sharded {
+        if !shown(query_terms, norm) {
+            return DROPPED;
+        }
         let mut hash = text_hash(index, new.label, new.path, new.norm);
         while let Some(&other) = by_text.get(&hash) {
             let same = slots.get(other as usize).is_some_and(|slot| {
                 slot_path(sources, slot).eq(path_names(index, new.label, new.path))
-                    && sources.get(slot.source as usize).is_some_and(|s| {
-                        s.index.attr_store().norm(slot.norm) == index.attr_store().norm(new.norm)
-                    })
+                    && sources
+                        .get(slot.source as usize)
+                        .is_some_and(|s| s.index.attr_store().norm(slot.norm) == norm)
             });
             if same {
-                return Some(other);
+                return other;
             }
             hash = hash.wrapping_add(1);
         }
         by_text.insert(hash, id);
     }
     slots.push(new);
-    Some(id)
+    id
 }
 
 /// Extracts DI from a response's LCE hits.

@@ -126,13 +126,18 @@ impl Engine {
     /// `["dblp", "inproceedings", "author"]`, with `"?"` for each depth the
     /// index does not record. One walk down the node table.
     pub fn node_path(&self, node: &DeweyId) -> Vec<String> {
+        self.path_names(node).map(str::to_string).collect()
+    }
+
+    /// [`node_path`](Self::node_path) borrowed from the index, for a caller
+    /// that writes the names somewhere rather than keeping them.
+    pub(crate) fn path_names<'a>(&'a self, node: &'a DeweyId) -> impl Iterator<Item = &'a str> {
         let table = self.index.node_table();
-        let mut path: Vec<String> = table
+        table
             .path(node)
-            .map(|meta| table.labels().name(meta.label).to_string())
-            .collect();
-        path.resize(node.depth() + 1, "?".to_string());
-        path
+            .map(|meta| table.labels().name(meta.label))
+            .chain(std::iter::repeat("?"))
+            .take(node.depth() + 1)
     }
 
     /// A short rendering of a hit: node description, Dewey id, matched

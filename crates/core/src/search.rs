@@ -118,12 +118,17 @@ pub struct Hit {
 impl Hit {
     /// The raw spellings of the matched keywords, in query order.
     pub fn matched_keywords<'q>(&self, keywords: &'q [Keyword]) -> Vec<&'q str> {
+        self.matched(keywords).collect()
+    }
+
+    /// [`matched_keywords`](Self::matched_keywords) without collecting them.
+    pub(crate) fn matched<'q>(&self, keywords: &'q [Keyword]) -> impl Iterator<Item = &'q str> {
+        let mask = self.keyword_mask;
         keywords
             .iter()
             .enumerate()
-            .filter(|(i, _)| self.keyword_mask & (1 << i) != 0)
+            .filter(move |(i, _)| mask & (1 << i) != 0)
             .map(|(_, k)| k.raw())
-            .collect()
     }
 }
 

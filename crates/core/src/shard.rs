@@ -141,7 +141,7 @@ impl ShardedResponse {
             .get(self.origin(i))
             .and_then(|m| m.to_local(hit.node.doc().0))
             .unwrap_or(0);
-        DeweyId::new(DocId(local), hit.node.steps().to_vec())
+        DeweyId::from_slice(DocId(local), hit.node.steps())
     }
 
     /// Number of shards that contributed to the scatter.

@@ -12,6 +12,12 @@
 //!   body (the server reports elapsed time in an `x-gks-micros` response
 //!   header instead), so a cached body is byte-identical to a freshly
 //!   computed one. The result-cache property test relies on this.
+//!
+//! A search body is written straight into its output buffer: each hit's
+//! path is walked down the node table and escaped in place, its node id
+//! formatted in place, and its matched keywords read off the keyword mask.
+//! No per-hit `String` or `Vec` is built. String literals copy each run
+//! that needs no escape whole.
 
 use std::fmt::Write as _;
 
@@ -23,22 +29,31 @@ use crate::search::{Hit, HitKind, Response};
 use crate::shard::ShardedResponse;
 
 /// Appends `s` to `out` as a JSON string literal (quotes included), escaping
-/// per RFC 8259: `"`, `\`, and control characters below `U+0020`.
+/// per RFC 8259: `"`, `\`, and control characters below `U+0020`. Runs that
+/// need no escape are copied whole; every escaped character is ASCII, so a
+/// run always ends on a character boundary.
 pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(s.get(run..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
 }
 
@@ -81,7 +96,9 @@ pub fn push_json_f64(out: &mut String, v: f64) {
 /// length of the returned list (not the pre-truncation count, which the
 /// engine does not retain). `missing` lists keywords with zero postings.
 pub fn search_response_json(engine: &Engine, response: &Response) -> String {
-    write_search_response(response, |_, hit| engine.node_path(&hit.node))
+    write_search_response(response, |_, hit, out| {
+        push_json_str_array(out, engine.path_names(&hit.node));
+    })
 }
 
 /// The sharded variant of [`search_response_json`]: byte-identical output
@@ -89,21 +106,25 @@ pub fn search_response_json(engine: &Engine, response: &Response) -> String {
 /// hit's `path` is resolved in its owning shard (via the shard-local node),
 /// while the `node` field keeps the merged response's global id.
 pub fn search_response_json_sharded(shards: &[&Engine], sharded: &ShardedResponse) -> String {
-    write_search_response(sharded.response(), |i, _| {
-        shards
-            .get(sharded.origin(i))
-            .map(|engine| engine.node_path(&sharded.local_node(i)))
-            .unwrap_or_default()
+    write_search_response(sharded.response(), |i, _, out| match shards.get(sharded.origin(i)) {
+        Some(engine) => {
+            let node = sharded.local_node(i);
+            push_json_str_array(out, engine.path_names(&node));
+        }
+        None => out.push_str("[]"),
     })
 }
 
+/// The search body, written straight into one buffer: `push_path` appends
+/// hit `i`'s `path` array.
 fn write_search_response(
     response: &Response,
-    mut path_of: impl FnMut(usize, &Hit) -> Vec<String>,
+    mut push_path: impl FnMut(usize, &Hit, &mut String),
 ) -> String {
+    let keywords = response.keywords();
     let mut out = String::with_capacity(256 + response.hits().len() * 128);
     out.push_str("{\"query\":");
-    push_json_str_array(&mut out, response.keywords().iter().map(|k| k.raw()));
+    push_json_str_array(&mut out, keywords.iter().map(|k| k.raw()));
     let _ = write!(out, ",\"s\":{}", response.s());
     let _ = write!(out, ",\"sl_len\":{}", response.sl_len());
     let _ = write!(out, ",\"total_hits\":{}", response.hits().len());
@@ -112,32 +133,22 @@ fn write_search_response(
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"node\":");
-        push_json_str(&mut out, &hit.node.to_string());
-        out.push_str(",\"path\":");
-        push_json_str_array(&mut out, path_of(i, hit));
-        out.push_str(",\"kind\":");
-        push_json_str(
-            &mut out,
-            match hit.kind {
-                HitKind::Lce => "lce",
-                HitKind::Lcp => "lcp",
-            },
-        );
-        out.push_str(",\"rank\":");
+        // A Dewey id prints as digits, `:` and `.`: nothing to escape.
+        let _ = write!(out, "{{\"node\":\"{}\",\"path\":", hit.node);
+        push_path(i, hit, &mut out);
+        out.push_str(match hit.kind {
+            HitKind::Lce => ",\"kind\":\"lce\",\"rank\":",
+            HitKind::Lcp => ",\"kind\":\"lcp\",\"rank\":",
+        });
         push_json_f64(&mut out, hit.rank);
         let _ = write!(out, ",\"keywords\":{}", hit.keyword_count);
         out.push_str(",\"matched\":");
-        push_json_str_array(&mut out, hit.matched_keywords(response.keywords()));
+        push_json_str_array(&mut out, hit.matched(keywords));
         out.push('}');
     }
     out.push_str("],\"missing\":");
-    let missing: Vec<&str> = response
-        .missing_keyword_indices()
-        .iter()
-        .filter_map(|&i| response.keywords().get(i).map(|k| k.raw()))
-        .collect();
-    push_json_str_array(&mut out, missing);
+    let missing = response.missing_keyword_indices().iter().filter_map(|&i| keywords.get(i));
+    push_json_str_array(&mut out, missing.map(|k| k.raw()));
     out.push('}');
     out
 }

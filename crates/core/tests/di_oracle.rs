@@ -169,3 +169,46 @@ proptest! {
         prop_assert_eq!(sharded_attrs, expected_attrs);
     }
 }
+
+/// The heaviest groups restate the query — a shared topic, the authors and
+/// the titles all carry `xml` — and `top_m` exceeds the groups that may be
+/// shown (one year per paper). Every shown group ranks below `top_m`
+/// restating ones, so a finish that filtered only the best `top_m` slots
+/// would keep a single year; the reference keeps all four.
+#[test]
+fn groups_restating_the_query_never_crowd_out_the_top_m() {
+    let paper = |title: &str, year: u32| {
+        format!(
+            "<paper><title>xml {title}</title><topic>xml search</topic>\
+             <author>Xml Ann</author><author>Xml Bob</author><year>{year}</year></paper>"
+        )
+    };
+    let mut corpus = Corpus::new();
+    corpus.push("a", format!("<lib>{}{}</lib>", paper("graph", 2000), paper("tree", 2001)));
+    corpus.push("b", format!("<lib>{}{}</lib>", paper("graph", 2002), paper("tree", 2003)));
+    let whole = Engine::build(&corpus, IndexOptions::default()).unwrap();
+    let query = Query::parse("xml").unwrap();
+    let response = whole.search(&query, SearchOptions::with_s(1)).unwrap();
+    let options = DiOptions { top_m: 6 };
+
+    let (expected, expected_attrs) = reference_di(whole.index(), &response, &options);
+    let years: Vec<&str> = expected.iter().map(|i| i.value.as_str()).collect();
+    assert_eq!(years.len(), 4, "{years:?}");
+    assert!(years.iter().all(|y| y.starts_with("200")), "{years:?}");
+    let (got, got_attrs) = discover_di_counted(whole.index(), &response, &options);
+    assert_eq!(comparable(&got), comparable(&expected));
+    assert_eq!(got_attrs, expected_attrs);
+
+    let parts = split_corpus(&corpus, 2);
+    let engines: Vec<Engine> = parts
+        .iter()
+        .map(|p| Engine::build(p, IndexOptions::default()).unwrap())
+        .collect();
+    let refs: Vec<&Engine> = engines.iter().collect();
+    let bases = [0, parts[0].len() as u32];
+    let merged = sharded_search(&refs, &bases, &query, SearchOptions::with_s(1)).unwrap();
+    let indexes: Vec<&GksIndex> = engines.iter().map(Engine::index).collect();
+    let (sharded, sharded_attrs) = discover_di_sharded_counted(&indexes, &merged, &options);
+    assert_eq!(comparable(&sharded), comparable(&expected));
+    assert_eq!(sharded_attrs, expected_attrs);
+}
