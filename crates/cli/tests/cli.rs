@@ -1,6 +1,8 @@
 //! The `gks` command surface, driven through [`gks_cli::run`] and
 //! [`gks_cli::repl_loop`]: output, exit codes and the `USAGE` text.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_cli::{repl_loop, run, USAGE};
 use gks_core::engine::Engine;
 use gks_index::{GksIndex, ShardManifest};

@@ -3,6 +3,8 @@
 //! one corpus directory and through the server's watcher tick over an
 //! identical one, leave the two manifests in the same state.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 
 use gks_index::{index_directory, IndexOptions, ShardManifest};

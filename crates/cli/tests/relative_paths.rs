@@ -2,6 +2,8 @@
 //! directory, like every other path argument: each case runs the `gks`
 //! binary inside a scratch directory with relative paths only.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 
 use gks_index::{index_directory, IndexOptions, ShardManifest};

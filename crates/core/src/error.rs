@@ -18,6 +18,12 @@ pub enum QueryError {
     UnclosedQuote,
     /// `s` was 0 — the threshold must be at least 1.
     ZeroThreshold,
+    /// A posting of `term` names a node that no node-table row describes:
+    /// the index is corrupt (`gks doctor` reports it as an unknown node).
+    CorruptIndex {
+        /// The normalized term, or a phrase's terms joined by spaces.
+        term: String,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -29,6 +35,9 @@ impl fmt::Display for QueryError {
             }
             QueryError::UnclosedQuote => write!(f, "unterminated quoted phrase in query"),
             QueryError::ZeroThreshold => write!(f, "threshold s must be at least 1"),
+            QueryError::CorruptIndex { term } => {
+                write!(f, "a posting of {term:?} names no node: the index is corrupt")
+            }
         }
     }
 }

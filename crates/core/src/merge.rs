@@ -4,43 +4,65 @@
 //! index lists such that in the merged list, keywords follow their arrival
 //! order in the XML document" — i.e. `SL` is sorted by Dewey id (document
 //! order), each entry tagged with the keyword it came from. The merge is the
-//! classic heap-based k-way merge, O(|SL|·log n).
+//! classic heap-based k-way merge, O(|SL|·log n). The search merges the
+//! lists as pre-order rows (`SlRow`); the Dewey form is the same merge.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use gks_dewey::DeweyId;
+use gks_index::NodeTable;
 
 /// One entry of the merged list: a node and the query keyword (by index)
 /// found at it.
 pub type SlEntry = (DeweyId, u8);
+
+/// [`SlEntry`] on the node table's pre-order rows, which sort as the ids
+/// do: the form the search runs on.
+pub(crate) type SlRow = (u32, u8);
 
 /// [`merge_posting_lists`] plus the heap-operation count for the cost
 /// ledger: every input entry is pushed and popped exactly once, so the
 /// count is `2 × Σ|list|` — a deterministic function of the inputs, equal
 /// to the actual number of `BinaryHeap` operations performed.
 pub fn merge_posting_lists_counted(lists: Vec<Vec<DeweyId>>) -> (Vec<SlEntry>, u64) {
-    let heap_ops: u64 = lists.iter().map(|l| 2 * l.len() as u64).sum();
+    let heap_ops = heap_ops(&lists);
     (merge_posting_lists(lists), heap_ops)
 }
 
 /// Merges the per-keyword lists (each already document-ordered) into `SL`.
 pub fn merge_posting_lists(lists: Vec<Vec<DeweyId>>) -> Vec<SlEntry> {
+    merge_sorted(lists)
+}
+
+/// `sl` on rows, or `None` when some entry's id has no row.
+pub(crate) fn sl_rows(table: &NodeTable, sl: &[SlEntry]) -> Option<Vec<SlRow>> {
+    let rows = table.rows_of(sl.iter().map(|(id, _)| id)).ok()?;
+    Some(rows.into_iter().zip(sl).map(|(row, &(_, kw))| (row, kw)).collect())
+}
+
+/// `2 × Σ|list|`: the heap operations [`merge_sorted`] performs.
+pub(crate) fn heap_ops<T>(lists: &[Vec<T>]) -> u64 {
+    lists.iter().map(|l| 2 * l.len() as u64).sum()
+}
+
+/// The k-way merge of sorted lists, each entry tagged with its list's
+/// index. Equal entries come out in list order.
+pub(crate) fn merge_sorted<T: Ord>(lists: Vec<Vec<T>>) -> Vec<(T, u8)> {
     let total: usize = lists.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
-    // Heap of (next id, list index, position); Reverse for a min-heap.
-    let mut heap: BinaryHeap<Reverse<(DeweyId, usize, usize)>> = BinaryHeap::new();
-    let mut iters: Vec<std::vec::IntoIter<DeweyId>> =
-        lists.into_iter().map(Vec::into_iter).collect();
+    // Heap of (next entry, list index); Reverse for a min-heap.
+    let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::new();
+    let mut iters: Vec<std::vec::IntoIter<T>> = lists.into_iter().map(Vec::into_iter).collect();
     for (k, it) in iters.iter_mut().enumerate() {
         if let Some(first) = it.next() {
-            heap.push(Reverse((first, k, 0)));
+            heap.push(Reverse((first, k)));
         }
     }
-    while let Some(Reverse((id, k, _))) = heap.pop() {
-        out.push((id, k as u8));
+    while let Some(Reverse((entry, k))) = heap.pop() {
+        out.push((entry, k as u8));
         if let Some(next) = iters[k].next() {
-            heap.push(Reverse((next, k, out.len())));
+            heap.push(Reverse((next, k)));
         }
     }
     out

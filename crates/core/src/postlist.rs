@@ -16,9 +16,11 @@
 //! one is [`GALLOP_RATIO`] times longer. Every later term filters the
 //! already-small result with the same galloping seek.
 //!
-//! The index hands out borrowed `&[DeweyId]` slices; the merge consumes owned
-//! lists. Each keyword's list is therefore materialised exactly once, after
-//! any intersection has run over the borrowed slices.
+//! The index hands out borrowed `&[DeweyId]` slices. Intersection and the
+//! tombstone mask run over them; the search then resolves each keyword's
+//! surviving list to node-table rows once, and merges rows. An unmasked
+//! single term is resolved straight from the borrowed slice, so no id is
+//! copied.
 
 use std::cmp::Ordering;
 
@@ -26,6 +28,7 @@ use gks_dewey::DeweyId;
 use gks_index::GksIndex;
 
 use crate::cost::CostLedger;
+use crate::error::QueryError;
 use crate::query::Keyword;
 
 /// Long-to-short length ratio from which the first pair of a phrase is
@@ -59,12 +62,47 @@ pub fn keyword_postings_counted(
     keyword: &Keyword,
     ledger: &mut CostLedger,
 ) -> Vec<DeweyId> {
+    let (list, masked) = masked_keyword_postings(index, dead, keyword);
+    count(index, keyword, list.len(), masked, ledger);
+    list
+}
+
+/// [`keyword_postings_counted`] as node-table rows, the form the search
+/// runs on. An unmasked single term resolves the index's borrowed list and
+/// copies no id. Fails with [`QueryError::CorruptIndex`] when a surviving
+/// posting names a node that no row describes.
+pub(crate) fn keyword_rows_counted(
+    index: &GksIndex,
+    dead: &[u32],
+    keyword: &Keyword,
+    ledger: &mut CostLedger,
+) -> Result<Vec<u32>, QueryError> {
+    let table = index.node_table();
+    let resolved = match (keyword.terms(), dead) {
+        ([term], []) => table.rows_of(index.postings(term)).ok().map(|rows| (rows, 0)),
+        _ => {
+            let (list, masked) = masked_keyword_postings(index, dead, keyword);
+            table.rows_of(&list).ok().map(|rows| (rows, masked))
+        }
+    };
+    let (rows, masked) =
+        resolved.ok_or_else(|| QueryError::CorruptIndex { term: keyword.terms().join(" ") })?;
+    count(index, keyword, rows.len(), masked, ledger);
+    Ok(rows)
+}
+
+/// Folds one keyword's fetch into `ledger`: see [`keyword_postings_counted`].
+fn count(
+    index: &GksIndex,
+    keyword: &Keyword,
+    survivors: usize,
+    masked: u64,
+    ledger: &mut CostLedger,
+) {
     ledger.postings_scanned +=
         keyword.terms().iter().map(|t| index.posting_count(t) as u64).sum::<u64>();
-    let (list, masked) = masked_keyword_postings(index, dead, keyword);
     ledger.tombstone_masked += masked;
-    ledger.per_keyword.push(list.len() as u64);
-    list
+    ledger.per_keyword.push(survivors as u64);
 }
 
 /// Shared fetch-and-mask: returns the surviving list and how many postings

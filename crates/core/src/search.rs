@@ -4,11 +4,12 @@
 //! Pipeline (Figure 6 of the paper, with the exact-statistics refinement
 //! described in DESIGN.md):
 //!
-//! 1. fetch each keyword's posting list and k-way merge them into `SL`;
+//! 1. fetch each keyword's posting list, resolve it to node-table rows once
+//!    and k-way merge the rows into `SL`;
 //! 2. slide a window of `s` unique keywords over `SL`, collecting the longest
 //!    common prefix of each minimal block → candidate GKS nodes;
 //! 3. derive each candidate's *Least Common Entity* (nearest entity
-//!    ancestor-or-self, via `entityHash`);
+//!    ancestor-or-self, via `entityHash`) by parent rows;
 //! 4. sweep `SL` once to compute exact matched-keyword sets, potential-flow
 //!    ranks, and entity witnesses for all candidates and LCEs;
 //! 5. assemble `RQ(s)`: witnessed LCE nodes, plus LCP candidates with no
@@ -17,18 +18,24 @@
 //!    semantics of SLCA");
 //! 6. rank: descending potential-flow rank, then keyword count, then
 //!    document order.
+//!
+//! Steps 1–6 run on `u32` pre-order rows of the node table, which sort as
+//! the Dewey ids do (see `gks_index::node_table`). A Dewey id is read for
+//! the pruning's ancestor test and copied only into an emitted [`Hit`]. A
+//! posting no row describes is a corrupt index, reported as
+//! [`QueryError::CorruptIndex`] rather than answered from.
 
 use gks_dewey::DeweyId;
-use gks_index::GksIndex;
+use gks_index::{GksIndex, NodeTable};
 use gks_trace::{span, SpanKind};
 
 use crate::cost::CostLedger;
 use crate::error::QueryError;
-use crate::merge::merge_posting_lists_counted;
-use crate::postlist::keyword_postings_counted;
+use crate::merge::{heap_ops, merge_sorted};
+use crate::postlist::keyword_rows_counted;
 use crate::query::{Keyword, Query};
-use crate::sweep::{sweep_counted, NodeStats};
-use crate::window::lcp_candidates;
+use crate::sweep::{sweep_rows, RowStats};
+use crate::window::lcp_rows;
 
 /// How the minimum keyword count `s` is chosen for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,16 +260,18 @@ pub fn search_masked(
     let s = options.s.resolve(n)?;
     drop(parse_span);
 
-    // 1.–2. Posting lists, merged into SL.
+    // 1.–2. Posting lists, resolved to node-table rows once and merged into
+    // SL.
+    let table = index.node_table();
     let postings_span = span(SpanKind::Postings);
-    let lists: Vec<Vec<DeweyId>> = keywords
+    let lists = keywords
         .iter()
-        .map(|k| keyword_postings_counted(index, dead, k, &mut cost))
-        .collect();
+        .map(|k| keyword_rows_counted(index, dead, k, &mut cost))
+        .collect::<Result<Vec<Vec<u32>>, QueryError>>()?;
     let missing: Vec<usize> =
         lists.iter().enumerate().filter(|(_, l)| l.is_empty()).map(|(i, _)| i).collect();
-    let (sl, heap_ops) = merge_posting_lists_counted(lists);
-    cost.heap_ops = heap_ops;
+    cost.heap_ops = heap_ops(&lists);
+    let sl = merge_sorted(lists);
     let sl_len = sl.len();
     gks_trace::annotate("postings_scanned", cost.postings_scanned);
     gks_trace::annotate("tombstone_masked", cost.tombstone_masked);
@@ -271,23 +280,17 @@ pub fn search_masked(
 
     // 3. Window → LCP candidates (already promoted past attribute nodes).
     let sweep_span = span(SpanKind::Sweep);
-    let candidates = lcp_candidates(index, &sl, s, n);
+    let candidates = lcp_rows(table, &sl, s, n);
 
     // 4. LCE derivation: `lce_of[i]` belongs to `candidates[i]`.
-    let lce_of: Vec<Option<DeweyId>> = candidates
-        .iter()
-        .map(|c| index.node_table().lowest_entity_ancestor_or_self(c))
-        .collect();
-    let mut lces: Vec<DeweyId> = lce_of.iter().flatten().cloned().collect();
+    let lce_of: Vec<Option<u32>> = candidates.iter().map(|&c| lowest_entity(table, c)).collect();
+    let mut lces: Vec<u32> = lce_of.iter().flatten().copied().collect();
     lces.sort_unstable();
     lces.dedup();
 
     // 5. Exact statistics for candidates ∪ LCEs.
-    // Two sorted runs: the stable sort merges them in one pass.
-    let mut stat_nodes: Vec<DeweyId> = candidates.iter().chain(&lces).cloned().collect();
-    stat_nodes.sort();
-    stat_nodes.dedup();
-    let (stats, advances) = sweep_counted(index, &sl, &stat_nodes, n);
+    let (stat_nodes, candidate_at, lce_at) = union(&candidates, &lces);
+    let (stats, advances) = sweep_rows(table, &sl, &stat_nodes, n);
     cost.sweep_advances = advances;
     cost.rank_candidates = stat_nodes.len() as u64;
     gks_trace::annotate("sweep_advances", cost.sweep_advances);
@@ -295,33 +298,40 @@ pub fn search_masked(
     drop(sweep_span);
     let rank_span = span(SpanKind::Rank);
 
-    // 6. Assemble hits. `stats` is parallel to the sorted `stat_nodes`, so a
-    // node's statistics are a binary search away. No node is emitted twice:
-    // LCEs are distinct, candidates are distinct, and a candidate equal to
-    // an emitted LCE is an entity — its own, surviving, LCE — and is skipped.
-    let stat_of = |node: &DeweyId| stat_nodes.binary_search(node).ok().map(|i| &stats[i]);
-    let survives = |st: &NodeStats| st.witnessed && st.keyword_count() as usize >= s;
-    let hit = |kind: HitKind, st: &NodeStats| Hit {
-        node: st.dewey.clone(),
+    // 6. Assemble hits. `stats` is parallel to `stat_nodes`, and the union
+    // recorded where each candidate and each LCE sits there. No node is
+    // emitted twice: LCEs are distinct, candidates are distinct, and a
+    // candidate equal to an emitted LCE is an entity — its own, surviving,
+    // LCE — and is skipped.
+    let survives = |st: &RowStats| st.witnessed && st.keyword_count() as usize >= s;
+    let hit = |row: u32, kind: HitKind, st: &RowStats| RowHit {
+        row,
         kind,
         keyword_mask: st.mask,
         keyword_count: st.keyword_count(),
         rank: st.rank,
     };
-    let mut hits: Vec<Hit> = Vec::new();
+    let mut hits: Vec<RowHit> = Vec::new();
     // Witnessed LCE nodes with enough keywords.
-    for st in lces.iter().filter_map(stat_of).filter(|st| survives(st)) {
-        hits.push(hit(HitKind::Lce, st));
+    for (&lce, &at) in lces.iter().zip(&lce_at) {
+        if survives(&stats[at]) {
+            hits.push(hit(lce, HitKind::Lce, &stats[at]));
+        }
     }
     // Candidates whose LCE is absent or did not survive fall back to plain
     // LCP hits ("those nodes in LCP list for which no corresponding LCE node
-    // exist", §4.2).
-    for (c, lce) in candidates.iter().zip(&lce_of) {
-        if lce.as_ref().and_then(stat_of).is_some_and(survives) {
+    // exist", §4.2). A candidate that is an entity is its own LCE.
+    for ((&c, &lce), &at) in candidates.iter().zip(&lce_of).zip(&candidate_at) {
+        let lce_at = match lce {
+            Some(lce) if lce == c => Some(at),
+            Some(lce) => stat_nodes.binary_search(&lce).ok(),
+            None => None,
+        };
+        if lce_at.is_some_and(|i| survives(&stats[i])) {
             continue;
         }
-        if let Some(st) = stat_of(c).filter(|st| st.keyword_count() as usize >= s) {
-            hits.push(hit(HitKind::Lcp, st));
+        if stats[at].keyword_count() as usize >= s {
+            hits.push(hit(c, HitKind::Lcp, &stats[at]));
         }
     }
 
@@ -330,21 +340,27 @@ pub fn search_masked(
     // available below (Table 1: x1 and r are dropped in favour of x2). An
     // ancestor carrying a keyword its descendants do not cover survives, so
     // no query keyword region is lost.
-    hits.sort_by(|a, b| a.node.cmp(&b.node));
-    debug_assert!(hits.windows(2).all(|w| w[0].node < w[1].node), "a node emitted twice");
+    // Two sorted runs: the stable sort merges them in one pass.
+    hits.sort_by_key(|h| h.row);
+    debug_assert!(hits.windows(2).all(|w| w[0].row < w[1].row), "a node emitted twice");
     let mut keep = vec![true; hits.len()];
     for i in 0..hits.len() {
         if hits[i].kind != HitKind::Lcp {
             continue;
         }
-        // Hits are in document order: contained hits follow i contiguously
-        // until the subtree upper bound. Pruned descendants may be counted
-        // too — their masks are covered by their own descendants, so the
-        // union over all contained hits equals the union over survivors.
-        let upper = hits[i].node.subtree_upper_bound();
+        // Rows are in document order: contained hits follow i contiguously.
+        // Pruned descendants may be counted too — their masks are covered by
+        // their own descendants, so the union over all contained hits equals
+        // the union over survivors.
+        let Some(node) = table.id(hits[i].row) else {
+            continue;
+        };
         let mut contained_union = 0u64;
         let mut any_contained = false;
-        for h in hits.iter().skip(i + 1).take_while(|h| h.node < upper) {
+        for h in hits[i + 1..]
+            .iter()
+            .take_while(|h| table.id(h.row).is_some_and(|d| node.is_ancestor_of(d)))
+        {
             contained_union |= h.keyword_mask;
             any_contained = true;
         }
@@ -352,11 +368,23 @@ pub fn search_masked(
             keep[i] = false;
         }
     }
-    let mut hits: Vec<Hit> =
+    let mut hits: Vec<RowHit> =
         hits.into_iter().zip(keep).filter(|(_, k)| *k).map(|(h, _)| h).collect();
 
-    // 7. Final ranking.
+    // 7. Final ranking; only the hits kept get their ids.
     rank_top(&mut hits, options.limit);
+    let hits = hits
+        .into_iter()
+        .filter_map(|h| {
+            Some(Hit {
+                node: table.id(h.row)?.clone(),
+                kind: h.kind,
+                keyword_mask: h.keyword_mask,
+                keyword_count: h.keyword_count,
+                rank: h.rank,
+            })
+        })
+        .collect();
     drop(rank_span);
 
     Ok(Response {
@@ -370,21 +398,69 @@ pub fn search_masked(
     })
 }
 
+/// The nearest entity row among `row` and its ancestors (§4.1's LCE
+/// derivation: "we check if it is an entity node or any of its ancestors is
+/// an entity node").
+fn lowest_entity(table: &NodeTable, mut row: u32) -> Option<u32> {
+    loop {
+        if table.meta(row)?.flags.is_entity() {
+            return Some(row);
+        }
+        row = table.parent(row)?;
+    }
+}
+
+/// The sorted union of two sorted, deduplicated row lists, with the
+/// position in it of each entry of `a` and of `b`.
+fn union(a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<usize>, Vec<usize>) {
+    let mut all = Vec::with_capacity(a.len() + b.len());
+    let (mut a_at, mut b_at) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => break,
+        };
+        if a.get(i) == Some(&next) {
+            a_at.push(all.len());
+            i += 1;
+        }
+        if b.get(j) == Some(&next) {
+            b_at.push(all.len());
+            j += 1;
+        }
+        all.push(next);
+    }
+    (all, a_at, b_at)
+}
+
+/// A [`Hit`] before its id is read: the node as its node-table row.
+#[derive(Debug, Clone, Copy)]
+struct RowHit {
+    row: u32,
+    kind: HitKind,
+    keyword_mask: u64,
+    keyword_count: u32,
+    rank: f64,
+}
+
 /// Final ranking order: higher rank first, then more keywords, then
-/// document order. Total over hits with distinct nodes and comparable ranks.
-fn rank_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+/// document order (row order is Dewey order). Total over hits with distinct
+/// rows and comparable ranks.
+fn rank_order(a: &RowHit, b: &RowHit) -> std::cmp::Ordering {
     b.rank
         .partial_cmp(&a.rank)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then_with(|| b.keyword_count.cmp(&a.keyword_count))
-        .then_with(|| a.node.cmp(&b.node))
+        .then_with(|| a.row.cmp(&b.row))
 }
 
 /// Sorts `hits` by [`rank_order`] and keeps the first `limit`. When fewer
 /// than all are kept, a selection moves the best `limit` to the front
 /// first, so only they are sorted; the order is total, so the result is
 /// what sorting everything and truncating gives.
-fn rank_top(hits: &mut Vec<Hit>, limit: usize) {
+fn rank_top(hits: &mut Vec<RowHit>, limit: usize) {
     if limit < hits.len() {
         hits.select_nth_unstable_by(limit, rank_order);
         hits.truncate(limit);
@@ -605,6 +681,16 @@ mod tests {
         assert_eq!(matched, vec!["ka", "kb", "kc"]);
     }
 
+    #[test]
+    fn union_records_each_side_s_positions() {
+        let (all, a_at, b_at) = union(&[1, 4, 6, 9], &[0, 4, 9, 12]);
+        assert_eq!(all, vec![0, 1, 4, 6, 9, 12]);
+        assert_eq!(a_at, vec![1, 2, 3, 4]);
+        assert_eq!(b_at, vec![0, 2, 4, 5]);
+        assert_eq!(union(&[], &[3]), (vec![3], vec![], vec![0]));
+        assert_eq!(union(&[], &[]), (vec![], vec![], vec![]));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
@@ -613,27 +699,27 @@ mod tests {
         /// often.
         #[test]
         fn rank_top_is_sort_and_truncate(
-            hits in proptest::collection::vec((0u8..4, 1u32..3, 0u32..40, 0u32..5), 0..60),
+            hits in proptest::collection::vec((0u8..4, 1u32..3, 0u32..200), 0..60),
             limit in 0usize..70,
         ) {
-            let mut hits: Vec<Hit> = hits
+            let mut hits: Vec<RowHit> = hits
                 .into_iter()
-                .map(|(rank, keyword_count, step, doc)| Hit {
-                    node: DeweyId::new(DocId(doc), vec![step]),
+                .map(|(rank, keyword_count, row)| RowHit {
+                    row,
                     kind: HitKind::Lce,
                     keyword_mask: 1,
                     keyword_count,
                     rank: f64::from(rank) / 2.0,
                 })
                 .collect();
-            hits.sort_by(|a, b| a.node.cmp(&b.node));
-            hits.dedup_by(|a, b| a.node == b.node);
+            hits.sort_by_key(|h| h.row);
+            hits.dedup_by_key(|h| h.row);
             let mut expected = hits.clone();
             expected.sort_by(rank_order);
             expected.truncate(limit);
             rank_top(&mut hits, limit);
-            let key = |hits: &[Hit]| -> Vec<(DeweyId, u32, f64)> {
-                hits.iter().map(|h| (h.node.clone(), h.keyword_count, h.rank)).collect()
+            let key = |hits: &[RowHit]| -> Vec<(u32, u32, f64)> {
+                hits.iter().map(|h| (h.row, h.keyword_count, h.rank)).collect()
             };
             proptest::prop_assert_eq!(key(&hits), key(&expected));
         }

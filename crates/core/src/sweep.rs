@@ -20,11 +20,18 @@
 //!
 //! The final rank is `P|e × Σ_k (terminal path products of k)` with
 //! `P|e = |matched keywords|`, reproducing the paper's Example 5 numbers.
+//!
+//! The sweep runs on pre-order rows of the node table. The root path of the
+//! current entry is kept as rows with its running path products; a new entry
+//! walks parent rows up to the depth it shares with the path, and reads the
+//! child counts and entity flags of only the rows below that by row. A
+//! candidate contains the entry exactly when it is the path's row at its
+//! depth.
 
 use gks_dewey::DeweyId;
 use gks_index::{GksIndex, NodeTable};
 
-use crate::merge::SlEntry;
+use crate::merge::{sl_rows, SlEntry, SlRow};
 
 /// Per-candidate results of the sweep.
 #[derive(Debug, Clone)]
@@ -41,6 +48,25 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
+    /// Number of distinct query keywords in the subtree (`P|e`).
+    pub fn keyword_count(&self) -> u32 {
+        self.mask.count_ones()
+    }
+}
+
+/// [`NodeStats`] of a candidate row, which the row is the key of.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RowStats {
+    /// Bit `i` set iff query keyword `i` occurs in the subtree.
+    pub mask: u64,
+    /// Potential-flow rank (§5).
+    pub rank: f64,
+    /// Whether some keyword occurrence has this node as its nearest
+    /// enclosing entity.
+    pub witnessed: bool,
+}
+
+impl RowStats {
     /// Number of distinct query keywords in the subtree (`P|e`).
     pub fn keyword_count(&self) -> u32 {
         self.mask.count_ones()
@@ -64,12 +90,43 @@ pub fn sweep(
 /// the §4.2 sweep cost. The stack only ever holds ancestors of the current
 /// entry, so the count is a per-document quantity and sums exactly across
 /// shards of a document-partitioned corpus.
+///
+/// When an `SL` id or a node has no node-table row (a corrupt index), every
+/// statistic stays empty and the count is 0; the search reports such an id
+/// as [`QueryError::CorruptIndex`](crate::QueryError::CorruptIndex).
 pub fn sweep_counted(
     index: &GksIndex,
     sl: &[SlEntry],
     nodes: &[DeweyId],
     n_keywords: usize,
 ) -> (Vec<NodeStats>, u64) {
+    let table = index.node_table();
+    let resolved = sl_rows(table, sl).zip(table.rows_of(nodes).ok());
+    let (stats, advances) = match resolved {
+        Some((sl, rows)) => sweep_rows(table, &sl, &rows, n_keywords),
+        None => (vec![RowStats::default(); nodes.len()], 0),
+    };
+    let stats = nodes
+        .iter()
+        .zip(stats)
+        .map(|(dewey, st)| NodeStats {
+            dewey: dewey.clone(),
+            mask: st.mask,
+            rank: st.rank,
+            witnessed: st.witnessed,
+        })
+        .collect();
+    (stats, advances)
+}
+
+/// [`sweep_counted`] on rows: `nodes` are sorted, deduplicated rows, and
+/// the stats come back in their order.
+pub(crate) fn sweep_rows(
+    table: &NodeTable,
+    sl: &[SlRow],
+    nodes: &[u32],
+    n_keywords: usize,
+) -> (Vec<RowStats>, u64) {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes sorted+deduped");
     let n_nodes = nodes.len();
     let mut mask = vec![0u64; n_nodes];
@@ -78,53 +135,44 @@ pub fn sweep_counted(
     let mut prod_sum = vec![0f64; n_nodes * n_keywords];
     let mut witnessed = vec![false; n_nodes];
 
-    let table = index.node_table();
-    let mut stack: Vec<usize> = Vec::new();
+    // The candidates containing the current entry, shallowest first, each
+    // with its depth.
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     let mut next_node = 0usize;
     let mut advances = 0u64;
+    let mut path = RootPath::default();
 
-    // Along the root path of `described`, the last entry that refreshed them:
-    // prods[t] = Π_{u<t} 1/children(prefix of depth u), so the product from a
-    // candidate at depth a down to the entry's parent is prods[dE]/prods[a];
-    // entity_depth[t] = depth of the deepest entity among the prefixes of
-    // depth ≤ t, so entity_depth[dE] is the entry's nearest enclosing entity.
-    let mut prods: Vec<f64> = vec![1.0];
-    let mut entity_depth: Vec<Option<usize>> = Vec::new();
-    let mut described: Option<&DeweyId> = None;
-
-    for (entry, kw) in sl {
-        let kw = *kw as usize;
-        // Activate candidates up to the current position.
-        while next_node < n_nodes && nodes[next_node] <= *entry {
-            while let Some(&top) = stack.last() {
-                if nodes[top].is_ancestor_or_self(&nodes[next_node]) {
-                    break;
-                }
-                stack.pop();
-            }
-            stack.push(next_node);
-            next_node += 1;
+    for &(entry, kw) in sl {
+        let kw = kw as usize;
+        // With no candidate active and none left at or before the entry,
+        // nothing contains it: nothing to update and nothing to witness.
+        let pending = nodes.get(next_node).is_some_and(|&c| c <= entry);
+        if stack.is_empty() && !pending {
+            continue;
         }
-        // Keep only the candidates whose subtree contains the entry.
-        while let Some(&top) = stack.last() {
-            if nodes[top].is_ancestor_or_self(entry) {
-                break;
-            }
+        path.describe(table, entry);
+        // Keep the active candidates that contain the entry, then activate
+        // those up to it that do; candidates before the entry that do not
+        // contain it end before it, so they never contain a later entry.
+        while stack.last().is_some_and(|&(i, depth)| path.rows.get(depth) != Some(&nodes[i])) {
             stack.pop();
         }
-        // Every candidate containing the entry is on the stack, so with an
-        // empty stack there is nothing to update and nothing to witness.
+        while next_node < n_nodes && nodes[next_node] <= entry {
+            // The root path is in pre-order, so it is sorted.
+            if let Ok(depth) = path.rows.binary_search(&nodes[next_node]) {
+                stack.push((next_node, depth));
+            }
+            next_node += 1;
+        }
         if stack.is_empty() {
             continue;
         }
 
-        refresh_root_path(table, &mut prods, &mut entity_depth, described, entry);
-        described = Some(entry);
-        let d_entry = entry.depth();
+        let d_entry = path.rows.len() - 1;
+        let prods = &path.prods;
         advances += stack.len() as u64;
-        for &idx in &stack {
+        for &(idx, d_node) in &stack {
             mask[idx] |= 1 << kw;
-            let d_node = nodes[idx].depth();
             let p = prods[d_entry] / prods[d_node];
             let slot = idx * n_keywords + kw;
             let depth = d_entry as u32;
@@ -141,8 +189,8 @@ pub fn sweep_counted(
         // Witness marking: this occurrence independently witnesses its
         // nearest enclosing entity node. Stacked candidates are prefixes of
         // the entry, so depth alone identifies the entity among them.
-        if let Some(nearest) = entity_depth[d_entry] {
-            if let Some(&idx) = stack.iter().rev().find(|&&i| nodes[i].depth() == nearest) {
+        if let Some(nearest) = path.entity_depth[d_entry] {
+            if let Some(&(idx, _)) = stack.iter().rev().find(|&&(_, depth)| depth == nearest) {
                 witnessed[idx] = true;
             }
         }
@@ -152,51 +200,74 @@ pub fn sweep_counted(
         .map(|i| {
             let sum: f64 = prod_sum[i * n_keywords..(i + 1) * n_keywords].iter().sum();
             let p = mask[i].count_ones() as f64;
-            NodeStats {
-                dewey: nodes[i].clone(),
-                mask: mask[i],
-                rank: p * sum,
-                witnessed: witnessed[i],
-            }
+            RowStats { mask: mask[i], rank: p * sum, witnessed: witnessed[i] }
         })
         .collect();
     (stats, advances)
 }
 
-/// Refreshes the per-depth root-path state (see [`sweep_counted`]) for a new
-/// entry with one node-table probe per level it does not share with `prev`,
-/// the entry the state currently describes (consecutive `SL` entries are
-/// pre-order neighbours, so most of the path is unchanged).
-fn refresh_root_path(
-    table: &NodeTable,
-    prods: &mut Vec<f64>,
-    entity_depth: &mut Vec<Option<usize>>,
-    prev: Option<&DeweyId>,
-    entry: &DeweyId,
-) {
-    // Sharing k steps means sharing the k+1 prefixes of depth 0..=k; across
-    // documents not even the roots coincide.
-    let keep = prev.and_then(|p| p.common_prefix_len(entry)).map_or(0, |shared| shared + 1);
-    prods.truncate(keep + 1);
-    entity_depth.truncate(keep);
-    let depth = entry.depth();
-    for t in keep..=depth {
-        let meta = if t == depth {
-            table.get(entry)
-        } else {
-            table.get(&entry.ancestor_at_depth(t))
-        };
-        let children = meta.map_or(1, |m| m.child_count).max(1);
-        // The caller seeds `prods` with 1.0; fall back to that seed so an
-        // empty vector degrades gracefully instead of panicking.
-        let last = prods.last().copied().unwrap_or(1.0);
-        prods.push(last / children as f64);
-        let enclosing = entity_depth.last().copied().flatten();
-        entity_depth.push(if meta.is_some_and(|m| m.flags.is_entity()) {
-            Some(t)
-        } else {
-            enclosing
-        });
+/// The root path of the entry the sweep is at, by depth: `rows[t]` is its
+/// prefix of depth `t`, `prods[t] = Π_{u<t} 1/children(rows[u])` (so the
+/// product from a candidate at depth `a` down to the entry's parent is
+/// `prods[d] / prods[a]`), and `entity_depth[t]` is the depth of the
+/// deepest entity among `rows[..=t]`.
+#[derive(Debug)]
+struct RootPath {
+    rows: Vec<u32>,
+    prods: Vec<f64>,
+    entity_depth: Vec<Option<usize>>,
+    /// The rows a [`Self::describe`] adds, deepest first.
+    fresh: Vec<u32>,
+}
+
+impl Default for RootPath {
+    fn default() -> Self {
+        RootPath { rows: Vec::new(), prods: vec![1.0], entity_depth: Vec::new(), fresh: Vec::new() }
+    }
+}
+
+impl RootPath {
+    /// Moves the path to `entry`: parent steps up from it to the deepest row
+    /// the path already holds, then one metadata read per row below that
+    /// (consecutive `SL` entries are pre-order neighbours, so most of the
+    /// path is unchanged). The path is in pre-order, so the rows it holds
+    /// past an ancestor of the entry are not ancestors of it. Across
+    /// documents not even the roots coincide.
+    fn describe(&mut self, table: &NodeTable, entry: u32) {
+        self.fresh.clear();
+        let mut row = Some(entry);
+        while let Some(r) = row {
+            while self.rows.last().is_some_and(|&last| last > r) {
+                self.rows.pop();
+            }
+            if self.rows.last() == Some(&r) {
+                break;
+            }
+            self.fresh.push(r);
+            row = table.parent(r);
+        }
+        if row.is_none() {
+            self.rows.clear();
+        }
+        let keep = self.rows.len();
+        self.prods.truncate(keep + 1);
+        self.entity_depth.truncate(keep);
+        for &r in self.fresh.iter().rev() {
+            let meta = table.meta(r);
+            let children = meta.map_or(1, |m| m.child_count).max(1);
+            // `prods` always holds its 1.0 seed; fall back to it so an empty
+            // vector degrades gracefully instead of panicking.
+            let last = self.prods.last().copied().unwrap_or(1.0);
+            self.prods.push(last / children as f64);
+            let enclosing = self.entity_depth.last().copied().flatten();
+            let t = self.rows.len();
+            self.entity_depth.push(if meta.is_some_and(|m| m.flags.is_entity()) {
+                Some(t)
+            } else {
+                enclosing
+            });
+            self.rows.push(r);
+        }
     }
 }
 
@@ -456,10 +527,8 @@ mod tests {
                     }
                 }
                 _ => {
-                    for _ in 0..8 {
-                        xml.push_str("<c>");
-                        open.push("c");
-                    }
+                    xml.push_str(&"<c>".repeat(8));
+                    open.resize(open.len() + 8, "c");
                 }
             }
         }

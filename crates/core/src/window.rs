@@ -11,24 +11,46 @@
 //! Candidates that land on an attribute node are promoted to their parent,
 //! implementing Def 2.1.1's "the parent node of an attribute node is
 //! considered the lowest ancestor for keyword(s) in its value".
+//!
+//! The window runs on `SL` as pre-order rows of the node table: a block's
+//! LCP is the deepest ancestor of its last row that does not follow its
+//! first row, reached by parent steps, and promotion is a flag read plus a
+//! parent step. No id is read; candidates are sorted and deduplicated as
+//! `u32` rows.
 
 use gks_dewey::DeweyId;
-use gks_index::GksIndex;
+use gks_index::{GksIndex, NodeTable};
 
-use crate::merge::SlEntry;
+use crate::merge::{sl_rows, SlEntry, SlRow};
 
 /// Enumerates LCP candidates for blocks of `s` unique keywords, with
-/// attribute-node promotion, returning them sorted and deduplicated.
+/// attribute-node promotion, returning them sorted and deduplicated. An
+/// `SL` id that no node-table row describes (a corrupt index) yields no
+/// candidates; the search reports it as
+/// [`QueryError::CorruptIndex`](crate::QueryError::CorruptIndex).
 pub fn lcp_candidates(
     index: &GksIndex,
     sl: &[SlEntry],
     s: usize,
     n_keywords: usize,
 ) -> Vec<DeweyId> {
+    let table = index.node_table();
+    let Some(sl) = sl_rows(table, sl) else {
+        return Vec::new();
+    };
+    lcp_rows(table, &sl, s, n_keywords)
+        .into_iter()
+        .filter_map(|row| table.id(row).cloned())
+        .collect()
+}
+
+/// [`lcp_candidates`] on rows: the candidates' rows, sorted and
+/// deduplicated.
+pub(crate) fn lcp_rows(table: &NodeTable, sl: &[SlRow], s: usize, n_keywords: usize) -> Vec<u32> {
     assert!(s >= 1, "threshold must be ≥ 1");
     let mut counts = vec![0u32; n_keywords];
     let mut unique = 0usize;
-    let mut out: Vec<DeweyId> = Vec::new();
+    let mut out: Vec<u32> = Vec::new();
     let mut r = 0usize;
 
     for l in 0..sl.len() {
@@ -47,8 +69,8 @@ pub fn lcp_candidates(
         // Lemma 6: the LCP of the sorted block is the common prefix of its
         // first and last entries. A cross-document block has no common
         // ancestor and yields no candidate.
-        if let Some(prefix) = sl[l].0.common_prefix(&sl[r - 1].0) {
-            let promoted = promote_attribute(index, prefix);
+        if let Some(lcp) = common_ancestor(table, sl[l].0, sl[r - 1].0) {
+            let promoted = promote_row(table, lcp);
             if out.last() != Some(&promoted) {
                 out.push(promoted);
             }
@@ -66,21 +88,30 @@ pub fn lcp_candidates(
     out
 }
 
+/// The row of the longest common prefix of rows `first <= last`: the
+/// deepest ancestor-or-self of `last` at or before `first` in pre-order (an
+/// ancestor of `last` past `first` that does not contain `first` would end
+/// before it), reached by parent steps. `None` across documents, where the
+/// steps pass `last`'s root.
+fn common_ancestor(table: &NodeTable, first: u32, last: u32) -> Option<u32> {
+    let mut row = last;
+    while row > first {
+        row = table.parent(row)?;
+    }
+    Some(row)
+}
+
 /// Promotes an attribute-node candidate to its parent (Def 2.1.1). Keywords
 /// matching inside one attribute value have the attribute's parent as their
 /// lowest meaningful ancestor.
-fn promote_attribute(index: &GksIndex, mut id: DeweyId) -> DeweyId {
-    while let Some(meta) = index.node_table().get(&id) {
-        if meta.flags.is_attribute() {
-            match id.parent() {
-                Some(p) => id = p,
-                None => break,
-            }
-        } else {
-            break;
+fn promote_row(table: &NodeTable, mut row: u32) -> u32 {
+    while table.meta(row).is_some_and(|m| m.flags.is_attribute()) {
+        match table.parent(row) {
+            Some(parent) => row = parent,
+            None => break,
         }
     }
-    id
+    row
 }
 
 #[cfg(test)]

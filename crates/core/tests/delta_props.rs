@@ -12,6 +12,8 @@
 //! phrases, so the masked phrase path (intersect, then mask) is held to the
 //! same byte-for-byte standard as single terms.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -3,6 +3,8 @@
 //! attribute value at query time and so also checks the norms the builder
 //! stored — on one index and on the same corpus split into shards.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{HashMap, HashSet};
 
 use gks_core::di::{discover_di_counted, DiOptions, Insight};

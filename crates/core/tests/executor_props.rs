@@ -5,6 +5,8 @@
 //! same JSON. The whole run also proves lane reuse: after warm-up, no
 //! thread is spawned no matter how many scatters execute.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::{Arc, OnceLock};
 
 use gks_core::engine::Engine;

@@ -6,6 +6,8 @@
 //! The failure is forced by a directory at `<manifest>.tmp`, the sibling
 //! file the manifest's atomic save writes before it renames.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 

@@ -1,6 +1,8 @@
 //! Property tests of the search pipeline's internal invariants, checked
 //! directly against posting lists (no oracle needed).
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_core::merge::merge_posting_lists;
 use gks_core::query::Query;
 use gks_core::search::{search, SearchOptions};

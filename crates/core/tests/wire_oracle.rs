@@ -6,6 +6,8 @@
 //! corpora in 1–4 shards, nodes deeper than a `DeweyId` holds inline,
 //! keywords that need escaping, both hit kinds, and missing keywords.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt::Write as _;
 
 use gks_core::engine::Engine;

@@ -1,5 +1,7 @@
 //! Property tests for the Dewey id algebra and codecs.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_dewey::{codec, DeweyId, DocId};
 use proptest::prelude::*;
 

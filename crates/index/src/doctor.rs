@@ -431,6 +431,10 @@ mod tests {
             ),
             "{violations:?}"
         );
+        // The row resolver the search runs on refuses the same posting.
+        let dangling = DeweyId::new(DocId(7), vec![1]);
+        assert_eq!(ix.node_table().rows_of(ix.postings("karen")), Err(&dangling));
+        assert!(ix.node_table().rows_of(ix.postings("mike")).is_ok());
         assert!(
             violations
                 .iter()

@@ -22,6 +22,13 @@
 //! hashed, compared or allocated to find its row; the cost is one `u32`
 //! offset per row and one `u32` per non-root row.
 //!
+//! `parents[r]` is row `r`'s parent row (`NO_ROW` for a document root),
+//! 4 B per row. `NodeTable::link` computes it to build the child index and
+//! keeps it, so the search engine walks up a root path by rows: a keyword's
+//! posting list is resolved to rows once ([`NodeTable::rows_of`]), and the
+//! window, LCE derivation and statistics sweep then step through
+//! [`NodeTable::parent`] and [`NodeTable::meta`] without touching an id.
+//!
 //! The columns are closed under parents by construction: [`NodeTable::link`]
 //! refuses ids that are not strictly increasing, a non-root id whose parent
 //! is not the open ancestor before it, and a sibling step that does not
@@ -109,6 +116,8 @@ pub struct NodeTable {
     child_start: Vec<u32>,
     /// Child rows, grouped by parent, in step order.
     children: Vec<u32>,
+    /// Parent row per row ([`NO_ROW`] for a document root).
+    parents: Vec<u32>,
     labels: LabelInterner,
 }
 
@@ -129,14 +138,12 @@ impl Iterator for Walk<'_> {
         let next = match self.row {
             None => *t.roots.get(self.doc).filter(|&&r| r != NO_ROW)?,
             Some(row) => {
-                let step = *self.steps.next()? as usize;
-                let start = *t.child_start.get(row as usize)? as usize;
-                let end = *t.child_start.get(row as usize + 1)? as usize;
-                if step >= end - start {
+                let step = *self.steps.next()?;
+                let Some(child) = t.child(row, step) else {
                     self.steps = [].iter();
                     return None;
-                }
-                t.children[start + step]
+                };
+                child
             }
         };
         self.row = Some(next);
@@ -271,7 +278,59 @@ impl NodeTable {
         child_start[0] = 0;
         self.child_start = child_start;
         self.children = children;
+        self.parents = parents;
         Ok(())
+    }
+
+    /// The row of `row`'s element child with step `step`, if it has one.
+    fn child(&self, row: u32, step: u32) -> Option<u32> {
+        let start = *self.child_start.get(row as usize)? as usize;
+        let end = *self.child_start.get(row as usize + 1)? as usize;
+        let slot = start.checked_add(step as usize).filter(|&slot| slot < end)?;
+        self.children.get(slot).copied()
+    }
+
+    /// The rows of `ids`, in order. Each id starts from the rows of the
+    /// prefix it shares with the id before it, so a sorted list costs one
+    /// child read per step it does not share with its predecessor. Fails
+    /// with the first id that no row describes.
+    pub fn rows_of<'a>(
+        &self,
+        ids: impl IntoIterator<Item = &'a DeweyId>,
+    ) -> Result<Vec<u32>, &'a DeweyId> {
+        let ids = ids.into_iter();
+        let mut rows = Vec::with_capacity(ids.size_hint().0);
+        // The rows of the previous id's prefixes, root first.
+        let mut path: Vec<u32> = Vec::new();
+        let mut prev: Option<&DeweyId> = None;
+        for id in ids {
+            path.truncate(prev.and_then(|p| p.common_prefix_len(id)).map_or(0, |k| k + 1));
+            if path.is_empty() {
+                match self.roots.get(id.doc().0 as usize) {
+                    Some(&root) if root != NO_ROW => path.push(root),
+                    _ => return Err(id),
+                }
+            }
+            for &step in id.steps().get(path.len() - 1..).unwrap_or_default() {
+                match path.last().and_then(|&row| self.child(row, step)) {
+                    Some(child) => path.push(child),
+                    None => return Err(id),
+                }
+            }
+            rows.extend(path.last());
+            prev = Some(id);
+        }
+        Ok(rows)
+    }
+
+    /// The parent row of `row`; `None` for a document root.
+    pub fn parent(&self, row: u32) -> Option<u32> {
+        self.parents.get(row as usize).copied().filter(|&parent| parent != NO_ROW)
+    }
+
+    /// The id of `row`.
+    pub fn id(&self, row: u32) -> Option<&DeweyId> {
+        self.ids.get(row as usize)
     }
 
     /// The rows along `id`'s path, root first: the prefix of depth `k` is
@@ -287,7 +346,8 @@ impl NodeTable {
         self.walk(id).nth(id.depth())
     }
 
-    fn meta(&self, row: u32) -> Option<&NodeMeta> {
+    /// The metadata of `row`.
+    pub fn meta(&self, row: u32) -> Option<&NodeMeta> {
         self.metas.get(row as usize)
     }
 
@@ -477,6 +537,38 @@ mod tests {
         assert_eq!(t.lowest_entity_ancestor_or_self(&DeweyId::root(DocId(4))), None);
         let path: Vec<u32> = t.path(&d(&[0, 0, 7])).map(|m| m.child_count).collect();
         assert_eq!(path, vec![2, 1, 1]);
+    }
+
+    #[test]
+    fn rows_resolve_ids_and_step_to_parents() {
+        let t = table(&[
+            (&[], entity_meta(0, 2)),
+            (&[0], connecting_meta(0, 1)),
+            (&[0, 0], entity_meta(0, 1)),
+            (&[0, 0, 0], connecting_meta(0, 1)),
+            (&[1], connecting_meta(0, 1)),
+        ]);
+        let ids = t.ids().to_vec();
+        assert_eq!(t.rows_of(&ids), Ok(vec![0, 1, 2, 3, 4]));
+        // Repeated and unsorted ids resolve too, each by its own path.
+        let mixed = [d(&[1]), d(&[0, 0]), d(&[0, 0]), d(&[0, 0, 0]), d(&[])];
+        assert_eq!(t.rows_of(&mixed), Ok(vec![4, 2, 2, 3, 0]));
+        // The first id no row describes is the error: a step past the child
+        // count, a step below a leaf, a document without a root.
+        let absent = d(&[0, 1]);
+        assert_eq!(t.rows_of(&[d(&[0]), absent.clone(), d(&[9])]), Err(&absent));
+        let below = d(&[1, 0]);
+        assert_eq!(t.rows_of(std::slice::from_ref(&below)), Err(&below));
+        let other = DeweyId::root(DocId(3));
+        assert_eq!(t.rows_of(&[d(&[]), other.clone()]), Err(&other));
+        assert_eq!(t.rows_of(&[]), Ok(Vec::new()));
+
+        let parents: Vec<Option<u32>> = (0..6).map(|row| t.parent(row)).collect();
+        assert_eq!(parents, vec![None, Some(0), Some(1), Some(2), Some(0), None]);
+        assert_eq!(t.id(3), Some(&d(&[0, 0, 0])));
+        assert_eq!(t.id(5), None);
+        assert!(t.meta(2).is_some_and(|m| m.flags.is_entity()));
+        assert_eq!(t.meta(5), None);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! mtimes and commit time, and it refuses an inconsistent manifest without
 //! writing anything.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -258,9 +260,12 @@ fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// A named edit of a manifest and the refusal it must draw.
+type Inconsistency<'a> = (&'a str, &'a dyn Fn(&mut ShardManifest), &'a str);
+
 #[test]
 fn an_inconsistent_manifest_is_refused_and_nothing_is_written() {
-    let cases: [(&str, &dyn Fn(&mut ShardManifest), &str); 5] = [
+    let cases: [Inconsistency<'_>; 5] = [
         ("shard", &|m| m.docs[0].shard = 99, "missing shard 99"),
         ("local", &|m| m.docs[0].local = 50, "holds only"),
         (

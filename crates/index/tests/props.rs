@@ -1,6 +1,8 @@
 //! Property tests of the index builder's structural invariants over random
 //! documents.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

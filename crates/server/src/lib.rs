@@ -113,6 +113,7 @@ use gks_core::engine::Engine;
 use gks_core::query::Query;
 use gks_core::search::{Response, SearchOptions, Threshold};
 use gks_core::wire;
+use gks_core::QueryError;
 use gks_index::{audit_manifest, GksIndex};
 use gks_trace::SpanKind;
 
@@ -627,7 +628,7 @@ impl ServeState {
             let answers = set.doc_maps.iter().cloned().zip(responses).collect();
             let mut merged = match gks_core::merge_responses(answers, params.limit) {
                 Ok(merged) => merged,
-                Err(e) => return HttpResponse::error(400, &format!("gather failed: {e}")),
+                Err(e) => return query_failure(resident.name(), "gather", &e),
             };
             let gather_micros = gather_span.map(|span| span.elapsed_micros());
             record.hits = Some(merged.response().hits().len());
@@ -754,10 +755,20 @@ impl ServeState {
         };
         outputs
             .into_iter()
-            .map(|output| {
-                output.map_err(|e| HttpResponse::error(400, &format!("search failed: {e}")))
-            })
+            .map(|output| output.map_err(|e| query_failure(resident.name(), "search", &e)))
             .collect()
+    }
+}
+
+/// The response to a `what` ("search", "gather") that failed with `e` on
+/// the index named `index`: 500 naming the index when the index is corrupt,
+/// since no request can mend that, else 400.
+fn query_failure(index: &str, what: &str, e: &QueryError) -> HttpResponse {
+    match e {
+        QueryError::CorruptIndex { .. } => {
+            HttpResponse::error(500, &format!("{what} failed on index {index:?}: {e}"))
+        }
+        _ => HttpResponse::error(400, &format!("{what} failed: {e}")),
     }
 }
 
@@ -887,6 +898,19 @@ mod tests {
         let request =
             http::parse_request("POST /admin/reload?index=nope HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(state.handle(&request, Instant::now()).status, 404);
+    }
+
+    #[test]
+    fn a_corrupt_index_is_a_500_naming_it_and_a_bad_query_a_400() {
+        let corrupt = QueryError::CorruptIndex { term: "karen".into() };
+        let response = query_failure("dblp", "search", &corrupt);
+        assert_eq!(response.status, 500);
+        let body = std::str::from_utf8(&response.body).unwrap();
+        assert!(body.contains("index \\\"dblp\\\"") && body.contains("karen"), "{body}");
+        let bad = query_failure("dblp", "gather", &QueryError::Empty);
+        assert_eq!(bad.status, 400);
+        let body = std::str::from_utf8(&bad.body).unwrap();
+        assert!(body.starts_with("{\"error\":\"gather failed: "), "{body}");
     }
 
     #[test]

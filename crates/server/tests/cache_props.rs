@@ -4,6 +4,8 @@
 //! (timing travels in a header, never the body). A second family of
 //! properties checks the LRU bookkeeping under random workloads.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -4,6 +4,8 @@
 //! path-backed index atomically under concurrent load with zero 5xx, and a
 //! cache hit is never served across a generation change.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

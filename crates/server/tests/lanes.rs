@@ -3,6 +3,8 @@
 //! admission queue to a worker. Whichever lane answers, the client sees the
 //! same bytes in request order, and every sink counts the request once.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

@@ -3,6 +3,8 @@
 //! folds the delta backlog while serving, the watcher thread picks up
 //! changes on its own, and no request observes a 5xx through any of it.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -4,6 +4,8 @@
 //! to neither. A test binary of its own, because the span histograms are
 //! process-wide and any other test's commits would land in them too.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::Path;
 use std::time::Instant;
 

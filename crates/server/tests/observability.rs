@@ -9,6 +9,8 @@
 //! Everything here shares the process-global tracer, so the whole flow
 //! lives in one test function.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,8 +139,7 @@ fn sinks_round_trip_through_the_json_parser() {
     // /debug/traces: deterministic JSON, well-formed spans, n= respected.
     let dump = get(&state, "/debug/traces?n=2");
     assert_eq!(dump.status, 200);
-    let v =
-        Json::parse(&String::from_utf8(dump.body.to_vec()).unwrap()).expect("traces dump parses");
+    let v = Json::parse(std::str::from_utf8(&dump.body).unwrap()).expect("traces dump parses");
     assert_eq!(v.get("enabled"), Some(&Json::Bool(true)));
     let traces = v.get("traces").and_then(Json::as_array).expect("traces array");
     assert!(traces.len() <= 2, "n=2 limits the dump");

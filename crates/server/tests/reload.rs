@@ -5,6 +5,8 @@
 //! the generation and its warm cache. Every answer below is compared with a
 //! fresh catalog over the same files.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;

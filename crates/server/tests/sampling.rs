@@ -6,6 +6,8 @@
 //! Sampling state (`set_sample_every`, the sampling sequence) is process
 //! global, which is why this test owns its binary.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,7 +63,7 @@ fn sampled_out_requests_still_count_in_span_totals() {
 
     // The ring holds the ten sampled traces, nothing more.
     let dump = get(&state, "/debug/traces?n=64");
-    let v = Json::parse(&String::from_utf8(dump.body.to_vec()).unwrap()).unwrap();
+    let v = Json::parse(std::str::from_utf8(&dump.body).unwrap()).unwrap();
     let traces = v.get("traces").and_then(Json::as_array).unwrap();
     assert_eq!(traces.len(), 10);
 }

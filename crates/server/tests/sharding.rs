@@ -7,6 +7,8 @@
 //! down what a reload installs: a re-tiled generation on success, nothing
 //! at all on failure.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

@@ -2,6 +2,8 @@
 //! through actual sockets, admission-control overload behaviour, and a
 //! clean drain. This is the test the CI serve-smoke job mirrors with curl.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

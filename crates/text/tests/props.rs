@@ -1,5 +1,7 @@
 //! Property tests for the text pipeline.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_text::{stem, stopwords, tokenize, tokenize_into, Analyzer, AnalyzerOptions};
 use proptest::prelude::*;
 

@@ -6,6 +6,7 @@
 //! so every test uses its own lock names — edges recorded by one test must
 //! not be able to interact with another's.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![cfg(debug_assertions)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -7,6 +7,8 @@
 //! on one mutex and runs in this dedicated integration binary — no other
 //! test shares the process, which makes aggregate *deltas* exact.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_trace::{histogram, recent_traces, reset, set_enabled, span, SpanKind, SpanNode};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -1,6 +1,8 @@
 //! Failure-injection tests: the parser must never panic, whatever bytes it
 //! is fed — malformed input yields `Err`, never UB or a crash.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_xml::{Document, Reader};
 use proptest::prelude::*;
 

@@ -1,5 +1,7 @@
 //! Property tests: random trees survive a write → parse round trip.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_xml::{Document, Writer};
 use proptest::prelude::*;
 

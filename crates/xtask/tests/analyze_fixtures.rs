@@ -4,6 +4,8 @@
 //! layout so [`analyze_tree`] walks them exactly as it walks the real
 //! tree; they are never compiled.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::PathBuf;
 
 use xtask::analyze::{analyze_tree, find_cycles, CrateSpec};

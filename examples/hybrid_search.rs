@@ -25,8 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::build(&corpus, IndexOptions::default())?;
 
     // Two DBLP co-authors + two SIGMOD co-authors.
-    let dblp_pair = first_coauthor_pair(dblp_out.records.iter().map(|r| r.authors.as_slice()));
-    let sigmod_pair = first_coauthor_pair(sigmod_out.article_authors.iter().map(Vec::as_slice));
+    let dblp_pair = first_coauthor_pair(dblp_out.records.iter().map(|r| r.authors.as_slice()))
+        .ok_or("no multi-author DBLP record")?;
+    let sigmod_pair = first_coauthor_pair(sigmod_out.article_authors.iter().map(Vec::as_slice))
+        .ok_or("no multi-author SIGMOD record")?;
     let query = Query::from_keywords([
         dblp_pair.0.clone(),
         dblp_pair.1.clone(),
@@ -56,7 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// Finds the first record with ≥ 2 authors and returns its first two.
 fn first_coauthor_pair<'a>(
     mut records: impl Iterator<Item = &'a [String]>,
-) -> (&'a String, &'a String) {
-    let r = records.find(|authors| authors.len() >= 2).expect("a multi-author record");
-    (&r[0], &r[1])
+) -> Option<(&'a String, &'a String)> {
+    match records.find(|authors| authors.len() >= 2)? {
+        [first, second, ..] => Some((first, second)),
+        _ => None,
+    }
 }

@@ -37,11 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let co_author = insights
         .iter()
         .find(|i| i.path.last().map(String::as_str) == Some("author"))
-        .expect("a co-author insight");
+        .ok_or("no co-author insight")?;
     println!("\nrefining with discovered co-author: {:?}", co_author.value);
 
     let refined = suggestion_to_query(&[author.clone(), co_author.value.clone()])
-        .expect("non-empty refined query");
+        .ok_or("empty refined query")?;
     let refined_resp = engine.search(
         &refined,
         SearchOptions { s: gks_core::search::Threshold::All, ..Default::default() },

@@ -6,6 +6,8 @@
 //! strategy) keeps every value; a change to what is answered updates them
 //! and says so. `build_bytes.rs` pins the index files the same way.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_core::di::DiOptions;
 use gks_core::engine::Engine;
 use gks_core::query::Query;

@@ -10,6 +10,8 @@
 //! with what is indexed, not with the document or stats sections around
 //! them; file version 9 changed those two sections and kept both spans.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks_datagen::Dataset;
 use gks_index::{Corpus, GksIndex, IndexOptions};
 

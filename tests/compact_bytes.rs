@@ -4,6 +4,8 @@
 //! vocabularies, deep TreeBank ids that spill, Mondial's lifted XML
 //! attributes, SwissProt's and NASA's nested records.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 

@@ -1,6 +1,8 @@
 //! The engine is shared-state-free after construction: concurrent searches
 //! from many threads must be safe and deterministic.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 
 use gks::prelude::*;

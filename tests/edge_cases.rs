@@ -1,5 +1,7 @@
 //! Edge-case and failure-injection tests across the public API.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks::prelude::*;
 use gks_core::error::QueryError;
 use gks_core::search::Threshold;

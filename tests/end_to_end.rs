@@ -1,6 +1,8 @@
 //! Cross-crate integration: generate a synthetic corpus, index it, search
 //! it, mine DI, refine — the full Figure-3 pipeline.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks::prelude::*;
 use gks_core::search::Threshold;
 use gks_datagen::{dblp, mondial};

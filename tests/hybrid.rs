@@ -7,6 +7,8 @@
 //! SIGMOD `<article>`s. GKS must return exactly the records of both types,
 //! and rank by keyword distribution, not by absolute depth.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks::prelude::*;
 use gks_core::search::Threshold;
 

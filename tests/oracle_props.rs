@@ -16,6 +16,8 @@
 //! Leaves hold one to three words and some keywords are two-word phrases, so
 //! phrase intersection is checked against the oracle's co-occurrence model.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks::prelude::*;
 use gks_baselines::oracle::GroundTruth;
 use gks_baselines::{query_posting_lists, slca::slca_ca_map};

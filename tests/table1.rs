@@ -11,6 +11,8 @@
 //!   ── x4 ── kc kd
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use gks::prelude::*;
 use gks_baselines::{elca::elca, query_posting_lists, slca::slca_ca_map};
 use gks_core::search::Threshold;
