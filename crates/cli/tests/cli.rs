@@ -356,6 +356,65 @@ fn doctor_reports_a_shard_that_does_not_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A term of two blocks whose second block's leader no longer agrees with
+/// its skip entry: the run parses (open reads no posting block) and fails
+/// only when a query decodes it. The search names the term as a corrupt
+/// index, `/search` answers 500, the doctor reports the run, and a query
+/// on another term still answers.
+#[test]
+fn a_run_that_fails_to_decode_is_a_corrupt_index_not_a_missing_keyword() {
+    let dir = tmpdir().join("corrupt-run");
+    std::fs::create_dir_all(&dir).unwrap();
+    let xml = dir.join("list.xml");
+    let items: String = (0..130).map(|_| "<item>zzz</item>").collect();
+    std::fs::write(&xml, format!("<list>{items}</list>")).unwrap();
+    let ix = dir.join("list.gksix");
+    let ix_s = ix.to_str().unwrap();
+    run(&args(&["index", ix_s, xml.to_str().unwrap()])).unwrap();
+
+    // "zzz" sorts last, so its run is the last in the file: postings [0]
+    // to [129] of document 0, the second block holding [128] and [129].
+    // Its leader (doc 0, depth 1, step 128) is the last occurrence of
+    // these bytes; step 128 becomes 129.
+    let mut bytes = std::fs::read(&ix).unwrap();
+    let block = [0x00, 0x01, 0x80, 0x01, 0x01, 0x01, 0x81, 0x01];
+    let at = bytes.windows(block.len()).rposition(|w| w == block).unwrap();
+    bytes[at + 2] = 0x81;
+    std::fs::write(&ix, &bytes).unwrap();
+
+    let err = run(&args(&["search", ix_s, "zzz"])).unwrap_err();
+    assert_eq!(err.code, 1, "{}", err.message);
+    assert!(
+        err.message.contains("\"zzz\"") && err.message.contains("corrupt"),
+        "{}",
+        err.message
+    );
+    let out = run(&args(&["search", ix_s, "item"])).unwrap();
+    assert!(out.contains("hit(s):"), "{out}");
+
+    let engine = Engine::from_index(GksIndex::load(&ix).unwrap());
+    let query = gks_core::Query::parse("zzz").unwrap();
+    let corrupt = engine.search(&query, gks_core::SearchOptions::default());
+    assert!(
+        matches!(&corrupt, Err(gks_core::QueryError::CorruptIndex { term }) if term == "zzz"),
+        "{corrupt:?}"
+    );
+    let config = gks_server::ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..gks_server::ServeConfig::default()
+    };
+    let server = gks_server::serve(std::sync::Arc::new(engine), config).unwrap();
+    let timeout = std::time::Duration::from_secs(10);
+    let get = |target: &str| gks_server::client::http_get(server.local_addr(), target, timeout);
+    assert_eq!(get("/search?q=zzz").unwrap().status, 500);
+    assert_eq!(get("/search?q=item").unwrap().status, 200);
+    server.shutdown();
+
+    let err = run(&args(&["doctor", ix_s])).unwrap_err();
+    assert!(err.message.contains("a posting run failed to decode"), "{}", err.message);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_and_loadgen_flag_validation() {
     assert_eq!(run(&args(&["serve"])).unwrap_err().code, 2, "no index at all");

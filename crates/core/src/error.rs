@@ -18,8 +18,9 @@ pub enum QueryError {
     UnclosedQuote,
     /// `s` was 0 — the threshold must be at least 1.
     ZeroThreshold,
-    /// A posting of `term` names a node that no node-table row describes:
-    /// the index is corrupt (`gks doctor` reports it as an unknown node).
+    /// The run of `term` fails to decode, or a posting names a node that no
+    /// node-table row describes: the index is corrupt (`gks doctor` reports
+    /// the run, or the unknown node).
     CorruptIndex {
         /// The normalized term, or a phrase's terms joined by spaces.
         term: String,
@@ -36,7 +37,7 @@ impl fmt::Display for QueryError {
             QueryError::UnclosedQuote => write!(f, "unterminated quoted phrase in query"),
             QueryError::ZeroThreshold => write!(f, "threshold s must be at least 1"),
             QueryError::CorruptIndex { term } => {
-                write!(f, "a posting of {term:?} names no node: the index is corrupt")
+                write!(f, "the postings of {term:?} are unreadable: the index is corrupt")
             }
         }
     }

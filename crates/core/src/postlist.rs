@@ -16,16 +16,16 @@
 //! one is [`GALLOP_RATIO`] times longer. Every later term filters the
 //! already-small result with the same galloping seek.
 //!
-//! The index hands out borrowed `&[DeweyId]` slices. Intersection and the
-//! tombstone mask run over them; the search then resolves each keyword's
-//! surviving list to node-table rows once, and merges rows. An unmasked
-//! single term is resolved straight from the borrowed slice, so no id is
-//! copied.
+//! A keyword's nodes are one fetch of borrowed slices ([`keyword_ids`]). The
+//! search resolves them to node-table rows once and drops each dead
+//! document's row range ([`NodeTable::doc_rows`]); a run that fails to
+//! decode, for any term of a phrase too, is [`QueryError::CorruptIndex`].
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use gks_dewey::DeweyId;
-use gks_index::GksIndex;
+use gks_dewey::{DeweyId, DocId};
+use gks_index::{GksIndex, NodeTable};
 
 use crate::cost::CostLedger;
 use crate::error::QueryError;
@@ -36,40 +36,39 @@ use crate::query::Keyword;
 const GALLOP_RATIO: usize = 16;
 
 /// The document-ordered list of nodes matching `keyword`, empty if any term
-/// is absent from the corpus.
+/// is absent from the corpus, or if a term's run fails to decode (which
+/// the search reports as [`QueryError::CorruptIndex`]).
 pub fn keyword_postings(index: &GksIndex, keyword: &Keyword) -> Vec<DeweyId> {
-    keyword_postings_masked(index, &[], keyword)
+    keyword_ids(index, keyword).map(Cow::into_owned).unwrap_or_default()
 }
 
-/// [`keyword_postings`] with tombstoned documents masked out: any posting
+/// [`keyword_postings`] with tombstoned documents masked out — any posting
 /// whose document id appears in `dead` (a sorted list of local doc ids) is
-/// dropped. With an empty mask nothing is filtered.
-pub fn keyword_postings_masked(index: &GksIndex, dead: &[u32], keyword: &Keyword) -> Vec<DeweyId> {
-    masked_keyword_postings(index, dead, keyword).0
-}
-
-/// [`keyword_postings_masked`] with cost accounting folded into `ledger`:
-/// `postings_scanned` grows by the raw posting entries fetched (every term's
-/// list for a phrase), `tombstone_masked` by the entries the mask dropped,
-/// and `per_keyword` gains one lane holding the surviving list length. All
+/// dropped — and cost accounting folded into `ledger`: `postings_scanned`
+/// grows by the raw posting entries fetched (every term's list for a
+/// phrase), `tombstone_masked` by the entries the mask dropped, and
+/// `per_keyword` gains one lane holding the surviving list length. All
 /// three are deterministic functions of the index and the keyword, so the
 /// counts obey the same shard-sum and mask-equivalence laws as the answers.
 /// Scan counts come from the term dictionary ([`GksIndex::posting_count`]),
 /// which a format-v3 index answers without decoding any posting block.
+///
+/// The search's fetch, read back from rows to ids; on a corrupt index the
+/// list is empty and `ledger` is left as it was.
 pub fn keyword_postings_counted(
     index: &GksIndex,
     dead: &[u32],
     keyword: &Keyword,
     ledger: &mut CostLedger,
 ) -> Vec<DeweyId> {
-    let (list, masked) = masked_keyword_postings(index, dead, keyword);
-    count(index, keyword, list.len(), masked, ledger);
-    list
+    let table = index.node_table();
+    let rows = keyword_rows_counted(index, dead, keyword, ledger).unwrap_or_default();
+    rows.into_iter().filter_map(|row| table.id(row)).cloned().collect()
 }
 
 /// [`keyword_postings_counted`] as node-table rows, the form the search
-/// runs on. An unmasked single term resolves the index's borrowed list and
-/// copies no id. Fails with [`QueryError::CorruptIndex`] when a surviving
+/// runs on: one fetch, one resolve, one row mask. Fails with
+/// [`QueryError::CorruptIndex`] when a term's run fails to decode or a
 /// posting names a node that no row describes.
 pub(crate) fn keyword_rows_counted(
     index: &GksIndex,
@@ -78,70 +77,70 @@ pub(crate) fn keyword_rows_counted(
     ledger: &mut CostLedger,
 ) -> Result<Vec<u32>, QueryError> {
     let table = index.node_table();
-    let resolved = match (keyword.terms(), dead) {
-        ([term], []) => table.rows_of(index.postings(term)).ok().map(|rows| (rows, 0)),
-        _ => {
-            let (list, masked) = masked_keyword_postings(index, dead, keyword);
-            table.rows_of(&list).ok().map(|rows| (rows, masked))
-        }
-    };
-    let (rows, masked) =
-        resolved.ok_or_else(|| QueryError::CorruptIndex { term: keyword.terms().join(" ") })?;
-    count(index, keyword, rows.len(), masked, ledger);
-    Ok(rows)
-}
-
-/// Folds one keyword's fetch into `ledger`: see [`keyword_postings_counted`].
-fn count(
-    index: &GksIndex,
-    keyword: &Keyword,
-    survivors: usize,
-    masked: u64,
-    ledger: &mut CostLedger,
-) {
+    let ids = keyword_ids(index, keyword)?;
+    let mut rows = table
+        .rows_of(ids.iter())
+        .map_err(|_| QueryError::CorruptIndex { term: keyword.terms().join(" ") })?;
+    let masked = mask_rows(table, &mut rows, dead);
     ledger.postings_scanned +=
         keyword.terms().iter().map(|t| index.posting_count(t) as u64).sum::<u64>();
     ledger.tombstone_masked += masked;
-    ledger.per_keyword.push(survivors as u64);
+    ledger.per_keyword.push(rows.len() as u64);
+    Ok(rows)
 }
 
-/// Shared fetch-and-mask: returns the surviving list and how many postings
-/// the mask dropped. A single-term keyword goes through
-/// [`GksIndex::postings_masked`], which on a format-v3 index can skip
-/// fully-tombstoned blocks without decoding them. A phrase intersects its
-/// terms' lists first and masks the (smaller) intersection, preserving the
-/// ledger algebra of the eager path.
-fn masked_keyword_postings(
-    index: &GksIndex,
-    dead: &[u32],
+/// The nodes of `keyword`, in document order: a single term's cached
+/// slice, borrowed, or a phrase's intersection (see the module docs).
+fn keyword_ids<'a>(
+    index: &'a GksIndex,
     keyword: &Keyword,
-) -> (Vec<DeweyId>, u64) {
+) -> Result<Cow<'a, [DeweyId]>, QueryError> {
+    let fetch = |term: &str| {
+        index
+            .try_postings(term)
+            .map_err(|_| QueryError::CorruptIndex { term: term.to_string() })
+    };
     match keyword.terms() {
-        [] => (Vec::new(), 0),
-        [term] => index.postings_masked(term, dead),
+        [] => Ok(Cow::Borrowed(&[])),
+        [term] => fetch(term).map(Cow::Borrowed),
         terms => {
             let mut by_count: Vec<(usize, &str)> =
                 terms.iter().map(|t| (index.posting_count(t), t.as_str())).collect();
             by_count.sort_unstable();
-            let mut common = intersect(by_count.iter().map(|&(_, t)| index.postings(t)));
-            let before = common.len();
-            common.retain(|id| dead.binary_search(&id.doc().0).is_err());
-            let masked = (before - common.len()) as u64;
-            (common, masked)
+            intersect(by_count.into_iter().map(|(_, t)| fetch(t))).map(Cow::Owned)
         }
     }
 }
 
+/// Drops from the sorted `rows` every row of a document in the sorted
+/// `dead` list, and returns how many it dropped: one merge of the rows
+/// against the dead documents' row ranges, O(|rows| + |dead|).
+fn mask_rows(table: &NodeTable, rows: &mut Vec<u32>, dead: &[u32]) -> u64 {
+    if dead.is_empty() {
+        return 0;
+    }
+    let before = rows.len();
+    let mut ranges = dead.iter().map(|&doc| table.doc_rows(DocId(doc))).peekable();
+    rows.retain(|row| {
+        while ranges.next_if(|range| range.end <= *row).is_some() {}
+        !ranges.peek().is_some_and(|range| range.contains(row))
+    });
+    (before - rows.len()) as u64
+}
+
 /// Intersects sorted, deduplicated lists, drawn shortest first. Lists are
 /// pulled lazily: an empty first list or an empty running result stops the
-/// join before the next list is fetched (and, from the index, decoded).
-fn intersect<'a>(mut lists: impl Iterator<Item = &'a [DeweyId]>) -> Vec<DeweyId> {
-    let first = match lists.next() {
+/// join before the next list is fetched (and, from the index, decoded). The
+/// first fetch that fails is the error.
+fn intersect<'a, E>(
+    mut lists: impl Iterator<Item = Result<&'a [DeweyId], E>>,
+) -> Result<Vec<DeweyId>, E> {
+    let first = match lists.next().transpose()? {
         Some(list) if !list.is_empty() => list,
-        _ => return Vec::new(),
+        _ => return Ok(Vec::new()),
     };
-    let Some(second) = lists.next() else {
-        return first.to_vec();
+    let Some(second) = lists.next().transpose()? else {
+        return Ok(first.to_vec());
     };
     let (short, long) = if first.len() <= second.len() {
         (first, second)
@@ -149,7 +148,7 @@ fn intersect<'a>(mut lists: impl Iterator<Item = &'a [DeweyId]>) -> Vec<DeweyId>
         (second, first)
     };
     if short.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut common = if long.len() / short.len() < GALLOP_RATIO {
         walk_join(short, long)
@@ -157,10 +156,12 @@ fn intersect<'a>(mut lists: impl Iterator<Item = &'a [DeweyId]>) -> Vec<DeweyId>
         gallop_join(short, long)
     };
     while !common.is_empty() {
-        let Some(list) = lists.next() else { break };
+        let Some(list) = lists.next().transpose()? else {
+            break;
+        };
         common = gallop_join(&common, list);
     }
-    common
+    Ok(common)
 }
 
 /// The ids common to two lists of comparable length, by one pass over both.
@@ -225,7 +226,7 @@ mod tests {
     }
 
     fn intersected(lists: &[&[DeweyId]]) -> Vec<DeweyId> {
-        intersect(lists.iter().copied())
+        intersect(lists.iter().map(|&list| Ok::<_, ()>(list))).unwrap()
     }
 
     #[test]
@@ -334,7 +335,7 @@ mod tests {
                 .reduce(|acc, s| acc.intersection(&s).cloned().collect())
                 .map(|s| s.into_iter().collect())
                 .unwrap_or_default();
-            let got = intersect(lists.iter().map(Vec::as_slice));
+            let got = intersect(lists.iter().map(|l| Ok::<_, ()>(l.as_slice()))).unwrap();
             prop_assert_eq!(got, want);
             // Both joins are exact whatever the ratio; it only picks the cheaper.
             prop_assert_eq!(walk_join(&lists[0], &lists[1]), gallop_join(&lists[0], &lists[1]));
@@ -430,5 +431,69 @@ mod tests {
         let q = crate::query::Query::parse("the").unwrap(); // stop word
         let kw = &q.normalized(ix.analyzer())[0];
         assert!(keyword_postings(&ix, kw).is_empty());
+    }
+
+    /// Three documents whose roots and last nodes carry "ka", so a dead
+    /// range one row too short or too long changes the masked count.
+    fn three_documents() -> GksIndex {
+        let docs = [
+            ("d0", "<ka><a>kb</a><a>ka kb</a></ka>"),
+            ("d1", "<ka><a>ka kb</a></ka>"),
+            ("d2", "<ka><b><a>ka</a></b><a>kb ka</a></ka>"),
+        ];
+        let corpus = Corpus::from_named_strs(docs).unwrap();
+        GksIndex::build(&corpus, IndexOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn the_row_mask_drops_each_dead_documents_rows_and_counts_them() {
+        let ix = three_documents();
+        let table = ix.node_table();
+        for text in ["ka", r#""ka kb""#] {
+            let q = crate::query::Query::parse(text).unwrap();
+            let kw = &q.normalized(ix.analyzer())[0];
+            let ids = keyword_postings(&ix, kw);
+            let rows = table.rows_of(&ids).unwrap();
+            if text == "ka" {
+                let ends = (0..3).flat_map(|doc| {
+                    let range = table.doc_rows(DocId(doc));
+                    [range.start, range.end - 1]
+                });
+                assert!(ends.into_iter().all(|row| rows.contains(&row)), "{rows:?}");
+            }
+            // Dead first, middle and last documents, pairs, all three, a
+            // document id past the count, and no mask at all.
+            let masks: [&[u32]; 9] =
+                [&[], &[0], &[1], &[2], &[0, 2], &[0, 1], &[0, 1, 2], &[3], &[1, 9]];
+            for dead in masks {
+                let mut masked_rows = rows.clone();
+                let masked = mask_rows(table, &mut masked_rows, dead);
+                // Expected: the ids filtered by document.
+                let live: Vec<DeweyId> =
+                    ids.iter().filter(|id| !dead.contains(&id.doc().0)).cloned().collect();
+                assert_eq!(masked as usize, ids.len() - live.len(), "{text} {dead:?}");
+                assert_eq!(masked_rows, table.rows_of(&live).unwrap(), "{text} {dead:?}");
+                let mut ledger = CostLedger::default();
+                assert_eq!(keyword_postings_counted(&ix, dead, kw, &mut ledger), live);
+                assert_eq!(ledger.tombstone_masked, masked);
+                assert_eq!(ledger.per_keyword, vec![live.len() as u64]);
+            }
+        }
+    }
+
+    #[test]
+    fn built_and_reopened_indexes_answer_masked_searches_alike() {
+        use crate::search::{search_masked, SearchOptions};
+        let built = three_documents();
+        let map = bytes::Mmap::from(built.to_bytes_v3().unwrap().to_vec());
+        let reopened = GksIndex::from_mapped(std::sync::Arc::new(map)).unwrap();
+        let answer = |ix: &GksIndex, text: &str| {
+            let q = crate::query::Query::parse(text).unwrap();
+            let r = search_masked(ix, &[0], &q, SearchOptions::default()).unwrap();
+            format!("{:?} {:?} {:?}", r.hits(), r.missing_keyword_indices(), r.cost())
+        };
+        for text in ["ka", "kb", "ka kb", r#""ka kb""#, "ka nosuch"] {
+            assert_eq!(answer(&built, text), answer(&reopened, text), "{text}");
+        }
     }
 }

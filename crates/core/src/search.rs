@@ -22,8 +22,9 @@
 //! Steps 1–6 run on `u32` pre-order rows of the node table, which sort as
 //! the Dewey ids do (see `gks_index::node_table`). A Dewey id is read for
 //! the pruning's ancestor test and copied only into an emitted [`Hit`]. A
-//! posting no row describes is a corrupt index, reported as
-//! [`QueryError::CorruptIndex`] rather than answered from.
+//! posting run that fails to decode, or a posting no row describes, is a
+//! corrupt index, reported as [`QueryError::CorruptIndex`] rather than
+//! answered from.
 
 use gks_dewey::DeweyId;
 use gks_index::{GksIndex, NodeTable};
@@ -237,8 +238,9 @@ pub fn search(
 /// [`search`] with tombstoned documents masked out of the posting lists
 /// before the merge: `dead` is a sorted list of local document ids whose
 /// postings must not contribute to the answer (documents deleted or
-/// superseded by a delta shard — see `gks_index::delta`). Filtering at the
-/// posting-list stage keeps everything downstream — `missing`, the merged
+/// superseded by a delta shard — see `gks_index::delta`). Each keyword's
+/// rows lose those in a dead document's row range before the merge, which
+/// keeps everything downstream — `missing`, the merged
 /// `SL`, the sweep statistics, and the ranks — identical to an index that
 /// never contained those documents, because no corpus-global statistic
 /// enters the potential-flow rank. An empty mask is free.

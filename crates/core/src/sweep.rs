@@ -74,22 +74,13 @@ impl RowStats {
 }
 
 /// Runs the sweep. `nodes` must be sorted and deduplicated; `n_keywords` is
-/// `|Q|`. Returns stats in the same order as `nodes`.
-pub fn sweep(
-    index: &GksIndex,
-    sl: &[SlEntry],
-    nodes: &[DeweyId],
-    n_keywords: usize,
-) -> Vec<NodeStats> {
-    sweep_counted(index, sl, nodes, n_keywords).0
-}
-
-/// [`sweep`] plus the advance count for the cost ledger: the sum over `SL`
-/// entries of the active candidate stack size — each unit is one
-/// candidate-update step (mask join + terminal check), the dominant term of
-/// the §4.2 sweep cost. The stack only ever holds ancestors of the current
-/// entry, so the count is a per-document quantity and sums exactly across
-/// shards of a document-partitioned corpus.
+/// `|Q|`. Returns stats in the same order as `nodes`, and the advance count
+/// for the cost ledger: the sum over `SL` entries of the active candidate
+/// stack size — each unit is one candidate-update step (mask join +
+/// terminal check), the dominant term of the §4.2 sweep cost. The stack
+/// only ever holds ancestors of the current entry, so the count is a
+/// per-document quantity and sums exactly across shards of a
+/// document-partitioned corpus.
 ///
 /// When an `SL` id or a node has no node-table row (a corrupt index), every
 /// statistic stays empty and the count is 0; the search reports such an id
@@ -308,7 +299,7 @@ mod tests {
         let x2 = d(&[0, 4]);
         let x3 = d(&[1]);
         let x4 = d(&[2]);
-        let stats = sweep(&ix, &sl, &[x2.clone(), x3.clone(), x4.clone()], 4);
+        let stats = sweep_counted(&ix, &sl, &[x2.clone(), x3.clone(), x4.clone()], 4).0;
         let by_node: std::collections::HashMap<_, _> =
             stats.iter().map(|s| (s.dewey.clone(), s)).collect();
 
@@ -329,7 +320,7 @@ mod tests {
     fn masks_are_exact() {
         let ix = fig1_index();
         let sl = sl_for(&ix, &["ka", "kd"]);
-        let stats = sweep(&ix, &sl, &[d(&[]), d(&[0, 4]), d(&[1, 2])], 2);
+        let stats = sweep_counted(&ix, &sl, &[d(&[]), d(&[0, 4]), d(&[1, 2])], 2).0;
         assert_eq!(stats[0].mask, 0b11); // root sees both
         assert_eq!(stats[1].mask, 0b01); // x2 has a only
         assert_eq!(stats[2].mask, 0b10); // x5 has d only
@@ -342,7 +333,7 @@ mod tests {
         let ix = fig1_index();
         let sl = sl_for(&ix, &["ka"]);
         let x1 = d(&[0]);
-        let stats = sweep(&ix, &sl, &[x1], 1);
+        let stats = sweep_counted(&ix, &sl, &[x1], 1).0;
         // x1 has 5 children; the direct <v>ka</v> receives 1/5 of potential 1.
         assert!((stats[0].rank - 0.2).abs() < 1e-9, "rank = {}", stats[0].rank);
     }
@@ -353,7 +344,7 @@ mod tests {
         let corpus = Corpus::from_named_strs([("t", xml)]).unwrap();
         let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
         let sl = sl_for(&ix, &["ka", "kb"]);
-        let stats = sweep(&ix, &sl, &[d(&[])], 2);
+        let stats = sweep_counted(&ix, &sl, &[d(&[])], 2).0;
         // P = 2; terminals: two 'a' at 1/3 each, one 'b' at 1/3 → rank 2.
         assert!((stats[0].rank - 2.0).abs() < 1e-9, "rank = {}", stats[0].rank);
     }
@@ -373,7 +364,7 @@ mod tests {
         let sl = sl_for(&ix, &["karen", "mike"]);
         let area = d(&[]);
         let course0 = d(&[1, 0]);
-        let stats = sweep(&ix, &sl, &[area, course0], 2);
+        let stats = sweep_counted(&ix, &sl, &[area, course0], 2).0;
         assert!(!stats[0].witnessed, "Area's keywords all live inside courses");
         assert!(stats[1].witnessed, "Course 0 directly contains karen & mike");
         // Both masks are full nonetheless.
@@ -396,13 +387,6 @@ mod tests {
         }
         assert_eq!(advances, expected);
         assert!(advances > sl.len() as u64, "nested candidates multi-count");
-        // The counting wrapper must not perturb the statistics.
-        let plain = sweep(&ix, &sl, &nodes, 2);
-        assert_eq!(plain.len(), stats.len());
-        for (a, b) in plain.iter().zip(&stats) {
-            assert_eq!(a.mask, b.mask);
-            assert_eq!(a.rank, b.rank);
-        }
     }
 
     /// The sweep as first written, kept as the reference the differential
@@ -592,8 +576,8 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let ix = fig1_index();
-        assert!(sweep(&ix, &[], &[], 1).is_empty());
-        let stats = sweep(&ix, &[], &[d(&[])], 1);
+        assert!(sweep_counted(&ix, &[], &[], 1).0.is_empty());
+        let stats = sweep_counted(&ix, &[], &[d(&[])], 1).0;
         assert_eq!(stats[0].mask, 0);
         assert_eq!(stats[0].rank, 0.0);
     }

@@ -162,11 +162,6 @@ impl BlockDecoder {
         BlockDecoder { doc: DocId(0), prev_steps: Vec::new(), first: true }
     }
 
-    fn next(&mut self, input: &mut impl Buf) -> Result<DeweyId, DecodeError> {
-        self.advance(input)?;
-        Ok(DeweyId::from_slice(self.doc, &self.prev_steps))
-    }
-
     /// Reads the next entry into `doc` and `prev_steps` without building an
     /// id.
     fn advance(&mut self, input: &mut impl Buf) -> Result<(), DecodeError> {
@@ -205,8 +200,8 @@ impl BlockDecoder {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkipEntry {
     /// First Dewey id in the block (stored absolute in the skip table for
-    /// multi-block runs, so a reader can seek here without decoding the
-    /// previous block; reconstructed from the block leader for single-block
+    /// multi-block runs, so a block decodes and is checked without its
+    /// predecessors; reconstructed from the block leader for single-block
     /// runs).
     pub first: DeweyId,
     /// Document id of the block's last posting. Together with `first.doc()`
@@ -267,7 +262,9 @@ pub fn encode_blocked_run(ids: &[DeweyId], out: &mut impl BufMut) {
 /// Zero-copy reader over one blocked run produced by [`encode_blocked_run`].
 ///
 /// Parsing reads only the header and skip table; the block bytes themselves
-/// are borrowed, not decoded, until a `decode_*` call asks for them.
+/// are borrowed, not decoded, until [`Self::for_each_in_block`] visits one.
+/// That visitor is the one block decoder: [`Self::decode_all`] and
+/// [`Self::decode_masked`] are collectors over it.
 #[derive(Debug)]
 pub struct BlockedRunReader<'a> {
     total: usize,
@@ -297,7 +294,9 @@ impl<'a> BlockedRunReader<'a> {
             // The single block's first id is its leader entry; decoding one
             // entry materializes the skip entry without touching the rest.
             let mut peek = blocks;
-            let first = BlockDecoder::new().next(&mut peek)?;
+            let mut leader = BlockDecoder::new();
+            leader.advance(&mut peek)?;
+            let first = DeweyId::from_slice(leader.doc, &leader.prev_steps);
             if last_doc < first.doc() {
                 return Err(DecodeError::BadBlockLayout("block last_doc before first doc"));
             }
@@ -388,36 +387,13 @@ impl<'a> BlockedRunReader<'a> {
         Ok(())
     }
 
-    /// Decodes block `i` into owned ids.
-    pub fn decode_block(&self, i: usize) -> Result<Vec<DeweyId>, DecodeError> {
-        let entry = &self.skips[i];
-        let mut input = self.block_bytes(i);
-        let mut decoder = BlockDecoder::new();
-        let mut ids = Vec::with_capacity(entry.count.min(MAX_PREALLOC));
-        for _ in 0..entry.count {
-            ids.push(decoder.next(&mut input)?);
-        }
-        if ids.first() != Some(&entry.first) {
-            return Err(DecodeError::BadBlockLayout("block first id disagrees with skip entry"));
-        }
-        Ok(ids)
-    }
-
     /// Decodes the whole run.
     pub fn decode_all(&self) -> Result<Vec<DeweyId>, DecodeError> {
         let mut ids = Vec::with_capacity(self.total.min(MAX_PREALLOC));
         for i in 0..self.skips.len() {
-            ids.extend(self.decode_block(i)?);
+            self.for_each_in_block(i, |doc, steps| ids.push(DeweyId::from_slice(doc, steps)))?;
         }
         Ok(ids)
-    }
-
-    /// Index of the first block that can contain `doc` (first block whose
-    /// `last_doc` is ≥ `doc`); `skips.len()` if every block ends earlier.
-    /// This is the seek primitive the merge heap and tombstone masking use
-    /// to land on a block without decoding its predecessors.
-    pub fn find_block(&self, doc: DocId) -> usize {
-        self.skips.partition_point(|s| s.last_doc < doc)
     }
 
     /// Decodes the run while masking out postings whose document id appears
@@ -436,23 +412,15 @@ impl<'a> BlockedRunReader<'a> {
                 masked += entry.count as u64;
                 continue;
             }
-            for id in self.decode_block(i)? {
-                if dead.binary_search(&id.doc().0).is_ok() {
+            self.for_each_in_block(i, |doc, steps| {
+                if dead.binary_search(&doc.0).is_ok() {
                     masked += 1;
                 } else {
-                    ids.push(id);
+                    ids.push(DeweyId::from_slice(doc, steps));
                 }
-            }
+            })?;
         }
         Ok((ids, masked))
-    }
-
-    /// Whether [`Self::decode_masked`] would skip at least one whole block
-    /// for this `dead` list (sorted document ids).
-    pub fn any_block_skippable(&self, dead: &[u32]) -> bool {
-        self.skips
-            .iter()
-            .any(|s| s.first.doc() == s.last_doc && dead.binary_search(&s.first.doc().0).is_ok())
     }
 }
 
@@ -532,17 +500,12 @@ mod tests {
             assert_eq!(s.count, ids[i * 128..].len().min(128));
             assert_eq!(&s.first, &ids[i * 128]);
             assert_eq!(s.last_doc, ids[(i * 128 + s.count) - 1].doc());
-            assert_eq!(reader.decode_block(i).unwrap(), &ids[i * 128..i * 128 + s.count]);
             let mut visited = Vec::new();
             reader
                 .for_each_in_block(i, |doc, steps| visited.push(DeweyId::from_slice(doc, steps)))
                 .unwrap();
             assert_eq!(visited, &ids[i * 128..i * 128 + s.count]);
         }
-        // Seeks land on the right block without decoding predecessors.
-        assert_eq!(reader.find_block(DocId(0)), 0);
-        assert_eq!(reader.find_block(ids[128].doc()), reader.find_block(ids[128].doc()));
-        assert_eq!(reader.find_block(DocId(9999)), skips.len());
     }
 
     #[test]
@@ -555,7 +518,6 @@ mod tests {
         let frozen = buf.freeze();
         let mut slice: &[u8] = frozen.as_slice();
         let reader = BlockedRunReader::parse(&mut slice, ids.len()).unwrap();
-        assert!(reader.any_block_skippable(&[5]));
         let (live, masked) = reader.decode_masked(&[5]).unwrap();
         assert_eq!(masked, 256);
         assert_eq!(live, &ids[256..]);
@@ -563,11 +525,19 @@ mod tests {
         let (all, none) = reader.decode_masked(&[]).unwrap();
         assert_eq!(none, 0);
         assert_eq!(all, ids);
-        // The trailing partial block holds only doc 9, so it is skippable too.
-        assert!(reader.any_block_skippable(&[9]));
+        // The trailing partial block holds only doc 9, so it is skipped too.
         let (live9, masked9) = reader.decode_masked(&[9]).unwrap();
         assert_eq!(masked9, 10);
         assert_eq!(live9, &ids[..256]);
+        // A skipped block is not decoded: a broken last byte (the trailing
+        // block's final step, now a varint with no end) fails only a read
+        // that decodes that block.
+        let mut broken = frozen.to_vec();
+        *broken.last_mut().unwrap() = 0x80;
+        let mut slice: &[u8] = broken.as_slice();
+        let reader = BlockedRunReader::parse(&mut slice, ids.len()).unwrap();
+        assert_eq!(reader.decode_all(), Err(DecodeError::UnexpectedEof));
+        assert_eq!(reader.decode_masked(&[9]).unwrap(), (ids[..256].to_vec(), 10));
     }
 
     #[test]

@@ -117,7 +117,10 @@ proptest! {
         prop_assert_eq!(reader.decode_all().unwrap(), ids.clone());
         prop_assert_eq!(reader.skip_entries().len(), ids.len().div_ceil(codec::BLOCK_SIZE));
         for (i, entry) in reader.skip_entries().iter().enumerate() {
-            let block = reader.decode_block(i).unwrap();
+            let mut block = Vec::new();
+            reader
+                .for_each_in_block(i, |doc, steps| block.push(DeweyId::from_slice(doc, steps)))
+                .unwrap();
             prop_assert_eq!(&entry.first, block.first().unwrap());
             prop_assert_eq!(entry.last_doc, block.last().unwrap().doc());
             prop_assert_eq!(entry.count, block.len());
@@ -125,8 +128,8 @@ proptest! {
     }
 
     /// Masked block decode equals decode-then-filter, and reports exactly
-    /// the number of postings it dropped — the law `postings_masked`
-    /// relies on to keep tombstoned v3 search byte-identical to eager v2.
+    /// the number of postings it dropped, whole skipped blocks included —
+    /// the same tally the search's row mask keeps in `tombstone_masked`.
     #[test]
     fn codec_blocked_masked_equals_filter(
         mut ids in proptest::collection::vec(arb_deep_id(), 0..260),

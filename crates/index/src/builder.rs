@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use gks_dewey::codec::DecodeError;
 use gks_dewey::{DeweyId, DocId};
 use gks_text::Analyzer;
 use gks_xml::{Event, Reader};
@@ -156,23 +157,21 @@ impl GksIndex {
 
     /// Inverted-index lookup: the document-ordered posting list `S_i` of a
     /// normalized term. The first access decodes the term's blocked run and
-    /// caches it.
+    /// caches it; one that fails to decode reads as empty.
     pub fn postings(&self, term: &str) -> &[DeweyId] {
         self.inverted.postings(term)
+    }
+
+    /// [`Self::postings`], with a run that fails to decode an error: the
+    /// search engine's fetch.
+    pub fn try_postings(&self, term: &str) -> Result<&[DeweyId], DecodeError> {
+        self.inverted.try_postings(term)
     }
 
     /// Posting-list length for a term without forcing a decode: the term
     /// dictionary's stored count. Always equals `self.postings(term).len()`.
     pub fn posting_count(&self, term: &str) -> usize {
         self.inverted.posting_count(term)
-    }
-
-    /// The posting list with documents in the sorted `dead` list masked out,
-    /// plus the exact number of postings dropped. While the term's run is
-    /// still cold, blocks lying entirely within dead documents are skipped
-    /// without decoding.
-    pub fn postings_masked(&self, term: &str, dead: &[u32]) -> (Vec<DeweyId>, u64) {
-        self.inverted.postings_masked(term, dead)
     }
 
     /// The node table (`entityHash` + `elementHash`).
@@ -843,33 +842,6 @@ mod tests {
         assert_eq!(ix.bytes_mapped(), 0, "the runs sit in an owned buffer, not a map");
         assert_eq!(ix.postings("karen").len(), 3);
         assert_eq!(ix.decoded_terms(), 1, "a query decodes the terms it touches");
-    }
-
-    #[test]
-    fn masking_agrees_before_and_after_a_terms_first_decode() {
-        // "zebra" lives in document 0 alone, so masking that document skips
-        // its whole block off the skip table; "alpha" spans documents, so
-        // its run decodes into the slot.
-        let corpus = Corpus::from_named_strs([
-            ("a", "<r><x>alpha</x><x>zebra</x></r>"),
-            ("b", FIG2A),
-            ("c", "<r><y>alpha</y></r>"),
-        ])
-        .unwrap();
-        let ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        assert_eq!(ix.postings_masked("zebra", &[0]), (Vec::new(), 1));
-        assert_eq!(ix.decoded_terms(), 0, "a skipped block is not decoded");
-        let terms: Vec<String> = ix.inverted().iter().map(|(t, _)| t.to_string()).collect();
-        let fresh = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        for term in &terms {
-            let cold = fresh.postings_masked(term, &[0]);
-            let all = fresh.postings(term);
-            let survivors: Vec<DeweyId> =
-                all.iter().filter(|d| d.doc() != DocId(0)).cloned().collect();
-            assert_eq!(cold.1 as usize, all.len() - survivors.len(), "masked tally for {term}");
-            assert_eq!(cold.0, survivors, "cold mask for {term}");
-            assert_eq!(fresh.postings_masked(term, &[0]), cold, "cached mask for {term}");
-        }
     }
 
     #[test]

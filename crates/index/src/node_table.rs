@@ -34,7 +34,9 @@
 //! is not the open ancestor before it, and a sibling step that does not
 //! follow the previous one. A build and an open both end in it.
 
-use gks_dewey::DeweyId;
+use std::ops::Range;
+
+use gks_dewey::{DeweyId, DocId};
 
 use crate::categorize::NodeFlags;
 use crate::error::IndexError;
@@ -333,6 +335,18 @@ impl NodeTable {
         self.ids.get(row as usize)
     }
 
+    /// All rows of document `doc`, pre-order being document order: its root
+    /// row up to the next document's. Empty for a document without rows or
+    /// past the count.
+    pub fn doc_rows(&self, doc: DocId) -> Range<u32> {
+        // The first root row at or after document `from`, else the end.
+        let root_from = |from: usize| {
+            let rest = self.roots.get(from..).unwrap_or_default().iter();
+            rest.copied().find(|&root| root != NO_ROW).unwrap_or(self.ids.len() as u32)
+        };
+        root_from(doc.0 as usize)..root_from(doc.0 as usize + 1)
+    }
+
     /// The rows along `id`'s path, root first: the prefix of depth `k` is
     /// the `k`-th item. Ends at the first prefix that is not recorded, so
     /// `id` itself is the last item exactly when it is recorded.
@@ -389,23 +403,11 @@ impl NodeTable {
     /// the LCE derivation of §4.1: "we check if it is an entity node or any
     /// of its ancestors is an entity node". One walk down the path.
     pub fn lowest_entity_ancestor_or_self(&self, id: &DeweyId) -> Option<DeweyId> {
-        self.deepest_entity(id, id.depth() + 1)
-    }
-
-    /// Nearest strict-ancestor entity of `id`.
-    pub fn ancestors_entity(&self, id: &DeweyId) -> Option<DeweyId> {
-        self.deepest_entity(id, id.depth())
-    }
-
-    /// The deepest entity row among the first `prefixes` rows of `id`'s
-    /// path, as an id.
-    fn deepest_entity(&self, id: &DeweyId, prefixes: usize) -> Option<DeweyId> {
         let row = self
             .walk(id)
-            .take(prefixes)
             .filter(|&row| self.meta(row).is_some_and(|m| m.flags.is_entity()))
             .last()?;
-        self.ids.get(row as usize).cloned()
+        self.id(row).cloned()
     }
 
     /// Number of recorded nodes.
@@ -458,7 +460,6 @@ fn refusal(prev: Option<&DeweyId>, id: &DeweyId, otherwise: &str) -> IndexError 
 mod tests {
     use super::*;
     use crate::categorize::{finalize_child_flags, self_flags};
-    use gks_dewey::DocId;
 
     fn d(steps: &[u32]) -> DeweyId {
         DeweyId::new(DocId(0), steps.to_vec())
@@ -525,7 +526,6 @@ mod tests {
         ]);
         // Node itself is an entity → returned as-is.
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[0, 0])), Some(d(&[0, 0])));
-        assert_eq!(t.ancestors_entity(&d(&[0, 0])), Some(d(&[])));
         // Connecting node → nearest entity ancestor.
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[0, 0, 0])), Some(d(&[0, 0])));
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[1])), Some(d(&[])));
@@ -533,7 +533,6 @@ mod tests {
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[0, 0, 5, 2])), Some(d(&[0, 0])));
         assert_eq!(t.lowest_entity_ancestor_or_self(&d(&[0, 3])), Some(d(&[])));
         // No entity on the path → None.
-        assert_eq!(t.ancestors_entity(&d(&[])), None);
         assert_eq!(t.lowest_entity_ancestor_or_self(&DeweyId::root(DocId(4))), None);
         let path: Vec<u32> = t.path(&d(&[0, 0, 7])).map(|m| m.child_count).collect();
         assert_eq!(path, vec![2, 1, 1]);
@@ -569,6 +568,35 @@ mod tests {
         assert_eq!(t.id(5), None);
         assert!(t.meta(2).is_some_and(|m| m.flags.is_entity()));
         assert_eq!(t.meta(5), None);
+    }
+
+    /// A linked table over `(doc, steps)` rows, given in Dewey order.
+    fn docs_table(rows: &[(u32, &[u32])], doc_count: usize) -> NodeTable {
+        let mut t = NodeTable::new();
+        for &(doc, steps) in rows {
+            t.push(DeweyId::new(DocId(doc), steps.to_vec()), 0).unwrap();
+        }
+        t.link(doc_count).unwrap();
+        t
+    }
+
+    #[test]
+    fn doc_rows_span_each_documents_pre_order_block() {
+        // Three documents of two, one and three rows.
+        let t = docs_table(&[(0, &[]), (0, &[0]), (1, &[]), (2, &[]), (2, &[0]), (2, &[1])], 3);
+        let ranges: Vec<Range<u32>> = (0..3).map(|doc| t.doc_rows(DocId(doc))).collect();
+        assert_eq!(ranges, vec![0..2, 2..3, 3..6]);
+        for (row, id) in (0u32..).zip(t.ids()) {
+            assert!(t.doc_rows(id.doc()).contains(&row), "row {row} of {id}");
+        }
+        // A document id past the count has no rows.
+        assert!(t.doc_rows(DocId(3)).is_empty());
+        assert!(t.doc_rows(DocId(u32::MAX)).is_empty());
+        // A document without rows between two others is empty, in place.
+        let gap = docs_table(&[(0, &[]), (0, &[0]), (2, &[])], 3);
+        assert_eq!(gap.doc_rows(DocId(1)), 2..2);
+        assert_eq!(gap.doc_rows(DocId(2)), 2..3);
+        assert!(NodeTable::new().doc_rows(DocId(0)).is_empty());
     }
 
     #[test]

@@ -258,14 +258,13 @@ struct TermEntry {
 ///
 /// The dictionary lives as byte ranges into the backing bytes — the mapped
 /// index file, or the buffer a build encoded; each posting list stays
-/// encoded until the first [`Self::postings`] call, which decodes its
+/// encoded until the first [`Self::try_postings`] call, which decodes its
 /// blocked run into a per-term [`OnceLock`] slot. Making an index therefore
 /// never touches posting blocks, and a shard only pays decode cost (and
 /// heap residency) for the terms queries actually hit. The engine only sees
-/// `&[DeweyId]` slices borrowed from the slots; a caller that needs an
-/// owned list ([`Self::postings_masked`], the engine's per-keyword fetch)
-/// copies the ids out once — a flat copy for paths within the inline depth
-/// of [`DeweyId`], which own no heap memory.
+/// `&[DeweyId]` slices borrowed from the slots, and masks tombstoned
+/// documents on node-table rows after it resolves them, so the store has
+/// one fetch and no mask.
 pub struct PostingStore {
     map: Arc<Mmap>,
     tier: Tier,
@@ -428,57 +427,35 @@ impl PostingStore {
     }
 
     /// The decoded posting list for slot `i`, decoding (and caching) the
-    /// blocked run on first access. A run that fails to decode yields an
-    /// empty list — the engine is panic-free past open — and the doctor's
-    /// [`Self::audit`] reports it.
-    fn list_at(&self, i: usize) -> &[DeweyId] {
-        self.slots[i].get_or_init(|| {
+    /// blocked run on first access. A run that fails to decode is an error
+    /// and is not cached: the slot stays empty and [`Self::decoded_terms`]
+    /// does not move.
+    fn list_at(&self, i: usize) -> Result<&[DeweyId], DecodeError> {
+        if let Some(list) = self.slots[i].get() {
+            return Ok(list);
+        }
+        let list = self.run_reader(i)?.decode_all()?;
+        Ok(self.slots[i].get_or_init(|| {
             self.decoded.fetch_add(1, Ordering::Relaxed);
-            self.run_reader(i).and_then(|r| r.decode_all()).unwrap_or_default()
-        })
+            list
+        }))
     }
 
-    /// The posting list for a term, by name. Empty slice for unknown terms.
-    pub fn postings(&self, term: &str) -> &[DeweyId] {
+    /// The posting list for a term, by name: empty for an unknown term, an
+    /// error for a run that fails to decode. This is the fetch the search
+    /// engine makes.
+    pub fn try_postings(&self, term: &str) -> Result<&[DeweyId], DecodeError> {
         match self.lookup(term) {
             Some(i) => self.list_at(i),
-            None => &[],
+            None => Ok(&[]),
         }
     }
 
-    /// The posting list with documents in the sorted `dead` list masked out,
-    /// plus the exact number of postings masked.
-    ///
-    /// A term whose run is already decoded filters the cached list. An
-    /// untouched term consults the skip table first: if whole blocks fall
-    /// inside dead documents they are skipped without decoding (the masked
-    /// tally stays exact because skip entries carry posting counts);
-    /// otherwise the run is decoded once into the cache — base shards with
-    /// small tombstone sets keep their lists hot.
-    pub fn postings_masked(&self, term: &str, dead: &[u32]) -> (Vec<DeweyId>, u64) {
-        let Some(i) = self.lookup(term) else {
-            return (Vec::new(), 0);
-        };
-        if dead.is_empty() {
-            return (self.list_at(i).to_vec(), 0);
-        }
-        if self.slots[i].get().is_none() {
-            match self.run_reader(i) {
-                Ok(reader) if reader.any_block_skippable(dead) => {
-                    return reader.decode_masked(dead).unwrap_or_default();
-                }
-                Err(_) => return (Vec::new(), 0),
-                Ok(_) => {} // nothing skippable: decode into the cache below
-            }
-        }
-        let list = self.list_at(i);
-        let survivors: Vec<DeweyId> = list
-            .iter()
-            .filter(|id| dead.binary_search(&id.doc().0).is_err())
-            .cloned()
-            .collect();
-        let masked = (list.len() - survivors.len()) as u64;
-        (survivors, masked)
+    /// [`Self::try_postings`] with a run that fails to decode read as an
+    /// empty list, for callers that cannot take an error. The engine does
+    /// not call it, and the doctor's [`Self::audit`] reports such a run.
+    pub fn postings(&self, term: &str) -> &[DeweyId] {
+        self.try_postings(term).unwrap_or(&[])
     }
 
     /// Posting count for a term, straight from the dictionary — no decode.
@@ -492,9 +469,12 @@ impl PostingStore {
     }
 
     /// Iterates `(term, postings)` in sorted term order, decoding each list
-    /// into its slot (the borrowed slices need somewhere to live).
+    /// into its slot (the borrowed slices need somewhere to live) as
+    /// [`Self::postings`] does.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[DeweyId])> {
-        (0..self.terms.len()).map(move |i| (self.term_str(i), self.list_at(i)))
+        (0..self.terms.len())
+            .map(|i| self.term_str(i))
+            .map(|term| (term, self.postings(term)))
     }
 
     /// Each term in sorted order with its dictionary count and a transient
@@ -601,6 +581,30 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(acc.term_id("a"), a);
         assert_eq!(finish(acc, &[]).term_count(), 2);
+    }
+
+    #[test]
+    fn a_run_that_fails_to_decode_is_an_error_and_is_not_cached() {
+        // Two blocks: [0]..[127], then [128] and [129]. The second block's
+        // leader (doc 0, depth 1, step 128) ends the run; step 128 becomes
+        // 129, so the leader disagrees with its skip entry.
+        let ids: Vec<DeweyId> = (0..130).map(|k| d(0, &[k])).collect();
+        let mut tier = EncodedTier::default();
+        tier.push("a", &ids[..1]).unwrap();
+        tier.push("z", &ids).unwrap();
+        let block = [0x00, 0x01, 0x80, 0x01, 0x01, 0x01, 0x81, 0x01];
+        assert!(tier.runs.ends_with(&block));
+        let at = tier.runs.len() - block.len() + 2;
+        tier.runs[at] = 0x81;
+        let store = tier.open(&mut IndexStats::default()).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(store.try_postings("z"), Err(DecodeError::BadBlockLayout(_))));
+            assert!(store.postings("z").is_empty());
+            assert_eq!((store.decoded_terms(), store.resident_bytes()), (0, 0));
+        }
+        assert_eq!(store.try_postings("a"), Ok(&ids[..1]));
+        assert_eq!(store.try_postings("nothing"), Ok(&[][..]));
+        assert_eq!(store.decoded_terms(), 1);
     }
 
     #[test]

@@ -36,6 +36,11 @@
 //!   Dewey id is already the path from its document root, so the node table
 //!   follows its steps through a child index instead; a hash over ids puts an
 //!   insert per node back into every build and every open.
+//! * `no-silent-decode-default` — in `gks-core` and `gks-index`, a posting
+//!   decode result must not become an empty value ([`SILENT_DEFAULTS`]) in
+//!   the statement (from one `;`, `{` or `}` to the next) that decodes it
+//!   ([`DECODE_SOURCES`]): a run that fails to decode would read as a
+//!   keyword silently missing.
 //!
 //! Tests, benches, `datagen`, the offline dependency shims, and this driver
 //! itself are exempt by construction (they are not in the scanned set).
@@ -80,6 +85,8 @@ const EAGER_DECODE_CHECKED: &[&str] = &["index"];
 const OPEN_PATH_FILES: &[&str] = &["src/persist.rs", "src/postings.rs"];
 /// Crates that must not hash Dewey ids.
 const DEWEY_HASH_CHECKED: &[&str] = &["index"];
+/// Crates where a posting decode result must not turn into an empty value.
+const SILENT_DECODE_CHECKED: &[&str] = &["core", "index"];
 
 /// Prints which crates each rule covers (`cargo xtask lint --crates`), one
 /// `rule: crate crate …` line per rule. CI greps this to assert new crates
@@ -93,6 +100,7 @@ pub fn print_coverage() {
         ("no-raw-timing", TIMING_CHECKED),
         ("no-eager-decode-in-open", EAGER_DECODE_CHECKED),
         ("no-dewey-keyed-hash", DEWEY_HASH_CHECKED),
+        ("no-silent-decode-default", SILENT_DECODE_CHECKED),
     ] {
         println!("{rule}: {}", crates.join(" "));
     }
@@ -151,6 +159,9 @@ pub fn run(root: &Path, verbose: bool) -> ExitCode {
             if DEWEY_HASH_CHECKED.contains(&krate) {
                 check_dewey_keyed_hash(&rel, &lines, &mut file_violations);
             }
+            if SILENT_DECODE_CHECKED.contains(&krate) {
+                check_silent_decode_default(&rel, &lines, &mut file_violations);
+            }
             for v in file_violations {
                 let (code, raw) = lines
                     .get(v.line.saturating_sub(1))
@@ -180,6 +191,7 @@ pub fn run(root: &Path, verbose: bool) -> ExitCode {
         "no-raw-timing",
         "no-eager-decode-in-open",
         "no-dewey-keyed-hash",
+        "no-silent-decode-default",
     ];
     let mut unused = 0usize;
     for (entry, hits) in allowlist.entries.iter().zip(&allowed) {
@@ -545,6 +557,46 @@ fn check_dewey_keyed_hash(path: &str, lines: &[Line], out: &mut Vec<Violation>) 
     }
 }
 
+/// Calls whose result is a posting run's decode outcome.
+const DECODE_SOURCES: &[&str] = &[
+    "decode_all(",
+    "decode_masked(",
+    "for_each_in_block(",
+    "run_reader(",
+    "try_postings(",
+];
+/// Ways to turn that outcome into an empty value, whitespace removed.
+const SILENT_DEFAULTS: &[&str] =
+    &[".unwrap_or_default()", ".unwrap_or(&[])", ".unwrap_or(Vec::new())", ".ok()"];
+
+fn check_silent_decode_default(path: &str, lines: &[Line], out: &mut Vec<Violation>) {
+    // The code since the last `;`, `{` or `}`, whitespace removed.
+    let mut statement = String::new();
+    for (i, line) in lines.iter().enumerate().filter(|(_, line)| !line.in_test_mod) {
+        let mut silenced = false;
+        for c in line.code.chars().filter(|c| !c.is_whitespace()) {
+            match c {
+                ';' | '{' | '}' => statement.clear(),
+                _ => statement.push(c),
+            }
+            silenced |= SILENT_DEFAULTS
+                .iter()
+                .filter_map(|sink| statement.strip_suffix(sink))
+                .any(|before| DECODE_SOURCES.iter().any(|source| before.contains(source)));
+        }
+        if silenced {
+            out.push(Violation {
+                path: path.to_string(),
+                line: i + 1,
+                rule: "no-silent-decode-default",
+                message: "posting decode result turned into an empty value — propagate the \
+                          error (the engine answers `QueryError::CorruptIndex`)"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// The first generic argument at the start of `rest`: the text up to the `,`
 /// or `>` that ends it, stepping over nested `<>`, `()` and `[]` so a tuple
 /// or generic key is read whole.
@@ -731,6 +783,37 @@ mod tests {
                 (5, "no-dewey-keyed-hash"),
                 (6, "no-dewey-keyed-hash"),
                 (8, "no-dewey-keyed-hash"),
+            ]
+        );
+    }
+
+    #[test]
+    fn silent_decode_default_flagged_on_the_same_statement_only() {
+        let src = "\
+fn a(&self, i: usize) -> &[DeweyId] { self.run_reader(i).and_then(|r| r.decode_all()).unwrap_or_default() }
+fn b(&self, t: &str) -> &[DeweyId] { self.try_postings(t).unwrap_or(&[]) }
+fn c(r: &Reader) -> Vec<DeweyId> { r.decode_all().unwrap_or(Vec::new()) }
+fn d(r: &Reader, dead: &[u32]) -> Option<(Vec<DeweyId>, u64)> {
+    r.decode_masked(dead)
+        .ok()
+}
+fn f(&self, i: usize) -> Result<Vec<DeweyId>, E> { let list = self.run_reader(i)?.decode_all()?; Ok(list) }
+fn g(t: &Table, ids: &[DeweyId]) -> Option<Vec<u32>> { t.rows_of(ids).ok() }
+fn h(r: &Reader) -> Vec<DeweyId> { let ids = r.decode_all(); ids.unwrap_or_default() }
+// r.decode_all().unwrap_or_default() in a comment
+#[cfg(test)]
+mod tests {
+    fn t(r: &Reader) -> Vec<DeweyId> { r.decode_all().unwrap_or_default() }
+}
+";
+        let hits = run_rule(src, check_silent_decode_default);
+        assert_eq!(
+            hits,
+            vec![
+                (1, "no-silent-decode-default"),
+                (2, "no-silent-decode-default"),
+                (3, "no-silent-decode-default"),
+                (6, "no-silent-decode-default"),
             ]
         );
     }
