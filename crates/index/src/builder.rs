@@ -7,9 +7,10 @@
 //! ([`crate::categorize::close_element`]), finalizes its children's
 //! attribute/repeating status, fills in its children's node-table rows, and
 //! reports a structural summary to its parent. Rows are appended at each
-//! element's start, so the node table's id column is in pre-order — Dewey
-//! order — and doubles as the ordinal → id map the posting lists resolve
-//! through.
+//! element's start with their depth, the height of the frame stack, so the
+//! rows are in pre-order; [`NodeTable::link`] numbers them at the end, and
+//! their id column — Dewey order — doubles as the ordinal → id map the
+//! posting lists resolve through.
 
 use std::time::Instant;
 
@@ -120,12 +121,10 @@ struct ElementScratch {
 
 /// One open element during the streaming pass.
 struct OpenFrame {
-    dewey: DeweyId,
     /// Node-table row, the pre-order ordinal: what the element's postings
     /// record.
     ordinal: u32,
     label: u32,
-    next_ordinal: u32,
     has_text: bool,
     text: String,
     children: Vec<ChildInfo>,
@@ -136,8 +135,8 @@ impl GksIndex {
     pub fn build(corpus: &Corpus, options: IndexOptions) -> Result<GksIndex, IndexError> {
         let start = Instant::now();
         let mut builder = IndexBuilder::new(options);
-        for (i, doc) in corpus.docs().iter().enumerate() {
-            builder.index_document(DocId(i as u32), &doc.name, &doc.xml)?;
+        for doc in corpus.docs() {
+            builder.index_document(&doc.name, &doc.xml)?;
         }
         builder.finish(start)
     }
@@ -189,15 +188,6 @@ impl GksIndex {
     pub fn entries(&self, e: &DeweyId) -> Entries<'_> {
         let row = self.node_table.row(e);
         self.attrs.entries_at(row.unwrap_or(u32::MAX))
-    }
-
-    /// Every entity with recorded attributes, with its entries, in the
-    /// attribute store's recording order.
-    pub fn entities(&self) -> impl Iterator<Item = (&DeweyId, Entries<'_>)> {
-        let ids = self.node_table.ids();
-        self.attrs
-            .iter()
-            .filter_map(move |(row, entries)| Some((ids.get(row as usize)?, entries)))
     }
 
     /// Build statistics (Tables 4 and 5).
@@ -331,9 +321,9 @@ impl IndexBuilder {
         }
     }
 
-    /// Ends the build: encodes the accumulated postings as blocked runs,
-    /// opens them as the index's [`PostingStore`] and links the node
-    /// table's child index.
+    /// Ends the build: links the node table, which numbers its rows, then
+    /// encodes the accumulated postings through those ids as blocked runs
+    /// and opens them as the index's [`PostingStore`].
     fn finish(mut self, start: Instant) -> Result<GksIndex, IndexError> {
         for (name, census) in self.node_table.labels().names().iter().zip(&self.label_census) {
             if census.total() > 0 {
@@ -351,10 +341,8 @@ impl IndexBuilder {
             ..
         } = self;
         attrs.seal();
-        let inverted = inverted.finish(node_table.ids())?.open(&mut stats)?;
-        // After the posting lists are freed, so the child index's scratch
-        // does not add to their peak.
         node_table.link(doc_names.len())?;
+        let inverted = inverted.finish(node_table.ids())?.open(&mut stats)?;
         stats.build_millis = start.elapsed().as_millis() as u64;
         let index =
             GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names, doc_bytes);
@@ -371,8 +359,8 @@ impl IndexBuilder {
         Ok(index)
     }
 
-    /// Streams one document into the index.
-    fn index_document(&mut self, doc_id: DocId, name: &str, xml: &str) -> Result<(), IndexError> {
+    /// Streams the next document into the index.
+    fn index_document(&mut self, name: &str, xml: &str) -> Result<(), IndexError> {
         self.doc_names.push(name.to_string());
         self.doc_bytes.push(xml.len() as u64);
         self.stats.doc_count += 1;
@@ -390,29 +378,25 @@ impl IndexBuilder {
             let Some(event) = event else { break };
             match event {
                 Event::Start { name: tag, attributes } => {
-                    let dewey = match stack.last_mut() {
-                        Some(parent) => {
-                            let d = parent.dewey.child(parent.next_ordinal);
-                            parent.next_ordinal += 1;
-                            d
-                        }
-                        None => DeweyId::root(doc_id),
-                    };
-                    self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
+                    let depth = stack.len() as u32;
+                    self.stats.max_depth = self.stats.max_depth.max(depth);
                     let label = self.node_table.labels_mut().intern(tag);
-                    let ordinal = self.node_table.push(dewey.clone(), label)?;
+                    let ordinal = self.node_table.push(depth, label)?;
                     self.inverted.post_label(label, tag, ordinal, &self.analyzer);
                     let mut frame = OpenFrame {
-                        dewey,
                         ordinal,
                         label,
-                        next_ordinal: 0,
                         has_text: false,
                         text: String::new(),
                         children: Vec::new(),
                     };
                     for attr in &attributes {
-                        self.push_synthetic_attr_child(&mut frame, attr.name, &attr.value)?;
+                        self.push_synthetic_attr_child(
+                            &mut frame,
+                            depth + 1,
+                            attr.name,
+                            &attr.value,
+                        )?;
                     }
                     stack.push(frame);
                 }
@@ -448,18 +432,18 @@ impl IndexBuilder {
         Ok(())
     }
 
-    /// Materializes an XML attribute `k="v"` as a text-only child element.
+    /// Materializes an XML attribute `k="v"` as a text-only child element
+    /// of `frame`, at `depth`.
     fn push_synthetic_attr_child(
         &mut self,
         frame: &mut OpenFrame,
+        depth: u32,
         attr_name: &str,
         value: &str,
     ) -> Result<(), IndexError> {
-        let dewey = frame.dewey.child(frame.next_ordinal);
-        frame.next_ordinal += 1;
-        self.stats.max_depth = self.stats.max_depth.max(dewey.depth() as u32);
+        self.stats.max_depth = self.stats.max_depth.max(depth);
         let label = self.node_table.labels_mut().intern(attr_name);
-        let ordinal = self.node_table.push(dewey, label)?;
+        let ordinal = self.node_table.push(depth, label)?;
         self.inverted.post_label(label, attr_name, ordinal, &self.analyzer);
         self.inverted.post_text(value, ordinal, &self.analyzer);
         frame.children.push(ChildInfo {
@@ -607,14 +591,16 @@ impl IndexBuilder {
 /// happen to be numbered.
 #[cfg(test)]
 pub(crate) fn resolved_attrs(ix: &GksIndex) -> Vec<String> {
-    let labels = ix.node_table().labels();
+    let table = ix.node_table();
+    let labels = table.labels();
     let store = ix.attr_store();
-    let mut entities: Vec<_> = ix.entities().collect();
-    entities.sort_by(|a, b| a.0.cmp(b.0));
+    let mut entities: Vec<_> =
+        store.iter().map(|(row, entries)| (table.id(row), entries)).collect();
+    entities.sort_by(|a, b| a.0.cmp(&b.0));
     entities
         .iter()
         .map(|(entity, entries)| {
-            let mut line = format!("{entity} <{}>", labels.name(entries.label()));
+            let mut line = format!("{entity:?} <{}>", labels.name(entries.label()));
             for e in entries.ids() {
                 let path: Vec<&str> = store.path(e.path).iter().map(|&l| labels.name(l)).collect();
                 let norm = store.norm(store.norm_of(e.value));

@@ -12,8 +12,9 @@
 //!
 //! The §2.1 prefix algebra — every non-root node's parent is recorded — is
 //! not audited here: a node table that breaks it cannot exist, because
-//! linking the table ([`crate::node_table::NodeTable::link`]) refuses it at
-//! build and at open.
+//! linking the table ([`crate::node_table::NodeTable::link`]) derives every
+//! id from its parent row's, and refuses rows whose depths skip a level, at
+//! build, merge and open.
 //!
 //! The builder re-runs these checks under `#[cfg(debug_assertions)]` after
 //! every build, so debug test runs exercise them continuously.
@@ -97,9 +98,10 @@ pub enum Violation {
         /// The raw value whose norm is wrong.
         value: String,
     },
-    /// A posting run failed to decode (the open-path checksum covers only
-    /// the header and footer, so block corruption surfaces lazily; the
-    /// doctor decodes every run and reports the first failure).
+    /// A posting run failed to decode (the open-path checksums cover the
+    /// header, footer and eager sections but not the posting runs, so block
+    /// corruption surfaces lazily; the doctor decodes every run and reports
+    /// the first failure).
     PostingsCorrupt {
         /// Decoder error description.
         detail: String,
@@ -246,10 +248,16 @@ fn check_census(index: &GksIndex, out: &mut Vec<Violation>) {
 /// under the index's own analyzer. Paths and values are checked once each,
 /// not once per entry.
 fn check_attrs(index: &GksIndex, out: &mut Vec<Violation>) {
-    let labels = index.node_table().labels();
+    let table = index.node_table();
+    let labels = table.labels();
     let store = index.attr_store();
-    for (entity, entries) in index.entities() {
-        match index.node_table().get(entity) {
+    for (row, entries) in store.iter() {
+        // Every row has an id: an open refuses an entity row past the table,
+        // and a build or a merge records none.
+        let Some(entity) = table.id(row) else {
+            continue;
+        };
+        match table.meta(row) {
             Some(meta) if meta.flags.is_entity() => {
                 if meta.label != entries.label() {
                     out.push(Violation::AttrEntityLabelMismatch { entity: entity.clone() });
@@ -362,22 +370,24 @@ mod tests {
         }
     }
 
-    /// An orphan row — a node whose parent is not recorded — is refused when
-    /// the file opens, before any audit could see it. The orphan here is the
-    /// last row: `[9, 9, 9]` under an `<Area>` with two children.
+    /// An orphan row — a node whose depth skips a level, so it has no
+    /// parent row — is refused when the file opens, before any audit could
+    /// see it. The orphan here is the last row, at depth 6 after a
+    /// `<Student>` at depth 4.
     #[test]
-    fn an_orphan_dewey_id_is_refused_at_open() {
+    fn an_orphan_row_is_refused_at_open() {
         let ix = build();
         let table = ix.node_table();
-        let mut ids = table.ids().to_vec();
+        let mut depths: Vec<u32> = table.ids().iter().map(|id| id.depth() as u32).collect();
         let mut metas: Vec<NodeMeta> = table.iter().map(|(_, meta)| *meta).collect();
-        let stray = DeweyId::new(DocId(0), vec![9, 9, 9]);
-        ids.push(stray.clone());
+        assert_eq!(depths.last(), Some(&4));
+        depths.push(6);
         metas.push(NodeMeta { child_count: 1, flags: NodeFlags::empty(), label: 0 });
-        let bytes = crate::persist::with_node_rows(&ix, &ids, &metas);
+        let bytes = crate::persist::with_node_rows(&ix, &depths, &metas);
         match GksIndex::from_mapped(Arc::new(Mmap::from(bytes))) {
             Err(IndexError::Corrupt(message)) => {
-                assert!(message.contains("parent absent") && message.contains(&stray.to_string()));
+                let orphan = format!("row {} at depth 6 skips a level", depths.len() - 1);
+                assert!(message.contains(&orphan), "{message}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }

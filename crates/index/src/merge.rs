@@ -11,12 +11,15 @@
 //! that holds it, renumbered, and laid down in the order the build would
 //! have produced them:
 //!
-//! * **rows** in pre-order, interning labels as the build does at each
-//!   element start, and counting the census as the build does at each close;
+//! * **rows** in pre-order, each with its depth, interning labels as the
+//!   build does at each element start, and counting the census as the build
+//!   does at each close; [`NodeTable::link`] numbers them as it numbers a
+//!   build's;
 //! * **entities** in the source's recording order for that document (the
-//!   order the build's closes recorded them), interning each entry's path
-//!   and value the first time the walk meets it, with the source's norm
-//!   rather than a fresh analysis;
+//!   order the build's closes recorded them), each at the output document's
+//!   first row plus its offset from the source document's, interning each
+//!   entry's path and value the first time the walk meets it, with the
+//!   source's norm rather than a fresh analysis;
 //! * **postings** term by term in dictionary order, each source's run read
 //!   straight off its bytes, blocks of dropped documents skipped, and the
 //!   list encoded by the build's own tier encoder.
@@ -33,8 +36,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Mmap;
-use gks_dewey::codec::{read_varint, BlockedRunReader};
-use gks_dewey::{DeweyId, DocId, Step};
+use gks_dewey::codec::read_varint;
+use gks_dewey::{DeweyId, DocId};
 
 use crate::attrstore::{AttrIds, AttrStore};
 use crate::builder::GksIndex;
@@ -42,8 +45,8 @@ use crate::error::IndexError;
 use crate::node_table::{NodeMeta, NodeTable};
 use crate::options::IndexOptions;
 use crate::persist::{
-    read_attr_tables, read_doc_names, read_entities, read_frame, read_labels, read_meta,
-    read_stats, split_node_run, Frame,
+    read_attr_tables, read_doc_names, read_entities, read_frame, read_labels, read_row, read_stats,
+    Frame,
 };
 use crate::postings::{EncodedTier, PostingStore, Tier};
 use crate::stats::{CategoryCensus, IndexStats};
@@ -61,9 +64,10 @@ struct Source<'a> {
     /// `live_before[d]`: kept documents among locals `0..d`, so a block
     /// covering documents `a..=b` keeps nothing when the two counts match.
     live_before: Vec<u32>,
-    /// Indexes of the source's entities sorted by document, in recording
-    /// order within one.
-    entities: Vec<usize>,
+    /// The next of the source's entities, in recording order, and the end
+    /// of the source rows copied last: an entity listed later lies past it.
+    entity: usize,
+    copied_to: u32,
     labels: Vec<u32>,
     paths: Vec<u32>,
     values: Vec<u32>,
@@ -76,24 +80,24 @@ struct Source<'a> {
 }
 
 impl<'a> Source<'a> {
-    fn new(src: &'a MergeSource) -> Result<Source<'a>, IndexError> {
-        Ok(Source {
+    fn new(src: &'a MergeSource) -> Source<'a> {
+        Source {
             src,
-            rows: src.rows()?,
+            rows: src.rows(),
             out_doc: vec![UNSEEN; src.doc_names.len()],
             live_before: Vec::new(),
-            entities: Vec::new(),
+            entity: 0,
+            copied_to: 0,
             labels: vec![UNSEEN; src.labels.len()],
             paths: vec![UNSEEN; src.attrs.paths().len()],
             values: vec![UNSEEN; src.attrs.values().len()],
             term: 0,
             kept: Vec::new(),
             taken: 0,
-        })
+        }
     }
 
-    /// Readies a source that contributes documents: its block-skip counts
-    /// and its entities grouped by document.
+    /// Readies a source that contributes documents: its block-skip counts.
     fn prepare(&mut self) {
         let mut live = 0u32;
         self.live_before = std::iter::once(0)
@@ -102,10 +106,16 @@ impl<'a> Source<'a> {
                 live
             }))
             .collect();
-        let entities = &self.src.entities;
-        self.entities = (0..entities.len()).collect();
-        // Stable: recording order survives within each document.
-        self.entities.sort_by_key(|&i| entities[i].0.doc());
+    }
+
+    /// Refuses an entity the cursor has not reached in a document it copied
+    /// already: the source recorded it after a later document's.
+    fn check_entities_taken(&self) -> Result<(), IndexError> {
+        let rest = self.src.entities.get(self.entity..).unwrap_or_default();
+        match rest.iter().find(|&&(row, ..)| row < self.copied_to) {
+            Some(&(row, ..)) => Err(entity_out_of_order(row)),
+            None => Ok(()),
+        }
     }
 
     /// True when no document in `first..=last` is kept.
@@ -127,10 +137,6 @@ struct Output {
     label_census: Vec<CategoryCensus>,
     doc_names: Vec<String>,
     doc_bytes: Vec<u64>,
-    /// Entities in recording order — id, label and their range of
-    /// `entity_entries` — recorded once the rows are linked.
-    entities: Vec<(DeweyId, u32, Range<usize>)>,
-    entity_entries: Vec<AttrIds>,
 }
 
 /// The output label of a source label, through the source's `remap`,
@@ -154,20 +160,20 @@ fn corrupt(what: String) -> IndexError {
     IndexError::Corrupt(what)
 }
 
+/// A source's entity at `row` recorded after an entity of a later document.
+fn entity_out_of_order(row: u32) -> IndexError {
+    corrupt(format!("merge: entity row {row} is recorded after a later document's"))
+}
+
 impl Output {
     /// The output label of `source`'s label `label`, interned on first use.
     fn label(&mut self, source: &mut Source<'_>, label: u32) -> Result<u32, IndexError> {
         remap_label(&mut self.node_table, &mut source.labels, &source.src.labels, label)
     }
 
-    /// Appends document `local` of `source` as output document `doc`: its
+    /// Appends document `local` of `source` as the next output document: its
     /// name and length, its rows, and its entities.
-    fn push_document(
-        &mut self,
-        source: &mut Source<'_>,
-        local: u32,
-        doc: DocId,
-    ) -> Result<(), IndexError> {
+    fn push_document(&mut self, source: &mut Source<'_>, local: u32) -> Result<(), IndexError> {
         let src = source.src;
         let name = src.doc_names.get(local as usize).ok_or_else(|| {
             corrupt(format!("merge: document {local} is past its source's {}", src.doc_names.len()))
@@ -179,11 +185,11 @@ impl Output {
         self.stats.raw_bytes += bytes;
 
         let (labels, names) = (&mut source.labels, &src.labels);
-        source.rows.copy_doc(DocId(local), |steps, meta| {
+        let first = self.node_table.len() as u32;
+        let rows = source.rows.copy_doc(local, |depth, meta| {
             let label = remap_label(&mut self.node_table, labels, names, meta.label)?;
-            self.stats.max_depth = self.stats.max_depth.max(steps.len() as u32);
-            let id = DeweyId::from_slice(doc, steps);
-            self.node_table.push_row(id, NodeMeta { label, ..meta })?;
+            self.stats.max_depth = self.stats.max_depth.max(depth);
+            self.node_table.push_row(depth, NodeMeta { label, ..meta })?;
             let primary = meta.flags.primary();
             self.stats.total_nodes += 1;
             self.stats.census.add(primary);
@@ -195,25 +201,32 @@ impl Output {
             Ok(())
         })?;
 
-        let entities = &src.entities;
-        let lo = source.entities.partition_point(|&i| entities[i].0.doc() < DocId(local));
-        let hi = source.entities.partition_point(|&i| entities[i].0.doc() <= DocId(local));
-        let mut path = Vec::new();
-        for k in lo..hi {
-            let (id, label, range) = &entities[source.entities[k]];
-            let start = self.entity_entries.len();
+        // The source recorded its entities document by document, so this
+        // one's come next, after any of the dropped documents before it.
+        let (mut path, mut entries) = (Vec::new(), Vec::new());
+        while let Some((row, label, range)) = src.entities.get(source.entity) {
+            if *row >= rows.end {
+                break;
+            }
+            if *row < source.copied_to {
+                return Err(entity_out_of_order(*row));
+            }
+            source.entity += 1;
+            if *row < rows.start {
+                continue;
+            }
+            entries.clear();
             for e in &src.entity_entries[range.clone()] {
-                let entry = AttrIds {
+                entries.push(AttrIds {
                     path: self.path(source, e.path, &mut path)?,
                     value: self.value(source, e.value)?,
                     source: e.source,
-                };
-                self.entity_entries.push(entry);
+                });
             }
             let label = self.label(source, *label)?;
-            let id = DeweyId::from_slice(doc, id.steps());
-            self.entities.push((id, label, start..self.entity_entries.len()));
+            self.attrs.insert(first + (row - rows.start), label, &entries)?;
         }
+        source.copied_to = rows.end;
         Ok(())
     }
 
@@ -275,8 +288,7 @@ impl GksIndex {
             .first()
             .map(|s| s.options.clone())
             .ok_or_else(|| corrupt("merge: no source index".into()))?;
-        let mut sources =
-            sources.iter().map(|src| Source::new(src)).collect::<Result<Vec<_>, _>>()?;
+        let mut sources: Vec<Source<'_>> = sources.iter().map(|src| Source::new(src)).collect();
         for (i, &(s, local)) in docs.iter().enumerate() {
             let source = sources
                 .get_mut(s)
@@ -301,19 +313,14 @@ impl GksIndex {
 
         let mut out = Output::default();
         out.node_table.reserve(rows);
-        for (i, &(s, local)) in docs.iter().enumerate() {
-            out.push_document(&mut sources[s], local, DocId(i as u32))?;
+        for &(s, local) in docs {
+            out.push_document(&mut sources[s], local)?;
+        }
+        for source in &sources {
+            source.check_entities_taken()?;
         }
         let Output {
-            mut node_table,
-            mut attrs,
-            mut stats,
-            label_census,
-            doc_names,
-            doc_bytes,
-            entities,
-            entity_entries,
-            ..
+            mut node_table, mut attrs, mut stats, label_census, doc_names, doc_bytes, ..
         } = out;
         for (name, census) in node_table.labels().names().iter().zip(&label_census) {
             if census.total() > 0 {
@@ -327,12 +334,6 @@ impl GksIndex {
             .collect();
         let inverted = merge_postings(&mut active)?.open(&mut stats)?;
         node_table.link(doc_names.len())?;
-        for (id, label, range) in entities {
-            let row = node_table
-                .row(&id)
-                .ok_or_else(|| corrupt(format!("merge: attr entity {id} is not a node")))?;
-            attrs.insert(row, label, &entity_entries[range])?;
-        }
         attrs.seal();
         stats.build_millis = start.elapsed().as_millis() as u64;
         let index =
@@ -456,9 +457,8 @@ fn join_by_document(sources: &mut [Source<'_>], holders: &[usize], list: &mut Ve
 
 /// An index file opened for [`GksIndex::merge`]: the sections a merge
 /// reads, at a fraction of an open index's heap. The node rows stay encoded
-/// in the map, read in order by [`NodeRows`], and the attribute entities
-/// keep their Dewey ids instead of being resolved to rows — so there is no
-/// decoded node table and no child index.
+/// in the map, read in order by [`NodeRows`], and nothing is linked — so
+/// there is no id column and no child index.
 pub(crate) struct MergeSource {
     pub(crate) options: IndexOptions,
     pub(crate) doc_names: Vec<String>,
@@ -466,18 +466,16 @@ pub(crate) struct MergeSource {
     pub(crate) labels: Vec<String>,
     /// The attribute tables (paths, values, norms), no entity recorded.
     pub(crate) attrs: AttrStore,
-    /// Entities in recording order: id, label and the range of
+    /// Entities in recording order: node row, label and the range of
     /// `entity_entries` holding its entries.
-    pub(crate) entities: Vec<(DeweyId, u32, Range<usize>)>,
+    pub(crate) entities: Vec<(u32, u32, Range<usize>)>,
     pub(crate) entity_entries: Vec<AttrIds>,
     pub(crate) inverted: PostingStore,
     map: Arc<Mmap>,
     /// The node section's row count.
     pub(crate) row_count: usize,
-    /// Where the node section's blocked id run and the metadata rows after
-    /// it lie in `map`.
-    run: Range<usize>,
-    metas: Range<usize>,
+    /// Where the node section's rows lie in `map`.
+    rows: Range<usize>,
 }
 
 impl MergeSource {
@@ -492,19 +490,17 @@ impl MergeSource {
         let (doc_names, doc_bytes) = read_doc_names(&mut &bytes[doc_off..lab_off])?;
         let labels = read_labels(&mut &bytes[lab_off..node_off])?.labels().names().to_vec();
         let mut nodes = &bytes[node_off..attr_off];
-        let (run, row_count) = split_node_run(&mut nodes)?;
-        // The metadata rows end the section and the run sits before them.
-        let metas = attr_off - nodes.len()..attr_off;
-        let run = metas.start - run.len()..metas.start;
+        let row_count = read_varint(&mut nodes)? as usize;
+        let rows = attr_off - nodes.len()..attr_off;
         let mut input = &bytes[attr_off..stat_off];
         let attrs = read_attr_tables(&mut input, labels.len())?;
         let count = read_varint(&mut input)? as usize;
         let mut entities = Vec::with_capacity(count.min(input.len() / 4));
         let mut entity_entries = Vec::new();
-        read_entities(&mut input, count, labels.len(), |entity, label, entries| {
+        read_entities(&mut input, count, labels.len(), row_count, |row, label, entries| {
             let start = entity_entries.len();
             entity_entries.extend_from_slice(entries);
-            entities.push((entity, label, start..entity_entries.len()));
+            entities.push((row, label, start..entity_entries.len()));
             Ok(())
         })?;
         let stats = read_stats(&mut &bytes[stat_off..dict_off])?;
@@ -521,94 +517,113 @@ impl MergeSource {
             inverted,
             map,
             row_count,
-            run,
-            metas,
+            rows,
         })
     }
 
     /// A cursor over the node rows, in order.
-    pub(crate) fn rows(&self) -> Result<NodeRows<'_>, IndexError> {
-        let bytes = self.map.as_slice();
-        let mut run = &bytes[self.run.clone()];
-        Ok(NodeRows {
-            run: BlockedRunReader::parse(&mut run, self.row_count)?,
-            metas: &bytes[self.metas.clone()],
+    pub(crate) fn rows(&self) -> NodeRows<'_> {
+        NodeRows {
+            input: &self.map.as_slice()[self.rows.clone()],
             label_count: self.labels.len(),
-            block: 0,
-            docs: Vec::new(),
-            steps: Vec::new(),
-            ends: Vec::new(),
-            at: 0,
-        })
+            row: 0,
+            roots: 0,
+        }
     }
 }
 
-/// The node rows of a [`MergeSource`], read forward a block at a time.
+/// The node rows of a [`MergeSource`], read forward as `(depth, meta)`. A
+/// document's rows run from its root, the `k`-th depth-0 row for document
+/// `k`, to the next root.
 pub(crate) struct NodeRows<'a> {
-    run: BlockedRunReader<'a>,
-    metas: &'a [u8],
+    input: &'a [u8],
     label_count: usize,
-    /// Next block of the run to decode.
-    block: usize,
-    /// The decoded block — each row's document, and its steps as the end
-    /// of its span of `steps` — and the next row in it.
-    docs: Vec<DocId>,
-    steps: Vec<Step>,
-    ends: Vec<usize>,
-    at: usize,
+    /// Rows read so far, and the roots among them.
+    row: u32,
+    roots: u32,
 }
 
 impl NodeRows<'_> {
-    /// Hands each row of document `doc` to `visit` as its steps and
-    /// metadata, in order. Rows of earlier documents are passed over —
-    /// whole blocks of them without decoding their ids — and the cursor
-    /// stops at the first row of a later one.
+    /// Hands each row of document `doc` to `visit` as its depth and
+    /// metadata, in order, and returns the document's source rows. Rows of
+    /// earlier documents are read past, and the cursor stops at the next
+    /// document's root. A document without rows, or rows before the first
+    /// root, are [`IndexError::Corrupt`].
     pub(crate) fn copy_doc(
         &mut self,
-        doc: DocId,
-        mut visit: impl FnMut(&[Step], NodeMeta) -> Result<(), IndexError>,
-    ) -> Result<(), IndexError> {
-        loop {
-            if self.at == self.docs.len() && !self.fill(doc)? {
-                return Ok(());
-            }
-            let at_doc = self.docs[self.at];
-            if at_doc > doc {
-                return Ok(());
-            }
-            let meta = read_meta(&mut self.metas, self.label_count)?;
-            let start = self.at.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-            let steps = &self.steps[start..self.ends[self.at]];
-            self.at += 1;
-            if at_doc == doc {
-                visit(steps, meta)?;
-            }
-        }
-    }
-
-    /// Decodes the next block that is not wholly before `doc`, reading past
-    /// the metadata of the blocks it skips. False past the last block.
-    fn fill(&mut self, doc: DocId) -> Result<bool, IndexError> {
-        while let Some(skip) = self.run.skip_entries().get(self.block) {
-            self.block += 1;
-            if skip.last_doc < doc {
-                for _ in 0..skip.count {
-                    read_meta(&mut self.metas, self.label_count)?;
+        doc: u32,
+        mut visit: impl FnMut(u32, NodeMeta) -> Result<(), IndexError>,
+    ) -> Result<Range<u32>, IndexError> {
+        let mut first = None;
+        while !self.input.is_empty() {
+            let mut rest = self.input;
+            let (depth, meta) = read_row(&mut rest, self.label_count)?;
+            if depth == 0 {
+                if self.roots > doc {
+                    break;
                 }
-                continue;
+                self.roots += 1;
+            } else if self.roots == 0 {
+                return Err(corrupt("merge: a node row before the first root".into()));
             }
-            let (docs, steps, ends) = (&mut self.docs, &mut self.steps, &mut self.ends);
-            docs.clear();
-            steps.clear();
-            ends.clear();
-            self.at = 0;
-            self.run.for_each_in_block(self.block - 1, |doc, row| {
-                docs.push(doc);
-                steps.extend_from_slice(row);
-                ends.push(steps.len());
-            })?;
-            return Ok(true);
+            self.input = rest;
+            if self.roots == doc + 1 {
+                first.get_or_insert(self.row);
+                visit(depth, meta)?;
+            }
+            self.row += 1;
         }
-        Ok(false)
+        let first = first.ok_or_else(|| corrupt(format!("merge: document {doc} has no rows")))?;
+        Ok(first..self.row)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corpus::Corpus;
+
+    /// A source whose entities are not recorded document by document is
+    /// refused, whether the document whose entities come late is followed
+    /// by a copied document or not.
+    #[test]
+    fn a_source_with_entities_out_of_document_order_is_refused() {
+        let xml = "<dblp><article><title>System R</title><author>Jim Gray</author>\
+            <author>Kapali Eswaran</author></article></dblp>";
+        let corpus = Corpus::from_named_strs([("a", xml), ("b", xml)]).unwrap();
+        let mut ix = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
+        let store = ix.attr_store();
+        let mut reversed = AttrStore::new();
+        for path in store.paths() {
+            reversed.load_path(path.clone());
+        }
+        for norm in store.norms() {
+            reversed.load_norm(norm);
+        }
+        for (raw, norm) in store.values() {
+            reversed.load_value(raw, u64::from(norm)).unwrap();
+        }
+        let mut entities: Vec<_> = store.iter().collect();
+        assert_eq!(entities.len(), 2, "one entity per document");
+        entities.reverse();
+        for (row, entries) in entities {
+            reversed.insert(row, entries.label(), entries.ids()).unwrap();
+        }
+        *ix.attrs_mut() = reversed;
+        let dir = std::env::temp_dir().join(format!("gks-merge-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reversed.gksix");
+        ix.save(&path).unwrap();
+        let source = MergeSource::open(&path).unwrap();
+        for docs in [&[(0, 0), (0, 1)][..], &[(0, 0)]] {
+            match GksIndex::merge(&[&source], docs) {
+                Err(IndexError::Corrupt(message)) => {
+                    assert!(message.contains("after a later document's"), "{message}")
+                }
+                other => panic!("{docs:?}: expected Corrupt, got {other:?}"),
+            }
+        }
+        assert!(GksIndex::merge(&[&source], &[(0, 1)]).is_ok(), "document b alone is in order");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

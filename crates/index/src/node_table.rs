@@ -29,10 +29,12 @@
 //! window, LCE derivation and statistics sweep then step through
 //! [`NodeTable::parent`] and [`NodeTable::meta`] without touching an id.
 //!
-//! The columns are closed under parents by construction: [`NodeTable::link`]
-//! refuses ids that are not strictly increasing, a non-root id whose parent
-//! is not the open ancestor before it, and a sibling step that does not
-//! follow the previous one. A build and an open both end in it.
+//! [`NodeTable::link`] is the one place a row gets its Dewey id. A build,
+//! a merge and an open each append rows as `(depth, meta)` in pre-order,
+//! and `link` numbers them as §2.1 does: a root is the next document's, and
+//! any other row is the next child of the open row one level up. The
+//! shape alone fixes every id, so only a depth that skips a level and a
+//! root count other than the document count can be refused.
 
 use std::ops::Range;
 
@@ -42,7 +44,7 @@ use crate::categorize::NodeFlags;
 use crate::error::IndexError;
 use crate::fasthash::FastMap;
 
-/// Marks a document without a root row in [`NodeTable::roots`].
+/// The parent of a document root in [`NodeTable::parents`].
 const NO_ROW: u32 = u32::MAX;
 
 /// Everything the search engine needs to know about one XML node.
@@ -108,11 +110,14 @@ impl LabelInterner {
 /// [module docs](self) for the layout.
 #[derive(Debug, Default, Clone)]
 pub struct NodeTable {
-    /// Row ids in Dewey order.
+    /// Row depths in pre-order, pushed before [`NodeTable::link`] and
+    /// consumed by it.
+    depths: Vec<u32>,
+    /// Row ids in Dewey order, assigned by [`NodeTable::link`].
     ids: Vec<DeweyId>,
-    /// Row metadata, parallel to `ids`.
+    /// Row metadata, one per row pushed.
     metas: Vec<NodeMeta>,
-    /// Root row per document id ([`NO_ROW`] for a document without one).
+    /// Root row per document id.
     roots: Vec<u32>,
     /// Row `r`'s element children are `children[child_start[r]..child_start[r + 1]]`.
     child_start: Vec<u32>,
@@ -138,7 +143,7 @@ impl Iterator for Walk<'_> {
     fn next(&mut self) -> Option<u32> {
         let t = self.table;
         let next = match self.row {
-            None => *t.roots.get(self.doc).filter(|&&r| r != NO_ROW)?,
+            None => *t.roots.get(self.doc)?,
             Some(row) => {
                 let step = *self.steps.next()?;
                 let Some(child) = t.child(row, step) else {
@@ -169,25 +174,25 @@ impl NodeTable {
         &mut self.labels
     }
 
-    /// Appends the next node in Dewey order and returns its row. Its
-    /// metadata is a placeholder until [`Self::set_meta`]; the child index
-    /// covers it once [`Self::link`] runs.
-    pub(crate) fn push(&mut self, id: DeweyId, label: u32) -> Result<u32, IndexError> {
-        self.push_row(id, NodeMeta { child_count: 0, flags: NodeFlags::empty(), label })
+    /// Appends the next node in pre-order, at `depth`, and returns its row.
+    /// Its metadata is a placeholder until [`Self::set_meta`]; its id and
+    /// the child index come with [`Self::link`].
+    pub(crate) fn push(&mut self, depth: u32, label: u32) -> Result<u32, IndexError> {
+        self.push_row(depth, NodeMeta { child_count: 0, flags: NodeFlags::empty(), label })
     }
 
     /// Makes room for `additional` more rows, so a caller that knows the
     /// count pushes without regrowing the columns.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.ids.reserve_exact(additional);
+        self.depths.reserve_exact(additional);
         self.metas.reserve_exact(additional);
     }
 
-    /// Appends the next node in Dewey order with its metadata, and returns
-    /// its row.
-    pub(crate) fn push_row(&mut self, id: DeweyId, meta: NodeMeta) -> Result<u32, IndexError> {
-        let row = row_after(self.ids.len())?;
-        self.ids.push(id);
+    /// Appends the next node in pre-order, at `depth`, with its metadata,
+    /// and returns its row.
+    pub(crate) fn push_row(&mut self, depth: u32, meta: NodeMeta) -> Result<u32, IndexError> {
+        let row = row_after(self.metas.len())?;
+        self.depths.push(depth);
         self.metas.push(meta);
         Ok(row)
     }
@@ -199,67 +204,52 @@ impl NodeTable {
         }
     }
 
-    /// Takes the id and metadata columns whole (index open), replacing any
-    /// rows; [`Self::link`] must follow.
-    pub(crate) fn set_columns(&mut self, ids: Vec<DeweyId>, metas: Vec<NodeMeta>) {
-        self.ids = ids;
-        self.metas = metas;
-    }
-
-    /// Checks that the rows are in Dewey order and closed under parents, and
-    /// builds the child index over them. `doc_count` bounds the document
-    /// ids. Linear in the rows; refuses, with [`IndexError::Corrupt`], ids
-    /// that are not strictly increasing, a document id past `doc_count`, a
-    /// non-root id whose parent is not the open ancestor before it, and a
-    /// sibling step that does not follow the previous one.
+    /// Numbers the pushed rows and builds the child index over them, in
+    /// one pass over their depths: a depth-0 row is the root of the next
+    /// document, and any other row is the next child of the last row one
+    /// level up, its id that row's id plus the count of its earlier
+    /// children (§2.1). Refuses, with [`IndexError::Corrupt`], a depth more
+    /// than one greater than the previous row's (the first row's must be 0)
+    /// and a root count other than `doc_count`. Linear in the rows.
     pub(crate) fn link(&mut self, doc_count: usize) -> Result<(), IndexError> {
-        let rows = self.ids.len();
-        self.roots.clear();
-        // The first pass checks each id against the one before it, records
-        // its parent row and counts it into `child_start[parent + 1]`.
+        let depths = std::mem::take(&mut self.depths);
+        let rows = depths.len();
+        let mut ids: Vec<DeweyId> = Vec::with_capacity(rows);
+        let mut roots: Vec<u32> = Vec::with_capacity(doc_count.min(rows));
+        // Each row's child count lands in `child_start[row + 1]`.
         let mut child_start = vec![0u32; rows + 1];
         let mut parents: Vec<u32> = Vec::with_capacity(rows);
-        // Rows of the previous id's ancestors-or-self, by depth.
+        // Rows of the previous row's ancestors-or-self, by depth.
         let mut open: Vec<u32> = Vec::new();
-        let mut prev: Option<&DeweyId> = None;
-        for (row, id) in (0u32..).zip(&self.ids) {
-            let parent = match id.steps().split_last() {
-                None => {
-                    let doc = id.doc().0 as usize;
-                    if prev.is_some_and(|p| p.doc() >= id.doc()) || doc >= doc_count {
-                        return Err(refusal(prev, id, "node id past the document count"));
-                    }
-                    self.roots.resize(doc + 1, NO_ROW);
-                    self.roots[doc] = row;
-                    open.clear();
-                    NO_ROW
+        for (row, &depth) in (0u32..).zip(&depths) {
+            if depth as usize > open.len() {
+                return Err(IndexError::Corrupt(format!(
+                    "node row {row} at depth {depth} skips a level"
+                )));
+            }
+            open.truncate(depth as usize);
+            let (parent, id) = match open.last() {
+                None if roots.len() < doc_count => {
+                    let doc = DocId(roots.len() as u32);
+                    roots.push(row);
+                    (NO_ROW, DeweyId::root(doc))
                 }
-                Some((&step, parent_steps)) => {
-                    // The parent is open iff the previous id runs through it;
-                    // then it sits at its depth on the stack.
-                    let depth = parent_steps.len();
-                    let through = prev.filter(|p| {
-                        p.doc() == id.doc() && p.steps().get(..depth) == Some(parent_steps)
-                    });
-                    open.truncate(depth + 1);
-                    let Some(parent) = through.and(open.get(depth).copied()) else {
-                        return Err(refusal(prev, id, "node parent absent"));
-                    };
+                None => {
+                    return Err(root_count(depths.iter().filter(|&&d| d == 0).count(), doc_count))
+                }
+                Some(&parent) => {
                     let seen = &mut child_start[parent as usize + 1];
-                    if step != *seen {
-                        return Err(refusal(
-                            prev,
-                            id,
-                            "node sibling step does not follow the previous one",
-                        ));
-                    }
+                    let id = ids[parent as usize].child(*seen);
                     *seen += 1;
-                    parent
+                    (parent, id)
                 }
             };
             open.push(row);
             parents.push(parent);
-            prev = Some(id);
+            ids.push(id);
+        }
+        if roots.len() != doc_count {
+            return Err(root_count(roots.len(), doc_count));
         }
         // Prefix sums turn the counts into each row's first child slot; the
         // fill advances that slot past each child it places, leaving it at
@@ -278,6 +268,8 @@ impl NodeTable {
         }
         child_start.copy_within(0..rows, 1);
         child_start[0] = 0;
+        self.ids = ids;
+        self.roots = roots;
         self.child_start = child_start;
         self.children = children;
         self.parents = parents;
@@ -309,8 +301,8 @@ impl NodeTable {
             path.truncate(prev.and_then(|p| p.common_prefix_len(id)).map_or(0, |k| k + 1));
             if path.is_empty() {
                 match self.roots.get(id.doc().0 as usize) {
-                    Some(&root) if root != NO_ROW => path.push(root),
-                    _ => return Err(id),
+                    Some(&root) => path.push(root),
+                    None => return Err(id),
                 }
             }
             for &step in id.steps().get(path.len() - 1..).unwrap_or_default() {
@@ -336,15 +328,11 @@ impl NodeTable {
     }
 
     /// All rows of document `doc`, pre-order being document order: its root
-    /// row up to the next document's. Empty for a document without rows or
-    /// past the count.
+    /// row up to the next document's. Empty for a document past the count.
     pub fn doc_rows(&self, doc: DocId) -> Range<u32> {
-        // The first root row at or after document `from`, else the end.
-        let root_from = |from: usize| {
-            let rest = self.roots.get(from..).unwrap_or_default().iter();
-            rest.copied().find(|&root| root != NO_ROW).unwrap_or(self.ids.len() as u32)
-        };
-        root_from(doc.0 as usize)..root_from(doc.0 as usize + 1)
+        let end = self.ids.len() as u32;
+        let root = |doc: usize| self.roots.get(doc).copied().unwrap_or(end);
+        root(doc.0 as usize)..root(doc.0 as usize + 1)
     }
 
     /// The rows along `id`'s path, root first: the prefix of depth `k` is
@@ -412,12 +400,12 @@ impl NodeTable {
 
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.metas.len()
     }
 
     /// True when no nodes are recorded.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.metas.is_empty()
     }
 
     /// The row ids, in Dewey order.
@@ -445,15 +433,11 @@ fn row_after(count: usize) -> Result<u32, IndexError> {
         .ok_or(IndexError::Invariant("more than 2^32 - 1 nodes in one table"))
 }
 
-/// Why [`NodeTable::link`] refuses `id`, read after `prev`: out of order
-/// if it does not follow `prev`, else `otherwise`.
+/// [`NodeTable::link`]'s refusal of `roots` document roots for `doc_count`
+/// documents.
 #[cold]
-fn refusal(prev: Option<&DeweyId>, id: &DeweyId, otherwise: &str) -> IndexError {
-    let what = match prev {
-        Some(prev) if prev >= id => "node ids not strictly increasing",
-        _ => otherwise,
-    };
-    IndexError::Corrupt(format!("{what} at {id}"))
+fn root_count(roots: usize, doc_count: usize) -> IndexError {
+    IndexError::Corrupt(format!("node table has {roots} root row(s) for {doc_count} document(s)"))
 }
 
 #[cfg(test)]
@@ -477,14 +461,16 @@ mod tests {
         NodeMeta { child_count: children, flags, label }
     }
 
-    /// A linked table over `rows`, given in Dewey order.
+    /// A linked table over `rows`, given in Dewey order: each is pushed at
+    /// its depth, and `link` numbers it back to its steps.
     fn table(rows: &[(&[u32], NodeMeta)]) -> NodeTable {
         let mut t = NodeTable::new();
         for (steps, meta) in rows {
-            let row = t.push(d(steps), meta.label).unwrap();
-            t.set_meta(row, *meta);
+            t.push_row(steps.len() as u32, *meta).unwrap();
         }
         t.link(1).unwrap();
+        let ids: Vec<DeweyId> = rows.iter().map(|(steps, _)| d(steps)).collect();
+        assert_eq!(t.ids(), ids);
         t
     }
 
@@ -573,10 +559,15 @@ mod tests {
     /// A linked table over `(doc, steps)` rows, given in Dewey order.
     fn docs_table(rows: &[(u32, &[u32])], doc_count: usize) -> NodeTable {
         let mut t = NodeTable::new();
-        for &(doc, steps) in rows {
-            t.push(DeweyId::new(DocId(doc), steps.to_vec()), 0).unwrap();
+        for &(_, steps) in rows {
+            t.push(steps.len() as u32, 0).unwrap();
         }
         t.link(doc_count).unwrap();
+        let ids: Vec<DeweyId> = rows
+            .iter()
+            .map(|&(doc, steps)| DeweyId::new(DocId(doc), steps.to_vec()))
+            .collect();
+        assert_eq!(t.ids(), ids);
         t
     }
 
@@ -592,34 +583,35 @@ mod tests {
         // A document id past the count has no rows.
         assert!(t.doc_rows(DocId(3)).is_empty());
         assert!(t.doc_rows(DocId(u32::MAX)).is_empty());
-        // A document without rows between two others is empty, in place.
-        let gap = docs_table(&[(0, &[]), (0, &[0]), (2, &[])], 3);
-        assert_eq!(gap.doc_rows(DocId(1)), 2..2);
-        assert_eq!(gap.doc_rows(DocId(2)), 2..3);
         assert!(NodeTable::new().doc_rows(DocId(0)).is_empty());
     }
 
     #[test]
-    fn link_refuses_rows_that_are_not_a_closed_pre_order() {
-        let refused = |rows: &[&[u32]], what: &str| {
+    fn link_numbers_rows_by_depth_and_refuses_a_skipped_level_or_a_wrong_root_count() {
+        let mut t = NodeTable::new();
+        for depth in [0, 1, 2, 1, 0, 1, 1] {
+            t.push(depth, 0).unwrap();
+        }
+        t.link(2).unwrap();
+        let second = |steps: &[u32]| DeweyId::new(DocId(1), steps.to_vec());
+        let ids = [d(&[]), d(&[0]), d(&[0, 0]), d(&[1]), second(&[]), second(&[0]), second(&[1])];
+        assert_eq!(t.ids(), ids);
+
+        let refused = |depths: &[u32], doc_count: usize, what: &str| {
             let mut t = NodeTable::new();
-            for steps in rows {
-                t.push(d(steps), 0).unwrap();
+            for &depth in depths {
+                t.push(depth, 0).unwrap();
             }
-            match t.link(1) {
+            match t.link(doc_count) {
                 Err(IndexError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
-                other => panic!("{rows:?}: expected Corrupt, got {other:?}"),
+                other => panic!("{depths:?}: expected Corrupt, got {other:?}"),
             }
         };
-        refused(&[&[], &[0], &[1], &[0, 0]], "not strictly increasing");
-        refused(&[&[], &[0], &[0]], "not strictly increasing");
-        refused(&[&[], &[0], &[2]], "sibling step");
-        refused(&[&[], &[0], &[1, 0]], "parent absent");
-        refused(&[&[0]], "parent absent");
-        let mut other_doc = NodeTable::new();
-        other_doc.push(DeweyId::root(DocId(1)), 0).unwrap();
-        assert!(matches!(other_doc.link(1), Err(IndexError::Corrupt(_))));
-        assert!(other_doc.link(2).is_ok());
+        refused(&[1, 2], 1, "row 0 at depth 1 skips a level");
+        refused(&[0, 1, 3], 1, "row 2 at depth 3 skips a level");
+        refused(&[0, 1, 0, 0], 1, "3 root row(s) for 1 document(s)");
+        refused(&[0, 1], 2, "1 root row(s) for 2 document(s)");
+        refused(&[], 1, "0 root row(s) for 1 document(s)");
     }
 
     #[test]

@@ -6,19 +6,23 @@
 //!
 //! One layout: eager sections for options, document names, labels, node
 //! table, attribute store and stats (strings are length-prefixed UTF-8,
-//! integers LEB128 varints, the node table a blocked Dewey run),
-//! followed by the posting tier exactly as the index's
+//! integers LEB128 varints; a node row is its depth and metadata, and an
+//! entity names its node-table row — no Dewey id is stored outside the
+//! posting tier, since [`NodeTable::link`] derives every one from the
+//! depths), followed by the posting tier exactly as the index's
 //! [`PostingStore`](crate::postings::PostingStore) holds it: a **sorted term
 //! dictionary** (term bytes + posting-run offset/count per term), a
 //! fixed-width offset table for binary search straight off the file, and a
 //! postings region of blocked delta-prefix runs
 //! ([`gks_dewey::codec::encode_blocked_run`]). Saving copies that tier
 //! verbatim — no run is decoded or re-encoded, whether the index was built
-//! or opened. A fixed footer carries the section offsets and an FNV-64
-//! checksum over the header and footer metadata. Loading `mmap`s the file,
-//! validates the header/footer and dictionary, and hands the engine
-//! lazily-decoded posting cursors — posting blocks are never read at open,
-//! and the map stays alive inside the store.
+//! or opened. A fixed footer carries the section offsets and two
+//! checksums ([`checksum`]): one over the eager sections, which an open
+//! reads whole anyway, and one over the header and the footer. Loading
+//! `mmap`s the file, validates the header, footer, eager sections and
+//! dictionary, and hands the engine lazily-decoded posting cursors —
+//! posting blocks are never read at open, and the map stays alive inside
+//! the store.
 //!
 //! The version number in the header moves whenever a section changes shape,
 //! and a file carrying any other number is refused with
@@ -30,10 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut, Mmap};
-use gks_dewey::codec::{
-    decode_id, encode_blocked_run, encode_id, read_varint, write_varint, BlockedRunReader,
-};
-use gks_dewey::DeweyId;
+use gks_dewey::codec::{read_varint, write_varint};
 use gks_text::AnalyzerOptions;
 
 use crate::attrstore::{AttrIds, AttrSource, AttrStore};
@@ -49,14 +50,17 @@ const MAGIC: &[u8; 5] = b"GKSIX";
 /// The one file version (6 → 7 when the node ids became one blocked run,
 /// 7 → 8 when the header kept only the two analyzer option bytes, 8 → 9
 /// when each document name gained its XML byte length and the stats section
-/// lost the corpus total those lengths sum to).
-const VERSION: u32 = 9;
+/// lost the corpus total those lengths sum to, 9 → 10 when each node row
+/// stored its depth instead of its Dewey id, each entity its node-table row
+/// instead of its id, and the footer gained the eager sections' checksum).
+const VERSION: u32 = 10;
 /// Trailing magic of the footer; lets the doctor tell "not an index file"
 /// from "index file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
-/// Footer: 8 section offsets + term count + file length + checksum
-/// (u64 big-endian each), then [`TAIL_MAGIC`].
-const FOOTER_LEN: usize = 11 * 8 + TAIL_MAGIC.len();
+/// Footer: 8 section offsets + term count + file length + eager-section
+/// checksum + header/footer checksum (u64 big-endian each), then
+/// [`TAIL_MAGIC`].
+const FOOTER_LEN: usize = 12 * 8 + TAIL_MAGIC.len();
 
 /// On-disk format selector for [`GksIndex::save_as`]. There is one layout;
 /// the enum survives only because the frozen `perf/` benchmark names
@@ -80,7 +84,7 @@ pub struct SectionSizes {
     pub doc_names: u64,
     /// Label-name section bytes.
     pub labels: u64,
-    /// Node-table bytes (blocked Dewey run + per-node metadata).
+    /// Node-table bytes (one depth and metadata row per node).
     pub node_table: u64,
     /// Attribute-store bytes.
     pub attr_store: u64,
@@ -94,16 +98,32 @@ pub struct SectionSizes {
     pub footer: u64,
 }
 
-/// FNV-1a 64-bit over a sequence of byte slices (header/footer checksum).
-fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// The file's checksum over a sequence of byte slices, eight bytes a step:
+/// each little-endian word (a part's short tail zero-padded) is xored into
+/// the state, which is then rotated and multiplied by an odd constant, and
+/// the total length goes in last. Each step is a bijection of the state, so
+/// any one changed word changes the sum. Defined here rather than borrowed
+/// from a hasher, so a persisted sum never moves with a hash-table tweak.
+fn checksum(parts: &[&[u8]]) -> u64 {
+    fn step(state: u64, word: u64) -> u64 {
+        (state ^ word).rotate_left(29).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
-    hash
+    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut len = 0u64;
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for word in &mut words {
+            state = step(state, u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            state = step(state, u64::from_le_bytes(word));
+        }
+        len += part.len() as u64;
+    }
+    step(state, len)
 }
 
 fn write_str(out: &mut BytesMut, s: &str) {
@@ -199,27 +219,23 @@ fn write_labels(out: &mut BytesMut, ix: &GksIndex) {
     }
 }
 
-/// Node-table section: `count · run bytes · blocked run · (child count ·
-/// flags · label id)*`, the rows in the run's order — the table's own Dewey
-/// order, in which the run codec compresses. The run is the posting lists'
-/// codec, framed here by its id count and byte length.
+/// Node-table section: `count · (depth · child count · flags · label id)*`,
+/// the rows in pre-order. The depths are the trees' shape, from which
+/// [`NodeTable::link`] numbers the rows again at open.
 fn write_node_table(out: &mut BytesMut, ix: &GksIndex) {
     let table = ix.node_table();
-    write_node_rows(out, table.ids(), table.iter().map(|(_, meta)| meta));
+    write_node_rows(out, table.len(), table.iter().map(|(id, meta)| (id.depth() as u32, meta)));
 }
 
-/// The node-table section over rows given as columns.
+/// The node-table section over `count` rows given as `(depth, meta)`.
 fn write_node_rows<'a>(
     out: &mut BytesMut,
-    ids: &[DeweyId],
-    metas: impl Iterator<Item = &'a NodeMeta>,
+    count: usize,
+    rows: impl Iterator<Item = (u32, &'a NodeMeta)>,
 ) {
-    let mut run = Vec::new();
-    encode_blocked_run(ids, &mut run);
-    write_varint(out, ids.len() as u64);
-    write_varint(out, run.len() as u64);
-    out.put_slice(&run);
-    for meta in metas {
+    write_varint(out, count as u64);
+    for (depth, meta) in rows {
+        write_varint(out, u64::from(depth));
         write_varint(out, u64::from(meta.child_count));
         out.put_u8(meta.flags.bits());
         write_varint(out, u64::from(meta.label));
@@ -237,41 +253,32 @@ pub(crate) fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     Ok(node_table)
 }
 
-/// Reads the node rows (blocked Dewey run + per-node metadata) into
-/// `table`'s columns and links its child index, which refuses rows that are
-/// not a pre-order closed under parents (see [`NodeTable::link`]) over
-/// documents `0..doc_count`.
+/// Reads the node rows into `table`'s columns and links them, which
+/// numbers the rows and refuses a shape that is not a pre-order forest of
+/// `doc_count` trees (see [`NodeTable::link`]).
 fn read_nodes(
     input: &mut &[u8],
     table: &mut NodeTable,
     doc_count: usize,
 ) -> Result<(), IndexError> {
-    let label_count = table.labels().names().len();
-    let (mut run, count) = split_node_run(input)?;
-    let ids = BlockedRunReader::parse(&mut run, count)?.decode_all()?;
-    let mut metas = Vec::with_capacity(ids.len());
-    for _ in 0..ids.len() {
-        metas.push(read_meta(input, label_count)?);
+    let label_count = table.labels().len();
+    let count = read_varint(input)? as usize;
+    // A row takes at least four bytes, which bounds a hostile count.
+    table.reserve(count.min(input.len() / 4));
+    for _ in 0..count {
+        let (depth, meta) = read_row(input, label_count)?;
+        table.push_row(depth, meta)?;
     }
-    table.set_columns(ids, metas);
     table.link(doc_count)
 }
 
-/// Splits the node section's id count and blocked id run off `input`,
-/// leaving the metadata rows.
-pub(crate) fn split_node_run<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], usize), IndexError> {
-    let count = read_varint(input)? as usize;
-    let run_len = read_varint(input)? as usize;
-    if input.len() < run_len {
-        return Err(IndexError::Corrupt("truncated node id run".into()));
-    }
-    let (run, rest) = input.split_at(run_len);
-    *input = rest;
-    Ok((run, count))
-}
-
-/// One node's metadata row, its label checked against `label_count`.
-pub(crate) fn read_meta(input: &mut &[u8], label_count: usize) -> Result<NodeMeta, IndexError> {
+/// One node row, its depth and metadata, the label checked against
+/// `label_count`. A depth past `u32` saturates, for `link` to refuse.
+pub(crate) fn read_row(
+    input: &mut &[u8],
+    label_count: usize,
+) -> Result<(u32, NodeMeta), IndexError> {
+    let depth = u32::try_from(read_varint(input)?).unwrap_or(u32::MAX);
     let child_count = read_varint(input)? as u32;
     if !input.has_remaining() {
         return Err(IndexError::Corrupt("truncated node meta".into()));
@@ -281,7 +288,7 @@ pub(crate) fn read_meta(input: &mut &[u8], label_count: usize) -> Result<NodeMet
     if label as usize >= label_count {
         return Err(IndexError::Corrupt(format!("label id {label} out of range")));
     }
-    Ok(NodeMeta { child_count, flags, label })
+    Ok((depth, NodeMeta { child_count, flags, label }))
 }
 
 /// Attribute section: the three interned tables, then the entities with
@@ -291,7 +298,7 @@ pub(crate) fn read_meta(input: &mut &[u8], label_count: usize) -> Result<NodeMet
 /// paths:    count · (len · label id*)*
 /// norms:    count · str*
 /// values:   count · (str · norm id)*
-/// entities: count · (Dewey id · entity label id · count · (tag · value id)*)*
+/// entities: count · (row · entity label id · count · (tag · value id)*)*
 ///           where tag = path id << 1 | (1 if repeating text)
 /// ```
 ///
@@ -318,8 +325,8 @@ fn write_attrs(out: &mut BytesMut, ix: &GksIndex) {
     // Recording order, not hash-map order: the bytes are a function of the
     // corpus and the build (CI `cmp`s two builds).
     write_varint(out, store.len() as u64);
-    for (entity, entries) in ix.entities() {
-        encode_id(entity, out);
+    for (row, entries) in store.iter() {
+        write_varint(out, u64::from(row));
         write_varint(out, u64::from(entries.label()));
         write_varint(out, entries.len() as u64);
         for e in entries.ids() {
@@ -330,9 +337,9 @@ fn write_attrs(out: &mut BytesMut, ix: &GksIndex) {
     }
 }
 
-/// Reads the attribute section. Every id is range-checked here — entity ids
-/// against `table`'s rows, label ids against its labels, path, value and
-/// norm ids against their tables — so a hostile file ends in
+/// Reads the attribute section. Every id is range-checked here — entity
+/// rows against `table`'s rows, label ids against its labels, path, value
+/// and norm ids against their tables — so a hostile file ends in
 /// [`IndexError::Corrupt`] at open and later lookups cannot miss.
 fn read_attrs(input: &mut &[u8], table: &NodeTable) -> Result<AttrStore, IndexError> {
     let label_count = table.labels().len();
@@ -340,10 +347,7 @@ fn read_attrs(input: &mut &[u8], table: &NodeTable) -> Result<AttrStore, IndexEr
     let count = read_varint(input)? as usize;
     // An entity takes at least four bytes, which bounds a hostile count.
     attrs.reserve_entities(count.min(input.len() / 4));
-    read_entities(input, count, label_count, |entity, label, entries| {
-        let row = table
-            .row(&entity)
-            .ok_or_else(|| IndexError::Corrupt(format!("attr entity {entity} is not a node")))?;
+    read_entities(input, count, label_count, table.len(), |row, label, entries| {
         attrs.load_entity(row, label, entries)
     })?;
     Ok(attrs)
@@ -388,18 +392,25 @@ pub(crate) fn read_attr_tables(
 }
 
 /// The `count` entities that follow the attribute tables and their count:
-/// each one's id, label and entries handed to `visit` in recording order.
-/// Path and value ids are the visitor's to check; out-of-range ones
+/// each one's row, label and entries handed to `visit` in recording order.
+/// A row is checked against `row_count` and a label against `label_count`;
+/// path and value ids are the visitor's to check, and out-of-range ones
 /// saturate.
 pub(crate) fn read_entities(
     input: &mut &[u8],
     count: usize,
     label_count: usize,
-    mut visit: impl FnMut(DeweyId, u32, &[AttrIds]) -> Result<(), IndexError>,
+    row_count: usize,
+    mut visit: impl FnMut(u32, u32, &[AttrIds]) -> Result<(), IndexError>,
 ) -> Result<(), IndexError> {
     let mut entries: Vec<AttrIds> = Vec::new();
     for _ in 0..count {
-        let entity = decode_id(input)?;
+        let row = read_varint(input)?;
+        if row >= row_count as u64 {
+            return Err(IndexError::Corrupt(format!(
+                "attr entity row {row} is past the {row_count} node rows"
+            )));
+        }
         let label = check_label(read_varint(input)?, label_count)?;
         let entry_count = read_varint(input)? as usize;
         entries.clear();
@@ -417,7 +428,7 @@ pub(crate) fn read_entities(
                 },
             });
         }
-        visit(entity, label, &entries)?;
+        visit(row as u32, label, &entries)?;
     }
     Ok(())
 }
@@ -483,8 +494,11 @@ pub(crate) struct Frame {
 }
 
 /// Parses and validates header and footer: magic, version, tail magic,
-/// recorded file length, checksum and section-offset order. The one place a
-/// footer is trusted, so no caller subtracts offsets it has not checked.
+/// recorded file length, the header/footer checksum, section-offset order
+/// and the eager sections' checksum. The one place a footer is trusted, so
+/// no caller subtracts offsets it has not checked, and the one place the
+/// eager sections are checksummed, so an open, a merge source and
+/// [`section_sizes`] all refuse a flipped byte in them.
 pub(crate) fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
     let version = sniff_version(bytes)?;
     if version != VERSION {
@@ -508,15 +522,16 @@ pub(crate) fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
     for f in &mut offsets {
         *f = fcur.get_u64();
     }
-    let (term_count, file_len, checksum) = (fcur.get_u64(), fcur.get_u64(), fcur.get_u64());
+    let (term_count, file_len) = (fcur.get_u64(), fcur.get_u64());
+    let (eager_sum, frame_sum) = (fcur.get_u64(), fcur.get_u64());
     if file_len != bytes.len() as u64 {
         return Err(IndexError::Corrupt(format!(
             "file length mismatch: footer says {file_len}, file is {}",
             bytes.len()
         )));
     }
-    let computed = fnv64(&[&bytes[..header_len], &footer[..FOOTER_LEN - TAIL_MAGIC.len() - 8]]);
-    if computed != checksum {
+    let framed = checksum(&[&bytes[..header_len], &footer[..FOOTER_LEN - TAIL_MAGIC.len() - 8]]);
+    if framed != frame_sum {
         return Err(IndexError::Corrupt("header/footer checksum mismatch".into()));
     }
     if offsets[0] != header_len as u64
@@ -524,6 +539,9 @@ pub(crate) fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
         || offsets[7] > footer_off as u64
     {
         return Err(IndexError::Corrupt("section offsets out of order".into()));
+    }
+    if checksum(&[&bytes[header_len..offsets[5] as usize]]) != eager_sum {
+        return Err(IndexError::Corrupt("eager section checksum mismatch".into()));
     }
     Ok(Frame { options, header_len, offsets, term_count, footer_off })
 }
@@ -556,30 +574,32 @@ impl GksIndex {
         write_attrs(&mut out, self);
         let stat_off = out.len() as u64;
         write_stats(&mut out, self);
+        let eager_sum = checksum(&[&out.as_ref()[header_len..]]);
 
         let (tier, offs, post) = self.inverted().tier_bytes();
         let dict_off = out.len() as u64;
         out.put_slice(tier);
         let (offs_off, post_off) = (dict_off + offs as u64, dict_off + post as u64);
 
-        // Footer: offsets + term count + file length, checksummed together
-        // with the header so a truncated or resected file fails fast at
-        // open — without ever checksumming (= reading) the posting blocks.
+        // Footer: offsets + term count + file length + the eager sections'
+        // checksum, checksummed together with the header, so a truncated or
+        // resected file or a flipped eager byte fails at open — without
+        // ever checksumming (= reading) the posting blocks.
         let mut footer = BytesMut::new();
         for v in [doc_off, lab_off, node_off, attr_off, stat_off, dict_off, offs_off, post_off] {
             footer.put_u64(v);
         }
         footer.put_u64(self.inverted().term_count() as u64);
         footer.put_u64(out.len() as u64 + FOOTER_LEN as u64);
-        let checksum = fnv64(&[&out.as_ref()[..header_len], footer.as_ref()]);
-        footer.put_u64(checksum);
+        footer.put_u64(eager_sum);
+        footer.put_u64(checksum(&[&out.as_ref()[..header_len], footer.as_ref()]));
         footer.put_slice(TAIL_MAGIC);
         out.put_slice(footer.as_ref());
         out.freeze()
     }
 
-    /// Opens an index over a mapped file: validates the header, footer
-    /// checksum, section offsets and term dictionary, decodes the eager
+    /// Opens an index over a mapped file: validates the header, both
+    /// checksums, section offsets and term dictionary, decodes the eager
     /// sections, and leaves every posting run encoded in the map.
     pub fn from_mapped(map: Arc<Mmap>) -> Result<GksIndex, IndexError> {
         let bytes = map.as_slice();
@@ -644,11 +664,12 @@ impl GksIndex {
     }
 }
 
-/// `ix`'s file bytes with its node rows replaced by `ids` and `metas`: a
+/// `ix`'s file bytes with its node rows replaced by `depths` and `metas`: a
 /// hand-built node section, framed and checksummed as a real one is.
 #[cfg(test)]
-pub(crate) fn with_node_rows(ix: &GksIndex, ids: &[DeweyId], metas: &[NodeMeta]) -> Vec<u8> {
-    ix.serialize(|out, _| write_node_rows(out, ids, metas.iter())).to_vec()
+pub(crate) fn with_node_rows(ix: &GksIndex, depths: &[u32], metas: &[NodeMeta]) -> Vec<u8> {
+    ix.serialize(|out, _| write_node_rows(out, depths.len(), depths.iter().copied().zip(metas)))
+        .to_vec()
 }
 
 /// Measures the per-section byte breakdown of an index file from its
@@ -678,6 +699,7 @@ mod tests {
     use crate::builder::resolved_attrs;
     use crate::corpus::Corpus;
     use crate::doctor::Violation;
+    use gks_dewey::DeweyId;
 
     const XML: &str = r#"<dblp>
         <article><title>System R</title><author>Jim Gray</author><author>Kapali Eswaran</author></article>
@@ -687,6 +709,20 @@ mod tests {
     fn sample_index() -> GksIndex {
         let corpus = Corpus::from_named_strs([("dblp", XML)]).unwrap();
         GksIndex::build(&corpus, IndexOptions::default()).unwrap()
+    }
+
+    /// Rewrites both footer checksums of `bytes` to match what it holds, so
+    /// an edit inside a section reaches that section's reader.
+    fn reseal(bytes: &mut [u8]) {
+        let footer_off = bytes.len() - FOOTER_LEN;
+        let field = |at: usize| {
+            u64::from_be_bytes(bytes[footer_off + at..footer_off + at + 8].try_into().unwrap())
+        };
+        let (header_len, dict_off) = (field(0) as usize, field(5 * 8) as usize);
+        let eager = checksum(&[&bytes[header_len..dict_off]]);
+        bytes[footer_off + 10 * 8..footer_off + 11 * 8].copy_from_slice(&eager.to_be_bytes());
+        let frame = checksum(&[&bytes[..header_len], &bytes[footer_off..footer_off + 11 * 8]]);
+        bytes[footer_off + 11 * 8..footer_off + 12 * 8].copy_from_slice(&frame.to_be_bytes());
     }
 
     /// Opens serialized bytes through the real open path, off the heap.
@@ -797,13 +833,14 @@ mod tests {
         // Versions 2 and 3 carried one string and one path per attribute
         // entry, 4 was the eager single-stream layout, 5 had one more stats
         // field, 6 stored the node ids in the older sorted-run codec, 7 had
-        // three more header bytes, 8 stored names without byte lengths;
-        // reading one as the current layout would mis-parse, so the number —
-        // checked before anything else — is what refuses it.
+        // three more header bytes, 8 stored names without byte lengths, 9
+        // stored node and entity ids and one footer checksum; reading one as
+        // the current layout would mis-parse, so the number — checked before
+        // anything else — is what refuses it.
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for old in [2u32, 3, 4, 5, 6, 7, 8] {
+        for old in [2u32, 3, 4, 5, 6, 7, 8, 9] {
             let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
             bytes[5..9].copy_from_slice(&old.to_be_bytes());
             let path = dir.join(format!("v{old}.gksix"));
@@ -880,11 +917,13 @@ mod tests {
     fn non_utf8_attr_value_is_a_typed_error_at_open() {
         let ix = sample_index();
         // The raw title occurs only in the value table (the dictionary holds
-        // analysed terms), and the checksum covers only header and footer, so
-        // the flipped byte reaches the attribute reader.
+        // analysed terms); with the checksums resealed, the flipped byte
+        // reaches the attribute reader.
         let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
         let at = bytes.windows(8).position(|w| w == b"System R").unwrap();
         bytes[at] = 0xff;
+        assert!(open_bytes(&bytes).unwrap_err().to_string().contains("checksum"));
+        reseal(&mut bytes);
         match open_bytes(&bytes) {
             Err(IndexError::Corrupt(message)) => assert!(message.contains("UTF-8"), "{message}"),
             other => panic!("expected Corrupt, got {other:?}"),
@@ -938,11 +977,8 @@ mod tests {
         bytes[footer_off + 8] = 0x7f;
         check(&bytes, "checksum");
 
-        // ... and when the checksum is recomputed to match, the order check.
-        let header_len = u64::from_be_bytes(bytes[footer_off..footer_off + 8].try_into().unwrap());
-        let sum_at = good.len() - TAIL_MAGIC.len() - 8;
-        let sum = fnv64(&[&bytes[..header_len as usize], &bytes[footer_off..sum_at]]);
-        bytes[sum_at..sum_at + 8].copy_from_slice(&sum.to_be_bytes());
+        // ... and when the checksums are recomputed to match, the order check.
+        reseal(&mut bytes);
         check(&bytes, "offsets out of order");
         std::fs::remove_file(&path).ok();
     }
@@ -980,11 +1016,11 @@ mod tests {
         assert_eq!(reopened.decoded_terms(), 0, "serializing must not decode postings");
     }
 
-    /// A node table of several run blocks, with ids deep enough to spill
-    /// out of the inline Dewey form, reopens to the rows it was built with
-    /// and re-serializes to the bytes it was opened from.
+    /// A node table with ids deep enough to spill out of the inline Dewey
+    /// form reopens to the rows it was built with and re-serializes to the
+    /// bytes it was opened from.
     #[test]
-    fn a_node_table_of_several_blocks_reopens_to_the_built_rows() {
+    fn a_deep_node_table_reopens_to_the_built_rows() {
         // TreeBank-shaped: nested phrases down to depth 12, with one to
         // three children per node and a word at each leaf.
         fn phrase(xml: &mut String, depth: u32, seed: &mut u32) {
@@ -1008,83 +1044,68 @@ mod tests {
         xml.push_str("</treebank>");
         let corpus = Corpus::from_named_strs([("treebank", xml)]).unwrap();
         let built = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        assert!(built.node_table().len() > 2 * gks_dewey::codec::BLOCK_SIZE);
         assert!(built.stats().max_depth >= 12);
 
         let bytes = built.to_bytes_v3().unwrap();
         let reopened = open_bytes(&bytes).unwrap();
-        let rows = |ix: &GksIndex| {
-            let mut rows: Vec<(DeweyId, NodeMeta)> =
-                ix.node_table().iter().map(|(id, meta)| (id.clone(), *meta)).collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            rows
+        let rows = |ix: &GksIndex| -> Vec<(DeweyId, NodeMeta)> {
+            ix.node_table().iter().map(|(id, meta)| (id.clone(), *meta)).collect()
         };
         assert_eq!(rows(&reopened), rows(&built));
         assert_eq!(reopened.to_bytes_v3().unwrap(), bytes);
     }
 
-    /// The sample index's node rows as columns.
-    fn node_rows(ix: &GksIndex) -> (Vec<DeweyId>, Vec<NodeMeta>) {
-        let table = ix.node_table();
-        (table.ids().to_vec(), table.iter().map(|(_, meta)| *meta).collect())
+    /// Two documents of the sample, so a root count can fall short.
+    fn two_document_index() -> GksIndex {
+        let corpus = Corpus::from_named_strs([("a", XML), ("b", XML)]).unwrap();
+        GksIndex::build(&corpus, IndexOptions::default()).unwrap()
     }
 
-    /// Hand-built node sections that are not a pre-order closed under
-    /// parents are refused at open, each with its own reason.
+    /// `ix`'s node rows as depth and metadata columns.
+    fn node_rows(ix: &GksIndex) -> (Vec<u32>, Vec<NodeMeta>) {
+        let table = ix.node_table();
+        table.iter().map(|(id, meta)| (id.depth() as u32, *meta)).unzip()
+    }
+
+    /// Hand-built node sections whose depths are not a pre-order forest of
+    /// one tree per document, and entity rows past the table, are refused
+    /// at open, each with its own reason.
     #[test]
     fn a_node_section_out_of_pre_order_is_refused_at_open() {
-        let ix = sample_index();
-        let refused = |edit: &dyn Fn(&mut Vec<DeweyId>, &mut Vec<NodeMeta>), what: &str| {
-            let (mut ids, mut metas) = node_rows(&ix);
-            edit(&mut ids, &mut metas);
-            match open_bytes(&with_node_rows(&ix, &ids, &metas)) {
+        let ix = two_document_index();
+        let refused = |edit: &dyn Fn(&mut Vec<u32>, &mut Vec<NodeMeta>), what: &str| {
+            let (mut depths, mut metas) = node_rows(&ix);
+            edit(&mut depths, &mut metas);
+            match open_bytes(&with_node_rows(&ix, &depths, &metas)) {
                 Err(IndexError::Corrupt(message)) => assert!(message.contains(what), "{message}"),
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
         };
-        let (ids, metas) = node_rows(&ix);
-        assert!(open_bytes(&with_node_rows(&ix, &ids, &metas)).is_ok(), "the unedited rows open");
-        // <dblp> [] · <article> [0] · <title> [0, 0] · <author> [0, 1] ·
-        // <author> [0, 2] · <article> [1] ...
-        let d = |steps: &[u32]| DeweyId::new(gks_dewey::DocId(0), steps.to_vec());
-        assert_eq!((&ids[3], &ids[4], &ids[5]), (&d(&[0, 1]), &d(&[0, 2]), &d(&[1])));
-        refused(&|ids, _| ids.swap(4, 5), "not strictly increasing");
-        refused(
-            &|ids, metas| {
-                ids.insert(3, ids[2].clone());
-                metas.insert(3, metas[2]);
-            },
-            "not strictly increasing",
+        let (depths, metas) = node_rows(&ix);
+        assert!(
+            open_bytes(&with_node_rows(&ix, &depths, &metas)).is_ok(),
+            "the unedited rows open"
         );
-        refused(&|ids, _| ids[4] = d(&[0, 3]), "sibling step");
+        // <dblp> 0 · <article> 1 · <title> 2 · <author> 2 · <author> 2 ·
+        // <article> 1 · <title> 2 · <author> 2, twice.
+        assert_eq!(depths, [0, 1, 2, 2, 2, 1, 2, 2, 0, 1, 2, 2, 2, 1, 2, 2]);
+        refused(&|depths, _| depths[0] = 1, "row 0 at depth 1 skips a level");
+        refused(&|depths, _| depths[5] = 4, "row 5 at depth 4 skips a level");
+        refused(&|depths, _| depths[7] = 0, "3 root row(s) for 2 document(s)");
+        refused(&|depths, _| depths[8] = 1, "1 root row(s) for 2 document(s)");
+        // The second document cut to its root: the rows still link, but the
+        // attribute section names the second document's articles.
         refused(
-            &|ids, metas| {
-                ids.remove(1);
-                metas.remove(1);
+            &|depths, metas| {
+                depths.truncate(9);
+                metas.truncate(9);
             },
-            "parent absent",
-        );
-        refused(
-            &|ids, metas| {
-                ids.push(DeweyId::root(gks_dewey::DocId(1)));
-                metas.push(metas[0]);
-            },
-            "past the document count",
-        );
-        // Only the root left: the rows still link, but the attribute
-        // section names the first <article>, an entity.
-        refused(
-            &|ids, metas| {
-                ids.truncate(1);
-                metas.truncate(1);
-            },
-            "attr entity 0:0 is not a node",
+            "attr entity row 9 is past the 9 node rows",
         );
     }
 
     /// Byte mutations across a saved index's node section, at a fixed seed:
-    /// each ends in a typed error at open, or in an index the doctor can
-    /// audit. None may panic.
+    /// the eager checksum refuses every one at open with a typed error.
     #[test]
     fn mutated_node_sections_fail_typed_or_open_auditably() {
         use rand::rngs::StdRng;
@@ -1093,23 +1114,51 @@ mod tests {
         let Frame { offsets, .. } = read_frame(&good).unwrap();
         let (node_off, attr_off) = (offsets[2] as usize, offsets[3] as usize);
         let mut rng = StdRng::seed_from_u64(41);
-        let (mut refused, mut opened) = (0, 0);
+        let mut refused = 0;
         for _ in 0..2_000 {
             let mut bytes = good.clone();
             for _ in 0..rng.gen_range(1..4usize) {
                 let at = rng.gen_range(node_off..attr_off);
                 bytes[at] = rng.gen_range(0..256u32) as u8;
             }
+            if bytes == good {
+                continue;
+            }
             match open_bytes(&bytes) {
-                Ok(ix) => {
-                    let _ = ix.doctor();
-                    opened += 1;
+                Err(IndexError::Corrupt(message)) => {
+                    assert!(message.contains("checksum"), "{message}");
+                    refused += 1;
                 }
-                Err(IndexError::Corrupt(_)) => refused += 1,
-                Err(other) => panic!("untyped refusal: {other:?}"),
+                other => panic!("a mutated node section must be refused, got {other:?}"),
             }
         }
-        assert!(refused > 0 && opened > 0, "refused {refused}, opened {opened}");
+        assert!(refused > 1_900, "refused {refused}");
+    }
+
+    /// One byte flipped anywhere in any eager section — document names,
+    /// labels, node rows, attributes, stats — at a fixed seed, is refused
+    /// at open with a typed error: none opens to changed answers.
+    #[test]
+    fn a_flipped_byte_in_any_eager_section_is_refused_at_open() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let good = sample_index().to_bytes_v3().unwrap().to_vec();
+        let Frame { offsets, .. } = read_frame(&good).unwrap();
+        let mut rng = StdRng::seed_from_u64(48);
+        for section in offsets[..6].windows(2) {
+            let (from, to) = (section[0] as usize, section[1] as usize);
+            assert!(from < to, "every eager section holds bytes");
+            for _ in 0..64 {
+                let mut bytes = good.clone();
+                bytes[rng.gen_range(from..to)] ^= 1 << rng.gen_range(0..8u32);
+                match open_bytes(&bytes) {
+                    Err(IndexError::Corrupt(message)) => {
+                        assert!(message.contains("eager section checksum"), "{message}")
+                    }
+                    other => panic!("flip in {from}..{to}: expected Corrupt, got {other:?}"),
+                }
+            }
+        }
     }
 
     /// A fresh build and the same index reopened (node table, attribute

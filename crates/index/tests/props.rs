@@ -228,7 +228,8 @@ proptest! {
     fn attr_store_is_consistent(tree in arb_tree()) {
         let ix = build(&tree);
         let label_count = ix.node_table().labels().len() as u32;
-        for (entity, entries) in ix.entities() {
+        for (row, entries) in ix.attr_store().iter() {
+            let entity = ix.node_table().id(row).expect("entity row recorded");
             let meta = ix.node_table().get(entity).expect("entity recorded");
             prop_assert!(meta.flags.is_entity(), "{entity} has attrs but is not EN");
             prop_assert_eq!(entries.label(), meta.label);
@@ -258,7 +259,8 @@ proptest! {
         // The attribute tables come back as written: the same entries per
         // entity and, per value, the norm the builder computed.
         prop_assert_eq!(loaded.attr_store().len(), ix.attr_store().len());
-        for (entity, entries) in ix.entities() {
+        for (row, entries) in ix.attr_store().iter() {
+            let entity = ix.node_table().id(row).expect("entity row recorded");
             let other = loaded.entries(entity);
             prop_assert_eq!(other.label(), entries.label());
             prop_assert!(other.iter().eq(entries.iter()), "{entity} entries differ");

@@ -6,9 +6,12 @@
 //!
 //! Beside the whole file, two spans are pinned on their own, found through
 //! the footer's section offsets: labels through the attribute store, and the
-//! posting tier (term dictionary, offset table, runs). They last changed
-//! with what is indexed, not with the document or stats sections around
-//! them; file version 9 changed those two sections and kept both spans.
+//! posting tier (term dictionary, offset table, runs). The posting tier
+//! last changed with what is indexed; file version 9 changed the document
+//! and stats sections and kept both spans, and file version 10 stored node
+//! depths and entity rows instead of Dewey ids and added a footer checksum,
+//! which moved the labels-through-attributes span and kept the posting
+//! tier's.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -23,8 +26,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Footer bytes: eight section offsets, the term count, the file length
-/// and the checksum (u64 big-endian each), then the four-byte tail magic.
-const FOOTER_LEN: usize = 11 * 8 + 4;
+/// and the two checksums (u64 big-endian each), then the four-byte tail
+/// magic.
+const FOOTER_LEN: usize = 12 * 8 + 4;
 
 /// The section offsets the footer of `bytes` records, in file order: doc
 /// names, labels, node table, attribute store, stats, term dictionary, term
@@ -66,8 +70,8 @@ fn dblp_file_bytes_are_golden() {
     check(
         Dataset::Dblp,
         300,
-        (0x8f13_4a61_81a7_7ad5, 170_094),
-        (0xe0e3_10cd_19ea_8dc5, 0x8434_bc21_1cfe_88a7),
+        (0x302d_3568_8033_06de, 158_362),
+        (0xd668_c660_28ef_103b, 0x8434_bc21_1cfe_88a7),
     );
 }
 
@@ -76,8 +80,8 @@ fn treebank_file_bytes_are_golden() {
     check(
         Dataset::TreeBank,
         100,
-        (0x8e4e_b3e0_b189_f030, 76_563),
-        (0x9432_e760_b047_8ff7, 0xf487_8c07_45d0_eb95),
+        (0xa3e9_21e2_deac_f209, 66_139),
+        (0xa771_caa0_2d76_664d, 0xf487_8c07_45d0_eb95),
     );
 }
 
@@ -86,8 +90,8 @@ fn mondial_file_bytes_are_golden() {
     check(
         Dataset::Mondial,
         16,
-        (0x0cbc_2dc5_72aa_1332, 48_014),
-        (0xd7ad_4fc8_8428_1421, 0x09d2_dcb7_3519_af59),
+        (0x4f38_28eb_0bc9_6dbb, 43_982),
+        (0xb9e6_cc60_e2ff_49f3, 0x09d2_dcb7_3519_af59),
     );
 }
 
@@ -96,8 +100,8 @@ fn swissprot_file_bytes_are_golden() {
     check(
         Dataset::SwissProt,
         60,
-        (0x7938_d271_848c_c984, 125_948),
-        (0xfedd_3c90_bba0_8f6c, 0xe3b8_53ae_94e0_f8b4),
+        (0x6aeb_1fd2_9c0f_9f50, 117_232),
+        (0xffb5_dbc6_01f9_7084, 0xe3b8_53ae_94e0_f8b4),
     );
 }
 
@@ -106,7 +110,7 @@ fn nasa_file_bytes_are_golden() {
     check(
         Dataset::Nasa,
         60,
-        (0xbe1c_5bb5_30e5_0a36, 88_967),
-        (0x53a0_9fde_f5ea_221f, 0xbc97_e429_ba64_6a1d),
+        (0x8620_438e_8eba_c5e9, 80_707),
+        (0x2742_eebc_5d2e_c1a3, 0xbc97_e429_ba64_6a1d),
     );
 }
