@@ -327,18 +327,23 @@ impl<'a> DiAccumulator<'a> {
     /// Distinct groups differ in value or path, so the order is total — a
     /// function of the data, not of hash-map capacity or observation order.
     ///
-    /// The restating test reads the norm's text, so it runs on candidates
-    /// only: the best `m` slots are selected, the restating ones dropped,
-    /// and the best of the rest fill the gap until `m` are kept or none
-    /// remain. As the test depends on the norm alone, the kept groups are
-    /// the ones filtering before aggregating would have kept.
+    /// The selection cuts on the numbers first and reads strings only for
+    /// the groups that tie at the cut (`select_shown`). The restating test
+    /// reads the norm's text, so it runs on candidates only: the best `m`
+    /// slots are selected, the restating ones dropped, and the best of the
+    /// rest fill the gap until `m` are kept or none remain. As the test
+    /// depends on the norm alone, the kept groups are the ones filtering
+    /// before aggregating would have kept.
     pub fn finish(self) -> Vec<Insight> {
         let DiAccumulator { query_terms, sources, mut slots, top_m, .. } = self;
-        let by_rank = |a: &Slot, b: &Slot| {
+        let by_numbers = |a: &Slot, b: &Slot| {
             b.weight
                 .partial_cmp(&a.weight)
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| b.support.cmp(&a.support))
+        };
+        let by_rank = |a: &Slot, b: &Slot| {
+            by_numbers(a, b)
                 .then_with(|| slot_value(&sources, a).cmp(slot_value(&sources, b)))
                 .then_with(|| slot_path(&sources, a).cmp(slot_path(&sources, b)))
         };
@@ -347,23 +352,7 @@ impl<'a> DiAccumulator<'a> {
                 .get(slot.source as usize)
                 .is_some_and(|s| shown(&query_terms, s.index.attr_store().norm(slot.norm)))
         };
-        // slots[..kept] are kept, slots[kept..seen] dropped, the rest unseen.
-        let (mut kept, mut seen) = (0, 0);
-        while kept < top_m && seen < slots.len() {
-            let need = top_m - kept;
-            let unseen = &mut slots[seen..];
-            if unseen.len() > need {
-                unseen.select_nth_unstable_by(need - 1, by_rank);
-            }
-            let end = seen + need.min(unseen.len());
-            for i in seen..end {
-                if slots.get(i).is_some_and(is_shown) {
-                    slots.swap(kept, i);
-                    kept += 1;
-                }
-            }
-            seen = end;
-        }
+        let kept = select_shown(&mut slots, top_m, by_numbers, by_rank, is_shown);
         slots.truncate(kept);
         slots.sort_unstable_by(by_rank);
         slots
@@ -376,6 +365,55 @@ impl<'a> DiAccumulator<'a> {
             })
             .collect()
     }
+}
+
+/// Moves the best `m` items under `by_rank` among those `is_shown` accepts
+/// to the front of `items`, in no particular order, and returns how many
+/// there are (fewer than `m` when fewer are shown). `by_rank` must refine
+/// `by_numbers`: items that `by_numbers` orders, `by_rank` orders the same
+/// way.
+///
+/// Each round selects the best `need` of the items not yet seen, tests
+/// them, and keeps the shown ones; the next round fills the gap. A round
+/// selects on `by_numbers` alone, then gathers every unseen item that ties
+/// with the cut into the front region and runs `by_rank` only there. That
+/// is exact: an item of the true best `need` either beats the cut on the
+/// numbers, and is in front already, or ties with it, and is gathered.
+fn select_shown<T>(
+    items: &mut [T],
+    m: usize,
+    by_numbers: impl Fn(&T, &T) -> Ordering,
+    by_rank: impl Fn(&T, &T) -> Ordering,
+    is_shown: impl Fn(&T) -> bool,
+) -> usize {
+    // items[..kept] are kept, items[kept..seen] dropped, the rest unseen.
+    let (mut kept, mut seen) = (0, 0);
+    while kept < m && seen < items.len() {
+        let need = m - kept;
+        let unseen = &mut items[seen..];
+        if unseen.len() > need {
+            unseen.select_nth_unstable_by(need - 1, &by_numbers);
+            let mut tied = need;
+            for i in need..unseen.len() {
+                if by_numbers(&unseen[i], &unseen[need - 1]) == Ordering::Equal {
+                    unseen.swap(tied, i);
+                    tied += 1;
+                }
+            }
+            if tied > need {
+                unseen[..tied].select_nth_unstable_by(need - 1, &by_rank);
+            }
+        }
+        let end = seen + need.min(unseen.len());
+        for i in seen..end {
+            if items.get(i).is_some_and(&is_shown) {
+                items.swap(kept, i);
+                kept += 1;
+            }
+        }
+        seen = end;
+    }
+    kept
 }
 
 /// Whether a group with analysed value `norm` may be shown: it analyses to
@@ -640,6 +678,57 @@ mod tests {
                 ]
             );
         }
+    }
+
+    #[test]
+    fn the_numeric_cut_selects_what_a_full_sort_does() {
+        // (weight, support, value, shown): few distinct numbers, so many
+        // items tie at every cut, and about a third restate the query.
+        type Item = (f64, usize, String, bool);
+        let by_numbers = |a: &Item, b: &Item| {
+            b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then_with(|| b.1.cmp(&a.1))
+        };
+        let by_rank = |a: &Item, b: &Item| by_numbers(a, b).then_with(|| a.2.cmp(&b.2));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % below
+        };
+        let mut crowded_cuts = 0;
+        for round in 0..200 {
+            let len = next(40) as usize;
+            let items: Vec<Item> = (0..len)
+                .map(|i| {
+                    let weight = [0.5, 1.0, 1.5][next(3) as usize];
+                    (
+                        weight,
+                        1 + next(2) as usize,
+                        format!("v{:02}", (i * 7 + round) % 40),
+                        next(3) != 0,
+                    )
+                })
+                .collect();
+            let mut reference = items.clone();
+            reference.sort_by(by_rank);
+            for top_m in 1..=8 {
+                let want: Vec<&Item> = reference.iter().filter(|item| item.3).take(top_m).collect();
+                let cut = want.last().map(|item| (item.0, item.1));
+                let tied = items.iter().filter(|item| Some((item.0, item.1)) == cut).count();
+                crowded_cuts += usize::from(tied > top_m);
+                let mut got = items.clone();
+                let kept = select_shown(&mut got, top_m, by_numbers, by_rank, |item| item.3);
+                got.truncate(kept);
+                got.sort_by(by_rank);
+                assert_eq!(
+                    got.iter().collect::<Vec<_>>(),
+                    want,
+                    "round {round}, top_m {top_m}, {tied} tied"
+                );
+            }
+        }
+        assert!(crowded_cuts > 100, "more items than m tie at the cut: {crowded_cuts}");
     }
 
     #[test]

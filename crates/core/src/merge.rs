@@ -32,7 +32,7 @@ pub fn merge_posting_lists_counted(lists: Vec<Vec<DeweyId>>) -> (Vec<SlEntry>, u
 
 /// Merges the per-keyword lists (each already document-ordered) into `SL`.
 pub fn merge_posting_lists(lists: Vec<Vec<DeweyId>>) -> Vec<SlEntry> {
-    merge_sorted(lists)
+    merge_sorted(lists.into_iter().map(Vec::into_iter))
 }
 
 /// `sl` on rows, or `None` when some entry's id has no row.
@@ -42,18 +42,21 @@ pub(crate) fn sl_rows(table: &NodeTable, sl: &[SlEntry]) -> Option<Vec<SlRow>> {
 }
 
 /// `2 × Σ|list|`: the heap operations [`merge_sorted`] performs.
-pub(crate) fn heap_ops<T>(lists: &[Vec<T>]) -> u64 {
-    lists.iter().map(|l| 2 * l.len() as u64).sum()
+pub(crate) fn heap_ops<T>(lists: &[impl AsRef<[T]>]) -> u64 {
+    lists.iter().map(|l| 2 * l.as_ref().len() as u64).sum()
 }
 
 /// The k-way merge of sorted lists, each entry tagged with its list's
-/// index. Equal entries come out in list order.
-pub(crate) fn merge_sorted<T: Ord>(lists: Vec<Vec<T>>) -> Vec<(T, u8)> {
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
+/// index. Equal entries come out in list order. The lists come as
+/// iterators, so the search merges the rows it borrows from the posting
+/// slots without copying them first, and the Dewey form moves its ids.
+pub(crate) fn merge_sorted<T: Ord, I: ExactSizeIterator<Item = T>>(
+    lists: impl IntoIterator<Item = I>,
+) -> Vec<(T, u8)> {
+    let mut iters: Vec<I> = lists.into_iter().collect();
+    let mut out = Vec::with_capacity(iters.iter().map(ExactSizeIterator::len).sum());
     // Heap of (next entry, list index); Reverse for a min-heap.
-    let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::new();
-    let mut iters: Vec<std::vec::IntoIter<T>> = lists.into_iter().map(Vec::into_iter).collect();
+    let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::with_capacity(iters.len());
     for (k, it) in iters.iter_mut().enumerate() {
         if let Some(first) = it.next() {
             heap.push(Reverse((first, k)));

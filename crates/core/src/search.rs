@@ -4,8 +4,9 @@
 //! Pipeline (Figure 6 of the paper, with the exact-statistics refinement
 //! described in DESIGN.md):
 //!
-//! 1. fetch each keyword's posting list, resolve it to node-table rows once
-//!    and k-way merge the rows into `SL`;
+//! 1. fetch each keyword's posting list as node-table rows (a term's rows
+//!    are resolved on its first fetch and cached) and k-way merge them into
+//!    `SL`;
 //! 2. slide a window of `s` unique keywords over `SL`, collecting the longest
 //!    common prefix of each minimal block → candidate GKS nodes;
 //! 3. derive each candidate's *Least Common Entity* (nearest entity
@@ -262,18 +263,18 @@ pub fn search_masked(
     let s = options.s.resolve(n)?;
     drop(parse_span);
 
-    // 1.–2. Posting lists, resolved to node-table rows once and merged into
-    // SL.
+    // 1.–2. Posting lists as node-table rows, borrowed from the posting
+    // slots where no mask or phrase makes them owned, merged into SL.
     let table = index.node_table();
     let postings_span = span(SpanKind::Postings);
     let lists = keywords
         .iter()
         .map(|k| keyword_rows_counted(index, dead, k, &mut cost))
-        .collect::<Result<Vec<Vec<u32>>, QueryError>>()?;
+        .collect::<Result<Vec<_>, QueryError>>()?;
     let missing: Vec<usize> =
         lists.iter().enumerate().filter(|(_, l)| l.is_empty()).map(|(i, _)| i).collect();
     cost.heap_ops = heap_ops(&lists);
-    let sl = merge_sorted(lists);
+    let sl = merge_sorted(lists.iter().map(|l| l.iter().copied()));
     let sl_len = sl.len();
     gks_trace::annotate("postings_scanned", cost.postings_scanned);
     gks_trace::annotate("tombstone_masked", cost.tombstone_masked);

@@ -155,16 +155,25 @@ impl GksIndex {
     }
 
     /// Inverted-index lookup: the document-ordered posting list `S_i` of a
-    /// normalized term. The first access decodes the term's blocked run and
-    /// caches it; one that fails to decode reads as empty.
+    /// normalized term, as Dewey ids. The first access decodes the term's
+    /// blocked run and caches the ids; one that fails to decode reads as
+    /// empty.
     pub fn postings(&self, term: &str) -> &[DeweyId] {
         self.inverted.postings(term)
     }
 
-    /// [`Self::postings`], with a run that fails to decode an error: the
-    /// search engine's fetch.
+    /// [`Self::postings`], with a run that fails to decode an error.
     pub fn try_postings(&self, term: &str) -> Result<&[DeweyId], DecodeError> {
         self.inverted.try_postings(term)
+    }
+
+    /// The search engine's fetch: a normalized term's postings as
+    /// node-table rows, in document order. The first access decodes the
+    /// term's run straight to rows and caches them in the term's posting
+    /// slot; a run that fails to decode, or a posting that no row
+    /// describes, is [`IndexError::Corrupt`], and nothing is cached.
+    pub fn try_rows(&self, term: &str) -> Result<&[u32], IndexError> {
+        self.inverted.try_rows(term, &self.node_table)
     }
 
     /// Posting-list length for a term without forcing a decode: the term
@@ -229,8 +238,8 @@ impl GksIndex {
         self.inverted.bytes_mapped()
     }
 
-    /// Posting runs decoded so far — 0 right after a build or an open, grows
-    /// as queries touch terms.
+    /// Terms whose posting run has been decoded so far — 0 right after a
+    /// build or an open, grows as queries touch terms.
     pub fn decoded_terms(&self) -> usize {
         self.inverted.decoded_terms()
     }

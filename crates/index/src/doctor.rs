@@ -441,10 +441,19 @@ mod tests {
             ),
             "{violations:?}"
         );
-        // The row resolver the search runs on refuses the same posting.
+        // The row fetch the search runs on refuses the same posting, names
+        // the term and caches nothing, however often it is asked.
         let dangling = DeweyId::new(DocId(7), vec![1]);
         assert_eq!(ix.node_table().rows_of(ix.postings("karen")), Err(&dangling));
-        assert!(ix.node_table().rows_of(ix.postings("mike")).is_ok());
+        let before = (ix.decoded_terms(), ix.inverted().resident_bytes());
+        for _ in 0..2 {
+            match ix.try_rows("karen") {
+                Err(IndexError::Corrupt(message)) => assert!(message.contains("\"karen\"")),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+            assert_eq!((ix.decoded_terms(), ix.inverted().resident_bytes()), before);
+        }
+        assert!(ix.try_rows("mike").is_ok());
         assert!(
             violations
                 .iter()

@@ -24,10 +24,12 @@
 //!
 //! `parents[r]` is row `r`'s parent row (`NO_ROW` for a document root),
 //! 4 B per row. `NodeTable::link` computes it to build the child index and
-//! keeps it, so the search engine walks up a root path by rows: a keyword's
-//! posting list is resolved to rows once ([`NodeTable::rows_of`]), and the
-//! window, LCE derivation and statistics sweep then step through
-//! [`NodeTable::parent`] and [`NodeTable::meta`] without touching an id.
+//! keeps it, so the search engine walks up a root path by rows: a term's
+//! postings are resolved to rows once, when the posting store first
+//! decodes them (through the `RowResolver` that [`NodeTable::rows_of`]
+//! wraps too), and the window, LCE derivation and statistics sweep then
+//! step through [`NodeTable::parent`] and [`NodeTable::meta`] without
+//! touching an id.
 //!
 //! [`NodeTable::link`] is the one place a row gets its Dewey id. A build,
 //! a merge and an open each append rows as `(depth, meta)` in pre-order,
@@ -38,7 +40,7 @@
 
 use std::ops::Range;
 
-use gks_dewey::{DeweyId, DocId};
+use gks_dewey::{DeweyId, DocId, Step};
 
 use crate::categorize::NodeFlags;
 use crate::error::IndexError;
@@ -284,37 +286,21 @@ impl NodeTable {
         self.children.get(slot).copied()
     }
 
-    /// The rows of `ids`, in order. Each id starts from the rows of the
-    /// prefix it shares with the id before it, so a sorted list costs one
-    /// child read per step it does not share with its predecessor. Fails
-    /// with the first id that no row describes.
+    /// The rows of `ids`, in order, each resolved by one `RowResolver`:
+    /// a sorted list costs one child read per step an id does not share
+    /// with its predecessor. Fails with the first id that no row describes.
     pub fn rows_of<'a>(
         &self,
         ids: impl IntoIterator<Item = &'a DeweyId>,
     ) -> Result<Vec<u32>, &'a DeweyId> {
-        let ids = ids.into_iter();
-        let mut rows = Vec::with_capacity(ids.size_hint().0);
-        // The rows of the previous id's prefixes, root first.
-        let mut path: Vec<u32> = Vec::new();
-        let mut prev: Option<&DeweyId> = None;
-        for id in ids {
-            path.truncate(prev.and_then(|p| p.common_prefix_len(id)).map_or(0, |k| k + 1));
-            if path.is_empty() {
-                match self.roots.get(id.doc().0 as usize) {
-                    Some(&root) => path.push(root),
-                    None => return Err(id),
-                }
-            }
-            for &step in id.steps().get(path.len() - 1..).unwrap_or_default() {
-                match path.last().and_then(|&row| self.child(row, step)) {
-                    Some(child) => path.push(child),
-                    None => return Err(id),
-                }
-            }
-            rows.extend(path.last());
-            prev = Some(id);
-        }
-        Ok(rows)
+        let mut resolver = self.resolver();
+        ids.into_iter().map(|id| resolver.row(id.doc(), id.steps()).ok_or(id)).collect()
+    }
+
+    /// A resolver of ids to rows that starts each id from the rows of the
+    /// prefix it shares with the one before it.
+    pub(crate) fn resolver(&self) -> RowResolver<'_> {
+        RowResolver { table: self, doc: None, steps: Vec::new(), path: Vec::new() }
     }
 
     /// The parent row of `row`; `None` for a document root.
@@ -422,6 +408,50 @@ impl NodeTable {
     #[cfg(test)]
     pub(crate) fn meta_mut(&mut self, row: u32) -> &mut NodeMeta {
         &mut self.metas[row as usize]
+    }
+}
+
+/// Resolves a sequence of ids, given as a document and its steps, to rows.
+/// It keeps the previous id and the rows of its prefixes, so an id reads
+/// one child slot only for each step it does not share with the id before
+/// it: a sorted posting list resolves in about one read per posting. Both
+/// [`NodeTable::rows_of`] and the posting store's row fetch resolve
+/// through it.
+#[derive(Debug)]
+pub(crate) struct RowResolver<'a> {
+    table: &'a NodeTable,
+    /// The previous id's document; `None` before the first id and after a
+    /// failed one.
+    doc: Option<DocId>,
+    /// The previous id's steps.
+    steps: Vec<Step>,
+    /// The rows of the previous id's prefixes, root first: one more than
+    /// `steps`.
+    path: Vec<u32>,
+}
+
+impl RowResolver<'_> {
+    /// The row of the id `doc`/`steps`, or `None` if no row describes it.
+    pub(crate) fn row(&mut self, doc: DocId, steps: &[Step]) -> Option<u32> {
+        let shared = match self.doc {
+            Some(prev) if prev == doc => {
+                self.steps.iter().zip(steps).take_while(|(a, b)| a == b).count() + 1
+            }
+            _ => 0,
+        };
+        self.path.truncate(shared);
+        self.steps.truncate(shared.saturating_sub(1));
+        self.doc = None;
+        if self.path.is_empty() {
+            self.path.push(*self.table.roots.get(doc.0 as usize)?);
+        }
+        for &step in steps.get(self.steps.len()..).unwrap_or_default() {
+            let child = self.path.last().and_then(|&row| self.table.child(row, step))?;
+            self.path.push(child);
+            self.steps.push(step);
+        }
+        self.doc = Some(doc);
+        self.path.last().copied()
     }
 }
 

@@ -564,6 +564,7 @@ const DECODE_SOURCES: &[&str] = &[
     "for_each_in_block(",
     "run_reader(",
     "try_postings(",
+    "try_rows(",
 ];
 /// Ways to turn that outcome into an empty value, whitespace removed.
 const SILENT_DEFAULTS: &[&str] =
@@ -800,6 +801,7 @@ fn d(r: &Reader, dead: &[u32]) -> Option<(Vec<DeweyId>, u64)> {
 fn f(&self, i: usize) -> Result<Vec<DeweyId>, E> { let list = self.run_reader(i)?.decode_all()?; Ok(list) }
 fn g(t: &Table, ids: &[DeweyId]) -> Option<Vec<u32>> { t.rows_of(ids).ok() }
 fn h(r: &Reader) -> Vec<DeweyId> { let ids = r.decode_all(); ids.unwrap_or_default() }
+fn i(ix: &GksIndex, t: &str) -> &[u32] { ix.try_rows(t).unwrap_or_default() }
 // r.decode_all().unwrap_or_default() in a comment
 #[cfg(test)]
 mod tests {
@@ -814,6 +816,7 @@ mod tests {
                 (2, "no-silent-decode-default"),
                 (3, "no-silent-decode-default"),
                 (6, "no-silent-decode-default"),
+                (11, "no-silent-decode-default"),
             ]
         );
     }
