@@ -101,14 +101,14 @@ mod tests {
 
     #[test]
     fn index_size_comparable_to_data_size() {
-        // Table 4's key property: the index is the same order of magnitude
-        // as the raw data (0.8–1.0× in the paper).
+        // Table 4's key property: the index is no larger than the raw data
+        // (0.8–1.0× in the paper).
         let xml = Dataset::Dblp.generate(2000, 3);
         let corpus = Corpus::from_named_strs([("dblp", xml)]).unwrap();
         let index = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
         let bytes = index.to_bytes_v3().unwrap().len() as f64;
         let raw = corpus.total_bytes() as f64;
-        assert!(bytes < raw * 1.6, "index {bytes} vs raw {raw}");
+        assert!(bytes < raw * 1.0, "index {bytes} vs raw {raw}");
         assert!(bytes > raw * 0.2, "index {bytes} vs raw {raw}");
     }
 }

@@ -356,9 +356,9 @@ fn doctor_reports_a_shard_that_does_not_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A term of two blocks whose second block's leader no longer agrees with
-/// its skip entry: the run parses (open reads no posting block) and fails
-/// only when a query decodes it. The search names the term as a corrupt
+/// A term of two blocks whose second skip entry no longer points past the
+/// first block's gaps: the run parses (open reads no posting block) and
+/// fails only when a query decodes it. The search names the term as a corrupt
 /// index, `/search` answers 500, the doctor reports the run, and a query
 /// on another term still answers.
 #[test]
@@ -372,14 +372,14 @@ fn a_run_that_fails_to_decode_is_a_corrupt_index_not_a_missing_keyword() {
     let ix_s = ix.to_str().unwrap();
     run(&args(&["index", ix_s, xml.to_str().unwrap()])).unwrap();
 
-    // "zzz" sorts last, so its run is the last in the file: postings [0]
-    // to [129] of document 0, the second block holding [128] and [129].
-    // Its leader (doc 0, depth 1, step 128) is the last occurrence of
-    // these bytes; step 128 becomes 129.
+    // "zzz" sorts last, so its run is the last in the file: rows 1 to 130,
+    // the second block holding 129 and 130. Its skip entry (first row 129,
+    // offset 127) is the last occurrence of these bytes; offset 127 becomes
+    // 126, one gap short of the first block's.
     let mut bytes = std::fs::read(&ix).unwrap();
-    let block = [0x00, 0x01, 0x80, 0x01, 0x01, 0x01, 0x81, 0x01];
-    let at = bytes.windows(block.len()).rposition(|w| w == block).unwrap();
-    bytes[at + 2] = 0x81;
+    let skip = [0x81, 0x01, 0x7f, 0x01, 0x01];
+    let at = bytes.windows(skip.len()).rposition(|w| w == skip).unwrap();
+    bytes[at + 2] = 0x7e;
     std::fs::write(&ix, &bytes).unwrap();
 
     let err = run(&args(&["search", ix_s, "zzz"])).unwrap_err();

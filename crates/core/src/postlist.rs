@@ -6,37 +6,29 @@
 //! model at text-node granularity, since author names, course titles, etc.
 //! each live in one text node.
 //!
-//! Lists are node-table rows, which sort as the Dewey ids do. A term's rows
-//! are resolved once, on its first fetch, and cached in its posting slot
-//! ([`GksIndex::try_rows`]); every later query borrows them, so a warm
-//! plain keyword is neither decoded nor resolved again.
+//! Lists are node-table rows, which sort as the Dewey ids do and are what
+//! the index file stores. A term's rows are decoded once, on its first
+//! fetch, and cached in its posting slot ([`GksIndex::try_rows`]); every
+//! later query borrows them, so a warm plain keyword decodes nothing.
 //!
-//! A phrase intersects its terms' Dewey ids, which the same slots cache
-//! ([`GksIndex::try_postings`]), and resolves only the survivors to rows.
-//! Resolving a term reads the node table's child index for every posting,
-//! reads that mostly miss the cache on a freshly opened index, and a
-//! phrase's terms (first and last names) are often long while their
-//! intersection is short; decoding ids reads only the run.
-//!
-//! Phrase intersection is one merge-join kernel. The terms are taken in
-//! order of their dictionary counts, which the index answers without
-//! decoding, so an absent term ends the phrase before any partner is
-//! decoded. The two shortest lists are joined straight into the owned
-//! result: by a two-pointer walk while their lengths are comparable (first
-//! and last names interleave across the whole list, so there is nothing to
-//! skip), by galloping each short id through the long list once the long
-//! one is [`GALLOP_RATIO`] times longer. Every later term filters the
-//! already-small result with the same galloping seek.
+//! A phrase intersects its terms' cached rows with one merge-join kernel.
+//! The terms are taken in order of their dictionary counts, which the index
+//! answers without decoding, so an absent term ends the phrase before any
+//! partner is decoded. The two shortest lists are joined straight into the
+//! owned result: by a two-pointer walk while their lengths are comparable
+//! (first and last names interleave across the whole list, so there is
+//! nothing to skip), by galloping each short row through the long list once
+//! the long one is [`GALLOP_RATIO`] times longer. Every later term filters
+//! the already-small result with the same galloping seek.
 //!
 //! A keyword's rows are one fetch ([`keyword_rows`]): a single term's
 //! cached rows, borrowed, or a phrase's owned intersection. The search then
 //! drops each dead document's row range ([`NodeTable::doc_rows`]), which
 //! copies the list only under a mask. A run that fails to decode, for any
-//! term of a phrase too, or a posting that no row describes, is
+//! term of a phrase too, or rows out of order or past the node table, are
 //! [`QueryError::CorruptIndex`].
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 use gks_dewey::{DeweyId, DocId};
 use gks_index::{GksIndex, NodeTable};
@@ -49,16 +41,13 @@ use crate::query::Keyword;
 /// joined by galloping rather than by a walk over both lists.
 const GALLOP_RATIO: usize = 16;
 
-/// The document-ordered list of nodes matching `keyword`, empty if any term
-/// is absent from the corpus, or if the index is corrupt (which the search
-/// reports as [`QueryError::CorruptIndex`]): a term's rows read back to
-/// ids, or a phrase's intersection before it is resolved.
+/// The document-ordered list of nodes matching `keyword`, read back from
+/// rows to ids; empty if any term is absent from the corpus, or if the
+/// index is corrupt (which the search reports as
+/// [`QueryError::CorruptIndex`]).
 pub fn keyword_postings(index: &GksIndex, keyword: &Keyword) -> Vec<DeweyId> {
-    let ids = match keyword.terms() {
-        terms @ [_, _, ..] => phrase_ids(index, terms),
-        _ => keyword_rows(index, keyword).map(|rows| ids_of(index.node_table(), &rows)),
-    };
-    ids.unwrap_or_default()
+    let rows = keyword_rows(index, keyword).unwrap_or_default();
+    ids_of(index.node_table(), &rows)
 }
 
 /// [`keyword_postings`] with tombstoned documents masked out — any posting
@@ -92,7 +81,7 @@ fn ids_of(table: &NodeTable, rows: &[u32]) -> Vec<DeweyId> {
 /// [`keyword_postings_counted`] as node-table rows, the form the search
 /// runs on: one fetch and one row mask. An unmasked single term borrows
 /// its cached rows. Fails with [`QueryError::CorruptIndex`] when a term's
-/// run fails to decode or a posting names a node that no row describes.
+/// run fails to decode or holds rows out of order or past the node table.
 pub(crate) fn keyword_rows_counted<'a>(
     index: &'a GksIndex,
     dead: &[u32],
@@ -114,26 +103,20 @@ pub(crate) fn keyword_rows_counted<'a>(
 }
 
 /// The rows of `keyword`, in document order: a single term's cached rows,
-/// borrowed, or a phrase's intersection (see the module docs).
+/// borrowed, or a phrase's intersection of its terms' cached rows,
+/// shortest first (see the module docs).
 fn keyword_rows<'a>(index: &'a GksIndex, keyword: &Keyword) -> Result<Cow<'a, [u32]>, QueryError> {
+    let fetch = |term: &str| index.try_rows(term).map_err(|_| corrupt(term));
     match keyword.terms() {
         [] => Ok(Cow::Borrowed(&[])),
-        [term] => index.try_rows(term).map(Cow::Borrowed).map_err(|_| corrupt(term)),
+        [term] => fetch(term).map(Cow::Borrowed),
         terms => {
-            let ids = phrase_ids(index, terms)?;
-            let rows = index.node_table().rows_of(&ids);
-            rows.map(Cow::Owned).map_err(|_| corrupt(&terms.join(" ")))
+            let mut by_count: Vec<(usize, &str)> =
+                terms.iter().map(|t| (index.posting_count(t), t.as_str())).collect();
+            by_count.sort_unstable();
+            intersect(by_count.into_iter().map(|(_, t)| fetch(t))).map(Cow::Owned)
         }
     }
-}
-
-/// The ids of the nodes that contain every one of `terms`, in document
-/// order: the terms' cached ids, intersected shortest first.
-fn phrase_ids(index: &GksIndex, terms: &[String]) -> Result<Vec<DeweyId>, QueryError> {
-    let mut by_count: Vec<(usize, &str)> =
-        terms.iter().map(|t| (index.posting_count(t), t.as_str())).collect();
-    by_count.sort_unstable();
-    intersect(by_count.into_iter().map(|(_, t)| index.try_postings(t).map_err(|_| corrupt(t))))
 }
 
 fn corrupt(term: &str) -> QueryError {
@@ -154,13 +137,11 @@ fn mask_rows(table: &NodeTable, rows: &[u32], dead: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// Intersects sorted, deduplicated lists, drawn shortest first. Lists are
-/// pulled lazily: an empty first list or an empty running result stops the
-/// join before the next list is fetched (and, from the index, decoded). The
-/// first fetch that fails is the error.
-fn intersect<'a, E>(
-    mut lists: impl Iterator<Item = Result<&'a [DeweyId], E>>,
-) -> Result<Vec<DeweyId>, E> {
+/// Intersects sorted, deduplicated row lists, drawn shortest first. Lists
+/// are pulled lazily: an empty first list or an empty running result stops
+/// the join before the next list is fetched (and, from the index, decoded).
+/// The first fetch that fails is the error.
+fn intersect<'a, E>(mut lists: impl Iterator<Item = Result<&'a [u32], E>>) -> Result<Vec<u32>, E> {
     let first = match lists.next().transpose()? {
         Some(list) if !list.is_empty() => list,
         _ => return Ok(Vec::new()),
@@ -190,33 +171,33 @@ fn intersect<'a, E>(
     Ok(common)
 }
 
-/// The ids common to two lists of comparable length, by one pass over both.
-/// Each step advances whichever side compared lower, both on a match.
-fn walk_join(a: &[DeweyId], b: &[DeweyId]) -> Vec<DeweyId> {
+/// The rows common to two lists of comparable length, by one pass over
+/// both. Each step advances whichever side is lower, both on a match.
+fn walk_join(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        let order = a[i].cmp(&b[j]);
-        if order == Ordering::Equal {
-            out.push(a[i].clone());
+        let (x, y) = (a[i], b[j]);
+        if x == y {
+            out.push(x);
         }
-        i += usize::from(order != Ordering::Greater);
-        j += usize::from(order != Ordering::Less);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     out
 }
 
-/// The ids of `short` that occur in `long`, each sought by galloping from
+/// The rows of `short` that occur in `long`, each sought by galloping from
 /// where the previous seek stopped: O(|short| · log gap) comparisons.
-fn gallop_join(short: &[DeweyId], long: &[DeweyId]) -> Vec<DeweyId> {
+fn gallop_join(short: &[u32], long: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
     let mut at = 0;
-    for id in short {
-        at = gallop(long, at, id);
+    for &row in short {
+        at = gallop(long, at, row);
         match long.get(at) {
             None => break,
-            Some(found) if found == id => {
-                out.push(id.clone());
+            Some(&found) if found == row => {
+                out.push(row);
                 at += 1;
             }
             Some(_) => {}
@@ -225,18 +206,18 @@ fn gallop_join(short: &[DeweyId], long: &[DeweyId]) -> Vec<DeweyId> {
     out
 }
 
-/// The first position at or after `from` whose id is not below `target`
+/// The first position at or after `from` whose row is not below `target`
 /// (`list.len()` if none): doubling steps bracket it, a binary search
 /// finds it inside the bracket.
-fn gallop(list: &[DeweyId], from: usize, target: &DeweyId) -> usize {
+fn gallop(list: &[u32], from: usize, target: u32) -> usize {
     let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < list.len() && list[hi] < *target {
+    while hi < list.len() && list[hi] < target {
         lo = hi + 1;
         hi += step;
         step *= 2;
     }
     let hi = hi.min(list.len());
-    lo + list[lo..hi].partition_point(|id| id < target)
+    lo + list[lo..hi].partition_point(|&row| row < target)
 }
 
 #[cfg(test)]
@@ -251,16 +232,16 @@ mod tests {
         DeweyId::new(DocId(0), steps.to_vec())
     }
 
-    fn intersected(lists: &[&[DeweyId]]) -> Vec<DeweyId> {
+    fn intersected(lists: &[&[u32]]) -> Vec<u32> {
         intersect(lists.iter().map(|&list| Ok::<_, ()>(list))).unwrap()
     }
 
     #[test]
     fn intersect_basics() {
-        let a = vec![d(&[0]), d(&[1]), d(&[3]), d(&[7])];
-        let b = vec![d(&[1]), d(&[2]), d(&[3]), d(&[9])];
-        assert_eq!(intersected(&[&a, &b]), vec![d(&[1]), d(&[3])]);
-        assert_eq!(intersected(&[&b, &a]), vec![d(&[1]), d(&[3])]);
+        let a = vec![0, 1, 3, 7];
+        let b = vec![1, 2, 3, 9];
+        assert_eq!(intersected(&[&a, &b]), vec![1, 3]);
+        assert_eq!(intersected(&[&b, &a]), vec![1, 3]);
         assert_eq!(intersected(&[&a, &[]]), vec![]);
         assert_eq!(intersected(&[&[], &b]), vec![]);
         assert_eq!(intersected(&[&a, &a]), a);
@@ -270,62 +251,45 @@ mod tests {
 
     #[test]
     fn intersect_large_gallop() {
-        let long: Vec<DeweyId> = (0..1000).map(|i| d(&[i])).collect();
-        let short = vec![d(&[0]), d(&[500]), d(&[999]), d(&[2000])];
+        let long: Vec<u32> = (0..1000).collect();
+        let short = vec![0, 500, 999, 2000];
         assert!(long.len() / short.len() >= GALLOP_RATIO);
-        let want = vec![d(&[0]), d(&[500]), d(&[999])];
+        let want = vec![0, 500, 999];
         assert_eq!(intersected(&[&short, &long]), want);
         assert_eq!(gallop_join(&short, &long), want);
     }
 
     #[test]
-    fn walk_and_gallop_agree_on_disjoint_and_nested_ranges() {
-        let low: Vec<DeweyId> = (0..40).map(|i| d(&[i])).collect();
-        let high: Vec<DeweyId> = (100..140).map(|i| d(&[i])).collect();
+    fn walk_and_gallop_agree_on_disjoint_ranges() {
+        let low: Vec<u32> = (0..40).collect();
+        let high: Vec<u32> = (100..140).collect();
         assert!(walk_join(&low, &high).is_empty());
         assert!(gallop_join(&low, &high).is_empty());
         assert!(gallop_join(&high, &low).is_empty());
-        // Ancestors sort right before their descendants: a prefix is not a match.
-        let parents = vec![d(&[1]), d(&[2])];
-        let children = vec![d(&[1, 0]), d(&[2, 0])];
-        assert!(walk_join(&parents, &children).is_empty());
-        assert!(gallop_join(&parents, &children).is_empty());
     }
 
     #[test]
-    fn gallop_seeks_the_first_id_not_below_the_target() {
-        let list: Vec<DeweyId> = (0..100).map(|i| d(&[2 * i])).collect();
-        assert_eq!(gallop(&list, 0, &d(&[0])), 0);
-        assert_eq!(gallop(&list, 0, &d(&[1])), 1);
-        assert_eq!(gallop(&list, 10, &d(&[20])), 10);
-        assert_eq!(gallop(&list, 10, &d(&[151])), 76);
-        assert_eq!(gallop(&list, 0, &d(&[198])), 99);
-        assert_eq!(gallop(&list, 0, &d(&[199])), 100);
-        assert_eq!(gallop(&list, 100, &d(&[0])), 100);
-        assert_eq!(gallop(&[], 0, &d(&[0])), 0);
+    fn gallop_seeks_the_first_row_not_below_the_target() {
+        let list: Vec<u32> = (0..100).map(|i| 2 * i).collect();
+        assert_eq!(gallop(&list, 0, 0), 0);
+        assert_eq!(gallop(&list, 0, 1), 1);
+        assert_eq!(gallop(&list, 10, 20), 10);
+        assert_eq!(gallop(&list, 10, 151), 76);
+        assert_eq!(gallop(&list, 0, 198), 99);
+        assert_eq!(gallop(&list, 0, 199), 100);
+        assert_eq!(gallop(&list, 100, 0), 100);
+        assert_eq!(gallop(&[], 0, 0), 0);
     }
 
-    /// A random id over `docs` documents at depth 0..=9, so inline and
-    /// spilled ids (more than six steps) mix.
-    fn random_id(rng: &mut proptest::TestRng, docs: usize) -> DeweyId {
-        let doc = DocId(rng.below(docs) as u32);
-        let steps = (0..rng.below(10)).map(|_| rng.below(3) as u32).collect();
-        DeweyId::new(doc, steps)
-    }
-
-    /// A sorted, deduplicated list of exactly `len` ids, about half of them
-    /// drawn from `pool` so that independently drawn lists overlap.
-    fn random_list(
-        rng: &mut proptest::TestRng,
-        pool: &[DeweyId],
-        docs: usize,
-        len: usize,
-    ) -> Vec<DeweyId> {
+    /// A sorted, deduplicated list of exactly `len` rows below `rows`, about
+    /// half of them drawn from `pool` so that independently drawn lists
+    /// overlap.
+    fn random_list(rng: &mut proptest::TestRng, pool: &[u32], rows: usize, len: usize) -> Vec<u32> {
         let mut set = BTreeSet::new();
         while set.len() < len {
             set.insert(match rng.below(2) {
-                0 => pool[rng.below(pool.len())].clone(),
-                _ => random_id(rng, docs),
+                0 => pool[rng.below(pool.len())],
+                _ => rng.below(rows) as u32,
             });
         }
         set.into_iter().collect()
@@ -342,23 +306,24 @@ mod tests {
             long_len in 0usize..400,
             ratio in prop::sample::select(vec![1usize, 15, 16, 17, 200]),
             extra in 0usize..3,
-            docs in 1usize..4,
+            spread in 1usize..4,
         ) {
             let mut rng = proptest::TestRng::deterministic(&seed.to_string());
-            let pool: Vec<DeweyId> = (0..64).map(|_| random_id(&mut rng, docs)).collect();
+            let rows = 800 * spread;
+            let pool: Vec<u32> = (0..64).map(|_| rng.below(rows) as u32).collect();
             let mut lists = vec![
-                random_list(&mut rng, &pool, docs, long_len / ratio),
-                random_list(&mut rng, &pool, docs, long_len),
+                random_list(&mut rng, &pool, rows, long_len / ratio),
+                random_list(&mut rng, &pool, rows, long_len),
             ];
             for _ in 0..extra {
                 let len = rng.below(400);
-                lists.push(random_list(&mut rng, &pool, docs, len));
+                lists.push(random_list(&mut rng, &pool, rows, len));
             }
             lists.sort_by_key(Vec::len);
-            let want: Vec<DeweyId> = lists
+            let want: Vec<u32> = lists
                 .iter()
-                .map(|l| l.iter().cloned().collect::<BTreeSet<_>>())
-                .reduce(|acc, s| acc.intersection(&s).cloned().collect())
+                .map(|l| l.iter().copied().collect::<BTreeSet<_>>())
+                .reduce(|acc, s| acc.intersection(&s).copied().collect())
                 .map(|s| s.into_iter().collect())
                 .unwrap_or_default();
             let got = intersect(lists.iter().map(|l| Ok::<_, ()>(l.as_slice()))).unwrap();
@@ -537,29 +502,29 @@ mod tests {
         let again = search(&ix, &plain, SearchOptions::default()).unwrap();
         assert_eq!((ix.decoded_terms(), ix.inverted().resident_bytes()), warm);
         assert_eq!(format!("{:?}", first.hits()), format!("{:?}", again.hits()));
-        // A phrase adds its terms' ids to the same slots, once.
+        // A phrase joins the same cached rows and adds nothing to the slots.
         let phrase = crate::query::Query::parse(r#"ka "ka kb""#).unwrap();
         let first = search(&ix, &phrase, SearchOptions::default()).unwrap();
         let warm = (ix.decoded_terms(), ix.inverted().resident_bytes());
-        assert_eq!(warm.0, 2, "still ka and kb");
+        assert_eq!(warm, (2, 4 * postings as u64), "still ka and kb, 4 B a posting");
         let again = search(&ix, &phrase, SearchOptions::default()).unwrap();
         assert_eq!((ix.decoded_terms(), ix.inverted().resident_bytes()), warm);
         assert_eq!(format!("{:?}", first.hits()), format!("{:?}", again.hits()));
     }
 
-    /// `<r><a>ka</a><a>zzz</a></r>` saved as v3 with the bytes of the last
+    /// `<r><a>ka</a><a>zzz</a></r>` saved with the bytes of the last
     /// posting run, `zzz`'s, handed to `tamper`. That run is the single
-    /// posting `0.1`: last document 0, then document 0, one step, step 1.
+    /// posting at row 2, the second `<a>`: one byte.
     fn tampered(tamper: impl FnOnce(&mut [u8])) -> GksIndex {
         let corpus = Corpus::from_named_strs([("d", "<r><a>ka</a><a>zzz</a></r>")]).unwrap();
         let built = GksIndex::build(&corpus, IndexOptions::default()).unwrap();
-        assert_eq!(built.postings("zzz"), [DeweyId::new(DocId(0), vec![1])]);
+        assert_eq!(built.try_rows("zzz").unwrap(), [2]);
         let mut bytes = built.to_bytes_v3().unwrap().to_vec();
         // The runs end where the fixed-size footer starts.
         const FOOTER_LEN: usize = 8 * 12 + 4;
         let end = bytes.len() - FOOTER_LEN;
-        let run = &mut bytes[end - 4..end];
-        assert_eq!(run, [0, 0, 1, 1]);
+        let run = &mut bytes[end - 1..end];
+        assert_eq!(run, [2]);
         tamper(run);
         GksIndex::from_mapped(std::sync::Arc::new(bytes::Mmap::from(bytes))).unwrap()
     }
@@ -567,23 +532,22 @@ mod tests {
     #[test]
     fn a_corrupt_run_or_a_dangling_posting_is_corrupt_index_and_caches_nothing() {
         use crate::search::{search, SearchOptions};
-        // Five steps announced where one is present; a step past the root's
-        // two children. A phrase resolves only its intersection, which the
-        // dangling posting is not in, so it meets only the run that fails
-        // to decode.
+        // A varint with no end; a row past the table's three. A phrase
+        // joins the rows its terms' fetches checked, so it meets both.
         fn undecodable(run: &mut [u8]) {
-            run[2] = 5;
+            run[0] = 0x80;
         }
         fn dangling(run: &mut [u8]) {
-            run[3] = 9;
+            run[0] = 9;
         }
         type Tamper = fn(&mut [u8]);
-        let cases: [(&str, Tamper, &str); 5] = [
+        let cases: [(&str, Tamper, &str); 6] = [
             ("decode", undecodable, "zzz"),
             ("decode", undecodable, "ka zzz"),
             ("decode", undecodable, r#""ka zzz""#),
             ("row", dangling, "zzz"),
             ("row", dangling, "ka zzz"),
+            ("row", dangling, r#""ka zzz""#),
         ];
         for (what, tamper, text) in cases {
             let ix = tampered(tamper);
@@ -607,10 +571,12 @@ mod tests {
                 assert_eq!(*slots.get_or_insert(now), now, "{what} {text}");
             }
         }
-        // The Dewey adapter reads what the run holds, whether a row
-        // describes it or not.
-        assert!(tampered(undecodable).try_postings("zzz").is_err());
-        assert_eq!(tampered(dangling).postings("zzz"), [DeweyId::new(DocId(0), vec![9])]);
+        // The Dewey adapter builds ids from checked rows only.
+        for tamper in [undecodable as Tamper, dangling] {
+            let ix = tampered(tamper);
+            assert!(ix.try_postings("zzz").is_err());
+            assert!(ix.postings("zzz").is_empty());
+        }
     }
 
     #[test]

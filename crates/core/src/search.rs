@@ -5,7 +5,7 @@
 //! described in DESIGN.md):
 //!
 //! 1. fetch each keyword's posting list as node-table rows (a term's rows
-//!    are resolved on its first fetch and cached) and k-way merge them into
+//!    are decoded on its first fetch and cached) and k-way merge them into
 //!    `SL`;
 //! 2. slide a window of `s` unique keywords over `SL`, collecting the longest
 //!    common prefix of each minimal block → candidate GKS nodes;
@@ -23,9 +23,9 @@
 //! Steps 1–6 run on `u32` pre-order rows of the node table, which sort as
 //! the Dewey ids do (see `gks_index::node_table`). A Dewey id is read for
 //! the pruning's ancestor test and copied only into an emitted [`Hit`]. A
-//! posting run that fails to decode, or a posting no row describes, is a
-//! corrupt index, reported as [`QueryError::CorruptIndex`] rather than
-//! answered from.
+//! posting run that fails to decode, or rows out of order or past the node
+//! table, are a corrupt index, reported as [`QueryError::CorruptIndex`]
+//! rather than answered from.
 
 use gks_dewey::DeweyId;
 use gks_index::{GksIndex, NodeTable};

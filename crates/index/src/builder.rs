@@ -8,13 +8,12 @@
 //! attribute/repeating status, fills in its children's node-table rows, and
 //! reports a structural summary to its parent. Rows are appended at each
 //! element's start with their depth, the height of the frame stack, so the
-//! rows are in pre-order; [`NodeTable::link`] numbers them at the end, and
-//! their id column — Dewey order — doubles as the ordinal → id map the
-//! posting lists resolve through.
+//! rows are in pre-order; [`NodeTable::link`] numbers them at the end. A
+//! posting records its node's row, the pre-order ordinal, which is also
+//! what the file stores.
 
 use std::time::Instant;
 
-use gks_dewey::codec::DecodeError;
 use gks_dewey::{DeweyId, DocId};
 use gks_text::Analyzer;
 use gks_xml::{Event, Reader};
@@ -27,7 +26,7 @@ use crate::corpus::Corpus;
 use crate::error::IndexError;
 use crate::node_table::{NodeMeta, NodeTable};
 use crate::options::IndexOptions;
-use crate::postings::{InvertedIndex, PostingStore};
+use crate::postings::{InvertedIndex, PostingStore, PostingView};
 use crate::stats::{CategoryCensus, IndexStats};
 
 /// A fully built GKS index over a corpus. Immutable: a build ends in one
@@ -155,25 +154,26 @@ impl GksIndex {
     }
 
     /// Inverted-index lookup: the document-ordered posting list `S_i` of a
-    /// normalized term, as Dewey ids. The first access decodes the term's
-    /// blocked run and caches the ids; one that fails to decode reads as
-    /// empty.
+    /// normalized term, as Dewey ids built from its rows. A run that
+    /// [`Self::try_rows`] refuses reads as empty.
     pub fn postings(&self, term: &str) -> &[DeweyId] {
-        self.inverted.postings(term)
+        self.inverted().postings(term)
     }
 
-    /// [`Self::postings`], with a run that fails to decode an error.
-    pub fn try_postings(&self, term: &str) -> Result<&[DeweyId], DecodeError> {
-        self.inverted.try_postings(term)
+    /// [`Self::postings`], with a run that [`Self::try_rows`] refuses an
+    /// error.
+    pub fn try_postings(&self, term: &str) -> Result<&[DeweyId], IndexError> {
+        self.inverted().try_postings(term)
     }
 
     /// The search engine's fetch: a normalized term's postings as
     /// node-table rows, in document order. The first access decodes the
-    /// term's run straight to rows and caches them in the term's posting
-    /// slot; a run that fails to decode, or a posting that no row
-    /// describes, is [`IndexError::Corrupt`], and nothing is cached.
+    /// term's run and caches the rows in the term's posting slot; a run
+    /// that fails to decode, or rows that do not strictly increase or reach
+    /// past the node table, are [`IndexError::Corrupt`], and nothing is
+    /// cached.
     pub fn try_rows(&self, term: &str) -> Result<&[u32], IndexError> {
-        self.inverted.try_rows(term, &self.node_table)
+        self.inverted.try_rows(term, self.node_table.len())
     }
 
     /// Posting-list length for a term without forcing a decode: the term
@@ -220,8 +220,14 @@ impl GksIndex {
         &self.doc_bytes
     }
 
-    /// The posting store (persistence and diagnostics).
-    pub fn inverted(&self) -> &PostingStore {
+    /// The posting store read through this index's node table
+    /// (diagnostics and the Dewey-id adapters).
+    pub fn inverted(&self) -> PostingView<'_> {
+        PostingView::new(&self.inverted, &self.node_table)
+    }
+
+    /// The posting store itself (persistence and the doctor).
+    pub(crate) fn posting_store(&self) -> &PostingStore {
         &self.inverted
     }
 
@@ -330,9 +336,9 @@ impl IndexBuilder {
         }
     }
 
-    /// Ends the build: links the node table, which numbers its rows, then
-    /// encodes the accumulated postings through those ids as blocked runs
-    /// and opens them as the index's [`PostingStore`].
+    /// Ends the build: encodes the accumulated postings as row runs,
+    /// summing the pushed rows' depths, links the node table, which numbers
+    /// its rows, and opens the runs as the index's [`PostingStore`].
     fn finish(mut self, start: Instant) -> Result<GksIndex, IndexError> {
         for (name, census) in self.node_table.labels().names().iter().zip(&self.label_census) {
             if census.total() > 0 {
@@ -350,8 +356,9 @@ impl IndexBuilder {
             ..
         } = self;
         attrs.seal();
+        let tier = inverted.finish(node_table.pushed_depths())?;
         node_table.link(doc_names.len())?;
-        let inverted = inverted.finish(node_table.ids())?.open(&mut stats)?;
+        let inverted = tier.open(&mut stats)?;
         stats.build_millis = start.elapsed().as_millis() as u64;
         let index =
             GksIndex::from_parts(options, node_table, inverted, attrs, stats, doc_names, doc_bytes);

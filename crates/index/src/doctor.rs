@@ -1,9 +1,10 @@
 //! The index doctor: end-to-end invariant checking over a built index.
 //!
 //! GKS correctness rests on structural invariants the paper assumes but
-//! never re-checks at runtime: posting lists are document-ordered by Dewey
-//! id (§2.4 — the stack-based sweep silently produces wrong SLCA/ELCA
-//! answers on out-of-order postings), every posting names a recorded node,
+//! never re-checks at runtime: posting lists are in document order (§2.4 —
+//! the stack-based sweep silently produces wrong SLCA/ELCA answers on
+//! out-of-order postings; a posting is a node-table row, and rows are in
+//! pre-order), every posting names a recorded node,
 //! and the AN/RN/EN/CN census of Table 5 must agree with the node table's
 //! category flags. The doctor validates all of them plus the attribute
 //! store, returning a typed [`Violation`] report instead of panicking, so it
@@ -31,7 +32,7 @@ use crate::stats::CategoryCensus;
 /// One violated index invariant, as found by [`GksIndex::doctor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    /// A posting list is not strictly sorted by Dewey document order at
+    /// A posting list is not strictly sorted in document (row) order at
     /// `position` (equal neighbours — duplicates — also violate strictness).
     UnsortedPostings {
         /// The term whose list is broken.
@@ -39,12 +40,12 @@ pub enum Violation {
         /// Index of the first out-of-order posting within the list.
         position: usize,
     },
-    /// A posting references a Dewey id with no node-table entry.
+    /// A posting names a row past the node table.
     PostingUnknownNode {
         /// The term whose list contains the dangling posting.
         term: String,
-        /// The unresolvable Dewey id.
-        node: DeweyId,
+        /// The row no node has.
+        row: u32,
     },
     /// The node table holds a different number of nodes than the build
     /// statistics recorded.
@@ -124,10 +125,10 @@ impl fmt::Display for Violation {
         match self {
             Violation::UnsortedPostings { term, position } => write!(
                 f,
-                "posting list for {term:?} is not strictly Dewey-sorted at position {position}"
+                "posting list for {term:?} is not strictly in document order at position {position}"
             ),
-            Violation::PostingUnknownNode { term, node } => {
-                write!(f, "posting list for {term:?} references unknown node {node}")
+            Violation::PostingUnknownNode { term, row } => {
+                write!(f, "posting list for {term:?} references row {row}, past the node table")
             }
             Violation::NodeCountMismatch { in_table, in_stats } => {
                 write!(f, "node table holds {in_table} node(s) but statistics record {in_stats}")
@@ -177,16 +178,17 @@ pub fn check(index: &GksIndex) -> Vec<Violation> {
     violations
 }
 
-/// Posting lists must be strictly sorted by Dewey order (§2.4: "containing
-/// the Dewey id of all the nodes which contain that keyword", document-
-/// ordered and deduplicated), and every posting must resolve in the node
-/// table. One violation per broken list keeps reports readable.
+/// Posting lists must be strictly sorted in document order (§2.4:
+/// "containing the Dewey id of all the nodes which contain that keyword",
+/// document-ordered and deduplicated; a posting is its node's row, and rows
+/// are in pre-order), and every posting must be a row of the node table.
+/// One violation per broken list keeps reports readable.
 ///
 /// Each run is decoded into a local and dropped: the audit of a live index
 /// leaves its posting slots as it found them.
 fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
     let mut corrupt = None;
-    for (slot, (term, in_dict, run)) in index.inverted().audit().enumerate() {
+    for (slot, (term, in_dict, run)) in index.posting_store().audit().enumerate() {
         let list = run.unwrap_or_else(|e| {
             corrupt.get_or_insert(format!("posting run for term #{slot} failed to decode: {e}"));
             Vec::new()
@@ -194,8 +196,9 @@ fn check_postings(index: &GksIndex, out: &mut Vec<Violation>) {
         if let Some(pos) = list.windows(2).position(|w| w[0] >= w[1]) {
             out.push(Violation::UnsortedPostings { term: term.to_string(), position: pos + 1 });
         }
-        if let Some(node) = list.iter().find(|id| index.node_table().get(id).is_none()) {
-            out.push(Violation::PostingUnknownNode { term: term.to_string(), node: node.clone() });
+        let rows = index.node_table().len();
+        if let Some(&row) = list.iter().find(|&&row| row as usize >= rows) {
+            out.push(Violation::PostingUnknownNode { term: term.to_string(), row });
         }
         // Queries read counts from the term dictionary without decoding;
         // the audit cross-checks them against the decoded runs.
@@ -312,10 +315,13 @@ mod tests {
     use gks_dewey::{DeweyId, DocId};
     use std::sync::Arc;
 
-    /// Rewrites one term's posting list and re-encodes the store as handed.
-    fn tamper(ix: &mut GksIndex, term: &str, edit: impl FnOnce(&mut Vec<DeweyId>)) {
-        let mut lists: Vec<(String, Vec<DeweyId>)> =
-            ix.inverted().iter().map(|(t, list)| (t.to_string(), list.to_vec())).collect();
+    /// Rewrites one term's posting rows and re-encodes the store as handed.
+    fn tamper(ix: &mut GksIndex, term: &str, edit: impl FnOnce(&mut Vec<u32>)) {
+        let mut lists: Vec<(String, Vec<u32>)> = ix
+            .inverted()
+            .iter()
+            .map(|(t, _)| (t.to_string(), ix.try_rows(t).unwrap().to_vec()))
+            .collect();
         edit(&mut lists.iter_mut().find(|(t, _)| t == term).unwrap().1);
         ix.set_inverted(PostingStore::from_raw_lists(&lists).unwrap());
     }
@@ -418,7 +424,8 @@ mod tests {
     fn detects_dangling_posting_and_bad_attr_entry() {
         let mut ix = build();
         // A posting beyond every real node, appended in order.
-        tamper(&mut ix, "karen", |list| list.push(DeweyId::new(DocId(7), vec![1])));
+        let past = ix.node_table().len() as u32 + 4;
+        tamper(&mut ix, "karen", |list| list.push(past));
         // An entity record on <Courses>, a connecting node.
         let entity = DeweyId::new(DocId(0), vec![1]);
         let row = ix.node_table().row(&entity).unwrap();
@@ -436,15 +443,14 @@ mod tests {
         attrs.insert(row, 0, &[entry]).unwrap();
         let violations = ix.doctor();
         assert!(
-            violations.iter().any(
-                |v| matches!(v, Violation::PostingUnknownNode { term, .. } if term == "karen")
-            ),
+            violations.iter().any(|v| matches!(
+                v,
+                Violation::PostingUnknownNode { term, row } if term == "karen" && *row == past
+            )),
             "{violations:?}"
         );
         // The row fetch the search runs on refuses the same posting, names
         // the term and caches nothing, however often it is asked.
-        let dangling = DeweyId::new(DocId(7), vec![1]);
-        assert_eq!(ix.node_table().rows_of(ix.postings("karen")), Err(&dangling));
         let before = (ix.decoded_terms(), ix.inverted().resident_bytes());
         for _ in 0..2 {
             match ix.try_rows("karen") {

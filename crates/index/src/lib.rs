@@ -35,6 +35,7 @@ pub mod node_table;
 pub mod options;
 pub mod persist;
 pub mod postings;
+mod row_run;
 pub mod schema;
 pub mod shard;
 pub mod stats;
@@ -53,7 +54,7 @@ pub use error::IndexError;
 pub use node_table::{NodeMeta, NodeTable};
 pub use options::IndexOptions;
 pub use persist::{section_sizes, IndexFormat, SectionSizes};
-pub use postings::PostingStore;
+pub use postings::{PostingStore, PostingView};
 pub use schema::{PathStats, SchemaSummary};
 pub use shard::{
     is_manifest_file, split_corpus, DocEntry, ShardEntry, ShardKind, ShardManifest, ShardView,

@@ -21,8 +21,10 @@
 //!   entry's path and value the first time the walk meets it, with the
 //!   source's norm rather than a fresh analysis;
 //! * **postings** term by term in dictionary order, each source's run read
-//!   straight off its bytes, blocks of dropped documents skipped, and the
-//!   list encoded by the build's own tier encoder.
+//!   straight off its bytes, blocks of dropped documents skipped, a kept
+//!   document's rows moved by one constant (its output root row minus its
+//!   source root row), and the list encoded by the build's own tier
+//!   encoder.
 //!
 //! Sources are [`MergeSource`]s, not opened indexes: their node rows are
 //! read forward off the mapped file, so no source holds a decoded node
@@ -37,7 +39,6 @@ use std::time::Instant;
 
 use bytes::Mmap;
 use gks_dewey::codec::read_varint;
-use gks_dewey::{DeweyId, DocId};
 
 use crate::attrstore::{AttrIds, AttrStore};
 use crate::builder::GksIndex;
@@ -51,19 +52,16 @@ use crate::persist::{
 use crate::postings::{EncodedTier, PostingStore, Tier};
 use crate::stats::{CategoryCensus, IndexStats};
 
-/// Marks a source id with no output id yet (labels, paths, values) or a
-/// source document the merge drops.
+/// Marks a source id with no output id yet (labels, paths, values).
 const UNSEEN: u32 = u32::MAX;
 
 /// One source as the merge reads it.
 struct Source<'a> {
     src: &'a MergeSource,
     rows: NodeRows<'a>,
-    /// Local document → output document, [`UNSEEN`] when dropped.
-    out_doc: Vec<u32>,
-    /// `live_before[d]`: kept documents among locals `0..d`, so a block
-    /// covering documents `a..=b` keeps nothing when the two counts match.
-    live_before: Vec<u32>,
+    /// Documents the output keeps, in local order: each one's source rows
+    /// and its output root row.
+    kept_docs: Vec<(Range<u32>, u32)>,
     /// The next of the source's entities, in recording order, and the end
     /// of the source rows copied last: an entity listed later lies past it.
     entity: usize,
@@ -73,9 +71,9 @@ struct Source<'a> {
     values: Vec<u32>,
     /// Next dictionary slot of the posting merge.
     term: usize,
-    /// The current term's kept postings, renumbered, and how many of them
-    /// the join has taken.
-    kept: Vec<DeweyId>,
+    /// The current term's kept postings, as output rows, and how many of
+    /// them the join has taken.
+    kept: Vec<u32>,
     taken: usize,
 }
 
@@ -84,8 +82,7 @@ impl<'a> Source<'a> {
         Source {
             src,
             rows: src.rows(),
-            out_doc: vec![UNSEEN; src.doc_names.len()],
-            live_before: Vec::new(),
+            kept_docs: Vec::new(),
             entity: 0,
             copied_to: 0,
             labels: vec![UNSEEN; src.labels.len()],
@@ -95,17 +92,6 @@ impl<'a> Source<'a> {
             kept: Vec::new(),
             taken: 0,
         }
-    }
-
-    /// Readies a source that contributes documents: its block-skip counts.
-    fn prepare(&mut self) {
-        let mut live = 0u32;
-        self.live_before = std::iter::once(0)
-            .chain(self.out_doc.iter().map(|&d| {
-                live += u32::from(d != UNSEEN);
-                live
-            }))
-            .collect();
     }
 
     /// Refuses an entity the cursor has not reached in a document it copied
@@ -118,13 +104,10 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// True when no document in `first..=last` is kept.
-    fn all_dropped(&self, first: DocId, last: DocId) -> bool {
-        let at = |doc: u32| self.live_before.get(doc as usize).copied();
-        match (at(first.0), at(last.0.saturating_add(1))) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
+    /// True when a kept document has a row in `rows`.
+    fn keeps_any(&self, rows: Range<u32>) -> bool {
+        let next = self.kept_docs.partition_point(|(doc, _)| doc.end <= rows.start);
+        self.kept_docs.get(next).is_some_and(|(doc, _)| doc.start < rows.end)
     }
 }
 
@@ -200,6 +183,7 @@ impl Output {
             self.label_census[slot].add(primary);
             Ok(())
         })?;
+        source.kept_docs.push((rows.clone(), first));
 
         // The source recorded its entities document by document, so this
         // one's come next, after any of the dropped documents before it.
@@ -289,27 +273,25 @@ impl GksIndex {
             .map(|s| s.options.clone())
             .ok_or_else(|| corrupt("merge: no source index".into()))?;
         let mut sources: Vec<Source<'_>> = sources.iter().map(|src| Source::new(src)).collect();
-        for (i, &(s, local)) in docs.iter().enumerate() {
-            let source = sources
-                .get_mut(s)
-                .ok_or_else(|| corrupt(format!("merge: source {s} does not exist")))?;
-            let count = source.out_doc.len();
-            let slot = source.out_doc.get_mut(local as usize).ok_or_else(|| {
-                corrupt(format!("merge: document {local} is past source {s}'s {count}"))
-            })?;
-            *slot = u32::try_from(i)
-                .map_err(|_| corrupt("merge: more documents than the u32 id space".into()))?;
-        }
         let mut used = vec![0usize; sources.len()];
-        for &(s, _) in docs {
+        for &(s, local) in docs {
+            let source = sources
+                .get(s)
+                .ok_or_else(|| corrupt(format!("merge: source {s} does not exist")))?;
+            let count = source.src.doc_names.len();
+            if local as usize >= count {
+                return Err(corrupt(format!(
+                    "merge: document {local} is past source {s}'s {count}"
+                )));
+            }
             used[s] += 1;
         }
         // About as many rows as the kept share of each source's documents.
-        let mut rows = 0;
-        for (source, &kept) in sources.iter_mut().zip(&used).filter(|(_, &kept)| kept > 0) {
-            source.prepare();
-            rows += source.src.row_count * kept / source.out_doc.len().max(1);
-        }
+        let rows: usize = sources
+            .iter()
+            .zip(&used)
+            .map(|(source, &kept)| source.src.row_count * kept / source.src.doc_names.len().max(1))
+            .sum();
 
         let mut out = Output::default();
         out.node_table.reserve(rows);
@@ -332,8 +314,9 @@ impl GksIndex {
             .zip(used)
             .filter_map(|(s, kept)| (kept > 0).then_some(s))
             .collect();
-        let inverted = merge_postings(&mut active)?.open(&mut stats)?;
+        let tier = merge_postings(&mut active, node_table.pushed_depths())?;
         node_table.link(doc_names.len())?;
+        let inverted = tier.open(&mut stats)?;
         attrs.seal();
         stats.build_millis = start.elapsed().as_millis() as u64;
         let index =
@@ -351,12 +334,14 @@ impl GksIndex {
 }
 
 /// Merges the sources' sorted term dictionaries into one tier: for each
-/// term, every source's surviving postings renumbered into output
-/// documents, in document order. A term no kept document holds is dropped.
-fn merge_postings(sources: &mut [Source<'_>]) -> Result<EncodedTier, IndexError> {
+/// term, every source's surviving postings moved to their output rows, in
+/// document order. A term no kept document holds is dropped. `depths` are
+/// the output rows' depths.
+fn merge_postings(sources: &mut [Source<'_>], depths: &[u32]) -> Result<EncodedTier, IndexError> {
     let mut tier = EncodedTier::default();
-    let mut list: Vec<DeweyId> = Vec::new();
+    let mut list: Vec<u32> = Vec::new();
     let mut holders: Vec<usize> = Vec::new();
+    let mut block: Vec<u32> = Vec::new();
     loop {
         // The smallest head term, and every source whose head it is.
         holders.clear();
@@ -380,76 +365,96 @@ fn merge_postings(sources: &mut [Source<'_>]) -> Result<EncodedTier, IndexError>
         let Some(term) = least else { break };
         let term = term.to_owned();
         for &s in &holders {
-            sources[s].take_term()?;
+            sources[s].take_term(&mut block)?;
         }
         list.clear();
         join_by_document(sources, &holders, &mut list);
-        if list.is_empty() {
-            continue;
+        if !list.is_empty() {
+            tier.push(&term, &list, depths)?;
         }
-        if !list.windows(2).all(|w| w[0] < w[1]) {
-            return Err(IndexError::Invariant("merged posting list is not strictly increasing"));
-        }
-        tier.push(&term, &list)?;
     }
     Ok(tier)
 }
 
 impl Source<'_> {
     /// Reads the current term's run into `kept` — the postings of kept
-    /// documents, renumbered, every block of dropped documents skipped —
-    /// and moves on to the next term.
-    fn take_term(&mut self) -> Result<(), IndexError> {
+    /// documents, each moved by its document's shift, every block that
+    /// holds no kept row skipped — and moves on to the next term. Rows that
+    /// do not increase, or that reach past the source's node section, are
+    /// [`IndexError::Corrupt`].
+    fn take_term(&mut self, block: &mut Vec<u32>) -> Result<(), IndexError> {
         let src = self.src;
         let reader = src.inverted.run_reader(self.term)?;
         self.term += 1;
         self.kept.clear();
         self.taken = 0;
-        let mut unknown = None;
-        for (i, skip) in reader.skip_entries().iter().enumerate() {
-            if self.all_dropped(skip.first.doc(), skip.last_doc) {
+        let skips = reader.skips();
+        let row_count = u32::try_from(src.row_count).unwrap_or(u32::MAX);
+        let (mut doc, mut prev) = (0, None);
+        for (i, skip) in skips.iter().enumerate() {
+            let end = skips.get(i + 1).map_or(row_count, |next| next.first);
+            if end <= skip.first {
+                return Err(corrupt(
+                    "merge: posting blocks out of order or past the node rows".into(),
+                ));
+            }
+            if !self.keeps_any(skip.first..end) {
                 continue;
             }
-            let (out_doc, kept) = (&self.out_doc, &mut self.kept);
-            reader.for_each_in_block(i, |doc, steps| match out_doc.get(doc.0 as usize) {
-                Some(&out) if out != UNSEEN => kept.push(DeweyId::from_slice(DocId(out), steps)),
-                Some(_) => {}
-                None => unknown = Some(doc),
-            })?;
+            block.clear();
+            reader.decode_block(i, block)?;
+            for &row in block.iter() {
+                if prev.is_some_and(|p| p >= row) || row >= row_count {
+                    let what =
+                        format!("merge: posting row {row} out of order or past the node rows");
+                    return Err(corrupt(what));
+                }
+                prev = Some(row);
+                while self.kept_docs.get(doc).is_some_and(|(rows, _)| rows.end <= row) {
+                    doc += 1;
+                }
+                if let Some((rows, out)) =
+                    self.kept_docs.get(doc).filter(|(rows, _)| rows.contains(&row))
+                {
+                    self.kept.push(out + (row - rows.start));
+                }
+            }
         }
-        match unknown {
-            Some(doc) => Err(corrupt(format!("merge: posting in unknown document {doc}"))),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 
-/// Moves the holders' kept postings into `list` in document order. Each
-/// source's postings are in document order and no two sources share an
-/// output document, so a k-way merge on the head documents moves one
-/// document's run at a time; the caller checks the order it produced.
-fn join_by_document(sources: &mut [Source<'_>], holders: &[usize], list: &mut Vec<DeweyId>) {
+/// Moves the holders' kept rows into `list` in order. Each source's rows
+/// are sorted and no two sources share an output document, so a k-way
+/// merge moves, at each step, the lowest source's rows below every other
+/// source's head: at least one document's run at a time.
+fn join_by_document(sources: &mut [Source<'_>], holders: &[usize], list: &mut Vec<u32>) {
     let mut filled = holders.iter().filter(|&&s| !sources[s].kept.is_empty());
     if let (Some(&only), None) = (filled.next(), filled.next()) {
         std::mem::swap(list, &mut sources[only].kept);
         return;
     }
     loop {
-        let mut next: Option<(usize, DocId)> = None;
+        // The source with the lowest head row, and the lowest other head.
+        let mut next: Option<(usize, u32)> = None;
+        let mut bound = u32::MAX;
         for &s in holders {
             let source = &sources[s];
-            let Some(head) = source.kept.get(source.taken).map(DeweyId::doc) else {
+            let Some(&head) = source.kept.get(source.taken) else {
                 continue;
             };
             match next {
-                Some((_, doc)) if doc <= head => {}
-                _ => next = Some((s, head)),
+                Some((_, low)) if low <= head => bound = bound.min(head),
+                _ => {
+                    bound = next.map_or(bound, |(_, low)| bound.min(low));
+                    next = Some((s, head));
+                }
             }
         }
-        let Some((s, doc)) = next else { break };
+        let Some((s, _)) = next else { break };
         let source = &mut sources[s];
         let rest = &source.kept[source.taken..];
-        let run = rest.partition_point(|id| id.doc() <= doc).max(1);
+        let run = rest.partition_point(|&row| row < bound).max(1);
         list.extend_from_slice(&rest[..run]);
         source.taken += run;
     }

@@ -24,12 +24,12 @@
 //!
 //! `parents[r]` is row `r`'s parent row (`NO_ROW` for a document root),
 //! 4 B per row. `NodeTable::link` computes it to build the child index and
-//! keeps it, so the search engine walks up a root path by rows: a term's
-//! postings are resolved to rows once, when the posting store first
-//! decodes them (through the `RowResolver` that [`NodeTable::rows_of`]
-//! wraps too), and the window, LCE derivation and statistics sweep then
-//! step through [`NodeTable::parent`] and [`NodeTable::meta`] without
-//! touching an id.
+//! keeps it, so the search engine walks up a root path by rows. A posting
+//! is a row already, as the index file stores it, so the window, LCE
+//! derivation and statistics sweep step through [`NodeTable::parent`] and
+//! [`NodeTable::meta`] without touching an id. Only the frozen Dewey-id
+//! adapters go the other way, from ids to rows, through
+//! [`NodeTable::rows_of`].
 //!
 //! [`NodeTable::link`] is the one place a row gets its Dewey id. A build,
 //! a merge and an open each append rows as `(depth, meta)` in pre-order,
@@ -199,6 +199,12 @@ impl NodeTable {
         Ok(row)
     }
 
+    /// The depths of the rows pushed since the last [`Self::link`], in
+    /// pre-order: what a build's posting encoder sums per posting.
+    pub(crate) fn pushed_depths(&self) -> &[u32] {
+        &self.depths
+    }
+
     /// Sets the metadata of row `row` (a no-op for a row never pushed).
     pub(crate) fn set_meta(&mut self, row: u32, meta: NodeMeta) {
         if let Some(slot) = self.metas.get_mut(row as usize) {
@@ -286,21 +292,18 @@ impl NodeTable {
         self.children.get(slot).copied()
     }
 
-    /// The rows of `ids`, in order, each resolved by one `RowResolver`:
-    /// a sorted list costs one child read per step an id does not share
-    /// with its predecessor. Fails with the first id that no row describes.
+    /// The rows of `ids`, in order, each resolved by one `RowResolver`
+    /// that starts each id from the rows of the prefix it shares with the
+    /// one before it: a sorted list costs one child read per step an id
+    /// does not share with its predecessor. Fails with the first id that no
+    /// row describes.
     pub fn rows_of<'a>(
         &self,
         ids: impl IntoIterator<Item = &'a DeweyId>,
     ) -> Result<Vec<u32>, &'a DeweyId> {
-        let mut resolver = self.resolver();
+        let mut resolver =
+            RowResolver { table: self, doc: None, steps: Vec::new(), path: Vec::new() };
         ids.into_iter().map(|id| resolver.row(id.doc(), id.steps()).ok_or(id)).collect()
-    }
-
-    /// A resolver of ids to rows that starts each id from the rows of the
-    /// prefix it shares with the one before it.
-    pub(crate) fn resolver(&self) -> RowResolver<'_> {
-        RowResolver { table: self, doc: None, steps: Vec::new(), path: Vec::new() }
     }
 
     /// The parent row of `row`; `None` for a document root.
@@ -414,11 +417,10 @@ impl NodeTable {
 /// Resolves a sequence of ids, given as a document and its steps, to rows.
 /// It keeps the previous id and the rows of its prefixes, so an id reads
 /// one child slot only for each step it does not share with the id before
-/// it: a sorted posting list resolves in about one read per posting. Both
-/// [`NodeTable::rows_of`] and the posting store's row fetch resolve
-/// through it.
+/// it: a sorted list resolves in about one read per id. Only
+/// [`NodeTable::rows_of`] resolves through it.
 #[derive(Debug)]
-pub(crate) struct RowResolver<'a> {
+struct RowResolver<'a> {
     table: &'a NodeTable,
     /// The previous id's document; `None` before the first id and after a
     /// failed one.
@@ -432,7 +434,7 @@ pub(crate) struct RowResolver<'a> {
 
 impl RowResolver<'_> {
     /// The row of the id `doc`/`steps`, or `None` if no row describes it.
-    pub(crate) fn row(&mut self, doc: DocId, steps: &[Step]) -> Option<u32> {
+    fn row(&mut self, doc: DocId, steps: &[Step]) -> Option<u32> {
         let shared = match self.doc {
             Some(prev) if prev == doc => {
                 self.steps.iter().zip(steps).take_while(|(a, b)| a == b).count() + 1

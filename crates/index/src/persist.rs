@@ -13,8 +13,8 @@
 //! [`PostingStore`](crate::postings::PostingStore) holds it: a **sorted term
 //! dictionary** (term bytes + posting-run offset/count per term), a
 //! fixed-width offset table for binary search straight off the file, and a
-//! postings region of blocked delta-prefix runs
-//! ([`gks_dewey::codec::encode_blocked_run`]). Saving copies that tier
+//! postings region of row runs ([`crate::row_run`]: each posting its
+//! node-table row, as LEB128 gaps in 128-posting blocks). Saving copies that tier
 //! verbatim — no run is decoded or re-encoded, whether the index was built
 //! or opened. A fixed footer carries the section offsets and two
 //! checksums ([`checksum`]): one over the eager sections, which an open
@@ -52,8 +52,10 @@ const MAGIC: &[u8; 5] = b"GKSIX";
 /// when each document name gained its XML byte length and the stats section
 /// lost the corpus total those lengths sum to, 9 → 10 when each node row
 /// stored its depth instead of its Dewey id, each entity its node-table row
-/// instead of its id, and the footer gained the eager sections' checksum).
-const VERSION: u32 = 10;
+/// instead of its id, and the footer gained the eager sections' checksum,
+/// 10 → 11 when each posting stored its node-table row instead of its
+/// Dewey id).
+const VERSION: u32 = 11;
 /// Trailing magic of the footer; lets the doctor tell "not an index file"
 /// from "index file with a torn footer".
 const TAIL_MAGIC: &[u8; 4] = b"GKS3";
@@ -67,7 +69,7 @@ const FOOTER_LEN: usize = 12 * 8 + TAIL_MAGIC.len();
 /// `IndexFormat::V3`, until the next `[benchmark]` PR can drop that call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexFormat {
-    /// Blocked postings + term dictionary + footer; opens via `mmap`.
+    /// Row-run postings + term dictionary + footer; opens via `mmap`.
     V3,
 }
 
@@ -92,7 +94,7 @@ pub struct SectionSizes {
     pub stats: u64,
     /// Term-dictionary bytes (records + offset table).
     pub term_dict: u64,
-    /// Posting bytes (blocked runs).
+    /// Posting bytes (row runs).
     pub postings: u64,
     /// Footer bytes.
     pub footer: u64,
@@ -548,7 +550,7 @@ pub(crate) fn read_frame(bytes: &[u8]) -> Result<Frame, IndexError> {
 
 impl GksIndex {
     /// Serializes the index: eager sections, then the posting tier (sorted
-    /// term dictionary, its offset table, the blocked postings region)
+    /// term dictionary, its offset table, the row-run postings region)
     /// copied verbatim from the store, and the checksummed footer. (The
     /// `_v3` suffix is the name the frozen `perf/` benchmark calls, and the
     /// `Result` the type it unwraps; nothing here fails.)
@@ -576,7 +578,7 @@ impl GksIndex {
         write_stats(&mut out, self);
         let eager_sum = checksum(&[&out.as_ref()[header_len..]]);
 
-        let (tier, offs, post) = self.inverted().tier_bytes();
+        let (tier, offs, post) = self.posting_store().tier_bytes();
         let dict_off = out.len() as u64;
         out.put_slice(tier);
         let (offs_off, post_off) = (dict_off + offs as u64, dict_off + post as u64);
@@ -589,7 +591,7 @@ impl GksIndex {
         for v in [doc_off, lab_off, node_off, attr_off, stat_off, dict_off, offs_off, post_off] {
             footer.put_u64(v);
         }
-        footer.put_u64(self.inverted().term_count() as u64);
+        footer.put_u64(self.posting_store().term_count() as u64);
         footer.put_u64(out.len() as u64 + FOOTER_LEN as u64);
         footer.put_u64(eager_sum);
         footer.put_u64(checksum(&[&out.as_ref()[..header_len], footer.as_ref()]));
@@ -834,13 +836,14 @@ mod tests {
         // entry, 4 was the eager single-stream layout, 5 had one more stats
         // field, 6 stored the node ids in the older sorted-run codec, 7 had
         // three more header bytes, 8 stored names without byte lengths, 9
-        // stored node and entity ids and one footer checksum; reading one as
+        // stored node and entity ids and one footer checksum, 10 stored each
+        // posting as a Dewey id in the delta-prefix codec; reading one as
         // the current layout would mis-parse, so the number — checked before
         // anything else — is what refuses it.
         let ix = sample_index();
         let dir = std::env::temp_dir().join(format!("gks-persist-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for old in [2u32, 3, 4, 5, 6, 7, 8, 9] {
+        for old in [2u32, 3, 4, 5, 6, 7, 8, 9, 10] {
             let mut bytes = ix.to_bytes_v3().unwrap().to_vec();
             bytes[5..9].copy_from_slice(&old.to_be_bytes());
             let path = dir.join(format!("v{old}.gksix"));
@@ -1173,13 +1176,14 @@ mod tests {
         assert!(!dead(&built).is_empty());
         for (term, _) in built.inverted().iter() {
             assert_eq!(
-                built.try_postings(term),
-                reopened.try_postings(term),
+                built.try_postings(term).unwrap(),
+                reopened.try_postings(term).unwrap(),
                 "postings for {term}"
             );
             assert_eq!(built.posting_count(term), reopened.posting_count(term));
-            let rows = |ix: &GksIndex| ix.node_table().rows_of(ix.postings(term)).unwrap();
+            let rows = |ix: &GksIndex| ix.try_rows(term).unwrap().to_vec();
             assert_eq!(rows(&built), rows(&reopened), "rows for {term}");
+            assert_eq!(built.node_table().rows_of(built.postings(term)).unwrap(), rows(&built));
         }
     }
 }

@@ -8,43 +8,45 @@
 //! lowest meaningful ancestor is applied at candidate-generation time by the
 //! search engine, which promotes attribute-node candidates to their parents.
 //!
-//! There is one store, [`PostingStore`]: a sorted term dictionary, a
-//! fixed-width offset table and the blocked runs
-//! ([`gks_dewey::codec::encode_blocked_run`]), laid out as in a `.gksix`
-//! file. An opened index reads that tier off its mapped file; a built one
-//! off an owned buffer the builder's [`InvertedIndex`] accumulator encoded.
-//! Either way a run stays encoded until a query first touches its term.
+//! A list here holds each node's node-table row, its pre-order ordinal,
+//! rather than its Dewey id: pre-order is Dewey order, so a sorted row list
+//! is the paper's list, and the row is the form the build produces and the
+//! search engine runs on. A Dewey id is read off the node table only where
+//! one is handed out.
 //!
-//! A term's slot holds its postings as node-table rows, the form the search
-//! engine runs on. The first fetch (`GksIndex::try_rows`) decodes the
-//! run straight to rows: each posting's document and steps are walked down
-//! the node table's child index from the rows of the prefix it shares with
-//! the posting before it, and no Dewey id is built. Later fetches borrow
-//! the rows. The same slot holds the term's Dewey ids only once they are
-//! asked for ([`PostingStore::try_postings`], `postings`, `iter`): by a
-//! phrase, which intersects ids, or by an adapter that hands out ids.
+//! There is one store, [`PostingStore`]: a sorted term dictionary, a
+//! fixed-width offset table and the row runs ([`crate::row_run`]: LEB128
+//! row gaps in 128-posting blocks), laid out as in a `.gksix` file. An
+//! opened index reads that tier off its mapped file; a built one off an
+//! owned buffer the builder's [`InvertedIndex`] accumulator encoded. Either
+//! way a run stays encoded until a query first touches its term.
+//!
+//! A term's slot holds its rows once they are first fetched
+//! (`GksIndex::try_rows`): the fetch decodes the gaps, checks that the rows
+//! strictly increase and stay below the node count, and caches them; later
+//! fetches borrow them. The same slot holds the term's Dewey ids only for
+//! the adapters that hand out ids ([`PostingView`]: `postings`,
+//! `try_postings`, `iter`), which build them from the rows.
 
 use std::sync::{Arc, OnceLock};
 
 use bytes::{Buf, BufMut, Mmap};
-use gks_dewey::codec::{
-    encode_blocked_run, read_varint, write_varint, BlockedRunReader, DecodeError,
-};
+use gks_dewey::codec::{read_varint, write_varint, DecodeError};
 use gks_dewey::DeweyId;
 use gks_text::{tokenize_into, Analyzer};
 
 use crate::error::IndexError;
 use crate::fasthash::FastMap;
 use crate::node_table::NodeTable;
+use crate::row_run::{encode_row_run, RowRunReader};
 use crate::stats::IndexStats;
 
 /// Build-time accumulator of posting lists, by interned term. It does not
 /// outlive the build: [`Self::finish`] turns it into an [`EncodedTier`].
 ///
-/// A posting is a node's pre-order ordinal, a `u32`, not its [`DeweyId`]:
-/// pre-order is Dewey order, so the lists sort and dedup as integers, and
-/// the node table's id column resolves each ordinal once, when its term is
-/// encoded.
+/// A posting is a node's pre-order ordinal, a `u32`, which is the node's
+/// row in the node table and what the file stores: pre-order is Dewey
+/// order, so the lists sort and dedup as integers.
 ///
 /// Analysis is memoised here too. An element name is normalized once per
 /// label and a token is analysed once per distinct token, so the memos grow
@@ -149,28 +151,22 @@ impl InvertedIndex {
     /// Sorts every list into document order, removes duplicate postings (a
     /// node contains a keyword once no matter how many times the keyword
     /// occurs in one text value) and encodes the lists, in term-byte order,
-    /// as one posting tier, resolving ordinal `i` to `nodes[i]` (the node
-    /// table's id column). Each list is freed as soon as it is encoded.
+    /// as one posting tier. `depths` holds the depth of every row pushed to
+    /// the node table. Each list is freed as soon as it is encoded.
     ///
-    /// Errors on an ordinal past `nodes`, or if the term dictionary outgrows
-    /// the fixed-width `u32` offset table (4GiB of term records — far past
-    /// any real corpus).
-    pub(crate) fn finish(self, nodes: &[DeweyId]) -> Result<EncodedTier, IndexError> {
+    /// Errors on an ordinal past `depths`, or if the term dictionary
+    /// outgrows the fixed-width `u32` offset table (4GiB of term records —
+    /// far past any real corpus).
+    pub(crate) fn finish(self, depths: &[u32]) -> Result<EncodedTier, IndexError> {
         let InvertedIndex { terms, mut lists, .. } = self;
         let mut order: Vec<usize> = (0..terms.len()).collect();
         order.sort_unstable_by(|&a, &b| terms[a].as_bytes().cmp(terms[b].as_bytes()));
         let mut tier = EncodedTier::default();
-        let mut ids: Vec<DeweyId> = Vec::new();
         for i in order {
             let mut list = std::mem::take(&mut lists[i]);
             list.sort_unstable();
             list.dedup();
-            ids.clear();
-            for &ord in &list {
-                let id = nodes.get(ord as usize).ok_or(IndexError::Invariant("unknown ordinal"))?;
-                ids.push(id.clone());
-            }
-            tier.push(&terms[i], &ids)?;
+            tier.push(&terms[i], &list, depths)?;
         }
         Ok(tier)
     }
@@ -189,14 +185,14 @@ fn list_bytes(list: &[DeweyId]) -> u64 {
 struct Slot {
     /// The postings as node-table rows, the search engine's form.
     rows: OnceLock<Box<[u32]>>,
-    /// The postings as Dewey ids, filled only for the adapters that hand
-    /// out ids.
+    /// The postings as Dewey ids, built from the rows only for the adapters
+    /// that hand out ids.
     ids: OnceLock<Box<[DeweyId]>>,
 }
 
 impl Slot {
     fn is_decoded(&self) -> bool {
-        self.rows.get().is_some() || self.ids.get().is_some()
+        self.rows.get().is_some()
     }
 
     /// Heap bytes of both forms: 4 B a posting for the rows, the records
@@ -208,7 +204,7 @@ impl Slot {
 }
 
 /// Where a posting tier sits in its backing bytes: term records in
-/// `dict..offs`, the `u32` record-offset table in `offs..post`, the blocked
+/// `dict..offs`, the `u32` record-offset table in `offs..post`, the row
 /// runs in `post..end`. Everything inside is relative to `dict` (record
 /// offsets) or `post` (run starts), so a tier can be copied anywhere.
 #[derive(Debug, Clone, Copy)]
@@ -236,19 +232,39 @@ pub(crate) struct EncodedTier {
 }
 
 impl EncodedTier {
-    /// Encodes the next term's list as handed (the caller brings terms in
-    /// byte order).
-    pub(crate) fn push(&mut self, term: &str, list: &[DeweyId]) -> Result<(), IndexError> {
+    /// Encodes the next term's rows (the caller brings terms in byte
+    /// order). `depths` holds the depth of every row of the index being
+    /// made; a row past it, or rows that do not strictly increase, are an
+    /// [`IndexError::Invariant`].
+    pub(crate) fn push(
+        &mut self,
+        term: &str,
+        rows: &[u32],
+        depths: &[u32],
+    ) -> Result<(), IndexError> {
+        let mut depth_sum = 0u64;
+        for (k, &row) in rows.iter().enumerate() {
+            if k > 0 && rows[k - 1] >= row {
+                return Err(IndexError::Invariant("posting rows not strictly increasing"));
+            }
+            let depth = depths.get(row as usize).ok_or(IndexError::Invariant("unknown ordinal"))?;
+            depth_sum += u64::from(*depth);
+        }
+        self.depth_sum += depth_sum;
+        self.push_run(term, rows)
+    }
+
+    /// Encodes `rows` as the next term's run, unchecked.
+    fn push_run(&mut self, term: &str, rows: &[u32]) -> Result<(), IndexError> {
         let rec = u32::try_from(self.dict.len())
             .map_err(|_| IndexError::Invariant("term dictionary exceeds 4GiB"))?;
         self.rec_offsets.push(rec);
         write_varint(&mut self.dict, term.len() as u64);
         self.dict.put_slice(term.as_bytes());
         write_varint(&mut self.dict, self.runs.len() as u64);
-        write_varint(&mut self.dict, list.len() as u64);
-        encode_blocked_run(list, &mut self.runs);
-        self.postings += list.len() as u64;
-        self.depth_sum += list.iter().map(|d| d.depth() as u64).sum::<u64>();
+        write_varint(&mut self.dict, rows.len() as u64);
+        encode_row_run(rows, &mut self.runs);
+        self.postings += rows.len() as u64;
         Ok(())
     }
 
@@ -279,7 +295,7 @@ struct TermEntry {
     /// Absolute byte range of the UTF-8 term.
     term_start: usize,
     term_len: usize,
-    /// Absolute byte range of the term's blocked posting run.
+    /// Absolute byte range of the term's row run.
     post_start: usize,
     post_len: usize,
     /// Posting count, known without decoding the run.
@@ -287,11 +303,11 @@ struct TermEntry {
 }
 
 /// The posting lists of an index, built or opened: a validated term
-/// dictionary over lazily-decoded blocked runs.
+/// dictionary over lazily-decoded row runs.
 ///
 /// The dictionary lives as byte ranges into the backing bytes — the mapped
 /// index file, or the buffer a build encoded; each posting list stays
-/// encoded until its term is first fetched, which decodes its blocked run
+/// encoded until its term is first fetched, which decodes its row run
 /// into the term's slot. Making an index therefore never touches posting
 /// blocks, and a shard only pays decode cost (and heap residency) for the
 /// terms queries actually hit. The engine borrows a term's rows from its
@@ -403,17 +419,14 @@ impl PostingStore {
         Ok(PostingStore { map, tier, terms, slots })
     }
 
-    /// A store over exactly the lists handed in — in term-byte order, but
-    /// otherwise unchecked — for the doctor's corrupted-index fixtures. (The
-    /// block codec stores documents absolutely and steps by shared prefix,
-    /// so an out-of-order list encodes.)
+    /// A store over exactly the row lists handed in — in term-byte order,
+    /// but otherwise unchecked — for the corrupted-index fixtures. (Gaps
+    /// wrap, so a falling list encodes too.)
     #[cfg(test)]
-    pub(crate) fn from_raw_lists(
-        lists: &[(String, Vec<DeweyId>)],
-    ) -> Result<PostingStore, IndexError> {
+    pub(crate) fn from_raw_lists(lists: &[(String, Vec<u32>)]) -> Result<PostingStore, IndexError> {
         let mut tier = EncodedTier::default();
-        for (term, list) in lists {
-            tier.push(term, list)?;
+        for (term, rows) in lists {
+            tier.push_run(term, rows)?;
         }
         tier.open(&mut IndexStats::default())
     }
@@ -447,86 +460,53 @@ impl PostingStore {
             .ok()
     }
 
-    /// A reader over term `i`'s blocked run, straight off the backing
-    /// bytes. No slot is filled, so a caller that reads every run (a merge)
-    /// leaves none of them resident.
-    pub(crate) fn run_reader(&self, i: usize) -> Result<BlockedRunReader<'_>, DecodeError> {
+    /// A reader over term `i`'s run, straight off the backing bytes. No
+    /// slot is filled, so a caller that reads every run (a merge) leaves
+    /// none of them resident.
+    pub(crate) fn run_reader(&self, i: usize) -> Result<RowRunReader<'_>, DecodeError> {
         let e = &self.terms[i];
-        let mut input = &self.map.as_slice()[e.post_start..e.post_start + e.post_len];
-        BlockedRunReader::parse(&mut input, e.count)
+        RowRunReader::parse(&self.map.as_slice()[e.post_start..e.post_start + e.post_len], e.count)
     }
 
-    /// The rows of term `i`'s postings, decoding the run straight to rows
-    /// through `table` and caching them on first access. A run that fails
-    /// to decode, or a posting that no row describes, is an error and
-    /// caches nothing.
-    fn rows_at(&self, i: usize, table: &NodeTable) -> Result<&[u32], IndexError> {
+    /// The rows of term `i`'s postings, decoded and cached on first access.
+    /// A run that fails to decode, or rows that do not strictly increase or
+    /// reach past the `node_count` rows of the index's table, are
+    /// [`IndexError::Corrupt`] naming the term, and cache nothing.
+    fn rows_at(&self, i: usize, node_count: usize) -> Result<&[u32], IndexError> {
         let slot = &self.slots[i];
         if let Some(rows) = slot.rows.get() {
             return Ok(rows);
         }
-        let reader = self.run_reader(i)?;
-        // Every posting takes at least a byte of its run, so a count that a
-        // corrupt dictionary inflated reserves no more than the run's size.
-        let mut rows = Vec::with_capacity(reader.total().min(self.terms[i].post_len));
-        let mut resolver = table.resolver();
-        let mut dangling = false;
-        for block in 0..reader.skip_entries().len() {
-            reader.for_each_in_block(block, |doc, steps| match resolver.row(doc, steps) {
-                Some(row) => rows.push(row),
-                None => dangling = true,
-            })?;
-            if dangling {
-                return Err(IndexError::Corrupt(format!(
-                    "a posting of term {:?} names no node",
-                    self.term_str(i)
-                )));
-            }
+        let mut rows = Vec::new();
+        let term = || self.term_str(i);
+        self.run_reader(i)
+            .and_then(|run| run.decode_rows(&mut rows))
+            .map_err(|e| IndexError::Corrupt(format!("the run of term {:?}: {e}", term())))?;
+        if rows.windows(2).any(|w| w[0] >= w[1]) {
+            let what = format!("the postings of term {:?} are not in document order", term());
+            return Err(IndexError::Corrupt(what));
+        }
+        if rows.last().is_some_and(|&row| row as usize >= node_count) {
+            return Err(IndexError::Corrupt(format!(
+                "a posting of term {:?} names no node",
+                term()
+            )));
         }
         Ok(slot.rows.get_or_init(|| rows.into_boxed_slice()))
     }
 
-    /// The Dewey ids of term `i`'s postings, decoding (and caching) the
-    /// blocked run on first access. A run that fails to decode is an error
-    /// and caches nothing.
-    fn ids_at(&self, i: usize) -> Result<&[DeweyId], DecodeError> {
-        let slot = &self.slots[i];
-        if let Some(ids) = slot.ids.get() {
-            return Ok(ids);
-        }
-        let ids = self.run_reader(i)?.decode_all()?;
-        Ok(slot.ids.get_or_init(|| ids.into_boxed_slice()))
-    }
-
-    /// A term's postings as node-table rows of `table`, in document order:
-    /// empty for an unknown term. This is the search engine's fetch, which
+    /// A term's postings as node-table rows, in document order: empty for an
+    /// unknown term. This is the search engine's fetch, which
     /// [`GksIndex::try_rows`](crate::GksIndex::try_rows) makes with the
-    /// index's own table. The first fetch of a term decodes its run
-    /// straight to rows and caches them; later ones borrow them. A run
-    /// that fails to decode, or a posting that no row of `table` describes,
-    /// is an error, and the term stays as it was.
-    pub(crate) fn try_rows(&self, term: &str, table: &NodeTable) -> Result<&[u32], IndexError> {
+    /// index's own row count. The first fetch of a term decodes its run and
+    /// caches the rows; later ones borrow them. A run that fails to decode,
+    /// or rows out of order or past `node_count`, are an error, and the
+    /// term stays as it was.
+    pub(crate) fn try_rows(&self, term: &str, node_count: usize) -> Result<&[u32], IndexError> {
         match self.lookup(term) {
-            Some(i) => self.rows_at(i, table),
+            Some(i) => self.rows_at(i, node_count),
             None => Ok(&[]),
         }
-    }
-
-    /// A term's postings as Dewey ids, by name: empty for an unknown term,
-    /// an error for a run that fails to decode. The ids are decoded into
-    /// the term's slot on first access, beside any rows already there.
-    pub fn try_postings(&self, term: &str) -> Result<&[DeweyId], DecodeError> {
-        match self.lookup(term) {
-            Some(i) => self.ids_at(i),
-            None => Ok(&[]),
-        }
-    }
-
-    /// [`Self::try_postings`] with a run that fails to decode read as an
-    /// empty list, for callers that cannot take an error. The engine does
-    /// not call it, and the doctor's [`Self::audit`] reports such a run.
-    pub fn postings(&self, term: &str) -> &[DeweyId] {
-        self.try_postings(term).unwrap_or(&[])
     }
 
     /// Posting count for a term, straight from the dictionary — no decode.
@@ -539,29 +519,21 @@ impl PostingStore {
         self.terms.len()
     }
 
-    /// Iterates `(term, postings)` in sorted term order, decoding each list
-    /// into its slot (the borrowed slices need somewhere to live) as
-    /// [`Self::postings`] does.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[DeweyId])> {
-        (0..self.terms.len())
-            .map(|i| self.term_str(i))
-            .map(|term| (term, self.postings(term)))
-    }
-
     /// Each term in sorted order with its dictionary count and a transient
-    /// decode of its run: the slots stay as they were, so auditing a live
-    /// index makes none of its lists resident.
+    /// decode of its run, unchecked: the slots stay as they were, so
+    /// auditing a live index makes none of its lists resident.
     pub(crate) fn audit(
         &self,
-    ) -> impl Iterator<Item = (&str, usize, Result<Vec<DeweyId>, DecodeError>)> {
+    ) -> impl Iterator<Item = (&str, usize, Result<Vec<u32>, DecodeError>)> {
         (0..self.terms.len()).map(move |i| {
-            let run = self.run_reader(i).and_then(|r| r.decode_all());
+            let mut rows = Vec::new();
+            let run = self.run_reader(i).and_then(|r| r.decode_rows(&mut rows)).map(|()| rows);
             (self.term_str(i), self.terms[i].count, run)
         })
     }
 
-    /// How many terms have had their run decoded so far, as rows, as ids
-    /// or both (0 for an index just built or just opened).
+    /// How many terms have had their run decoded so far (0 for an index
+    /// just built or just opened).
     pub fn decoded_terms(&self) -> usize {
         self.slots.iter().filter(|slot| slot.is_decoded()).count()
     }
@@ -582,6 +554,71 @@ impl PostingStore {
     }
 }
 
+/// A posting store read together with the node table of its index, as
+/// [`GksIndex::inverted`](crate::GksIndex::inverted) hands it out: the
+/// Dewey-id adapters live here, because an id is a row's, read off the
+/// table. The search engine fetches rows instead
+/// ([`GksIndex::try_rows`](crate::GksIndex::try_rows)).
+#[derive(Debug, Clone, Copy)]
+pub struct PostingView<'a> {
+    store: &'a PostingStore,
+    table: &'a NodeTable,
+}
+
+impl<'a> PostingView<'a> {
+    pub(crate) fn new(store: &'a PostingStore, table: &'a NodeTable) -> Self {
+        PostingView { store, table }
+    }
+
+    /// A term's postings as Dewey ids, by name: empty for an unknown term,
+    /// an error for a run the row fetch refuses. The ids are built from
+    /// the rows through [`NodeTable::id`] and cached in the term's slot
+    /// beside them.
+    pub fn try_postings(self, term: &str) -> Result<&'a [DeweyId], IndexError> {
+        let Some(i) = self.store.lookup(term) else {
+            return Ok(&[]);
+        };
+        let slot = &self.store.slots[i];
+        if let Some(ids) = slot.ids.get() {
+            return Ok(ids);
+        }
+        let rows = self.store.rows_at(i, self.table.len())?;
+        let ids = rows
+            .iter()
+            .map(|&row| self.table.id(row).cloned())
+            .collect::<Option<Box<[DeweyId]>>>()
+            .ok_or(IndexError::Invariant("a checked row has no id"))?;
+        Ok(slot.ids.get_or_init(|| ids))
+    }
+
+    /// [`Self::try_postings`] with a refused run read as an empty list, for
+    /// callers that cannot take an error. The engine does not call it, and
+    /// the doctor's audit reports such a run.
+    pub fn postings(self, term: &str) -> &'a [DeweyId] {
+        self.try_postings(term).unwrap_or(&[])
+    }
+
+    /// Iterates `(term, postings)` in sorted term order, building each
+    /// list's ids into its slot (the borrowed slices need somewhere to
+    /// live) as [`Self::postings`] does.
+    pub fn iter(self) -> impl Iterator<Item = (&'a str, &'a [DeweyId])> + 'a {
+        (0..self.store.terms.len()).map(move |i| {
+            let term = self.store.term_str(i);
+            (term, self.postings(term))
+        })
+    }
+
+    /// Number of distinct terms.
+    pub fn term_count(self) -> usize {
+        self.store.term_count()
+    }
+
+    /// Estimated heap bytes held by decoded posting lists, rows and ids.
+    pub fn resident_bytes(self) -> u64 {
+        self.store.resident_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,67 +628,9 @@ mod tests {
         DeweyId::new(DocId(doc), steps.to_vec())
     }
 
-    /// Finishes `acc` with `nodes` as its id column.
-    fn finish(acc: InvertedIndex, nodes: &[DeweyId]) -> PostingStore {
-        acc.finish(nodes).unwrap().open(&mut IndexStats::default()).unwrap()
-    }
-
-    #[test]
-    fn postings_sorted_and_deduped() {
-        let nodes = [d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])];
-        let mut acc = InvertedIndex::default();
-        let karen = acc.term_id("karen");
-        acc.push(karen, 1);
-        acc.push(karen, 0);
-        acc.push(karen, 0); // duplicate occurrence
-        acc.push(karen, 2);
-        let ix = finish(acc, &nodes);
-        assert_eq!(ix.postings("karen"), &[d(0, &[0, 1, 1, 0]), d(0, &[0, 1, 1, 2]), d(1, &[0])]);
-    }
-
-    #[test]
-    fn an_ordinal_past_the_id_column_is_an_error() {
-        let mut acc = InvertedIndex::default();
-        let a = acc.term_id("a");
-        acc.push(a, 1);
-        assert!(matches!(acc.finish(&[d(0, &[])]), Err(IndexError::Invariant(_))));
-    }
-
-    #[test]
-    fn memoised_analysis_posts_what_the_analyzer_yields() {
-        let analyzer = Analyzer::default();
-        let nodes = [d(0, &[]), d(0, &[0]), d(0, &[1])];
-        let mut acc = InvertedIndex::default();
-        acc.post_label(0, "dblp:Authors", 0, &analyzer);
-        acc.post_label(0, "dblp:Authors", 2, &analyzer);
-        acc.post_label(1, "the", 1, &analyzer); // a stop word: no term
-        acc.post_text("Searching the Databases", 1, &analyzer);
-        acc.post_text("databases SEARCHING", 2, &analyzer);
-        for text in ["Searching the Databases", "unseen Words, searching"] {
-            assert_eq!(acc.norm(text, &analyzer), analyzer.analyze(text).join(" "));
-        }
-        assert_eq!(acc.terms, ["author", "search", "databas"]);
-        let ix = finish(acc, &nodes);
-        assert_eq!(ix.postings("author"), &[d(0, &[]), d(0, &[1])]);
-        assert_eq!(ix.postings("search"), &[d(0, &[0]), d(0, &[1])]);
-        assert_eq!(ix.postings("databas"), &[d(0, &[0]), d(0, &[1])]);
-    }
-
-    #[test]
-    fn unknown_term_is_empty() {
-        let ix = finish(InvertedIndex::default(), &[]);
-        assert!(ix.postings("nothing").is_empty());
-        assert_eq!(ix.posting_count("nothing"), 0);
-    }
-
-    #[test]
-    fn term_ids_are_stable() {
-        let mut acc = InvertedIndex::default();
-        let a = acc.term_id("a");
-        let b = acc.term_id("b");
-        assert_ne!(a, b);
-        assert_eq!(acc.term_id("a"), a);
-        assert_eq!(finish(acc, &[]).term_count(), 2);
+    /// Finishes `acc` over rows of the given depths.
+    fn finish(acc: InvertedIndex, depths: &[u32]) -> PostingStore {
+        acc.finish(depths).unwrap().open(&mut IndexStats::default()).unwrap()
     }
 
     /// A linked table of one document: a root with `children` children.
@@ -666,47 +645,113 @@ mod tests {
     }
 
     #[test]
-    fn a_run_that_fails_to_decode_is_an_error_and_is_not_cached() {
-        // Two blocks: [0]..[127], then [128] and [129]. The second block's
-        // leader (doc 0, depth 1, step 128) ends the run; step 128 becomes
-        // 129, so the leader disagrees with its skip entry.
-        let ids: Vec<DeweyId> = (0..130).map(|k| d(0, &[k])).collect();
-        let mut tier = EncodedTier::default();
-        tier.push("a", &ids[..1]).unwrap();
-        tier.push("z", &ids).unwrap();
-        let block = [0x00, 0x01, 0x80, 0x01, 0x01, 0x01, 0x81, 0x01];
-        assert!(tier.runs.ends_with(&block));
-        let at = tier.runs.len() - block.len() + 2;
-        tier.runs[at] = 0x81;
-        let store = tier.open(&mut IndexStats::default()).unwrap();
-        let table = flat_table(130);
-        for _ in 0..2 {
-            assert!(matches!(store.try_postings("z"), Err(DecodeError::BadBlockLayout(_))));
-            assert!(store.postings("z").is_empty());
-            assert!(matches!(store.try_rows("z", &table), Err(IndexError::Corrupt(_))));
-            assert_eq!((store.decoded_terms(), store.resident_bytes()), (0, 0));
-        }
-        assert_eq!(store.try_postings("a"), Ok(&ids[..1]));
-        assert_eq!(store.try_rows("a", &table).unwrap(), [1]);
-        assert_eq!(store.try_postings("nothing"), Ok(&[][..]));
-        assert_eq!(store.try_rows("nothing", &table).unwrap(), []);
-        assert_eq!(store.decoded_terms(), 1, "`a` as ids and as rows is one term");
+    fn postings_sorted_and_deduped() {
+        let mut acc = InvertedIndex::default();
+        let karen = acc.term_id("karen");
+        acc.push(karen, 2);
+        acc.push(karen, 0);
+        acc.push(karen, 0); // duplicate occurrence
+        acc.push(karen, 3);
+        let ix = finish(acc, &[0, 1, 1, 1]);
+        assert_eq!(ix.try_rows("karen", 4).unwrap(), [0, 2, 3]);
+        let table = flat_table(3);
+        let view = PostingView::new(&ix, &table);
+        assert_eq!(view.postings("karen"), &[d(0, &[]), d(0, &[1]), d(0, &[2])]);
     }
 
     #[test]
-    fn a_posting_no_row_describes_is_an_error_naming_the_term_and_is_not_cached() {
-        // `b`'s second posting steps past the root's two children; `c`'s
-        // names a document the table does not have.
+    fn an_ordinal_past_the_depth_column_is_an_error() {
+        let mut acc = InvertedIndex::default();
+        let a = acc.term_id("a");
+        acc.push(a, 1);
+        assert!(matches!(acc.finish(&[0]), Err(IndexError::Invariant(_))));
+        let mut tier = EncodedTier::default();
+        assert!(matches!(tier.push("a", &[1, 1], &[0, 1]), Err(IndexError::Invariant(_))));
+    }
+
+    #[test]
+    fn memoised_analysis_posts_what_the_analyzer_yields() {
+        let analyzer = Analyzer::default();
+        let mut acc = InvertedIndex::default();
+        acc.post_label(0, "dblp:Authors", 0, &analyzer);
+        acc.post_label(0, "dblp:Authors", 2, &analyzer);
+        acc.post_label(1, "the", 1, &analyzer); // a stop word: no term
+        acc.post_text("Searching the Databases", 1, &analyzer);
+        acc.post_text("databases SEARCHING", 2, &analyzer);
+        for text in ["Searching the Databases", "unseen Words, searching"] {
+            assert_eq!(acc.norm(text, &analyzer), analyzer.analyze(text).join(" "));
+        }
+        assert_eq!(acc.terms, ["author", "search", "databas"]);
+        let ix = finish(acc, &[0, 1, 1]);
+        assert_eq!(ix.try_rows("author", 3).unwrap(), [0, 2]);
+        assert_eq!(ix.try_rows("search", 3).unwrap(), [1, 2]);
+        assert_eq!(ix.try_rows("databas", 3).unwrap(), [1, 2]);
+    }
+
+    #[test]
+    fn unknown_term_is_empty() {
+        let ix = finish(InvertedIndex::default(), &[]);
+        assert!(ix.try_rows("nothing", 0).unwrap().is_empty());
+        assert!(PostingView::new(&ix, &NodeTable::new()).postings("nothing").is_empty());
+        assert_eq!(ix.posting_count("nothing"), 0);
+    }
+
+    #[test]
+    fn term_ids_are_stable() {
+        let mut acc = InvertedIndex::default();
+        let a = acc.term_id("a");
+        let b = acc.term_id("b");
+        assert_ne!(a, b);
+        assert_eq!(acc.term_id("a"), a);
+        assert_eq!(finish(acc, &[]).term_count(), 2);
+    }
+
+    #[test]
+    fn a_run_that_fails_to_decode_is_an_error_and_is_not_cached() {
+        // Two blocks: rows 0..=127, then 128 and 129. The last gap's byte
+        // becomes a varint with no end.
+        let rows: Vec<u32> = (0..130).collect();
+        let mut tier = EncodedTier::default();
+        tier.push_run("a", &rows[1..2]).unwrap();
+        tier.push_run("z", &rows).unwrap();
+        assert_eq!(tier.runs.last(), Some(&1));
+        *tier.runs.last_mut().unwrap() = 0x81;
+        let store = tier.open(&mut IndexStats::default()).unwrap();
+        let table = flat_table(130);
+        let view = PostingView::new(&store, &table);
+        for _ in 0..2 {
+            match view.try_postings("z") {
+                Err(IndexError::Corrupt(message)) => {
+                    assert!(message.contains("\"z\""), "{message}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+            assert!(view.postings("z").is_empty());
+            assert!(matches!(store.try_rows("z", table.len()), Err(IndexError::Corrupt(_))));
+            assert_eq!((store.decoded_terms(), store.resident_bytes()), (0, 0));
+        }
+        assert_eq!(view.try_postings("a").unwrap(), [d(0, &[0])]);
+        assert_eq!(store.try_rows("a", table.len()).unwrap(), [1]);
+        assert!(view.try_postings("nothing").unwrap().is_empty());
+        assert_eq!(store.try_rows("nothing", table.len()).unwrap(), []);
+        assert_eq!(store.decoded_terms(), 1, "`a` as rows and as ids is one term");
+    }
+
+    #[test]
+    fn rows_out_of_order_or_past_the_table_are_errors_naming_the_term_and_not_cached() {
+        // `b` repeats a row, `c` falls back, `d` names a row past the root's
+        // two children.
         let lists = [
-            ("a".to_string(), vec![d(0, &[]), d(0, &[1])]),
-            ("b".to_string(), vec![d(0, &[0]), d(0, &[2])]),
-            ("c".to_string(), vec![d(1, &[])]),
+            ("a".to_string(), vec![0, 2]),
+            ("b".to_string(), vec![1, 1]),
+            ("c".to_string(), vec![2, 1]),
+            ("d".to_string(), vec![0, 3]),
         ];
         let store = PostingStore::from_raw_lists(&lists).unwrap();
         let table = flat_table(2);
         for _ in 0..2 {
-            for term in ["b", "c"] {
-                match store.try_rows(term, &table) {
+            for term in ["b", "c", "d"] {
+                match store.try_rows(term, table.len()) {
                     Err(IndexError::Corrupt(message)) => {
                         assert!(message.contains(&format!("{term:?}")), "{message}")
                     }
@@ -715,30 +760,34 @@ mod tests {
             }
             assert_eq!((store.decoded_terms(), store.resident_bytes()), (0, 0));
         }
-        assert_eq!(store.try_rows("a", &table).unwrap(), [0, 2]);
+        assert_eq!(store.try_rows("a", table.len()).unwrap(), [0, 2]);
         assert_eq!(store.decoded_terms(), 1);
+        // The audit reads what each run holds, checked or not.
+        let audited: Vec<Vec<u32>> = store.audit().map(|(_, _, run)| run.unwrap()).collect();
+        assert_eq!(audited, lists.map(|(_, rows)| rows));
     }
 
     #[test]
     fn rows_and_ids_share_one_slot_and_rows_cost_four_bytes_a_posting() {
-        let ids: Vec<DeweyId> = (0..300).map(|k| d(0, &[k])).collect();
-        let lists = [("a".to_string(), ids[..200].to_vec()), ("b".to_string(), ids.clone())];
+        let rows: Vec<u32> = (1..=300).collect();
+        let lists = [("a".to_string(), rows[..200].to_vec()), ("b".to_string(), rows.clone())];
         let store = PostingStore::from_raw_lists(&lists).unwrap();
         let table = flat_table(300);
-        // The engine's fetch alone: rows, 4 B a posting, resolved once.
-        let rows = store.try_rows("b", &table).unwrap();
-        assert_eq!(rows, (1..=300).collect::<Vec<u32>>());
+        let view = PostingView::new(&store, &table);
+        // The engine's fetch alone: rows, 4 B a posting, decoded once.
+        let fetched = store.try_rows("b", table.len()).unwrap();
+        assert_eq!(fetched, rows);
         assert_eq!((store.decoded_terms(), store.resident_bytes()), (1, 4 * 300));
-        assert!(std::ptr::eq(rows, store.try_rows("b", &table).unwrap()), "borrowed again");
-        // The Dewey adapter fills the same slot: still one term.
-        assert_eq!(store.postings("b"), ids);
+        assert!(std::ptr::eq(fetched, store.try_rows("b", table.len()).unwrap()), "borrowed");
+        // The Dewey adapter builds ids from the same slot's rows.
+        let ids: Vec<DeweyId> = (0..300).map(|k| d(0, &[k])).collect();
+        assert_eq!(view.postings("b"), ids);
         assert_eq!(store.decoded_terms(), 1);
         assert_eq!(store.resident_bytes(), 4 * 300 + list_bytes(&ids));
-        // Ids first, then rows: one term again.
-        assert_eq!(store.postings("a"), &ids[..200]);
-        assert_eq!(store.try_rows("a", &table).unwrap(), &rows[..200]);
+        // Ids first fills the rows too: one term again.
+        assert_eq!(view.postings("a"), &ids[..200]);
+        assert_eq!(store.try_rows("a", table.len()).unwrap(), &rows[..200]);
         assert_eq!(store.decoded_terms(), 2);
-        // The rows are the ones `NodeTable::rows_of` gives.
         assert_eq!(table.rows_of(&ids).unwrap(), rows);
     }
 
@@ -746,16 +795,15 @@ mod tests {
     fn counters() {
         let mut acc = InvertedIndex::default();
         let a = acc.term_id("a");
-        acc.push(a, 0);
         acc.push(a, 1);
+        acc.push(a, 2);
         let mut stats = IndexStats::default();
-        let ix = acc.finish(&[d(0, &[0]), d(0, &[1])]).unwrap().open(&mut stats).unwrap();
+        let ix = acc.finish(&[0, 1, 2]).unwrap().open(&mut stats).unwrap();
         assert_eq!(
             (stats.distinct_terms, stats.total_postings, stats.posting_depth_sum),
-            (1, 2, 2)
+            (1, 2, 3)
         );
-        let pairs: Vec<_> = ix.iter().collect();
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].0, "a");
+        assert_eq!(ix.term_count(), 1);
+        assert_eq!(ix.term_str(0), "a");
     }
 }

@@ -560,7 +560,9 @@ fn check_dewey_keyed_hash(path: &str, lines: &[Line], out: &mut Vec<Violation>) 
 /// Calls whose result is a posting run's decode outcome.
 const DECODE_SOURCES: &[&str] = &[
     "decode_all(",
+    "decode_block(",
     "decode_masked(",
+    "decode_rows(",
     "for_each_in_block(",
     "run_reader(",
     "try_postings(",
@@ -802,6 +804,7 @@ fn f(&self, i: usize) -> Result<Vec<DeweyId>, E> { let list = self.run_reader(i)
 fn g(t: &Table, ids: &[DeweyId]) -> Option<Vec<u32>> { t.rows_of(ids).ok() }
 fn h(r: &Reader) -> Vec<DeweyId> { let ids = r.decode_all(); ids.unwrap_or_default() }
 fn i(ix: &GksIndex, t: &str) -> &[u32] { ix.try_rows(t).unwrap_or_default() }
+fn j(r: &RowRunReader, out: &mut Vec<u32>) { r.decode_rows(out).unwrap_or_default() }
 // r.decode_all().unwrap_or_default() in a comment
 #[cfg(test)]
 mod tests {
@@ -817,6 +820,7 @@ mod tests {
                 (3, "no-silent-decode-default"),
                 (6, "no-silent-decode-default"),
                 (11, "no-silent-decode-default"),
+                (12, "no-silent-decode-default"),
             ]
         );
     }

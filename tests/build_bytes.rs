@@ -11,7 +11,9 @@
 //! and stats sections and kept both spans, and file version 10 stored node
 //! depths and entity rows instead of Dewey ids and added a footer checksum,
 //! which moved the labels-through-attributes span and kept the posting
-//! tier's.
+//! tier's. File version 11 stored each posting as its node-table row in
+//! LEB128 gaps instead of its Dewey id, which moved the posting tier and
+//! kept the labels-through-attributes span.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -70,8 +72,8 @@ fn dblp_file_bytes_are_golden() {
     check(
         Dataset::Dblp,
         300,
-        (0x302d_3568_8033_06de, 158_362),
-        (0xd668_c660_28ef_103b, 0x8434_bc21_1cfe_88a7),
+        (0x3d3b_5e45_e265_9b57, 108_487),
+        (0xd668_c660_28ef_103b, 0xace1_273f_e5f1_559f),
     );
 }
 
@@ -80,8 +82,8 @@ fn treebank_file_bytes_are_golden() {
     check(
         Dataset::TreeBank,
         100,
-        (0xa3e9_21e2_deac_f209, 66_139),
-        (0xa771_caa0_2d76_664d, 0xf487_8c07_45d0_eb95),
+        (0xd428_0c59_b706_01e9, 27_484),
+        (0xa771_caa0_2d76_664d, 0x626f_c2cc_53a9_2412),
     );
 }
 
@@ -90,8 +92,8 @@ fn mondial_file_bytes_are_golden() {
     check(
         Dataset::Mondial,
         16,
-        (0x4f38_28eb_0bc9_6dbb, 43_982),
-        (0xb9e6_cc60_e2ff_49f3, 0x09d2_dcb7_3519_af59),
+        (0x2c36_6a7e_2896_00dd, 28_750),
+        (0xb9e6_cc60_e2ff_49f3, 0xdec9_3ae1_4961_762d),
     );
 }
 
@@ -100,8 +102,8 @@ fn swissprot_file_bytes_are_golden() {
     check(
         Dataset::SwissProt,
         60,
-        (0x6aeb_1fd2_9c0f_9f50, 117_232),
-        (0xffb5_dbc6_01f9_7084, 0xe3b8_53ae_94e0_f8b4),
+        (0x8b4b_f383_b875_4273, 89_194),
+        (0xffb5_dbc6_01f9_7084, 0xe46f_7012_0062_9b5f),
     );
 }
 
@@ -110,7 +112,7 @@ fn nasa_file_bytes_are_golden() {
     check(
         Dataset::Nasa,
         60,
-        (0x8620_438e_8eba_c5e9, 80_707),
-        (0x2742_eebc_5d2e_c1a3, 0xbc97_e429_ba64_6a1d),
+        (0xd553_e560_d06f_e244, 51_629),
+        (0x2742_eebc_5d2e_c1a3, 0xaf7c_6737_8972_a1a5),
     );
 }
