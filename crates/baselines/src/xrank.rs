@@ -50,22 +50,20 @@ impl ElemRank {
         let n = table.len().max(1);
         let base = (1.0 - params.forward - params.backward) / n as f64;
 
-        // Node list + parent pointers (as indices) for fast iteration.
-        let nodes: Vec<&DeweyId> = table.iter().map(|(d, _)| d).collect();
-        let pos: FastMap<&DeweyId, usize> =
-            nodes.iter().enumerate().map(|(i, d)| (*d, i)).collect();
+        // Parent pointers and fan-outs by row, for fast iteration.
+        let rows = 0..table.len() as u32;
         let parent: Vec<Option<usize>> =
-            nodes.iter().map(|d| d.parent().and_then(|p| pos.get(&&p).copied())).collect();
-        let child_count: Vec<f64> = nodes
-            .iter()
-            .map(|d| f64::from(table.child_count(d).unwrap_or(1).max(1)))
+            rows.clone().map(|row| table.parent(row).map(|p| p as usize)).collect();
+        let child_count: Vec<f64> = rows
+            .clone()
+            .map(|row| f64::from(table.meta(row).map_or(1, |m| m.child_count).max(1)))
             .collect();
 
-        let mut score = vec![1.0 / n as f64; nodes.len()];
-        let mut next = vec![0.0f64; nodes.len()];
+        let mut score = vec![1.0 / n as f64; parent.len()];
+        let mut next = vec![0.0f64; parent.len()];
         for _ in 0..params.iterations {
             next.fill(base);
-            for i in 0..nodes.len() {
+            for i in 0..parent.len() {
                 if let Some(p) = parent[i] {
                     // Forward: parent's score splits over its children.
                     next[i] += params.forward * score[p] / child_count[p];
@@ -75,8 +73,10 @@ impl ElemRank {
             }
             std::mem::swap(&mut score, &mut next);
         }
-        let scores =
-            nodes.into_iter().cloned().zip(score.iter().copied()).collect::<FastMap<_, _>>();
+        let scores = rows
+            .zip(score)
+            .filter_map(|(row, score)| Some((table.id(row)?, score)))
+            .collect::<FastMap<_, _>>();
         ElemRank { scores }
     }
 
@@ -150,11 +150,13 @@ mod tests {
         let ix = index_of("<r><a><w>x</w><w>y</w></a><b><w>z</w></b></r>");
         let er = ElemRank::compute(&ix, ElemRankParams::default());
         assert_eq!(er.len(), ix.node_table().len());
-        let total: f64 = ix.node_table().iter().map(|(dw, _)| er.score(dw)).sum();
+        let table = ix.node_table();
+        let ids: Vec<DeweyId> = (0..table.len() as u32).map(|row| table.id(row).unwrap()).collect();
+        let total: f64 = ids.iter().map(|dw| er.score(dw)).sum();
         // The walk leaks a little mass at the root/leaf boundaries; it must
         // stay in the same ballpark as a distribution.
         assert!(total > 0.3 && total < 1.5, "total mass {total}");
-        for (dw, _) in ix.node_table().iter() {
+        for dw in &ids {
             assert!(er.score(dw) > 0.0, "{dw} has no score");
         }
     }

@@ -75,7 +75,7 @@ pub fn keyword_postings_counted(
 
 /// The ids of `rows`.
 fn ids_of(table: &NodeTable, rows: &[u32]) -> Vec<DeweyId> {
-    rows.iter().filter_map(|&row| table.id(row)).cloned().collect()
+    rows.iter().filter_map(|&row| table.id(row)).collect()
 }
 
 /// [`keyword_postings_counted`] as node-table rows, the form the search

@@ -21,11 +21,11 @@
 //!    document order.
 //!
 //! Steps 1–6 run on `u32` pre-order rows of the node table, which sort as
-//! the Dewey ids do (see `gks_index::node_table`). A Dewey id is read for
-//! the pruning's ancestor test and copied only into an emitted [`Hit`]. A
-//! posting run that fails to decode, or rows out of order or past the node
-//! table, are a corrupt index, reported as [`QueryError::CorruptIndex`]
-//! rather than answered from.
+//! the Dewey ids do (see `gks_index::node_table`); the pruning's ancestor
+//! test is a row-range test against `NodeTable::subtree_end`. A Dewey id is
+//! built only for an emitted [`Hit`]. A posting run that fails to decode, or
+//! rows out of order or past the node table, are a corrupt index, reported
+//! as [`QueryError::CorruptIndex`] rather than answered from.
 
 use gks_dewey::DeweyId;
 use gks_index::{GksIndex, NodeTable};
@@ -351,19 +351,15 @@ pub fn search_masked(
         if hits[i].kind != HitKind::Lcp {
             continue;
         }
-        // Rows are in document order: contained hits follow i contiguously.
-        // Pruned descendants may be counted too — their masks are covered by
-        // their own descendants, so the union over all contained hits equals
-        // the union over survivors.
-        let Some(node) = table.id(hits[i].row) else {
-            continue;
-        };
+        // Rows are in document order: contained hits follow i contiguously,
+        // up to the end of its subtree's row range. Pruned descendants may
+        // be counted too — their masks are covered by their own
+        // descendants, so the union over all contained hits equals the
+        // union over survivors.
+        let end = table.subtree_end(hits[i].row);
         let mut contained_union = 0u64;
         let mut any_contained = false;
-        for h in hits[i + 1..]
-            .iter()
-            .take_while(|h| table.id(h.row).is_some_and(|d| node.is_ancestor_of(d)))
-        {
+        for h in hits[i + 1..].iter().take_while(|h| h.row < end) {
             contained_union |= h.keyword_mask;
             any_contained = true;
         }
@@ -380,7 +376,7 @@ pub fn search_masked(
         .into_iter()
         .filter_map(|h| {
             Some(Hit {
-                node: table.id(h.row)?.clone(),
+                node: table.id(h.row)?,
                 kind: h.kind,
                 keyword_mask: h.keyword_mask,
                 keyword_count: h.keyword_count,

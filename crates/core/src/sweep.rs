@@ -554,9 +554,8 @@ mod tests {
                 .filter_map(|c| ix.node_table().lowest_entity_ancestor_or_self(c))
                 .collect();
             nodes.extend(lces);
-            let mut all: Vec<&DeweyId> = ix.node_table().iter().map(|(id, _)| id).collect();
-            all.sort();
-            nodes.extend(extra.iter().map(|&i| all[i % all.len()].clone()));
+            let table = ix.node_table();
+            nodes.extend(extra.iter().map(|&i| table.id((i % table.len()) as u32).unwrap()));
             nodes.sort();
             nodes.dedup();
 

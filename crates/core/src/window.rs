@@ -40,7 +40,7 @@ pub fn lcp_candidates(
     };
     lcp_rows(table, &sl, s, n_keywords)
         .into_iter()
-        .filter_map(|row| table.id(row).cloned())
+        .filter_map(|row| table.id(row))
         .collect()
 }
 

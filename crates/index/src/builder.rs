@@ -8,7 +8,7 @@
 //! attribute/repeating status, fills in its children's node-table rows, and
 //! reports a structural summary to its parent. Rows are appended at each
 //! element's start with their depth, the height of the frame stack, so the
-//! rows are in pre-order; [`NodeTable::link`] numbers them at the end. A
+//! rows are in pre-order; [`NodeTable::link`] links them at the end. A
 //! posting records its node's row, the pre-order ordinal, which is also
 //! what the file stores.
 
@@ -337,8 +337,8 @@ impl IndexBuilder {
     }
 
     /// Ends the build: encodes the accumulated postings as row runs,
-    /// summing the pushed rows' depths, links the node table, which numbers
-    /// its rows, and opens the runs as the index's [`PostingStore`].
+    /// summing the pushed rows' depths, links the node table's parent column
+    /// and child index, and opens the runs as the index's [`PostingStore`].
     fn finish(mut self, start: Instant) -> Result<GksIndex, IndexError> {
         for (name, census) in self.node_table.labels().names().iter().zip(&self.label_census) {
             if census.total() > 0 {
@@ -356,7 +356,7 @@ impl IndexBuilder {
             ..
         } = self;
         attrs.seal();
-        let tier = inverted.finish(node_table.pushed_depths())?;
+        let tier = inverted.finish(node_table.depths())?;
         node_table.link(doc_names.len())?;
         let inverted = tier.open(&mut stats)?;
         stats.build_millis = start.elapsed().as_millis() as u64;

@@ -226,7 +226,7 @@ fn check_census(index: &GksIndex, out: &mut Vec<Violation>) {
         });
     }
     let mut recount = CategoryCensus::default();
-    for (_, meta) in index.node_table().iter() {
+    for (_, meta) in index.node_table().rows() {
         recount.add(meta.flags.primary());
     }
     for category in [
@@ -255,19 +255,20 @@ fn check_attrs(index: &GksIndex, out: &mut Vec<Violation>) {
     let labels = table.labels();
     let store = index.attr_store();
     for (row, entries) in store.iter() {
-        // Every row has an id: an open refuses an entity row past the table,
-        // and a build or a merge records none.
-        let Some(entity) = table.id(row) else {
+        // Every row has metadata: an open refuses an entity row past the
+        // table, and a build or a merge records none. Only a reported row
+        // gets its id.
+        let Some(meta) = table.meta(row) else {
             continue;
         };
-        match table.meta(row) {
-            Some(meta) if meta.flags.is_entity() => {
-                if meta.label != entries.label() {
-                    out.push(Violation::AttrEntityLabelMismatch { entity: entity.clone() });
-                }
-            }
-            _ => out.push(Violation::AttrEntityNotEntity { entity: entity.clone() }),
-        }
+        let violation: fn(DeweyId) -> Violation = if !meta.flags.is_entity() {
+            |entity| Violation::AttrEntityNotEntity { entity }
+        } else if meta.label != entries.label() {
+            |entity| Violation::AttrEntityLabelMismatch { entity }
+        } else {
+            continue;
+        };
+        out.extend(table.id(row).map(violation));
     }
     for (path, id) in store.paths().iter().zip(0u32..) {
         if path.is_empty() {
@@ -384,8 +385,7 @@ mod tests {
     fn an_orphan_row_is_refused_at_open() {
         let ix = build();
         let table = ix.node_table();
-        let mut depths: Vec<u32> = table.ids().iter().map(|id| id.depth() as u32).collect();
-        let mut metas: Vec<NodeMeta> = table.iter().map(|(_, meta)| *meta).collect();
+        let (mut depths, mut metas): (Vec<u32>, Vec<NodeMeta>) = table.rows().unzip();
         assert_eq!(depths.last(), Some(&4));
         depths.push(6);
         metas.push(NodeMeta { child_count: 1, flags: NodeFlags::empty(), label: 0 });
@@ -406,7 +406,7 @@ mod tests {
         // diverges from the recorded census in two categories.
         let row = ix
             .node_table()
-            .iter()
+            .rows()
             .position(|(_, m)| m.flags.is_entity() && m.flags.primary() == NodeCategory::Entity)
             .expect("built index has an entity node");
         ix.node_table_mut().meta_mut(row as u32).flags = NodeFlags::empty();
@@ -494,7 +494,7 @@ mod tests {
     fn detects_an_entity_record_with_the_wrong_label() {
         let mut ix = build();
         let (row, entries) = ix.attr_store().iter().next().unwrap();
-        let entity = ix.node_table().ids()[row as usize].clone();
+        let entity = ix.node_table().id(row).unwrap();
         let wrong = entries.label() + 1;
         ix.attrs_mut().set_entity_label(row, wrong);
         assert_eq!(ix.doctor(), vec![Violation::AttrEntityLabelMismatch { entity }]);

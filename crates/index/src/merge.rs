@@ -13,7 +13,7 @@
 //!
 //! * **rows** in pre-order, each with its depth, interning labels as the
 //!   build does at each element start, and counting the census as the build
-//!   does at each close; [`NodeTable::link`] numbers them as it numbers a
+//!   does at each close; [`NodeTable::link`] links them as it links a
 //!   build's;
 //! * **entities** in the source's recording order for that document (the
 //!   order the build's closes recorded them), each at the output document's
@@ -314,7 +314,7 @@ impl GksIndex {
             .zip(used)
             .filter_map(|(s, kept)| (kept > 0).then_some(s))
             .collect();
-        let tier = merge_postings(&mut active, node_table.pushed_depths())?;
+        let tier = merge_postings(&mut active, node_table.depths())?;
         node_table.link(doc_names.len())?;
         let inverted = tier.open(&mut stats)?;
         attrs.seal();
@@ -463,7 +463,7 @@ fn join_by_document(sources: &mut [Source<'_>], holders: &[usize], list: &mut Ve
 /// An index file opened for [`GksIndex::merge`]: the sections a merge
 /// reads, at a fraction of an open index's heap. The node rows stay encoded
 /// in the map, read in order by [`NodeRows`], and nothing is linked — so
-/// there is no id column and no child index.
+/// there is no parent column and no child index.
 pub(crate) struct MergeSource {
     pub(crate) options: IndexOptions,
     pub(crate) doc_names: Vec<String>,

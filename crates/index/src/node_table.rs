@@ -11,9 +11,9 @@
 //!
 //! # Layout
 //!
-//! The rows are columns in Dewey order, which is pre-order: `ids[r]` and
-//! `metas[r]` describe row `r`. A child index in compressed-sparse-row form
-//! sits beside them: `roots[doc]` is the document's root row, and the
+//! The rows are columns in Dewey order, which is pre-order: `depths[r]`
+//! and `metas[r]` describe row `r`. A child index in compressed-sparse-row
+//! form sits beside them: `roots[doc]` is the document's root row, and the
 //! element children of row `r` are `children[child_start[r]..child_start[r
 //! + 1]]`, in step order. Sibling steps are dense (the `k`-th element child
 //! has step `k`), so a Dewey id *is* a path through this index: a lookup
@@ -27,16 +27,19 @@
 //! keeps it, so the search engine walks up a root path by rows. A posting
 //! is a row already, as the index file stores it, so the window, LCE
 //! derivation and statistics sweep step through [`NodeTable::parent`] and
-//! [`NodeTable::meta`] without touching an id. Only the frozen Dewey-id
-//! adapters go the other way, from ids to rows, through
-//! [`NodeTable::rows_of`].
+//! [`NodeTable::meta`] without touching an id. A row's descendants are the
+//! rows after it up to [`NodeTable::subtree_end`], so containment is a
+//! range test on rows too. The frozen Dewey-id adapters go from ids to rows
+//! through [`NodeTable::rows_of`].
 //!
-//! [`NodeTable::link`] is the one place a row gets its Dewey id. A build,
-//! a merge and an open each append rows as `(depth, meta)` in pre-order,
-//! and `link` numbers them as §2.1 does: a root is the next document's, and
-//! any other row is the next child of the open row one level up. The
-//! shape alone fixes every id, so only a depth that skips a level and a
-//! root count other than the document count can be refused.
+//! No row stores its Dewey id. A build, a merge and an open each append
+//! rows as `(depth, meta)` in pre-order, and `link` builds the parent
+//! column and the child index from the depths: a root is the next
+//! document's, and any other row is the next child of the open row one
+//! level up. The shape alone fixes every id (§2.1), so only a depth that
+//! skips a level and a root count other than the document count can be
+//! refused. [`NodeTable::id`] reads an id back off that shape, for what
+//! leaves the engine: the hits kept, doctor messages and the adapters.
 
 use std::ops::Range;
 
@@ -48,6 +51,9 @@ use crate::fasthash::FastMap;
 
 /// The parent of a document root in [`NodeTable::parents`].
 const NO_ROW: u32 = u32::MAX;
+
+/// The steps a [`DeweyId`] holds without a heap allocation.
+const INLINE_STEPS: usize = 6;
 
 /// Everything the search engine needs to know about one XML node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,11 +118,9 @@ impl LabelInterner {
 /// [module docs](self) for the layout.
 #[derive(Debug, Default, Clone)]
 pub struct NodeTable {
-    /// Row depths in pre-order, pushed before [`NodeTable::link`] and
-    /// consumed by it.
+    /// Row depths in pre-order: the shape [`NodeTable::link`] reads and
+    /// the file stores.
     depths: Vec<u32>,
-    /// Row ids in Dewey order, assigned by [`NodeTable::link`].
-    ids: Vec<DeweyId>,
     /// Row metadata, one per row pushed.
     metas: Vec<NodeMeta>,
     /// Root row per document id.
@@ -177,8 +181,8 @@ impl NodeTable {
     }
 
     /// Appends the next node in pre-order, at `depth`, and returns its row.
-    /// Its metadata is a placeholder until [`Self::set_meta`]; its id and
-    /// the child index come with [`Self::link`].
+    /// Its metadata is a placeholder until [`Self::set_meta`]; its parent
+    /// and the child index come with [`Self::link`].
     pub(crate) fn push(&mut self, depth: u32, label: u32) -> Result<u32, IndexError> {
         self.push_row(depth, NodeMeta { child_count: 0, flags: NodeFlags::empty(), label })
     }
@@ -199,10 +203,15 @@ impl NodeTable {
         Ok(row)
     }
 
-    /// The depths of the rows pushed since the last [`Self::link`], in
-    /// pre-order: what a build's posting encoder sums per posting.
-    pub(crate) fn pushed_depths(&self) -> &[u32] {
+    /// The row depths in pre-order: what a build's posting encoder sums
+    /// per posting and the file stores.
+    pub(crate) fn depths(&self) -> &[u32] {
         &self.depths
+    }
+
+    /// Every row as `(depth, meta)`, in pre-order: the node section's rows.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u32, &NodeMeta)> {
+        self.depths.iter().copied().zip(&self.metas)
     }
 
     /// Sets the metadata of row `row` (a no-op for a row never pushed).
@@ -212,49 +221,43 @@ impl NodeTable {
         }
     }
 
-    /// Numbers the pushed rows and builds the child index over them, in
-    /// one pass over their depths: a depth-0 row is the root of the next
-    /// document, and any other row is the next child of the last row one
-    /// level up, its id that row's id plus the count of its earlier
-    /// children (§2.1). Refuses, with [`IndexError::Corrupt`], a depth more
-    /// than one greater than the previous row's (the first row's must be 0)
-    /// and a root count other than `doc_count`. Linear in the rows.
+    /// Builds the parent column and the child index over the pushed rows,
+    /// in one pass over their depths: a depth-0 row is the root of the
+    /// next document, and any other row is the next child of the last row
+    /// one level up (§2.1). Refuses, with [`IndexError::Corrupt`], a depth
+    /// more than one greater than the previous row's (the first row's must
+    /// be 0) and a root count other than `doc_count`. Linear in the rows.
     pub(crate) fn link(&mut self, doc_count: usize) -> Result<(), IndexError> {
-        let depths = std::mem::take(&mut self.depths);
-        let rows = depths.len();
-        let mut ids: Vec<DeweyId> = Vec::with_capacity(rows);
+        let rows = self.depths.len();
         let mut roots: Vec<u32> = Vec::with_capacity(doc_count.min(rows));
         // Each row's child count lands in `child_start[row + 1]`.
         let mut child_start = vec![0u32; rows + 1];
         let mut parents: Vec<u32> = Vec::with_capacity(rows);
         // Rows of the previous row's ancestors-or-self, by depth.
         let mut open: Vec<u32> = Vec::new();
-        for (row, &depth) in (0u32..).zip(&depths) {
+        for (row, &depth) in (0u32..).zip(&self.depths) {
             if depth as usize > open.len() {
                 return Err(IndexError::Corrupt(format!(
                     "node row {row} at depth {depth} skips a level"
                 )));
             }
             open.truncate(depth as usize);
-            let (parent, id) = match open.last() {
+            let parent = match open.last() {
                 None if roots.len() < doc_count => {
-                    let doc = DocId(roots.len() as u32);
                     roots.push(row);
-                    (NO_ROW, DeweyId::root(doc))
+                    NO_ROW
                 }
                 None => {
-                    return Err(root_count(depths.iter().filter(|&&d| d == 0).count(), doc_count))
+                    let roots = self.depths.iter().filter(|&&d| d == 0).count();
+                    return Err(root_count(roots, doc_count));
                 }
                 Some(&parent) => {
-                    let seen = &mut child_start[parent as usize + 1];
-                    let id = ids[parent as usize].child(*seen);
-                    *seen += 1;
-                    (parent, id)
+                    child_start[parent as usize + 1] += 1;
+                    parent
                 }
             };
             open.push(row);
             parents.push(parent);
-            ids.push(id);
         }
         if roots.len() != doc_count {
             return Err(root_count(roots.len(), doc_count));
@@ -276,7 +279,6 @@ impl NodeTable {
         }
         child_start.copy_within(0..rows, 1);
         child_start[0] = 0;
-        self.ids = ids;
         self.roots = roots;
         self.child_start = child_start;
         self.children = children;
@@ -284,12 +286,19 @@ impl NodeTable {
         Ok(())
     }
 
+    /// The element children of `row`, in step order: empty for a leaf and
+    /// for a row past the table.
+    fn children_of(&self, row: u32) -> &[u32] {
+        let slot = |row: usize| self.child_start.get(row).map(|&s| s as usize);
+        match (slot(row as usize), slot(row as usize + 1)) {
+            (Some(start), Some(end)) => self.children.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
     /// The row of `row`'s element child with step `step`, if it has one.
     fn child(&self, row: u32, step: u32) -> Option<u32> {
-        let start = *self.child_start.get(row as usize)? as usize;
-        let end = *self.child_start.get(row as usize + 1)? as usize;
-        let slot = start.checked_add(step as usize).filter(|&slot| slot < end)?;
-        self.children.get(slot).copied()
+        self.children_of(row).get(step as usize).copied()
     }
 
     /// The rows of `ids`, in order, each resolved by one `RowResolver`
@@ -311,15 +320,47 @@ impl NodeTable {
         self.parents.get(row as usize).copied().filter(|&parent| parent != NO_ROW)
     }
 
-    /// The id of `row`.
-    pub fn id(&self, row: u32) -> Option<&DeweyId> {
-        self.ids.get(row as usize)
+    /// The id of `row`, read off the tree's shape: each step is the row's
+    /// position among its parent's children, and the document is the
+    /// root's position among the roots. One binary search per level; an id
+    /// of up to six steps allocates nothing. `None` for a row past the
+    /// table.
+    pub fn id(&self, row: u32) -> Option<DeweyId> {
+        let depth = *self.depths.get(row as usize)? as usize;
+        let mut inline = [0; INLINE_STEPS];
+        let mut spilled = Vec::new();
+        let steps = match inline.get_mut(..depth) {
+            Some(steps) => steps,
+            None => {
+                spilled.resize(depth, 0);
+                &mut spilled[..]
+            }
+        };
+        let mut row = row;
+        for step in steps.iter_mut().rev() {
+            let parent = self.parent(row)?;
+            *step = self.children_of(parent).binary_search(&row).ok()? as Step;
+            row = parent;
+        }
+        let doc = self.roots.binary_search(&row).ok()?;
+        Some(DeweyId::from_slice(DocId(doc as u32), steps))
+    }
+
+    /// The end of `row`'s pre-order range: its descendants are exactly the
+    /// rows `row + 1..subtree_end(row)`. Found by following last children
+    /// down to a leaf, so it costs one read per level below `row`. A row
+    /// past the table has no descendants.
+    pub fn subtree_end(&self, mut row: u32) -> u32 {
+        while let Some(&last) = self.children_of(row).last() {
+            row = last;
+        }
+        row.saturating_add(1)
     }
 
     /// All rows of document `doc`, pre-order being document order: its root
     /// row up to the next document's. Empty for a document past the count.
     pub fn doc_rows(&self, doc: DocId) -> Range<u32> {
-        let end = self.ids.len() as u32;
+        let end = self.metas.len() as u32;
         let root = |doc: usize| self.roots.get(doc).copied().unwrap_or(end);
         root(doc.0 as usize)..root(doc.0 as usize + 1)
     }
@@ -384,7 +425,7 @@ impl NodeTable {
             .walk(id)
             .filter(|&row| self.meta(row).is_some_and(|m| m.flags.is_entity()))
             .last()?;
-        self.id(row).cloned()
+        self.id(row)
     }
 
     /// Number of recorded nodes.
@@ -395,16 +436,6 @@ impl NodeTable {
     /// True when no nodes are recorded.
     pub fn is_empty(&self) -> bool {
         self.metas.is_empty()
-    }
-
-    /// The row ids, in Dewey order.
-    pub fn ids(&self) -> &[DeweyId] {
-        &self.ids
-    }
-
-    /// Iterates all `(id, meta)` pairs in Dewey order.
-    pub fn iter(&self) -> impl Iterator<Item = (&DeweyId, &NodeMeta)> {
-        self.ids.iter().zip(&self.metas)
     }
 
     /// Test-only access to one row's metadata, for corrupted-index fixtures.
@@ -481,6 +512,11 @@ mod tests {
         DeweyId::new(DocId(0), steps.to_vec())
     }
 
+    /// Every row's id, in row order.
+    fn ids(t: &NodeTable) -> Vec<DeweyId> {
+        (0..t.len() as u32).map(|row| t.id(row).unwrap()).collect()
+    }
+
     fn entity_meta(label: u32, children: u32) -> NodeMeta {
         let mut flags = self_flags(false, true, true);
         finalize_child_flags(&mut flags, false);
@@ -494,15 +530,15 @@ mod tests {
     }
 
     /// A linked table over `rows`, given in Dewey order: each is pushed at
-    /// its depth, and `link` numbers it back to its steps.
+    /// its depth, and `id` reads its steps back.
     fn table(rows: &[(&[u32], NodeMeta)]) -> NodeTable {
         let mut t = NodeTable::new();
         for (steps, meta) in rows {
             t.push_row(steps.len() as u32, *meta).unwrap();
         }
         t.link(1).unwrap();
-        let ids: Vec<DeweyId> = rows.iter().map(|(steps, _)| d(steps)).collect();
-        assert_eq!(t.ids(), ids);
+        let want: Vec<DeweyId> = rows.iter().map(|(steps, _)| d(steps)).collect();
+        assert_eq!(ids(&t), want);
         t
     }
 
@@ -528,7 +564,7 @@ mod tests {
         assert_eq!(t.get(&d(&[0, 0])), None);
         assert_eq!(t.get(&DeweyId::root(DocId(1))), None);
         assert_eq!(t.row(&d(&[1])), Some(2));
-        assert_eq!(t.ids()[2], d(&[1]));
+        assert_eq!(t.id(2), Some(d(&[1])));
     }
 
     #[test]
@@ -565,8 +601,7 @@ mod tests {
             (&[0, 0, 0], connecting_meta(0, 1)),
             (&[1], connecting_meta(0, 1)),
         ]);
-        let ids = t.ids().to_vec();
-        assert_eq!(t.rows_of(&ids), Ok(vec![0, 1, 2, 3, 4]));
+        assert_eq!(t.rows_of(&ids(&t)), Ok(vec![0, 1, 2, 3, 4]));
         // Repeated and unsorted ids resolve too, each by its own path.
         let mixed = [d(&[1]), d(&[0, 0]), d(&[0, 0]), d(&[0, 0, 0]), d(&[])];
         assert_eq!(t.rows_of(&mixed), Ok(vec![4, 2, 2, 3, 0]));
@@ -582,8 +617,12 @@ mod tests {
 
         let parents: Vec<Option<u32>> = (0..6).map(|row| t.parent(row)).collect();
         assert_eq!(parents, vec![None, Some(0), Some(1), Some(2), Some(0), None]);
-        assert_eq!(t.id(3), Some(&d(&[0, 0, 0])));
+        assert_eq!(t.id(3), Some(d(&[0, 0, 0])));
         assert_eq!(t.id(5), None);
+        // Each row's descendants run up to its subtree end.
+        let ends: Vec<u32> = (0..6).map(|row| t.subtree_end(row)).collect();
+        assert_eq!(ends, vec![5, 4, 4, 4, 5, 6]);
+        assert_eq!(t.subtree_end(u32::MAX), u32::MAX);
         assert!(t.meta(2).is_some_and(|m| m.flags.is_entity()));
         assert_eq!(t.meta(5), None);
     }
@@ -595,11 +634,11 @@ mod tests {
             t.push(steps.len() as u32, 0).unwrap();
         }
         t.link(doc_count).unwrap();
-        let ids: Vec<DeweyId> = rows
+        let want: Vec<DeweyId> = rows
             .iter()
             .map(|&(doc, steps)| DeweyId::new(DocId(doc), steps.to_vec()))
             .collect();
-        assert_eq!(t.ids(), ids);
+        assert_eq!(ids(&t), want);
         t
     }
 
@@ -609,7 +648,7 @@ mod tests {
         let t = docs_table(&[(0, &[]), (0, &[0]), (1, &[]), (2, &[]), (2, &[0]), (2, &[1])], 3);
         let ranges: Vec<Range<u32>> = (0..3).map(|doc| t.doc_rows(DocId(doc))).collect();
         assert_eq!(ranges, vec![0..2, 2..3, 3..6]);
-        for (row, id) in (0u32..).zip(t.ids()) {
+        for (row, id) in (0u32..).zip(ids(&t)) {
             assert!(t.doc_rows(id.doc()).contains(&row), "row {row} of {id}");
         }
         // A document id past the count has no rows.
@@ -619,15 +658,15 @@ mod tests {
     }
 
     #[test]
-    fn link_numbers_rows_by_depth_and_refuses_a_skipped_level_or_a_wrong_root_count() {
+    fn ids_follow_the_depths_and_link_refuses_a_skipped_level_or_a_wrong_root_count() {
         let mut t = NodeTable::new();
         for depth in [0, 1, 2, 1, 0, 1, 1] {
             t.push(depth, 0).unwrap();
         }
         t.link(2).unwrap();
         let second = |steps: &[u32]| DeweyId::new(DocId(1), steps.to_vec());
-        let ids = [d(&[]), d(&[0]), d(&[0, 0]), d(&[1]), second(&[]), second(&[0]), second(&[1])];
-        assert_eq!(t.ids(), ids);
+        let want = [d(&[]), d(&[0]), d(&[0, 0]), d(&[1]), second(&[]), second(&[0]), second(&[1])];
+        assert_eq!(ids(&t), want);
 
         let refused = |depths: &[u32], doc_count: usize, what: &str| {
             let mut t = NodeTable::new();
@@ -644,6 +683,80 @@ mod tests {
         refused(&[0, 1, 0, 0], 1, "3 root row(s) for 1 document(s)");
         refused(&[0, 1], 2, "1 root row(s) for 2 document(s)");
         refused(&[], 1, "0 root row(s) for 1 document(s)");
+    }
+
+    /// The depths of one document from `moves`: a root, then one row per
+    /// move, a child of the previous row for a move below 3 (so about half
+    /// the cases go deeper than an id holds inline) and otherwise at a
+    /// depth from 1 to one below the previous row's.
+    fn doc_depths(moves: &[u32]) -> Vec<u32> {
+        let mut depths = vec![0];
+        for &m in moves {
+            let prev = depths.last().copied().unwrap_or(0);
+            depths.push(if m < 3 { prev + 1 } else { 1 + m % (prev + 1) });
+        }
+        depths
+    }
+
+    /// §2.1's numbering run over pre-order depths: a root starts the next
+    /// document, and any other row is the next child of the open row one
+    /// level up.
+    fn reference_ids(depths: &[u32]) -> Vec<DeweyId> {
+        let (mut doc, mut roots) = (0, 0);
+        let mut steps: Vec<u32> = Vec::new();
+        // Children seen so far under the open row at each depth.
+        let mut seen: Vec<u32> = Vec::new();
+        let mut out = Vec::new();
+        for &depth in depths {
+            let depth = depth as usize;
+            if depth == 0 {
+                (doc, roots) = (roots, roots + 1);
+                steps.clear();
+                seen.clear();
+            } else {
+                steps.truncate(depth - 1);
+                seen.truncate(depth);
+                steps.push(seen[depth - 1]);
+                seen[depth - 1] += 1;
+            }
+            seen.push(0);
+            out.push(DeweyId::new(DocId(doc), steps.clone()));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Over random forests, some deeper than an id holds inline: every
+        /// row's id is the reference numbering's and leads back to the row,
+        /// and a row range test is the ancestor test on ids.
+        #[test]
+        fn ids_and_subtree_ends_match_a_dewey_counter(
+            docs in proptest::collection::vec(proptest::collection::vec(0u32..8, 0..40), 1..4),
+        ) {
+            let depths: Vec<u32> = docs.iter().flat_map(|moves| doc_depths(moves)).collect();
+            let mut t = NodeTable::new();
+            for &depth in &depths {
+                t.push(depth, 0).unwrap();
+            }
+            t.link(docs.len()).unwrap();
+            let want = reference_ids(&depths);
+            let rows = want.len() as u32;
+            for (row, id) in (0u32..).zip(&want) {
+                proptest::prop_assert_eq!(t.id(row), Some(id.clone()));
+                proptest::prop_assert_eq!(t.row(id), Some(row));
+            }
+            proptest::prop_assert_eq!(t.id(rows), None);
+            for a in 0..rows {
+                let end = t.subtree_end(a);
+                for b in 0..rows {
+                    proptest::prop_assert_eq!(
+                        a < b && b < end,
+                        want[a as usize].is_ancestor_of(&want[b as usize]),
+                        "rows {} and {}", a, b
+                    );
+                }
+            }
+        }
     }
 
     #[test]

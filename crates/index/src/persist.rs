@@ -223,10 +223,10 @@ fn write_labels(out: &mut BytesMut, ix: &GksIndex) {
 
 /// Node-table section: `count · (depth · child count · flags · label id)*`,
 /// the rows in pre-order. The depths are the trees' shape, from which
-/// [`NodeTable::link`] numbers the rows again at open.
+/// [`NodeTable::link`] rebuilds the child index at open.
 fn write_node_table(out: &mut BytesMut, ix: &GksIndex) {
     let table = ix.node_table();
-    write_node_rows(out, table.len(), table.iter().map(|(id, meta)| (id.depth() as u32, meta)));
+    write_node_rows(out, table.len(), table.rows());
 }
 
 /// The node-table section over `count` rows given as `(depth, meta)`.
@@ -255,8 +255,8 @@ pub(crate) fn read_labels(input: &mut &[u8]) -> Result<NodeTable, IndexError> {
     Ok(node_table)
 }
 
-/// Reads the node rows into `table`'s columns and links them, which
-/// numbers the rows and refuses a shape that is not a pre-order forest of
+/// Reads the node rows into `table`'s columns and links them, which builds
+/// the child index and refuses a shape that is not a pre-order forest of
 /// `doc_count` trees (see [`NodeTable::link`]).
 fn read_nodes(
     input: &mut &[u8],
@@ -555,11 +555,13 @@ impl GksIndex {
     /// `_v3` suffix is the name the frozen `perf/` benchmark calls, and the
     /// `Result` the type it unwraps; nothing here fails.)
     pub fn to_bytes_v3(&self) -> Result<Bytes, IndexError> {
-        Ok(self.serialize(write_node_table))
+        Ok(self.serialize(write_node_table).freeze())
     }
 
-    /// The file bytes, with the node-table section written by `nodes`.
-    fn serialize(&self, nodes: impl FnOnce(&mut BytesMut, &GksIndex)) -> Bytes {
+    /// The file bytes, with the node-table section written by `nodes`, in
+    /// the buffer they were written to: [`Self::save`] writes it out
+    /// without the copy a [`Bytes`] would take.
+    fn serialize(&self, nodes: impl FnOnce(&mut BytesMut, &GksIndex)) -> BytesMut {
         let mut out = BytesMut::new();
         out.put_slice(MAGIC);
         out.put_u32(VERSION);
@@ -597,7 +599,7 @@ impl GksIndex {
         footer.put_u64(checksum(&[&out.as_ref()[..header_len], footer.as_ref()]));
         footer.put_slice(TAIL_MAGIC);
         out.put_slice(footer.as_ref());
-        out.freeze()
+        out
     }
 
     /// Opens an index over a mapped file: validates the header, both
@@ -642,9 +644,9 @@ impl GksIndex {
     /// a torn index file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, IndexError> {
         let path = path.as_ref();
-        let bytes = self.to_bytes_v3()?;
+        let bytes = self.serialize(write_node_table);
         let tmp = crate::shard::sibling_tmp_path(path);
-        fs::write(&tmp, &bytes)?;
+        fs::write(&tmp, bytes.as_ref())?;
         if let Err(e) = fs::rename(&tmp, path) {
             let _ = fs::remove_file(&tmp);
             return Err(IndexError::Io(e));
@@ -671,6 +673,7 @@ impl GksIndex {
 #[cfg(test)]
 pub(crate) fn with_node_rows(ix: &GksIndex, depths: &[u32], metas: &[NodeMeta]) -> Vec<u8> {
     ix.serialize(|out, _| write_node_rows(out, depths.len(), depths.iter().copied().zip(metas)))
+        .as_ref()
         .to_vec()
 }
 
@@ -747,8 +750,9 @@ mod tests {
             assert_eq!(loaded.posting_count(term), list.len(), "count for {term}");
         }
         assert_eq!(loaded.node_table().len(), ix.node_table().len());
-        for (dewey, meta) in ix.node_table().iter() {
-            let other = loaded.node_table().get(dewey).unwrap();
+        for (row, (_, meta)) in (0u32..).zip(ix.node_table().rows()) {
+            let dewey = ix.node_table().id(row).unwrap();
+            let other = loaded.node_table().get(&dewey).unwrap();
             assert_eq!(other.child_count, meta.child_count);
             assert_eq!(other.flags, meta.flags);
             assert_eq!(
@@ -1051,8 +1055,12 @@ mod tests {
 
         let bytes = built.to_bytes_v3().unwrap();
         let reopened = open_bytes(&bytes).unwrap();
-        let rows = |ix: &GksIndex| -> Vec<(DeweyId, NodeMeta)> {
-            ix.node_table().iter().map(|(id, meta)| (id.clone(), *meta)).collect()
+        let rows = |ix: &GksIndex| -> Vec<(Option<DeweyId>, NodeMeta)> {
+            let table = ix.node_table();
+            (0u32..)
+                .zip(table.rows())
+                .map(|(row, (_, meta))| (table.id(row), *meta))
+                .collect()
         };
         assert_eq!(rows(&reopened), rows(&built));
         assert_eq!(reopened.to_bytes_v3().unwrap(), bytes);
@@ -1066,8 +1074,7 @@ mod tests {
 
     /// `ix`'s node rows as depth and metadata columns.
     fn node_rows(ix: &GksIndex) -> (Vec<u32>, Vec<NodeMeta>) {
-        let table = ix.node_table();
-        table.iter().map(|(id, meta)| (id.depth() as u32, *meta)).unzip()
+        ix.node_table().rows().map(|(depth, meta)| (depth, *meta)).unzip()
     }
 
     /// Hand-built node sections whose depths are not a pre-order forest of

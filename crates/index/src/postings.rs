@@ -585,7 +585,7 @@ impl<'a> PostingView<'a> {
         let rows = self.store.rows_at(i, self.table.len())?;
         let ids = rows
             .iter()
-            .map(|&row| self.table.id(row).cloned())
+            .map(|&row| self.table.id(row))
             .collect::<Option<Box<[DeweyId]>>>()
             .ok_or(IndexError::Invariant("a checked row has no id"))?;
         Ok(slot.ids.get_or_init(|| ids))

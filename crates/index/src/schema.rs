@@ -75,29 +75,15 @@ pub struct SchemaSummary {
 
 impl SchemaSummary {
     /// Builds the summary from a finished index in one pass over the node
-    /// table (O(nodes · depth) label-path reconstructions).
+    /// table: the rows are in pre-order, so a row's label path is the open
+    /// path cut to its depth plus its own label.
     pub fn from_index(index: &GksIndex) -> SchemaSummary {
         let table = index.node_table();
         let mut paths: FastMap<Vec<u32>, PathStats> = FastMap::default();
         let mut path_buf: Vec<u32> = Vec::new();
-        for (dewey, meta) in table.iter() {
-            path_buf.clear();
-            // Reconstruct the label path root→node; every prefix of a
-            // recorded node is itself recorded.
-            let mut ok = true;
-            for depth in 0..=dewey.depth() {
-                let prefix = dewey.ancestor_at_depth(depth);
-                match table.get(&prefix) {
-                    Some(m) => path_buf.push(m.label),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
+        for (depth, meta) in table.rows() {
+            path_buf.truncate(depth as usize);
+            path_buf.push(meta.label);
             let stats = paths.entry(path_buf.clone()).or_default();
             stats.instances += 1;
             stats.census.add(meta.flags.primary());

@@ -207,7 +207,9 @@ proptest! {
     #[test]
     fn node_table_is_closed_and_flagged(tree in arb_tree()) {
         let ix = build(&tree);
-        for (dewey, meta) in ix.node_table().iter() {
+        let table = ix.node_table();
+        for row in 0..table.len() as u32 {
+            let (dewey, meta) = (table.id(row).unwrap(), table.meta(row).unwrap());
             prop_assert!(meta.child_count >= 1, "{dewey} child_count 0");
             for anc in dewey.ancestors() {
                 prop_assert!(ix.node_table().get(&anc).is_some(), "{dewey} missing ancestor");
@@ -230,7 +232,7 @@ proptest! {
         let label_count = ix.node_table().labels().len() as u32;
         for (row, entries) in ix.attr_store().iter() {
             let entity = ix.node_table().id(row).expect("entity row recorded");
-            let meta = ix.node_table().get(entity).expect("entity recorded");
+            let meta = ix.node_table().get(&entity).expect("entity recorded");
             prop_assert!(meta.flags.is_entity(), "{entity} has attrs but is not EN");
             prop_assert_eq!(entries.label(), meta.label);
             prop_assert!(!entries.is_empty(), "{entity} recorded without entries");
@@ -261,7 +263,7 @@ proptest! {
         prop_assert_eq!(loaded.attr_store().len(), ix.attr_store().len());
         for (row, entries) in ix.attr_store().iter() {
             let entity = ix.node_table().id(row).expect("entity row recorded");
-            let other = loaded.entries(entity);
+            let other = loaded.entries(&entity);
             prop_assert_eq!(other.label(), entries.label());
             prop_assert!(other.iter().eq(entries.iter()), "{entity} entries differ");
             for (a, b) in entries.ids().iter().zip(other.ids()) {

@@ -1,12 +1,12 @@
-//! The one id assigner against an independent reference. `NodeTable::link`
-//! numbers node rows from their depths alone; here every row's id and label
-//! are checked against a Dewey labelling of the parsed document (§2.1: a
-//! node's id is its parent's plus the count of its earlier element
-//! siblings), with each element's XML attributes lifted to its first
-//! children, as the builder lifts them. Every datagen shape — the nine
-//! datasets and the hybrid DBLP + SIGMOD merge — is checked in a built
-//! index, the same index reopened from its file, and the base shards a
-//! compaction folds.
+//! Node ids against an independent reference. `NodeTable::link` builds the
+//! node table from row depths alone, and `NodeTable::id` reads a row's id
+//! back off that shape; here every row's id and label are checked against
+//! a Dewey labelling of the parsed document (§2.1: a node's id is its
+//! parent's plus the count of its earlier element siblings), with each
+//! element's XML attributes lifted to its first children, as the builder
+//! lifts them. Every datagen shape — the nine datasets and the hybrid
+//! DBLP + SIGMOD merge — is checked in a built index, the same index
+//! reopened from its file, and the base shards a compaction folds.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -46,12 +46,15 @@ fn reference(docs: &[&str]) -> Vec<(DeweyId, String)> {
     out
 }
 
-/// Every row of `ix`'s node table as `(id, label)`, in row order.
+/// Every row of `ix`'s node table as `(id, label)`, in row order, each id
+/// read back off the table's shape by `NodeTable::id`.
 fn rows(ix: &GksIndex) -> Vec<(DeweyId, String)> {
     let table = ix.node_table();
-    table
-        .iter()
-        .map(|(id, meta)| (id.clone(), table.labels().name(meta.label).to_string()))
+    (0..table.len() as u32)
+        .map(|row| {
+            let meta = table.meta(row).unwrap();
+            (table.id(row).unwrap(), table.labels().name(meta.label).to_string())
+        })
         .collect()
 }
 
