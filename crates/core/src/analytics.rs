@@ -81,7 +81,8 @@ pub fn analyze(index: &GksIndex, response: &Response) -> ResponseAnalytics {
         if hit.kind != HitKind::Lce {
             continue;
         }
-        let label = index.node_table().label_name(&hit.node).unwrap_or("?").to_string();
+        let table = index.node_table();
+        let label = table.meta(hit.row).map_or("?", |m| table.labels().name(m.label)).to_string();
         let group = by_type.entry(label.clone()).or_insert_with(|| TypeGroup {
             label: label.clone(),
             hits: 0,
@@ -93,12 +94,10 @@ pub fn analyze(index: &GksIndex, response: &Response) -> ResponseAnalytics {
         // Facet contributions: one per attribute path, counting each value
         // once per hit.
         let mut seen_paths: Vec<Vec<String>> = Vec::new();
-        for entry in index.entries(&hit.node).iter() {
+        for entry in index.attr_store().entries_at(hit.row).iter() {
             let mut path = Vec::with_capacity(entry.path.len() + 1);
             path.push(label.clone());
-            path.extend(
-                entry.path.iter().map(|&l| index.node_table().labels().name(l).to_string()),
-            );
+            path.extend(entry.path.iter().map(|&l| table.labels().name(l).to_string()));
             let (values, coverage) = facets.entry(path.clone()).or_default();
             *values.entry(entry.value.to_string()).or_default() += 1;
             if !seen_paths.contains(&path) {

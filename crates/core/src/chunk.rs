@@ -20,13 +20,14 @@ use crate::search::Hit;
 /// unreachable in practice; it is propagated rather than unwrapped so a
 /// future bug surfaces as a typed error, not a panic mid-search.
 pub fn render_xml_chunk(index: &GksIndex, hit: &Hit) -> Result<String, WriterError> {
-    let label = index.node_table().label_name(&hit.node).unwrap_or("node");
+    let table = index.node_table();
+    let label = table.meta(hit.row).map_or("node", |meta| table.labels().name(meta.label));
     let mut entries: Vec<(Vec<&str>, &str)> = index
-        .entries(&hit.node)
+        .attr_store()
+        .entries_at(hit.row)
         .iter()
         .map(|e| {
-            let path: Vec<&str> =
-                e.path.iter().map(|&l| index.node_table().labels().name(l)).collect();
+            let path: Vec<&str> = e.path.iter().map(|&l| table.labels().name(l)).collect();
             (path, e.value)
         })
         .collect();

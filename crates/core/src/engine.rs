@@ -126,39 +126,32 @@ impl Engine {
     /// `["dblp", "inproceedings", "author"]`, with `"?"` for each depth the
     /// index does not record. One walk down the node table.
     pub fn node_path(&self, node: &DeweyId) -> Vec<String> {
-        self.path_names(node).map(str::to_string).collect()
-    }
-
-    /// [`node_path`](Self::node_path) borrowed from the index, for a caller
-    /// that writes the names somewhere rather than keeping them.
-    pub(crate) fn path_names<'a>(&'a self, node: &'a DeweyId) -> impl Iterator<Item = &'a str> {
         let table = self.index.node_table();
         table
             .path(node)
             .map(|meta| table.labels().name(meta.label))
             .chain(std::iter::repeat("?"))
             .take(node.depth() + 1)
+            .map(str::to_string)
+            .collect()
     }
 
     /// A short rendering of a hit: node description, Dewey id, matched
     /// keyword count, rank, and (for entity hits) up to three context
     /// attributes.
     pub fn render_hit(&self, hit: &Hit, response: &Response) -> String {
-        let mut out = format!(
-            "{} [{}] kws={} rank={:.3}",
-            self.describe_node(&hit.node),
-            hit.node,
-            hit.keyword_count,
-            hit.rank
-        );
-        let attrs = self.index.entries(&hit.node);
+        let table = self.index.node_table();
+        let doc = self.index.doc_name(hit.node.doc()).unwrap_or("?");
+        let label = table.meta(hit.row).map_or("?", |meta| table.labels().name(meta.label));
+        let mut out =
+            format!("{doc}/{label} [{}] kws={} rank={:.3}", hit.node, hit.keyword_count, hit.rank);
+        let attrs = self.index.attr_store().entries_at(hit.row);
         if !attrs.is_empty() {
             let shown: Vec<String> = attrs
                 .iter()
                 .take(3)
                 .map(|e| {
-                    let path: Vec<&str> =
-                        e.path.iter().map(|&l| self.index.node_table().labels().name(l)).collect();
+                    let path: Vec<&str> = e.path.iter().map(|&l| table.labels().name(l)).collect();
                     format!("{}={}", path.join("."), e.value)
                 })
                 .collect();

@@ -114,6 +114,11 @@ pub enum HitKind {
 pub struct Hit {
     /// The node.
     pub node: DeweyId,
+    /// The node's row in the node table of the index that answered — for a
+    /// gathered hit, its shard's ([`crate::shard::ShardedResponse::origin`]),
+    /// not a global row. DI and the wire body read attributes and paths
+    /// through it, so they build no id.
+    pub row: u32,
     /// LCE or plain LCP.
     pub kind: HitKind,
     /// Bit `i` set iff query keyword `i` occurs in the subtree.
@@ -377,6 +382,7 @@ pub fn search_masked(
         .filter_map(|h| {
             Some(Hit {
                 node: table.id(h.row)?,
+                row: h.row,
                 kind: h.kind,
                 keyword_mask: h.keyword_mask,
                 keyword_count: h.keyword_count,

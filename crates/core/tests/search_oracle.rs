@@ -9,13 +9,15 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gks_core::merge::{merge_posting_lists_counted, SlEntry};
 use gks_core::postlist::keyword_postings_counted;
+use gks_core::shard::sharded_search;
 use gks_core::{CostLedger, Engine, HitKind, Query, Response, SearchOptions, Threshold};
 use gks_dewey::DeweyId;
-use gks_index::{Corpus, GksIndex, IndexOptions, NodeTable};
+use gks_index::{split_corpus, Corpus, GksIndex, IndexOptions, NodeTable};
 use proptest::prelude::*;
 
 /// One hit as the comparison sees it: node, kind, mask, rank bits.
@@ -313,12 +315,13 @@ fn random_doc(ops: &[(u8, u8)]) -> String {
     xml
 }
 
+fn corpus_of(docs: &[String]) -> Corpus {
+    Corpus::from_named_strs(docs.iter().enumerate().map(|(i, x)| (format!("d{i}"), x.as_str())))
+        .unwrap()
+}
+
 fn build(docs: &[String]) -> GksIndex {
-    let corpus = Corpus::from_named_strs(
-        docs.iter().enumerate().map(|(i, x)| (format!("d{i}"), x.as_str())),
-    )
-    .unwrap();
-    GksIndex::build(&corpus, IndexOptions::default()).unwrap()
+    GksIndex::build(&corpus_of(docs), IndexOptions::default()).unwrap()
 }
 
 /// Keywords: the words, tag names (a tag keyword posts the element, so the
@@ -367,6 +370,70 @@ proptest! {
         let dead: Vec<u32> = (0..xmls.len() as u32).filter(|d| dead_bits & (1 << d) != 0).collect();
         check(&Engine::from_shared(Arc::clone(&index), Vec::new()), &query, limit)?;
         check(&Engine::from_shared(index, dead), &query, limit)?;
+    }
+}
+
+/// Every hit's row names its id in the engine that answered, for every `s`.
+fn check_rows(engine: &Engine, query: &Query) -> Result<(), TestCaseError> {
+    for s in 1..=query.len() {
+        let response = engine.search(query, SearchOptions::with_s(s)).unwrap();
+        for hit in response.hits() {
+            let id = engine.index().node_table().id(hit.row);
+            prop_assert_eq!(id.as_ref(), Some(&hit.node), "row {} s={}", hit.row, s);
+        }
+    }
+    Ok(())
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Hit::row` and `Hit::node` name the same node: built, reopened from
+    /// disk, behind a tombstone mask, and in a gathered response, where the
+    /// row is local to the hit's shard and the id global.
+    #[test]
+    fn hit_rows_name_the_hit_ids(
+        docs in prop::collection::vec(prop::collection::vec((0u8..9, 0u8..25), 0..50), 1..5),
+        picks in prop::collection::vec(0usize..POOL.len(), 1..=4),
+        dead_bits in 0u8..16,
+        shards in 2usize..4,
+    ) {
+        let xmls: Vec<String> = docs.iter().map(|ops| random_doc(ops)).collect();
+        let query = Query::from_keywords(picks.iter().map(|&i| POOL[i])).unwrap();
+        let dead: Vec<u32> = (0..xmls.len() as u32).filter(|d| dead_bits & (1 << d) != 0).collect();
+        let built = Arc::new(build(&xmls));
+        let path = std::env::temp_dir().join(format!(
+            "gks-hit-rows-{}-{}.gksix",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        built.save(&path).unwrap();
+        let reopened = Arc::new(GksIndex::load(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        for index in [built, reopened] {
+            check_rows(&Engine::from_shared(Arc::clone(&index), Vec::new()), &query)?;
+            check_rows(&Engine::from_shared(index, dead.clone()), &query)?;
+        }
+
+        let parts = split_corpus(&corpus_of(&xmls), shards);
+        let engines: Vec<Engine> =
+            parts.iter().map(|p| Engine::build(p, IndexOptions::default()).unwrap()).collect();
+        let refs: Vec<&Engine> = engines.iter().collect();
+        let bases: Vec<u32> = parts
+            .iter()
+            .scan(0u32, |base, p| {
+                let this = *base;
+                *base += p.len() as u32;
+                Some(this)
+            })
+            .collect();
+        let merged = sharded_search(&refs, &bases, &query, SearchOptions::with_s(1)).unwrap();
+        for (i, hit) in merged.response().hits().iter().enumerate() {
+            let id = refs[merged.origin(i)].index().node_table().id(hit.row);
+            prop_assert_eq!(id, Some(merged.local_node(i)), "hit {}", i);
+        }
     }
 }
 

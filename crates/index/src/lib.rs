@@ -40,7 +40,7 @@ pub mod schema;
 pub mod shard;
 pub mod stats;
 
-pub use attrstore::{AttrIds, AttrSource, AttrStore, AttrView, Entries};
+pub use attrstore::{AttrIds, AttrSource, AttrStore, AttrView, Entries, GroupKey};
 pub use audit::{audit_manifest, ManifestViolation};
 pub use builder::GksIndex;
 pub use categorize::{NodeCategory, NodeFlags};
