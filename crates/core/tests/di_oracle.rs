@@ -169,6 +169,20 @@ proptest! {
         let (sharded, sharded_attrs) = discover_di_sharded_counted(&indexes, &merged, &options);
         prop_assert_eq!(comparable(&sharded), comparable(&expected), "{} shard(s)", parts.len());
         prop_assert_eq!(sharded_attrs, expected_attrs);
+
+        // Again with the group column derived: on the whole index, and on
+        // every other shard, so that a gather reads some shards by group id
+        // and some by key.
+        whole.index().attr_store().group_count();
+        let (got, got_attrs) = discover_di_counted(whole.index(), &response, &options);
+        prop_assert_eq!(comparable(&got), comparable(&expected));
+        prop_assert_eq!(got_attrs, expected_attrs);
+        for index in indexes.iter().step_by(2) {
+            index.attr_store().group_count();
+        }
+        let (sharded, sharded_attrs) = discover_di_sharded_counted(&indexes, &merged, &options);
+        prop_assert_eq!(comparable(&sharded), comparable(&expected), "{} shard(s)", parts.len());
+        prop_assert_eq!(sharded_attrs, expected_attrs);
     }
 }
 
